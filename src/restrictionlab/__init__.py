@@ -38,6 +38,7 @@ from .measures import (
     make_random_cantor_measure,
     make_point_mass,
     fourier_transform_at,
+    mu_hat_on_lattice,
     ball_regularity_profile,
     fourier_decay_profile,
     dyadic_piece,

@@ -34,6 +34,7 @@ from .measures import (
     fourier_decay_profile,
     make_cantor_measure,
     make_sphere_measure,
+    mu_hat_on_lattice,
 )
 from .operators import convolve_mu_hat, extend, random_smooth_family, restrict_at_atoms, restrict_sq_integral
 from .oscillatory import (
@@ -195,11 +196,12 @@ def criterion_5(seed: int = 0) -> CriterionResult:
     measure = make_sphere_measure(2, 4096)
     grid = GridSpec(dim=2, half_width=2.0, points_per_axis=2048)
     j_list = list(range(1, 9))
+    mu_hat = mu_hat_on_lattice(measure, grid)
     rows = []
     hat_scaled = []
     mass_scaled = []
     for j in j_list:
-        piece = dyadic_piece(measure, j, grid)
+        piece = dyadic_piece(measure, j, grid, mu_hat)
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))

@@ -39,6 +39,7 @@ from .measures import (
     make_point_mass,
     make_random_cantor_measure,
     make_sphere_measure,
+    mu_hat_on_lattice,
     save_measure,
 )
 from .operators import (
@@ -323,11 +324,12 @@ def cmd_decay(args) -> int:
 def cmd_dyadic(args) -> int:
     measure = _build_measure(args)
     grid = GridSpec(dim=measure.dim, half_width=args.half_width, points_per_axis=args.points)
+    mu_hat = mu_hat_on_lattice(measure, grid)
     rows = []
     hat_scaled = []
     mass_scaled = []
     for j in args.j_list:
-        piece = dyadic_piece(measure, j, grid)
+        piece = dyadic_piece(measure, j, grid, mu_hat)
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))

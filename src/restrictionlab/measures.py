@@ -34,6 +34,7 @@ __all__ = [
     "make_random_cantor_measure",
     "make_point_mass",
     "fourier_transform_at",
+    "mu_hat_on_lattice",
     "ball_regularity_profile",
     "fourier_decay_profile",
     "dyadic_piece",
@@ -68,6 +69,8 @@ class DiscreteMeasure:
             )
         if w.size < 1:
             raise ValueError("need at least one atom")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(w))):
+            raise ValueError("atoms and weights must be finite (no nan or inf)")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -345,9 +348,19 @@ def fourier_decay_profile(
     )
 
 
-def _mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
-    """mu_hat sampled on the grid's frequency lattice, exactly (axis-separable
-    phase matrices contracted against the weights)."""
+def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
+    """mu_hat sampled on the grid's frequency lattice, exactly.
+
+    Returns the (N,)*d complex array whose entry at index (k_1, ..., k_d) is
+    mu_hat(f_{k_1}, ..., f_{k_d}) = sum_j w_j exp(-2 pi i <x_j, xi>), with
+    f = grid.freq_axis() (ascending, the layout of fourier_on_grid and
+    inverse_fourier_on_grid). Axis-separable phase matrices contracted
+    against the weights; fourier_transform_at on the freq_mesh points is
+    its oracle. It does not depend on any dyadic scale, so a sweep over j
+    computes it once and hands it to dyadic_piece.
+    """
+    if grid.dim != measure.dim:
+        raise ValueError("grid dimension != measure dimension")
     fax = grid.freq_axis()
     mats = [
         np.exp(-2j * np.pi * np.outer(measure.atoms[:, k], fax))
@@ -367,13 +380,16 @@ def _mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     raise ValueError("dimension %d not supported on lattices" % measure.dim)
 
 
-def dyadic_piece(measure: DiscreteMeasure, j: int, grid: GridSpec) -> DyadicPiece:
+def dyadic_piece(
+    measure: DiscreteMeasure, j: int, grid: GridSpec, mu_hat: np.ndarray
+) -> DyadicPiece:
     """The frequency-localized piece of the measure at dyadic scale j.
 
-    Multiplies the lattice samples of mu_hat by the smooth ring cutoff
-    supported on 2^{j-2} < |xi| < 2^j (the j = 0 piece is the low-pass
-    plateau) and inverse transforms. The grid must resolve frequency 2^j:
-    its Nyquist radius N/(4L) must be at least 2^j.
+    Multiplies the lattice samples mu_hat = mu_hat_on_lattice(measure, grid)
+    by the smooth ring cutoff supported on 2^{j-2} < |xi| < 2^j (the j = 0
+    piece is the low-pass plateau) and inverse transforms. The samples are
+    taken, not recomputed, so a sweep over j builds them once. The grid must
+    resolve frequency 2^j: its Nyquist radius N/(4L) must be at least 2^j.
     """
     j = int(j)
     if j < 0:
@@ -386,14 +402,19 @@ def dyadic_piece(measure: DiscreteMeasure, j: int, grid: GridSpec) -> DyadicPiec
             "grid too coarse for scale j=%d: Nyquist radius %g < 2^j; "
             "need points_per_axis >= %d at this half width" % (j, grid.nyquist, need)
         )
-    F = _mu_hat_on_lattice(measure, grid)
+    lattice_shape = (grid.points_per_axis,) * grid.dim
+    if np.shape(mu_hat) != lattice_shape:
+        raise ValueError(
+            "mu_hat has shape %r, the grid's frequency lattice is %r"
+            % (np.shape(mu_hat), lattice_shape)
+        )
     fax = grid.freq_axis()
-    u = np.zeros(F.shape)
+    u = np.zeros(lattice_shape)
     for axis in range(grid.dim):
         shape = [1] * grid.dim
         shape[axis] = fax.size
         u = u + (fax**2).reshape(shape)
-    localized = F * dyadic_ring(u, j)
+    localized = mu_hat * dyadic_ring(u, j)
     values = inverse_fourier_on_grid(localized, grid)
     fld = SampledField.on_grid(grid, values, label="%s-piece-j%d" % (measure.label, j))
     return DyadicPiece(

@@ -2,16 +2,20 @@
 
 Criteria 1 through 11 run in-process and assert the full check list of
 each CriterionResult; the failure message carries every sub-check so a
-red line is diagnosable from the pytest output alone. Criterion 12 runs
-the complete suite twice through the installed command-line entry point
-and compares the emitted CSV bytes.
+red line is diagnosable from the pytest output alone. Criterion 5 also
+compares its emitted CSV with the stored benchmark reference. Criterion
+12 runs the complete suite twice through the installed command-line entry
+point and compares the emitted CSV bytes.
 """
 
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from restrictionlab import acceptance
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def _assert_passed(result, index, name):
@@ -40,8 +44,13 @@ def test_criterion_04_cantor_dimensions():
     _assert_passed(acceptance.criterion_4(seed=0), 4, "cantor-dimensions")
 
 
-def test_criterion_05_dyadic_piece_bounds():
-    _assert_passed(acceptance.criterion_5(seed=0), 5, "dyadic-piece-bounds")
+def test_criterion_05_dyadic_piece_bounds(tmp_path):
+    # run through the writer so the emitted table is pinned byte for byte to
+    # the stored benchmark reference (criterion 5 takes no seed)
+    (result,) = acceptance.run_acceptance(str(tmp_path), seed=0, only=[5])
+    _assert_passed(result, 5, "dyadic-piece-bounds")
+    emitted = (tmp_path / "criterion_05.csv").read_bytes()
+    assert emitted == (REFERENCE / "dyadic" / "any" / "criterion_05.csv").read_bytes()
 
 
 def test_criterion_06_tomas_identity():

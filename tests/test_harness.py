@@ -113,6 +113,15 @@ def test_invalid_configuration_exits_2(tmp_path):
     assert main(["accept", "--only", "0", "--out", out]) == 2
 
 
+def test_non_finite_measure_file_exits_2(tmp_path, capsys):
+    holes = tmp_path / "nan.txt"
+    holes.write_text("2 2 holes\n1.0 0.0 0.5\nnan 1.0 0.5\n", encoding="ascii")
+    out = str(tmp_path / "r")
+    assert main(["restrict", "--measure-file", str(holes), "--out", out]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "restrict.csv"))
+
+
 def test_argparse_schema_errors_exit_2():
     assert main(["not-a-subcommand"]) == 2
     assert main(["exponents", "--bogus-flag", "1"]) == 2

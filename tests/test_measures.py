@@ -20,6 +20,7 @@ from restrictionlab.measures import (
     make_point_mass,
     make_random_cantor_measure,
     make_sphere_measure,
+    mu_hat_on_lattice,
     save_measure,
 )
 
@@ -31,6 +32,22 @@ def test_measure_validation():
         DiscreteMeasure(dim=1, atoms=np.zeros((2, 1)), weights=np.array([1.5, -0.5]))
     with pytest.raises(ValueError, match="sum to 1"):
         DiscreteMeasure(dim=1, atoms=np.zeros((2, 1)), weights=np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize(
+    "atoms, weights",
+    [
+        ([[0.0, 0.0], [np.nan, 1.0]], [0.5, 0.5]),
+        ([[0.0, 0.0], [np.inf, 1.0]], [0.5, 0.5]),
+        ([[0.0, 0.0], [1.0, -np.inf]], [0.5, 0.5]),
+        # nan slips past both the sign and the unit-sum checks
+        ([[0.0, 0.0], [1.0, 1.0]], [np.nan, 1.0]),
+    ],
+    ids=["nan-atom", "inf-atom", "minus-inf-atom", "nan-weight"],
+)
+def test_measure_rejects_non_finite_values(atoms, weights):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(dim=2, atoms=np.array(atoms), weights=np.array(weights))
 
 
 def test_constructor_validation():
@@ -228,10 +245,49 @@ def test_decay_profile_validation():
         fourier_decay_profile(m, [1.0, 2.0, 1e6])
 
 
+@pytest.mark.parametrize(
+    "measure, grid",
+    [
+        (make_cantor_measure(1 / 3, 6), GridSpec(1, 2.0, 64)),
+        (make_sphere_measure(2, 64), GridSpec(2, 2.0, 32)),
+        (make_sphere_measure(3, 64), GridSpec(3, 2.0, 8)),
+    ],
+    ids=["d1-cantor", "d2-circle", "d3-sphere"],
+)
+def test_mu_hat_on_lattice_matches_direct_sum(measure, grid):
+    # the separable lattice contraction against its oracle, the direct sum
+    # over every point of the frequency lattice
+    lattice = mu_hat_on_lattice(measure, grid)
+    assert lattice.shape == (grid.points_per_axis,) * grid.dim
+    mesh = grid.freq_mesh()
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    direct = fourier_transform_at(measure, points).reshape(mesh[0].shape)
+    assert np.max(np.abs(lattice - direct)) <= 1e-12
+
+
+def test_mu_hat_on_lattice_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension"):
+        mu_hat_on_lattice(make_sphere_measure(2, 64), GridSpec(1, 2.0, 64))
+
+
+def test_dyadic_piece_rejects_mis_shaped_lattice():
+    g = GridSpec(2, 2.0, 32)
+    m = make_sphere_measure(2, 64)
+    good = mu_hat_on_lattice(m, g)
+    for bad in (good[:16], good.ravel(), good[:, :, None]):
+        with pytest.raises(ValueError, match="frequency lattice"):
+            dyadic_piece(m, 2, g, bad)
+    # the lattice of a coarser grid has the wrong shape as well
+    coarse = mu_hat_on_lattice(m, GridSpec(2, 2.0, 16))
+    with pytest.raises(ValueError, match="frequency lattice"):
+        dyadic_piece(m, 2, g, coarse)
+
+
 def test_dyadic_piece_of_point_mass_is_pure_ring():
     # mu_hat = 1, so the localized lattice samples are exactly the ring
     g = GridSpec(1, 2.0, 128)
-    piece = dyadic_piece(make_point_mass([0.0]), 3, g)
+    m = make_point_mass([0.0])
+    piece = dyadic_piece(m, 3, g, mu_hat_on_lattice(m, g))
     assert piece.sup_mu_hat_j == pytest.approx(1.0, abs=1e-15)
     back = fourier_on_grid(piece.field.values, g)
     ring = dyadic_ring(g.freq_axis() ** 2, 3)
@@ -241,9 +297,10 @@ def test_dyadic_piece_of_point_mass_is_pure_ring():
 def test_dyadic_pieces_sum_to_low_pass():
     g = GridSpec(2, 2.0, 32)
     m = make_sphere_measure(2, 64)
+    mu_hat = mu_hat_on_lattice(m, g)
     total = None
     for j in range(3):
-        f = dyadic_piece(m, j, g).field.values
+        f = dyadic_piece(m, j, g, mu_hat).field.values
         total = f if total is None else total + f
     fx, fy = g.freq_mesh()
     lattice = np.stack([fx.ravel(), fy.ravel()], axis=1)
@@ -254,12 +311,14 @@ def test_dyadic_pieces_sum_to_low_pass():
 
 def test_dyadic_piece_resolution_check():
     g = GridSpec(1, 2.0, 128)  # Nyquist radius 16
+    point = make_point_mass([0.0])
+    lattice = mu_hat_on_lattice(point, g)
     with pytest.raises(ValueError, match="too coarse"):
-        dyadic_piece(make_point_mass([0.0]), 5, g)
+        dyadic_piece(point, 5, g, lattice)
     with pytest.raises(ValueError, match="nonnegative"):
-        dyadic_piece(make_point_mass([0.0]), -1, g)
+        dyadic_piece(point, -1, g, lattice)
     with pytest.raises(ValueError, match="dimension"):
-        dyadic_piece(make_sphere_measure(2, 64), 2, g)
+        dyadic_piece(make_sphere_measure(2, 64), 2, g, lattice)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -283,6 +342,13 @@ def test_load_rejects_malformed_files(tmp_path):
     bad2.write_text("2 1 cols\n0.0 1.0\n", encoding="ascii")
     with pytest.raises(ValueError, match="columns"):
         load_measure(bad2)
+
+
+def test_load_rejects_non_finite_rows(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("1 2 holes\n0.0 0.5\nnan 0.5\n", encoding="ascii")
+    with pytest.raises(ValueError, match="finite"):
+        load_measure(path)
 
 
 def test_random_cantor_is_reproducible_and_valid():
