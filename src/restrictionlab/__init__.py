@@ -26,7 +26,6 @@ from .grids import (
     SampledField,
     fourier_on_grid,
     inverse_fourier_on_grid,
-    dual_grid,
 )
 from .measures import (
     DiscreteMeasure,
@@ -47,8 +46,6 @@ from .measures import (
 )
 from .lorentz import (
     LorentzExponent,
-    RearrangementSteps,
-    decreasing_rearrangement,
     lorentz_norm,
     lorentz_norm_values,
     indicator_lorentz_norm,
@@ -62,7 +59,6 @@ from .exponents import (
     oscillatory_exponents,
     bourgain_interpolate,
     verify_identities,
-    hormander_q,
     InterpolationInput,
     InterpolationResult,
 )

@@ -10,6 +10,9 @@ failure). No other exit codes occur.
 
 Verdict thresholds (slope windows, flatness factors, gaps) are flags with
 defaults pinned here, not constants buried in the computation modules.
+Each experiment subcommand returns its table and checks and `main` writes
+them; acceptance criteria 5 and 7-10 run the `dyadic`, `lorentz`, `knapp`,
+`oscillatory` and `fold` experiments at these parser defaults.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +64,9 @@ from .oscillatory import (
 from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
 
 __all__ = ["main", "build_parser"]
+
+# An experiment subcommand's outcome: its table and its named checks.
+Result = Tuple[ReportTable, List[Tuple[str, bool, str]]]
 
 
 def _floats(text: str) -> List[float]:
@@ -207,11 +212,17 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(args.subcommand, params, args.out, args.seed)
 
 
-def _finish(args, name: str, table: ReportTable, checks) -> int:
+def _out_path(args, filename: str) -> str:
+    """Path of an output file; --out is created only once a file is due."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, filename)
+
+
+def _finish(args, table: ReportTable, checks) -> int:
+    name = args.subcommand
     config = _config_from_args(args)
-    table = replace(table, provenance=config.echo_lines())
-    csv_path = os.path.join(args.out, name + ".csv")
-    verdict_path = os.path.join(args.out, name + "_verdict.txt")
+    csv_path = _out_path(args, name + ".csv")
+    verdict_path = _out_path(args, name + "_verdict.txt")
     emit_csv(table, csv_path)
     ok = write_verdict(verdict_path, name, config, checks)
     for cname, cok, detail in checks:
@@ -238,7 +249,7 @@ def _build_measure(args):
     raise ValueError("unknown measure kind %r" % kind)
 
 
-def cmd_exponents(args) -> int:
+def cmd_exponents(args) -> Result:
     profile = exponent_profile(args.d, args.a, args.b)
     flags = verify_identities(profile)
     q_at_p0 = critical_q(profile, profile.p0)
@@ -271,13 +282,12 @@ def cmd_exponents(args) -> int:
                 ("rho_1", str(osc.rho_1)),
                 ("sigma_1", str(osc.sigma_1)),
             ),
-            provenance=_config_from_args(args).echo_lines(),
         )
-        emit_csv(osc_table, os.path.join(args.out, "exponents_oscillatory.csv"))
-    return _finish(args, "exponents", table, checks)
+        emit_csv(osc_table, _out_path(args, "exponents_oscillatory.csv"))
+    return table, checks
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> Result:
     measure = _build_measure(args)
     if args.radii is not None:
         radii = args.radii
@@ -286,7 +296,7 @@ def cmd_measure(args) -> int:
     else:
         radii = [2.0 ** (-k) for k in range(1, 9)]
     profile = ball_regularity_profile(measure, radii)
-    save_path = os.path.join(args.out, measure.label + ".measure.txt")
+    save_path = _out_path(args, measure.label + ".measure.txt")
     save_measure(measure, save_path)
     a_hi = float(measure.dim) if args.a_max is None else args.a_max
     checks = [
@@ -301,10 +311,10 @@ def cmd_measure(args) -> int:
         columns=("radius", "max_ball_ratio"),
         rows=tuple(zip(profile.radii, profile.max_ball_ratios)),
     )
-    return _finish(args, "measure", table, checks)
+    return table, checks
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args) -> Result:
     measure = _build_measure(args)
     profile = fourier_decay_profile(measure, args.r_list, n_directions=args.directions, seed=args.seed)
     checks = [
@@ -318,10 +328,10 @@ def cmd_decay(args) -> int:
         columns=("R", "annulus_sup"),
         rows=tuple(zip(profile.annulus_radii, profile.annulus_sups)),
     )
-    return _finish(args, "decay", table, checks)
+    return table, checks
 
 
-def cmd_dyadic(args) -> int:
+def cmd_dyadic(args) -> Result:
     measure = _build_measure(args)
     grid = GridSpec(dim=measure.dim, half_width=args.half_width, points_per_axis=args.points)
     mu_hat = mu_hat_on_lattice(measure, grid)
@@ -351,10 +361,10 @@ def cmd_dyadic(args) -> int:
         columns=("j", "sup_mu_hat_j", "sup_mu_j", "hat_scaled", "mass_scaled"),
         rows=tuple(rows),
     )
-    return _finish(args, "dyadic", table, checks)
+    return table, checks
 
 
-def cmd_lorentz(args) -> int:
+def cmd_lorentz(args) -> Result:
     rng = np.random.default_rng(args.seed)
     worst_pp = 0.0
     for _ in range(args.fields):
@@ -401,10 +411,10 @@ def cmd_lorentz(args) -> int:
             ("rearrangement", 0.0 if rearr else 1.0),
         ),
     )
-    return _finish(args, "lorentz", table, checks)
+    return table, checks
 
 
-def cmd_knapp(args) -> int:
+def cmd_knapp(args) -> Result:
     grid = GridSpec(dim=2, half_width=args.half_width, points_per_axis=args.points)
     rep = knapp_sharpness_experiment(
         q=args.q,
@@ -439,10 +449,10 @@ def cmd_knapp(args) -> int:
     for i, N in enumerate(rep.n_values):
         rows.append((N, rep.norm_g[i]) + tuple(rep.norms_f[i]))
     table = ReportTable(columns=tuple(columns), rows=tuple(rows))
-    return _finish(args, "knapp", table, checks)
+    return table, checks
 
 
-def cmd_restrict(args) -> int:
+def cmd_restrict(args) -> Result:
     if args.measure_file is not None:
         measure = load_measure(args.measure_file)
     else:
@@ -478,24 +488,20 @@ def cmd_restrict(args) -> int:
     else:
         checks.append(("ratio spread recorded", True, "factor %.3f" % spread))
     table = ReportTable(columns=("field", "ratio"), rows=tuple(rows))
-    return _finish(args, "restrict", table, checks)
-
-
-def _get_phase(name: str, radius: float):
-    catalog = phase_catalog(amp_radius=radius)
-    if name not in catalog:
-        raise ValueError("unknown phase %r; catalog: %s" % (name, ", ".join(sorted(catalog))))
-    return catalog[name]
+    return table, checks
 
 
 def _resolve_phase(args):
-    if getattr(args, "phase_file", None):
+    if args.phase_file:
         return polynomial_phase_from_file(args.phase_file)
-    return _get_phase(args.phase, args.radius)
+    catalog = phase_catalog(amp_radius=args.radius)
+    if args.phase not in catalog:
+        raise ValueError("unknown phase %r; catalog: %s" % (args.phase, ", ".join(sorted(catalog))))
+    return catalog[args.phase]
 
 
 def _resolve_family(args, spec):
-    kind = getattr(args, "family", "auto")
+    kind = args.family
     if kind == "auto":
         kind = "slab" if spec.y_dim == 1 else "fold"
     if kind == "constant":
@@ -509,7 +515,33 @@ def _resolve_family(args, spec):
     return fold_scaling_family(seed=args.seed, radius=spec.amp_radius)
 
 
-def cmd_oscillatory(args) -> int:
+def _scaling(args, spec, checks) -> Result:
+    """The lambda-scaling tail shared by `oscillatory` and `fold`: the fit
+    against the slope window, after the subcommand's hypothesis checks."""
+    rep = scaling_experiment(
+        spec,
+        kappa=args.kappa,
+        lam_list=args.lam_list,
+        family=_resolve_family(args, spec),
+        q=args.q,
+        s=args.s,
+        x_points=args.x_points,
+        y_points=args.y_points,
+    )
+    checks.append(
+        (
+            "fitted slope in [%g, %g] (target %g)" % (args.slope_min, args.slope_max, rep.target_slope),
+            args.slope_min <= rep.fit.slope <= args.slope_max,
+            "%.4f" % rep.fit.slope,
+        )
+    )
+    for note in rep.dropped:
+        checks.append(("resolution notice", True, note))
+    table = ReportTable(columns=("lambda", "ratio"), rows=tuple(zip(rep.lam_values, rep.ratios)))
+    return table, checks
+
+
+def cmd_oscillatory(args) -> Result:
     spec = _resolve_phase(args)
     rng = np.random.default_rng(args.seed)
     r = spec.amp_radius
@@ -536,58 +568,15 @@ def cmd_oscillatory(args) -> int:
         )
     else:
         checks.append(("curvature check skipped (square phase or kappa = 0)", True, ""))
-    family = _resolve_family(args, spec)
-    rep = scaling_experiment(
-        spec,
-        kappa=args.kappa,
-        lam_list=args.lam_list,
-        family=family,
-        q=args.q,
-        s=args.s,
-        x_points=args.x_points,
-        y_points=args.y_points,
-    )
-    checks.append(
-        (
-            "fitted slope in [%g, %g] (target %g)" % (args.slope_min, args.slope_max, rep.target_slope),
-            args.slope_min <= rep.fit.slope <= args.slope_max,
-            "%.4f" % rep.fit.slope,
-        )
-    )
-    for note in rep.dropped:
-        checks.append(("resolution notice", True, note))
-    table = ReportTable(columns=("lambda", "ratio"), rows=tuple(zip(rep.lam_values, rep.ratios)))
-    return _finish(args, "oscillatory", table, checks)
+    return _scaling(args, spec, checks)
 
 
-def cmd_fold(args) -> int:
+def cmd_fold(args) -> Result:
     spec = _resolve_phase(args)
     r = spec.amp_radius
     probes = [((0.2 * r, 0.5 * r), (0.1 * r, t)) for t in np.linspace(-r / 2, r / 2, 9)]
     fold_rep = check_fold(spec, probes, kappa_target=args.kappa)
-    checks = [(fold_rep.condition, fold_rep.verdict, fold_rep.notes)]
-    family = _resolve_family(args, spec)
-    rep = scaling_experiment(
-        spec,
-        kappa=args.kappa,
-        lam_list=args.lam_list,
-        family=family,
-        q=args.q,
-        s=args.s,
-        x_points=args.x_points,
-        y_points=args.y_points,
-    )
-    checks.append(
-        (
-            "fitted slope in [%g, %g] (target %g)" % (args.slope_min, args.slope_max, rep.target_slope),
-            args.slope_min <= rep.fit.slope <= args.slope_max,
-            "%.4f" % rep.fit.slope,
-        )
-    )
-    for note in rep.dropped:
-        checks.append(("resolution notice", True, note))
-    table = ReportTable(columns=("lambda", "ratio"), rows=tuple(zip(rep.lam_values, rep.ratios)))
-    return _finish(args, "fold", table, checks)
+    return _scaling(args, spec, [(fold_rep.condition, fold_rep.verdict, fold_rep.notes)])
 
 
 def cmd_accept(args) -> int:
@@ -612,7 +601,6 @@ HANDLERS = {
     "restrict": cmd_restrict,
     "oscillatory": cmd_oscillatory,
     "fold": cmd_fold,
-    "accept": cmd_accept,
 }
 
 
@@ -624,8 +612,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on schema violations and 0 for --help
         return 0 if exc.code in (0, None) else 2
     try:
-        os.makedirs(args.out, exist_ok=True)
-        return HANDLERS[args.subcommand](args)
+        if args.subcommand == "accept":
+            return cmd_accept(args)
+        table, checks = HANDLERS[args.subcommand](args)
+        return _finish(args, table, checks)
     except (ValueError, TypeError, KeyError, NotImplementedError, OSError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 2

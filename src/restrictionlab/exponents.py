@@ -29,7 +29,6 @@ __all__ = [
     "InterpolationResult",
     "bourgain_interpolate",
     "verify_identities",
-    "hormander_q",
 ]
 
 
@@ -240,17 +239,3 @@ def verify_identities(profile: ExponentProfile) -> dict:
     # duality combination
     checks["duality_combination"] = 1 - 1 / rho + 1 / sig == 2 / p0p == b / (D + b)
     return checks
-
-
-def hormander_q(d: int, p) -> Fraction:
-    """The companion exponent ((d+1)/(d-1)) p' for oscillatory operators.
-
-    Defined for 1 < p < 2d/(d-1) in dimension d >= 2.
-    """
-    d = int(d)
-    if d < 2:
-        raise ValueError("need d >= 2")
-    p = _frac(p)
-    if not (1 < p < Fraction(2 * d, d - 1)):
-        raise ValueError("need 1 < p < 2d/(d-1)")
-    return Fraction(d + 1, d - 1) * conjugate(p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridSpec", "SampledField", "fourier_on_grid", "inverse_fourier_on_grid", "dual_grid"]
+__all__ = ["GridSpec", "SampledField", "fourier_on_grid", "inverse_fourier_on_grid"]
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,3 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
         raise ValueError("value shape does not match grid")
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
     return scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * F))
-
-
-def dual_grid(grid: GridSpec) -> GridSpec:
-    """The frequency lattice of `grid`, itself as a GridSpec.
-
-    Same point count; half-width equals the Nyquist frequency, so its
-    spacing is 1/(2L).
-    """
-    return GridSpec(grid.dim, grid.nyquist, grid.points_per_axis)

@@ -1,4 +1,4 @@
-"""Decreasing rearrangements and Lorentz quasi-norms for sampled fields.
+"""Lorentz quasi-norms of sampled fields via the decreasing rearrangement.
 
 The rearrangement of a sampled field is a finite step function, so the
 quasi-norm integral has a closed form per step (power rule) and no
@@ -21,8 +21,6 @@ from .grids import SampledField
 
 __all__ = [
     "LorentzExponent",
-    "RearrangementSteps",
-    "decreasing_rearrangement",
     "lorentz_norm",
     "lorentz_norm_values",
     "indicator_lorentz_norm",
@@ -41,46 +39,6 @@ class LorentzExponent:
             raise ValueError("p must be finite and positive")
         if not (self.s > 0):
             raise ValueError("s must be positive (math.inf allowed)")
-
-
-@dataclass(frozen=True)
-class RearrangementSteps:
-    """Step representation of f*: strictly decreasing values with widths.
-
-    widths[i] is the total cell volume on which |f| equals values[i];
-    their sum is (number of nonzero cells) * cell_volume.
-    """
-
-    values: np.ndarray
-    widths: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        w = np.asarray(self.widths, dtype=float)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "widths", w)
-        if v.shape != w.shape:
-            raise ValueError("values and widths must align")
-        if v.size and (np.any(np.diff(v) >= 0) or np.any(v <= 0) or np.any(w <= 0)):
-            raise ValueError("values must be strictly decreasing and positive")
-
-    def total_width(self) -> float:
-        return float(np.sum(self.widths))
-
-
-def decreasing_rearrangement(f: SampledField) -> RearrangementSteps:
-    """Sorted |f| with equal values merged; zeros dropped."""
-    a = np.sort(np.abs(f.values).ravel())[::-1]
-    a = a[a > 0]
-    if a.size == 0:
-        return RearrangementSteps(np.empty(0), np.empty(0))
-    # boundaries of runs of equal values
-    change = np.flatnonzero(np.diff(a)) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [a.size]])
-    vals = a[starts]
-    widths = (ends - starts) * f.cell_volume
-    return RearrangementSteps(vals, widths.astype(float))
 
 
 def lorentz_norm_values(values: np.ndarray, cell_volume: float, p: float, s: float) -> float:

@@ -73,11 +73,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ReportTable:
-    """A rectangular results table plus its provenance (config echo)."""
+    """A rectangular results table."""
 
     columns: Tuple[str, ...]
     rows: Tuple[Tuple[Any, ...], ...]
-    provenance: Tuple[str, ...] = ()
 
     def __post_init__(self):
         for k, row in enumerate(self.rows):

@@ -2,10 +2,11 @@
 
 Criteria 1 through 11 run in-process and assert the full check list of
 each CriterionResult; the failure message carries every sub-check so a
-red line is diagnosable from the pytest output alone. Criterion 5 also
-compares its emitted CSV with the stored benchmark reference. Criterion
-12 runs the complete suite twice through the installed command-line entry
-point and compares the emitted CSV bytes.
+red line is diagnosable from the pytest output alone. Criteria 5 and 7-10
+also compare their emitted CSVs with the stored benchmark references
+(seed 0), so any change to the subcommand experiments they run shows.
+Criterion 12 runs the complete suite twice through the installed
+command-line entry point and compares the emitted CSV bytes.
 """
 
 import os
@@ -28,6 +29,15 @@ def _assert_passed(result, index, name):
     assert len(result.table.rows) > 0
 
 
+def _run_pinned(tmp_path, index, name, reference):
+    # run through the writer so the emitted table is pinned byte for byte to
+    # the stored benchmark reference
+    (result,) = acceptance.run_acceptance(str(tmp_path), seed=0, only=[index])
+    _assert_passed(result, index, name)
+    base = "criterion_%02d.csv" % index
+    assert (tmp_path / base).read_bytes() == (REFERENCE / reference / base).read_bytes()
+
+
 def test_criterion_01_exponent_identities():
     _assert_passed(acceptance.criterion_1(seed=0), 1, "exponent-identities")
 
@@ -45,32 +55,27 @@ def test_criterion_04_cantor_dimensions():
 
 
 def test_criterion_05_dyadic_piece_bounds(tmp_path):
-    # run through the writer so the emitted table is pinned byte for byte to
-    # the stored benchmark reference (criterion 5 takes no seed)
-    (result,) = acceptance.run_acceptance(str(tmp_path), seed=0, only=[5])
-    _assert_passed(result, 5, "dyadic-piece-bounds")
-    emitted = (tmp_path / "criterion_05.csv").read_bytes()
-    assert emitted == (REFERENCE / "dyadic" / "any" / "criterion_05.csv").read_bytes()
+    _run_pinned(tmp_path, 5, "dyadic-piece-bounds", "dyadic/any")
 
 
 def test_criterion_06_tomas_identity():
     _assert_passed(acceptance.criterion_6(seed=0), 6, "tomas-identity")
 
 
-def test_criterion_07_lorentz_suite():
-    _assert_passed(acceptance.criterion_7(seed=0), 7, "lorentz-suite")
+def test_criterion_07_lorentz_suite(tmp_path):
+    _run_pinned(tmp_path, 7, "lorentz-suite", "oscillatory/seed0")
 
 
-def test_criterion_08_knapp_sharpness():
-    _assert_passed(acceptance.criterion_8(seed=0), 8, "knapp-sharpness")
+def test_criterion_08_knapp_sharpness(tmp_path):
+    _run_pinned(tmp_path, 8, "knapp-sharpness", "knapp/any")
 
 
-def test_criterion_09_parabola_scaling():
-    _assert_passed(acceptance.criterion_9(seed=0), 9, "parabola-scaling")
+def test_criterion_09_parabola_scaling(tmp_path):
+    _run_pinned(tmp_path, 9, "parabola-scaling", "oscillatory/seed0")
 
 
-def test_criterion_10_fold_scaling():
-    _assert_passed(acceptance.criterion_10(seed=0), 10, "fold-scaling")
+def test_criterion_10_fold_scaling(tmp_path):
+    _run_pinned(tmp_path, 10, "fold-scaling", "oscillatory/seed0")
 
 
 def test_criterion_11_dyadic_kernel_sup():

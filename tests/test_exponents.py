@@ -10,7 +10,6 @@ from restrictionlab.exponents import (
     bourgain_interpolate,
     critical_q,
     exponent_profile,
-    hormander_q,
     oscillatory_exponents,
     verify_identities,
 )
@@ -117,21 +116,6 @@ def test_companion_exponent_rejects_p_one_and_beyond_endpoint():
         critical_q(prof, 1)
     with pytest.raises(ValueError, match="p <= p0"):
         critical_q(prof, F(3, 2))
-
-
-def test_hormander_exponent_values():
-    assert hormander_q(2, 2) == F(6)
-    assert hormander_q(3, 2) == F(4)
-    assert hormander_q(2, F(4, 3)) == F(12)
-
-
-def test_hormander_exponent_range_errors():
-    with pytest.raises(ValueError, match="d >= 2"):
-        hormander_q(1, F(3, 2))
-    with pytest.raises(ValueError, match="1 < p"):
-        hormander_q(2, 1)
-    with pytest.raises(ValueError, match="1 < p"):
-        hormander_q(2, 4)
 
 
 def test_oscillatory_exponents_curvature_one():

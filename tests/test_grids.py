@@ -6,7 +6,6 @@ import pytest
 from restrictionlab.grids import (
     GridSpec,
     SampledField,
-    dual_grid,
     fourier_on_grid,
     inverse_fourier_on_grid,
 )
@@ -34,16 +33,6 @@ def test_grid_validation():
         GridSpec(dim=1, half_width=1.0, points_per_axis=12)
     with pytest.raises(ValueError, match="power of two"):
         GridSpec(dim=1, half_width=1.0, points_per_axis=4)
-
-
-def test_dual_grid_is_an_involution():
-    g = GridSpec(dim=3, half_width=2.0, points_per_axis=16)
-    d = dual_grid(g)
-    assert d.half_width == pytest.approx(g.nyquist)
-    assert d.points_per_axis == g.points_per_axis
-    dd = dual_grid(d)
-    assert dd.half_width == pytest.approx(g.half_width)
-    assert dd.dim == g.dim
 
 
 def test_transform_matches_direct_sum_1d():

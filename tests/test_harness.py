@@ -2,6 +2,7 @@
 bytewise determinism, and the canonical value rendering."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from restrictionlab.reporting import (
     render_verdict,
     write_verdict,
 )
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 # ------------------------------------------------------------------ rendering
 
@@ -111,6 +114,8 @@ def test_invalid_configuration_exits_2(tmp_path):
     assert main(["fold", "--phase", "parabola", "--out", out]) == 2
     # acceptance criterion index out of range
     assert main(["accept", "--only", "0", "--out", out]) == 2
+    # --out is created only when a file is about to be written
+    assert not os.path.exists(out)
 
 
 def test_non_finite_measure_file_exits_2(tmp_path, capsys):
@@ -119,7 +124,7 @@ def test_non_finite_measure_file_exits_2(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert main(["restrict", "--measure-file", str(holes), "--out", out]) == 2
     assert "finite" in capsys.readouterr().err
-    assert not os.path.exists(os.path.join(out, "restrict.csv"))
+    assert not os.path.exists(out)
 
 
 def test_argparse_schema_errors_exit_2():
@@ -313,6 +318,14 @@ def test_repeat_runs_emit_identical_csv_bytes(tmp_path):
         if not ln.strip().startswith("out=")
     ]
     assert va == vb
+
+
+def test_lorentz_defaults_match_criterion_7_reference(tmp_path):
+    # acceptance criterion 7 is this subcommand at its defaults
+    out = tmp_path / "r"
+    assert main(["lorentz", "--out", str(out)]) == 0
+    reference = REFERENCE / "oscillatory" / "seed0" / "criterion_07.csv"
+    assert (out / "lorentz.csv").read_bytes() == reference.read_bytes()
 
 
 def test_seed_changes_noise_driven_output(tmp_path):

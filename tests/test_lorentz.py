@@ -8,8 +8,6 @@ import pytest
 from restrictionlab.grids import GridSpec, SampledField
 from restrictionlab.lorentz import (
     LorentzExponent,
-    RearrangementSteps,
-    decreasing_rearrangement,
     indicator_lorentz_norm,
     lorentz_norm,
     lorentz_norm_values,
@@ -19,44 +17,6 @@ from restrictionlab.lorentz import (
 def _field(values, spacing=1.0):
     v = np.asarray(values, dtype=complex)
     return SampledField(values=v, origin=(0.0,) * v.ndim, spacing=(spacing,) * v.ndim)
-
-
-def test_rearrangement_sorts_and_merges():
-    steps = decreasing_rearrangement(_field([3.0, 1.0, 1.0]))
-    assert np.array_equal(steps.values, [3.0, 1.0])
-    assert np.array_equal(steps.widths, [1.0, 2.0])
-    assert steps.total_width() == pytest.approx(3.0)
-
-
-def test_rearrangement_uses_modulus():
-    steps = decreasing_rearrangement(_field([-2.0, 2.0j]))
-    assert np.array_equal(steps.values, [2.0])
-    assert np.array_equal(steps.widths, [2.0])
-
-
-def test_rearrangement_drops_zeros():
-    steps = decreasing_rearrangement(_field([0.0, 1.0, 0.0]))
-    assert np.array_equal(steps.values, [1.0])
-    assert np.array_equal(steps.widths, [1.0])
-
-
-def test_rearrangement_of_zero_field_is_empty():
-    steps = decreasing_rearrangement(_field([0.0, 0.0]))
-    assert steps.values.size == 0 and steps.widths.size == 0
-
-
-def test_rearrangement_scales_with_cell_volume():
-    steps = decreasing_rearrangement(_field([3.0, 1.0, 1.0], spacing=0.25))
-    assert np.array_equal(steps.widths, [0.25, 0.5])
-
-
-def test_step_validation():
-    with pytest.raises(ValueError, match="align"):
-        RearrangementSteps(values=np.array([2.0, 1.0]), widths=np.array([1.0]))
-    with pytest.raises(ValueError, match="decreasing"):
-        RearrangementSteps(values=np.array([1.0, 2.0]), widths=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match="decreasing"):
-        RearrangementSteps(values=np.array([2.0, 2.0]), widths=np.array([1.0, 1.0]))
 
 
 def test_exponent_validation():
