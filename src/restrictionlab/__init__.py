@@ -90,6 +90,7 @@ from .oscillatory import (
     rotate_phase,
     derivative_consistency,
     apply_T_lambda,
+    phase_factors,
     apply_T_lambda_product,
     check_rank_mixed_hessian,
     check_curvature_rank,

@@ -19,7 +19,9 @@ cost grows with the full x-y product) and a fast path for phases whose
 exponent is a sum of terms x_i * (function of a single y coordinate) and
 whose amplitude factors across axes. The fast path reorganizes the same
 Riemann sum by axis-separability, so the two agree to rounding; tests
-cross-validate them.
+cross-validate them. Its phase matrices exp(i lambda x_i (x) f_ij(y_j))
+depend only on lambda and the grids: phase_factors builds them once and
+apply_T_lambda_product takes them for every f at that lambda.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "rotate_phase",
     "derivative_consistency",
     "apply_T_lambda",
+    "phase_factors",
     "apply_T_lambda_product",
     "check_rank_mixed_hessian",
     "check_curvature_rank",
@@ -643,22 +646,62 @@ def apply_T_lambda(
     )
 
 
+def phase_factors(
+    spec: PhaseSpec,
+    lam: float,
+    y_axes: Sequence[np.ndarray],
+    x_axes: Sequence[np.ndarray],
+) -> Dict[Tuple[int, int], np.ndarray]:
+    """The fast path's phase matrices exp(i lam x_axes[i] (x) f_ij(y_axes[j])),
+    one per coupling (i, j) of spec.separable, each of shape
+    (len(x_axes[i]), len(y_axes[j])).
+
+    They depend on lam and the grids only, so one build serves every f that
+    apply_T_lambda_product is given at this lam. Each matrix is built in
+    place in one complex buffer.
+    """
+    if spec.separable is None:
+        raise ValueError("phase lacks the separable structure for the fast path")
+    if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
+        raise ValueError("axis count does not match the phase dimensions")
+    factors = {}
+    for (i, j), fn in spec.separable.items():
+        buf = np.empty((len(x_axes[i]), len(y_axes[j])), dtype=complex)
+        np.multiply.outer(x_axes[i], fn(y_axes[j]), out=buf)
+        buf *= 1j * lam
+        factors[(i, j)] = np.exp(buf, out=buf)
+    return factors
+
+
 def apply_T_lambda_product(
     spec: PhaseSpec,
     lam: float,
     terms: Sequence[Tuple[Callable, ...]],
     y_axes: Sequence[np.ndarray],
     x_axes: Sequence[np.ndarray],
+    factors: Dict[Tuple[int, int], np.ndarray],
     check_resolution: bool = True,
 ) -> SampledField:
     """Fast path: same Riemann sum as apply_T_lambda, reorganized for
     separable phases and amplitudes, for f given as a sum of per-axis
-    products. terms is a list of tuples of 1-D callables, one per y axis.
+    products. terms is a list of tuples of 1-D callables, one per y axis;
+    factors is phase_factors(spec, lam, y_axes, x_axes).
     """
     if spec.separable is None or spec.amp_x is None or spec.amp_y is None:
         raise ValueError("phase lacks the separable structure for the fast path")
     if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
         raise ValueError("axis count does not match the phase dimensions")
+    if set(factors) != set(spec.separable):
+        raise ValueError(
+            "phase factors cover couplings %s but the phase has %s"
+            % (sorted(factors), sorted(spec.separable))
+        )
+    for (i, j), U in factors.items():
+        if np.shape(U) != (len(x_axes[i]), len(y_axes[j])):
+            raise ValueError(
+                "phase factor %s has shape %s but the grids need (%d, %d)"
+                % ((i, j), np.shape(U), len(x_axes[i]), len(y_axes[j]))
+            )
     if check_resolution:
         ok, worst, required = _check_resolution(spec, lam, x_axes, y_axes)
         if not ok:
@@ -668,9 +711,9 @@ def apply_T_lambda_product(
             )
     d = spec.x_dim
     shape = tuple(len(ax) for ax in x_axes)
-    per_axis: Dict[int, List[Tuple[int, Callable]]] = {j: [] for j in range(spec.y_dim)}
-    for (i, j), fn in spec.separable.items():
-        per_axis[j].append((i, fn))
+    per_axis: Dict[int, List[Tuple[int, np.ndarray]]] = {j: [] for j in range(spec.y_dim)}
+    for i, j in sorted(factors):
+        per_axis[j].append((i, factors[(i, j)]))
     out = np.zeros(shape, dtype=complex)
     for term in terms:
         acc = None
@@ -678,18 +721,16 @@ def apply_T_lambda_product(
             y = y_axes[j]
             dy = float(y[1] - y[0])
             w = spec.amp_y[j](y) * np.asarray(term[j](y)) * dy
-            coup = sorted(per_axis[j])
+            coup = per_axis[j]
             if len(coup) == 0:
                 arr = np.asarray(w.sum())
                 axes_idx: Tuple[int, ...] = ()
             elif len(coup) == 1:
-                i1, f1 = coup[0]
-                arr = np.exp(1j * lam * np.outer(x_axes[i1], f1(y))) @ w
+                i1, U = coup[0]
+                arr = U @ w
                 axes_idx = (i1,)
             elif len(coup) == 2:
-                (i1, f1), (i2, f2) = coup
-                U = np.exp(1j * lam * np.outer(x_axes[i1], f1(y)))
-                V = np.exp(1j * lam * np.outer(x_axes[i2], f2(y)))
+                (i1, U), (i2, V) = coup
                 arr = (U * w) @ V.T
                 axes_idx = (i1, i2)
             else:
@@ -850,14 +891,17 @@ def scaling_experiment(
     family(lam) returns members for the fast path: lists of per-axis
     product terms (lambda-adapted slabs, fixed bumps, random mode sums).
     Under-resolved lambdas (10-points-per-period rule) are dropped with a
-    notice; at least 4 must survive.
+    notice; at least 4 must survive. x_points and y_points (per axis,
+    at least 2) default to 192 and 8192 for y_dim 1, else 160 and 4096.
     """
     lams = [float(v) for v in lam_list]
     if len(lams) < 4:
         raise ValueError("need >= 4 lambda values")
     r = spec.amp_radius
-    nx = x_points or (192 if spec.y_dim == 1 else 160)
-    ny = y_points or (8192 if spec.y_dim == 1 else 4096)
+    nx = (192 if spec.y_dim == 1 else 160) if x_points is None else int(x_points)
+    ny = (8192 if spec.y_dim == 1 else 4096) if y_points is None else int(y_points)
+    if nx < 2 or ny < 2:
+        raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))
     x_axes = [np.linspace(-1.1 * r, 1.1 * r, nx) for _ in range(spec.x_dim)]
     y_axes = [np.linspace(-1.2 * r, 1.2 * r, ny) for _ in range(spec.y_dim)]
     cell_x = float(np.prod([ax[1] - ax[0] for ax in x_axes]))
@@ -871,16 +915,20 @@ def scaling_experiment(
                 "lambda=%g dropped: spacing %g > required %g" % (lam, worst, required)
             )
             continue
+        factors = phase_factors(spec, lam, y_axes, x_axes)
         best = 0.0
         for member in family(lam):
             fld = apply_T_lambda_product(
-                spec, lam, member, y_axes, x_axes, check_resolution=False
+                spec, lam, member, y_axes, x_axes, factors, check_resolution=False
             )
             denom = _member_l2(member, y_axes)
             if denom == 0.0:
                 continue
             num = lorentz_norm_values(fld.values, cell_x, p=float(q), s=float(s))
             best = max(best, num / denom)
+        # free this lambda's factors before the next lambda builds its own:
+        # two sets alive at once would raise the peak memory
+        del factors
         kept_lams.append(lam)
         ratios.append(best)
     if len(kept_lams) < 4:

@@ -3,9 +3,10 @@
 Every run of the harness produces a CSV table plus a plain-text verdict
 file that echoes the full effective configuration (defaults resolved) and
 one PASS/FAIL line per check. Identical configuration and seed must yield
-bytewise-identical CSV output, so all numeric rendering goes through one
+bytewise-identical CSV output, so every CSV cell goes through one
 17-significant-digit formatter and files are written in binary mode with
-fixed newlines.
+fixed newlines. The config echo prints floats in their shortest
+round-trip form instead.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ def render_value(value: Any) -> str:
     return str(value)
 
 
+def _echo_value(value: Any) -> str:
+    """render_value, except floats (also inside sequences) take their
+    shortest round-trip form, so a flag echoes as it was typed or
+    defaulted: 0.3, not 0.29999999999999999."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return ",".join(_echo_value(v) for v in value)
+    return render_value(value)
+
+
 def format_cell(value: Any) -> str:
     """render_value restricted to a single CSV cell (no separators)."""
     text = render_value(value)
@@ -65,7 +77,7 @@ class ExperimentConfig:
     def echo_lines(self) -> Tuple[str, ...]:
         lines = ["subcommand=%s" % self.subcommand]
         for key, value in self.params:
-            lines.append("%s=%s" % (key, render_value(value)))
+            lines.append("%s=%s" % (key, _echo_value(value)))
         lines.append("out=%s" % self.out_dir)
         lines.append("seed=%d" % self.seed)
         return tuple(lines)

@@ -4,7 +4,9 @@ Criteria 1 through 11 run in-process and assert the full check list of
 each CriterionResult; the failure message carries every sub-check so a
 red line is diagnosable from the pytest output alone. Criteria 5 and 7-10
 also compare their emitted CSVs with the stored benchmark references
-(seed 0), so any change to the subcommand experiments they run shows.
+(seed 0), so any change to the subcommand experiments they run shows;
+criteria 9 and 10 are compared once more from a child process limited to
+one BLAS thread.
 Criterion 12 runs the complete suite twice through the installed
 command-line entry point and compares the emitted CSV bytes.
 """
@@ -76,6 +78,36 @@ def test_criterion_09_parabola_scaling(tmp_path):
 
 def test_criterion_10_fold_scaling(tmp_path):
     _run_pinned(tmp_path, 10, "fold-scaling", "oscillatory/seed0")
+
+
+def test_criteria_9_10_single_blas_thread_match_reference(tmp_path):
+    # the GEMM-heavy scaling criteria give the same bytes with one BLAS
+    # thread as the stored references taken with the default thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "restrictionlab.cli",
+            "accept",
+            "--only",
+            "9,10",
+            "--seed",
+            "0",
+            "--out",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for base in ("criterion_09.csv", "criterion_10.csv"):
+        reference = REFERENCE / "oscillatory" / "seed0" / base
+        assert (tmp_path / base).read_bytes() == reference.read_bytes(), base
 
 
 def test_criterion_11_dyadic_kernel_sup():

@@ -57,11 +57,26 @@ def test_emit_csv_layout(tmp_path):
 
 
 def test_config_echo_lines():
-    cfg = ExperimentConfig("demo", (("alpha", 2), ("beta", 0.5)), "outdir", 7)
+    params = (
+        ("alpha", 2),
+        ("beta", 0.5),
+        ("gamma", 0.3),
+        ("delta", np.float64(-0.43)),
+        ("tol", 1e-12),
+        ("lams", [16.0, 0.1, 2]),
+        ("flag", True),
+    )
+    cfg = ExperimentConfig("demo", params, "outdir", 7)
+    # floats echo in their shortest round-trip form; CSV cells keep %.17g
     assert cfg.echo_lines() == (
         "subcommand=demo",
         "alpha=2",
         "beta=0.5",
+        "gamma=0.3",
+        "delta=-0.43",
+        "tol=1e-12",
+        "lams=16.0,0.1,2",
+        "flag=true",
         "out=outdir",
         "seed=7",
     )
@@ -114,6 +129,11 @@ def test_invalid_configuration_exits_2(tmp_path):
     assert main(["fold", "--phase", "parabola", "--out", out]) == 2
     # acceptance criterion index out of range
     assert main(["accept", "--only", "0", "--out", out]) == 2
+    # scaling grids need at least two points per axis; 0 is not the default
+    for cmd in ("oscillatory", "fold"):
+        for flag in ("--x-points", "--y-points"):
+            for value in ("0", "1"):
+                assert main([cmd, flag, value, "--out", out]) == 2, (cmd, flag, value)
     # --out is created only when a file is about to be written
     assert not os.path.exists(out)
 
@@ -124,6 +144,16 @@ def test_non_finite_measure_file_exits_2(tmp_path, capsys):
     out = str(tmp_path / "r")
     assert main(["restrict", "--measure-file", str(holes), "--out", out]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_non_separable_phase_file_exits_2(tmp_path, capsys):
+    # x1^2 y is not linear in x, so the scaling experiment has no fast path
+    path = tmp_path / "square.phase"
+    path.write_text("x_dim 2\ny_dim 1\nradius 1.0\nterm 1.0  1 0  1\nterm 0.5  0 2  2\n")
+    out = str(tmp_path / "r")
+    assert main(["oscillatory", "--phase-file", str(path), "--out", out]) == 2
+    assert "phase lacks the separable structure for the fast path" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -21,6 +21,7 @@ from restrictionlab.oscillatory import (
     fold_scaling_family,
     parabola_scaling_family,
     phase_catalog,
+    phase_factors,
     polynomial_phase_from_file,
     rotate_phase,
     scaling_experiment,
@@ -152,7 +153,8 @@ def test_fast_path_matches_dense_for_parabola():
     x_axes = [np.linspace(-1.1, 1.1, 20), np.linspace(-1.1, 1.1, 20)]
     term = (lambda t: np.exp(-(t**2)),)
     dense = apply_T_lambda(spec, 50.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, 50.0, [term], y_axes, x_axes)
+    factors = phase_factors(spec, 50.0, y_axes, x_axes)
+    fast = apply_T_lambda_product(spec, 50.0, [term], y_axes, x_axes, factors)
     assert np.max(np.abs(dense.values - fast.values)) < 1e-12
 
 
@@ -163,7 +165,8 @@ def test_fast_path_matches_dense_for_two_dim_y():
     term = (lambda t: np.exp(-(t**2)), lambda t: 1.0 / (1.0 + t**2))
     F = np.exp(-y_axes[0][:, None] ** 2) / (1.0 + y_axes[1][None, :] ** 2)
     dense = apply_T_lambda(spec, 50.0, F, y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, 50.0, [term], y_axes, x_axes)
+    factors = phase_factors(spec, 50.0, y_axes, x_axes)
+    fast = apply_T_lambda_product(spec, 50.0, [term], y_axes, x_axes, factors)
     assert np.max(np.abs(dense.values - fast.values)) < 1e-12
 
 
@@ -173,24 +176,77 @@ def test_fast_path_sums_terms():
     x_axes = [np.linspace(-1.1, 1.1, 10)] * 2
     t1 = (lambda t: np.exp(-(t**2)),)
     t2 = (lambda t: np.cos(t),)
-    both = apply_T_lambda_product(spec, 20.0, [t1, t2], y_axes, x_axes)
+    factors = phase_factors(spec, 20.0, y_axes, x_axes)
+    both = apply_T_lambda_product(spec, 20.0, [t1, t2], y_axes, x_axes, factors)
     split = (
-        apply_T_lambda_product(spec, 20.0, [t1], y_axes, x_axes).values
-        + apply_T_lambda_product(spec, 20.0, [t2], y_axes, x_axes).values
+        apply_T_lambda_product(spec, 20.0, [t1], y_axes, x_axes, factors).values
+        + apply_T_lambda_product(spec, 20.0, [t2], y_axes, x_axes, factors).values
     )
     assert np.max(np.abs(both.values - split)) < 1e-12
 
 
 def test_fast_path_requires_separable_structure():
     rot = rotate_phase(CAT1["parabola"], _rotation(0.3), np.array([[1.0]]))
+    y_axes = [np.linspace(-1, 1, 64)]
+    x_axes = [np.linspace(-1, 1, 8)] * 2
     with pytest.raises(ValueError, match="separable"):
-        apply_T_lambda_product(
-            rot,
-            10.0,
-            [(lambda t: t,)],
-            [np.linspace(-1, 1, 64)],
-            [np.linspace(-1, 1, 8)] * 2,
-        )
+        phase_factors(rot, 10.0, y_axes, x_axes)
+    # factors built for the unrotated phase do not make the rotated one separable
+    factors = phase_factors(CAT1["parabola"], 10.0, y_axes, x_axes)
+    with pytest.raises(ValueError, match="separable"):
+        apply_T_lambda_product(rot, 10.0, [(lambda t: t,)], y_axes, x_axes, factors)
+
+
+@pytest.mark.parametrize("name", ["parabola", "fold-curved", "cone"])
+def test_phase_factors_are_the_phase_matrices(name):
+    spec = CAT1[name]
+    y_axes = [np.linspace(-1.2, 1.2, 96 + 2 * j) for j in range(spec.y_dim)]
+    x_axes = [np.linspace(-1.1, 1.1, 5 + i) for i in range(spec.x_dim)]
+    factors = phase_factors(spec, 37.0, y_axes, x_axes)
+    assert set(factors) == set(spec.separable)
+    for (i, j), fn in spec.separable.items():
+        expected = np.exp(1j * 37.0 * np.outer(x_axes[i], fn(y_axes[j])))
+        assert np.array_equal(factors[(i, j)], expected)
+
+
+@pytest.mark.parametrize("name", ["parabola", "fold-curved"])
+def test_shared_factors_match_per_call_factors(name):
+    # one factors dict serves every member and term at its lambda (the fold
+    # family's random member has 9 product terms); the result is the same
+    # array as building the factors afresh for each call
+    spec = CAT1[name]
+    lam = 64.0
+    y_axes = [np.linspace(-1.2, 1.2, 512)] * spec.y_dim
+    x_axes = [np.linspace(-1.1, 1.1, 12)] * spec.x_dim
+    family = (parabola_scaling_family if spec.y_dim == 1 else fold_scaling_family)(seed=3)
+    members = family(lam)
+    shared = phase_factors(spec, lam, y_axes, x_axes)
+    for member in members:
+        fresh = phase_factors(spec, lam, y_axes, x_axes)
+        a = apply_T_lambda_product(spec, lam, member, y_axes, x_axes, shared)
+        b = apply_T_lambda_product(spec, lam, member, y_axes, x_axes, fresh)
+        assert np.array_equal(a.values, b.values)
+
+
+def test_fast_path_rejects_foreign_factors():
+    spec = CAT1["fold-curved"]
+    y_axes = [np.linspace(-1.2, 1.2, 128)] * 2
+    x_axes = [np.linspace(-1.1, 1.1, 10)] * 2
+    term = [(lambda t: np.exp(-(t**2)), lambda t: np.exp(-(t**2)))]
+    good = phase_factors(spec, 20.0, y_axes, x_axes)
+    missing = {k: v for k, v in good.items() if k != (1, 1)}
+    with pytest.raises(ValueError, match="couplings"):
+        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, missing)
+    other_x = phase_factors(spec, 20.0, y_axes, [np.linspace(-1.1, 1.1, 11)] * 2)
+    with pytest.raises(ValueError, match="shape"):
+        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, other_x)
+    other_y = phase_factors(spec, 20.0, [np.linspace(-1.2, 1.2, 130)] * 2, x_axes)
+    with pytest.raises(ValueError, match="shape"):
+        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, other_y)
+    # another phase's couplings
+    parabola = phase_factors(CAT1["parabola"], 20.0, y_axes[:1], x_axes)
+    with pytest.raises(ValueError, match="couplings"):
+        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, parabola)
 
 
 # ---------------------------------------------------------- hypothesis checks
@@ -436,6 +492,10 @@ def test_scaling_experiment_input_guards():
             x_points=16,
             y_points=128,
         )
+    # fewer than two points on an axis: rejected, not read as the default
+    for points in ({"x_points": 1}, {"y_points": 0}, {"x_points": 0, "y_points": 64}):
+        with pytest.raises(ValueError, match=">= 2"):
+            scaling_experiment(CAT1["zero"], 0, [8.0, 16.0, 32.0, 64.0], fam, q=2.0, **points)
 
 
 def test_family_members_are_reproducible():
@@ -487,7 +547,8 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
     x_axes = [np.linspace(-1.0, 1.0, 8)] * 2
     term = (lambda t: np.exp(-(t**2)),)
     dense = apply_T_lambda(spec, 30.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, 30.0, [term], y_axes, x_axes)
+    factors = phase_factors(spec, 30.0, y_axes, x_axes)
+    fast = apply_T_lambda_product(spec, 30.0, [term], y_axes, x_axes, factors)
     assert np.max(np.abs(dense.values - fast.values)) < 1e-12
 
 
