@@ -98,6 +98,7 @@ from .oscillatory import (
     tstar_kernel_entry,
     dyadic_kernel_entry,
     dyadic_kernel_sup,
+    scaling_grid_points,
     scaling_experiment,
     parabola_scaling_family,
     fold_scaling_family,

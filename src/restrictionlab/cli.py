@@ -60,6 +60,7 @@ from .oscillatory import (
     phase_catalog,
     polynomial_phase_from_file,
     scaling_experiment,
+    scaling_grid_points,
 )
 from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
 
@@ -518,6 +519,8 @@ def _resolve_family(args, spec):
 def _scaling(args, spec, checks) -> Result:
     """The lambda-scaling tail shared by `oscillatory` and `fold`: the fit
     against the slope window, after the subcommand's hypothesis checks."""
+    # resolved here so that the verdict echoes the grid actually used
+    args.x_points, args.y_points = scaling_grid_points(spec, args.x_points, args.y_points)
     rep = scaling_experiment(
         spec,
         kappa=args.kappa,

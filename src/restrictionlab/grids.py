@@ -139,10 +139,34 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of fourier_on_grid (frequency lattice back to the spatial grid)."""
+    """Inverse of fourier_on_grid (frequency lattice back to the spatial grid).
+
+    The 1-D inverse transforms run in np.fft.ifftn's order, last axis first,
+    in one working copy; on that first axis only the lines that are not all
+    zero are transformed, since a zero line transforms to zero. Each line
+    goes through the same pocketfft call as in ifftn, so the result equals
+    scale * ifftn(ifftshift(signs * F)) bit for bit, up to the sign of exact
+    zeros.
+    """
     F = np.asarray(freq_values, dtype=complex)
     n, d = grid.points_per_axis, grid.dim
     if F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")
-    scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
-    return scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * F))
+    out = np.fft.ifftshift(F)  # a copy: the caller's array is not touched
+    signs = np.fft.ifftshift(_sign_vector(n))
+    for axis in range(d):
+        shape = [1] * d
+        shape[axis] = n
+        out *= signs.reshape(shape)
+    lines = out.reshape(-1, n)
+    keep = np.flatnonzero(lines.any(axis=1))
+    if keep.size == lines.shape[0]:
+        np.fft.ifft(lines, axis=1, out=lines)
+    else:
+        sub = lines[keep]
+        np.fft.ifft(sub, axis=1, out=sub)
+        lines[keep] = sub
+    for axis in range(d - 2, -1, -1):
+        np.fft.ifft(out, axis=axis, out=out)
+    out *= (n * grid.freq_spacing) ** d  # = (N/(2L))^d
+    return out

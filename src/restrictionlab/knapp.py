@@ -25,7 +25,7 @@ import numpy as np
 from .bumps import annulus_window, plateau_window
 from .fitting import FitResult, loglog_fit
 from .grids import GridSpec, SampledField, inverse_fourier_on_grid
-from .lorentz import LorentzExponent, lorentz_norm
+from .lorentz import LorentzExponent, lorentz_norm_values
 from .measures import DiscreteMeasure, make_sphere_measure
 
 __all__ = ["KnappSpec", "ExperimentReport", "knapp_g_values", "knapp_function",
@@ -101,12 +101,17 @@ def knapp_function(
     g_atoms = knapp_g_values(spec, sphere.atoms)
     fax = grid.freq_axis()
     w = spec.weights()
-    G = np.zeros((fax.size, fax.size))
+    G = np.zeros((fax.size, fax.size), dtype=complex)
     for k in range(1, spec.N + 1):
         tang = spec.eta_tangent(2.0**k * np.abs(fax))
         rad = spec.eta_radial(2.0 ** (2 * k - 5) * np.abs(fax - 1.0))
-        G += w[k - 1] * np.outer(tang, rad)
-    f_vals = inverse_fourier_on_grid(G.astype(complex), grid)
+        # a row where tang vanishes would add w * (0 * rad) = +-0, which
+        # leaves G unchanged, so only the cap's own rows are accumulated
+        rows = np.flatnonzero(tang)
+        term = np.multiply.outer(tang[rows], rad)
+        term *= w[k - 1]
+        G[rows] += term
+    f_vals = inverse_fourier_on_grid(G, grid)
     f = SampledField.on_grid(grid, f_vals, label="knapp-N%d" % spec.N)
     return g_atoms, f
 
@@ -158,22 +163,27 @@ def knapp_sharpness_experiment(
     n_values = sorted(int(n) for n in N_list)
     if len(n_values) < 3:
         raise ValueError("need at least 3 N values")
+    s_values = tuple(float(s) for s in s_list)
+    for s in s_values:
+        LorentzExponent(p=p, s=s)  # validates each (p, s) before any field is built
+    if not p > 1.0:
+        raise ValueError("need p > 1 for the dual exponent p'; got p=%g" % p)
     p_conj = p / (p - 1.0)
     if abs(q - (d - 1) * p_conj / (d + 1)) > 1e-9:
         raise ValueError(
             "exponents must satisfy q = (d-1) p'/(d+1); got q=%g, p=%g" % (q, p)
         )
     sphere = make_sphere_measure(2, sphere_n)
-    s_values = tuple(float(s) for s in s_list)
     norm_g = []
     norms_f = []
     for n in n_values:
         spec = KnappSpec(N=n, q=q, d=d)
         g_atoms, f = knapp_function(spec, grid, sphere)
         norm_g.append(float(np.sum(sphere.weights * np.abs(g_atoms) ** q) ** (1.0 / q)))
-        norms_f.append(
-            tuple(lorentz_norm(f, LorentzExponent(p=p, s=s)) for s in s_values)
-        )
+        # one rearrangement of the field serves every s
+        norms_f.append(lorentz_norm_values(f.values, f.cell_volume, p, s_values))
+        # free this field before the next N builds its own
+        del f
     fit_g = loglog_fit(list(zip(n_values, norm_g)))
     fits_f = tuple(
         loglog_fit([(n_values[i], norms_f[i][j]) for i in range(len(n_values))])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,26 +42,59 @@ class LorentzExponent:
             raise ValueError("s must be positive (math.inf allowed)")
 
 
-def lorentz_norm_values(values: np.ndarray, cell_volume: float, p: float, s: float) -> float:
+def lorentz_norm_values(
+    values: np.ndarray, cell_volume: float, p: float, s: Union[float, Sequence[float]]
+) -> Union[float, Tuple[float, ...]]:
     """Lorentz quasi-norm of raw samples with a uniform cell volume.
 
-    The norm is computed on a normalized core (values scaled by their
-    maximum) so that rescaling the input by a power of two rescales the
-    result exactly.
+    s is one exponent, giving one norm, or a sequence of them, giving a
+    tuple with one norm per entry; the samples are rearranged once for all
+    of them. The norm is computed on a normalized core (values scaled by
+    their maximum) so that rescaling the input by a power of two rescales
+    the result exactly.
     """
-    a = np.sort(np.abs(np.asarray(values)).ravel())[::-1]
-    a = a[a > 0]
+    single = np.ndim(s) == 0
+    s_values = (s,) if single else tuple(s)
+    # decreasing rearrangement in one buffer: sort -|v| ascending, keep the
+    # entries below zero (|v| > 0), negate back
+    a = np.abs(np.asarray(values)).ravel()
+    if a.dtype.kind != "f":  # integer samples divide as float64, as in a / vmax
+        a = a.astype(float)
+    np.negative(a, out=a)
+    a.sort()
+    a = a[: int(np.searchsorted(a, 0.0))]
+    np.negative(a, out=a)
     if a.size == 0:
-        return 0.0
-    vmax = a[0]
-    core = a / vmax
-    t = cell_volume * np.arange(1, a.size + 1, dtype=float)
-    if math.isinf(s):
-        return float(vmax * np.max(core * t ** (1.0 / p)))
-    tp = t ** (s / p)
-    tp_prev = np.concatenate([[0.0], tp[:-1]])
-    total = np.sum(core**s * (p / s) * (tp - tp_prev))
-    return float(vmax * total ** (1.0 / s))
+        norms = [0.0] * len(s_values)
+    else:
+        vmax = a[0]
+        core = a
+        core /= vmax
+        t = np.arange(1, a.size + 1, dtype=float)
+        t *= cell_volume
+        # every exponent reuses these two buffers; the in-place operators
+        # take the same ufunc loops, ** its scalar fast paths included, as
+        # the expressions in the comments
+        work = np.empty_like(t)
+        step = np.empty_like(t)
+        norms = []
+        for s_k in s_values:
+            np.copyto(work, t)
+            if math.isinf(s_k):
+                work **= 1.0 / p
+                work *= core  # core * t ** (1/p)
+                norms.append(float(vmax * np.max(work)))
+                continue
+            work **= s_k / p  # tp = t ** (s/p)
+            step[0] = work[0]
+            np.subtract(work[1:], work[:-1], out=step[1:])  # tp - tp_prev, tp_prev[0] = 0
+            np.copyto(work, core)
+            work **= s_k
+            work *= p / s_k
+            work *= step  # core**s * (p/s) * (tp - tp_prev)
+            total = np.sum(work)
+            norms.append(float(vmax * total ** (1.0 / s_k)))
+    return norms[0] if single else tuple(norms)
 
 
 def lorentz_norm(f: SampledField, e: LorentzExponent) -> float:

@@ -54,6 +54,7 @@ __all__ = [
     "tstar_kernel_entry",
     "dyadic_kernel_entry",
     "dyadic_kernel_sup",
+    "scaling_grid_points",
     "scaling_experiment",
     "parabola_scaling_family",
     "fold_scaling_family",
@@ -875,6 +876,19 @@ def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(max(total.real, 0.0)))
 
 
+def scaling_grid_points(
+    spec: PhaseSpec, x_points: Optional[int] = None, y_points: Optional[int] = None
+) -> Tuple[int, int]:
+    """Per-axis x and y point counts of scaling_experiment: the given ones,
+    each defaulting to 192 and 8192 for one-dimensional y, else 160 and
+    4096; both must be at least 2."""
+    nx = (192 if spec.y_dim == 1 else 160) if x_points is None else int(x_points)
+    ny = (8192 if spec.y_dim == 1 else 4096) if y_points is None else int(y_points)
+    if nx < 2 or ny < 2:
+        raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))
+    return nx, ny
+
+
 def scaling_experiment(
     spec: PhaseSpec,
     kappa: int,
@@ -891,17 +905,14 @@ def scaling_experiment(
     family(lam) returns members for the fast path: lists of per-axis
     product terms (lambda-adapted slabs, fixed bumps, random mode sums).
     Under-resolved lambdas (10-points-per-period rule) are dropped with a
-    notice; at least 4 must survive. x_points and y_points (per axis,
-    at least 2) default to 192 and 8192 for y_dim 1, else 160 and 4096.
+    notice; at least 4 must survive. x_points and y_points are resolved
+    by scaling_grid_points.
     """
     lams = [float(v) for v in lam_list]
     if len(lams) < 4:
         raise ValueError("need >= 4 lambda values")
     r = spec.amp_radius
-    nx = (192 if spec.y_dim == 1 else 160) if x_points is None else int(x_points)
-    ny = (8192 if spec.y_dim == 1 else 4096) if y_points is None else int(y_points)
-    if nx < 2 or ny < 2:
-        raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))
+    nx, ny = scaling_grid_points(spec, x_points, y_points)
     x_axes = [np.linspace(-1.1 * r, 1.1 * r, nx) for _ in range(spec.x_dim)]
     y_axes = [np.linspace(-1.2 * r, 1.2 * r, ny) for _ in range(spec.y_dim)]
     cell_x = float(np.prod([ax[1] - ax[0] for ax in x_axes]))

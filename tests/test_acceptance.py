@@ -5,8 +5,8 @@ each CriterionResult; the failure message carries every sub-check so a
 red line is diagnosable from the pytest output alone. Criteria 5 and 7-10
 also compare their emitted CSVs with the stored benchmark references
 (seed 0), so any change to the subcommand experiments they run shows;
-criteria 9 and 10 are compared once more from a child process limited to
-one BLAS thread.
+criteria 5, 8, 9 and 10 are compared once more from a child process
+limited to one BLAS thread.
 Criterion 12 runs the complete suite twice through the installed
 command-line entry point and compares the emitted CSV bytes.
 """
@@ -72,17 +72,26 @@ def test_criterion_08_knapp_sharpness(tmp_path):
     _run_pinned(tmp_path, 8, "knapp-sharpness", "knapp/any")
 
 
+def _echo(tmp_path, index):
+    return (tmp_path / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
+
+
 def test_criterion_09_parabola_scaling(tmp_path):
     _run_pinned(tmp_path, 9, "parabola-scaling", "oscillatory/seed0")
+    # the verdict names the grid actually used, not the unset flags
+    echo = _echo(tmp_path, 9)
+    assert "  x_points=192" in echo and "  y_points=8192" in echo
 
 
 def test_criterion_10_fold_scaling(tmp_path):
     _run_pinned(tmp_path, 10, "fold-scaling", "oscillatory/seed0")
+    echo = _echo(tmp_path, 10)
+    assert "  x_points=160" in echo and "  y_points=4096" in echo
 
 
-def test_criteria_9_10_single_blas_thread_match_reference(tmp_path):
-    # the GEMM-heavy scaling criteria give the same bytes with one BLAS
-    # thread as the stored references taken with the default thread count
+def _assert_one_blas_thread_matches_reference(tmp_path, only, references):
+    # a child process limited to one BLAS thread gives the same bytes as
+    # the stored references taken with the default thread count
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -93,7 +102,7 @@ def test_criteria_9_10_single_blas_thread_match_reference(tmp_path):
             "restrictionlab.cli",
             "accept",
             "--only",
-            "9,10",
+            only,
             "--seed",
             "0",
             "--out",
@@ -105,9 +114,27 @@ def test_criteria_9_10_single_blas_thread_match_reference(tmp_path):
         env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    for base in ("criterion_09.csv", "criterion_10.csv"):
-        reference = REFERENCE / "oscillatory" / "seed0" / base
+    for reference in references:
+        base = reference.name
         assert (tmp_path / base).read_bytes() == reference.read_bytes(), base
+
+
+def test_criteria_9_10_single_blas_thread_match_reference(tmp_path):
+    # the GEMM-heavy scaling criteria
+    _assert_one_blas_thread_matches_reference(
+        tmp_path,
+        "9,10",
+        [REFERENCE / "oscillatory" / "seed0" / base for base in ("criterion_09.csv", "criterion_10.csv")],
+    )
+
+
+def test_criteria_5_8_single_blas_thread_match_reference(tmp_path):
+    # the FFT- and sort-heavy criteria
+    _assert_one_blas_thread_matches_reference(
+        tmp_path,
+        "5,8",
+        [REFERENCE / "dyadic" / "any" / "criterion_05.csv", REFERENCE / "knapp" / "any" / "criterion_08.csv"],
+    )
 
 
 def test_criterion_11_dyadic_kernel_sup():

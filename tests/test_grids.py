@@ -6,6 +6,7 @@ import pytest
 from restrictionlab.grids import (
     GridSpec,
     SampledField,
+    _sign_mesh,
     fourier_on_grid,
     inverse_fourier_on_grid,
 )
@@ -86,6 +87,34 @@ def test_parseval_on_lattice():
     lhs = np.sum(np.abs(v) ** 2) * g.spacing
     rhs = np.sum(np.abs(F) ** 2) * g.freq_spacing
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _lattice_input(kind, n, d, rng):
+    shape = (n,) * d
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "zero lines":
+        # whole lines along the last axis vanish, as off the Knapp caps
+        F[rng.uniform(size=shape[:-1]) < 0.7] = 0.0
+    elif kind == "sparse":
+        F[rng.uniform(size=shape) < 0.9] = 0.0
+    elif kind == "zero":
+        F[...] = 0.0
+    return F
+
+
+@pytest.mark.parametrize("kind", ["dense", "zero lines", "sparse", "zero"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
+def test_inverse_transform_equals_ifftn_formula_bit_for_bit(d, n, kind):
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    F = _lattice_input(kind, n, d, np.random.default_rng(7 * d + n))
+    before = F.copy()
+    scale = (n * g.freq_spacing) ** d
+    expected = scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * F))
+    got = inverse_fourier_on_grid(F, g)
+    assert np.array_equal(got, expected)
+    # the caller's array is left as it was
+    assert np.array_equal(F, before)
+    assert np.array_equal(np.signbit(F.view(float)), np.signbit(before.view(float)))
 
 
 def test_transform_shape_check():

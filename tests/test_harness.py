@@ -270,6 +270,14 @@ def test_knapp_subcommand_flags(tmp_path):
     assert [ln.split(",")[0] for ln in lines[1:]] == ["2", "3", "4"]
 
 
+def test_knapp_bad_exponents_exit_2_before_any_field(tmp_path):
+    # p = 1 has no dual exponent; s must be positive
+    out = tmp_path / "r"
+    assert main(["knapp", "--p", "1", "--out", str(out)]) == 2
+    assert main(["knapp", "--s-list", "2,0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_oscillatory_accepts_phase_file(tmp_path):
     phase = tmp_path / "para.phase"
     phase.write_text(
@@ -304,6 +312,30 @@ def test_oscillatory_accepts_phase_file(tmp_path):
     bad = tmp_path / "bad.phase"
     bad.write_text("x_dim 2\nterm 1 1 1\n", encoding="ascii")
     assert main(["oscillatory", "--phase-file", str(bad), "--out", out]) == 2
+
+
+def test_scaling_verdict_echoes_the_grid_used(tmp_path):
+    # --x-points given, --y-points left to its default: the echo names the
+    # effective size of both, not the unset flag
+    out = tmp_path / "r"
+    rc = main(
+        [
+            "oscillatory",
+            "--lam-list",
+            "16,32,64,128",
+            "--x-points",
+            "48",
+            "--slope-min",
+            "-0.6",
+            "--slope-max",
+            "-0.1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 0
+    echo = (out / "oscillatory_verdict.txt").read_text().splitlines()
+    assert "  x_points=48" in echo and "  y_points=8192" in echo
 
 
 def test_accept_only_selection_writes_summary(tmp_path):

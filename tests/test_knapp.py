@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from restrictionlab.bumps import annulus_window, plateau_window
-from restrictionlab.grids import GridSpec
+from restrictionlab.grids import GridSpec, inverse_fourier_on_grid
 from restrictionlab.knapp import (
     ExperimentReport,
     KnappSpec,
@@ -88,6 +88,26 @@ def test_field_matches_direct_lattice_quadrature():
         assert abs(f.values[i, j] - direct) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_field_equals_dense_outer_product_sum_bit_for_bit(n):
+    # knapp_function accumulates each cap only on the rows where its
+    # tangential window is nonzero; the dense sum gives the same bits
+    grid = GridSpec(2, 16.0, 128)
+    sphere = make_sphere_measure(2, 256)
+    spec = KnappSpec(N=n, q=2.0)
+    fax = grid.freq_axis()
+    G = np.zeros((fax.size, fax.size))
+    w = spec.weights()
+    for k in range(1, n + 1):
+        tang = annulus_window(2.0**k * np.abs(fax))
+        rad = plateau_window(2.0 ** (2 * k - 5) * np.abs(fax - 1.0))
+        assert 0 < np.count_nonzero(tang) < fax.size
+        G += w[k - 1] * np.outer(tang, rad)
+    g_atoms, f = knapp_function(spec, grid, sphere)
+    assert np.array_equal(f.values, inverse_fourier_on_grid(G.astype(complex), grid))
+    assert np.array_equal(g_atoms, knapp_g_values(spec, sphere.atoms))
+
+
 def test_doubling_caps_doubles_squared_mass():
     # disjoint caps with q = 2 contribute equal squared mass, so N = 2
     # carries about twice the squared circle norm of N = 1
@@ -137,6 +157,26 @@ def test_experiment_exponent_relation_enforced():
         knapp_sharpness_experiment(2.0, 1.2, [2.0], [2, 3], grid)
     with pytest.raises(ValueError, match="d = 2"):
         knapp_sharpness_experiment(2.0, 1.2, [2.0], [2, 3, 4], grid, d=3)
+
+
+@pytest.mark.parametrize(
+    "p,s_list,match",
+    [
+        (1.2, [2.0, 0.0], "s must be positive"),
+        (1.2, [-1.0, math.inf], "s must be positive"),
+        (1.2, [math.nan], "s must be positive"),
+        (math.inf, [2.0], "p must be finite"),
+        (-2.0, [2.0], "p must be finite"),
+        (1.0, [2.0], "need p > 1"),
+        (0.5, [2.0], "need p > 1"),
+    ],
+)
+def test_experiment_rejects_bad_lorentz_exponents(p, s_list, match):
+    # every (p, s) is checked as LorentzExponent checks it, before any
+    # field is built
+    grid = GridSpec(2, 128.0, 1024)
+    with pytest.raises(ValueError, match=match):
+        knapp_sharpness_experiment(2.0, p, s_list, [2, 3, 4], grid)
 
 
 def test_experiment_slopes_and_verdicts():

@@ -83,6 +83,64 @@ def test_power_of_two_homogeneity_is_exact():
     assert lorentz_norm_values(8.0 * v, 0.7, 2.0, 1.0) == 8.0 * base
 
 
+def test_power_of_two_homogeneity_is_exact_for_a_sequence_of_s():
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+    s_values = (0.5, 1.0, 2.0, 2.5, math.inf)
+    base = lorentz_norm_values(v, 0.3, 1.2, s_values)
+    assert lorentz_norm_values(0.25 * v, 0.3, 1.2, s_values) == tuple(0.25 * b for b in base)
+
+
+def _reference_norm(values, cell_volume, p, s):
+    # the step-function integral written out with a fresh array per step
+    a = np.sort(np.abs(np.asarray(values)).ravel())[::-1]
+    a = a[a > 0]
+    if a.size == 0:
+        return 0.0
+    vmax = a[0]
+    core = a / vmax
+    t = cell_volume * np.arange(1, a.size + 1, dtype=float)
+    if math.isinf(s):
+        return float(vmax * np.max(core * t ** (1.0 / p)))
+    tp = t ** (s / p)
+    tp_prev = np.concatenate([[0.0], tp[:-1]])
+    return float(vmax * np.sum(core**s * (p / s) * (tp - tp_prev)) ** (1.0 / s))
+
+
+@pytest.mark.parametrize("p", [0.5, 1.2, 2.0, 3.0])
+def test_norms_equal_the_written_out_integral_bit_for_bit(p):
+    rng = np.random.default_rng(int(100 * p))
+    s_values = [2.0, math.inf, 0.5, p, 1.0, 3.0, 2.5]
+    for n in (1, 7, 300, 5000):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v[rng.uniform(size=n) < 0.2] = 0.0
+        cell = float(10.0 ** rng.uniform(-2, 2))
+        norms = lorentz_norm_values(v, cell, p, s_values)
+        assert norms == tuple(_reference_norm(v, cell, p, s) for s in s_values)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.2, 2.0, 3.0])
+def test_sequence_of_s_equals_one_call_per_s_bit_for_bit(p):
+    rng = np.random.default_rng(int(10 * p))
+    v = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+    v[rng.uniform(size=500) < 0.3] = 0.0
+    s_values = [2.0, math.inf, 0.5, p, 1.0, 3.0, 2.0]
+    norms = lorentz_norm_values(v, 0.37, p, s_values)
+    assert isinstance(norms, tuple) and len(norms) == len(s_values)
+    assert norms == tuple(lorentz_norm_values(v, 0.37, p, s) for s in s_values)
+    assert all(type(x) is float for x in norms)
+    assert lorentz_norm_values(np.zeros(4), 1.0, p, s_values) == (0.0,) * len(s_values)
+    assert lorentz_norm_values(v, 0.37, p, []) == ()
+
+
+def test_input_samples_are_not_modified():
+    rng = np.random.default_rng(14)
+    for v in (rng.standard_normal(50), rng.standard_normal(50) + 1j * rng.standard_normal(50)):
+        before = v.copy()
+        lorentz_norm_values(v, 1.0, 2.0, (1.0, math.inf))
+        assert np.array_equal(v, before)
+
+
 def test_rearrangement_invariance_is_exact():
     rng = np.random.default_rng(13)
     v = rng.standard_normal(64)
