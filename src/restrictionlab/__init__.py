@@ -57,23 +57,17 @@ from .exponents import (
     conjugate,
     critical_q,
     oscillatory_exponents,
-    bourgain_interpolate,
     verify_identities,
-    InterpolationInput,
-    InterpolationResult,
 )
 from .operators import (
     extend,
     restrict_at_atoms,
     restrict_sq_integral,
     convolve_mu_hat,
-    l2_operator_norm,
-    lorentz_operator_lower_bound,
     stein_tomas_ratio,
     gaussian_dilate_family,
     knapp_cap_family,
     random_smooth_family,
-    OperatorNormEstimate,
 )
 from .knapp import (
     KnappSpec,
@@ -87,7 +81,6 @@ from .oscillatory import (
     ConditionReport,
     ScalingReport,
     phase_catalog,
-    rotate_phase,
     derivative_consistency,
     apply_T_lambda,
     phase_factors,
@@ -106,7 +99,15 @@ from .oscillatory import (
     polynomial_phase_from_file,
 )
 from .fitting import loglog_fit, flatness_factor, FitResult
-from .reporting import ExperimentConfig, ReportTable, emit_csv, render_verdict, write_verdict
+from .reporting import (
+    ExperimentConfig,
+    ReportTable,
+    emit_csv,
+    format_cell,
+    render_value,
+    render_verdict,
+    write_verdict,
+)
 from .acceptance import CriterionResult, run_acceptance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

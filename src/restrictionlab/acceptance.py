@@ -40,7 +40,7 @@ from .operators import convolve_mu_hat, extend, random_smooth_family, restrict_a
 from .oscillatory import dyadic_kernel_sup, phase_catalog
 from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
 
-__all__ = ["CriterionResult", "CRITERIA", "run_acceptance"]
+__all__ = ["CriterionResult", "run_acceptance"]
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,20 @@ def _finish(args, table: ReportTable, checks) -> int:
     return 0 if ok else 1
 
 
+def _lattice_grid(args, dim: int) -> GridSpec:
+    """The --half-width/--points grid, refused before anything is allocated
+    when one complex lattice on it (16 N^d bytes) exceeds physical memory."""
+    grid = GridSpec(dim=dim, half_width=args.half_width, points_per_axis=args.points)
+    need = 16 * args.points**dim
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            "--points %d: one complex lattice of %d^%d points takes %d bytes, more than "
+            "the %d bytes of physical memory" % (args.points, args.points, dim, need, have)
+        )
+    return grid
+
+
 def _build_measure(args):
     kind = args.kind
     if kind == "circle":
@@ -334,7 +348,7 @@ def cmd_decay(args) -> Result:
 
 def cmd_dyadic(args) -> Result:
     measure = _build_measure(args)
-    grid = GridSpec(dim=measure.dim, half_width=args.half_width, points_per_axis=args.points)
+    grid = _lattice_grid(args, measure.dim)
     mu_hat = mu_hat_on_lattice(measure, grid)
     rows = []
     hat_scaled = []
@@ -416,7 +430,7 @@ def cmd_lorentz(args) -> Result:
 
 
 def cmd_knapp(args) -> Result:
-    grid = GridSpec(dim=2, half_width=args.half_width, points_per_axis=args.points)
+    grid = _lattice_grid(args, 2)
     rep = knapp_sharpness_experiment(
         q=args.q,
         p=float(args.p),
@@ -458,7 +472,7 @@ def cmd_restrict(args) -> Result:
         measure = load_measure(args.measure_file)
     else:
         measure = _build_measure(args)
-    grid = GridSpec(dim=measure.dim, half_width=args.half_width, points_per_axis=args.points)
+    grid = _lattice_grid(args, measure.dim)
     profile = exponent_profile(args.d, args.a, args.b)
     if args.family == "gaussian":
         fields = gaussian_dilate_family(grid, args.scales)

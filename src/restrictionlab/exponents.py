@@ -4,13 +4,9 @@ Every quantity here is a Fraction; no floating point enters. The module
 computes the endpoint Lebesgue exponent and its companions from the two
 regularity parameters (ball exponent a, decay exponent b) of a measure in
 dimension d, the off-diagonal restricted-weak-type pair, the oscillatory
-exponent families indexed by a curvature count, and the two-endpoint
-geometric interpolation bookkeeping that produces them.
-
-Two interpolation weights coexist deliberately: theta weights the
-L1 -> Linfty endpoint in the two-estimate balance, while the interpolation
-engine's vartheta = beta0/(beta0+beta1) weights the summable side; for the
-first-stage application they are related by vartheta = 1 - theta.
+exponent families indexed by a curvature count, and the exact identities
+of the interpolation that produces them (theta weights the L1 -> Linfty
+endpoint in the two-estimate balance).
 """
 
 from __future__ import annotations
@@ -22,12 +18,10 @@ from typing import Optional, Tuple
 __all__ = [
     "ExponentProfile",
     "exponent_profile",
+    "conjugate",
     "critical_q",
     "OscillatoryExponents",
     "oscillatory_exponents",
-    "InterpolationInput",
-    "InterpolationResult",
-    "bourgain_interpolate",
     "verify_identities",
 ]
 
@@ -162,49 +156,6 @@ def oscillatory_exponents(kappa: int) -> OscillatoryExponents:
     return OscillatoryExponents(
         kappa=kappa, q0=q0, q1=q1, rho_k=rho_k, sigma_k=sigma_k, rho_1=rho_1, sigma_1=sigma_1
     )
-
-
-@dataclass(frozen=True)
-class InterpolationInput:
-    """Two endpoint estimates with geometric growth/decay rates.
-
-    beta0 is the decay rate of the endpoint0 bounds (M0 2^(-j beta0)) and
-    beta1 the growth rate of the endpoint1 bounds (M1 2^(+j beta1));
-    endpoints are (1/p, 1/q) pairs of rationals.
-    """
-
-    beta0: Fraction
-    beta1: Fraction
-    M0: float
-    M1: float
-    endpoint0: Tuple[Fraction, Fraction]
-    endpoint1: Tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        if not (self.beta0 > 0 and self.beta1 > 0):
-            raise ValueError("beta rates must be positive")
-
-
-@dataclass(frozen=True)
-class InterpolationResult:
-    vartheta: Fraction
-    target: Tuple[Fraction, Fraction]
-    constant_bound: float
-    constant_note: str = "x C"  # times an absolute constant depending only on the rates
-
-
-def bourgain_interpolate(inp: InterpolationInput) -> InterpolationResult:
-    """Balance two geometric families of bounds at vartheta = beta0/(beta0+beta1).
-
-    The target point is the vartheta-convex combination of the endpoints
-    and the constant bound is M0^(1-vartheta) M1^vartheta, up to an
-    unspecified absolute factor reported symbolically.
-    """
-    th = Fraction(inp.beta0, 1) / (inp.beta0 + inp.beta1)
-    e0, e1 = inp.endpoint0, inp.endpoint1
-    target = ((1 - th) * e0[0] + th * e1[0], (1 - th) * e0[1] + th * e1[1])
-    const = float(inp.M0) ** float(1 - th) * float(inp.M1) ** float(th)
-    return InterpolationResult(vartheta=th, target=target, constant_bound=const)
 
 
 def verify_identities(profile: ExponentProfile) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -361,23 +361,32 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     """
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
-    fax = grid.freq_axis()
-    mats = [
-        np.exp(-2j * np.pi * np.outer(measure.atoms[:, k], fax))
-        for k in range(measure.dim)
-    ]
-    w = measure.weights.astype(complex)
-    if measure.dim == 1:
-        return mats[0].T @ w
-    if measure.dim == 2:
-        return (mats[0] * w[:, None]).T @ mats[1]
-    if measure.dim == 3:
-        n = fax.size
-        out = np.empty((n, n, n), dtype=complex)
-        for c in range(n):
-            out[:, :, c] = (mats[0] * (w * mats[2][:, c])[:, None]).T @ mats[1]
-        return out
-    raise ValueError("dimension %d not supported on lattices" % measure.dim)
+    return _atom_sum(measure.weights, measure.atoms, [grid.freq_axis()] * grid.dim, -1.0)
+
+
+def _phase_matrices(points: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> List:
+    """exp(sign 2 pi i points[:, k] (x) axes[k]): one (n, len(axes[k])) matrix per axis."""
+    return [np.exp(sign * 2j * np.pi * np.outer(points[:, k], ax)) for k, ax in enumerate(axes)]
+
+
+def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> np.ndarray:
+    """sum_j coeffs_j exp(sign 2 pi i <atoms_j, x>) for x on the product of
+    the axes (any lengths, d <= 3), shaped (len(axes[0]), ..., len(axes[-1])):
+    the one separable kernel behind mu_hat_on_lattice, operators.extend and
+    operators.convolve_mu_hat."""
+    d = len(axes)
+    if d > 3:
+        raise ValueError("dimension %d not supported on lattices" % d)
+    mats = _phase_matrices(atoms, axes, sign)
+    c = np.asarray(coeffs).astype(complex)
+    if d == 1:
+        return mats[0].T @ c
+    if d == 2:
+        return (mats[0] * c[:, None]).T @ mats[1]
+    out = np.empty(tuple(ax.size for ax in axes), dtype=complex)
+    for k in range(axes[2].size):
+        out[:, :, k] = (mats[0] * (c * mats[2][:, k])[:, None]).T @ mats[1]
+    return out
 
 
 def dyadic_piece(

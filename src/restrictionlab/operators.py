@@ -3,7 +3,9 @@
 All atom-vs-grid transforms are axis-separable complex matrix contractions,
 so they are exact reorganizations of the defining double sums: the pairing
 identity between the squared restriction integral and the convolution
-operator holds to rounding, not just to quadrature error.
+operator holds to rounding, not just to quadrature error. The atom sums
+on a grid (extend, the second half of convolve_mu_hat) run the one kernel
+behind measures.mu_hat_on_lattice; restrict_at_atoms is its transpose.
 
 Conventions match measures.fourier_transform_at: forward transforms carry
 exp(-2 pi i <x, xi>), the extension (adjoint) carries exp(+2 pi i <x_j, x>).
@@ -11,24 +13,20 @@ exp(-2 pi i <x, xi>), the extension (adjoint) carries exp(+2 pi i <x_j, x>).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .bumps import bump
 from .grids import GridSpec, SampledField
 from .lorentz import LorentzExponent, lorentz_norm
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _atom_sum, _phase_matrices
 
 __all__ = [
-    "OperatorNormEstimate",
     "extend",
     "restrict_at_atoms",
     "restrict_sq_integral",
     "convolve_mu_hat",
-    "l2_operator_norm",
-    "lorentz_operator_lower_bound",
     "stein_tomas_ratio",
     "gaussian_dilate_family",
     "random_smooth_family",
@@ -36,30 +34,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorNormEstimate:
-    """A norm estimate plus how it was obtained.
-
-    method "power-iteration": value is the converged singular-value estimate,
-    residual the final relative Rayleigh change, converged False if max_iter
-    hit first. method "test-family-max": value is a lower bound (flagged) and
-    iterations counts the family members actually used.
-    """
-
-    value: float
-    method: str  # power-iteration | test-family-max
-    iterations: int
-    residual: float
-    is_lower_bound: bool = False
-    converged: bool = True
-    notes: str = ""
-
-
 def _field_axes(f: SampledField) -> List[np.ndarray]:
-    return [
-        f.origin[k] + f.spacing[k] * np.arange(f.values.shape[k])
-        for k in range(f.dim)
-    ]
+    return [o + h * np.arange(n) for o, h, n in zip(f.origin, f.spacing, f.values.shape)]
 
 
 def _transform_at_points(
@@ -69,10 +45,10 @@ def _transform_at_points(
     sign: float,
     cell: float,
 ) -> np.ndarray:
-    """sum_x values(x) exp(sign 2 pi i <x, p>) * cell for each row p, via
-    per-axis phase matrices (exact contraction, d <= 3)."""
+    """sum_x values(x) exp(sign 2 pi i <x, p>) * cell for each row p: the
+    transpose of measures._atom_sum, on the same phase matrices (d <= 3)."""
     d = len(axes)
-    mats = [np.exp(sign * 2j * np.pi * np.outer(points[:, k], axes[k])) for k in range(d)]
+    mats = _phase_matrices(points, axes, sign)
     if d == 1:
         return (mats[0] @ values.astype(complex)) * cell
     if d == 2:
@@ -85,38 +61,16 @@ def _transform_at_points(
     raise ValueError("only d <= 3 supported")
 
 
-def _atom_sum_on_axes(
-    coeffs: np.ndarray, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float
-) -> np.ndarray:
-    """sum_j coeffs_j exp(sign 2 pi i <atom_j, x>) sampled on the axis product."""
-    d = len(axes)
-    c = coeffs.astype(complex)
-    mats = [np.exp(sign * 2j * np.pi * np.outer(axes[k], atoms[:, k])) for k in range(d)]
-    if d == 1:
-        return mats[0] @ c
-    if d == 2:
-        return mats[0] @ (c[:, None] * mats[1].T)
-    if d == 3:
-        n3 = axes[2].size
-        out = np.empty((axes[0].size, axes[1].size, n3), dtype=complex)
-        for k in range(n3):
-            out[:, :, k] = mats[0] @ ((c * mats[2][k, :])[:, None] * mats[1].T)
-        return out
-    raise ValueError("only d <= 3 supported")
-
-
 def extend(g, measure: DiscreteMeasure, grid: GridSpec) -> SampledField:
     """Extension (adjoint restriction): x -> sum_j g_j w_j exp(+2 pi i <x_j, x>)
     sampled on the grid."""
     g = np.asarray(g, dtype=complex).ravel()
     if g.size != measure.n_atoms:
-        raise ValueError(
-            "g has %d entries, measure has %d atoms" % (g.size, measure.n_atoms)
-        )
+        raise ValueError("g has %d entries, measure has %d atoms" % (g.size, measure.n_atoms))
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
     axes = [grid.axis()] * grid.dim
-    values = _atom_sum_on_axes(g * measure.weights, measure.atoms, axes, sign=+1.0)
+    values = _atom_sum(g * measure.weights, measure.atoms, axes, +1.0)
     return SampledField.on_grid(grid, values, label="extend-" + measure.label)
 
 
@@ -125,9 +79,7 @@ def restrict_at_atoms(f: SampledField, measure: DiscreteMeasure) -> np.ndarray:
     field's own lattice (no interpolation: atoms may be off-lattice)."""
     if f.dim != measure.dim:
         raise ValueError("field dimension != measure dimension")
-    return _transform_at_points(
-        f.values, _field_axes(f), measure.atoms, sign=-1.0, cell=f.cell_volume
-    )
+    return _transform_at_points(f.values, _field_axes(f), measure.atoms, -1.0, f.cell_volume)
 
 
 def restrict_sq_integral(f: SampledField, measure: DiscreteMeasure) -> float:
@@ -167,96 +119,13 @@ def convolve_mu_hat(f: SampledField, measure: DiscreteMeasure) -> SampledField:
         raise ValueError("field dimension != measure dimension")
     _check_inner_half_support(f)
     axes = _field_axes(f)
-    fh = _transform_at_points(
-        f.values, axes, measure.atoms, sign=+1.0, cell=f.cell_volume
-    )
-    values = _atom_sum_on_axes(measure.weights * fh, measure.atoms, axes, sign=-1.0)
+    fh = _transform_at_points(f.values, axes, measure.atoms, +1.0, f.cell_volume)
+    values = _atom_sum(measure.weights * fh, measure.atoms, axes, -1.0)
     return SampledField(
         values=values,
         origin=f.origin,
         spacing=f.spacing,
         label=(f.label + "*muhat") if f.label else "conv-muhat",
-    )
-
-
-def l2_operator_norm(
-    apply: Callable[[np.ndarray], np.ndarray],
-    grid: GridSpec,
-    tol: float = 1e-8,
-    max_iter: int = 2000,
-    adjoint: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    seed: int = 0,
-) -> OperatorNormEstimate:
-    """Largest singular value of a linear grid operator by power iteration
-    on T*T; pass adjoint unless the operator is self-adjoint.
-
-    apply acts on complex arrays of the grid's shape. The Rayleigh sequence
-    is nondecreasing; iteration stops when its relative change drops below
-    tol, else converged=False after max_iter.
-    """
-    shape = (grid.points_per_axis,) * grid.dim
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v = v / np.linalg.norm(v)
-    star = adjoint if adjoint is not None else apply
-    lam_prev = 0.0
-    lam = 0.0
-    rel = np.inf
-    its = 0
-    for its in range(1, max_iter + 1):
-        w = star(apply(v))
-        lam = float(np.real(np.vdot(v, w)))  # = |T v|^2 for unit v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return OperatorNormEstimate(
-                value=0.0, method="power-iteration", iterations=its, residual=0.0
-            )
-        v = w / nw
-        rel = abs(lam - lam_prev) / max(lam, np.finfo(float).tiny)
-        if its > 1 and rel <= tol:
-            break
-        lam_prev = lam
-    return OperatorNormEstimate(
-        value=float(np.sqrt(max(lam, 0.0))),
-        method="power-iteration",
-        iterations=its,
-        residual=rel,
-        converged=bool(rel <= tol),
-        notes="" if rel <= tol else "max_iter reached before tolerance",
-    )
-
-
-def lorentz_operator_lower_bound(
-    apply: Callable[[SampledField], SampledField],
-    in_exp: LorentzExponent,
-    out_exp: LorentzExponent,
-    family: Sequence[SampledField],
-) -> OperatorNormEstimate:
-    """max over the family of |apply(f)|_out / |f|_in; a lower bound on the
-    operator norm between the two Lorentz spaces (they carry no inner
-    product, so no power iteration). Zero-norm members are skipped."""
-    if len(family) == 0:
-        raise ValueError("need a nonempty test family")
-    best = 0.0
-    used = 0
-    skipped = 0
-    for f in family:
-        denom = lorentz_norm(f, in_exp)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        used += 1
-        best = max(best, lorentz_norm(apply(f), out_exp) / denom)
-    if used == 0:
-        raise ValueError("every family member had zero input norm")
-    notes = "" if skipped == 0 else "%d zero-norm members skipped" % skipped
-    return OperatorNormEstimate(
-        value=float(best),
-        method="test-family-max",
-        iterations=used,
-        residual=0.0,
-        is_lower_bound=True,
-        notes=notes,
     )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "ConditionReport",
     "ScalingReport",
     "phase_catalog",
-    "rotate_phase",
     "derivative_consistency",
     "apply_T_lambda",
     "phase_factors",
@@ -309,49 +308,6 @@ def phase_catalog(amp_radius: float = 0.09) -> Dict[str, PhaseSpec]:
         amp_y=(ax,),
     )
     return cat
-
-
-def rotate_phase(spec: PhaseSpec, Qx: np.ndarray, Qy: np.ndarray) -> PhaseSpec:
-    """Precompose with orthogonal coordinate changes x -> Qx x, y -> Qy y.
-
-    Rank and curvature verdicts must be invariant under this. The rotated
-    spec keeps closed-form derivatives via the chain rule but loses the
-    separable fast path (rotations break axis alignment)."""
-    Qx = np.asarray(Qx, float)
-    Qy = np.asarray(Qy, float)
-
-    def phase(x, Y):
-        return spec.phase(Qx @ np.asarray(x, float), np.asarray(Y, float) @ Qy.T)
-
-    def amp(x, Y):
-        return spec.amp(Qx @ np.asarray(x, float), np.asarray(Y, float) @ Qy.T)
-
-    def d_x(x, y):
-        return Qx.T @ eval_d_x(spec, Qx @ x, Qy @ y)
-
-    def d_y(x, y):
-        return Qy.T @ eval_d_y(spec, Qx @ x, Qy @ y)
-
-    def d_xy(x, y):
-        return Qx.T @ eval_d_xy(spec, Qx @ x, Qy @ y) @ Qy
-
-    def d_xyy(x, y):
-        T = eval_d_xyy(spec, Qx @ x, Qy @ y)
-        return np.einsum("ai,abc,bj,ck->ijk", Qx, T, Qy, Qy)
-
-    return replace(
-        spec,
-        name=spec.name + "-rotated",
-        phase=phase,
-        amp=amp,
-        d_x=d_x,
-        d_y=d_y,
-        d_xy=d_xy,
-        d_xyy=d_xyy,
-        separable=None,
-        amp_x=None,
-        amp_y=None,
-    )
 
 
 @dataclass(frozen=True)

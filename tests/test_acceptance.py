@@ -2,11 +2,11 @@
 
 Criteria 1 through 11 run in-process and assert the full check list of
 each CriterionResult; the failure message carries every sub-check so a
-red line is diagnosable from the pytest output alone. Criteria 5 and 7-10
-also compare their emitted CSVs with the stored benchmark references
-(seed 0), so any change to the subcommand experiments they run shows;
-criteria 5, 8, 9 and 10 are compared once more from a child process
-limited to one BLAS thread.
+red line is diagnosable from the pytest output alone. Every criterion
+also compares its emitted CSV with the stored benchmark reference (seed
+0), byte for byte except criterion 6's two rounding-residual columns, so
+any change to the arithmetic shows; criteria 5, 8, 9 and 10 are compared
+once more from a child process limited to one BLAS thread.
 Criterion 12 runs the complete suite twice through the installed
 command-line entry point and compares the emitted CSV bytes.
 """
@@ -40,28 +40,39 @@ def _run_pinned(tmp_path, index, name, reference):
     assert (tmp_path / base).read_bytes() == (REFERENCE / reference / base).read_bytes()
 
 
-def test_criterion_01_exponent_identities():
-    _assert_passed(acceptance.criterion_1(seed=0), 1, "exponent-identities")
+def test_criterion_01_exponent_identities(tmp_path):
+    _run_pinned(tmp_path, 1, "exponent-identities", "oscillatory/seed0")
 
 
-def test_criterion_02_exponent_cross_checks():
-    _assert_passed(acceptance.criterion_2(seed=0), 2, "exponent-cross-checks")
+def test_criterion_02_exponent_cross_checks(tmp_path):
+    _run_pinned(tmp_path, 2, "exponent-cross-checks", "oscillatory/seed0")
 
 
-def test_criterion_03_circle_dimensions():
-    _assert_passed(acceptance.criterion_3(seed=0), 3, "circle-dimensions")
+def test_criterion_03_circle_dimensions(tmp_path):
+    _run_pinned(tmp_path, 3, "circle-dimensions", "oscillatory/seed0")
 
 
-def test_criterion_04_cantor_dimensions():
-    _assert_passed(acceptance.criterion_4(seed=0), 4, "cantor-dimensions")
+def test_criterion_04_cantor_dimensions(tmp_path):
+    _run_pinned(tmp_path, 4, "cantor-dimensions", "oscillatory/seed0")
 
 
 def test_criterion_05_dyadic_piece_bounds(tmp_path):
     _run_pinned(tmp_path, 5, "dyadic-piece-bounds", "dyadic/any")
 
 
-def test_criterion_06_tomas_identity():
-    _assert_passed(acceptance.criterion_6(seed=0), 6, "tomas-identity")
+def test_criterion_06_tomas_identity(tmp_path):
+    (result,) = acceptance.run_acceptance(str(tmp_path), seed=0, only=[6])
+    _assert_passed(result, 6, "tomas-identity")
+    # field and restrict_sq are pinned byte for byte; identity_rel_err and
+    # adjoint_rel_err are rounding residuals of exact identities, so they
+    # are held to the criterion's own 1e-8 window instead
+    rows = [line.split(",") for line in (tmp_path / "criterion_06.csv").read_text().splitlines()]
+    ref = (REFERENCE / "oscillatory" / "seed0" / "criterion_06.csv").read_text().splitlines()
+    ref = [line.split(",") for line in ref]
+    assert rows[0] == ref[0] and len(rows) == len(ref)
+    for row, pinned in zip(rows[1:], ref[1:]):
+        assert row[:2] == pinned[:2]
+        assert all(abs(float(a) - float(b)) <= 1e-8 for a, b in zip(row[2:], pinned[2:]))
 
 
 def test_criterion_07_lorentz_suite(tmp_path):
@@ -137,8 +148,8 @@ def test_criteria_5_8_single_blas_thread_match_reference(tmp_path):
     )
 
 
-def test_criterion_11_dyadic_kernel_sup():
-    _assert_passed(acceptance.criterion_11(seed=0), 11, "dyadic-kernel-sup")
+def test_criterion_11_dyadic_kernel_sup(tmp_path):
+    _run_pinned(tmp_path, 11, "dyadic-kernel-sup", "oscillatory/seed0")
 
 
 def test_criterion_12_bytewise_determinism(tmp_path):

@@ -1,13 +1,10 @@
-"""Exact rational exponent calculus: named profiles, identities, interpolation."""
+"""Exact rational exponent calculus: named profiles, identities, oscillatory families."""
 
 from fractions import Fraction
 
 import pytest
 
 from restrictionlab.exponents import (
-    InterpolationInput,
-    InterpolationResult,
-    bourgain_interpolate,
     critical_q,
     exponent_profile,
     oscillatory_exponents,
@@ -172,69 +169,3 @@ def test_oscillatory_matches_profile_at_matching_regularity():
         exponent_profile(3, 2, 1).rho,
         exponent_profile(3, 2, 1).sigma,
     )
-
-
-def test_interpolation_balances_rates():
-    inp = InterpolationInput(
-        beta0=F(1),
-        beta1=F(1),
-        M0=2.0,
-        M1=8.0,
-        endpoint0=(F(1), F(0)),
-        endpoint1=(F(1, 2), F(1, 2)),
-    )
-    res = bourgain_interpolate(inp)
-    assert isinstance(res, InterpolationResult)
-    assert res.vartheta == F(1, 2)
-    assert res.target == (F(3, 4), F(1, 4))
-    assert res.constant_bound == pytest.approx(4.0, rel=1e-12)
-    assert res.constant_note == "x C"
-
-
-def test_interpolation_first_stage_reaches_diagonal_endpoint():
-    # balancing the L1 -> Linfty decay (rate b) against the L2 -> L2
-    # growth (rate D) lands on (1/p0, 1/p0')
-    for d, a, b in _profile_grid():
-        prof = exponent_profile(d, a, b)
-        D = d - a
-        inp = InterpolationInput(
-            beta0=b,
-            beta1=D,
-            M0=1.0,
-            M1=1.0,
-            endpoint0=(F(1), F(0)),
-            endpoint1=(F(1, 2), F(1, 2)),
-        )
-        res = bourgain_interpolate(inp)
-        assert res.vartheta == 1 - prof.theta
-        assert res.target == (1 / prof.p0, 1 / prof.p0_prime)
-
-
-def test_interpolation_second_stage_reaches_offdiagonal_pair():
-    # half-rate growth against the same decay lands on (1/rho, 1/sigma)
-    for d, a, b in _profile_grid():
-        prof = exponent_profile(d, a, b)
-        D = d - a
-        inp = InterpolationInput(
-            beta0=b,
-            beta1=D / 2,
-            M0=1.0,
-            M1=1.0,
-            endpoint0=(F(1), F(0)),
-            endpoint1=(1 / prof.p0, F(1, 2)),
-        )
-        res = bourgain_interpolate(inp)
-        assert res.vartheta == 1 - prof.gamma
-        assert res.target == (1 / prof.rho, 1 / prof.sigma)
-
-
-def test_interpolation_rejects_nonpositive_rates():
-    with pytest.raises(ValueError, match="positive"):
-        InterpolationInput(
-            beta0=F(0),
-            beta1=F(1),
-            M0=1.0,
-            M1=1.0,
-            endpoint0=(F(1), F(0)),
-            endpoint1=(F(1, 2), F(1, 2)),
-        )

@@ -2,11 +2,14 @@
 bytewise determinism, and the canonical value rendering."""
 
 import os
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import restrictionlab
+from restrictionlab import cli
 from restrictionlab.cli import main
 from restrictionlab.measures import make_sphere_measure, save_measure
 from restrictionlab.reporting import (
@@ -155,6 +158,40 @@ def test_non_separable_phase_file_exits_2(tmp_path, capsys):
     assert main(["oscillatory", "--phase-file", str(path), "--out", out]) == 2
     assert "phase lacks the separable structure for the fast path" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", ["dyadic", "knapp", "restrict"])
+def test_oversized_points_exit_2_before_any_lattice(tmp_path, capsys, monkeypatch, subcommand):
+    # one complex lattice of N^2 points takes 16 N^2 bytes; at N = 2^30 that
+    # is 16 EiB, beyond any physical memory, so the run must stop before the
+    # experiment starts (every entry point below fails the test if reached)
+    def refuse(*args, **kwargs):
+        pytest.fail("the experiment started despite the oversized lattice")
+
+    for name in (
+        "mu_hat_on_lattice",
+        "dyadic_piece",
+        "knapp_sharpness_experiment",
+        "gaussian_dilate_family",
+        "knapp_cap_family",
+        "random_smooth_family",
+    ):
+        monkeypatch.setattr(cli, name, refuse)
+    n = 1 << 30
+    out = str(tmp_path / "r")
+    assert main([subcommand, "--points", str(n), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "physical memory" in err and "takes %d bytes" % (16 * n**2) in err
+    assert not os.path.exists(out)
+
+
+def test_package_exports_are_the_submodule_exports():
+    # the package re-exports exactly what its submodules declare, so a
+    # deleted name cannot linger in either list
+    exported = set(restrictionlab.__all__)
+    modules = {n for n in exported if isinstance(getattr(restrictionlab, n), types.ModuleType)}
+    declared = set().union(*(getattr(restrictionlab, n).__all__ for n in modules))
+    assert exported - modules == declared
 
 
 def test_argparse_schema_errors_exit_2():

@@ -1,10 +1,12 @@
-"""Extension/restriction operators, the convolution identity, norm
-estimators, and the structured test families."""
+"""Extension/restriction operators, the convolution identity, and the
+structured test families."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictionlab.bumps import dyadic_ring
 from restrictionlab.exponents import exponent_profile
@@ -13,9 +15,7 @@ from restrictionlab.grids import (
     GridSpec,
     SampledField,
     fourier_on_grid,
-    inverse_fourier_on_grid,
 )
-from restrictionlab.lorentz import LorentzExponent
 from restrictionlab.measures import (
     DiscreteMeasure,
     fourier_transform_at,
@@ -27,8 +27,6 @@ from restrictionlab.operators import (
     extend,
     gaussian_dilate_family,
     knapp_cap_family,
-    l2_operator_norm,
-    lorentz_operator_lower_bound,
     random_smooth_family,
     restrict_at_atoms,
     restrict_sq_integral,
@@ -137,54 +135,58 @@ def test_convolution_matches_direct_quadrature():
     assert np.max(np.abs(conv.values.ravel() - oracle)) < 1e-10
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    d=st.integers(1, 3),
+    n_atoms=st.integers(1, 12),
+    sizes=st.lists(st.integers(2, 7), min_size=3, max_size=3),
+    points=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separable_kernel_matches_direct_sums(d, n_atoms, sizes, points, seed):
+    # extend, restrict_at_atoms and convolve_mu_hat against the double sums
+    # they reorganize, in every supported dimension; the fields have a
+    # different number of points (and spacing) on each axis
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, n_atoms)
+    m = DiscreteMeasure(dim=d, atoms=rng.uniform(-1.0, 1.0, (n_atoms, d)), weights=w / w.sum())
+
+    def rel_err(got, oracle):
+        return np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
+
+    grid = GridSpec(d, float(rng.uniform(0.5, 2.0)), points if d < 3 else 8)
+    g = rng.standard_normal(n_atoms) + 1j * rng.standard_normal(n_atoms)
+    oracle = np.exp(2j * np.pi * grid.points() @ m.atoms.T) @ (g * m.weights)
+    assert rel_err(extend(g, m, grid).values.ravel(), oracle) <= 1e-12
+
+    # restriction of a nonnegative field f = total * nu, nu a probability
+    # measure on the field's lattice, so f_hat = cell * total * nu_hat
+    shape = tuple(sizes[:d])
+    half = rng.uniform(0.5, 2.0, d)
+    spacing = tuple(2.0 * half / shape)
+    axes = [-h + s * np.arange(n) for h, s, n in zip(half, spacing, shape)]
+    P = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    f = SampledField(values=rng.uniform(0.1, 1.0, shape), origin=tuple(-half), spacing=spacing)
+    total = float(np.sum(f.values.real))
+    nu = DiscreteMeasure(dim=d, atoms=P, weights=f.values.real.ravel() / total)
+    oracle = f.cell_volume * total * fourier_transform_at(nu, m.atoms)
+    assert rel_err(restrict_at_atoms(f, m), oracle) <= 1e-12
+
+    # convolution: sum_y mu_hat(x - y) f(y) cell over a field supported in
+    # the inner half of the box
+    inner = np.all(np.abs(P) <= half / 2.0, axis=1).reshape(shape)
+    vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * inner
+    f = SampledField(values=vals, origin=tuple(-half), spacing=spacing)
+    K = fourier_transform_at(m, (P[:, None, :] - P[None, :, :]).reshape(-1, d))
+    oracle = K.reshape(len(P), len(P)) @ vals.ravel() * f.cell_volume
+    assert rel_err(convolve_mu_hat(f, m).values.ravel(), oracle) <= 1e-12
+
+
 def test_convolution_enforces_inner_half_support():
     g = GridSpec(1, 2.0, 32)
     f = SampledField.on_grid(g, np.ones(32))
     with pytest.raises(ValueError, match="inner half"):
         convolve_mu_hat(f, make_point_mass([0.0]))
-
-
-def test_operator_norm_of_identity():
-    g = GridSpec(1, 2.0, 32)
-    est = l2_operator_norm(lambda v: v, g)
-    assert est.value == pytest.approx(1.0, abs=1e-8)
-    assert est.method == "power-iteration"
-    assert est.converged and not est.is_lower_bound
-
-
-def test_operator_norm_of_three_level_multiplier():
-    # multiplier taking values {2, 1, 1/2} on frequency bands: norm 2
-    g = GridSpec(1, 4.0, 64)
-    fax = np.abs(g.freq_axis())
-    lam = np.where(fax < 2.0, 2.0, np.where(fax < 4.0, 1.0, 0.5))
-
-    def apply(v):
-        return inverse_fourier_on_grid(fourier_on_grid(v, g) * lam, g)
-
-    est = l2_operator_norm(apply, g, tol=1e-12)
-    assert est.value == pytest.approx(2.0, abs=1e-8)
-    assert est.converged and est.iterations < 100
-
-
-def test_operator_norm_reports_nonconvergence():
-    g = GridSpec(1, 4.0, 64)
-    fax = np.abs(g.freq_axis())
-    lam = np.where(fax < 2.0, 2.0, np.where(fax < 4.0, 1.0, 0.5))
-
-    def apply(v):
-        return inverse_fourier_on_grid(fourier_on_grid(v, g) * lam, g)
-
-    est = l2_operator_norm(apply, g, tol=1e-12, max_iter=3)
-    assert not est.converged
-    assert "max_iter" in est.notes
-    # Rayleigh estimates never overshoot the true norm
-    assert est.value <= 2.0 + 1e-9
-
-
-def test_operator_norm_of_zero_operator():
-    g = GridSpec(1, 2.0, 16)
-    est = l2_operator_norm(lambda v: np.zeros_like(v), g)
-    assert est.value == 0.0
 
 
 def test_dyadic_kernel_symbol_growth():
@@ -203,37 +205,6 @@ def test_dyadic_kernel_symbol_growth():
         sups.append(float(np.abs(symbol).max()))
     fit = loglog_fit(list(zip([4.0, 8.0, 16.0], sups)))
     assert 0.9 <= fit.slope <= 1.1
-
-
-def test_lorentz_lower_bound_identity_family():
-    g = GridSpec(1, 2.0, 32)
-    fam = random_smooth_family(g, 3, seed=0)
-    e = LorentzExponent(2.0, 2.0)
-    est = lorentz_operator_lower_bound(lambda f: f, e, e, fam)
-    assert est.value == pytest.approx(1.0, rel=1e-12)
-    assert est.is_lower_bound
-    assert est.method == "test-family-max"
-    assert est.iterations == 3
-
-
-def test_lorentz_lower_bound_skips_zero_members():
-    g = GridSpec(1, 2.0, 32)
-    fam = random_smooth_family(g, 2, seed=0)
-    zero = SampledField.on_grid(g, np.zeros(32))
-    e = LorentzExponent(2.0, 1.0)
-    est = lorentz_operator_lower_bound(lambda f: f, e, e, fam + [zero])
-    assert "1 zero-norm members skipped" in est.notes
-    assert est.iterations == 2
-
-
-def test_lorentz_lower_bound_rejects_degenerate_families():
-    g = GridSpec(1, 2.0, 32)
-    zero = SampledField.on_grid(g, np.zeros(32))
-    e = LorentzExponent(2.0, 1.0)
-    with pytest.raises(ValueError, match="nonempty"):
-        lorentz_operator_lower_bound(lambda f: f, e, e, [])
-    with pytest.raises(ValueError, match="zero input norm"):
-        lorentz_operator_lower_bound(lambda f: f, e, e, [zero])
 
 
 def test_restriction_ratio_vanishes_off_the_sphere():

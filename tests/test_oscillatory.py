@@ -23,7 +23,6 @@ from restrictionlab.oscillatory import (
     phase_catalog,
     phase_factors,
     polynomial_phase_from_file,
-    rotate_phase,
     scaling_experiment,
     tstar_kernel_entry,
 )
@@ -44,13 +43,6 @@ def test_catalog_derivatives_match_finite_differences():
     for name, spec in CAT.items():
         worst = derivative_consistency(spec, n_probes=40)
         assert worst < 1e-6, "%s deviates by %g" % (name, worst)
-
-
-def test_rotated_derivatives_stay_consistent():
-    rot = rotate_phase(CAT["parabola"], _rotation(0.7), np.array([[1.0]]))
-    assert rot.name == "parabola-rotated"
-    assert rot.separable is None and rot.amp_x is None
-    assert derivative_consistency(rot, n_probes=30) < 1e-6
 
 
 # ------------------------------------------------------------ dense quadrature
@@ -185,16 +177,19 @@ def test_fast_path_sums_terms():
     assert np.max(np.abs(both.values - split)) < 1e-12
 
 
-def test_fast_path_requires_separable_structure():
-    rot = rotate_phase(CAT1["parabola"], _rotation(0.3), np.array([[1.0]]))
+def test_fast_path_requires_separable_structure(tmp_path):
+    # the cross term x1^2 y is not linear in x, so the phase has no fast path
+    path = tmp_path / "square.phase"
+    path.write_text("x_dim 2\ny_dim 1\nradius 1.0\nterm 1.0  1 0  1\nterm 1.0  2 0  1\n")
+    spec = polynomial_phase_from_file(path)
     y_axes = [np.linspace(-1, 1, 64)]
     x_axes = [np.linspace(-1, 1, 8)] * 2
     with pytest.raises(ValueError, match="separable"):
-        phase_factors(rot, 10.0, y_axes, x_axes)
-    # factors built for the unrotated phase do not make the rotated one separable
+        phase_factors(spec, 10.0, y_axes, x_axes)
+    # factors built for a separable phase do not make this one separable
     factors = phase_factors(CAT1["parabola"], 10.0, y_axes, x_axes)
     with pytest.raises(ValueError, match="separable"):
-        apply_T_lambda_product(rot, 10.0, [(lambda t: t,)], y_axes, x_axes, factors)
+        apply_T_lambda_product(spec, 10.0, [(lambda t: t,)], y_axes, x_axes, factors)
 
 
 @pytest.mark.parametrize("name", ["parabola", "fold-curved", "cone"])
@@ -309,13 +304,20 @@ def test_curvature_rank_rejects_vanishing_hessian():
         check_curvature_rank(CAT["zero"], probes, 0)
 
 
-def test_verdicts_invariant_under_rotation():
+def test_verdicts_invariant_under_rotation(tmp_path):
     rng = np.random.default_rng(5)
     probes = _probes(rng, 2, 1)
     Qx = _rotation(0.7)
-    Qy = np.array([[1.0]])
-    rot = rotate_phase(CAT["parabola"], Qx, Qy)
-    probes_rot = [(Qx.T @ x, Qy.T @ y) for x, y in probes]
+    # the parabola x1 y + x2 y^2/2 precomposed with x -> Qx x, as a phase file
+    c, s = float(np.cos(0.7)), float(np.sin(0.7))
+    path = tmp_path / "rotated.phase"
+    path.write_text(
+        "x_dim 2\ny_dim 1\nradius 0.09\n"
+        "term %r  1 0  1\nterm %r  0 1  1\nterm %r  1 0  2\nterm %r  0 1  2\n"
+        % (c, -s, s / 2.0, c / 2.0)
+    )
+    rot = polynomial_phase_from_file(path)
+    probes_rot = [(Qx.T @ x, y) for x, y in probes]
     r0 = check_rank_mixed_hessian(CAT["parabola"], probes)
     r1 = check_rank_mixed_hessian(rot, probes_rot)
     assert r0.values == r1.values and r0.verdict == r1.verdict
