@@ -27,13 +27,20 @@ def smoothstep(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1.
 
     Realized as e(t)/(e(t)+e(1-t)) with e(t) = exp(-1/t) extended by 0.
-    Vectorized; accepts scalars or arrays.
+    Vectorized; accepts scalars or arrays, and a scalar gives np.float64.
+    exp is evaluated only where 0 < t < 1 or t is NaN; elsewhere the result
+    is exactly 0.0 or 1.0, the value the quotient takes there (0/(0+b) and
+    a/(a+0)). NaN stays NaN.
     """
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    t = np.asarray(t, dtype=float)
+    out = np.asarray(t >= 1.0, dtype=float)
+    inside = ~((t <= 0.0) | (t >= 1.0))
+    s = t[inside]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
+        a = np.exp(-1.0 / np.maximum(s, 1e-300))
+        b = np.exp(-1.0 / np.maximum(1.0 - s, 1e-300))
+    out[inside] = a / (a + b)
+    return out if out.ndim else out[()]
 
 
 def bump(t):
@@ -58,11 +65,20 @@ def dyadic_ring(u, j):
     2^(j-1) < |x| < 2^j. The family telescopes exactly:
     sum_{j=0}^{J} ring_j(u) = radial_plateau(u/4^J), which is 1 for
     |x| <= 2^(J-1).
+
+    For j >= 1 the difference is evaluated only where 4^(j-2) < u < 4^j or
+    u is NaN. Outside that band both plateaus are exactly 1 or both exactly
+    0 (dividing by a power of 4 is exact), so the ring there is exactly 0.0.
+    A scalar u gives np.float64.
     """
     u = np.asarray(u, dtype=float)
     if j == 0:
         return radial_plateau(u)
-    return radial_plateau(u / 4.0**j) - radial_plateau(u / 4.0 ** (j - 1))
+    out = np.zeros(u.shape)
+    inside = ~((u <= 4.0 ** (j - 2)) | (u >= 4.0**j))
+    v = u[inside]
+    out[inside] = radial_plateau(v / 4.0**j) - radial_plateau(v / 4.0 ** (j - 1))
+    return out if out.ndim else out[()]
 
 
 def annulus_window(t):

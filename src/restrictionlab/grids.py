@@ -61,13 +61,6 @@ class GridSpec:
     def mesh(self) -> tuple:
         return np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
 
-    def freq_mesh(self) -> tuple:
-        return np.meshgrid(*([self.freq_axis()] * self.dim), indexing="ij")
-
-    def points(self) -> np.ndarray:
-        """All grid points as an (N^d, d) array."""
-        return np.stack([m.ravel() for m in self.mesh()], axis=1)
-
 
 @dataclass(frozen=True)
 class SampledField:

@@ -355,9 +355,9 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     mu_hat(f_{k_1}, ..., f_{k_d}) = sum_j w_j exp(-2 pi i <x_j, xi>), with
     f = grid.freq_axis() (ascending, the layout of fourier_on_grid and
     inverse_fourier_on_grid). Axis-separable phase matrices contracted
-    against the weights; fourier_transform_at on the freq_mesh points is
-    its oracle. It does not depend on any dyadic scale, so a sweep over j
-    computes it once and hands it to dyadic_piece.
+    against the weights; fourier_transform_at at every point of the
+    frequency lattice is its oracle. It does not depend on any dyadic
+    scale, so a sweep over j computes it once and hands it to dyadic_piece.
     """
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
@@ -382,7 +382,9 @@ def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float
     if d == 1:
         return mats[0].T @ c
     if d == 2:
-        return (mats[0] * c[:, None]).T @ mats[1]
+        # in place: a scaled copy would be one more (n, N) complex temporary
+        mats[0] *= c[:, None]
+        return mats[0].T @ mats[1]
     out = np.empty(tuple(ax.size for ax in axes), dtype=complex)
     for k in range(axes[2].size):
         out[:, :, k] = (mats[0] * (c * mats[2][:, k])[:, None]).T @ mats[1]
@@ -417,12 +419,10 @@ def dyadic_piece(
             "mu_hat has shape %r, the grid's frequency lattice is %r"
             % (np.shape(mu_hat), lattice_shape)
         )
-    fax = grid.freq_axis()
-    u = np.zeros(lattice_shape)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = fax.size
-        u = u + (fax**2).reshape(shape)
+    sq = grid.freq_axis() ** 2
+    u = sq
+    for _ in range(grid.dim - 1):
+        u = np.add.outer(u, sq)
     localized = mu_hat * dyadic_ring(u, j)
     values = inverse_fourier_on_grid(localized, grid)
     fld = SampledField.on_grid(grid, values, label="%s-piece-j%d" % (measure.label, j))

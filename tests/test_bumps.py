@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictionlab.bumps import (
     annulus_window,
@@ -122,3 +124,103 @@ def test_kernel_ring_support_and_plateau():
 def test_kernel_ring_j0_is_wide_plateau():
     t = np.linspace(-2.0, 2.0, 401)
     assert np.array_equal(kernel_ring(t, 0), wide_plateau(t))
+
+
+# ------------------------------------------- full-array oracles of the bumps
+#
+# smoothstep and dyadic_ring evaluate only where the result is not provably
+# constant. These are the full-array expressions they replaced; the fast
+# versions must agree with them byte for byte (NaN payloads aside).
+
+
+def _smoothstep_full(t):
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+        return a / (a + b)
+
+
+def _radial_plateau_full(u):
+    return _smoothstep_full((1.0 - np.asarray(u, dtype=float)) / 0.75)
+
+
+def _dyadic_ring_full(u, j):
+    u = np.asarray(u, dtype=float)
+    if j == 0:
+        return _radial_plateau_full(u)
+    return _radial_plateau_full(u / 4.0**j) - _radial_plateau_full(u / 4.0 ** (j - 1))
+
+
+_TINY = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300]
+_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), np.inf, -np.inf]
+_T_SPECIAL = _EDGES + _TINY + [-x for x in _TINY] + [1.0 - x for x in _TINY]
+# u = 4^k and its neighbours: the band edges 4^(j-2) and 4^j of every ring j <= 12
+_POWERS = [4.0**k for k in range(-3, 14)]
+_U_SPECIAL = (
+    _EDGES
+    + _TINY
+    + _POWERS
+    + [np.nextafter(p, 0.0) for p in _POWERS]
+    + [np.nextafter(p, np.inf) for p in _POWERS]
+    + [-p for p in _POWERS]
+)
+
+
+def _same_bytes(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _floats(special, finite_range):
+    return st.one_of(
+        st.floats(allow_nan=False),
+        st.floats(*finite_range),
+        st.sampled_from(special),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    values=st.lists(_floats(_T_SPECIAL, (-0.5, 1.5)), max_size=40),
+    two_d=st.booleans(),
+    scalar=_floats(_T_SPECIAL, (-0.5, 1.5)),
+)
+def test_smoothstep_equals_full_array_expression_bit_for_bit(values, two_d, scalar):
+    t = np.array(values, dtype=float)
+    if two_d:
+        t = t.reshape(-1, 1)
+    assert _same_bytes(smoothstep(t), _smoothstep_full(t))
+    out = smoothstep(scalar)
+    assert type(out) is np.float64
+    assert _same_bytes(out, _smoothstep_full(scalar))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    values=st.lists(_floats(_U_SPECIAL, (-1.0, 4.0**13)), max_size=40),
+    j=st.integers(0, 12),
+    two_d=st.booleans(),
+    scalar=_floats(_U_SPECIAL, (-1.0, 4.0**13)),
+)
+def test_dyadic_ring_equals_full_array_expression_bit_for_bit(values, j, two_d, scalar):
+    u = np.array(values, dtype=float)
+    if two_d:
+        u = u.reshape(-1, 1)
+    assert _same_bytes(dyadic_ring(u, j), _dyadic_ring_full(u, j))
+    out = dyadic_ring(scalar, j)
+    assert type(out) is np.float64
+    assert _same_bytes(out, _dyadic_ring_full(scalar, j))
+
+
+def test_nan_stays_nan():
+    # NaN lies outside every provably constant region, so it is computed and
+    # propagates; the other entries are unaffected by it
+    t = np.array([np.nan, -1.0, 0.5, 2.0])
+    v = smoothstep(t)
+    assert np.isnan(v[0]) and _same_bytes(v[1:], _smoothstep_full(t[1:]))
+    assert np.isnan(smoothstep(np.nan))
+    u = np.array([np.nan, 0.0, 3.0, 1e9])
+    for j in range(0, 6):
+        v = dyadic_ring(u, j)
+        assert np.isnan(v[0]) and _same_bytes(v[1:], _dyadic_ring_full(u[1:], j))
+        assert np.isnan(dyadic_ring(np.nan, j))

@@ -1,7 +1,9 @@
 """Command-line harness and report writers: exit codes, file layout,
 bytewise determinism, and the canonical value rendering."""
 
+import importlib.util
 import os
+import sys
 import types
 from pathlib import Path
 
@@ -22,7 +24,8 @@ from restrictionlab.reporting import (
     write_verdict,
 )
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = PERFBENCH / "reference"
 
 # ------------------------------------------------------------------ rendering
 
@@ -257,6 +260,40 @@ def test_dyadic_point_mass_scaling(tmp_path):
     lines = open(os.path.join(out, "dyadic.csv")).read().splitlines()
     assert lines[0] == "j,sup_mu_hat_j,sup_mu_j,hat_scaled,mass_scaled"
     assert len(lines) == 4
+
+
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, executed (read only) as a private module that is
+    registered in sys.modules for the duration of the test."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_dyadic_run_records_every_expected_span(tmp_path, monkeypatch):
+    # The benchmark's tracer wraps public functions at their module bindings
+    # and binds measure, grid, u and freq_values by parameter name. A sweep
+    # that bypasses dyadic_piece or dyadic_ring, or renames those parameters,
+    # makes every traced `dyadic` benchmark run report a missing span.
+    tracing = _perfbench_module("tracer", monkeypatch)
+    workload = _perfbench_module("workloads", monkeypatch).WORKLOADS["dyadic"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["dyadic", "--points", "64", "--n", "64", "--j-list", "1,2,3", "--out", str(tmp_path)]
+        rc = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    stats = tracer.aggregate()
+    expected = [s for s in workload.expected_spans if s != "acceptance.criterion_05"]
+    assert "bumps.dyadic_ring" in expected and "measures.dyadic_piece" in expected
+    assert [s for s in expected if stats.get(s, {}).get("calls", 0) == 0] == []
+    assert stats["measures.dyadic_piece"]["calls"] == 3
+    assert stats["bumps.dyadic_ring"]["points"] == 3 * 64**2
+    assert sum(s["exceptions"] for s in stats.values()) == 0
 
 
 def test_restrict_from_saved_measure(tmp_path):

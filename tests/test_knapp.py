@@ -16,6 +16,8 @@ from restrictionlab.knapp import (
 )
 from restrictionlab.measures import make_sphere_measure
 
+from gridpoints import freq_mesh
+
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="d = 2"):
@@ -78,7 +80,7 @@ def test_field_matches_direct_lattice_quadrature():
         annulus_window(2.0 * np.abs(fax)),
         plateau_window(2.0 ** (-3) * np.abs(fax - 1.0)),
     )
-    FX, FY = grid.freq_mesh()
+    FX, FY = freq_mesh(grid)
     ax = grid.axis()
     for i, j in ((0, 0), (40, 200), (128, 128), (17, 250)):
         direct = (

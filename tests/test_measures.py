@@ -24,6 +24,8 @@ from restrictionlab.measures import (
     save_measure,
 )
 
+from gridpoints import freq_mesh
+
 
 def test_measure_validation():
     with pytest.raises(ValueError, match="shape"):
@@ -259,7 +261,7 @@ def test_mu_hat_on_lattice_matches_direct_sum(measure, grid):
     # over every point of the frequency lattice
     lattice = mu_hat_on_lattice(measure, grid)
     assert lattice.shape == (grid.points_per_axis,) * grid.dim
-    mesh = grid.freq_mesh()
+    mesh = freq_mesh(grid)
     points = np.stack([m.ravel() for m in mesh], axis=1)
     direct = fourier_transform_at(measure, points).reshape(mesh[0].shape)
     assert np.max(np.abs(lattice - direct)) <= 1e-12
@@ -302,7 +304,7 @@ def test_dyadic_pieces_sum_to_low_pass():
     for j in range(3):
         f = dyadic_piece(m, j, g, mu_hat).field.values
         total = f if total is None else total + f
-    fx, fy = g.freq_mesh()
+    fx, fy = freq_mesh(g)
     lattice = np.stack([fx.ravel(), fy.ravel()], axis=1)
     mu_hat = fourier_transform_at(m, lattice).reshape(fx.shape)
     ref = inverse_fourier_on_grid(mu_hat * radial_plateau((fx**2 + fy**2) / 4.0**2), g)

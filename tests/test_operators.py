@@ -33,6 +33,8 @@ from restrictionlab.operators import (
     stein_tomas_ratio,
 )
 
+from gridpoints import grid_points
+
 PROFILE = exponent_profile(2, 1, "1/2")
 
 
@@ -46,7 +48,7 @@ def test_extension_of_unit_density_is_conjugate_transform():
     g = GridSpec(2, 2.0, 16)
     m = make_sphere_measure(2, 32)
     field = extend(np.ones(32), m, g)
-    pred = np.conj(fourier_transform_at(m, g.points())).reshape(field.values.shape)
+    pred = np.conj(fourier_transform_at(m, grid_points(g))).reshape(field.values.shape)
     assert np.max(np.abs(field.values - pred)) < 1e-12
 
 
@@ -128,7 +130,7 @@ def test_convolution_matches_direct_quadrature():
     m = make_sphere_measure(2, 48)
     f = random_smooth_family(g, 1, seed=4)[0]
     conv = convolve_mu_hat(f, m)
-    P = g.points()
+    P = grid_points(g)
     diffs = (P[:, None, :] - P[None, :, :]).reshape(-1, 2)
     K = fourier_transform_at(m, diffs).reshape(P.shape[0], P.shape[0])
     oracle = (K @ f.values.ravel()) * g.cell_volume
@@ -156,7 +158,7 @@ def test_separable_kernel_matches_direct_sums(d, n_atoms, sizes, points, seed):
 
     grid = GridSpec(d, float(rng.uniform(0.5, 2.0)), points if d < 3 else 8)
     g = rng.standard_normal(n_atoms) + 1j * rng.standard_normal(n_atoms)
-    oracle = np.exp(2j * np.pi * grid.points() @ m.atoms.T) @ (g * m.weights)
+    oracle = np.exp(2j * np.pi * grid_points(grid) @ m.atoms.T) @ (g * m.weights)
     assert rel_err(extend(g, m, grid).values.ravel(), oracle) <= 1e-12
 
     # restriction of a nonnegative field f = total * nu, nu a probability
