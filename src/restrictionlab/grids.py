@@ -83,7 +83,7 @@ class SampledField:
             raise ValueError("origin/spacing arity must match value dimensions")
         if any(s <= 0 for s in self.spacing):
             raise ValueError("spacings must be positive")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.isfinite(v).all():
             raise ValueError("field values must be finite")
 
     @property
@@ -102,6 +102,10 @@ class SampledField:
             spacing=(grid.spacing,) * grid.dim,
             label=label,
         )
+
+
+# lines per block of the last-axis pass of inverse_fourier_on_grid
+_LINE_BLOCK = 16
 
 
 def _sign_vector(n: int) -> np.ndarray:
@@ -134,31 +138,44 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Inverse of fourier_on_grid (frequency lattice back to the spatial grid).
 
-    The 1-D inverse transforms run in np.fft.ifftn's order, last axis first,
-    in one working copy; on that first axis only the lines that are not all
-    zero are transformed, since a zero line transforms to zero. Each line
-    goes through the same pocketfft call as in ifftn, so the result equals
-    scale * ifftn(ifftshift(signs * F)) bit for bit, up to the sign of exact
-    zeros.
+    Equals scale * ifftn(ifftshift(signs * F)), scale = (N/(2L))^d, bit for
+    bit up to the sign of exact zeros: the 1-D inverse transforms run in
+    ifftn's order, last axis first, and each line goes through the same
+    pocketfft call on the same data. On the last axis only the lines of F
+    that are not all zero are transformed, since a zero line transforms to
+    zero; they are shifted, signed and transformed in contiguous blocks and
+    written transposed into a zeroed buffer whose axes are reversed, so the
+    later passes run on contiguous lines as well. The result is the
+    transpose of that buffer: the same values and indexing as ifftn's, in
+    Fortran memory order for d >= 2. The caller's array is not touched.
     """
     F = np.asarray(freq_values, dtype=complex)
     n, d = grid.points_per_axis, grid.dim
     if F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")
-    out = np.fft.ifftshift(F)  # a copy: the caller's array is not touched
+    h = n // 2
     signs = np.fft.ifftshift(_sign_vector(n))
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = n
-        out *= signs.reshape(shape)
-    lines = out.reshape(-1, n)
+    lines = F.reshape(-1, n)
     keep = np.flatnonzero(lines.any(axis=1))
-    if keep.size == lines.shape[0]:
-        np.fft.ifft(lines, axis=1, out=lines)
-    else:
-        sub = lines[keep]
-        np.fft.ifft(sub, axis=1, out=sub)
-        lines[keep] = sub
+    # the shift moves each of a line's d-1 leading indices by n/2; digits[k]
+    # is the shifted index on axis k, and col the line's column in `columns`
+    digits = [(keep // n ** (d - 2 - k) + h) % n for k in range(d - 1)]
+    col = sum((i * n**k for k, i in enumerate(digits)), np.zeros_like(keep))
+    work = np.zeros((n,) * d, dtype=complex)
+    columns = work.reshape(n, -1)
+    block = np.empty((min(_LINE_BLOCK, keep.size), n), dtype=complex)
+    for start in range(0, keep.size, _LINE_BLOCK):
+        rows = slice(start, start + _LINE_BLOCK)
+        idx = keep[rows]
+        b = block[: idx.size]
+        b[:, :h] = lines[idx, h:]  # the shift along each line
+        b[:, h:] = lines[idx, :h]
+        for i in digits:  # the sign of each axis in turn, axis 0 first
+            b *= signs[i[rows], None]
+        b *= signs
+        np.fft.ifft(b, axis=1, out=b)
+        columns[:, col[rows]] = b.T
+    out = work.T
     for axis in range(d - 2, -1, -1):
         np.fft.ifft(out, axis=axis, out=out)
     out *= (n * grid.freq_spacing) ** d  # = (N/(2L))^d

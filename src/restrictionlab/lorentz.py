@@ -42,6 +42,10 @@ class LorentzExponent:
             raise ValueError("s must be positive (math.inf allowed)")
 
 
+# steps per block of the integral in lorentz_norm_values
+_BLOCK = 1 << 16
+
+
 def lorentz_norm_values(
     values: np.ndarray, cell_volume: float, p: float, s: Union[float, Sequence[float]]
 ) -> Union[float, Tuple[float, ...]]:
@@ -56,8 +60,9 @@ def lorentz_norm_values(
     single = np.ndim(s) == 0
     s_values = (s,) if single else tuple(s)
     # decreasing rearrangement in one buffer: sort -|v| ascending, keep the
-    # entries below zero (|v| > 0), negate back
-    a = np.abs(np.asarray(values)).ravel()
+    # entries below zero (|v| > 0), negate back; order="K" ravels a Fortran
+    # ordered field without a copy, and the sort makes the order irrelevant
+    a = np.abs(np.asarray(values)).ravel(order="K")
     if a.dtype.kind != "f":  # integer samples divide as float64, as in a / vmax
         a = a.astype(float)
     np.negative(a, out=a)
@@ -65,35 +70,49 @@ def lorentz_norm_values(
     a = a[: int(np.searchsorted(a, 0.0))]
     np.negative(a, out=a)
     if a.size == 0:
-        norms = [0.0] * len(s_values)
-    else:
-        vmax = a[0]
-        core = a
-        core /= vmax
-        t = np.arange(1, a.size + 1, dtype=float)
-        t *= cell_volume
-        # every exponent reuses these two buffers; the in-place operators
-        # take the same ufunc loops, ** its scalar fast paths included, as
-        # the expressions in the comments
-        work = np.empty_like(t)
-        step = np.empty_like(t)
-        norms = []
-        for s_k in s_values:
-            np.copyto(work, t)
+        return 0.0 if single else (0.0,) * len(s_values)
+    n = a.size
+    vmax = a[0]
+    core = a
+    core /= vmax
+    # the integral runs over blocks of at most _BLOCK steps, in buffers of
+    # at most _BLOCK + 1 entries: tb holds t_k = k * cell_volume for the
+    # block's k = start..stop, so each step has both endpoints. The in-place
+    # operators take the same ufunc loops, ** its scalar fast paths
+    # included, as the expressions in the comments, so every summand has
+    # the bits it would have from whole-array expressions
+    size = min(_BLOCK, n) + 1
+    ks = np.arange(size, dtype=float)
+    t = np.empty(size)
+    step = np.empty(size - 1)
+    summand = np.empty(n)  # never touched, so never resident, if every s is inf
+    norms = []
+    for s_k in s_values:
+        peak = -math.inf
+        for start in range(0, n, _BLOCK):
+            c = core[start : start + _BLOCK]
+            tb = t[: c.size + 1]
+            np.add(ks[: tb.size], start, out=tb)
+            tb *= cell_volume  # t = k * cell_volume
             if math.isinf(s_k):
-                work **= 1.0 / p
-                work *= core  # core * t ** (1/p)
-                norms.append(float(vmax * np.max(work)))
+                tb = tb[1:]
+                tb **= 1.0 / p
+                tb *= c  # core * t ** (1/p)
+                peak = np.maximum(peak, np.max(tb))
                 continue
-            work **= s_k / p  # tp = t ** (s/p)
-            step[0] = work[0]
-            np.subtract(work[1:], work[:-1], out=step[1:])  # tp - tp_prev, tp_prev[0] = 0
-            np.copyto(work, core)
-            work **= s_k
-            work *= p / s_k
-            work *= step  # core**s * (p/s) * (tp - tp_prev)
-            total = np.sum(work)
-            norms.append(float(vmax * total ** (1.0 / s_k)))
+            tb **= s_k / p  # tp = t ** (s/p), so tp_prev = 0 at k = 0
+            st = step[: c.size]
+            np.subtract(tb[1:], tb[:-1], out=st)  # tp - tp_prev
+            w = summand[start : start + c.size]
+            np.copyto(w, c)
+            w **= s_k
+            w *= p / s_k
+            w *= st  # core**s * (p/s) * (tp - tp_prev)
+        if math.isinf(s_k):
+            norms.append(float(vmax * peak))
+        else:
+            # one pairwise sum over the whole buffer, in numpy's order
+            norms.append(float(vmax * np.sum(summand) ** (1.0 / s_k)))
     return norms[0] if single else tuple(norms)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictionlab.grids import (
     GridSpec,
@@ -119,6 +121,46 @@ def test_inverse_transform_equals_ifftn_formula_bit_for_bit(d, n, kind):
     assert np.array_equal(np.signbit(F.view(float)), np.signbit(before.view(float)))
 
 
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    d=st.integers(1, 3),
+    n=st.sampled_from([8, 16, 32]),
+    lines=st.sampled_from(["random", "one", "nyquist", "none", "all"]),
+    order=st.sampled_from(["C", "F"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_transform_on_zero_line_masks_equals_ifftn_formula(d, n, lines, order, seed):
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    shape = (n,) * d
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # exact zeros of either sign inside the lines that are kept
+    F.real[rng.uniform(size=shape) < 0.2] = -0.0
+    F.imag[rng.uniform(size=shape) < 0.2] = 0.0
+    rows = F.reshape(-1, n)  # a view: one row per line along the last axis
+    keep = np.zeros(rows.shape[0], dtype=bool)
+    if lines == "random":
+        keep = rng.uniform(size=keep.size) < 0.3
+    elif lines == "one":
+        keep[rng.integers(keep.size)] = True
+    elif lines == "nyquist":
+        keep[0] = True  # frequency -N/2 on every leading axis
+    elif lines == "all":
+        keep[:] = True
+    rows[~keep] = complex(-0.0, 0.0) if rng.uniform() < 0.5 else 0.0
+    F = np.asarray(F, order=order)
+    before = F.copy()
+    scale = (n * g.freq_spacing) ** d
+    expected = scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * F))
+    got = inverse_fourier_on_grid(F, g)
+    assert np.array_equal(got, expected)
+    assert got.shape == shape and got.flags.f_contiguous
+    # the caller's array is left as it was, signs of its zeros included
+    assert np.array_equal(F, before)
+    assert np.array_equal(np.signbit(F.real), np.signbit(before.real))
+    assert np.array_equal(np.signbit(F.imag), np.signbit(before.imag))
+
+
 def test_transform_shape_check():
     g = GridSpec(dim=2, half_width=1.0, points_per_axis=16)
     with pytest.raises(ValueError, match="shape"):
@@ -134,6 +176,20 @@ def test_sampled_field_validation():
         SampledField(values=np.zeros(4), origin=(0.0,), spacing=(0.0,))
     with pytest.raises(ValueError, match="finite"):
         SampledField(values=np.array([1.0, np.nan]), origin=(0.0,), spacing=(1.0,))
+
+
+def test_sampled_field_accepts_non_contiguous_values():
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for vals in (v.T, v[:, ::2], np.asfortranarray(v)):
+        f = SampledField(values=vals, origin=(0.0, 0.0), spacing=(1.0, 1.0))
+        assert np.array_equal(f.values, vals)
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        w = v.copy()
+        w[2, 5] = bad
+        for vals in (w.T, w[:, 1::2]):
+            with pytest.raises(ValueError, match="finite"):
+                SampledField(values=vals, origin=(0.0, 0.0), spacing=(1.0, 1.0))
 
 
 def test_sampled_field_on_grid():

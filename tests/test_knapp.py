@@ -1,6 +1,7 @@
 """Cap superpositions: pointwise values, transform oracle, growth slopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,22 @@ def test_experiment_slopes_and_verdicts():
     assert rep.n_values == (2, 3, 4)
     # g-norms grow monotonically
     assert rep.norm_g[0] < rep.norm_g[1] < rep.norm_g[2]
+
+
+def test_experiment_peak_memory_stays_below_two_and_a_half_lattices():
+    # one field is live at a time: its cap lattice and transform buffer,
+    # then its rearrangement and the summand buffer of the Lorentz integral
+    grid = GridSpec(2, 128.0, 1024)
+    lattice = 16 * 1024**2  # bytes of one complex lattice
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        knapp_sharpness_experiment(2.0, 1.2, [2.0, math.inf], [2, 3, 4], grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * lattice
 
 
 def test_report_validation():

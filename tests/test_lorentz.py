@@ -1,10 +1,12 @@
 """Rearrangements and Lorentz quasi-norms on sampled fields."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from restrictionlab import lorentz
 from restrictionlab.grids import GridSpec, SampledField
 from restrictionlab.lorentz import (
     LorentzExponent,
@@ -117,6 +119,48 @@ def test_norms_equal_the_written_out_integral_bit_for_bit(p):
         cell = float(10.0 ** rng.uniform(-2, 2))
         norms = lorentz_norm_values(v, cell, p, s_values)
         assert norms == tuple(_reference_norm(v, cell, p, s) for s in s_values)
+
+
+_B = lorentz._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_norms_equal_the_written_out_integral_at_block_boundaries(n):
+    # n nonzero samples make n steps, so the blocks of the integral end
+    # exactly at these sizes; the exact zeros beside them are dropped
+    rng = np.random.default_rng(n)
+    v = np.concatenate([rng.standard_normal(n) + 1j * rng.standard_normal(n), np.zeros(n // 3 + 1)])
+    rng.shuffle(v)
+    p = 1.7
+    s_values = (0.7, 2.5, math.inf, p, 2.0)
+    norms = lorentz_norm_values(v, 0.37, p, s_values)
+    assert norms == tuple(_reference_norm(v, 0.37, p, s) for s in s_values)
+
+
+def test_non_contiguous_samples_give_the_norms_of_their_c_ordered_copy():
+    rng = np.random.default_rng(15)
+    v = rng.standard_normal((512, 300)) + 1j * rng.standard_normal((512, 300))
+    v[rng.uniform(size=v.shape) < 0.1] = 0.0
+    p, s_values = 1.3, (0.6, 2.5, math.inf)
+    for view in (v.T, np.asfortranarray(v), v[:, ::2], v[::-3]):
+        copy = np.ascontiguousarray(view)
+        expected = tuple(_reference_norm(copy, 0.21, p, s) for s in s_values)
+        assert lorentz_norm_values(view, 0.21, p, s_values) == expected
+        assert lorentz_norm_values(copy, 0.21, p, s_values) == expected
+
+
+def test_small_call_allocates_little():
+    # the block buffers are sized to the samples, not to a whole block
+    v = np.random.default_rng(16).standard_normal(200)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lorentz_norm_values(v, 0.37, 1.5, (2.5, math.inf))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("p", [0.5, 1.2, 2.0, 3.0])
