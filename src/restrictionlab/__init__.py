@@ -81,6 +81,7 @@ from .oscillatory import (
     ConditionReport,
     ScalingReport,
     phase_catalog,
+    polynomial_phase,
     derivative_consistency,
     apply_T_lambda,
     phase_factors,

@@ -559,6 +559,8 @@ def _scaling(args, spec, checks) -> Result:
 
 
 def cmd_oscillatory(args) -> Result:
+    if args.probes < 1:
+        raise ValueError("--probes must be >= 1, got %d" % args.probes)
     spec = _resolve_phase(args)
     rng = np.random.default_rng(args.seed)
     r = spec.amp_radius
@@ -590,6 +592,9 @@ def cmd_oscillatory(args) -> Result:
 
 def cmd_fold(args) -> Result:
     spec = _resolve_phase(args)
+    # the probes and the fold check's curvature sampling are two-dimensional
+    if (spec.x_dim, spec.y_dim) != (2, 2):
+        raise ValueError("fold needs x_dim = y_dim = 2, got %d and %d" % (spec.x_dim, spec.y_dim))
     r = spec.amp_radius
     probes = [((0.2 * r, 0.5 * r), (0.1 * r, t)) for t in np.linspace(-r / 2, r / 2, 9)]
     fold_rep = check_fold(spec, probes, kappa_target=args.kappa)

@@ -4,8 +4,10 @@ The central object is T f(x) = integral of zeta(x,y) exp(i lambda phi(x,y))
 f(y) dy, realized by trapezoid-free uniform Riemann quadrature. The module
 provides:
 
-  * PhaseSpec: phase + amplitude + derivative evaluators (closed forms
-    preferred, finite differences as fallback), with a consistency check;
+  * PhaseSpec: a polynomial phase + amplitude + power-rule derivative
+    evaluators, built from a term table by polynomial_phase (the built-in
+    catalog and phase files alike), with a finite-difference consistency
+    check;
   * hypothesis checkers: mixed-Hessian rank, curvature count along the
     kernel direction, and fold nondegeneracy with second-fundamental-form
     sampling of the singular image;
@@ -26,6 +28,7 @@ apply_T_lambda_product takes them for every f at that lambda.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -43,6 +46,7 @@ __all__ = [
     "ConditionReport",
     "ScalingReport",
     "phase_catalog",
+    "polynomial_phase",
     "derivative_consistency",
     "apply_T_lambda",
     "phase_factors",
@@ -66,20 +70,20 @@ FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """A phase/amplitude pair with derivative evaluators.
+    """A polynomial phase with its amplitude and derivative evaluators, as
+    built by polynomial_phase.
 
     phase(x, Y) and amp(x, Y) take one x point (shape (x_dim,)) and a batch
     of y points (shape (m, y_dim)) and return shape (m,). Derivative
     evaluators take single points (x, y) and return arrays:
     d_x -> (x_dim,), d_y -> (y_dim,), d_xy -> (x_dim, y_dim),
-    d_xyy -> (x_dim, y_dim, y_dim). Missing evaluators fall back to central
-    finite differences of the phase with step 1e-4.
+    d_xyy -> (x_dim, y_dim, y_dim).
 
+    The amplitude is a product of bumps of support radius amp_radius in
+    |x| and in every |y_j|; amp_x and amp_y are its per-axis factors.
     separable, when present, expresses the phase as
-    sum over (i, j) of x_i * separable[(i, j)](y_j); together with the
-    per-axis amplitude factors amp_x / amp_y it enables the fast quadrature
-    path. amp_radius is the declared support radius of the amplitude in
-    both the x and y variables.
+    sum over (i, j) of x_i * separable[(i, j)](y_j); it enables the fast
+    quadrature path.
     """
 
     name: str
@@ -87,14 +91,14 @@ class PhaseSpec:
     y_dim: int
     phase: Callable
     amp: Callable
+    amp_x: Callable
+    amp_y: Tuple[Callable, ...]
     amp_radius: float
-    d_x: Optional[Callable] = None
-    d_y: Optional[Callable] = None
-    d_xy: Optional[Callable] = None
-    d_xyy: Optional[Callable] = None
-    separable: Optional[Dict[Tuple[int, int], Callable]] = None
-    amp_x: Optional[Callable] = None
-    amp_y: Optional[Tuple[Callable, ...]] = None
+    d_x: Callable
+    d_y: Callable
+    d_xy: Callable
+    d_xyy: Callable
+    separable: Optional[Dict[Tuple[int, int], Callable]]
 
 
 def _phase_point(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -140,49 +144,143 @@ def _fd_d_xy(spec: PhaseSpec, x, y) -> np.ndarray:
     return out
 
 
-def eval_d_x(spec: PhaseSpec, x, y) -> np.ndarray:
-    return np.asarray(spec.d_x(x, y), float) if spec.d_x else _fd_d_x(spec, x, y)
-
-
-def eval_d_y(spec: PhaseSpec, x, y) -> np.ndarray:
-    return np.asarray(spec.d_y(x, y), float) if spec.d_y else _fd_d_y(spec, x, y)
-
-
-def eval_d_xy(spec: PhaseSpec, x, y) -> np.ndarray:
-    return np.asarray(spec.d_xy(x, y), float) if spec.d_xy else _fd_d_xy(spec, x, y)
-
-
-def eval_d_xyy(spec: PhaseSpec, x, y) -> np.ndarray:
-    if spec.d_xyy:
-        return np.asarray(spec.d_xyy(x, y), float)
-    y = np.asarray(y, float)
-    out = np.empty((spec.x_dim, spec.y_dim, spec.y_dim))
-    for k in range(spec.y_dim):
-        e = np.zeros(spec.y_dim)
-        e[k] = FD_STEP
-        out[:, :, k] = (eval_d_xy(spec, x, y + e) - eval_d_xy(spec, x, y - e)) / (2 * FD_STEP)
-    return out
-
-
 def derivative_consistency(spec: PhaseSpec, n_probes: int = 100, seed: int = 0) -> float:
-    """Max deviation of the declared derivative evaluators from pure finite
-    differences of the phase, over random probes in the amplitude box."""
+    """Max deviation of the derivative evaluators from finite differences,
+    over random probes in the amplitude box: d_x, d_y and d_xy against
+    differences of the phase, d_xyy against differences of d_xy in y."""
     rng = np.random.default_rng(seed)
     r = spec.amp_radius
     worst = 0.0
     for _ in range(int(n_probes)):
         x = rng.uniform(-r, r, spec.x_dim)
         y = rng.uniform(-r, r, spec.y_dim)
-        if spec.d_x:
-            worst = max(worst, float(np.abs(eval_d_x(spec, x, y) - _fd_d_x(spec, x, y)).max()))
-        if spec.d_y:
-            worst = max(worst, float(np.abs(eval_d_y(spec, x, y) - _fd_d_y(spec, x, y)).max()))
-        if spec.d_xy:
-            worst = max(worst, float(np.abs(eval_d_xy(spec, x, y) - _fd_d_xy(spec, x, y)).max()))
+        fd_xyy = np.empty((spec.x_dim, spec.y_dim, spec.y_dim))
+        for k in range(spec.y_dim):
+            e = np.zeros(spec.y_dim)
+            e[k] = FD_STEP
+            fd_xyy[:, :, k] = (spec.d_xy(x, y + e) - spec.d_xy(x, y - e)) / (2 * FD_STEP)
+        for declared, oracle in (
+            (spec.d_x(x, y), _fd_d_x(spec, x, y)),
+            (spec.d_y(x, y), _fd_d_y(spec, x, y)),
+            (spec.d_xy(x, y), _fd_d_xy(spec, x, y)),
+            (spec.d_xyy(x, y), fd_xyy),
+        ):
+            worst = max(worst, float(np.abs(declared - oracle).max()))
     return worst
 
 
-def _radial_amp(radius: float) -> Callable:
+def _axis_bump(radius: float) -> Callable:
+    return lambda t: bump(np.abs(np.asarray(t, float)) / radius)
+
+
+def _dpow(t: float, p: int, order: int) -> float:
+    # order-th derivative of t^p at t, power rule
+    if order > p:
+        return 0.0
+    c = 1.0
+    for k in range(order):
+        c *= p - k
+    return c * t ** (p - order)
+
+
+def _monomial_sum(parts) -> Callable:
+    def fn(t, parts=tuple(parts)):
+        t = np.asarray(t, float)
+        out = np.zeros_like(t)
+        for c, p in parts:
+            out = out + c * t**p
+        return out
+
+    return fn
+
+
+def polynomial_phase(
+    name: str, x_dim: int, y_dim: int, terms: Sequence, radius: float
+) -> PhaseSpec:
+    """The phase sum over terms (coef, px, py) of
+    coef * prod_i x_i^{px_i} * prod_j y_j^{py_j}, with the radial bump
+    amplitude of support radius `radius`.
+
+    px holds one nonnegative integer power per x variable and py one per y
+    variable; an empty term list is the zero phase. The radius must be
+    finite and positive and every coefficient finite. All derivatives come
+    from the power rule. When every term is linear in a single x variable
+    and touches at most one y axis, the separable fast path is populated
+    as well; otherwise only the dense quadrature path is available.
+    """
+    x_dim = int(x_dim)
+    y_dim = int(y_dim)
+    if x_dim < 1 or y_dim < 1:
+        raise ValueError("x_dim and y_dim must be positive, got %d and %d" % (x_dim, y_dim))
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and positive, got %r" % radius)
+    terms = tuple((float(c), tuple(px), tuple(py)) for c, px, py in terms)
+    for c, px, py in terms:
+        if not math.isfinite(c):
+            raise ValueError("term coefficients must be finite, got %r" % c)
+        if len(px) != x_dim or len(py) != y_dim:
+            raise ValueError("a term needs %d x powers and %d y powers" % (x_dim, y_dim))
+        if any(p < 0 for p in px + py):
+            raise ValueError("powers must be nonnegative")
+
+    def phase(x, Y):
+        x = np.asarray(x, float)
+        Y = np.asarray(Y, float)
+        out = np.zeros(Y.shape[0])
+        for c, px, py in terms:
+            fac = c
+            for i, p in enumerate(px):
+                if p:
+                    fac = fac * x[i] ** p
+            term = np.full(Y.shape[0], fac)
+            for j, p in enumerate(py):
+                if p:
+                    term = term * Y[:, j] ** p
+            out += term
+        return out
+
+    def deriv(x, y, ax, ay):
+        # the derivative with ax[i] x_i- and ay[j] y_j-differentiations
+        total = 0.0
+        for c, px, py in terms:
+            v = c
+            for t, p, k in zip(x, px, ax):
+                v *= _dpow(t, p, k)
+            for t, p, k in zip(y, py, ay):
+                v *= _dpow(t, p, k)
+            total += v
+        return total
+
+    def evaluator(nx, ny):
+        # every derivative with nx x- and ny y-differentiations, in an array
+        # of shape (x_dim,) * nx + (y_dim,) * ny
+        orders = [
+            ([idx[:nx].count(i) for i in range(x_dim)], [idx[nx:].count(j) for j in range(y_dim)])
+            for idx in itertools.product(*[range(x_dim)] * nx + [range(y_dim)] * ny)
+        ]
+        shape = (x_dim,) * nx + (y_dim,) * ny
+
+        def evaluate(x, y):
+            # scalar arithmetic is faster on Python floats than on numpy's
+            x = [float(t) for t in x]
+            y = [float(t) for t in y]
+            return np.array([deriv(x, y, ax, ay) for ax, ay in orders]).reshape(shape)
+
+        return evaluate
+
+    separable = None
+    if all(sum(px) == 1 for _, px, _ in terms) and all(
+        sum(1 for p in py if p) <= 1 for _, _, py in terms
+    ):
+        groups: Dict[Tuple[int, int], list] = {}
+        for c, px, py in terms:
+            i = px.index(1)
+            nz = [j for j, p in enumerate(py) if p]
+            j = nz[0] if nz else 0
+            groups.setdefault((i, j), []).append((c, py[j]))
+        separable = {key: _monomial_sum(parts) for key, parts in groups.items()}
+
     def amp(x, Y):
         x = np.asarray(x, float)
         Y = np.asarray(Y, float)
@@ -191,15 +289,38 @@ def _radial_amp(radius: float) -> Callable:
             zy = zy * bump(np.abs(Y[:, j]) / radius)
         return bump(np.linalg.norm(x) / radius) * zy
 
-    return amp
+    def amp_x(pts):
+        return bump(np.linalg.norm(np.atleast_2d(pts), axis=-1) / radius)
+
+    return PhaseSpec(
+        name=name,
+        x_dim=x_dim,
+        y_dim=y_dim,
+        phase=phase,
+        amp=amp,
+        amp_x=amp_x,
+        amp_y=(_axis_bump(radius),) * y_dim,
+        amp_radius=radius,
+        d_x=evaluator(1, 0),
+        d_y=evaluator(0, 1),
+        d_xy=evaluator(1, 1),
+        d_xyy=evaluator(1, 2),
+        separable=separable,
+    )
 
 
-def _axis_bump(radius: float) -> Callable:
-    return lambda t: bump(np.abs(np.asarray(t, float)) / radius)
+# (x_dim, y_dim, terms) of each built-in phase, in polynomial_phase's format
+_CATALOG = {
+    "parabola": (2, 1, [(1.0, (1, 0), (1,)), (0.5, (0, 1), (2,))]),
+    "cone": (3, 2, [(1.0, (1, 0, 0), (1, 0)), (1.0, (0, 1, 0), (0, 1)), (0.5, (0, 0, 1), (2, 0))]),
+    "fold-flat": (2, 2, [(1.0, (1, 0), (1, 0)), (0.5, (0, 1), (0, 2))]),
+    "fold-curved": (2, 2, [(1.0, (1, 0), (1, 0)), (0.5, (0, 1), (2, 0)), (0.5, (0, 1), (0, 2))]),
+    "zero": (2, 1, []),
+}
 
 
 def phase_catalog(amp_radius: float = 0.09) -> Dict[str, PhaseSpec]:
-    """Built-in phases with closed-form derivatives and separable structure.
+    """Built-in phases, each built by polynomial_phase from a term table.
 
     parabola: x1 y + x2 y^2/2 (one curvature direction);
     cone: <x', y> + x3 y1^2/2 in d = 3 (one flat direction);
@@ -211,103 +332,10 @@ def phase_catalog(amp_radius: float = 0.09) -> Dict[str, PhaseSpec]:
     (epsilon = 0.3, radius epsilon^2); scaling experiments rebuild the
     catalog with unit radius so the lambda range is genuinely oscillatory.
     """
-    r = float(amp_radius)
-    ax = _axis_bump(r)
-
-    def rx(pts):
-        return bump(np.linalg.norm(np.atleast_2d(pts), axis=-1) / r)
-
-    cat = {}
-    cat["parabola"] = PhaseSpec(
-        name="parabola",
-        x_dim=2,
-        y_dim=1,
-        phase=lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 0] ** 2 / 2.0,
-        amp=_radial_amp(r),
-        amp_radius=r,
-        d_x=lambda x, y: np.array([y[0], y[0] ** 2 / 2.0]),
-        d_y=lambda x, y: np.array([x[0] + x[1] * y[0]]),
-        d_xy=lambda x, y: np.array([[1.0], [y[0]]]),
-        d_xyy=lambda x, y: np.array([[[0.0]], [[1.0]]]),
-        separable={(0, 0): lambda t: t, (1, 0): lambda t: t**2 / 2.0},
-        amp_x=rx,
-        amp_y=(ax,),
-    )
-    cat["cone"] = PhaseSpec(
-        name="cone",
-        x_dim=3,
-        y_dim=2,
-        phase=lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 1] + x[2] * Y[:, 0] ** 2 / 2.0,
-        amp=_radial_amp(r),
-        amp_radius=r,
-        d_x=lambda x, y: np.array([y[0], y[1], y[0] ** 2 / 2.0]),
-        d_y=lambda x, y: np.array([x[0] + x[2] * y[0], x[1]]),
-        d_xy=lambda x, y: np.array([[1.0, 0.0], [0.0, 1.0], [y[0], 0.0]]),
-        d_xyy=lambda x, y: np.array(
-            [
-                [[0.0, 0.0], [0.0, 0.0]],
-                [[0.0, 0.0], [0.0, 0.0]],
-                [[1.0, 0.0], [0.0, 0.0]],
-            ]
-        ),
-        separable={(0, 0): lambda t: t, (1, 1): lambda t: t, (2, 0): lambda t: t**2 / 2.0},
-        amp_x=rx,
-        amp_y=(ax, ax),
-    )
-    cat["fold-flat"] = PhaseSpec(
-        name="fold-flat",
-        x_dim=2,
-        y_dim=2,
-        phase=lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 1] ** 2 / 2.0,
-        amp=_radial_amp(r),
-        amp_radius=r,
-        d_x=lambda x, y: np.array([y[0], y[1] ** 2 / 2.0]),
-        d_y=lambda x, y: np.array([x[0], x[1] * y[1]]),
-        d_xy=lambda x, y: np.array([[1.0, 0.0], [0.0, y[1]]]),
-        d_xyy=lambda x, y: np.array(
-            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
-        ),
-        separable={(0, 0): lambda t: t, (1, 1): lambda t: t**2 / 2.0},
-        amp_x=rx,
-        amp_y=(ax, ax),
-    )
-    cat["fold-curved"] = PhaseSpec(
-        name="fold-curved",
-        x_dim=2,
-        y_dim=2,
-        phase=lambda x, Y: x[0] * Y[:, 0] + x[1] * (Y[:, 0] ** 2 + Y[:, 1] ** 2) / 2.0,
-        amp=_radial_amp(r),
-        amp_radius=r,
-        d_x=lambda x, y: np.array([y[0], (y[0] ** 2 + y[1] ** 2) / 2.0]),
-        d_y=lambda x, y: np.array([x[0] + x[1] * y[0], x[1] * y[1]]),
-        d_xy=lambda x, y: np.array([[1.0, 0.0], [y[0], y[1]]]),
-        d_xyy=lambda x, y: np.array(
-            [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]
-        ),
-        separable={
-            (0, 0): lambda t: t,
-            (1, 0): lambda t: t**2 / 2.0,
-            (1, 1): lambda t: t**2 / 2.0,
-        },
-        amp_x=rx,
-        amp_y=(ax, ax),
-    )
-    cat["zero"] = PhaseSpec(
-        name="zero",
-        x_dim=2,
-        y_dim=1,
-        phase=lambda x, Y: np.zeros(Y.shape[0]),
-        amp=_radial_amp(r),
-        amp_radius=r,
-        d_x=lambda x, y: np.zeros(2),
-        d_y=lambda x, y: np.zeros(1),
-        d_xy=lambda x, y: np.zeros((2, 1)),
-        d_xyy=lambda x, y: np.zeros((2, 1, 1)),
-        separable={},
-        amp_x=rx,
-        amp_y=(ax,),
-    )
-    return cat
+    return {
+        name: polynomial_phase(name, x_dim, y_dim, terms, amp_radius)
+        for name, (x_dim, y_dim, terms) in _CATALOG.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -339,7 +367,7 @@ def check_rank_mixed_hessian(
     target = (spec.x_dim - 1) if target_rank is None else int(target_rank)
     ranks = []
     for x, y in probes:
-        ranks.append(_numeric_rank(eval_d_xy(spec, np.asarray(x), np.asarray(y)), tol))
+        ranks.append(_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float)), tol))
     return ConditionReport(
         condition="mixed-hessian-rank>=%d" % target,
         probes=tuple((tuple(np.atleast_1d(x)), tuple(np.atleast_1d(y))) for x, y in probes),
@@ -362,7 +390,7 @@ def check_curvature_rank(
     for idx, (x, y) in enumerate(probes):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        M = eval_d_xy(spec, x, y)
+        M = spec.d_xy(x, y)
         U, S, _ = np.linalg.svd(M, full_matrices=True)
         if S.size == 0 or S[0] == 0.0:
             raise ValueError("mixed Hessian vanishes at probe %d; kernel ambiguous" % idx)
@@ -373,7 +401,7 @@ def check_curvature_rank(
                 % (idx, spec.x_dim - rank)
             )
         u = U[:, rank]
-        H = np.einsum("i,ijk->jk", u, eval_d_xyy(spec, x, y))
+        H = np.einsum("i,ijk->jk", u, spec.d_xyy(x, y))
         ranks.append(_numeric_rank(H, tol))
     return ConditionReport(
         condition="curvature-rank>=%d" % kappa_target,
@@ -385,7 +413,7 @@ def check_curvature_rank(
 
 
 def _det_xy(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.det(eval_d_xy(spec, x, y)))
+    return float(np.linalg.det(spec.d_xy(x, y)))
 
 
 def _grad_y_det(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -468,7 +496,7 @@ def check_fold(
     ok = True
     r = spec.amp_radius
     for x, y in kept:
-        M = eval_d_xy(spec, x, y)
+        M = spec.d_xy(x, y)
         _, _, Vt = np.linalg.svd(M)
         b = Vt[-1]
         grad = _grad_y_det(spec, x, y)
@@ -501,7 +529,7 @@ def check_fold(
                         break
                 if root is not None:
                     ys = base + root * ghat
-                    image.append(eval_d_x(spec, x, ys))
+                    image.append(spec.d_x(x, ys))
             if len(image) >= 3:
                 curv = max(
                     _menger_curvature(image[k], image[k + 1], image[k + 2])
@@ -525,11 +553,22 @@ def check_fold(
     )
 
 
+def _mesh(axes: Sequence[np.ndarray]) -> np.ndarray:
+    # the tensor grid of the axes as points, shape (n_points, len(axes))
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def _y_mesh(y_axes: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
-    grids = np.meshgrid(*y_axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    cell = float(np.prod([ax[1] - ax[0] for ax in y_axes]))
-    return pts, cell
+    return _mesh(y_axes), float(np.prod([ax[1] - ax[0] for ax in y_axes]))
+
+
+def _field(spec: PhaseSpec, lam: float, values: np.ndarray, x_axes) -> SampledField:
+    return SampledField(
+        values=values,
+        origin=tuple(float(ax[0]) for ax in x_axes),
+        spacing=tuple(float(ax[1] - ax[0]) for ax in x_axes),
+        label="T[%s]-lam%g" % (spec.name, lam),
+    )
 
 
 def _max_y_gradient(
@@ -538,25 +577,33 @@ def _max_y_gradient(
     def probe(ax):
         return ax if len(ax) <= n else ax[:: max(1, len(ax) // n)]
 
-    xs = [probe(ax) for ax in x_axes]
-    ys = [probe(ay) for ay in y_axes]
-    xpts = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=-1)
-    ypts = np.stack([g.ravel() for g in np.meshgrid(*ys, indexing="ij")], axis=-1)
+    ypts = _mesh([probe(ay) for ay in y_axes])
     G = 0.0
-    for x in xpts:
+    for x in _mesh([probe(ax) for ax in x_axes]):
         mask = spec.amp(x, ypts) > 0
         for y in ypts[mask]:
-            G = max(G, float(np.linalg.norm(eval_d_y(spec, x, y))))
+            G = max(G, float(np.linalg.norm(spec.d_y(x, y))))
     return G
 
 
-def _check_resolution(spec, lam, x_axes, y_axes) -> Tuple[bool, float, float]:
-    G = _max_y_gradient(spec, x_axes, y_axes)
+def _resolution(G: float, lam: float, y_axes) -> Tuple[bool, float, float]:
+    """(resolved, widest y spacing, required spacing) at lam for the
+    gradient bound G = _max_y_gradient(...), which depends on the phase and
+    the grids only."""
     worst = max(float(ax[1] - ax[0]) for ax in y_axes)
     if G == 0.0:
         return True, worst, math.inf
     required = 2.0 * np.pi / (10.0 * lam * G)
     return worst <= required, worst, required
+
+
+def _require_resolution(spec, lam, x_axes, y_axes) -> None:
+    ok, worst, required = _resolution(_max_y_gradient(spec, x_axes, y_axes), lam, y_axes)
+    if not ok:
+        raise ValueError(
+            "y grid under-resolved for lambda=%g: spacing %g > required %g"
+            % (lam, worst, required)
+        )
 
 
 def apply_T_lambda(
@@ -578,29 +625,16 @@ def apply_T_lambda(
     if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
         raise ValueError("axis count does not match the phase dimensions")
     if check_resolution:
-        ok, worst, required = _check_resolution(spec, lam, x_axes, y_axes)
-        if not ok:
-            raise ValueError(
-                "y grid under-resolved for lambda=%g: spacing %g > required %g"
-                % (lam, worst, required)
-            )
+        _require_resolution(spec, lam, x_axes, y_axes)
     f = np.asarray(f_values)
     ypts, cell = _y_mesh(y_axes)
     ff = f.ravel()
-    xpts = np.stack(
-        [g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1
-    )
+    xpts = _mesh(x_axes)
     out = np.empty(xpts.shape[0], dtype=complex)
     for k, x in enumerate(xpts):
         integrand = spec.amp(x, ypts) * np.exp(1j * lam * spec.phase(x, ypts)) * ff
         out[k] = integrand.sum() * cell
-    shape = tuple(len(ax) for ax in x_axes)
-    return SampledField(
-        values=out.reshape(shape),
-        origin=tuple(float(ax[0]) for ax in x_axes),
-        spacing=tuple(float(ax[1] - ax[0]) for ax in x_axes),
-        label="T[%s]-lam%g" % (spec.name, lam),
-    )
+    return _field(spec, lam, out.reshape(tuple(len(ax) for ax in x_axes)), x_axes)
 
 
 def phase_factors(
@@ -644,7 +678,7 @@ def apply_T_lambda_product(
     products. terms is a list of tuples of 1-D callables, one per y axis;
     factors is phase_factors(spec, lam, y_axes, x_axes).
     """
-    if spec.separable is None or spec.amp_x is None or spec.amp_y is None:
+    if spec.separable is None:
         raise ValueError("phase lacks the separable structure for the fast path")
     if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
         raise ValueError("axis count does not match the phase dimensions")
@@ -660,12 +694,7 @@ def apply_T_lambda_product(
                 % ((i, j), np.shape(U), len(x_axes[i]), len(y_axes[j]))
             )
     if check_resolution:
-        ok, worst, required = _check_resolution(spec, lam, x_axes, y_axes)
-        if not ok:
-            raise ValueError(
-                "y grid under-resolved for lambda=%g: spacing %g > required %g"
-                % (lam, worst, required)
-            )
+        _require_resolution(spec, lam, x_axes, y_axes)
     d = spec.x_dim
     shape = tuple(len(ax) for ax in x_axes)
     per_axis: Dict[int, List[Tuple[int, np.ndarray]]] = {j: [] for j in range(spec.y_dim)}
@@ -699,14 +728,8 @@ def apply_T_lambda_product(
                 arr = arr.reshape(sh)
             acc = arr if acc is None else acc * arr
         out = out + acc
-    xpts = np.stack([g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1)
-    out = out * spec.amp_x(xpts).reshape(shape)
-    return SampledField(
-        values=out,
-        origin=tuple(float(ax[0]) for ax in x_axes),
-        spacing=tuple(float(ax[1] - ax[0]) for ax in x_axes),
-        label="T[%s]-lam%g" % (spec.name, lam),
-    )
+    out = out * spec.amp_x(_mesh(x_axes)).reshape(shape)
+    return _field(spec, lam, out, x_axes)
 
 
 def tstar_kernel_entry(
@@ -872,11 +895,12 @@ def scaling_experiment(
     x_axes = [np.linspace(-1.1 * r, 1.1 * r, nx) for _ in range(spec.x_dim)]
     y_axes = [np.linspace(-1.2 * r, 1.2 * r, ny) for _ in range(spec.y_dim)]
     cell_x = float(np.prod([ax[1] - ax[0] for ax in x_axes]))
+    G = _max_y_gradient(spec, x_axes, y_axes)
     kept_lams = []
     ratios = []
     dropped = []
     for lam in lams:
-        ok, worst, required = _check_resolution(spec, lam, x_axes, y_axes)
+        ok, worst, required = _resolution(G, lam, y_axes)
         if not ok:
             dropped.append(
                 "lambda=%g dropped: spacing %g > required %g" % (lam, worst, required)
@@ -998,25 +1022,6 @@ def constant_family(radius: float = 1.0, y_dim: int = 1) -> Callable:
     return family
 
 
-def _dpow(t: float, p: int, order: int) -> float:
-    # order-th derivative of t^p at t, power rule
-    if order > p:
-        return 0.0
-    c = 1.0
-    for k in range(order):
-        c *= p - k
-    return c * float(t) ** (p - order)
-
-
-def _monomial_sum(parts) -> Callable:
-    def fn(t, parts=tuple(parts)):
-        t = np.asarray(t, float)
-        out = np.zeros_like(t)
-        for c, p in parts:
-            out = out + c * t**p
-        return out
-
-    return fn
 
 
 def polynomial_phase_from_file(path) -> PhaseSpec:
@@ -1031,11 +1036,8 @@ def polynomial_phase_from_file(path) -> PhaseSpec:
 
     Each term line contributes coef * prod_i x_i^{px_i} * prod_j y_j^{py_j};
     it carries one integer power per x variable followed by one per y
-    variable. All derivatives come from the power rule, so the loaded spec
-    passes the same consistency checks as the built-in catalog. When every
-    term is linear in a single x variable and touches at most one y axis,
-    the separable fast path is populated as well; otherwise only the dense
-    quadrature path is available.
+    variable. The terms go to polynomial_phase, which builds the built-in
+    catalog too, under the name poly:<file stem>.
     """
     x_dim = y_dim = None
     radius = 0.09
@@ -1061,121 +1063,19 @@ def polynomial_phase_from_file(path) -> PhaseSpec:
                         raise ValueError(
                             "term needs coef + %d x powers + %d y powers" % (x_dim, y_dim)
                         )
-                    c = float(parts[1])
                     px = tuple(int(v) for v in parts[2 : 2 + x_dim])
                     py = tuple(int(v) for v in parts[2 + x_dim :])
-                    if any(p < 0 for p in px + py):
-                        raise ValueError("powers must be nonnegative")
-                    terms.append((c, px, py))
+                    terms.append((float(parts[1]), px, py))
                 else:
                     raise ValueError("unknown directive %r" % key)
             except (IndexError, ValueError) as exc:
                 raise ValueError("%s line %d: %s" % (path, lineno, exc)) from None
-    if x_dim is None or y_dim is None or x_dim < 1 or y_dim < 1:
-        raise ValueError("%s: x_dim and y_dim must be declared positive" % path)
+    if x_dim is None or y_dim is None:
+        raise ValueError("%s: x_dim and y_dim must be declared" % path)
     if not terms:
         raise ValueError("%s: no term lines" % path)
-    if not radius > 0:
-        raise ValueError("%s: radius must be positive" % path)
-    terms = tuple(terms)
-
-    def phase(x, Y):
-        x = np.asarray(x, float)
-        Y = np.asarray(Y, float)
-        out = np.zeros(Y.shape[0])
-        for c, px, py in terms:
-            fac = c
-            for i, p in enumerate(px):
-                if p:
-                    fac = fac * x[i] ** p
-            term = np.full(Y.shape[0], fac)
-            for j, p in enumerate(py):
-                if p:
-                    term = term * Y[:, j] ** p
-            out += term
-        return out
-
-    def term_deriv(x, y, dx, dy):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        total = 0.0
-        for c, px, py in terms:
-            v = c
-            for i, p in enumerate(px):
-                v *= _dpow(x[i], p, dx[i])
-            for j, p in enumerate(py):
-                v *= _dpow(y[j], p, dy[j])
-            total += v
-        return total
-
-    zx = (0,) * x_dim
-    zy = (0,) * y_dim
-
-    def bump_at(base, k):
-        out = list(base)
-        out[k] += 1
-        return tuple(out)
-
-    def d_x(x, y):
-        return np.array([term_deriv(x, y, bump_at(zx, i), zy) for i in range(x_dim)])
-
-    def d_y(x, y):
-        return np.array([term_deriv(x, y, zx, bump_at(zy, j)) for j in range(y_dim)])
-
-    def d_xy(x, y):
-        return np.array(
-            [
-                [term_deriv(x, y, bump_at(zx, i), bump_at(zy, j)) for j in range(y_dim)]
-                for i in range(x_dim)
-            ]
-        )
-
-    def d_xyy(x, y):
-        return np.array(
-            [
-                [
-                    [
-                        term_deriv(x, y, bump_at(zx, i), bump_at(bump_at(zy, j), k))
-                        for k in range(y_dim)
-                    ]
-                    for j in range(y_dim)
-                ]
-                for i in range(x_dim)
-            ]
-        )
-
-    separable = None
-    amp_x = None
-    amp_y = None
-    if all(sum(px) == 1 for _, px, _ in terms) and all(
-        sum(1 for p in py if p) <= 1 for _, _, py in terms
-    ):
-        groups: Dict[Tuple[int, int], list] = {}
-        for c, px, py in terms:
-            i = px.index(1)
-            nz = [j for j, p in enumerate(py) if p]
-            j = nz[0] if nz else 0
-            groups.setdefault((i, j), []).append((c, py[j]))
-        separable = {key: _monomial_sum(parts) for key, parts in groups.items()}
-        ax = _axis_bump(radius)
-        amp_y = (ax,) * y_dim
-
-        def amp_x(pts, r=radius):
-            return bump(np.linalg.norm(np.atleast_2d(pts), axis=-1) / r)
-
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return PhaseSpec(
-        name="poly:%s" % stem,
-        x_dim=x_dim,
-        y_dim=y_dim,
-        phase=phase,
-        amp=_radial_amp(radius),
-        amp_radius=radius,
-        d_x=d_x,
-        d_y=d_y,
-        d_xy=d_xy,
-        d_xyy=d_xyy,
-        separable=separable,
-        amp_x=amp_x,
-        amp_y=amp_y,
-    )
+    try:
+        return polynomial_phase("poly:%s" % stem, x_dim, y_dim, terms, radius)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None

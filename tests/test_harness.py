@@ -163,6 +163,57 @@ def test_non_separable_phase_file_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("subcommand", ["oscillatory", "fold"])
+@pytest.mark.parametrize(
+    "flags, phase_lines, message",
+    [
+        (["--radius", "nan"], None, "radius must be finite and positive, got nan"),
+        (["--radius", "inf"], None, "radius must be finite and positive, got inf"),
+        (["--radius", "0"], None, "radius must be finite and positive, got 0.0"),
+        (["--radius", "-1"], None, "radius must be finite and positive, got -1.0"),
+        ([], "radius inf\nterm 1.0 1 0 1\n", "radius must be finite and positive, got inf"),
+        ([], "radius nan\nterm 1.0 1 0 1\n", "radius must be finite and positive, got nan"),
+        ([], "radius 0\nterm 1.0 1 0 1\n", "radius must be finite and positive, got 0.0"),
+        ([], "term nan 1 0 1\n", "term coefficients must be finite, got nan"),
+        ([], "term -inf 1 0 1\n", "term coefficients must be finite, got -inf"),
+    ],
+)
+def test_bad_radius_or_coefficient_exits_2(tmp_path, capsys, subcommand, flags, phase_lines, message):
+    # the catalog and phase files share the builder's one check
+    argv = [subcommand] + flags
+    if phase_lines is not None:
+        path = tmp_path / "bad.phase"
+        path.write_text("x_dim 2\ny_dim 1\n" + phase_lines, encoding="ascii")
+        argv += ["--phase-file", str(path)]
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fold_needs_a_two_dimensional_phase(tmp_path, capsys):
+    # a square phase file with x_dim = y_dim = 3: refused before any probe
+    path = tmp_path / "cube.phase"
+    path.write_text(
+        "x_dim 3\ny_dim 3\nradius 1.0\n"
+        "term 1.0  1 0 0  1 0 0\nterm 1.0  0 1 0  0 1 0\nterm 0.5  0 0 1  0 0 2\n",
+        encoding="ascii",
+    )
+    out = tmp_path / "r"
+    assert main(["fold", "--phase-file", str(path), "--out", str(out)]) == 2
+    assert "fold needs x_dim = y_dim = 2, got 3 and 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_oscillatory_needs_at_least_one_probe(tmp_path, capsys, probes):
+    # zero probes would pass both hypothesis checks vacuously
+    out = tmp_path / "r"
+    assert main(["oscillatory", "--probes", probes, "--out", str(out)]) == 2
+    assert "--probes must be >= 1, got %s" % probes in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["dyadic", "knapp", "restrict"])
 def test_oversized_points_exit_2_before_any_lattice(tmp_path, capsys, monkeypatch, subcommand):
     # one complex lattice of N^2 points takes 16 N^2 bytes; at N = 2^30 that

@@ -1,5 +1,9 @@
 """Oscillatory integral operators: quadrature paths, hypothesis checkers,
-kernel decomposition, scaling experiments, and the coefficient-file loader."""
+kernel decomposition, scaling experiments, and the phase builder and its
+coefficient-file loader."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,6 @@ import pytest
 from restrictionlab.fitting import loglog_fit
 from restrictionlab.oscillatory import (
     ConditionReport,
-    PhaseSpec,
     ScalingReport,
     apply_T_lambda,
     apply_T_lambda_product,
@@ -22,6 +25,7 @@ from restrictionlab.oscillatory import (
     parabola_scaling_family,
     phase_catalog,
     phase_factors,
+    polynomial_phase,
     polynomial_phase_from_file,
     scaling_experiment,
     tstar_kernel_entry,
@@ -262,14 +266,7 @@ def test_mixed_hessian_rank_of_catalog_phases():
 
 def test_mixed_hessian_rank_detects_degeneracy():
     # phase x1 y^2/2 loses all coupling at y = 0
-    spec = PhaseSpec(
-        name="degenerate",
-        x_dim=2,
-        y_dim=1,
-        phase=lambda x, Y: x[1] * Y[:, 0] ** 2 / 2.0,
-        amp=CAT["parabola"].amp,
-        amp_radius=0.09,
-    )
+    spec = polynomial_phase("degenerate", 2, 1, [(0.5, (0, 1), (2,))], 0.09)
     x = np.array([0.02, 0.01])
     rep = check_rank_mixed_hessian(spec, [(x, np.array([0.0])), (x, np.array([0.03]))])
     assert rep.values[0] == 0 and not rep.verdict
@@ -285,14 +282,7 @@ def test_curvature_rank_catalog_verdicts():
 
 def test_curvature_rank_rejects_ambiguous_kernel():
     # x is 3-dimensional but only x0 couples: kernel dimension 2
-    spec = PhaseSpec(
-        name="thin",
-        x_dim=3,
-        y_dim=2,
-        phase=lambda x, Y: x[0] * Y[:, 0],
-        amp=lambda x, Y: np.ones(Y.shape[0]),
-        amp_radius=0.09,
-    )
+    spec = polynomial_phase("thin", 3, 2, [(1.0, (1, 0, 0), (1, 0))], 0.09)
     probes = [(np.array([0.01, 0.0, 0.0]), np.array([0.0, 0.0]))]
     with pytest.raises(ValueError, match="ambiguous"):
         check_curvature_rank(spec, probes, 1)
@@ -352,13 +342,8 @@ def test_fold_with_curved_singular_image_passes():
 
 
 def test_fold_vacuous_when_no_singular_points():
-    spec = PhaseSpec(
-        name="linear-square",
-        x_dim=2,
-        y_dim=2,
-        phase=lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 1],
-        amp=CAT["fold-flat"].amp,
-        amp_radius=0.09,
+    spec = polynomial_phase(
+        "linear-square", 2, 2, [(1.0, (1, 0), (1, 0)), (1.0, (0, 1), (0, 1))], 0.09
     )
     rep = check_fold(spec, FOLD_PROBES, 1)
     assert rep.verdict
@@ -518,32 +503,81 @@ def test_family_members_are_reproducible():
 # ------------------------------------------------------------- file loading
 
 
-PARABOLA_FILE = """\
-# quadratic one-parameter phase
-x_dim 2
-y_dim 1
-radius 1.0
-term 1.0  1 0  1
-term 0.5  0 1  2
-"""
+def _same_phase(a, b, rng, n=20):
+    # the two specs agree point for point: phase, amplitude, derivatives,
+    # and the separable couplings
+    assert (a.x_dim, a.y_dim, a.amp_radius) == (b.x_dim, b.y_dim, b.amp_radius)
+    assert set(a.separable) == set(b.separable)
+    r = a.amp_radius
+    for _ in range(n):
+        x = rng.uniform(-r, r, a.x_dim)
+        Y = rng.uniform(-1.2 * r, 1.2 * r, (16, a.y_dim))
+        assert np.array_equal(a.phase(x, Y), b.phase(x, Y))
+        assert np.array_equal(a.amp(x, Y), b.amp(x, Y))
+        for d in ("d_x", "d_y", "d_xy", "d_xyy"):
+            assert np.array_equal(getattr(a, d)(x, Y[0]), getattr(b, d)(x, Y[0])), d
+        for key, fn in a.separable.items():
+            assert np.array_equal(fn(Y[:, 0]), b.separable[key](Y[:, 0]))
+
+
+# Each catalog phase written out by hand, with its separable couplings; the
+# term tables must reproduce these bit for bit. fold-curved,
+# x0 y0 + x1 (y0^2 + y1^2)/2, is written as the sum of its terms in the
+# order the table adds them, because the factored form rounds differently.
+CLOSED_FORMS = {
+    "parabola": (
+        lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 0] ** 2 / 2.0,
+        {(0, 0): lambda t: t, (1, 0): lambda t: t**2 / 2.0},
+    ),
+    "cone": (
+        lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 1] + x[2] * Y[:, 0] ** 2 / 2.0,
+        {(0, 0): lambda t: t, (1, 1): lambda t: t, (2, 0): lambda t: t**2 / 2.0},
+    ),
+    "fold-flat": (
+        lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 1] ** 2 / 2.0,
+        {(0, 0): lambda t: t, (1, 1): lambda t: t**2 / 2.0},
+    ),
+    "fold-curved": (
+        lambda x, Y: x[0] * Y[:, 0] + x[1] * Y[:, 0] ** 2 / 2.0 + x[1] * Y[:, 1] ** 2 / 2.0,
+        {(0, 0): lambda t: t, (1, 0): lambda t: t**2 / 2.0, (1, 1): lambda t: t**2 / 2.0},
+    ),
+    "zero": (lambda x, Y: np.zeros(Y.shape[0]), {}),
+}
+
+
+@pytest.mark.parametrize("radius", [0.09, 1.0])
+def test_catalog_term_tables_match_the_closed_forms(radius):
+    cat = phase_catalog(radius)
+    assert set(cat) == set(CLOSED_FORMS)
+    rng = np.random.default_rng(8)
+    for name, (phase, separable) in CLOSED_FORMS.items():
+        spec = cat[name]
+        assert spec.name == name and spec.amp_radius == radius
+        assert set(spec.separable) == set(separable)
+        for _ in range(20):
+            x = rng.uniform(-radius, radius, spec.x_dim)
+            Y = rng.uniform(-1.2 * radius, 1.2 * radius, (64, spec.y_dim))
+            assert np.array_equal(spec.phase(x, Y), phase(x, Y)), name
+            for key, fn in separable.items():
+                assert np.array_equal(spec.separable[key](Y[:, 0]), fn(Y[:, 0])), (name, key)
 
 
 def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
+    # the example of the README's "Phase files" section, so the format it
+    # documents cannot drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```\n(.*?)```", readme.split("### Phase files", 1)[1], re.S).group(1)
     path = tmp_path / "para.phase"
-    path.write_text(PARABOLA_FILE, encoding="ascii")
+    path.write_text(example, encoding="ascii")
     spec = polynomial_phase_from_file(path)
     assert spec.name == "poly:para"
     assert (spec.x_dim, spec.y_dim) == (2, 1)
     assert spec.amp_radius == 1.0
     assert derivative_consistency(spec, n_probes=30) < 1e-6
-    ref = CAT1["parabola"]
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        x = rng.uniform(-1.0, 1.0, 2)
-        Y = rng.uniform(-1.0, 1.0, (4, 1))
-        assert np.max(np.abs(spec.phase(x, Y) - ref.phase(x, Y))) < 1e-14
+    # point for point the catalog's parabola (whose term table is pinned to
+    # the closed forms by test_catalog_term_tables_match_the_closed_forms)
+    _same_phase(spec, CAT1["parabola"], np.random.default_rng(8))
     # fast path populated and equal to the dense one
-    assert spec.separable is not None
     assert set(spec.separable) == {(0, 0), (1, 0)}
     y_axes = [np.linspace(-1.2, 1.2, 512)]
     x_axes = [np.linspace(-1.0, 1.0, 8)] * 2
@@ -552,6 +586,25 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
     factors = phase_factors(spec, 30.0, y_axes, x_axes)
     fast = apply_T_lambda_product(spec, 30.0, [term], y_axes, x_axes, factors)
     assert np.max(np.abs(dense.values - fast.values)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "x_dim, radius, terms, message",
+    [
+        (2, float("nan"), [], "radius must be finite and positive"),
+        (2, float("inf"), [], "radius must be finite and positive"),
+        (2, 0.0, [], "radius must be finite and positive"),
+        (2, -1.0, [], "radius must be finite and positive"),
+        (2, 1.0, [(float("nan"), (1, 0), (1,))], "coefficients must be finite"),
+        (2, 1.0, [(float("-inf"), (1, 0), (1,))], "coefficients must be finite"),
+        (2, 1.0, [(1.0, (1,), (1,))], "2 x powers and 1 y powers"),
+        (2, 1.0, [(1.0, (1, -1), (1,))], "nonnegative"),
+        (0, 1.0, [], "must be positive"),
+    ],
+)
+def test_builder_rejects_bad_input(x_dim, radius, terms, message):
+    with pytest.raises(ValueError, match=message):
+        polynomial_phase("bad", x_dim, 1, terms, radius)
 
 
 def test_polynomial_file_nonseparable_falls_back_to_dense(tmp_path):
