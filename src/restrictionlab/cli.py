@@ -508,11 +508,16 @@ def cmd_restrict(args) -> Result:
 
 def _resolve_phase(args):
     if args.phase_file:
-        return polynomial_phase_from_file(args.phase_file)
-    catalog = phase_catalog(amp_radius=args.radius)
-    if args.phase not in catalog:
-        raise ValueError("unknown phase %r; catalog: %s" % (args.phase, ", ".join(sorted(catalog))))
-    return catalog[args.phase]
+        spec = polynomial_phase_from_file(args.phase_file)
+    else:
+        catalog = phase_catalog(amp_radius=args.radius)
+        if args.phase not in catalog:
+            raise ValueError("unknown phase %r; catalog: %s" % (args.phase, ", ".join(sorted(catalog))))
+        spec = catalog[args.phase]
+    # so that the verdict echoes the phase that runs: a phase file brings its
+    # own name and radius, and --phase and --radius are then unused
+    args.phase, args.radius = spec.name, spec.amp_radius
+    return spec
 
 
 def _resolve_family(args, spec):

@@ -358,10 +358,31 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     against the weights; fourier_transform_at at every point of the
     frequency lattice is its oracle. It does not depend on any dyadic
     scale, so a sweep over j computes it once and hands it to dyadic_piece.
+
+    Only the rows m_1 = -N/2..0 are contracted; the rows m_1 = 1..N/2-1 are
+    filled by mu_hat(-xi) = conj(mu_hat(xi)), which holds because the
+    weights are real. The reflection is exact in floating point too:
+    negating m negates the phase argument exactly, exp(-i y) is conj(exp(i y))
+    bit for bit, and the contraction of conjugated factors rounds to the
+    conjugate of the same sum. The reflection partner of m = -N/2 on the
+    later axes is +N/2, which is not on the lattice, so those axes get
+    +N/2 appended. Where that appended point is the source (m_1 > 0 and some
+    later m_k = -N/2) the value comes from another GEMM tile and can differ
+    from a direct contraction by a rounding error; every dyadic ring is
+    exactly 0 there, since |xi| is at least the Nyquist radius.
     """
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
-    return _atom_sum(measure.weights, measure.atoms, [grid.freq_axis()] * grid.dim, -1.0)
+    n, d = grid.points_per_axis, grid.dim
+    h = n // 2
+    fax = grid.freq_axis()
+    full = np.append(fax, h * grid.freq_spacing)
+    half = _atom_sum(measure.weights, measure.atoms, [fax[: h + 1]] + [full] * (d - 1), -1.0)
+    out = np.empty((n,) * d, dtype=complex)
+    out[: h + 1] = half[(slice(None),) + (slice(0, n),) * (d - 1)]
+    # row m_1 > 0 is row -m_1 of half; m_k -> -m_k is index n - k on the longer axes
+    np.conjugate(half[(slice(h - 1, 0, -1),) + (slice(n, 0, -1),) * (d - 1)], out=out[h + 1 :])
+    return out
 
 
 def _phase_matrices(points: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> List:
@@ -423,14 +444,22 @@ def dyadic_piece(
     u = sq
     for _ in range(grid.dim - 1):
         u = np.add.outer(u, sq)
-    localized = mu_hat * dyadic_ring(u, j)
+    ring = dyadic_ring(u, j)
+    # ring j is 0 wherever u >= 4^j, so wherever some xi_k^2 >= 4^j (u is a
+    # sum of nonnegative terms, and rounding a sum keeps it >= each term):
+    # only the box of axis points with xi_k^2 < 4^j is multiplied; the rest
+    # of localized is 0, where the full product has zeros of either sign
+    inner = np.flatnonzero(sq < 4.0**j)
+    box = (slice(inner[0], inner[-1] + 1),) * grid.dim
+    localized = np.zeros(lattice_shape, dtype=complex)
+    localized[box] = mu_hat[box] * ring[box]
     values = inverse_fourier_on_grid(localized, grid)
     fld = SampledField.on_grid(grid, values, label="%s-piece-j%d" % (measure.label, j))
     return DyadicPiece(
         j=j,
         field=fld,
         sup_mu_j=float(np.abs(values).max()),
-        sup_mu_hat_j=float(np.abs(localized).max()),
+        sup_mu_hat_j=float(np.abs(localized[box]).max()),
     )
 
 

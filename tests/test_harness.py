@@ -415,6 +415,8 @@ def test_oscillatory_accepts_phase_file(tmp_path):
             "oscillatory",
             "--phase-file",
             str(phase),
+            "--radius",
+            "5",
             "--q",
             "6",
             "--lam-list",
@@ -434,6 +436,9 @@ def test_oscillatory_accepts_phase_file(tmp_path):
     assert rc == 0
     verdict = open(os.path.join(out, "oscillatory_verdict.txt")).read()
     assert "PASS curvature-rank>=1" in verdict
+    # the file's phase and radius ran, so the echo names them, not --radius 5
+    echo = verdict.splitlines()
+    assert "  phase=poly:para" in echo and "  radius=1.0" in echo
     bad = tmp_path / "bad.phase"
     bad.write_text("x_dim 2\nterm 1 1 1\n", encoding="ascii")
     assert main(["oscillatory", "--phase-file", str(bad), "--out", out]) == 2

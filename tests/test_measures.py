@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from restrictionlab.bumps import dyadic_ring, radial_plateau
@@ -247,24 +249,67 @@ def test_decay_profile_validation():
         fourier_decay_profile(m, [1.0, 2.0, 1e6])
 
 
-@pytest.mark.parametrize(
-    "measure, grid",
-    [
-        (make_cantor_measure(1 / 3, 6), GridSpec(1, 2.0, 64)),
-        (make_sphere_measure(2, 64), GridSpec(2, 2.0, 32)),
-        (make_sphere_measure(3, 64), GridSpec(3, 2.0, 8)),
-    ],
-    ids=["d1-cantor", "d2-circle", "d3-sphere"],
-)
-def test_mu_hat_on_lattice_matches_direct_sum(measure, grid):
-    # the separable lattice contraction against its oracle, the direct sum
-    # over every point of the frequency lattice
+def _random_measure(dim, n_atoms, seed, spread=1.0):
+    """Atoms uniform in [-spread, spread]^dim with random positive weights."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, n_atoms)
+    atoms = rng.uniform(-spread, spread, (n_atoms, dim))
+    return DiscreteMeasure(dim=dim, atoms=atoms, weights=w / w.sum(), label="random")
+
+
+def _assert_lattice_matches_direct_sum(measure, grid):
+    # every point of the frequency lattice, the Nyquist hyperplanes
+    # m_k = -N/2 included, against the direct sum
     lattice = mu_hat_on_lattice(measure, grid)
     assert lattice.shape == (grid.points_per_axis,) * grid.dim
     mesh = freq_mesh(grid)
     points = np.stack([m.ravel() for m in mesh], axis=1)
     direct = fourier_transform_at(measure, points).reshape(mesh[0].shape)
     assert np.max(np.abs(lattice - direct)) <= 1e-12
+
+
+_LATTICE_CASES = [
+    (make_cantor_measure(1 / 3, 6), GridSpec(1, 2.0, 64)),
+    (make_sphere_measure(2, 64), GridSpec(2, 2.0, 32)),
+    (make_sphere_measure(3, 64), GridSpec(3, 2.0, 8)),
+    # odd atom counts and unequal weights
+    (_random_measure(1, 63, 1), GridSpec(1, 1.5, 128)),
+    (_random_measure(2, 65, 2), GridSpec(2, 2.0, 32)),
+    (_random_measure(3, 33, 3), GridSpec(3, 1.0, 16)),
+]
+_LATTICE_IDS = ["d1-cantor", "d2-circle", "d3-sphere", "d1-random", "d2-random", "d3-random"]
+
+
+@pytest.mark.parametrize("measure, grid", _LATTICE_CASES, ids=_LATTICE_IDS)
+def test_mu_hat_on_lattice_matches_direct_sum(measure, grid):
+    # the separable lattice contraction against its oracle, the direct sum
+    _assert_lattice_matches_direct_sum(measure, grid)
+
+
+@pytest.mark.parametrize("measure, grid", _LATTICE_CASES, ids=_LATTICE_IDS)
+def test_mu_hat_on_lattice_is_exactly_conjugate_symmetric(measure, grid):
+    # real weights: mu_hat(-xi) = conj(mu_hat(xi)) bit for bit wherever -xi
+    # is on the lattice, i.e. off the hyperplanes m_k = -N/2 (index 0)
+    lattice = mu_hat_on_lattice(measure, grid)
+    inner = lattice[(slice(1, None),) * grid.dim]
+    mirrored = lattice[(slice(None, 0, -1),) * grid.dim]
+    assert np.array_equal(inner, np.conj(mirrored))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    dim=st.integers(1, 3),
+    n_atoms=st.integers(1, 40),
+    log2_points=st.integers(3, 5),
+    half_width=st.floats(0.25, 4.0),
+    spread=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mu_hat_on_lattice_matches_direct_sum_on_random_measures(
+    dim, n_atoms, log2_points, half_width, spread, seed
+):
+    grid = GridSpec(dim, half_width, 1 << log2_points)
+    _assert_lattice_matches_direct_sum(_random_measure(dim, n_atoms, seed, spread), grid)
 
 
 def test_mu_hat_on_lattice_rejects_dimension_mismatch():
@@ -309,6 +354,33 @@ def test_dyadic_pieces_sum_to_low_pass():
     mu_hat = fourier_transform_at(m, lattice).reshape(fx.shape)
     ref = inverse_fourier_on_grid(mu_hat * radial_plateau((fx**2 + fy**2) / 4.0**2), g)
     assert np.max(np.abs(total - ref)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "measure, grid, J",
+    [
+        (_random_measure(1, 31, 4), GridSpec(1, 2.0, 256), 5),
+        (make_sphere_measure(2, 128), GridSpec(2, 2.0, 64), 3),
+        (_random_measure(2, 65, 5), GridSpec(2, 1.0, 64), 4),
+        (_random_measure(3, 33, 6), GridSpec(3, 1.0, 16), 2),
+    ],
+    ids=["d1", "d2-circle", "d2-random", "d3"],
+)
+def test_dyadic_piece_equals_full_lattice_product(measure, grid, J):
+    # dyadic_piece multiplies only inside the box that holds the ring's
+    # support; the piece must be the transform of the full product
+    mu_hat = mu_hat_on_lattice(measure, grid)
+    sq = grid.freq_axis() ** 2
+    u = sq
+    for _ in range(grid.dim - 1):
+        u = np.add.outer(u, sq)
+    for j in range(J + 1):
+        full = mu_hat * dyadic_ring(u, j)
+        values = inverse_fourier_on_grid(full, grid)
+        piece = dyadic_piece(measure, j, grid, mu_hat)
+        assert np.array_equal(piece.field.values, values)
+        assert piece.sup_mu_hat_j == float(np.abs(full).max())
+        assert piece.sup_mu_j == float(np.abs(values).max())
 
 
 def test_dyadic_piece_resolution_check():
