@@ -98,10 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
         return sp
 
-    def add_measure_flags(sp: argparse.ArgumentParser, kind="circle", n=8192) -> None:
+    def add_measure_flags(sp: argparse.ArgumentParser, n=8192) -> None:
         sp.add_argument(
             "--kind",
-            default=kind,
+            default="circle",
             choices=["circle", "sphere", "cantor", "cantor-random", "point"],
             help="measure to build",
         )
@@ -437,7 +437,6 @@ def cmd_knapp(args) -> Result:
         s_list=args.s_list,
         N_list=args.n_list,
         grid=grid,
-        d=2,
         sphere_n=args.sphere_n,
     )
     checks = [
@@ -542,7 +541,6 @@ def _scaling(args, spec, checks) -> Result:
     args.x_points, args.y_points = scaling_grid_points(spec, args.x_points, args.y_points)
     rep = scaling_experiment(
         spec,
-        kappa=args.kappa,
         lam_list=args.lam_list,
         family=_resolve_family(args, spec),
         q=args.q,

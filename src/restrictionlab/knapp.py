@@ -2,7 +2,7 @@
 
 The frequency-side function is a sum over k = 1..N of caps at the north
 pole: tangential width ~2^-k (annulus window in |xi_1|), radial thickness
-~2^{-2k+5} (plateau window in |xi_2 - 1|), weighted by 2^{k(d-1)/q}. Its
+~2^{-2k+5} (plateau window in |xi_2 - 1|), weighted by 2^{k/q}. Its
 q-norm against the circle measure grows like N^{1/q} while the Lorentz
 (p, s) norm of the inverse transform grows only like N^{1/s}; for s > q the
 fitted slope gap witnesses that no restriction bound with those exponents
@@ -17,8 +17,8 @@ fitted q-norm slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,29 +34,27 @@ __all__ = ["KnappSpec", "ExperimentReport", "knapp_g_values", "knapp_function",
 
 @dataclass(frozen=True)
 class KnappSpec:
-    """Parameters of the cap superposition (d = 2 only at desk scale)."""
+    """Parameters of the cap superposition on the circle (d = 2): N caps,
+    weighted for the q-norm."""
 
     N: int
     q: float
-    d: int = 2
-    eta_radial: Callable = field(default=plateau_window)  # in 2^{2k-5}|xi_2 - 1|
-    eta_tangent: Callable = field(default=annulus_window)  # in 2^k|xi_1|
 
     def __post_init__(self):
-        if self.d != 2:
-            raise ValueError("only d = 2 is supported")
         if self.N < 1:
             raise ValueError("need N >= 1")
         if not self.q > 0:
             raise ValueError("need q > 0")
 
     def weights(self) -> np.ndarray:
+        """2^{k/q} for k = 1..N."""
         k = np.arange(1, self.N + 1)
-        return 2.0 ** (k * (self.d - 1) / self.q)
+        return 2.0 ** (k / self.q)
 
 
 def knapp_g_values(spec: KnappSpec, xi_points) -> np.ndarray:
-    """The superposition evaluated at arbitrary frequency points (m, 2)."""
+    """The superposition evaluated at arbitrary frequency points (m, 2):
+    cap k is annulus_window(2^k |xi_1|) times plateau_window(2^{2k-5} |xi_2 - 1|)."""
     xi = np.atleast_2d(np.asarray(xi_points, dtype=float))
     if xi.shape[-1] != 2:
         raise ValueError("frequency points must be 2-dimensional")
@@ -65,8 +63,8 @@ def knapp_g_values(spec: KnappSpec, xi_points) -> np.ndarray:
     for k in range(1, spec.N + 1):
         out += (
             w[k - 1]
-            * spec.eta_tangent(2.0**k * np.abs(xi[:, 0]))
-            * spec.eta_radial(2.0 ** (2 * k - 5) * np.abs(xi[:, 1] - 1.0))
+            * annulus_window(2.0**k * np.abs(xi[:, 0]))
+            * plateau_window(2.0 ** (2 * k - 5) * np.abs(xi[:, 1] - 1.0))
         )
     return out
 
@@ -77,10 +75,11 @@ def _max_resolvable_caps(grid: GridSpec) -> int:
 
 
 def knapp_function(
-    spec: KnappSpec, grid: GridSpec, sphere: Optional[DiscreteMeasure] = None
+    spec: KnappSpec, grid: GridSpec, sphere: DiscreteMeasure
 ) -> Tuple[np.ndarray, SampledField]:
-    """Sample the superposition on the circle atoms and on the grid's
-    frequency lattice, and return (values at atoms, inverse transform field).
+    """Sample the superposition on the atoms of the circle measure `sphere`
+    and on the grid's frequency lattice, and return (values at atoms,
+    inverse transform field).
 
     The frequency lattice must resolve the finest cap: its spacing 1/(2L)
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice
@@ -96,15 +95,13 @@ def knapp_function(
         )
     if grid.nyquist < 1.25:
         raise ValueError("grid Nyquist radius %g < 5/4; caps clipped" % grid.nyquist)
-    if sphere is None:
-        sphere = make_sphere_measure(2, 16384)
     g_atoms = knapp_g_values(spec, sphere.atoms)
     fax = grid.freq_axis()
     w = spec.weights()
     G = np.zeros((fax.size, fax.size), dtype=complex)
     for k in range(1, spec.N + 1):
-        tang = spec.eta_tangent(2.0**k * np.abs(fax))
-        rad = spec.eta_radial(2.0 ** (2 * k - 5) * np.abs(fax - 1.0))
+        tang = annulus_window(2.0**k * np.abs(fax))
+        rad = plateau_window(2.0 ** (2 * k - 5) * np.abs(fax - 1.0))
         # a row where tang vanishes would add w * (0 * rad) = +-0, which
         # leaves G unchanged, so only the cap's own rows are accumulated
         rows = np.flatnonzero(tang)
@@ -121,8 +118,8 @@ class ExperimentReport:
     """Norms and fitted slopes of the sharpness experiment.
 
     norms_f[i][j] is the Lorentz (p, s_values[j]) norm at N = n_values[i].
-    gap[j] = slope_g - slope_f for s_values[j]; the unboundedness verdict
-    requires a positive gap whenever s > q.
+    gap[j] = slope_g - slope_f for s_values[j]; the `knapp` subcommand
+    decides the unboundedness verdict from the gaps with s > q.
     """
 
     n_values: Tuple[int, ...]
@@ -134,7 +131,6 @@ class ExperimentReport:
     fit_g: FitResult
     fits_f: Tuple[FitResult, ...]
     gaps: Tuple[float, ...]
-    verdicts: Tuple[bool, ...]
 
     def __post_init__(self):
         if any(v <= 0 for v in self.norm_g):
@@ -149,17 +145,15 @@ def knapp_sharpness_experiment(
     s_list: Sequence[float],
     N_list: Sequence[int],
     grid: GridSpec,
-    d: int = 2,
     sphere_n: int = 16384,
 ) -> ExperimentReport:
     """Fit the growth in N of the cap-sum q-norm on the circle against the
     Lorentz (p, s) norms of its inverse transform.
 
-    The exponents must satisfy the duality relation q = (d-1) p' / (d+1)
-    tying the cap geometry to the Lorentz scale probed.
+    The exponents must satisfy the duality relation q = p'/3, which is
+    q = (d-1) p'/(d+1) at d = 2, tying the cap geometry to the Lorentz
+    scale probed.
     """
-    if d != 2:
-        raise ValueError("only d = 2 is supported")
     n_values = sorted(int(n) for n in N_list)
     if len(n_values) < 3:
         raise ValueError("need at least 3 N values")
@@ -169,15 +163,13 @@ def knapp_sharpness_experiment(
     if not p > 1.0:
         raise ValueError("need p > 1 for the dual exponent p'; got p=%g" % p)
     p_conj = p / (p - 1.0)
-    if abs(q - (d - 1) * p_conj / (d + 1)) > 1e-9:
-        raise ValueError(
-            "exponents must satisfy q = (d-1) p'/(d+1); got q=%g, p=%g" % (q, p)
-        )
+    if abs(q - p_conj / 3) > 1e-9:
+        raise ValueError("exponents must satisfy q = p'/3; got q=%g, p=%g" % (q, p))
     sphere = make_sphere_measure(2, sphere_n)
     norm_g = []
     norms_f = []
     for n in n_values:
-        spec = KnappSpec(N=n, q=q, d=d)
+        spec = KnappSpec(N=n, q=q)
         g_atoms, f = knapp_function(spec, grid, sphere)
         norm_g.append(float(np.sum(sphere.weights * np.abs(g_atoms) ** q) ** (1.0 / q)))
         # one rearrangement of the field serves every s
@@ -190,9 +182,6 @@ def knapp_sharpness_experiment(
         for j in range(len(s_values))
     )
     gaps = tuple(fit_g.slope - ff.slope for ff in fits_f)
-    verdicts = tuple(
-        (gaps[j] > 0.0) if s_values[j] > q else True for j in range(len(s_values))
-    )
     return ExperimentReport(
         n_values=tuple(n_values),
         q=float(q),
@@ -203,5 +192,4 @@ def knapp_sharpness_experiment(
         fit_g=fit_g,
         fits_f=fits_f,
         gaps=gaps,
-        verdicts=verdicts,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -162,12 +162,32 @@ def make_sphere_measure(d: int, n_atoms: int) -> DiscreteMeasure:
     )
 
 
-def _cantor_atoms(offsets: np.ndarray, tail: float) -> np.ndarray:
-    # all 0/1 digit strings against the per-level offsets, center-shifted by tail
-    levels = offsets.size
+def _cantor_measure(
+    contraction_ratio: float, levels: int, digit_one: Callable, label: str
+) -> DiscreteMeasure:
+    """The construction both Cantor measures share. digit_one(c, levels)
+    gives each level's digit-1 offset as a fraction of its parent cell, so
+    the level-j offset is digit_one(c, levels)[j-1] c^{j-1}; label is
+    formatted with (c, levels)."""
+    c = float(contraction_ratio)
+    if not (0.0 < c <= 0.5):
+        raise ValueError("contraction_ratio must lie in (0, 1/2]")
+    levels = int(levels)
+    if not (1 <= levels <= 25):
+        raise ValueError("need 1 <= levels <= 25 (atom count 2^levels)")
+    offsets = digit_one(c, levels) * c ** np.arange(levels)
+    # all 0/1 digit strings against the per-level offsets
     idx = np.arange(1 << levels, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(levels)[None, :]) & 1
-    return bits.astype(float) @ offsets + tail
+    atoms = bits.astype(float) @ offsets + 0.5 * c**levels
+    n = atoms.size
+    return DiscreteMeasure(
+        dim=1,
+        atoms=atoms.reshape(-1, 1),
+        weights=np.full(n, 1.0 / n),
+        label=label % (c, levels),
+        alias_radius=(1.0 / c) ** levels / 4.0,
+    )
 
 
 def make_cantor_measure(contraction_ratio: float, levels: int) -> DiscreteMeasure:
@@ -178,21 +198,8 @@ def make_cantor_measure(contraction_ratio: float, levels: int) -> DiscreteMeasur
     is a finite cosine product, exercised by the decay tests. Trusted for
     |xi| <= (1/c)^levels / 4. Ratio 1/2 degenerates to the uniform mesh.
     """
-    c = float(contraction_ratio)
-    if not (0.0 < c <= 0.5):
-        raise ValueError("contraction_ratio must lie in (0, 1/2]")
-    levels = int(levels)
-    if not (1 <= levels <= 25):
-        raise ValueError("need 1 <= levels <= 25 (atom count 2^levels)")
-    offsets = (1.0 - c) * c ** np.arange(levels)
-    atoms = _cantor_atoms(offsets, 0.5 * c**levels)
-    n = atoms.size
-    return DiscreteMeasure(
-        dim=1,
-        atoms=atoms.reshape(-1, 1),
-        weights=np.full(n, 1.0 / n),
-        label="cantor-r%g-l%d" % (c, levels),
-        alias_radius=(1.0 / c) ** levels / 4.0,
+    return _cantor_measure(
+        contraction_ratio, levels, lambda c, levels: np.full(levels, 1.0 - c), "cantor-r%g-l%d"
     )
 
 
@@ -209,24 +216,13 @@ def make_random_cantor_measure(
         raise ValueError(
             "randomized construction is experimental: pass experimental=True"
         )
-    c = float(contraction_ratio)
-    if not (0.0 < c <= 0.5):
-        raise ValueError("contraction_ratio must lie in (0, 1/2]")
-    levels = int(levels)
-    if not (1 <= levels <= 25):
-        raise ValueError("need 1 <= levels <= 25 (atom count 2^levels)")
-    rng = np.random.default_rng(seed)
-    # one offset per level, uniform in [c, 1-c] scaled to the parent cell
-    u = rng.uniform(c, 1.0 - c, size=levels)
-    offsets = u * c ** np.arange(levels)
-    atoms = _cantor_atoms(offsets, 0.5 * c**levels)
-    n = atoms.size
-    return DiscreteMeasure(
-        dim=1,
-        atoms=atoms.reshape(-1, 1),
-        weights=np.full(n, 1.0 / n),
-        label="random-cantor-r%g-l%d-s%d" % (c, levels, seed),
-        alias_radius=(1.0 / c) ** levels / 4.0,
+
+    def digit_one(c, levels):
+        # one offset per level, uniform in [c, 1-c] of the parent cell
+        return np.random.default_rng(seed).uniform(c, 1.0 - c, size=levels)
+
+    return _cantor_measure(
+        contraction_ratio, levels, digit_one, "random-cantor-r%g-l%d" + "-s%d" % seed
     )
 
 
@@ -259,26 +255,18 @@ def fourier_transform_at(measure: DiscreteMeasure, xi_points) -> np.ndarray:
     return out.reshape(xi.shape[:-1])
 
 
-def ball_regularity_profile(
-    measure: DiscreteMeasure, radii: Sequence[float], n_centers: Optional[int] = None
-) -> RegularityProfile:
+def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) -> RegularityProfile:
     """Fit max_c mu(B(c, r)) ~ A r^a over the given radii, centers at atoms.
 
     For atomic measures the sup over all centers is attained within one
     radius of an atom, so probing at the atoms themselves loses at most a
-    factor 2 in r. n_centers subsamples the atoms (stride) when given.
+    factor 2 in r.
     """
     r_arr = np.asarray(sorted(set(float(r) for r in radii), reverse=True))
     if r_arr.size < 3:
         raise ValueError("need at least 3 distinct radii to fit a slope")
     if np.any(r_arr <= 0) or np.any(r_arr > 1):
         raise ValueError("radii must lie in (0, 1]")
-    centers = measure.atoms
-    if n_centers is not None and n_centers < measure.n_atoms:
-        if n_centers < 1:
-            raise ValueError("n_centers must be positive")
-        stride = -(-measure.n_atoms // int(n_centers))
-        centers = measure.atoms[::stride]
     tree = cKDTree(measure.atoms)
     w = measure.weights
     # equal weights: a count per ball suffices, avoiding the index lists
@@ -286,10 +274,10 @@ def ball_regularity_profile(
     max_mass = np.empty(r_arr.size)
     for i, r in enumerate(r_arr):
         if uniform:
-            counts = tree.query_ball_point(centers, r, return_length=True)
+            counts = tree.query_ball_point(measure.atoms, r, return_length=True)
             max_mass[i] = float(w[0]) * int(np.max(counts))
         else:
-            neighborhoods = tree.query_ball_point(centers, r)
+            neighborhoods = tree.query_ball_point(measure.atoms, r)
             max_mass[i] = max(w[idx].sum() for idx in neighborhoods)
     fit = loglog_fit(list(zip(r_arr, max_mass)))
     a_fit = min(max(fit.slope, 0.0), float(measure.dim))
@@ -387,7 +375,12 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
 
 def _phase_matrices(points: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> List:
     """exp(sign 2 pi i points[:, k] (x) axes[k]): one (n, len(axes[k])) matrix per axis."""
-    return [np.exp(sign * 2j * np.pi * np.outer(points[:, k], ax)) for k, ax in enumerate(axes)]
+    mats = []
+    for k, ax in enumerate(axes):
+        # exp in place: a separate result would hold two complex matrices at once
+        z = sign * 2j * np.pi * np.outer(points[:, k], ax)
+        mats.append(np.exp(z, out=z))
+    return mats
 
 
 def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> np.ndarray:
@@ -441,18 +434,17 @@ def dyadic_piece(
             % (np.shape(mu_hat), lattice_shape)
         )
     sq = grid.freq_axis() ** 2
-    u = sq
-    for _ in range(grid.dim - 1):
-        u = np.add.outer(u, sq)
-    ring = dyadic_ring(u, j)
     # ring j is 0 wherever u >= 4^j, so wherever some xi_k^2 >= 4^j (u is a
     # sum of nonnegative terms, and rounding a sum keeps it >= each term):
-    # only the box of axis points with xi_k^2 < 4^j is multiplied; the rest
-    # of localized is 0, where the full product has zeros of either sign
+    # the ring is evaluated and multiplied only on the box of axis points
+    # with xi_k^2 < 4^j; the rest of localized is 0
     inner = np.flatnonzero(sq < 4.0**j)
     box = (slice(inner[0], inner[-1] + 1),) * grid.dim
+    u = sq_box = sq[box[0]]
+    for _ in range(grid.dim - 1):
+        u = np.add.outer(u, sq_box)
     localized = np.zeros(lattice_shape, dtype=complex)
-    localized[box] = mu_hat[box] * ring[box]
+    localized[box] = mu_hat[box] * dyadic_ring(u, j)
     values = inverse_fourier_on_grid(localized, grid)
     fld = SampledField.on_grid(grid, values, label="%s-piece-j%d" % (measure.label, j))
     return DyadicPiece(

@@ -158,12 +158,11 @@ def gaussian_dilate_family(grid: GridSpec, scales: Sequence[float]) -> List[Samp
     return out
 
 
-def random_smooth_family(
-    grid: GridSpec, count: int, seed: int = 0, modes: int = 3
-) -> List[SampledField]:
-    """Random band-limited trigonometric polynomials under a fixed bump
-    envelope, supported in the inner half of the box. Deterministic for a
-    given seed; the workhorse inputs for identity and ratio spot checks."""
+def random_smooth_family(grid: GridSpec, count: int, seed: int = 0) -> List[SampledField]:
+    """Random band-limited trigonometric polynomials (modes |k_j| <= 3 per
+    axis) under a fixed bump envelope, supported in the inner half of the
+    box. Deterministic for a given seed; the workhorse inputs for identity
+    and ratio spot checks."""
     if count < 1:
         raise ValueError("need count >= 1")
     rng = np.random.default_rng(seed)
@@ -172,7 +171,7 @@ def random_smooth_family(
     envelope = np.ones_like(mesh[0])
     for m in mesh:
         envelope = envelope * bump(np.abs(m) / (0.45 * L))
-    kvals = range(-modes, modes + 1)
+    kvals = range(-3, 4)
     kvecs = np.stack(
         [g.ravel() for g in np.meshgrid(*([list(kvals)] * grid.dim), indexing="ij")],
         axis=-1,
@@ -188,17 +187,15 @@ def random_smooth_family(
     return out
 
 
-def knapp_cap_family(
-    grid: GridSpec, deltas: Sequence[float], direction_axis: int = -1
-) -> List[SampledField]:
+def knapp_cap_family(grid: GridSpec, deltas: Sequence[float]) -> List[SampledField]:
     """Modulated anisotropic caps adapted to the unit sphere near its
     north pole: frequency support of width ~delta tangentially and a fixed
     box-limited thickness radially.
 
     Spatially: exp(+2 pi i x_d) times a bump of half-width 1/delta along
-    each tangential axis and L/2 along the radial one, so the fields stay
-    supported in the inner half of the box (needs delta >= 2/L)."""
-    axis = direction_axis % grid.dim
+    each tangential axis and L/2 along the radial (last) one, so the fields
+    stay supported in the inner half of the box (needs delta >= 2/L)."""
+    axis = grid.dim - 1
     L = grid.half_width
     mesh = grid.mesh()
     out = []

@@ -66,6 +66,15 @@ __all__ = [
 ]
 
 FD_STEP = 1e-4
+# relative singular-value cutoff of the rank checks
+RANK_TOL = 1e-6
+# the fold check's bound on |<b, grad_y det>| and its curve samples per point
+FOLD_DERIV_TOL = 1e-4
+FOLD_CURVE_SAMPLES = 9
+# quadrature points per y axis of a T T* kernel entry, and the transverse
+# scale epsilon of its near/far split
+KERNEL_QUAD_POINTS = 2048
+KERNEL_EPS = 0.3
 
 
 @dataclass(frozen=True)
@@ -352,34 +361,30 @@ class ConditionReport:
     notes: str = ""
 
 
-def _numeric_rank(M: np.ndarray, tol: float) -> int:
+def _numeric_rank(M: np.ndarray) -> int:
     sv = np.linalg.svd(np.atleast_2d(M), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def check_rank_mixed_hessian(
-    spec: PhaseSpec, probes: Sequence, target_rank: Optional[int] = None, tol: float = 1e-6
-) -> ConditionReport:
+def check_rank_mixed_hessian(spec: PhaseSpec, probes: Sequence) -> ConditionReport:
     """Numeric rank of the mixed second derivative matrix at each probe;
-    passes when every rank reaches the target (default x_dim - 1)."""
-    target = (spec.x_dim - 1) if target_rank is None else int(target_rank)
+    passes when every rank reaches x_dim - 1."""
+    target = spec.x_dim - 1
     ranks = []
     for x, y in probes:
-        ranks.append(_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float)), tol))
+        ranks.append(_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float))))
     return ConditionReport(
         condition="mixed-hessian-rank>=%d" % target,
         probes=tuple((tuple(np.atleast_1d(x)), tuple(np.atleast_1d(y))) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= target for r in ranks)),
-        tolerance=tol,
+        tolerance=RANK_TOL,
     )
 
 
-def check_curvature_rank(
-    spec: PhaseSpec, probes: Sequence, kappa_target: int, tol: float = 1e-6
-) -> ConditionReport:
+def check_curvature_rank(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> ConditionReport:
     """Curvature count: at each probe, take the one-dimensional left kernel
     direction u of the mixed Hessian and report the rank of the y-Hessian
     of <u, gradient_x phi>; passes when rank >= kappa_target everywhere.
@@ -394,7 +399,7 @@ def check_curvature_rank(
         U, S, _ = np.linalg.svd(M, full_matrices=True)
         if S.size == 0 or S[0] == 0.0:
             raise ValueError("mixed Hessian vanishes at probe %d; kernel ambiguous" % idx)
-        rank = int(np.sum(S > tol * S[0]))
+        rank = int(np.sum(S > RANK_TOL * S[0]))
         if spec.x_dim - rank != 1:
             raise ValueError(
                 "left kernel direction ambiguous at probe %d (kernel dimension %d)"
@@ -402,13 +407,13 @@ def check_curvature_rank(
             )
         u = U[:, rank]
         H = np.einsum("i,ijk->jk", u, spec.d_xyy(x, y))
-        ranks.append(_numeric_rank(H, tol))
+        ranks.append(_numeric_rank(H))
     return ConditionReport(
         condition="curvature-rank>=%d" % kappa_target,
         probes=tuple((tuple(x), tuple(y)) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= kappa_target for r in ranks)),
-        tolerance=tol,
+        tolerance=RANK_TOL,
     )
 
 
@@ -417,17 +422,21 @@ def _det_xy(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _grad_y_det(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.empty(spec.y_dim)
-    for k in range(spec.y_dim):
-        e = np.zeros(spec.y_dim)
-        e[k] = FD_STEP
-        out[k] = (_det_xy(spec, x, y + e) - _det_xy(spec, x, y - e)) / (2 * FD_STEP)
-    return out
+    """grad_y det(d_xy) by Jacobi's formula, sum_ij cof(M)_ij d_xyy[i, j, :].
+    Cofactors, not the inverse: det M = 0 at the points the fold check visits."""
+    M = spec.d_xy(x, y)
+    n = M.shape[0]
+    cof = np.empty_like(M)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
+            cof[i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return np.einsum("ij,ijk->k", cof, spec.d_xyy(x, y))
 
 
-def _bisect_root(fn, lo: float, hi: float, iters: int = 60) -> float:
+def _bisect_root(fn, lo: float, hi: float) -> float:
     flo = fn(lo)
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if flo * fm <= 0:
@@ -443,23 +452,18 @@ def _menger_curvature(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     return 0.0 if denom == 0 else float(2.0 * area2 / denom)
 
 
-def check_fold(
-    spec: PhaseSpec,
-    probes: Sequence,
-    kappa_target: int,
-    tol_rank: float = 1e-6,
-    tol_deriv: float = 1e-4,
-    n_curve: int = 9,
-) -> ConditionReport:
+def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> ConditionReport:
     """Fold nondegeneracy for square phases (y_dim == x_dim).
 
     Walks the probe list pairwise and bisects each sign change of
     det of the mixed Hessian to locate singular points. At each: the kernel
     vector b (smallest right singular direction) must satisfy
-    |<b, grad_y det>| > tol_deriv, and the image of the nearby singular set
-    under gradient_x phi must have second-fundamental-form rank at least
-    kappa_target (estimated from triple curvatures of sampled points;
-    x_dim = 2 supported). No singular points at all yields a vacuous pass.
+    |<b, grad_y det>| > FOLD_DERIV_TOL, with grad_y det exact (Jacobi's
+    formula on the cofactors of d_xy and on d_xyy, no differencing), and
+    the image of the nearby singular set under gradient_x phi must have
+    second-fundamental-form rank at least kappa_target (estimated from
+    triple curvatures of FOLD_CURVE_SAMPLES sampled points; x_dim = 2
+    supported). No singular points at all yields a vacuous pass.
     """
     if spec.y_dim != spec.x_dim:
         raise ValueError("fold check needs a square phase (y_dim == x_dim)")
@@ -489,7 +493,7 @@ def check_fold(
             probes=tuple((tuple(x), tuple(y)) for x, y in pts),
             values=(),
             verdict=True,
-            tolerance=tol_deriv,
+            tolerance=FOLD_DERIV_TOL,
             notes="fold hypothesis vacuous here: no singular points located",
         )
     values = []
@@ -501,7 +505,7 @@ def check_fold(
         b = Vt[-1]
         grad = _grad_y_det(spec, x, y)
         dval = float(abs(b @ grad))
-        if dval <= tol_deriv:
+        if dval <= FOLD_DERIV_TOL:
             ok = False
         # sample the singular curve near y and push it through gradient_x phi
         sff_rank = 0
@@ -510,7 +514,7 @@ def check_fold(
             ghat = grad / np.linalg.norm(grad)
             tang = np.array([-ghat[1], ghat[0]])
             image = []
-            for t in np.linspace(-r / 4.0, r / 4.0, n_curve):
+            for t in np.linspace(-r / 4.0, r / 4.0, FOLD_CURVE_SAMPLES):
                 base = y + t * tang
 
                 def along(s, base=base):
@@ -548,7 +552,7 @@ def check_fold(
         probes=tuple((tuple(x), tuple(y)) for x, y in kept),
         values=tuple(values),
         verdict=ok,
-        tolerance=tol_deriv,
+        tolerance=FOLD_DERIV_TOL,
         notes="%d singular points located" % len(kept),
     )
 
@@ -572,10 +576,11 @@ def _field(spec: PhaseSpec, lam: float, values: np.ndarray, x_axes) -> SampledFi
 
 
 def _max_y_gradient(
-    spec: PhaseSpec, x_axes: Sequence[np.ndarray], y_axes: Sequence[np.ndarray], n: int = 7
+    spec: PhaseSpec, x_axes: Sequence[np.ndarray], y_axes: Sequence[np.ndarray]
 ) -> float:
     def probe(ax):
-        return ax if len(ax) <= n else ax[:: max(1, len(ax) // n)]
+        # about 7 points per axis
+        return ax if len(ax) <= 7 else ax[:: max(1, len(ax) // 7)]
 
     ypts = _mesh([probe(ay) for ay in y_axes])
     G = 0.0
@@ -732,15 +737,14 @@ def apply_T_lambda_product(
     return _field(spec, lam, out, x_axes)
 
 
-def tstar_kernel_entry(
-    spec: PhaseSpec, lam: float, w, z, n_quad: int = 2048
-) -> complex:
+def tstar_kernel_entry(spec: PhaseSpec, lam: float, w, z) -> complex:
     """One entry K(w, z) of the T T* kernel: the y integral of
-    zeta(w,y) conj(zeta(z,y)) exp(i lam (phi(w,y) - phi(z,y)))."""
+    zeta(w,y) conj(zeta(z,y)) exp(i lam (phi(w,y) - phi(z,y))), by Riemann
+    quadrature on KERNEL_QUAD_POINTS points per y axis over the amplitude box."""
     w = np.asarray(w, float)
     z = np.asarray(z, float)
     r = spec.amp_radius
-    axes = [np.linspace(-r, r, int(n_quad)) for _ in range(spec.y_dim)]
+    axes = [np.linspace(-r, r, KERNEL_QUAD_POINTS) for _ in range(spec.y_dim)]
     ypts, cell = _y_mesh(axes)
     vals = (
         spec.amp(w, ypts)
@@ -750,37 +754,27 @@ def tstar_kernel_entry(
     return complex(vals.sum() * cell)
 
 
-def dyadic_kernel_entry(
-    spec: PhaseSpec,
-    lam: float,
-    j: int,
-    w,
-    z,
-    n_quad: int = 2048,
-    eps: float = 0.3,
-) -> Tuple[complex, complex]:
+def dyadic_kernel_entry(spec: PhaseSpec, lam: float, j: int, w, z) -> Tuple[complex, complex]:
     """The scale-j near and far kernel pieces at (w, z).
 
     The T T* kernel is cut by a dyadic window in lam |w_d - z_d| at scale
     2^j, then split by whether the transverse offset |w' - z'| is small
-    (<= ~ eps 2^j / lam, the near piece, which carries the stationary-phase
-    decay) or not (the far piece). Summing both pieces over j telescopes
-    back to the kernel exactly.
+    (<= ~ KERNEL_EPS 2^j / lam, the near piece, which carries the
+    stationary-phase decay) or not (the far piece). Summing both pieces
+    over j telescopes back to the kernel exactly.
     """
     w = np.asarray(w, float)
     z = np.asarray(z, float)
-    K = tstar_kernel_entry(spec, lam, w, z, n_quad=n_quad)
+    K = tstar_kernel_entry(spec, lam, w, z)
     ring = float(kernel_ring(lam * (w[-1] - z[-1]), j))
     perp = float(np.linalg.norm(w[:-1] - z[:-1]))
-    near = float(wide_plateau(lam * perp / (eps * 2.0**j)))
+    near = float(wide_plateau(lam * perp / (KERNEL_EPS * 2.0**j)))
     return K * ring * near, K * ring * (1.0 - near)
 
 
-def dyadic_kernel_sup(
-    spec: PhaseSpec, lam: float, j: int, n_quad: int = 2048, eps: float = 0.3
-) -> float:
+def dyadic_kernel_sup(spec: PhaseSpec, lam: float, j: int) -> float:
     """Max of the near piece |S_j| over a sample of the supporting slab
-    lam |w_d - z_d| ~ 2^j, |w' - z'| <= 3 eps 2^j / (4 lam).
+    lam |w_d - z_d| ~ 2^j, |w' - z'| <= 3 eps 2^j / (4 lam), eps = KERNEL_EPS.
 
     Identically zero once the dyadic window's support outruns the largest
     offset the amplitude allows (lower window edge 3*2^{j-3} above
@@ -793,7 +787,7 @@ def dyadic_kernel_sup(
     r = spec.amp_radius
     if j >= 1 and 3.0 * 2.0 ** (j - 3) >= 2.0 * r * lam:
         return 0.0
-    if 2.0**j > eps * lam:
+    if 2.0**j > KERNEL_EPS * lam:
         return 0.0
     # offsets on the window plateau when reachable, else inside the support
     plateau = [2.0 ** (j - 1), 2.5 * 2.0 ** (j - 2), 3.0 * 2.0 ** (j - 2)]
@@ -801,7 +795,7 @@ def dyadic_kernel_sup(
     tvals = [t for t in plateau if t < reach] or list(
         np.linspace(3.0 * 2.0 ** (j - 3), min(2.0**j, reach), 7)[1:-1]
     )
-    perp_max = 0.75 * eps * 2.0**j / lam
+    perp_max = 0.75 * KERNEL_EPS * 2.0**j / lam
     perps = [0.0, 0.5 * perp_max, 0.99 * perp_max]
     bases = [-r / 2.0, 0.0, r / 3.0]
     best = 0.0
@@ -817,7 +811,7 @@ def dyadic_kernel_sup(
                     mid = b_perp * e_first + b_para * e_last
                     w = mid + 0.5 * (dlt * e_last + p * e_first)
                     z = mid - 0.5 * (dlt * e_last + p * e_first)
-                    S, _ = dyadic_kernel_entry(spec, lam, j, w, z, n_quad=n_quad, eps=eps)
+                    S, _ = dyadic_kernel_entry(spec, lam, j, w, z)
                     best = max(best, abs(S))
     return best
 
@@ -870,7 +864,6 @@ def scaling_grid_points(
 
 def scaling_experiment(
     spec: PhaseSpec,
-    kappa: int,
     lam_list: Sequence[float],
     family: Callable[[float], Sequence],
     q: float,

@@ -343,7 +343,7 @@ def test_traced_dyadic_run_records_every_expected_span(tmp_path, monkeypatch):
     assert "bumps.dyadic_ring" in expected and "measures.dyadic_piece" in expected
     assert [s for s in expected if stats.get(s, {}).get("calls", 0) == 0] == []
     assert stats["measures.dyadic_piece"]["calls"] == 3
-    assert stats["bumps.dyadic_ring"]["points"] == 3 * 64**2
+    assert stats["bumps.dyadic_ring"]["points"] == 15**2 + 31**2 + 63**2
     assert sum(s["exceptions"] for s in stats.values()) == 0
 
 

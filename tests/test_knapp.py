@@ -21,8 +21,6 @@ from gridpoints import freq_mesh
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="d = 2"):
-        KnappSpec(N=2, q=2.0, d=3)
     with pytest.raises(ValueError, match="N >= 1"):
         KnappSpec(N=0, q=2.0)
     with pytest.raises(ValueError, match="q > 0"):
@@ -142,14 +140,15 @@ def test_sup_bounded_by_l1_of_frequency_profile():
 
 
 def test_resolution_guards():
+    sphere = make_sphere_measure(2, 256)
     grid = GridSpec(2, 16.0, 256)  # resolves at most 4 caps
     with pytest.raises(ValueError, match="resolves at most"):
-        knapp_function(KnappSpec(N=5, q=2.0), grid)
+        knapp_function(KnappSpec(N=5, q=2.0), grid, sphere)
     small = GridSpec(2, 16.0, 64)  # Nyquist radius 1 < 5/4
     with pytest.raises(ValueError, match="caps clipped"):
-        knapp_function(KnappSpec(N=1, q=2.0), small)
+        knapp_function(KnappSpec(N=1, q=2.0), small, sphere)
     with pytest.raises(ValueError, match="2-dimensional"):
-        knapp_function(KnappSpec(N=1, q=2.0), GridSpec(1, 16.0, 256))
+        knapp_function(KnappSpec(N=1, q=2.0), GridSpec(1, 16.0, 256), sphere)
 
 
 def test_experiment_exponent_relation_enforced():
@@ -158,8 +157,6 @@ def test_experiment_exponent_relation_enforced():
         knapp_sharpness_experiment(2.0, 4.0 / 3.0, [2.0], [2, 3, 4], grid)
     with pytest.raises(ValueError, match="3 N values"):
         knapp_sharpness_experiment(2.0, 1.2, [2.0], [2, 3], grid)
-    with pytest.raises(ValueError, match="d = 2"):
-        knapp_sharpness_experiment(2.0, 1.2, [2.0], [2, 3, 4], grid, d=3)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +191,6 @@ def test_experiment_slopes_and_verdicts():
     assert 0.40 <= rep.fits_f[0].slope <= 0.55
     assert abs(rep.fits_f[1].slope) < 0.05
     assert rep.gaps[1] > 0.35
-    assert rep.verdicts == (True, True)
     # norms table is indexed [n][s]
     assert len(rep.norms_f) == 3 and len(rep.norms_f[0]) == 2
     assert rep.n_values == (2, 3, 4)
@@ -234,5 +230,4 @@ def test_report_validation():
             fit_g=rep.fit_g,
             fits_f=rep.fits_f,
             gaps=rep.gaps,
-            verdicts=rep.verdicts,
         )

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from restrictionlab import oscillatory as osc
 from restrictionlab.fitting import loglog_fit
 from restrictionlab.oscillatory import (
     ConditionReport,
@@ -327,7 +328,9 @@ def test_fold_with_straight_singular_image_fails_curvature():
     assert not rep.verdict
     assert "1 singular points located" in rep.notes
     dval, sff_rank, curv = rep.values[0]
-    assert dval > 1e-4 and sff_rank == 0 and curv < 1e-4
+    # det d_xy = y1 for both fold phases and the kernel vector is (0, 1):
+    # the exact gradient gives <b, grad_y det> = 1 to the last bit
+    assert dval == 1.0 and sff_rank == 0 and curv < 1e-4
 
 
 def test_fold_flat_passes_without_curvature_demand():
@@ -338,7 +341,47 @@ def test_fold_with_curved_singular_image_passes():
     rep = check_fold(CAT["fold-curved"], FOLD_PROBES, 1)
     assert rep.verdict
     dval, sff_rank, curv = rep.values[0]
-    assert dval > 1e-4 and sff_rank == 1 and curv > 0.5
+    assert dval == 1.0 and sff_rank == 1 and curv > 0.5
+
+
+# a square phase whose det d_xy is not a coordinate: off-diagonal and
+# higher-order couplings; its fold crosses FOLD_PROBES too
+FOLD_FILE = """x_dim 2
+y_dim 2
+radius 0.09
+term 1.0  1 0  1 0
+term 0.5  0 1  0 2
+term 0.3  1 0  0 2
+term 0.7  1 1  2 0
+term 0.4  0 1  1 2
+term 0.2  0 1  1 1
+"""
+
+
+def _fd_grad_y_det(spec, x, y, h=1e-5):
+    # truncation error h^2/6 |d^3 det| ~ 1e-11 for FOLD_FILE's quartic det
+    def det(yy):
+        return np.linalg.det(spec.d_xy(x, yy))
+
+    return np.array([(det(y + h * e) - det(y - h * e)) / (2 * h) for e in np.eye(spec.y_dim)])
+
+
+def test_exact_fold_gradient_matches_central_differences(tmp_path):
+    # Jacobi's formula on cofactors against differences of det d_xy, at
+    # random points and at the singular points (det = 0) the check locates
+    path = tmp_path / "fold-mixed.phase"
+    path.write_text(FOLD_FILE)
+    rng = np.random.default_rng(8)
+    for spec in (CAT["fold-flat"], CAT["fold-curved"], polynomial_phase_from_file(path)):
+        singular = check_fold(spec, FOLD_PROBES, 0).probes
+        assert len(singular) == 1
+        x0, y0 = (np.array(v) for v in singular[0])
+        assert abs(np.linalg.det(spec.d_xy(x0, y0))) < 1e-15
+        points = [(x0, y0)]
+        points += [(rng.uniform(-0.09, 0.09, 2), rng.uniform(-0.09, 0.09, 2)) for _ in range(30)]
+        for x, y in points:
+            exact = osc._grad_y_det(spec, x, y)
+            assert np.abs(exact - _fd_grad_y_det(spec, x, y)).max() < 1e-9
 
 
 def test_fold_vacuous_when_no_singular_points():
@@ -370,8 +413,8 @@ def test_kernel_entry_hermitian_symmetry():
     spec = CAT["parabola"]
     w = np.array([0.01, 0.02])
     z = np.array([0.01, -0.03])
-    a = tstar_kernel_entry(spec, 40.0, w, z, n_quad=512)
-    b = tstar_kernel_entry(spec, 40.0, z, w, n_quad=512)
+    a = tstar_kernel_entry(spec, 40.0, w, z)
+    b = tstar_kernel_entry(spec, 40.0, z, w)
     assert abs(a - np.conj(b)) < 1e-14
 
 
@@ -382,10 +425,10 @@ def test_dyadic_pieces_reconstruct_the_kernel():
     lam = 40.0
     w = np.array([0.01, 0.02])
     z = np.array([0.01, -0.03])
-    K = tstar_kernel_entry(spec, lam, w, z, n_quad=1024)
+    K = tstar_kernel_entry(spec, lam, w, z)
     total = 0.0 + 0.0j
     for j in range(0, 4):
-        near, far = dyadic_kernel_entry(spec, lam, j, w, z, n_quad=1024)
+        near, far = dyadic_kernel_entry(spec, lam, j, w, z)
         total += near + far
     assert abs(total - K) < 1e-12
 
@@ -393,16 +436,16 @@ def test_dyadic_pieces_reconstruct_the_kernel():
 def test_kernel_sup_vanishes_beyond_support():
     spec = CAT["parabola"]
     # scale window beyond what the amplitude support allows
-    assert dyadic_kernel_sup(spec, 1024.0, 9, n_quad=128) == 0.0
-    assert dyadic_kernel_sup(spec, 1024.0, 8, n_quad=256) > 0.0
+    assert dyadic_kernel_sup(spec, 1024.0, 9) == 0.0
+    assert dyadic_kernel_sup(spec, 1024.0, 8) > 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         dyadic_kernel_sup(spec, 64.0, -1)
 
 
 def test_zero_phase_kernel_sup_is_lambda_independent():
     spec = CAT["zero"]
-    a = dyadic_kernel_sup(spec, 64.0, 1, n_quad=512)
-    b = dyadic_kernel_sup(spec, 256.0, 1, n_quad=512)
+    a = dyadic_kernel_sup(spec, 64.0, 1)
+    b = dyadic_kernel_sup(spec, 256.0, 1)
     assert a == pytest.approx(b, rel=1e-12)
     assert a > 0.0
 
@@ -411,7 +454,7 @@ def test_kernel_sup_decays_dyadically():
     # fixed lambda: pieces at larger separation scales are smaller sups
     spec = CAT["parabola"]
     lam = 600.0
-    sups = [dyadic_kernel_sup(spec, lam, j, n_quad=512) for j in (1, 4, 6)]
+    sups = [dyadic_kernel_sup(spec, lam, j) for j in (1, 4, 6)]
     assert sups[0] > sups[1] > sups[2] > 0.0
 
 
@@ -421,7 +464,6 @@ def test_kernel_sup_decays_dyadically():
 def test_zero_phase_scaling_is_flat():
     rep = scaling_experiment(
         CAT1["zero"],
-        0,
         [8.0, 16.0, 32.0, 64.0],
         constant_family(1.0, 1),
         q=2.0,
@@ -467,12 +509,11 @@ def test_scaling_report_validation():
 def test_scaling_experiment_input_guards():
     fam = constant_family(1.0, 1)
     with pytest.raises(ValueError, match="4 lambda"):
-        scaling_experiment(CAT1["zero"], 0, [8.0, 16.0, 32.0], fam, q=2.0)
+        scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0], fam, q=2.0)
     # coarse y grid: every lambda is dropped by the resolution rule
     with pytest.raises(ValueError, match="survive"):
         scaling_experiment(
             CAT1["parabola"],
-            1,
             [1e4, 2e4, 4e4, 8e4],
             parabola_scaling_family(seed=0, radius=1.0),
             q=6.0,
@@ -482,7 +523,7 @@ def test_scaling_experiment_input_guards():
     # fewer than two points on an axis: rejected, not read as the default
     for points in ({"x_points": 1}, {"y_points": 0}, {"x_points": 0, "y_points": 64}):
         with pytest.raises(ValueError, match=">= 2"):
-            scaling_experiment(CAT1["zero"], 0, [8.0, 16.0, 32.0, 64.0], fam, q=2.0, **points)
+            scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0, 64.0], fam, q=2.0, **points)
 
 
 def test_family_members_are_reproducible():
