@@ -45,8 +45,6 @@ from .measures import (
     load_measure,
 )
 from .lorentz import (
-    LorentzExponent,
-    lorentz_norm,
     lorentz_norm_values,
     indicator_lorentz_norm,
 )
@@ -92,7 +90,6 @@ from .oscillatory import (
     tstar_kernel_entry,
     dyadic_kernel_entry,
     dyadic_kernel_sup,
-    scaling_grid_points,
     scaling_experiment,
     parabola_scaling_family,
     fold_scaling_family,

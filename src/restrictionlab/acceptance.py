@@ -232,12 +232,12 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     for k, f in enumerate(fields):
         rsq = restrict_sq_integral(f, measure)
         conv = convolve_mu_hat(f, reflected)
-        pairing = complex(np.sum(np.conj(f.values) * conv.values) * cell)
+        pairing = complex(np.sum(np.conj(f.values) * conv) * cell)
         rel = abs(rsq - pairing) / rsq
         worst_identity = max(worst_identity, rel)
         g = rng.standard_normal(measure.n_atoms) + 1j * rng.standard_normal(measure.n_atoms)
         eg = extend(g, measure, grid)
-        lhs = complex(np.sum(eg.values * np.conj(f.values)) * cell)
+        lhs = complex(np.sum(eg * np.conj(f.values)) * cell)
         rhs = complex(np.sum(np.asarray(measure.weights) * g * np.conj(restrict_at_atoms(f, measure))))
         scale = max(abs(lhs), abs(rhs), 1e-300)
         adj = abs(lhs - rhs) / scale

@@ -60,7 +60,6 @@ from .oscillatory import (
     phase_catalog,
     polynomial_phase_from_file,
     scaling_experiment,
-    scaling_grid_points,
 )
 from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
 
@@ -258,7 +257,7 @@ def _build_measure(args):
     if kind == "cantor":
         return make_cantor_measure(args.ratio, args.levels)
     if kind == "cantor-random":
-        return make_random_cantor_measure(args.ratio, args.levels, seed=args.seed, experimental=True)
+        return make_random_cantor_measure(args.ratio, args.levels, seed=args.seed)
     if kind == "point":
         return make_point_mass([0.0] * args.dim)
     raise ValueError("unknown measure kind %r" % kind)
@@ -380,6 +379,10 @@ def cmd_dyadic(args) -> Result:
 
 
 def cmd_lorentz(args) -> Result:
+    # zero samples would pass every check vacuously
+    for flag, count in (("--fields", args.fields), ("--indicators", args.indicators)):
+        if count < 1:
+            raise ValueError("%s must be >= 1, got %d" % (flag, count))
     rng = np.random.default_rng(args.seed)
     worst_pp = 0.0
     for _ in range(args.fields):
@@ -506,6 +509,10 @@ def cmd_restrict(args) -> Result:
 
 
 def _resolve_phase(args):
+    # a negative curvature count is no hypothesis: oscillatory would skip
+    # its curvature check and fold would demand nothing
+    if args.kappa < 0:
+        raise ValueError("--kappa must be >= 0, got %d" % args.kappa)
     if args.phase_file:
         spec = polynomial_phase_from_file(args.phase_file)
     else:
@@ -537,8 +544,12 @@ def _resolve_family(args, spec):
 def _scaling(args, spec, checks) -> Result:
     """The lambda-scaling tail shared by `oscillatory` and `fold`: the fit
     against the slope window, after the subcommand's hypothesis checks."""
-    # resolved here so that the verdict echoes the grid actually used
-    args.x_points, args.y_points = scaling_grid_points(spec, args.x_points, args.y_points)
+    # the default sizes are resolved here, so that the verdict echoes the
+    # grid actually used
+    if args.x_points is None:
+        args.x_points = 192 if spec.y_dim == 1 else 160
+    if args.y_points is None:
+        args.y_points = 8192 if spec.y_dim == 1 else 4096
     rep = scaling_experiment(
         spec,
         lam_list=args.lam_list,

@@ -64,11 +64,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples of a function on a uniform grid.
+    """Complex samples of a function on a uniform grid: the input type of
+    the restriction operators, which read its lattice.
 
     origin[i] is the coordinate of index 0 along axis i and spacing[i] the
     step; cell_volume is the product of spacings. Values are stored as a
-    d-dimensional complex array.
+    d-dimensional complex array. Fields the package computes are returned
+    as plain arrays on the caller's grid.
     """
 
     values: np.ndarray

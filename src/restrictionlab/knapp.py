@@ -24,8 +24,8 @@ import numpy as np
 
 from .bumps import annulus_window, plateau_window
 from .fitting import FitResult, loglog_fit
-from .grids import GridSpec, SampledField, inverse_fourier_on_grid
-from .lorentz import LorentzExponent, lorentz_norm_values
+from .grids import GridSpec, inverse_fourier_on_grid
+from .lorentz import _check_exponents, lorentz_norm_values
 from .measures import DiscreteMeasure, make_sphere_measure
 
 __all__ = ["KnappSpec", "ExperimentReport", "knapp_g_values", "knapp_function",
@@ -76,10 +76,10 @@ def _max_resolvable_caps(grid: GridSpec) -> int:
 
 def knapp_function(
     spec: KnappSpec, grid: GridSpec, sphere: DiscreteMeasure
-) -> Tuple[np.ndarray, SampledField]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Sample the superposition on the atoms of the circle measure `sphere`
     and on the grid's frequency lattice, and return (values at atoms,
-    inverse transform field).
+    inverse transform on the grid).
 
     The frequency lattice must resolve the finest cap: its spacing 1/(2L)
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice
@@ -108,9 +108,7 @@ def knapp_function(
         term = np.multiply.outer(tang[rows], rad)
         term *= w[k - 1]
         G[rows] += term
-    f_vals = inverse_fourier_on_grid(G, grid)
-    f = SampledField.on_grid(grid, f_vals, label="knapp-N%d" % spec.N)
-    return g_atoms, f
+    return g_atoms, inverse_fourier_on_grid(G, grid)
 
 
 @dataclass(frozen=True)
@@ -158,8 +156,7 @@ def knapp_sharpness_experiment(
     if len(n_values) < 3:
         raise ValueError("need at least 3 N values")
     s_values = tuple(float(s) for s in s_list)
-    for s in s_values:
-        LorentzExponent(p=p, s=s)  # validates each (p, s) before any field is built
+    _check_exponents(p, s_values)  # every (p, s), before any field is built
     if not p > 1.0:
         raise ValueError("need p > 1 for the dual exponent p'; got p=%g" % p)
     p_conj = p / (p - 1.0)
@@ -173,7 +170,7 @@ def knapp_sharpness_experiment(
         g_atoms, f = knapp_function(spec, grid, sphere)
         norm_g.append(float(np.sum(sphere.weights * np.abs(g_atoms) ** q) ** (1.0 / q)))
         # one rearrangement of the field serves every s
-        norms_f.append(lorentz_norm_values(f.values, f.cell_volume, p, s_values))
+        norms_f.append(lorentz_norm_values(f, grid.cell_volume, p, s_values))
         # free this field before the next N builds its own
         del f
     fit_g = loglog_fit(list(zip(n_values, norm_g)))

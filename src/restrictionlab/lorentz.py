@@ -13,33 +13,24 @@ applied, and nothing here asserts a triangle inequality for s < p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .grids import SampledField
-
 __all__ = [
-    "LorentzExponent",
-    "lorentz_norm",
     "lorentz_norm_values",
     "indicator_lorentz_norm",
 ]
 
 
-@dataclass(frozen=True)
-class LorentzExponent:
-    """Pair (p, s) with 0 < p < infinity and 0 < s <= infinity."""
-
-    p: float
-    s: float
-
-    def __post_init__(self):
-        if not (self.p > 0 and math.isfinite(self.p)):
-            raise ValueError("p must be finite and positive")
-        if not (self.s > 0):
-            raise ValueError("s must be positive (math.inf allowed)")
+def _check_exponents(p: float, s_values: Sequence[float]) -> None:
+    """Reject a pair (p, s) outside 0 < p < infinity, 0 < s <= infinity for
+    any s in s_values; NaN fails both comparisons."""
+    if not (p > 0 and math.isfinite(p)):
+        raise ValueError("p must be finite and positive, got %g" % p)
+    for s in s_values:
+        if not s > 0:
+            raise ValueError("s must be positive (math.inf allowed), got %g" % s)
 
 
 # steps per block of the integral in lorentz_norm_values
@@ -49,16 +40,18 @@ _BLOCK = 1 << 16
 def lorentz_norm_values(
     values: np.ndarray, cell_volume: float, p: float, s: Union[float, Sequence[float]]
 ) -> Union[float, Tuple[float, ...]]:
-    """Lorentz quasi-norm of raw samples with a uniform cell volume.
+    """Lorentz quasi-norm (integral of (t^(1/p) f*(t))^s dt/t)^(1/s), sup
+    form for s = inf, of raw samples with a uniform cell volume.
 
-    s is one exponent, giving one norm, or a sequence of them, giving a
-    tuple with one norm per entry; the samples are rearranged once for all
-    of them. The norm is computed on a normalized core (values scaled by
-    their maximum) so that rescaling the input by a power of two rescales
-    the result exactly.
+    Needs 0 < p < infinity and 0 < s <= infinity. s is one exponent, giving
+    one norm, or a sequence of them, giving a tuple with one norm per entry;
+    the samples are rearranged once for all of them. The norm is computed
+    on a normalized core (values scaled by their maximum) so that rescaling
+    the input by a power of two rescales the result exactly.
     """
     single = np.ndim(s) == 0
     s_values = (s,) if single else tuple(s)
+    _check_exponents(p, s_values)
     # decreasing rearrangement in one buffer: sort -|v| ascending, keep the
     # entries below zero (|v| > 0), negate back; order="K" ravels a Fortran
     # ordered field without a copy, and the sort makes the order irrelevant
@@ -116,13 +109,9 @@ def lorentz_norm_values(
     return norms[0] if single else tuple(norms)
 
 
-def lorentz_norm(f: SampledField, e: LorentzExponent) -> float:
-    """Quasi-norm (integral of (t^(1/p) f*(t))^s dt/t)^(1/s); sup form for s = inf."""
-    return lorentz_norm_values(f.values, f.cell_volume, e.p, e.s)
-
-
 def indicator_lorentz_norm(p: float, s: float, measure: float) -> float:
     """Closed form for an indicator of a set of the given measure."""
+    _check_exponents(p, (s,))
     if measure < 0:
         raise ValueError("measure must be nonnegative")
     if measure == 0:

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .bumps import dyadic_ring
 from .fitting import loglog_fit
-from .grids import GridSpec, SampledField, inverse_fourier_on_grid
+from .grids import GridSpec, inverse_fourier_on_grid
 
 __all__ = [
     "DiscreteMeasure",
@@ -110,12 +110,11 @@ class DyadicPiece:
     """One dyadic frequency piece of a measure on a sampling grid.
 
     The piece at scale j is the inverse transform of mu_hat times a smooth
-    ring cutoff living on |xi| ~ 2^j. Sup values are exact maxima of absolute
-    values over the stored lattices.
+    ring cutoff living on |xi| ~ 2^j; values holds it on the grid. Sup values
+    are exact maxima of absolute values over the stored lattices.
     """
 
-    j: int
-    field: SampledField
+    values: np.ndarray
     sup_mu_j: float
     sup_mu_hat_j: float
 
@@ -204,18 +203,13 @@ def make_cantor_measure(contraction_ratio: float, levels: int) -> DiscreteMeasur
 
 
 def make_random_cantor_measure(
-    contraction_ratio: float, levels: int, seed: int = 0, experimental: bool = False
+    contraction_ratio: float, levels: int, seed: int = 0
 ) -> DiscreteMeasure:
     """Randomized Cantor-type measure: the digit-1 offset of each level is
     drawn uniformly among the placements that keep the children disjoint.
 
-    Experimental: no accuracy promise for the fitted decay exponent. Call
-    with experimental=True to acknowledge that.
+    Experimental: no accuracy promise for the fitted decay exponent.
     """
-    if not experimental:
-        raise ValueError(
-            "randomized construction is experimental: pass experimental=True"
-        )
 
     def digit_one(c, levels):
         # one offset per level, uniform in [c, 1-c] of the parent cell
@@ -306,10 +300,12 @@ def fourier_decay_profile(
 ) -> DecayProfile:
     """Fit sup_{|xi|=R} |mu_hat(xi)| ~ B R^-b over the given annulus radii.
 
-    The sup is over a fixed set of sampled directions (both signs when
-    d = 1). Radii below 1 are rejected, as are radii beyond the measure's
+    The sup is over n_directions >= 1 fixed random directions (the two
+    signs when d = 1). Radii below 1 are rejected, as are radii beyond the measure's
     aliasing radius where the atomic transform stops tracking the continuum.
     """
+    if n_directions < 1:
+        raise ValueError("n_directions must be >= 1, got %d" % n_directions)
     R = np.asarray([float(r) for r in R_list])
     if R.size < 3:
         raise ValueError("need at least 3 radii to fit a slope")
@@ -446,10 +442,8 @@ def dyadic_piece(
     localized = np.zeros(lattice_shape, dtype=complex)
     localized[box] = mu_hat[box] * dyadic_ring(u, j)
     values = inverse_fourier_on_grid(localized, grid)
-    fld = SampledField.on_grid(grid, values, label="%s-piece-j%d" % (measure.label, j))
     return DyadicPiece(
-        j=j,
-        field=fld,
+        values=values,
         sup_mu_j=float(np.abs(values).max()),
         sup_mu_hat_j=float(np.abs(localized[box]).max()),
     )

@@ -6,6 +6,8 @@ identity between the squared restriction integral and the convolution
 operator holds to rounding, not just to quadrature error. The atom sums
 on a grid (extend, the second half of convolve_mu_hat) run the one kernel
 behind measures.mu_hat_on_lattice; restrict_at_atoms is its transpose.
+Input fields are SampledFields, which carry their lattice; the fields
+computed here are plain arrays on the grid or the input's lattice.
 
 Conventions match measures.fourier_transform_at: forward transforms carry
 exp(-2 pi i <x, xi>), the extension (adjoint) carries exp(+2 pi i <x_j, x>).
@@ -19,7 +21,7 @@ import numpy as np
 
 from .bumps import bump
 from .grids import GridSpec, SampledField
-from .lorentz import LorentzExponent, lorentz_norm
+from .lorentz import lorentz_norm_values
 from .measures import DiscreteMeasure, _atom_sum, _phase_matrices
 
 __all__ = [
@@ -61,17 +63,16 @@ def _transform_at_points(
     raise ValueError("only d <= 3 supported")
 
 
-def extend(g, measure: DiscreteMeasure, grid: GridSpec) -> SampledField:
+def extend(g, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     """Extension (adjoint restriction): x -> sum_j g_j w_j exp(+2 pi i <x_j, x>)
-    sampled on the grid."""
+    sampled on the grid, as an (N,)*d complex array."""
     g = np.asarray(g, dtype=complex).ravel()
     if g.size != measure.n_atoms:
         raise ValueError("g has %d entries, measure has %d atoms" % (g.size, measure.n_atoms))
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
     axes = [grid.axis()] * grid.dim
-    values = _atom_sum(g * measure.weights, measure.atoms, axes, +1.0)
-    return SampledField.on_grid(grid, values, label="extend-" + measure.label)
+    return _atom_sum(g * measure.weights, measure.atoms, axes, +1.0)
 
 
 def restrict_at_atoms(f: SampledField, measure: DiscreteMeasure) -> np.ndarray:
@@ -104,8 +105,9 @@ def _check_inner_half_support(f: SampledField) -> None:
             )
 
 
-def convolve_mu_hat(f: SampledField, measure: DiscreteMeasure) -> SampledField:
-    """f convolved with mu_hat, on f's own lattice.
+def convolve_mu_hat(f: SampledField, measure: DiscreteMeasure) -> np.ndarray:
+    """f convolved with mu_hat, sampled on f's own lattice (an array of
+    f.values' shape).
 
     The transform of mu_hat is the reflected atomic measure, so the
     convolution has the exact rank-n form
@@ -120,13 +122,7 @@ def convolve_mu_hat(f: SampledField, measure: DiscreteMeasure) -> SampledField:
     _check_inner_half_support(f)
     axes = _field_axes(f)
     fh = _transform_at_points(f.values, axes, measure.atoms, +1.0, f.cell_volume)
-    values = _atom_sum(measure.weights * fh, measure.atoms, axes, -1.0)
-    return SampledField(
-        values=values,
-        origin=f.origin,
-        spacing=f.spacing,
-        label=(f.label + "*muhat") if f.label else "conv-muhat",
-    )
+    return _atom_sum(measure.weights * fh, measure.atoms, axes, -1.0)
 
 
 def stein_tomas_ratio(f: SampledField, measure: DiscreteMeasure, profile) -> float:
@@ -135,8 +131,7 @@ def stein_tomas_ratio(f: SampledField, measure: DiscreteMeasure, profile) -> flo
     The endpoint estimate bounds this ratio by a constant depending only on
     the measure's regularity and decay; families of test fields probe its
     flatness."""
-    e = LorentzExponent(p=float(profile.p0), s=2.0)
-    denom = lorentz_norm(f, e)
+    denom = lorentz_norm_values(f.values, f.cell_volume, float(profile.p0), 2.0)
     if denom == 0.0:
         raise ValueError("zero field has no ratio")
     return float(np.sqrt(restrict_sq_integral(f, measure)) / denom)

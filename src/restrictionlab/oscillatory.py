@@ -38,8 +38,7 @@ import numpy as np
 
 from .bumps import bump, kernel_ring, wide_plateau
 from .fitting import FitResult, loglog_fit
-from .grids import SampledField
-from .lorentz import lorentz_norm_values
+from .lorentz import _check_exponents, lorentz_norm_values
 
 __all__ = [
     "PhaseSpec",
@@ -57,7 +56,6 @@ __all__ = [
     "tstar_kernel_entry",
     "dyadic_kernel_entry",
     "dyadic_kernel_sup",
-    "scaling_grid_points",
     "scaling_experiment",
     "parabola_scaling_family",
     "fold_scaling_family",
@@ -566,15 +564,6 @@ def _y_mesh(y_axes: Sequence[np.ndarray]) -> Tuple[np.ndarray, float]:
     return _mesh(y_axes), float(np.prod([ax[1] - ax[0] for ax in y_axes]))
 
 
-def _field(spec: PhaseSpec, lam: float, values: np.ndarray, x_axes) -> SampledField:
-    return SampledField(
-        values=values,
-        origin=tuple(float(ax[0]) for ax in x_axes),
-        spacing=tuple(float(ax[1] - ax[0]) for ax in x_axes),
-        label="T[%s]-lam%g" % (spec.name, lam),
-    )
-
-
 def _max_y_gradient(
     spec: PhaseSpec, x_axes: Sequence[np.ndarray], y_axes: Sequence[np.ndarray]
 ) -> float:
@@ -617,20 +606,18 @@ def apply_T_lambda(
     f_values: np.ndarray,
     y_axes: Sequence[np.ndarray],
     x_axes: Sequence[np.ndarray],
-    check_resolution: bool = True,
-) -> SampledField:
-    """Dense quadrature of the oscillatory operator at every x lattice point.
+) -> np.ndarray:
+    """Dense quadrature of the oscillatory operator at every x lattice point,
+    as an array on the tensor grid of x_axes.
 
     f_values are samples of f on the tensor grid of y_axes. The y spacing
     must put at least 10 quadrature points per oscillation period
     (spacing <= 2 pi / (10 lambda G), G the amplitude-supported max of
-    |grad_y phase|); pass check_resolution=False only for oracle runs that
-    verify convergence some other way.
+    |grad_y phase|); a coarser grid is rejected.
     """
     if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
         raise ValueError("axis count does not match the phase dimensions")
-    if check_resolution:
-        _require_resolution(spec, lam, x_axes, y_axes)
+    _require_resolution(spec, lam, x_axes, y_axes)
     f = np.asarray(f_values)
     ypts, cell = _y_mesh(y_axes)
     ff = f.ravel()
@@ -639,7 +626,7 @@ def apply_T_lambda(
     for k, x in enumerate(xpts):
         integrand = spec.amp(x, ypts) * np.exp(1j * lam * spec.phase(x, ypts)) * ff
         out[k] = integrand.sum() * cell
-    return _field(spec, lam, out.reshape(tuple(len(ax) for ax in x_axes)), x_axes)
+    return out.reshape(tuple(len(ax) for ax in x_axes))
 
 
 def phase_factors(
@@ -671,17 +658,20 @@ def phase_factors(
 
 def apply_T_lambda_product(
     spec: PhaseSpec,
-    lam: float,
     terms: Sequence[Tuple[Callable, ...]],
     y_axes: Sequence[np.ndarray],
     x_axes: Sequence[np.ndarray],
     factors: Dict[Tuple[int, int], np.ndarray],
-    check_resolution: bool = True,
-) -> SampledField:
+) -> np.ndarray:
     """Fast path: same Riemann sum as apply_T_lambda, reorganized for
     separable phases and amplitudes, for f given as a sum of per-axis
-    products. terms is a list of tuples of 1-D callables, one per y axis;
-    factors is phase_factors(spec, lam, y_axes, x_axes).
+    products, as an array on the tensor grid of x_axes. terms is a list of
+    tuples of 1-D callables, one per y axis; factors is
+    phase_factors(spec, lam, y_axes, x_axes), which fixes lambda.
+
+    Precondition, not checked here: the y grid resolves that lambda by
+    apply_T_lambda's 10-points-per-period rule. scaling_experiment applies
+    the rule before it calls this.
     """
     if spec.separable is None:
         raise ValueError("phase lacks the separable structure for the fast path")
@@ -698,8 +688,6 @@ def apply_T_lambda_product(
                 "phase factor %s has shape %s but the grids need (%d, %d)"
                 % ((i, j), np.shape(U), len(x_axes[i]), len(y_axes[j]))
             )
-    if check_resolution:
-        _require_resolution(spec, lam, x_axes, y_axes)
     d = spec.x_dim
     shape = tuple(len(ax) for ax in x_axes)
     per_axis: Dict[int, List[Tuple[int, np.ndarray]]] = {j: [] for j in range(spec.y_dim)}
@@ -733,8 +721,7 @@ def apply_T_lambda_product(
                 arr = arr.reshape(sh)
             acc = arr if acc is None else acc * arr
         out = out + acc
-    out = out * spec.amp_x(_mesh(x_axes)).reshape(shape)
-    return _field(spec, lam, out, x_axes)
+    return out * spec.amp_x(_mesh(x_axes)).reshape(shape)
 
 
 def tstar_kernel_entry(spec: PhaseSpec, lam: float, w, z) -> complex:
@@ -849,27 +836,14 @@ def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
     return float(np.sqrt(max(total.real, 0.0)))
 
 
-def scaling_grid_points(
-    spec: PhaseSpec, x_points: Optional[int] = None, y_points: Optional[int] = None
-) -> Tuple[int, int]:
-    """Per-axis x and y point counts of scaling_experiment: the given ones,
-    each defaulting to 192 and 8192 for one-dimensional y, else 160 and
-    4096; both must be at least 2."""
-    nx = (192 if spec.y_dim == 1 else 160) if x_points is None else int(x_points)
-    ny = (8192 if spec.y_dim == 1 else 4096) if y_points is None else int(y_points)
-    if nx < 2 or ny < 2:
-        raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))
-    return nx, ny
-
-
 def scaling_experiment(
     spec: PhaseSpec,
     lam_list: Sequence[float],
     family: Callable[[float], Sequence],
     q: float,
-    s: float = 2.0,
-    x_points: Optional[int] = None,
-    y_points: Optional[int] = None,
+    s: float,
+    x_points: int,
+    y_points: int,
 ) -> ScalingReport:
     """Fit the decay in lambda of max over the family of
     |T f|_{Lorentz(q, s)} / |f|_{L^2}; the target slope is -x_dim / q.
@@ -877,14 +851,18 @@ def scaling_experiment(
     family(lam) returns members for the fast path: lists of per-axis
     product terms (lambda-adapted slabs, fixed bumps, random mode sums).
     Under-resolved lambdas (10-points-per-period rule) are dropped with a
-    notice; at least 4 must survive. x_points and y_points are resolved
-    by scaling_grid_points.
+    notice; at least 4 must survive. The x and y grids have x_points and
+    y_points per axis, at least 2 each.
     """
     lams = [float(v) for v in lam_list]
     if len(lams) < 4:
         raise ValueError("need >= 4 lambda values")
+    q, s = float(q), float(s)
+    _check_exponents(q, (s,))
+    nx, ny = int(x_points), int(y_points)
+    if nx < 2 or ny < 2:
+        raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))
     r = spec.amp_radius
-    nx, ny = scaling_grid_points(spec, x_points, y_points)
     x_axes = [np.linspace(-1.1 * r, 1.1 * r, nx) for _ in range(spec.x_dim)]
     y_axes = [np.linspace(-1.2 * r, 1.2 * r, ny) for _ in range(spec.y_dim)]
     cell_x = float(np.prod([ax[1] - ax[0] for ax in x_axes]))
@@ -902,13 +880,11 @@ def scaling_experiment(
         factors = phase_factors(spec, lam, y_axes, x_axes)
         best = 0.0
         for member in family(lam):
-            fld = apply_T_lambda_product(
-                spec, lam, member, y_axes, x_axes, factors, check_resolution=False
-            )
+            values = apply_T_lambda_product(spec, member, y_axes, x_axes, factors)
             denom = _member_l2(member, y_axes)
             if denom == 0.0:
                 continue
-            num = lorentz_norm_values(fld.values, cell_x, p=float(q), s=float(s))
+            num = lorentz_norm_values(values, cell_x, p=q, s=s)
             best = max(best, num / denom)
         # free this lambda's factors before the next lambda builds its own:
         # two sets alive at once would raise the peak memory
@@ -924,7 +900,7 @@ def scaling_experiment(
         lam_values=tuple(kept_lams),
         ratios=tuple(ratios),
         fit=fit,
-        target_slope=-float(spec.x_dim) / float(q),
+        target_slope=-float(spec.x_dim) / q,
         dropped=tuple(dropped),
     )
 

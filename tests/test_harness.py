@@ -214,6 +214,63 @@ def test_oscillatory_needs_at_least_one_probe(tmp_path, capsys, probes):
     assert not out.exists()
 
 
+# small scaling grids, so that a flag the harness fails to reject costs
+# little before the assertion catches it
+_SMALL_SCALING = ["--lam-list", "16,32,64,128", "--x-points", "24", "--y-points", "2048"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oscillatory", "--q", "0"], "p must be finite and positive, got 0"),
+        (["oscillatory", "--q", "-1"], "p must be finite and positive, got -1"),
+        (["oscillatory", "--q", "inf"], "p must be finite and positive, got inf"),
+        (["oscillatory", "--q", "nan"], "p must be finite and positive, got nan"),
+        (["oscillatory", "--s", "0"], "s must be positive (math.inf allowed), got 0"),
+        (["oscillatory", "--s", "nan"], "s must be positive (math.inf allowed), got nan"),
+        (["fold", "--q", "0"], "p must be finite and positive, got 0"),
+        (["fold", "--q", "inf"], "p must be finite and positive, got inf"),
+        (["fold", "--s", "-2"], "s must be positive (math.inf allowed), got -2"),
+        (["fold", "--s", "0"], "s must be positive (math.inf allowed), got 0"),
+    ],
+)
+def test_bad_lorentz_exponents_exit_2(tmp_path, capsys, argv, message):
+    # the scaling experiment checks (q, s) as a Lorentz pair before its sweep;
+    # unchecked, q = 0 or s = 0 divides by zero, and q = inf or s < 0 fails
+    # only in the fit after the whole sweep
+    out = tmp_path / "r"
+    assert main(argv + _SMALL_SCALING + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["oscillatory", "fold"])
+def test_negative_kappa_exits_2(tmp_path, capsys, subcommand):
+    # with kappa = -1, oscillatory would skip its curvature check and fold
+    # would demand nothing of the singular image: a vacuous pass
+    out = tmp_path / "r"
+    assert main([subcommand, "--kappa", "-1"] + _SMALL_SCALING + ["--out", str(out)]) == 2
+    assert "--kappa must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--fields", "--indicators"])
+def test_lorentz_needs_samples(tmp_path, capsys, flag):
+    # zero samples would pass every check with a deviation of 0
+    out = tmp_path / "r"
+    assert main(["lorentz", flag, "0", "--out", str(out)]) == 2
+    assert "%s must be >= 1, got 0" % flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decay_needs_a_direction(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["decay", "--directions", "0", "--out", str(out)]) == 2
+    assert "n_directions must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["dyadic", "knapp", "restrict"])
 def test_oversized_points_exit_2_before_any_lattice(tmp_path, capsys, monkeypatch, subcommand):
     # one complex lattice of N^2 points takes 16 N^2 bytes; at N = 2^30 that
@@ -323,27 +380,76 @@ def _perfbench_module(name, monkeypatch):
     return module
 
 
+def _traced_stats(monkeypatch, workload_name, runs):
+    """Run each argv through cli.main under the benchmark's tracer; return
+    the workload's expected spans and the aggregated stats."""
+    tracing = _perfbench_module("tracer", monkeypatch)
+    workload = _perfbench_module("workloads", monkeypatch).WORKLOADS[workload_name]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(runs)
+    return workload.expected_spans, tracer.aggregate()
+
+
 def test_traced_dyadic_run_records_every_expected_span(tmp_path, monkeypatch):
     # The benchmark's tracer wraps public functions at their module bindings
     # and binds measure, grid, u and freq_values by parameter name. A sweep
     # that bypasses dyadic_piece or dyadic_ring, or renames those parameters,
     # makes every traced `dyadic` benchmark run report a missing span.
-    tracing = _perfbench_module("tracer", monkeypatch)
-    workload = _perfbench_module("workloads", monkeypatch).WORKLOADS["dyadic"]
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        argv = ["dyadic", "--points", "64", "--n", "64", "--j-list", "1,2,3", "--out", str(tmp_path)]
-        rc = cli.main(argv)
-    finally:
-        tracer.uninstall()
-    assert rc == 0
-    stats = tracer.aggregate()
-    expected = [s for s in workload.expected_spans if s != "acceptance.criterion_05"]
+    argv = ["dyadic", "--points", "64", "--n", "64", "--j-list", "1,2,3", "--out", str(tmp_path)]
+    expected, stats = _traced_stats(monkeypatch, "dyadic", [argv])
+    expected = [s for s in expected if s != "acceptance.criterion_05"]
     assert "bumps.dyadic_ring" in expected and "measures.dyadic_piece" in expected
     assert [s for s in expected if stats.get(s, {}).get("calls", 0) == 0] == []
     assert stats["measures.dyadic_piece"]["calls"] == 3
     assert stats["bumps.dyadic_ring"]["points"] == 15**2 + 31**2 + 63**2
+    assert sum(s["exceptions"] for s in stats.values()) == 0
+
+
+def test_traced_knapp_run_records_every_expected_span(tmp_path, monkeypatch):
+    # the tracer binds arguments by parameter name; a `knapp` run must record
+    # every span the workload expects, with its work counts
+    argv = ["knapp", "--points", "512", "--half-width", "64", "--N-list", "2,3,4"]
+    argv += ["--sphere-n", "1024", "--out", str(tmp_path)]
+    expected, stats = _traced_stats(monkeypatch, "knapp", [argv])
+    expected = [s for s in expected if s != "acceptance.criterion_08"]
+    assert "knapp.knapp_function" in expected and "lorentz.lorentz_norm_values" in expected
+    assert [s for s in expected if stats.get(s, {}).get("calls", 0) == 0] == []
+    assert stats["knapp.knapp_function"]["calls"] == 3
+    # one inverse transform and one rearrangement of 512^2 samples per N
+    assert stats["grids.inverse_fourier_on_grid"]["points"] == 3 * 512**2
+    assert stats["lorentz.lorentz_norm_values"]["elements"] == 3 * 512**2
+    assert sum(s["exceptions"] for s in stats.values()) == 0
+
+
+def test_traced_oscillatory_and_fold_runs_record_the_expected_spans(tmp_path, monkeypatch):
+    # the `oscillatory` workload runs criteria 9 and 10 through these two
+    # subcommands; the spans they reach must record calls and work counts
+    window = ["--slope-min", "-5", "--slope-max", "5"]
+    runs = [
+        [cmd] + _SMALL_SCALING + window + ["--out", str(tmp_path / cmd)]
+        for cmd in ("oscillatory", "fold")
+    ]
+    expected, stats = _traced_stats(monkeypatch, "oscillatory", runs)
+    reached = [
+        "cli.main",
+        "reporting.emit_csv",
+        "reporting.write_verdict",
+        "oscillatory.scaling_experiment",
+        "oscillatory.apply_T_lambda_product",
+        "oscillatory.check_fold",
+        "lorentz.lorentz_norm_values",
+        "fitting.loglog_fit",
+    ]
+    assert set(reached) <= set(expected)
+    assert [s for s in reached if stats.get(s, {}).get("calls", 0) == 0] == []
+    assert stats["oscillatory.scaling_experiment"]["calls"] == 2
+    assert stats["oscillatory.apply_T_lambda_product"]["phase_entries"] > 0
+    assert stats["lorentz.lorentz_norm_values"]["elements"] > 0
     assert sum(s["exceptions"] for s in stats.values()) == 0
 
 

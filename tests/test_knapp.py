@@ -86,7 +86,7 @@ def test_field_matches_direct_lattice_quadrature():
             np.sum(G * np.exp(2j * np.pi * (FX * ax[i] + FY * ax[j])))
             * grid.freq_spacing**2
         )
-        assert abs(f.values[i, j] - direct) < 1e-12
+        assert abs(f[i, j] - direct) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -105,7 +105,7 @@ def test_field_equals_dense_outer_product_sum_bit_for_bit(n):
         assert 0 < np.count_nonzero(tang) < fax.size
         G += w[k - 1] * np.outer(tang, rad)
     g_atoms, f = knapp_function(spec, grid, sphere)
-    assert np.array_equal(f.values, inverse_fourier_on_grid(G.astype(complex), grid))
+    assert np.array_equal(f, inverse_fourier_on_grid(G.astype(complex), grid))
     assert np.array_equal(g_atoms, knapp_g_values(spec, sphere.atoms))
 
 
@@ -136,7 +136,7 @@ def test_sup_bounded_by_l1_of_frequency_profile():
                 plateau_window(2.0 ** (2 * k - 5) * np.abs(fax - 1.0)),
             )
         l1 = np.sum(np.abs(G)) * grid.freq_spacing**2
-        assert np.abs(f.values).max() <= l1 + 1e-12
+        assert np.abs(f).max() <= l1 + 1e-12
 
 
 def test_resolution_guards():
@@ -172,7 +172,7 @@ def test_experiment_exponent_relation_enforced():
     ],
 )
 def test_experiment_rejects_bad_lorentz_exponents(p, s_list, match):
-    # every (p, s) is checked as LorentzExponent checks it, before any
+    # every (p, s) is checked as lorentz_norm_values checks it, before any
     # field is built
     grid = GridSpec(2, 128.0, 1024)
     with pytest.raises(ValueError, match=match):

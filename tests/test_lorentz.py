@@ -7,56 +7,64 @@ import numpy as np
 import pytest
 
 from restrictionlab import lorentz
-from restrictionlab.grids import GridSpec, SampledField
-from restrictionlab.lorentz import (
-    LorentzExponent,
-    indicator_lorentz_norm,
-    lorentz_norm,
-    lorentz_norm_values,
-)
-
-
-def _field(values, spacing=1.0):
-    v = np.asarray(values, dtype=complex)
-    return SampledField(values=v, origin=(0.0,) * v.ndim, spacing=(spacing,) * v.ndim)
+from restrictionlab.lorentz import indicator_lorentz_norm, lorentz_norm_values
 
 
 def test_exponent_validation():
-    LorentzExponent(p=2.0, s=math.inf)
-    with pytest.raises(ValueError, match="p"):
-        LorentzExponent(p=0.0, s=1.0)
-    with pytest.raises(ValueError, match="s"):
-        LorentzExponent(p=2.0, s=0.0)
+    assert lorentz_norm_values(np.ones(4), 1.0, 2.0, math.inf) == 2.0
+    with pytest.raises(ValueError, match="p must be finite and positive"):
+        lorentz_norm_values(np.ones(4), 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"s must be positive \(math.inf allowed\)"):
+        lorentz_norm_values(np.ones(4), 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+def test_norm_rejects_bad_p(p):
+    # unchecked, p = 0 divides by zero, p = -1 gives inf and NaN gives nan
+    for s in (2.0, (2.0, math.inf)):
+        with pytest.raises(ValueError, match="p must be finite and positive"):
+            lorentz_norm_values(np.ones(4), 1.0, p, s)
+    with pytest.raises(ValueError, match="p must be finite and positive"):
+        indicator_lorentz_norm(p, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+def test_norm_rejects_bad_s(s):
+    # unchecked, s = 0 divides by zero and NaN gives nan; every entry of a
+    # sequence is checked, also for samples that are all zero
+    for values in (np.ones(4), np.zeros(4)):
+        for s_arg in (s, (2.0, s), (s, math.inf)):
+            with pytest.raises(ValueError, match="s must be positive"):
+                lorentz_norm_values(values, 1.0, 2.0, s_arg)
+    with pytest.raises(ValueError, match="s must be positive"):
+        indicator_lorentz_norm(2.0, s, 1.0)
 
 
 def test_norm_matches_hand_integral():
     # f* = 3 on (0, 1/2], 1 on (1/2, 2]; p = 2, s = 1 gives
     # integral t^(-1/2) f*(t) dt = 4 sqrt(2)
-    f = _field([3.0, 1.0, 1.0, 1.0], spacing=0.5)
-    got = lorentz_norm(f, LorentzExponent(2.0, 1.0))
+    got = lorentz_norm_values(np.array([3.0, 1.0, 1.0, 1.0]), 0.5, 2.0, 1.0)
     assert got == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
 
 
 def test_weak_norm_of_two_level_field():
     # sup t^(1/2) f*(t) over steps: max(3 sqrt(1/2), 1 sqrt(2)) = 3/sqrt(2)
-    f = _field([3.0, 1.0, 1.0, 1.0], spacing=0.5)
-    got = lorentz_norm(f, LorentzExponent(2.0, math.inf))
+    got = lorentz_norm_values(np.array([3.0, 1.0, 1.0, 1.0]), 0.5, 2.0, math.inf)
     assert got == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_diagonal_case_is_lebesgue_norm():
     rng = np.random.default_rng(7)
     v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    f = SampledField(values=v, origin=(0.0, 0.0), spacing=(0.3, 0.3))
+    cell = 0.3 * 0.3
     for p in (1.0, 2.0, 4.0, 7.5):
-        lp = (np.sum(np.abs(v) ** p) * f.cell_volume) ** (1.0 / p)
-        lps = lorentz_norm(f, LorentzExponent(p, p))
+        lp = (np.sum(np.abs(v) ** p) * cell) ** (1.0 / p)
+        lps = lorentz_norm_values(v, cell, p, p)
         assert abs(lps - lp) <= 1e-10 * lp
 
 
 def test_p2_s2_small_example():
-    f = _field([3.0, 1.0])
-    assert lorentz_norm(f, LorentzExponent(2.0, 2.0)) == pytest.approx(
+    assert lorentz_norm_values(np.array([3.0, 1.0]), 1.0, 2.0, 2.0) == pytest.approx(
         math.sqrt(10.0), rel=1e-12
     )
 
@@ -71,9 +79,8 @@ def test_indicator_closed_form():
 
 def test_indicator_matches_sampled_field():
     # 6 unit cells of ones
-    f = _field([1.0] * 6)
     for p, s in ((2.0, 1.0), (2.0, 2.0), (1.5, 3.0), (2.0, math.inf)):
-        assert lorentz_norm(f, LorentzExponent(p, s)) == pytest.approx(
+        assert lorentz_norm_values(np.ones(6), 1.0, p, s) == pytest.approx(
             indicator_lorentz_norm(p, s, 6.0), rel=1e-12
         )
 
@@ -190,19 +197,16 @@ def test_rearrangement_invariance_is_exact():
     v = rng.standard_normal(64)
     w = v.copy()
     rng.shuffle(w)
-    e = LorentzExponent(1.5, 2.5)
-    assert lorentz_norm(_field(v), e) == lorentz_norm(_field(w), e)
+    assert lorentz_norm_values(v, 1.0, 1.5, 2.5) == lorentz_norm_values(w, 1.0, 1.5, 2.5)
 
 
 def test_dilation_scaling():
-    # same samples, doubled spacing: norm scales by 2^(d/p)
+    # same samples, doubled spacing in d = 2 (cell volume 4): norm scales by 2^(d/p)
     rng = np.random.default_rng(17)
     v = rng.standard_normal((16, 16))
-    f1 = SampledField(values=v, origin=(0.0, 0.0), spacing=(1.0, 1.0))
-    f2 = SampledField(values=v, origin=(0.0, 0.0), spacing=(2.0, 2.0))
     for p, s in ((2.0, 1.0), (3.0, math.inf), (1.2, 1.2)):
-        n1 = lorentz_norm(f1, LorentzExponent(p, s))
-        n2 = lorentz_norm(f2, LorentzExponent(p, s))
+        n1 = lorentz_norm_values(v, 1.0, p, s)
+        n2 = lorentz_norm_values(v, 4.0, p, s)
         assert abs(n2 - 2.0 ** (2.0 / p) * n1) <= 1e-10 * n2
 
 
@@ -211,11 +215,9 @@ def test_pointwise_monotonicity():
     small = rng.standard_normal(40)
     big = small * (1.0 + rng.uniform(0.0, 1.0, 40))
     for p, s in ((2.0, 1.0), (2.0, math.inf), (4.0, 0.5)):
-        e = LorentzExponent(p, s)
-        assert lorentz_norm(_field(small), e) <= lorentz_norm(_field(big), e) + 1e-14
+        assert lorentz_norm_values(small, 1.0, p, s) <= lorentz_norm_values(big, 1.0, p, s) + 1e-14
 
 
 def test_zero_field_has_zero_norm():
-    f = _field([0.0, 0.0, 0.0])
-    assert lorentz_norm(f, LorentzExponent(2.0, 1.0)) == 0.0
-    assert lorentz_norm(f, LorentzExponent(2.0, math.inf)) == 0.0
+    assert lorentz_norm_values(np.zeros(3), 1.0, 2.0, 1.0) == 0.0
+    assert lorentz_norm_values(np.zeros(3), 1.0, 2.0, math.inf) == 0.0

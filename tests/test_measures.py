@@ -65,8 +65,6 @@ def test_constructor_validation():
         make_cantor_measure(0.3, 0)
     with pytest.raises(ValueError, match="levels"):
         make_cantor_measure(0.3, 26)
-    with pytest.raises(ValueError, match="experimental"):
-        make_random_cantor_measure(0.3, 4)
 
 
 def test_circle_measure_basic_shape():
@@ -327,7 +325,7 @@ def test_dyadic_piece_of_point_mass_is_pure_ring():
     m = make_point_mass([0.0])
     piece = dyadic_piece(m, 3, g, mu_hat_on_lattice(m, g))
     assert piece.sup_mu_hat_j == pytest.approx(1.0, abs=1e-15)
-    back = fourier_on_grid(piece.field.values, g)
+    back = fourier_on_grid(piece.values, g)
     ring = dyadic_ring(g.freq_axis() ** 2, 3)
     assert np.max(np.abs(back - ring)) < 1e-12
 
@@ -338,7 +336,7 @@ def test_dyadic_pieces_sum_to_low_pass():
     mu_hat = mu_hat_on_lattice(m, g)
     total = None
     for j in range(3):
-        f = dyadic_piece(m, j, g, mu_hat).field.values
+        f = dyadic_piece(m, j, g, mu_hat).values
         total = f if total is None else total + f
     fx, fy = freq_mesh(g)
     lattice = np.stack([fx.ravel(), fy.ravel()], axis=1)
@@ -369,7 +367,7 @@ def test_dyadic_piece_equals_full_lattice_product(measure, grid, J):
         full = mu_hat * dyadic_ring(u, j)
         values = inverse_fourier_on_grid(full, grid)
         piece = dyadic_piece(measure, j, grid, mu_hat)
-        assert np.array_equal(piece.field.values, values)
+        assert np.array_equal(piece.values, values)
         assert piece.sup_mu_hat_j == float(np.abs(full).max())
         assert piece.sup_mu_j == float(np.abs(values).max())
 
@@ -417,8 +415,8 @@ def test_load_rejects_non_finite_rows(tmp_path):
 
 
 def test_random_cantor_is_reproducible_and_valid():
-    a = make_random_cantor_measure(1 / 3, 6, seed=5, experimental=True)
-    b = make_random_cantor_measure(1 / 3, 6, seed=5, experimental=True)
+    a = make_random_cantor_measure(1 / 3, 6, seed=5)
+    b = make_random_cantor_measure(1 / 3, 6, seed=5)
     assert np.array_equal(a.atoms, b.atoms)
     assert a.n_atoms == 64
     assert np.all(a.atoms >= 0.0) and np.all(a.atoms <= 1.0)

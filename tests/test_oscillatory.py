@@ -61,7 +61,7 @@ def test_zero_phase_output_is_rank_one_and_lambda_free():
     f = np.exp(-3.0 * y**2)
     a = apply_T_lambda(spec, 10.0, f, y_axes, x_axes)
     b = apply_T_lambda(spec, 1000.0, f, y_axes, x_axes)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     # output factors as zeta1(x) * integral(zeta2 f)
     dy = y[1] - y[0]
     from restrictionlab.bumps import bump
@@ -69,7 +69,7 @@ def test_zero_phase_output_is_rank_one_and_lambda_free():
     weight = np.sum(bump(np.abs(y) / 1.0) * f) * dy
     X0, X1 = np.meshgrid(x_axes[0], x_axes[1], indexing="ij")
     pred = bump(np.sqrt(X0**2 + X1**2) / 1.0) * weight
-    assert np.max(np.abs(a.values - pred)) < 1e-12
+    assert np.max(np.abs(a - pred)) < 1e-12
 
 
 def test_dense_quadrature_is_linear():
@@ -80,10 +80,10 @@ def test_dense_quadrature_is_linear():
     f = np.exp(-(y**2)) + 0.3j * y
     g = np.cos(2.0 * y)
     lam = 30.0
-    lhs = apply_T_lambda(spec, lam, 2.0 * f + g, y_axes, x_axes).values
+    lhs = apply_T_lambda(spec, lam, 2.0 * f + g, y_axes, x_axes)
     rhs = (
-        2.0 * apply_T_lambda(spec, lam, f, y_axes, x_axes).values
-        + apply_T_lambda(spec, lam, g, y_axes, x_axes).values
+        2.0 * apply_T_lambda(spec, lam, f, y_axes, x_axes)
+        + apply_T_lambda(spec, lam, g, y_axes, x_axes)
     )
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -99,7 +99,7 @@ def test_stationary_phase_decay_rate():
     for k in range(6, 13):
         lam = 2.0**k
         fld = apply_T_lambda(spec, lam, f, y_axes, x_axes)
-        pts.append((lam, abs(fld.values[0, 0])))
+        pts.append((lam, abs(fld[0, 0])))
     fit = loglog_fit(pts)
     assert -0.65 <= fit.slope <= -0.35
 
@@ -116,7 +116,7 @@ def test_sup_bound_by_amplitude_mass():
     X0, X1 = np.meshgrid(x_axes[0], x_axes[1], indexing="ij")
     xpts = np.stack([X0.ravel(), X1.ravel()], axis=1)
     amp_mass = max(np.sum(np.abs(spec.amp(x, y.reshape(-1, 1)))) * dy for x in xpts)
-    assert np.abs(fld.values).max() <= np.abs(f).max() * amp_mass + 1e-12
+    assert np.abs(fld).max() <= np.abs(f).max() * amp_mass + 1e-12
 
 
 def test_axis_count_validation():
@@ -137,8 +137,6 @@ def test_resolution_guard_fires_for_coarse_grids():
     x_axes = [np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)]
     with pytest.raises(ValueError, match="under-resolved"):
         apply_T_lambda(spec, 1e5, np.ones(32), y_axes, x_axes)
-    # the same call passes with the guard off
-    apply_T_lambda(spec, 1e5, np.ones(32), y_axes, x_axes, check_resolution=False)
 
 
 # ------------------------------------------------------------------ fast path
@@ -151,8 +149,8 @@ def test_fast_path_matches_dense_for_parabola():
     term = (lambda t: np.exp(-(t**2)),)
     dense = apply_T_lambda(spec, 50.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
     factors = phase_factors(spec, 50.0, y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, 50.0, [term], y_axes, x_axes, factors)
-    assert np.max(np.abs(dense.values - fast.values)) < 1e-12
+    fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
+    assert np.max(np.abs(dense - fast)) < 1e-12
 
 
 def test_fast_path_matches_dense_for_two_dim_y():
@@ -163,8 +161,8 @@ def test_fast_path_matches_dense_for_two_dim_y():
     F = np.exp(-y_axes[0][:, None] ** 2) / (1.0 + y_axes[1][None, :] ** 2)
     dense = apply_T_lambda(spec, 50.0, F, y_axes, x_axes)
     factors = phase_factors(spec, 50.0, y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, 50.0, [term], y_axes, x_axes, factors)
-    assert np.max(np.abs(dense.values - fast.values)) < 1e-12
+    fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
+    assert np.max(np.abs(dense - fast)) < 1e-12
 
 
 def test_fast_path_sums_terms():
@@ -174,12 +172,12 @@ def test_fast_path_sums_terms():
     t1 = (lambda t: np.exp(-(t**2)),)
     t2 = (lambda t: np.cos(t),)
     factors = phase_factors(spec, 20.0, y_axes, x_axes)
-    both = apply_T_lambda_product(spec, 20.0, [t1, t2], y_axes, x_axes, factors)
+    both = apply_T_lambda_product(spec, [t1, t2], y_axes, x_axes, factors)
     split = (
-        apply_T_lambda_product(spec, 20.0, [t1], y_axes, x_axes, factors).values
-        + apply_T_lambda_product(spec, 20.0, [t2], y_axes, x_axes, factors).values
+        apply_T_lambda_product(spec, [t1], y_axes, x_axes, factors)
+        + apply_T_lambda_product(spec, [t2], y_axes, x_axes, factors)
     )
-    assert np.max(np.abs(both.values - split)) < 1e-12
+    assert np.max(np.abs(both - split)) < 1e-12
 
 
 def test_fast_path_requires_separable_structure(tmp_path):
@@ -194,7 +192,7 @@ def test_fast_path_requires_separable_structure(tmp_path):
     # factors built for a separable phase do not make this one separable
     factors = phase_factors(CAT1["parabola"], 10.0, y_axes, x_axes)
     with pytest.raises(ValueError, match="separable"):
-        apply_T_lambda_product(spec, 10.0, [(lambda t: t,)], y_axes, x_axes, factors)
+        apply_T_lambda_product(spec, [(lambda t: t,)], y_axes, x_axes, factors)
 
 
 @pytest.mark.parametrize("name", ["parabola", "fold-curved", "cone"])
@@ -223,9 +221,9 @@ def test_shared_factors_match_per_call_factors(name):
     shared = phase_factors(spec, lam, y_axes, x_axes)
     for member in members:
         fresh = phase_factors(spec, lam, y_axes, x_axes)
-        a = apply_T_lambda_product(spec, lam, member, y_axes, x_axes, shared)
-        b = apply_T_lambda_product(spec, lam, member, y_axes, x_axes, fresh)
-        assert np.array_equal(a.values, b.values)
+        a = apply_T_lambda_product(spec, member, y_axes, x_axes, shared)
+        b = apply_T_lambda_product(spec, member, y_axes, x_axes, fresh)
+        assert np.array_equal(a, b)
 
 
 def test_fast_path_rejects_foreign_factors():
@@ -236,17 +234,17 @@ def test_fast_path_rejects_foreign_factors():
     good = phase_factors(spec, 20.0, y_axes, x_axes)
     missing = {k: v for k, v in good.items() if k != (1, 1)}
     with pytest.raises(ValueError, match="couplings"):
-        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, missing)
+        apply_T_lambda_product(spec, term, y_axes, x_axes, missing)
     other_x = phase_factors(spec, 20.0, y_axes, [np.linspace(-1.1, 1.1, 11)] * 2)
     with pytest.raises(ValueError, match="shape"):
-        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, other_x)
+        apply_T_lambda_product(spec, term, y_axes, x_axes, other_x)
     other_y = phase_factors(spec, 20.0, [np.linspace(-1.2, 1.2, 130)] * 2, x_axes)
     with pytest.raises(ValueError, match="shape"):
-        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, other_y)
+        apply_T_lambda_product(spec, term, y_axes, x_axes, other_y)
     # another phase's couplings
     parabola = phase_factors(CAT1["parabola"], 20.0, y_axes[:1], x_axes)
     with pytest.raises(ValueError, match="couplings"):
-        apply_T_lambda_product(spec, 20.0, term, y_axes, x_axes, parabola)
+        apply_T_lambda_product(spec, term, y_axes, x_axes, parabola)
 
 
 # ---------------------------------------------------------- hypothesis checks
@@ -467,6 +465,7 @@ def test_zero_phase_scaling_is_flat():
         [8.0, 16.0, 32.0, 64.0],
         constant_family(1.0, 1),
         q=2.0,
+        s=2.0,
         x_points=48,
         y_points=512,
     )
@@ -508,8 +507,9 @@ def test_scaling_report_validation():
 
 def test_scaling_experiment_input_guards():
     fam = constant_family(1.0, 1)
+    sizes = {"x_points": 48, "y_points": 512}
     with pytest.raises(ValueError, match="4 lambda"):
-        scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0], fam, q=2.0)
+        scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0], fam, q=2.0, s=2.0, **sizes)
     # coarse y grid: every lambda is dropped by the resolution rule
     with pytest.raises(ValueError, match="survive"):
         scaling_experiment(
@@ -517,13 +517,45 @@ def test_scaling_experiment_input_guards():
             [1e4, 2e4, 4e4, 8e4],
             parabola_scaling_family(seed=0, radius=1.0),
             q=6.0,
+            s=2.0,
             x_points=16,
             y_points=128,
         )
-    # fewer than two points on an axis: rejected, not read as the default
-    for points in ({"x_points": 1}, {"y_points": 0}, {"x_points": 0, "y_points": 64}):
+    # fewer than two points on an axis: rejected
+    for points in (
+        {"x_points": 1, "y_points": 512},
+        {"x_points": 48, "y_points": 0},
+        {"x_points": 0, "y_points": 64},
+    ):
         with pytest.raises(ValueError, match=">= 2"):
-            scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0, 64.0], fam, q=2.0, **points)
+            scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0, 64.0], fam, q=2.0, s=2.0, **points)
+
+
+@pytest.mark.parametrize(
+    "q, s, message",
+    [
+        (0.0, 2.0, "p must be finite and positive"),
+        (-1.0, 2.0, "p must be finite and positive"),
+        (float("inf"), 2.0, "p must be finite and positive"),
+        (float("nan"), 2.0, "p must be finite and positive"),
+        (2.0, 0.0, "s must be positive"),
+        (2.0, -2.0, "s must be positive"),
+        (2.0, float("nan"), "s must be positive"),
+    ],
+)
+def test_scaling_experiment_checks_lorentz_exponents_first(monkeypatch, q, s, message):
+    # the exponents are checked before the gradient bound and the first
+    # phase matrices, so a bad pair costs no sweep
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep started despite a bad Lorentz exponent")
+
+    monkeypatch.setattr(osc, "_max_y_gradient", refuse)
+    monkeypatch.setattr(osc, "phase_factors", refuse)
+    fam = constant_family(1.0, 1)
+    with pytest.raises(ValueError, match=message):
+        scaling_experiment(
+            CAT1["zero"], [8.0, 16.0, 32.0, 64.0], fam, q=q, s=s, x_points=48, y_points=512
+        )
 
 
 def test_family_members_are_reproducible():
@@ -625,8 +657,8 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
     term = (lambda t: np.exp(-(t**2)),)
     dense = apply_T_lambda(spec, 30.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
     factors = phase_factors(spec, 30.0, y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, 30.0, [term], y_axes, x_axes, factors)
-    assert np.max(np.abs(dense.values - fast.values)) < 1e-12
+    fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
+    assert np.max(np.abs(dense - fast)) < 1e-12
 
 
 @pytest.mark.parametrize(
