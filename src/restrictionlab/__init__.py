@@ -23,7 +23,6 @@ from .bumps import (
 )
 from .grids import (
     GridSpec,
-    SampledField,
     fourier_on_grid,
     inverse_fourier_on_grid,
 )

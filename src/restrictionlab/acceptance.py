@@ -229,16 +229,16 @@ def criterion_6(seed: int = 0) -> CriterionResult:
     worst_identity = 0.0
     worst_adjoint = 0.0
     rows = []
-    for k, f in enumerate(fields):
-        rsq = restrict_sq_integral(f, measure)
-        conv = convolve_mu_hat(f, reflected)
-        pairing = complex(np.sum(np.conj(f.values) * conv) * cell)
+    for k, (_, f) in enumerate(fields):
+        rsq = restrict_sq_integral(f, measure, grid)
+        conv = convolve_mu_hat(f, reflected, grid)
+        pairing = complex(np.sum(np.conj(f) * conv) * cell)
         rel = abs(rsq - pairing) / rsq
         worst_identity = max(worst_identity, rel)
         g = rng.standard_normal(measure.n_atoms) + 1j * rng.standard_normal(measure.n_atoms)
         eg = extend(g, measure, grid)
-        lhs = complex(np.sum(eg * np.conj(f.values)) * cell)
-        rhs = complex(np.sum(np.asarray(measure.weights) * g * np.conj(restrict_at_atoms(f, measure))))
+        lhs = complex(np.sum(eg * np.conj(f)) * cell)
+        rhs = complex(np.sum(np.asarray(measure.weights) * g * np.conj(restrict_at_atoms(f, measure, grid))))
         scale = max(abs(lhs), abs(rhs), 1e-300)
         adj = abs(lhs - rhs) / scale
         worst_adjoint = max(worst_adjoint, adj)

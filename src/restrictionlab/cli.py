@@ -484,10 +484,10 @@ def cmd_restrict(args) -> Result:
         fields = random_smooth_family(grid, args.count, seed=args.seed)
     rows = []
     ratios = []
-    for f in fields:
-        ratio = stein_tomas_ratio(f, measure, profile)
+    for label, values in fields:
+        ratio = stein_tomas_ratio(values, measure, grid, profile)
         ratios.append(ratio)
-        rows.append((f.label, ratio))
+        rows.append((label, ratio))
     spread = flatness_factor(ratios)
     checks = [
         ("all ratios positive and finite", all(0 < r < math.inf for r in ratios), ""),

@@ -40,8 +40,13 @@ def loglog_fit(points) -> FitResult:
 
 
 def flatness_factor(values) -> float:
-    """max/min of a positive sequence; the 'varies by at most a factor' statistic."""
+    """max/min of a positive sequence; the 'varies by at most a factor' statistic.
+
+    At least 2 values: one value is flat by definition, so a flatness check
+    on it would pass vacuously."""
     v = np.asarray(list(values), dtype=float)
-    if v.size == 0 or np.any(v <= 0):
+    if v.size < 2:
+        raise ValueError("a flatness factor needs at least 2 values, got %d" % v.size)
+    if np.any(v <= 0):
         raise ValueError("flatness_factor needs positive values")
     return float(np.max(v) / np.min(v))

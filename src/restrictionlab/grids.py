@@ -1,19 +1,21 @@
-"""Uniform grids, sampled fields, and the lattice Fourier transform.
+"""Uniform grids and the lattice Fourier transform.
 
 A GridSpec describes the symmetric box [-L, L)^d sampled at N points per
 axis. Its frequency lattice has spacing 1/(2L) and reaches the Nyquist
 frequency N/(4L); transforming a field on the grid to that lattice is an
 exact rearrangement of the DFT (checkerboard signs absorb the -L offset),
-so grid transforms and direct summation agree to rounding error.
+so grid transforms and direct summation agree to rounding error. A field
+on a grid is an (N,)*d array of its samples; the GridSpec holds the
+lattice, and no other type restates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec", "SampledField", "fourier_on_grid", "inverse_fourier_on_grid"]
+__all__ = ["GridSpec", "fourier_on_grid", "inverse_fourier_on_grid"]
 
 
 @dataclass(frozen=True)
@@ -60,50 +62,6 @@ class GridSpec:
 
     def mesh(self) -> tuple:
         return np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
-
-
-@dataclass(frozen=True)
-class SampledField:
-    """Complex samples of a function on a uniform grid: the input type of
-    the restriction operators, which read its lattice.
-
-    origin[i] is the coordinate of index 0 along axis i and spacing[i] the
-    step; cell_volume is the product of spacings. Values are stored as a
-    d-dimensional complex array. Fields the package computes are returned
-    as plain arrays on the caller's grid.
-    """
-
-    values: np.ndarray
-    origin: tuple
-    spacing: tuple
-    label: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", v)
-        if v.ndim != len(self.origin) or v.ndim != len(self.spacing):
-            raise ValueError("origin/spacing arity must match value dimensions")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError("spacings must be positive")
-        if not np.isfinite(v).all():
-            raise ValueError("field values must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
-    @classmethod
-    def on_grid(cls, grid: GridSpec, values: np.ndarray, label: str = "") -> "SampledField":
-        return cls(
-            values=np.asarray(values, dtype=complex),
-            origin=(-grid.half_width,) * grid.dim,
-            spacing=(grid.spacing,) * grid.dim,
-            label=label,
-        )
 
 
 # lines per block of the last-axis pass of inverse_fourier_on_grid

@@ -121,20 +121,12 @@ class ExperimentReport:
     """
 
     n_values: Tuple[int, ...]
-    q: float
-    p: float
     norm_g: Tuple[float, ...]
     s_values: Tuple[float, ...]
     norms_f: Tuple[Tuple[float, ...], ...]
     fit_g: FitResult
     fits_f: Tuple[FitResult, ...]
     gaps: Tuple[float, ...]
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.norm_g):
-            raise ValueError("norms must be positive")
-        if len(self.n_values) < 3:
-            raise ValueError("need >= 3 N values for fits")
 
 
 def knapp_sharpness_experiment(
@@ -181,8 +173,6 @@ def knapp_sharpness_experiment(
     gaps = tuple(fit_g.slope - ff.slope for ff in fits_f)
     return ExperimentReport(
         n_values=tuple(n_values),
-        q=float(q),
-        p=float(p),
         norm_g=tuple(norm_g),
         s_values=s_values,
         norms_f=tuple(norms_f),

@@ -6,8 +6,11 @@ identity between the squared restriction integral and the convolution
 operator holds to rounding, not just to quadrature error. The atom sums
 on a grid (extend, the second half of convolve_mu_hat) run the one kernel
 behind measures.mu_hat_on_lattice; restrict_at_atoms is its transpose.
-Input fields are SampledFields, which carry their lattice; the fields
-computed here are plain arrays on the grid or the input's lattice.
+A field is an (N,)*d array of samples on a GridSpec, which holds its
+lattice; restrict_at_atoms and convolve_mu_hat check it once on entry
+(the grid's dimension, the shape, finite values), and the fields computed
+here are arrays on the same grid. The test families return lists of
+(label, values) pairs: lists, because a repeated scale repeats a label.
 
 Conventions match measures.fourier_transform_at: forward transforms carry
 exp(-2 pi i <x, xi>), the extension (adjoint) carries exp(+2 pi i <x_j, x>).
@@ -15,12 +18,12 @@ exp(-2 pi i <x, xi>), the extension (adjoint) carries exp(+2 pi i <x_j, x>).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bumps import bump
-from .grids import GridSpec, SampledField
+from .grids import GridSpec
 from .lorentz import lorentz_norm_values
 from .measures import DiscreteMeasure, _atom_sum, _phase_matrices
 
@@ -34,10 +37,6 @@ __all__ = [
     "random_smooth_family",
     "knapp_cap_family",
 ]
-
-
-def _field_axes(f: SampledField) -> List[np.ndarray]:
-    return [o + h * np.arange(n) for o, h, n in zip(f.origin, f.spacing, f.values.shape)]
 
 
 def _transform_at_points(
@@ -75,39 +74,52 @@ def extend(g, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     return _atom_sum(g * measure.weights, measure.atoms, axes, +1.0)
 
 
-def restrict_at_atoms(f: SampledField, measure: DiscreteMeasure) -> np.ndarray:
+def _check_field(values, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
+    """values as a complex array, once they are finite samples on the grid
+    and the grid has the measure's dimension: the one check of a field
+    entering restrict_at_atoms or convolve_mu_hat."""
+    if grid.dim != measure.dim:
+        raise ValueError("grid dimension != measure dimension")
+    v = np.asarray(values, dtype=complex)
+    shape = (grid.points_per_axis,) * grid.dim
+    if v.shape != shape:
+        raise ValueError("field shape %s does not match the grid's %s" % (v.shape, shape))
+    if not np.isfinite(v).all():
+        raise ValueError("field values must be finite")
+    return v
+
+
+def restrict_at_atoms(values, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     """f_hat evaluated at the atoms by direct Riemann quadrature over the
-    field's own lattice (no interpolation: atoms may be off-lattice)."""
-    if f.dim != measure.dim:
-        raise ValueError("field dimension != measure dimension")
-    return _transform_at_points(f.values, _field_axes(f), measure.atoms, -1.0, f.cell_volume)
+    grid (no interpolation: atoms may be off-lattice)."""
+    v = _check_field(values, measure, grid)
+    axes = [grid.axis()] * grid.dim
+    return _transform_at_points(v, axes, measure.atoms, -1.0, grid.cell_volume)
 
 
-def restrict_sq_integral(f: SampledField, measure: DiscreteMeasure) -> float:
+def restrict_sq_integral(values, measure: DiscreteMeasure, grid: GridSpec) -> float:
     """integral of |f_hat|^2 against the measure: sum_j w_j |f_hat(x_j)|^2."""
-    fh = restrict_at_atoms(f, measure)
+    fh = restrict_at_atoms(values, measure, grid)
     return float(np.sum(measure.weights * np.abs(fh) ** 2))
 
 
-def _check_inner_half_support(f: SampledField) -> None:
-    axes = _field_axes(f)
-    half = [-(ax[0]) / 2.0 for ax in axes]  # box is [-L, L); inner half is |x| <= L/2
-    mask = np.abs(f.values) > 0
+def _check_inner_half_support(values: np.ndarray, grid: GridSpec) -> None:
+    ax = grid.axis()
+    half = grid.half_width / 2.0  # box is [-L, L); inner half is |x| <= L/2
+    mask = np.abs(values) > 0
     if not mask.any():
         return
-    idx = np.nonzero(mask)
-    for k, ax in enumerate(axes):
-        span = np.abs(ax[idx[k]]).max()
-        if span > half[k] + 1e-12:
+    for k, idx in enumerate(np.nonzero(mask)):
+        span = np.abs(ax[idx]).max()
+        if span > half + 1e-12:
             raise ValueError(
                 "field support reaches |x_%d| = %g, beyond the inner half %g "
-                "of the box; enlarge or recenter the grid" % (k, span, half[k])
+                "of the box; enlarge or recenter the grid" % (k, span, half)
             )
 
 
-def convolve_mu_hat(f: SampledField, measure: DiscreteMeasure) -> np.ndarray:
-    """f convolved with mu_hat, sampled on f's own lattice (an array of
-    f.values' shape).
+def convolve_mu_hat(values, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
+    """f convolved with mu_hat, sampled on the grid (an (N,)*d array).
 
     The transform of mu_hat is the reflected atomic measure, so the
     convolution has the exact rank-n form
@@ -117,27 +129,27 @@ def convolve_mu_hat(f: SampledField, measure: DiscreteMeasure) -> np.ndarray:
     precondition is enforced so results stay comparable with grid-transform
     implementations of the same operator.
     """
-    if f.dim != measure.dim:
-        raise ValueError("field dimension != measure dimension")
-    _check_inner_half_support(f)
-    axes = _field_axes(f)
-    fh = _transform_at_points(f.values, axes, measure.atoms, +1.0, f.cell_volume)
+    v = _check_field(values, measure, grid)
+    _check_inner_half_support(v, grid)
+    axes = [grid.axis()] * grid.dim
+    fh = _transform_at_points(v, axes, measure.atoms, +1.0, grid.cell_volume)
     return _atom_sum(measure.weights * fh, measure.atoms, axes, -1.0)
 
 
-def stein_tomas_ratio(f: SampledField, measure: DiscreteMeasure, profile) -> float:
+def stein_tomas_ratio(values, measure: DiscreteMeasure, grid: GridSpec, profile) -> float:
     """sqrt(restriction square integral) over the (p0, 2) Lorentz norm of f.
 
     The endpoint estimate bounds this ratio by a constant depending only on
     the measure's regularity and decay; families of test fields probe its
     flatness."""
-    denom = lorentz_norm_values(f.values, f.cell_volume, float(profile.p0), 2.0)
+    rsq = restrict_sq_integral(values, measure, grid)  # checks the field first
+    denom = lorentz_norm_values(values, grid.cell_volume, float(profile.p0), 2.0)
     if denom == 0.0:
         raise ValueError("zero field has no ratio")
-    return float(np.sqrt(restrict_sq_integral(f, measure)) / denom)
+    return float(np.sqrt(rsq) / denom)
 
 
-def gaussian_dilate_family(grid: GridSpec, scales: Sequence[float]) -> List[SampledField]:
+def gaussian_dilate_family(grid: GridSpec, scales: Sequence[float]) -> List[Tuple[str, np.ndarray]]:
     """Isotropic dilates g(t x) of the Gaussian g = exp(-2 pi |x|^2).
 
     The base width is chosen so that every dilate with t >= 1 keeps
@@ -149,11 +161,11 @@ def gaussian_dilate_family(grid: GridSpec, scales: Sequence[float]) -> List[Samp
     out = []
     for t in scales:
         vals = np.exp(-2.0 * np.pi * (float(t) ** 2) * r2)
-        out.append(SampledField.on_grid(grid, vals, label="gauss-t%g" % t))
+        out.append(("gauss-t%g" % t, vals))
     return out
 
 
-def random_smooth_family(grid: GridSpec, count: int, seed: int = 0) -> List[SampledField]:
+def random_smooth_family(grid: GridSpec, count: int, seed: int = 0) -> List[Tuple[str, np.ndarray]]:
     """Random band-limited trigonometric polynomials (modes |k_j| <= 3 per
     axis) under a fixed bump envelope, supported in the inner half of the
     box. Deterministic for a given seed; the workhorse inputs for identity
@@ -178,11 +190,11 @@ def random_smooth_family(grid: GridSpec, count: int, seed: int = 0) -> List[Samp
         for c, k in zip(coef, kvecs):
             angle = sum(k[j] * mesh[j] for j in range(grid.dim)) / L
             vals = vals + c * np.exp(1j * np.pi * angle)
-        out.append(SampledField.on_grid(grid, vals * envelope, label="rand-%d" % idx))
+        out.append(("rand-%d" % idx, vals * envelope))
     return out
 
 
-def knapp_cap_family(grid: GridSpec, deltas: Sequence[float]) -> List[SampledField]:
+def knapp_cap_family(grid: GridSpec, deltas: Sequence[float]) -> List[Tuple[str, np.ndarray]]:
     """Modulated anisotropic caps adapted to the unit sphere near its
     north pole: frequency support of width ~delta tangentially and a fixed
     box-limited thickness radially.
@@ -204,5 +216,5 @@ def knapp_cap_family(grid: GridSpec, deltas: Sequence[float]) -> List[SampledFie
                 vals = vals * bump(np.abs(mesh[k]) * (2.0 / L))
             else:
                 vals = vals * bump(np.abs(mesh[k]) * d)
-        out.append(SampledField.on_grid(grid, vals, label="knapp-d%g" % d))
+        out.append(("knapp-d%g" % d, vals))
     return out

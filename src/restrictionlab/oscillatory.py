@@ -347,15 +347,16 @@ def phase_catalog(amp_radius: float = 0.09) -> Dict[str, PhaseSpec]:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of a hypothesis check over a probe set. values holds one
-    diagnostic tuple per probe (or per located singular point); the verdict
-    is the conjunction of the per-point checks at the stated tolerance."""
+    """Outcome of a hypothesis check over a probe set. probes holds the
+    points checked (for check_fold, the singular points it located) and
+    values one diagnostic per point; the verdict is the conjunction of the
+    per-point checks at the check's fixed tolerance (RANK_TOL or
+    FOLD_DERIV_TOL)."""
 
     condition: str
     probes: tuple
     values: tuple
     verdict: bool
-    tolerance: float
     notes: str = ""
 
 
@@ -378,7 +379,6 @@ def check_rank_mixed_hessian(spec: PhaseSpec, probes: Sequence) -> ConditionRepo
         probes=tuple((tuple(np.atleast_1d(x)), tuple(np.atleast_1d(y))) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= target for r in ranks)),
-        tolerance=RANK_TOL,
     )
 
 
@@ -411,7 +411,6 @@ def check_curvature_rank(spec: PhaseSpec, probes: Sequence, kappa_target: int) -
         probes=tuple((tuple(x), tuple(y)) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= kappa_target for r in ranks)),
-        tolerance=RANK_TOL,
     )
 
 
@@ -491,7 +490,6 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
             probes=tuple((tuple(x), tuple(y)) for x, y in pts),
             values=(),
             verdict=True,
-            tolerance=FOLD_DERIV_TOL,
             notes="fold hypothesis vacuous here: no singular points located",
         )
     values = []
@@ -550,7 +548,6 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
         probes=tuple((tuple(x), tuple(y)) for x, y in kept),
         values=tuple(values),
         verdict=ok,
-        tolerance=FOLD_DERIV_TOL,
         notes="%d singular points located" % len(kept),
     )
 
@@ -813,16 +810,6 @@ class ScalingReport:
     target_slope: float
     dropped: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if len(self.lam_values) < 4:
-            raise ValueError("need >= 4 lambda values")
-        q = [
-            self.lam_values[k + 1] / self.lam_values[k]
-            for k in range(len(self.lam_values) - 1)
-        ]
-        if any(abs(r - q[0]) > 1e-9 * q[0] for r in q):
-            raise ValueError("lambda values must be geometric")
-
 
 def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
     total = 0.0 + 0.0j
@@ -857,6 +844,13 @@ def scaling_experiment(
     lams = [float(v) for v in lam_list]
     if len(lams) < 4:
         raise ValueError("need >= 4 lambda values")
+    if not all(0 < lam < math.inf for lam in lams):
+        raise ValueError("lambda values must be finite and positive, got %s" % lams)
+    # the resolution rule drops only the largest lambdas, so the kept ones
+    # stay geometric when these are
+    steps = [b / a for a, b in zip(lams, lams[1:])]
+    if any(abs(r - steps[0]) > 1e-9 * steps[0] for r in steps):
+        raise ValueError("lambda values must be geometric")
     q, s = float(q), float(s)
     _check_exponents(q, (s,))
     nx, ny = int(x_points), int(y_points)

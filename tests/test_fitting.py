@@ -56,7 +56,9 @@ def test_fit_result_is_frozen():
 
 def test_flatness_factor_basic():
     assert flatness_factor([2.0, 3.0, 4.0]) == pytest.approx(2.0, abs=1e-15)
-    assert flatness_factor([5.0]) == pytest.approx(1.0, abs=1e-15)
+    # one value is flat by definition: a check on it would pass vacuously
+    with pytest.raises(ValueError, match="at least 2 values, got 1"):
+        flatness_factor([5.0])
 
 
 def test_flatness_factor_rejects_nonpositive():

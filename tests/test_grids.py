@@ -1,4 +1,4 @@
-"""Grid geometry, sampled-field validation, and the lattice Fourier transform."""
+"""Grid geometry and the lattice Fourier transform."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from restrictionlab.grids import (
     GridSpec,
-    SampledField,
     _sign_mesh,
     fourier_on_grid,
     inverse_fourier_on_grid,
@@ -167,36 +166,3 @@ def test_transform_shape_check():
         fourier_on_grid(np.zeros(16), g)
     with pytest.raises(ValueError, match="shape"):
         inverse_fourier_on_grid(np.zeros((8, 8)), g)
-
-
-def test_sampled_field_validation():
-    with pytest.raises(ValueError, match="arity"):
-        SampledField(values=np.zeros((4, 4)), origin=(0.0,), spacing=(1.0, 1.0))
-    with pytest.raises(ValueError, match="positive"):
-        SampledField(values=np.zeros(4), origin=(0.0,), spacing=(0.0,))
-    with pytest.raises(ValueError, match="finite"):
-        SampledField(values=np.array([1.0, np.nan]), origin=(0.0,), spacing=(1.0,))
-
-
-def test_sampled_field_accepts_non_contiguous_values():
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    for vals in (v.T, v[:, ::2], np.asfortranarray(v)):
-        f = SampledField(values=vals, origin=(0.0, 0.0), spacing=(1.0, 1.0))
-        assert np.array_equal(f.values, vals)
-    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
-        w = v.copy()
-        w[2, 5] = bad
-        for vals in (w.T, w[:, 1::2]):
-            with pytest.raises(ValueError, match="finite"):
-                SampledField(values=vals, origin=(0.0, 0.0), spacing=(1.0, 1.0))
-
-
-def test_sampled_field_on_grid():
-    g = GridSpec(dim=2, half_width=3.0, points_per_axis=16)
-    f = SampledField.on_grid(g, np.ones((16, 16)), label="unit")
-    assert f.dim == 2
-    assert f.origin == (-3.0, -3.0)
-    assert f.cell_volume == pytest.approx(g.cell_volume)
-    assert f.label == "unit"
-    assert f.values.dtype == complex

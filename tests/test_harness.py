@@ -12,6 +12,7 @@ import pytest
 
 import restrictionlab
 from restrictionlab import cli
+from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
 from restrictionlab.measures import make_sphere_measure, save_measure
 from restrictionlab.reporting import (
@@ -268,6 +269,41 @@ def test_decay_needs_a_direction(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["decay", "--directions", "0", "--out", str(out)]) == 2
     assert "n_directions must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SMALL_RESTRICT = ["restrict", "--points", "128", "--half-width", "16", "--n", "256"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dyadic", "--kind", "point", "--dim", "2", "--points", "256", "--j-list", "3"],
+        _SMALL_RESTRICT + ["--scales", "1"],
+        _SMALL_RESTRICT + ["--family", "knapp", "--deltas", "0.25"],
+        _SMALL_RESTRICT + ["--family", "random", "--count", "1"],
+    ],
+)
+def test_single_value_flatness_exits_2(tmp_path, capsys, argv):
+    # max/min of one value is 1, so a flatness check on one j, scale, cap
+    # width or random field would pass vacuously
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "a flatness factor needs at least 2 values, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_geometric_lam_list_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # the fit assumes geometric lambdas; the list is checked before the
+    # gradient bound and the first phase matrices, not after the sweep
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep started despite a non-geometric lambda list")
+
+    monkeypatch.setattr(osc, "_max_y_gradient", refuse)
+    monkeypatch.setattr(osc, "phase_factors", refuse)
+    out = tmp_path / "r"
+    assert main(["oscillatory", "--lam-list", "16,32,64,200", "--out", str(out)]) == 2
+    assert "lambda values must be geometric" in capsys.readouterr().err
     assert not out.exists()
 
 

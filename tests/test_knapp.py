@@ -212,22 +212,3 @@ def test_experiment_peak_memory_stays_below_two_and_a_half_lattices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * lattice
-
-
-def test_report_validation():
-    grid = GridSpec(2, 128.0, 1024)
-    rep = knapp_sharpness_experiment(
-        2.0, 1.2, [2.0], [2, 3, 4], grid, sphere_n=1024
-    )
-    with pytest.raises(ValueError, match="positive"):
-        ExperimentReport(
-            n_values=rep.n_values,
-            q=rep.q,
-            p=rep.p,
-            norm_g=(0.0,) * 3,
-            s_values=rep.s_values,
-            norms_f=rep.norms_f,
-            fit_g=rep.fit_g,
-            fits_f=rep.fits_f,
-            gaps=rep.gaps,
-        )

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 from restrictionlab.bumps import dyadic_ring
 from restrictionlab.exponents import exponent_profile
 from restrictionlab.fitting import loglog_fit
-from restrictionlab.grids import (
-    GridSpec,
-    SampledField,
-    fourier_on_grid,
-)
+from restrictionlab.grids import GridSpec, fourier_on_grid
 from restrictionlab.measures import (
     DiscreteMeasure,
     fourier_transform_at,
@@ -65,27 +61,64 @@ def test_extension_input_validation():
 def test_restriction_of_zero_field_is_zero():
     g = GridSpec(2, 2.0, 16)
     m = make_sphere_measure(2, 32)
-    f = SampledField.on_grid(g, np.zeros((16, 16)))
-    assert np.max(np.abs(restrict_at_atoms(f, m))) == 0.0
-    assert restrict_sq_integral(f, m) == 0.0
+    f = np.zeros((16, 16))
+    assert np.max(np.abs(restrict_at_atoms(f, m, g))) == 0.0
+    assert restrict_sq_integral(f, m, g) == 0.0
 
 
 def test_restriction_dimension_check():
     g = GridSpec(1, 2.0, 16)
-    f = SampledField.on_grid(g, np.zeros(16))
     with pytest.raises(ValueError, match="dimension"):
-        restrict_at_atoms(f, make_sphere_measure(2, 32))
+        restrict_at_atoms(np.zeros(16), make_sphere_measure(2, 32), g)
+
+
+def test_operators_check_the_field_on_entry():
+    # the shape must be the grid's, and NaN or inf must not reach a sum,
+    # whatever the memory layout of the samples
+    g = GridSpec(2, 4.0, 8)
+    m = make_point_mass([0.0, 0.0])
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for op in (restrict_at_atoms, convolve_mu_hat):
+        for bad in (np.zeros(8), v[:, ::2], np.zeros((16, 16))):
+            with pytest.raises(ValueError, match="shape"):
+                op(bad, m, g)
+        for value in (complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 0.0)):
+            w = v.copy()
+            w[2, 5] = value
+            strided = np.zeros((16, 16), dtype=complex)
+            strided[::2, ::2] = w
+            for vals in (w, w.T, np.asfortranarray(w), strided[::2, ::2]):
+                with pytest.raises(ValueError, match="finite"):
+                    op(vals, m, g)
+
+
+def test_operators_accept_non_contiguous_fields():
+    # transposed, Fortran-ordered and strided samples are the same field
+    # as their contiguous copies
+    g = GridSpec(2, 4.0, 16)
+    m = make_sphere_measure(2, 32)
+    rng = np.random.default_rng(4)
+    big = np.zeros((32, 32), dtype=complex)
+    big[8:24, 8:24] = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    v = big[::2, ::2]  # nonzero on grid indices 4..11, inside |x| <= L/2
+    for vals in (v, v.T, np.asfortranarray(v)):
+        ref = np.ascontiguousarray(vals)
+        got = restrict_at_atoms(vals, m, g)
+        assert np.allclose(got, restrict_at_atoms(ref, m, g), rtol=1e-13, atol=0.0)
+        got = convolve_mu_hat(vals, m, g)
+        assert np.allclose(got, convolve_mu_hat(ref, m, g), rtol=1e-13, atol=1e-15)
 
 
 def test_extension_restriction_adjointness():
     # <E g, f>_grid = <g, R f>_mu: both are the same double sum reorganized
     g = GridSpec(2, 4.0, 64)
     m = make_sphere_measure(2, 96)
-    f = random_smooth_family(g, 1, seed=3)[0]
+    _, f = random_smooth_family(g, 1, seed=3)[0]
     rng = np.random.default_rng(9)
     gv = rng.standard_normal(96) + 1j * rng.standard_normal(96)
-    lhs = np.sum(extend(gv, m, g) * np.conj(f.values)) * g.cell_volume
-    rhs = np.sum(m.weights * gv * np.conj(restrict_at_atoms(f, m)))
+    lhs = np.sum(extend(gv, m, g) * np.conj(f)) * g.cell_volume
+    rhs = np.sum(m.weights * gv * np.conj(restrict_at_atoms(f, m, g)))
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -96,18 +129,18 @@ def test_pairing_identity_with_reflected_measure():
     m = make_sphere_measure(2, 96)
     refl = DiscreteMeasure(dim=2, atoms=-m.atoms, weights=m.weights, label="refl")
     for seed in (3, 5):
-        f = random_smooth_family(g, 1, seed=seed)[0]
-        conv = convolve_mu_hat(f, refl)
-        pair = np.real(np.sum(conv * np.conj(f.values)) * g.cell_volume)
-        direct = restrict_sq_integral(f, m)
+        _, f = random_smooth_family(g, 1, seed=seed)[0]
+        conv = convolve_mu_hat(f, refl, g)
+        pair = np.real(np.sum(conv * np.conj(f)) * g.cell_volume)
+        direct = restrict_sq_integral(f, m, g)
         assert abs(pair - direct) < 1e-10 * direct
 
 
 def test_convolution_with_point_mass_gives_mean():
     g = GridSpec(2, 4.0, 32)
-    f = random_smooth_family(g, 1, seed=4)[0]
-    conv = convolve_mu_hat(f, make_point_mass([0.0, 0.0]))
-    integral = np.sum(f.values) * g.cell_volume
+    _, f = random_smooth_family(g, 1, seed=4)[0]
+    conv = convolve_mu_hat(f, make_point_mass([0.0, 0.0]), g)
+    integral = np.sum(f) * g.cell_volume
     assert np.max(np.abs(conv - integral)) < 1e-12
 
 
@@ -117,8 +150,7 @@ def test_convolution_of_spike_samples_the_kernel():
     m = make_sphere_measure(2, 96)
     spike = np.zeros((64, 64))
     spike[36, 30] = 1.0
-    f = SampledField.on_grid(g, spike)
-    conv = convolve_mu_hat(f, m)
+    conv = convolve_mu_hat(spike, m, g)
     x0 = np.array([g.axis()[36], g.axis()[30]])
     X, Y = g.mesh()
     pts = np.stack([(X - x0[0]).ravel(), (Y - x0[1]).ravel()], axis=1)
@@ -129,12 +161,12 @@ def test_convolution_of_spike_samples_the_kernel():
 def test_convolution_matches_direct_quadrature():
     g = GridSpec(2, 4.0, 32)
     m = make_sphere_measure(2, 48)
-    f = random_smooth_family(g, 1, seed=4)[0]
-    conv = convolve_mu_hat(f, m)
+    _, f = random_smooth_family(g, 1, seed=4)[0]
+    conv = convolve_mu_hat(f, m, g)
     P = grid_points(g)
     diffs = (P[:, None, :] - P[None, :, :]).reshape(-1, 2)
     K = fourier_transform_at(m, diffs).reshape(P.shape[0], P.shape[0])
-    oracle = (K @ f.values.ravel()) * g.cell_volume
+    oracle = (K @ f.ravel()) * g.cell_volume
     assert np.max(np.abs(conv.ravel() - oracle)) < 1e-10
 
 
@@ -142,14 +174,13 @@ def test_convolution_matches_direct_quadrature():
 @given(
     d=st.integers(1, 3),
     n_atoms=st.integers(1, 12),
-    sizes=st.lists(st.integers(2, 7), min_size=3, max_size=3),
     points=st.sampled_from([8, 16]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_separable_kernel_matches_direct_sums(d, n_atoms, sizes, points, seed):
+def test_separable_kernel_matches_direct_sums(d, n_atoms, points, seed):
     # extend, restrict_at_atoms and convolve_mu_hat against the double sums
-    # they reorganize, in every supported dimension; the fields have a
-    # different number of points (and spacing) on each axis
+    # they reorganize, in every supported dimension, each on a grid of its
+    # own half width
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.1, 1.0, n_atoms)
     m = DiscreteMeasure(dim=d, atoms=rng.uniform(-1.0, 1.0, (n_atoms, d)), weights=w / w.sum())
@@ -157,39 +188,40 @@ def test_separable_kernel_matches_direct_sums(d, n_atoms, sizes, points, seed):
     def rel_err(got, oracle):
         return np.max(np.abs(got - oracle)) / np.max(np.abs(oracle))
 
-    grid = GridSpec(d, float(rng.uniform(0.5, 2.0)), points if d < 3 else 8)
+    def draw_grid():
+        return GridSpec(d, float(rng.uniform(0.5, 2.0)), points if d < 3 else 8)
+
+    grid = draw_grid()
     g = rng.standard_normal(n_atoms) + 1j * rng.standard_normal(n_atoms)
     oracle = np.exp(2j * np.pi * grid_points(grid) @ m.atoms.T) @ (g * m.weights)
     assert rel_err(extend(g, m, grid).ravel(), oracle) <= 1e-12
 
     # restriction of a nonnegative field f = total * nu, nu a probability
-    # measure on the field's lattice, so f_hat = cell * total * nu_hat
-    shape = tuple(sizes[:d])
-    half = rng.uniform(0.5, 2.0, d)
-    spacing = tuple(2.0 * half / shape)
-    axes = [-h + s * np.arange(n) for h, s, n in zip(half, spacing, shape)]
-    P = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    f = SampledField(values=rng.uniform(0.1, 1.0, shape), origin=tuple(-half), spacing=spacing)
-    total = float(np.sum(f.values.real))
-    nu = DiscreteMeasure(dim=d, atoms=P, weights=f.values.real.ravel() / total)
-    oracle = f.cell_volume * total * fourier_transform_at(nu, m.atoms)
-    assert rel_err(restrict_at_atoms(f, m), oracle) <= 1e-12
+    # measure on the grid's lattice, so f_hat = cell * total * nu_hat
+    grid = draw_grid()
+    shape = (grid.points_per_axis,) * d
+    P = grid_points(grid)
+    f = rng.uniform(0.1, 1.0, shape)
+    total = float(np.sum(f))
+    nu = DiscreteMeasure(dim=d, atoms=P, weights=f.ravel() / total)
+    oracle = grid.cell_volume * total * fourier_transform_at(nu, m.atoms)
+    assert rel_err(restrict_at_atoms(f, m, grid), oracle) <= 1e-12
 
     # convolution: sum_y mu_hat(x - y) f(y) cell over a field supported in
     # the inner half of the box
-    inner = np.all(np.abs(P) <= half / 2.0, axis=1).reshape(shape)
+    grid = draw_grid()
+    P = grid_points(grid)
+    inner = np.all(np.abs(P) <= grid.half_width / 2.0, axis=1).reshape(shape)
     vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * inner
-    f = SampledField(values=vals, origin=tuple(-half), spacing=spacing)
     K = fourier_transform_at(m, (P[:, None, :] - P[None, :, :]).reshape(-1, d))
-    oracle = K.reshape(len(P), len(P)) @ vals.ravel() * f.cell_volume
-    assert rel_err(convolve_mu_hat(f, m).ravel(), oracle) <= 1e-12
+    oracle = K.reshape(len(P), len(P)) @ vals.ravel() * grid.cell_volume
+    assert rel_err(convolve_mu_hat(vals, m, grid).ravel(), oracle) <= 1e-12
 
 
 def test_convolution_enforces_inner_half_support():
     g = GridSpec(1, 2.0, 32)
-    f = SampledField.on_grid(g, np.ones(32))
     with pytest.raises(ValueError, match="inner half"):
-        convolve_mu_hat(f, make_point_mass([0.0]))
+        convolve_mu_hat(np.ones(32), make_point_mass([0.0]), g)
 
 
 def test_dyadic_kernel_symbol_growth():
@@ -216,16 +248,14 @@ def test_restriction_ratio_vanishes_off_the_sphere():
     g = GridSpec(2, 8.0, 128)
     X, Y = g.mesh()
     vals = np.exp(-np.pi * (X**2 + Y**2) / 8.0) * np.exp(2j * np.pi * 0.25 * X)
-    f = SampledField.on_grid(g, vals)
-    r = stein_tomas_ratio(f, make_sphere_measure(2, 256), PROFILE)
+    r = stein_tomas_ratio(vals, make_sphere_measure(2, 256), g, PROFILE)
     assert r < 1e-4
 
 
 def test_restriction_ratio_rejects_zero_field():
     g = GridSpec(2, 2.0, 16)
-    f = SampledField.on_grid(g, np.zeros((16, 16)))
     with pytest.raises(ValueError, match="zero field"):
-        stein_tomas_ratio(f, make_sphere_measure(2, 32), PROFILE)
+        stein_tomas_ratio(np.zeros((16, 16)), make_sphere_measure(2, 32), g, PROFILE)
 
 
 def test_restriction_ratio_translation_invariance():
@@ -234,10 +264,9 @@ def test_restriction_ratio_translation_invariance():
     # transform modulus is unchanged
     g = GridSpec(2, 4.0, 64)
     m = make_sphere_measure(2, 128)
-    f = random_smooth_family(g, 1, seed=6)[0]
-    shifted = SampledField.on_grid(g, np.roll(f.values, (5, -7), axis=(0, 1)))
-    r0 = stein_tomas_ratio(f, m, PROFILE)
-    r1 = stein_tomas_ratio(shifted, m, PROFILE)
+    _, f = random_smooth_family(g, 1, seed=6)[0]
+    r0 = stein_tomas_ratio(f, m, g, PROFILE)
+    r1 = stein_tomas_ratio(np.roll(f, (5, -7), axis=(0, 1)), m, g, PROFILE)
     assert r0 == pytest.approx(r1, rel=1e-8)
 
 
@@ -245,8 +274,8 @@ def test_gaussian_dilates_have_flat_ratio():
     g = GridSpec(2, 16.0, 256)
     m = make_sphere_measure(2, 1024)
     fam = gaussian_dilate_family(g, [1.0, 2.0, 4.0, 8.0])
-    assert [f.label for f in fam] == ["gauss-t1", "gauss-t2", "gauss-t4", "gauss-t8"]
-    ratios = [stein_tomas_ratio(f, m, PROFILE) for f in fam]
+    assert [label for label, _ in fam] == ["gauss-t1", "gauss-t2", "gauss-t4", "gauss-t8"]
+    ratios = [stein_tomas_ratio(f, m, g, PROFILE) for _, f in fam]
     assert max(ratios) / min(ratios) < 4.0
 
 
@@ -254,7 +283,7 @@ def test_knapp_caps_have_flat_ratio():
     g = GridSpec(2, 64.0, 512)
     m = make_sphere_measure(2, 1024)
     fam = knapp_cap_family(g, [2.0 ** (-k) for k in range(2, 6)])
-    ratios = [stein_tomas_ratio(f, m, PROFILE) for f in fam]
+    ratios = [stein_tomas_ratio(f, m, g, PROFILE) for _, f in fam]
     assert max(ratios) / min(ratios) < 3.0
 
 
@@ -268,11 +297,12 @@ def test_random_family_is_deterministic_and_supported():
     g = GridSpec(2, 4.0, 32)
     a = random_smooth_family(g, 2, seed=11)
     b = random_smooth_family(g, 2, seed=11)
-    assert np.array_equal(a[0].values, b[0].values)
-    assert np.array_equal(a[1].values, b[1].values)
+    assert [label for label, _ in a] == ["rand-0", "rand-1"]
+    assert np.array_equal(a[0][1], b[0][1])
+    assert np.array_equal(a[1][1], b[1][1])
     # envelope keeps the support strictly inside the inner half of the box
     X, Y = g.mesh()
     outside = (np.abs(X) > 0.45 * 4.0) | (np.abs(Y) > 0.45 * 4.0)
-    assert np.max(np.abs(a[0].values[outside])) == 0.0
+    assert np.max(np.abs(a[0][1][outside])) == 0.0
     with pytest.raises(ValueError, match="count"):
         random_smooth_family(g, 0)

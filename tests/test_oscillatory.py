@@ -12,7 +12,6 @@ from restrictionlab import oscillatory as osc
 from restrictionlab.fitting import loglog_fit
 from restrictionlab.oscillatory import (
     ConditionReport,
-    ScalingReport,
     apply_T_lambda,
     apply_T_lambda_product,
     check_curvature_rank,
@@ -401,7 +400,6 @@ def test_condition_report_is_structured():
     rep = check_rank_mixed_hessian(CAT["parabola"], _probes(rng, 2, 1, n=3))
     assert isinstance(rep, ConditionReport)
     assert len(rep.probes) == 3 and len(rep.values) == 3
-    assert rep.tolerance == 1e-6
 
 
 # --------------------------------------------------------- kernel decomposition
@@ -495,14 +493,27 @@ def test_operator_norm_decays_with_lambda():
     assert norms[0] > norms[1] > 0.0
 
 
-def test_scaling_report_validation():
-    fit = loglog_fit([(1.0, 1.0), (2.0, 2.0), (4.0, 4.0)])
-    with pytest.raises(ValueError, match="4 lambda"):
-        ScalingReport(lam_values=(1.0, 2.0, 4.0), ratios=(1.0,) * 3, fit=fit, target_slope=-1.0)
-    with pytest.raises(ValueError, match="geometric"):
-        ScalingReport(
-            lam_values=(1.0, 2.0, 4.0, 7.0), ratios=(1.0,) * 4, fit=fit, target_slope=-1.0
-        )
+@pytest.mark.parametrize(
+    "lams, message",
+    [
+        ([8.0, 16.0, 32.0], "4 lambda"),
+        ([8.0, 16.0, 32.0, 70.0], "geometric"),
+        ([0.0, 8.0, 16.0, 32.0], "finite and positive"),
+        ([8.0, 16.0, 32.0, float("inf")], "finite and positive"),
+    ],
+)
+def test_scaling_experiment_checks_lambdas_first(monkeypatch, lams, message):
+    # too few, non-positive or non-geometric lambdas are rejected before
+    # the gradient bound and the first phase matrices, so a bad list costs
+    # no sweep
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep started despite a bad lambda list")
+
+    monkeypatch.setattr(osc, "_max_y_gradient", refuse)
+    monkeypatch.setattr(osc, "phase_factors", refuse)
+    fam = constant_family(1.0, 1)
+    with pytest.raises(ValueError, match=message):
+        scaling_experiment(CAT1["zero"], lams, fam, q=2.0, s=2.0, x_points=48, y_points=512)
 
 
 def test_scaling_experiment_input_guards():

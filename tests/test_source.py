@@ -1,4 +1,5 @@
-"""Source checks over src/restrictionlab: every parameter is read."""
+"""Source checks over src/restrictionlab: every parameter is read, and every
+export is used."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,60 @@ def test_every_parameter_is_read():
     # a parameter no body reads is an option that does nothing; only the
     # interface-bound signatures above may keep one
     assert _unread_parameters() == INTERFACE_BOUND
+
+
+# the oracles that tests compare the fast paths against: exported for the
+# tests alone, and kept on purpose
+TEST_ORACLES = {
+    ("grids", "fourier_on_grid"),
+    ("oscillatory", "apply_T_lambda"),
+    ("oscillatory", "derivative_consistency"),
+}
+
+
+def _names_used(tree, skip=None):
+    # names loaded and attributes read anywhere in tree, except inside the
+    # function or class named skip
+    used = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name == skip:
+                    continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                used.add(child.attr)
+            visit(child)
+
+    visit(tree)
+    return used
+
+
+def _unused_exports():
+    # __init__ re-exports every name, so its imports do not count as a use
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    unused = set()
+    for module, tree in trees.items():
+        exports = [
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        ]
+        elsewhere = set().union(*(_names_used(t) for m, t in trees.items() if m != module))
+        for name in exports:
+            if name not in elsewhere and name not in _names_used(tree, skip=name):
+                unused.add((module, name))
+    return unused
+
+
+def test_every_export_is_used():
+    # an export that only its own unit tests call is code kept for nothing;
+    # only the test oracles above may be one
+    assert _unused_exports() == TEST_ORACLES
