@@ -248,6 +248,14 @@ def _lattice_grid(args, dim: int) -> GridSpec:
     return grid
 
 
+def _check_flatness_count(flag: str, count: int) -> None:
+    """A flag whose values feed a flatness factor needs two of them (one
+    value is flat by definition); checked at entry, before any lattice,
+    field or ratio is computed."""
+    if count < 2:
+        raise ValueError("%s: a flatness factor needs at least 2 values, got %d" % (flag, count))
+
+
 def _build_measure(args):
     kind = args.kind
     if kind == "circle":
@@ -346,6 +354,7 @@ def cmd_decay(args) -> Result:
 
 
 def cmd_dyadic(args) -> Result:
+    _check_flatness_count("--j-list", len(args.j_list))
     measure = _build_measure(args)
     grid = _lattice_grid(args, measure.dim)
     mu_hat = mu_hat_on_lattice(measure, grid)
@@ -470,6 +479,12 @@ def cmd_knapp(args) -> Result:
 
 
 def cmd_restrict(args) -> Result:
+    if args.family == "gaussian":
+        _check_flatness_count("--scales", len(args.scales))
+    elif args.family == "knapp":
+        _check_flatness_count("--deltas", len(args.deltas))
+    else:
+        _check_flatness_count("--count", args.count)
     if args.measure_file is not None:
         measure = load_measure(args.measure_file)
     else:

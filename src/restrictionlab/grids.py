@@ -108,8 +108,16 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     later passes run on contiguous lines as well. The result is the
     transpose of that buffer: the same values and indexing as ifftn's, in
     Fortran memory order for d >= 2. The caller's array is not touched.
+
+    The lattice may be complex or real. A float64 lattice is not copied to
+    complex as a whole: each kept line becomes x + 0j as it is copied into
+    its block, which is the value the complex lattice holds, so the result
+    has the same bits at half the input memory. Any other dtype is cast to
+    complex first.
     """
-    F = np.asarray(freq_values, dtype=complex)
+    F = np.asarray(freq_values)
+    if F.dtype != np.float64:
+        F = F.astype(complex, copy=False)
     n, d = grid.points_per_axis, grid.dim
     if F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")

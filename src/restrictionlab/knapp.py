@@ -98,7 +98,8 @@ def knapp_function(
     g_atoms = knapp_g_values(spec, sphere.atoms)
     fax = grid.freq_axis()
     w = spec.weights()
-    G = np.zeros((fax.size, fax.size), dtype=complex)
+    # the caps are real, and the transform takes a real lattice as it is
+    G = np.zeros((fax.size, fax.size))
     for k in range(1, spec.N + 1):
         tang = annulus_window(2.0**k * np.abs(fax))
         rad = plateau_window(2.0 ** (2 * k - 5) * np.abs(fax - 1.0))

@@ -23,11 +23,12 @@ __all__ = [
 ]
 
 
-def _check_exponents(p: float, s_values: Sequence[float]) -> None:
+def _check_exponents(p: float, s_values: Sequence[float], name: str = "p") -> None:
     """Reject a pair (p, s) outside 0 < p < infinity, 0 < s <= infinity for
-    any s in s_values; NaN fails both comparisons."""
+    any s in s_values; NaN fails both comparisons. `name` is what the caller
+    calls its first exponent, so that the message names it."""
     if not (p > 0 and math.isfinite(p)):
-        raise ValueError("p must be finite and positive, got %g" % p)
+        raise ValueError("%s must be finite and positive, got %g" % (name, p))
     for s in s_values:
         if not s > 0:
             raise ValueError("s must be positive (math.inf allowed), got %g" % s)
@@ -48,6 +49,14 @@ def lorentz_norm_values(
     the samples are rearranged once for all of them. The norm is computed
     on a normalized core (values scaled by their maximum) so that rescaling
     the input by a power of two rescales the result exactly.
+
+    Memory: beyond float64 or complex samples the call holds one n-element
+    float buffer, the sorted moduli, plus block buffers of at most 2^16 + 1
+    entries. The last finite s writes its summands over that buffer once
+    every other s has read it, so a second n-element float64 buffer is
+    allocated only when two or more s are finite (or when the moduli are
+    not float64, whose summands are float64 all the same). The caller's
+    array is not modified.
     """
     single = np.ndim(s) == 0
     s_values = (s,) if single else tuple(s)
@@ -78,9 +87,16 @@ def lorentz_norm_values(
     ks = np.arange(size, dtype=float)
     t = np.empty(size)
     step = np.empty(size - 1)
-    summand = np.empty(n)  # never touched, so never resident, if every s is inf
-    norms = []
-    for s_k in s_values:
+    # every s reads core, so the infinite s run first, and the last finite s
+    # writes its summands over core, this call's own copy of the moduli
+    order = sorted(range(len(s_values)), key=lambda i: not math.isinf(s_values[i]))
+    finite = [i for i in order if not math.isinf(s_values[i])]
+    in_place = finite[-1:] if core.dtype == np.float64 else []
+    summand = np.empty(n) if len(finite) > len(in_place) else None
+    norms = [0.0] * len(s_values)
+    for i in order:
+        s_k = s_values[i]
+        out = core if i in in_place else summand
         peak = -math.inf
         for start in range(0, n, _BLOCK):
             c = core[start : start + _BLOCK]
@@ -96,16 +112,17 @@ def lorentz_norm_values(
             tb **= s_k / p  # tp = t ** (s/p), so tp_prev = 0 at k = 0
             st = step[: c.size]
             np.subtract(tb[1:], tb[:-1], out=st)  # tp - tp_prev
-            w = summand[start : start + c.size]
-            np.copyto(w, c)
+            w = out[start : start + c.size]
+            if out is not core:
+                np.copyto(w, c)
             w **= s_k
             w *= p / s_k
             w *= st  # core**s * (p/s) * (tp - tp_prev)
         if math.isinf(s_k):
-            norms.append(float(vmax * peak))
+            norms[i] = float(vmax * peak)
         else:
             # one pairwise sum over the whole buffer, in numpy's order
-            norms.append(float(vmax * np.sum(summand) ** (1.0 / s_k)))
+            norms[i] = float(vmax * np.sum(out) ** (1.0 / s_k))
     return norms[0] if single else tuple(norms)
 
 

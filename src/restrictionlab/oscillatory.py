@@ -852,7 +852,7 @@ def scaling_experiment(
     if any(abs(r - steps[0]) > 1e-9 * steps[0] for r in steps):
         raise ValueError("lambda values must be geometric")
     q, s = float(q), float(s)
-    _check_exponents(q, (s,))
+    _check_exponents(q, (s,), "q")
     nx, ny = int(x_points), int(y_points)
     if nx < 2 or ny < 2:
         raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))

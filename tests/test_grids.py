@@ -1,5 +1,7 @@
 """Grid geometry and the lattice Fourier transform."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,43 @@ def test_inverse_transform_on_zero_line_masks_equals_ifftn_formula(d, n, lines, 
     assert np.array_equal(F, before)
     assert np.array_equal(np.signbit(F.real), np.signbit(before.real))
     assert np.array_equal(np.signbit(F.imag), np.signbit(before.imag))
+
+
+@pytest.mark.parametrize("kind", ["dense", "zero lines", "sparse", "zero"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
+def test_real_lattice_transforms_as_its_complex_copy_bit_for_bit(d, n, kind):
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(5 * d + n)
+    F = _lattice_input(kind, n, d, rng).real.copy()
+    # zeros of both signs, which become -0 + 0j and 0 + 0j
+    F[(F == 0.0) & (rng.uniform(size=F.shape) < 0.5)] = -0.0
+    before = F.copy()
+    got = inverse_fourier_on_grid(F, g)
+    expected = inverse_fourier_on_grid(F.astype(complex), g)
+    assert got.dtype == complex and got.flags.f_contiguous == expected.flags.f_contiguous
+    assert got.tobytes() == expected.tobytes()
+    assert before.tobytes() == F.tobytes()
+
+
+def test_real_lattice_is_not_copied_to_complex():
+    # a Knapp-like lattice: real, with whole lines zero. Beyond the complex
+    # output the call allocates only its line blocks and index arrays
+    n = 1024
+    g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
+    rng = np.random.default_rng(9)
+    F = rng.standard_normal((n, n))
+    F[rng.uniform(size=n) < 0.5] = 0.0
+    expected = inverse_fourier_on_grid(F.astype(complex), g)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = inverse_fourier_on_grid(F, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == expected.tobytes()
+    assert peak < got.nbytes + 4 * 2**20
 
 
 def test_transform_shape_check():

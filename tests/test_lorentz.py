@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictionlab import lorentz
 from restrictionlab.lorentz import indicator_lorentz_norm, lorentz_norm_values
@@ -156,18 +158,23 @@ def test_non_contiguous_samples_give_the_norms_of_their_c_ordered_copy():
         assert lorentz_norm_values(copy, 0.21, p, s_values) == expected
 
 
-def test_small_call_allocates_little():
-    # the block buffers are sized to the samples, not to a whole block
-    v = np.random.default_rng(16).standard_normal(200)
+def _traced_peak(call):
+    """Peak of the memory numpy and Python allocate during call(), above
+    what was allocated before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        lorentz_norm_values(v, 0.37, 1.5, (2.5, math.inf))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 1024
+
+
+def test_small_call_allocates_little():
+    # the block buffers are sized to the samples, not to a whole block
+    v = np.random.default_rng(16).standard_normal(200)
+    assert _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.5, (2.5, math.inf))) < 64 * 1024
 
 
 @pytest.mark.parametrize("p", [0.5, 1.2, 2.0, 3.0])
@@ -182,6 +189,48 @@ def test_sequence_of_s_equals_one_call_per_s_bit_for_bit(p):
     assert all(type(x) is float for x in norms)
     assert lorentz_norm_values(np.zeros(4), 1.0, p, s_values) == (0.0,) * len(s_values)
     assert lorentz_norm_values(v, 0.37, p, []) == ()
+
+
+def _samples(kind, shape, rng):
+    if kind == "integer":
+        return rng.integers(-4, 5, size=shape)
+    v = rng.standard_normal(shape)
+    if kind != "real":
+        v = v + 1j * rng.standard_normal(shape)
+    v[rng.uniform(size=shape) < 0.2] = 0.0
+    return np.asfortranarray(v) if kind == "fortran" else v
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["real", "complex", "integer", "fortran"]),
+    shape=st.tuples(st.sampled_from([1, 3, 64]), st.sampled_from([1, 5, 300, 1200])),
+    finite=st.lists(st.sampled_from([0.5, 1.0, 1.7, 2.0, 3.0]), min_size=1, max_size=2),
+    inf_first=st.booleans(),
+    p=st.sampled_from([0.5, 1.2, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summands_over_the_moduli_leave_input_and_bits_alone(kind, shape, finite, inf_first, p, seed):
+    # the last finite s writes its summands over the sorted moduli; that
+    # buffer is the call's own, and every norm keeps the bits of its own
+    # single-s call and of the written-out integral (64 x 1200 samples
+    # cross a block boundary of the integral)
+    v = _samples(kind, shape, np.random.default_rng(seed))
+    before = v.copy(order="K")
+    s_values = (math.inf, *finite) if inf_first else (*finite, math.inf)
+    norms = lorentz_norm_values(v, 0.37, p, s_values)
+    assert np.array_equal(v, before)
+    assert norms == tuple(lorentz_norm_values(v, 0.37, p, s) for s in s_values)
+    assert norms == tuple(_reference_norm(v, 0.37, p, s) for s in s_values)
+
+
+def test_one_finite_s_allocates_one_float_buffer():
+    # 2^20 complex samples: the sorted moduli are the only n-element
+    # buffer, since the one finite s writes its summands over them
+    rng = np.random.default_rng(18)
+    v = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    peak = _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf)))
+    assert peak < 8 * v.size + 4 * 2**20
 
 
 def test_input_samples_are_not_modified():

@@ -545,10 +545,10 @@ def test_scaling_experiment_input_guards():
 @pytest.mark.parametrize(
     "q, s, message",
     [
-        (0.0, 2.0, "p must be finite and positive"),
-        (-1.0, 2.0, "p must be finite and positive"),
-        (float("inf"), 2.0, "p must be finite and positive"),
-        (float("nan"), 2.0, "p must be finite and positive"),
+        (0.0, 2.0, "q must be finite and positive"),
+        (-1.0, 2.0, "q must be finite and positive"),
+        (float("inf"), 2.0, "q must be finite and positive"),
+        (float("nan"), 2.0, "q must be finite and positive"),
         (2.0, 0.0, "s must be positive"),
         (2.0, -2.0, "s must be positive"),
         (2.0, float("nan"), "s must be positive"),
