@@ -109,15 +109,12 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     transpose of that buffer: the same values and indexing as ifftn's, in
     Fortran memory order for d >= 2. The caller's array is not touched.
 
-    The lattice may be complex or real. A float64 lattice is not copied to
-    complex as a whole: each kept line becomes x + 0j as it is copied into
-    its block, which is the value the complex lattice holds, so the result
-    has the same bits at half the input memory. Any other dtype is cast to
-    complex first.
+    Any real or complex lattice is taken as it is, not copied to complex as
+    a whole: each kept line is cast to complex as it is copied into its
+    block, which gives the values the complex copy would hold, so a float64
+    lattice has the same bits as its complex copy at half the input memory.
     """
     F = np.asarray(freq_values)
-    if F.dtype != np.float64:
-        F = F.astype(complex, copy=False)
     n, d = grid.points_per_axis, grid.dim
     if F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")

@@ -162,14 +162,17 @@ def test_inverse_transform_on_zero_line_masks_equals_ifftn_formula(d, n, lines, 
     assert np.array_equal(np.signbit(F.imag), np.signbit(before.imag))
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32", "complex64"])
 @pytest.mark.parametrize("kind", ["dense", "zero lines", "sparse", "zero"])
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
-def test_real_lattice_transforms_as_its_complex_copy_bit_for_bit(d, n, kind):
+def test_lattice_transforms_as_its_complex128_copy_bit_for_bit(d, n, kind, dtype):
+    # a real or single-precision lattice is cast line by line, not copied
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     rng = np.random.default_rng(5 * d + n)
-    F = _lattice_input(kind, n, d, rng).real.copy()
+    F = _lattice_input(kind, n, d, rng)
+    F = (F if dtype == "complex64" else F.real).astype(dtype)
     # zeros of both signs, which become -0 + 0j and 0 + 0j
-    F[(F == 0.0) & (rng.uniform(size=F.shape) < 0.5)] = -0.0
+    F.real[(F.real == 0.0) & (rng.uniform(size=F.shape) < 0.5)] = -0.0
     before = F.copy()
     got = inverse_fourier_on_grid(F, g)
     expected = inverse_fourier_on_grid(F.astype(complex), g)

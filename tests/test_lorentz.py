@@ -115,7 +115,9 @@ def _reference_norm(values, cell_volume, p, s):
         return float(vmax * np.max(core * t ** (1.0 / p)))
     tp = t ** (s / p)
     tp_prev = np.concatenate([[0.0], tp[:-1]])
-    return float(vmax * np.sum(core**s * (p / s) * (tp - tp_prev)) ** (1.0 / s))
+    # moduli are normalized in their own dtype, summands taken in float64
+    summand = core.astype(float) ** s * (p / s) * (tp - tp_prev)
+    return float(vmax * np.sum(summand) ** (1.0 / s))
 
 
 @pytest.mark.parametrize("p", [0.5, 1.2, 2.0, 3.0])
@@ -195,15 +197,17 @@ def _samples(kind, shape, rng):
     if kind == "integer":
         return rng.integers(-4, 5, size=shape)
     v = rng.standard_normal(shape)
-    if kind != "real":
+    if kind not in ("real", "float32"):
         v = v + 1j * rng.standard_normal(shape)
     v[rng.uniform(size=shape) < 0.2] = 0.0
+    if kind in ("float32", "complex64"):  # moduli that are not float64
+        return v.astype(kind)
     return np.asfortranarray(v) if kind == "fortran" else v
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
-    kind=st.sampled_from(["real", "complex", "integer", "fortran"]),
+    kind=st.sampled_from(["real", "complex", "integer", "fortran", "float32", "complex64"]),
     shape=st.tuples(st.sampled_from([1, 3, 64]), st.sampled_from([1, 5, 300, 1200])),
     finite=st.lists(st.sampled_from([0.5, 1.0, 1.7, 2.0, 3.0]), min_size=1, max_size=2),
     inf_first=st.booleans(),
