@@ -10,19 +10,22 @@ failure). No other exit codes occur.
 
 Verdict thresholds (slope windows, flatness factors, gaps) are flags with
 defaults pinned here, not constants buried in the computation modules.
-Each experiment subcommand returns its table and checks and `main` writes
-them; acceptance criteria 5 and 7-10 run the `dyadic`, `lorentz`, `knapp`,
-`oscillatory` and `fold` experiments at these parser defaults.
+Each experiment subcommand returns a `Result`: its table, its checks, the
+report it fitted, and its side files as (file name, writer) pairs. It
+writes no file itself; `main` writes them all under --out. Acceptance
+criteria 3-5 and 7-10 run the `decay`, `measure`, `dyadic`, `lorentz`,
+`knapp`, `oscillatory` and `fold` experiments and read their reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +68,16 @@ from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
 
 __all__ = ["main", "build_parser"]
 
-# An experiment subcommand's outcome: its table and its named checks.
-Result = Tuple[ReportTable, List[Tuple[str, bool, str]]]
+
+class Result(NamedTuple):
+    """An experiment subcommand's outcome: its table, its named checks, the
+    report it fitted, and the side files that `main` writes under --out as
+    (file name, writer) pairs."""
+
+    table: ReportTable
+    checks: List[Tuple[str, bool, str]]
+    report: Any = None
+    files: Tuple[Tuple[str, Callable[[str], None]], ...] = ()
 
 
 def _floats(text: str) -> List[float]:
@@ -212,25 +223,21 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(args.subcommand, params, args.out, args.seed)
 
 
-def _out_path(args, filename: str) -> str:
-    """Path of an output file; --out is created only once a file is due."""
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, filename)
-
-
-def _finish(args, table: ReportTable, checks) -> int:
+def _finish(args, result: Result) -> int:
     name = args.subcommand
-    config = _config_from_args(args)
-    csv_path = _out_path(args, name + ".csv")
-    verdict_path = _out_path(args, name + "_verdict.txt")
-    emit_csv(table, csv_path)
-    ok = write_verdict(verdict_path, name, config, checks)
-    for cname, cok, detail in checks:
+    os.makedirs(args.out, exist_ok=True)  # only once the experiment has run
+    paths = [os.path.join(args.out, name + ".csv"), os.path.join(args.out, name + "_verdict.txt")]
+    emit_csv(result.table, paths[0])
+    ok = write_verdict(paths[1], name, _config_from_args(args), result.checks)
+    for filename, write in result.files:
+        paths.append(os.path.join(args.out, filename))
+        write(paths[-1])
+    for cname, cok, detail in result.checks:
         line = "%s %s" % ("PASS" if cok else "FAIL", cname)
         if detail:
             line += ": " + detail
         print(line)
-    print("wrote %s and %s" % (csv_path, verdict_path))
+    print("wrote %s and %s" % (", ".join(paths[:-1]), paths[-1]))
     return 0 if ok else 1
 
 
@@ -292,6 +299,7 @@ def cmd_exponents(args) -> Result:
         rows=(row,),
     )
     checks = [(name, ok, "") for name, ok in flags.items()]
+    files = ()
     if args.kappa is not None:
         osc = oscillatory_exponents(args.kappa)
         osc_table = ReportTable(
@@ -305,35 +313,33 @@ def cmd_exponents(args) -> Result:
                 ("sigma_1", str(osc.sigma_1)),
             ),
         )
-        emit_csv(osc_table, _out_path(args, "exponents_oscillatory.csv"))
-    return table, checks
+        files = (("exponents_oscillatory.csv", functools.partial(emit_csv, osc_table)),)
+    return Result(table, checks, profile, files)
 
 
 def cmd_measure(args) -> Result:
     measure = _build_measure(args)
-    if args.radii is not None:
-        radii = args.radii
-    elif args.kind in ("cantor", "cantor-random"):
-        radii = [args.ratio**k for k in range(2, 9)]
-    else:
-        radii = [2.0 ** (-k) for k in range(1, 9)]
-    profile = ball_regularity_profile(measure, radii)
-    save_path = _out_path(args, measure.label + ".measure.txt")
-    save_measure(measure, save_path)
-    a_hi = float(measure.dim) if args.a_max is None else args.a_max
+    # resolved here, so that the verdict echoes the radii and window used
+    if args.radii is None:
+        if args.kind in ("cantor", "cantor-random"):
+            args.radii = [args.ratio**k for k in range(2, 9)]
+        else:
+            args.radii = [2.0 ** (-k) for k in range(1, 9)]
+    args.a_max = float(measure.dim) if args.a_max is None else args.a_max
+    profile = ball_regularity_profile(measure, args.radii)
     checks = [
         (
-            "a_fit in [%g, %g]" % (args.a_min, a_hi),
-            args.a_min <= profile.a_fit <= a_hi,
+            "a_fit in [%g, %g]" % (args.a_min, args.a_max),
+            args.a_min <= profile.a_fit <= args.a_max,
             "a_fit=%.4f A_fit=%.4g" % (profile.a_fit, profile.A_fit),
-        ),
-        ("measure saved", True, save_path),
+        )
     ]
     table = ReportTable(
         columns=("radius", "max_ball_ratio"),
         rows=tuple(zip(profile.radii, profile.max_ball_ratios)),
     )
-    return table, checks
+    files = ((measure.label + ".measure.txt", functools.partial(save_measure, measure)),)
+    return Result(table, checks, profile, files)
 
 
 def cmd_decay(args) -> Result:
@@ -350,7 +356,7 @@ def cmd_decay(args) -> Result:
         columns=("R", "annulus_sup"),
         rows=tuple(zip(profile.annulus_radii, profile.annulus_sups)),
     )
-    return table, checks
+    return Result(table, checks, profile)
 
 
 def cmd_dyadic(args) -> Result:
@@ -384,7 +390,7 @@ def cmd_dyadic(args) -> Result:
         columns=("j", "sup_mu_hat_j", "sup_mu_j", "hat_scaled", "mass_scaled"),
         rows=tuple(rows),
     )
-    return table, checks
+    return Result(table, checks)
 
 
 def cmd_lorentz(args) -> Result:
@@ -438,7 +444,7 @@ def cmd_lorentz(args) -> Result:
             ("rearrangement", 0.0 if rearr else 1.0),
         ),
     )
-    return table, checks
+    return Result(table, checks)
 
 
 def cmd_knapp(args) -> Result:
@@ -475,7 +481,7 @@ def cmd_knapp(args) -> Result:
     for i, N in enumerate(rep.n_values):
         rows.append((N, rep.norm_g[i]) + tuple(rep.norms_f[i]))
     table = ReportTable(columns=tuple(columns), rows=tuple(rows))
-    return table, checks
+    return Result(table, checks, rep)
 
 
 def cmd_restrict(args) -> Result:
@@ -520,7 +526,7 @@ def cmd_restrict(args) -> Result:
     else:
         checks.append(("ratio spread recorded", True, "factor %.3f" % spread))
     table = ReportTable(columns=("field", "ratio"), rows=tuple(rows))
-    return table, checks
+    return Result(table, checks)
 
 
 def _resolve_phase(args):
@@ -584,7 +590,7 @@ def _scaling(args, spec, checks) -> Result:
     for note in rep.dropped:
         checks.append(("resolution notice", True, note))
     table = ReportTable(columns=("lambda", "ratio"), rows=tuple(zip(rep.lam_values, rep.ratios)))
-    return table, checks
+    return Result(table, checks, rep)
 
 
 def cmd_oscillatory(args) -> Result:
@@ -665,8 +671,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.subcommand == "accept":
             return cmd_accept(args)
-        table, checks = HANDLERS[args.subcommand](args)
-        return _finish(args, table, checks)
+        return _finish(args, HANDLERS[args.subcommand](args))
     except (ValueError, TypeError, KeyError, NotImplementedError, OSError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 2

@@ -50,23 +50,25 @@ def lorentz_norm_values(
     on a normalized core (values scaled by their maximum) so that rescaling
     the input by a power of two rescales the result exactly.
 
-    Memory: beyond float64 or complex samples the call holds one n-element
-    float buffer, the sorted moduli, plus block buffers of at most 2^16 + 1
-    entries. The last finite s writes its summands over that buffer once
-    every other s has read it, so a second n-element float64 buffer is
-    allocated only when two or more s are finite (or when the moduli are
-    not float64, whose summands are float64 all the same). The caller's
-    array is not modified.
+    Memory: beyond the samples the call holds one n-element float buffer,
+    the sorted moduli (float64 for integer samples), plus block buffers of
+    at most 2^16 + 1 entries. The last finite s writes its summands over
+    that buffer once every other s has read it, so a second n-element
+    float64 buffer is allocated only when two or more s are finite (or when
+    the moduli are not float64, whose summands are float64 all the same).
+    The caller's array is not modified.
     """
     single = np.ndim(s) == 0
     s_values = (s,) if single else tuple(s)
     _check_exponents(p, s_values)
     # decreasing rearrangement in one buffer: sort -|v| ascending, keep the
     # entries below zero (|v| > 0), negate back; order="K" ravels a Fortran
-    # ordered field without a copy, and the sort makes the order irrelevant
-    a = np.abs(np.asarray(values)).ravel(order="K")
-    if a.dtype.kind != "f":  # integer samples divide as float64, as in a / vmax
-        a = a.astype(float)
+    # ordered field without a copy, and the sort makes the order irrelevant.
+    # Integer samples give float64 moduli in one step (np.abs of the dtype
+    # minimum overflows); the moduli divide as float64 anyway (a / vmax)
+    v = np.asarray(values)
+    a = np.absolute(v, dtype=np.float64) if v.dtype.kind in "biu" else np.abs(v)
+    a = a.ravel(order="K")
     np.negative(a, out=a)
     a.sort()
     a = a[: int(np.searchsorted(a, 0.0))]

@@ -256,11 +256,12 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
     radius of an atom, so probing at the atoms themselves loses at most a
     factor 2 in r.
     """
+    for r in radii:
+        if not 0 < r <= 1:  # NaN fails it too
+            raise ValueError("radii must lie in (0, 1], got %g" % r)
     r_arr = np.asarray(sorted(set(float(r) for r in radii), reverse=True))
     if r_arr.size < 3:
         raise ValueError("need at least 3 distinct radii to fit a slope")
-    if np.any(r_arr <= 0) or np.any(r_arr > 1):
-        raise ValueError("radii must lie in (0, 1]")
     tree = cKDTree(measure.atoms)
     w = measure.weights
     # equal weights: a count per ball suffices, avoiding the index lists
@@ -307,6 +308,9 @@ def fourier_decay_profile(
     if n_directions < 1:
         raise ValueError("n_directions must be >= 1, got %d" % n_directions)
     R = np.asarray([float(r) for r in R_list])
+    for r in R:
+        if not math.isfinite(r):  # NaN would pass every check below
+            raise ValueError("R_list must be finite, got %g" % r)
     if R.size < 3:
         raise ValueError("need at least 3 radii to fit a slope")
     if np.any(np.diff(R) <= 0):

@@ -14,7 +14,6 @@ import restrictionlab
 from restrictionlab import cli
 from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
-from restrictionlab.measures import make_sphere_measure, save_measure
 from restrictionlab.reporting import (
     ExperimentConfig,
     ReportTable,
@@ -114,14 +113,6 @@ def test_exponents_run_passes_and_writes_reports(tmp_path):
     verdict = open(os.path.join(out, "exponents_verdict.txt")).read()
     assert "subcommand=exponents" in verdict
     assert verdict.rstrip().endswith("overall: PASS")
-
-
-def test_exponents_kappa_writes_second_table(tmp_path):
-    out = str(tmp_path / "r")
-    assert main(["exponents", "--kappa", "2", "--out", out]) == 0
-    osc = open(os.path.join(out, "exponents_oscillatory.csv")).read().splitlines()
-    assert osc[0] == "quantity,value"
-    assert "q0,4" in osc
 
 
 def test_invalid_configuration_exits_2(tmp_path):
@@ -270,6 +261,24 @@ def test_decay_needs_a_direction(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["decay", "--directions", "0", "--out", str(out)]) == 2
     assert "n_directions must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--radii", "nan,0.5,0.25,0.125"], "radii must lie in (0, 1], got nan"),
+        (["decay", "--r-list", "nan,8,16,32"], "R_list must be finite, got nan"),
+    ],
+)
+def test_non_finite_radii_exit_2_before_any_fit(tmp_path, capfd, argv, message):
+    # NaN passes every range comparison: unchecked, the whole profile was
+    # computed and the fit failed, in decay after six LAPACK error lines
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert message in captured.err
+    assert "DLASCL" not in captured.out + captured.err
     assert not out.exists()
 
 
@@ -501,29 +510,27 @@ def test_traced_oscillatory_and_fold_runs_record_the_expected_spans(tmp_path, mo
     assert sum(s["exceptions"] for s in stats.values()) == 0
 
 
-def test_restrict_from_saved_measure(tmp_path):
-    mpath = str(tmp_path / "m.measure.txt")
-    save_measure(make_sphere_measure(2, 256), mpath)
-    out = str(tmp_path / "r")
-    rc = main(
-        [
-            "restrict",
-            "--measure-file",
-            mpath,
-            "--points",
-            "128",
-            "--half-width",
-            "16",
-            "--scales",
-            "1,2,4",
-            "--out",
-            out,
-        ]
-    )
-    assert rc == 0
-    lines = open(os.path.join(out, "restrict.csv")).read().splitlines()
+def test_side_files_of_measure_and_exponents(tmp_path, capsys):
+    # the documented workflow: `measure` saves its measure beside its table,
+    # and `restrict --measure-file` on that file gives the bytes of
+    # `restrict` on the same measure built from flags
+    assert main(["measure", "--n", "256", "--out", str(tmp_path / "m")]) == 0
+    saved = tmp_path / "m" / "circle-n256.measure.txt"
+    assert (tmp_path / "m" / "measure.csv").exists() and saved.exists()
+    stdout = capsys.readouterr().out
+    assert str(saved) in stdout.splitlines()[-1] and "measure saved" not in stdout
+    grid = ["--points", "128", "--half-width", "16", "--scales", "1,2,4"]
+    assert main(["restrict", "--measure-file", str(saved)] + grid + ["--out", str(tmp_path / "a")]) == 0
+    assert main(["restrict", "--kind", "circle", "--n", "256"] + grid + ["--out", str(tmp_path / "b")]) == 0
+    lines = (tmp_path / "a" / "restrict.csv").read_text().splitlines()
     assert lines[0] == "field,ratio"
     assert len(lines) == 4 and lines[1].startswith("gauss-t1")
+    assert (tmp_path / "a" / "restrict.csv").read_bytes() == (tmp_path / "b" / "restrict.csv").read_bytes()
+    # exponents --kappa writes its second table beside its first
+    assert main(["exponents", "--kappa", "2", "--out", str(tmp_path / "e")]) == 0
+    osc = (tmp_path / "e" / "exponents_oscillatory.csv").read_text().splitlines()
+    assert osc[0] == "quantity,value"
+    assert "q0,4" in osc
 
 
 def test_knapp_subcommand_flags(tmp_path):
@@ -638,6 +645,22 @@ def test_accept_only_selection_writes_summary(tmp_path):
     assert summary[0] == "criterion,name,passed"
     assert summary[1] == "1,exponent-identities,true"
     assert summary[2] == "2,exponent-cross-checks,true"
+
+
+def test_accept_writes_only_under_its_out(tmp_path, monkeypatch):
+    # criteria 3 and 4 run `measure`, whose --out default is reports/; the
+    # subcommands a criterion runs write nothing, so an empty working
+    # directory gets only the suite's --out
+    monkeypatch.chdir(tmp_path)
+    assert main(["accept", "--only", "3,4", "--seed", "7", "--out", "acc"]) == 0
+    assert os.listdir(tmp_path) == ["acc"]
+    for base in ("criterion_03.csv", "criterion_04.csv"):
+        reference = REFERENCE / "oscillatory" / "seed7" / base
+        assert (tmp_path / "acc" / base).read_bytes() == reference.read_bytes()
+    # each run's flags are echoed under its subcommand's name
+    echo = (tmp_path / "acc" / "criterion_03_verdict.txt").read_text().splitlines()
+    assert "  decay.r_list=4.0,8.0,16.0,32.0,64.0,128.0,256.0" in echo
+    assert "  measure.a_min=0.9" in echo and "  measure.a_max=1.1" in echo
 
 
 # -------------------------------------------------------------- determinism

@@ -229,12 +229,27 @@ def test_summands_over_the_moduli_leave_input_and_bits_alone(kind, shape, finite
 
 
 def test_one_finite_s_allocates_one_float_buffer():
-    # 2^20 complex samples: the sorted moduli are the only n-element
-    # buffer, since the one finite s writes its summands over them
+    # 2^20 complex or int64 samples: the sorted moduli are the only
+    # n-element buffer, since the one finite s writes its summands over
+    # them (integer moduli are taken as float64 in one step)
     rng = np.random.default_rng(18)
-    v = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
-    peak = _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf)))
-    assert peak < 8 * v.size + 4 * 2**20
+    complex_samples = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    for v in (complex_samples, rng.integers(-1000, 1000, size=(1024, 1024))):
+        peak = _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf)))
+        assert peak < 8 * v.size + 4 * 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_integer_minimum_matches_its_float_copy_bit_for_bit(dtype):
+    # the modulus of the dtype minimum does not fit the dtype: np.abs gives
+    # the minimum back, so int8 [-128] once had norm 0 and [-128, 3] 3.0
+    lo = np.iinfo(dtype).min
+    for samples in ([lo], [lo, 3], [3, lo, -7, 0, lo]):
+        v = np.array(samples, dtype=dtype)
+        for s in (2.0, math.inf, (0.5, math.inf, 2.0)):
+            expected = lorentz_norm_values(v.astype(np.float64), 0.37, 1.2, s)
+            assert lorentz_norm_values(v, 0.37, 1.2, s) == expected
+    assert lorentz_norm_values(np.array([lo], dtype=dtype), 1.0, 2.0, math.inf) == -float(lo)
 
 
 def test_input_samples_are_not_modified():
