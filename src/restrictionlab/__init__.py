@@ -78,7 +78,6 @@ from .oscillatory import (
     ConditionReport,
     ScalingReport,
     phase_catalog,
-    polynomial_phase,
     derivative_consistency,
     apply_T_lambda,
     phase_factors,

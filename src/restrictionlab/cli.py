@@ -263,8 +263,16 @@ def _check_flatness_count(flag: str, count: int) -> None:
         raise ValueError("%s: a flatness factor needs at least 2 values, got %d" % (flag, count))
 
 
+# the measure flags that each --kind reads; a run drops the others from
+# args, so that its verdict echoes only the flags it read
+_KIND_FLAGS = {"circle": ("n",), "sphere": ("n",), "cantor": ("ratio", "levels"),
+               "cantor-random": ("ratio", "levels"), "point": ("dim",)}
+
+
 def _build_measure(args):
     kind = args.kind
+    for flag in {"n", "ratio", "levels", "dim"}.difference(_KIND_FLAGS[kind]):
+        delattr(args, flag)
     if kind == "circle":
         return make_sphere_measure(2, args.n)
     if kind == "sphere":
@@ -273,9 +281,7 @@ def _build_measure(args):
         return make_cantor_measure(args.ratio, args.levels)
     if kind == "cantor-random":
         return make_random_cantor_measure(args.ratio, args.levels, seed=args.seed)
-    if kind == "point":
-        return make_point_mass([0.0] * args.dim)
-    raise ValueError("unknown measure kind %r" % kind)
+    return make_point_mass([0.0] * args.dim)  # the parser admits no other kind
 
 
 def cmd_exponents(args) -> Result:
@@ -345,6 +351,8 @@ def cmd_measure(args) -> Result:
 def cmd_decay(args) -> Result:
     measure = _build_measure(args)
     profile = fourier_decay_profile(measure, args.r_list, n_directions=args.directions, seed=args.seed)
+    if measure.dim == 1:
+        del args.directions  # the directions are the two signs
     checks = [
         (
             "b_fit in [%g, %g]" % (args.b_min, args.b_max),
@@ -493,6 +501,8 @@ def cmd_restrict(args) -> Result:
         _check_flatness_count("--count", args.count)
     if args.measure_file is not None:
         measure = load_measure(args.measure_file)
+        for flag in ("kind", "n", "ratio", "levels", "dim"):
+            delattr(args, flag)
     else:
         measure = _build_measure(args)
     grid = _lattice_grid(args, measure.dim)

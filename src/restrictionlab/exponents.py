@@ -53,7 +53,6 @@ class ExponentProfile:
     gamma: Fraction
     rho: Fraction
     sigma: Fraction
-    rho_prime: Fraction
     sigma_prime: Fraction
 
 
@@ -77,8 +76,7 @@ def exponent_profile(d, a, b) -> ExponentProfile:
     p0 = 2 * (D + b) / (2 * D + b)
     theta = D / (D + b)
     gamma = D / (D + 2 * b)
-    rho = (D + 2 * b) * (D + b) / (D * D + 3 * b * D + b * b)
-    sigma = (D + 2 * b) / b
+    rho, sigma = _offdiagonal_pair(D, b)
     prof = ExponentProfile(
         d=d,
         a=a,
@@ -89,7 +87,6 @@ def exponent_profile(d, a, b) -> ExponentProfile:
         gamma=gamma,
         rho=rho,
         sigma=sigma,
-        rho_prime=conjugate(rho),
         sigma_prime=conjugate(sigma),
     )
     assert 1 < prof.p0 < 2

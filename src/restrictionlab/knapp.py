@@ -52,20 +52,22 @@ class KnappSpec:
         return 2.0 ** (k / self.q)
 
 
+def _cap_factors(k: int, xi1, xi2) -> Tuple[np.ndarray, np.ndarray]:
+    """Cap k as its two factors: the tangential annulus_window(2^k |xi_1|)
+    and the radial plateau_window(2^{2k-5} |xi_2 - 1|)."""
+    return annulus_window(2.0**k * np.abs(xi1)), plateau_window(2.0 ** (2 * k - 5) * np.abs(xi2 - 1.0))
+
+
 def knapp_g_values(spec: KnappSpec, xi_points) -> np.ndarray:
-    """The superposition evaluated at arbitrary frequency points (m, 2):
-    cap k is annulus_window(2^k |xi_1|) times plateau_window(2^{2k-5} |xi_2 - 1|)."""
+    """The superposition evaluated at arbitrary frequency points (m, 2)."""
     xi = np.atleast_2d(np.asarray(xi_points, dtype=float))
     if xi.shape[-1] != 2:
         raise ValueError("frequency points must be 2-dimensional")
     out = np.zeros(xi.shape[0])
     w = spec.weights()
     for k in range(1, spec.N + 1):
-        out += (
-            w[k - 1]
-            * annulus_window(2.0**k * np.abs(xi[:, 0]))
-            * plateau_window(2.0 ** (2 * k - 5) * np.abs(xi[:, 1] - 1.0))
-        )
+        tang, rad = _cap_factors(k, xi[:, 0], xi[:, 1])
+        out += w[k - 1] * tang * rad
     return out
 
 
@@ -101,8 +103,7 @@ def knapp_function(
     # the caps are real, and the transform takes a real lattice as it is
     G = np.zeros((fax.size, fax.size))
     for k in range(1, spec.N + 1):
-        tang = annulus_window(2.0**k * np.abs(fax))
-        rad = plateau_window(2.0 ** (2 * k - 5) * np.abs(fax - 1.0))
+        tang, rad = _cap_factors(k, fax, fax)
         # a row where tang vanishes would add w * (0 * rad) = +-0, which
         # leaves G unchanged, so only the cap's own rows are accumulated
         rows = np.flatnonzero(tang)

@@ -4,10 +4,10 @@ The central object is T f(x) = integral of zeta(x,y) exp(i lambda phi(x,y))
 f(y) dy, realized by trapezoid-free uniform Riemann quadrature. The module
 provides:
 
-  * PhaseSpec: a polynomial phase + amplitude + power-rule derivative
-    evaluators, built from a term table by polynomial_phase (the built-in
-    catalog and phase files alike), with a finite-difference consistency
-    check;
+  * PhaseSpec: a polynomial phase as its term table and bump radius, a
+    value that derives its phase, amplitude, power-rule derivatives and
+    separable couplings (the built-in catalog and phase files alike), with
+    a finite-difference consistency check;
   * hypothesis checkers: mixed-Hessian rank, curvature count along the
     kernel direction, and fold nondegeneracy with second-fundamental-form
     sampling of the singular image;
@@ -28,6 +28,7 @@ apply_T_lambda_product takes them for every f at that lambda.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -45,7 +46,6 @@ __all__ = [
     "ConditionReport",
     "ScalingReport",
     "phase_catalog",
-    "polynomial_phase",
     "derivative_consistency",
     "apply_T_lambda",
     "phase_factors",
@@ -77,35 +77,121 @@ KERNEL_EPS = 0.3
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """A polynomial phase with its amplitude and derivative evaluators, as
-    built by polynomial_phase.
+    """A polynomial phase with a radial bump amplitude: the sum over terms
+    (coef, px, py) of coef * prod_i x_i^{px_i} * prod_j y_j^{py_j}.
+
+    px holds one nonnegative integer power per x variable and py one per y
+    variable; an empty term list is the zero phase. amp_radius must be
+    finite and positive and every coefficient finite.
 
     phase(x, Y) and amp(x, Y) take one x point (shape (x_dim,)) and a batch
-    of y points (shape (m, y_dim)) and return shape (m,). Derivative
-    evaluators take single points (x, y) and return arrays:
-    d_x -> (x_dim,), d_y -> (y_dim,), d_xy -> (x_dim, y_dim),
-    d_xyy -> (x_dim, y_dim, y_dim).
+    of y points (shape (m, y_dim)) and return shape (m,). The derivatives
+    come from the power rule and take single points (x, y): d_x -> (x_dim,),
+    d_y -> (y_dim,), d_xy -> (x_dim, y_dim), d_xyy -> (x_dim, y_dim, y_dim).
 
     The amplitude is a product of bumps of support radius amp_radius in
     |x| and in every |y_j|; amp_x and amp_y are its per-axis factors.
-    separable, when present, expresses the phase as
-    sum over (i, j) of x_i * separable[(i, j)](y_j); it enables the fast
-    quadrature path.
+    separable, when every term is linear in a single x variable and touches
+    at most one y axis, expresses the phase as sum over (i, j) of
+    x_i * separable[(i, j)](y_j); it enables the fast quadrature path.
     """
 
     name: str
     x_dim: int
     y_dim: int
-    phase: Callable
-    amp: Callable
-    amp_x: Callable
-    amp_y: Tuple[Callable, ...]
+    terms: Tuple[Tuple[float, Tuple[int, ...], Tuple[int, ...]], ...]
     amp_radius: float
-    d_x: Callable
-    d_y: Callable
-    d_xy: Callable
-    d_xyy: Callable
-    separable: Optional[Dict[Tuple[int, int], Callable]]
+
+    def __post_init__(self):
+        x_dim = int(self.x_dim)
+        y_dim = int(self.y_dim)
+        if x_dim < 1 or y_dim < 1:
+            raise ValueError("x_dim and y_dim must be positive, got %d and %d" % (x_dim, y_dim))
+        radius = float(self.amp_radius)
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be finite and positive, got %r" % radius)
+        terms = tuple((float(c), tuple(px), tuple(py)) for c, px, py in self.terms)
+        for c, px, py in terms:
+            if not math.isfinite(c):
+                raise ValueError("term coefficients must be finite, got %r" % c)
+            if len(px) != x_dim or len(py) != y_dim:
+                raise ValueError("a term needs %d x powers and %d y powers" % (x_dim, y_dim))
+            if any(p < 0 for p in px + py):
+                raise ValueError("powers must be nonnegative")
+        object.__setattr__(self, "x_dim", x_dim)
+        object.__setattr__(self, "y_dim", y_dim)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "amp_radius", radius)
+
+    def phase(self, x, Y) -> np.ndarray:
+        x = np.asarray(x, float)
+        Y = np.asarray(Y, float)
+        out = np.zeros(Y.shape[0])
+        for c, px, py in self.terms:
+            fac = c
+            for i, p in enumerate(px):
+                if p:
+                    fac = fac * x[i] ** p
+            term = np.full(Y.shape[0], fac)
+            for j, p in enumerate(py):
+                if p:
+                    term = term * Y[:, j] ** p
+            out += term
+        return out
+
+    def amp(self, x, Y) -> np.ndarray:
+        x = np.asarray(x, float)
+        Y = np.asarray(Y, float)
+        zy = np.ones(Y.shape[0])
+        for j in range(Y.shape[1]):
+            zy = zy * bump(np.abs(Y[:, j]) / self.amp_radius)
+        return bump(np.linalg.norm(x) / self.amp_radius) * zy
+
+    def amp_x(self, pts) -> np.ndarray:
+        return bump(np.linalg.norm(np.atleast_2d(pts), axis=-1) / self.amp_radius)
+
+    def amp_y(self, t) -> np.ndarray:
+        """The amplitude's factor on any one y axis."""
+        return _axis_bump(self.amp_radius)(t)
+
+    def _derivatives(self, nx: int, ny: int, x, y) -> np.ndarray:
+        # every derivative with nx x- and ny y-differentiations at (x, y), in
+        # an array of shape (x_dim,) * nx + (y_dim,) * ny
+        orders, shape = _derivative_orders(self.x_dim, self.y_dim, nx, ny)
+        # scalar arithmetic is faster on Python floats than on numpy's
+        x = [float(t) for t in x]
+        y = [float(t) for t in y]
+        values = []
+        for ax, ay in orders:
+            total = 0.0
+            for c, px, py in self.terms:
+                v = c
+                for t, p, k in zip(x, px, ax):
+                    v *= _dpow(t, p, k)
+                for t, p, k in zip(y, py, ay):
+                    v *= _dpow(t, p, k)
+                total += v
+            values.append(total)
+        return np.array(values).reshape(shape)
+
+    d_x = functools.partialmethod(_derivatives, 1, 0)
+    d_y = functools.partialmethod(_derivatives, 0, 1)
+    d_xy = functools.partialmethod(_derivatives, 1, 1)
+    d_xyy = functools.partialmethod(_derivatives, 1, 2)
+
+    @functools.cached_property
+    def separable(self) -> Optional[Dict[Tuple[int, int], Callable]]:
+        if not all(sum(px) == 1 for _, px, _ in self.terms) or not all(
+            sum(1 for p in py if p) <= 1 for _, _, py in self.terms
+        ):
+            return None
+        groups: Dict[Tuple[int, int], list] = {}
+        for c, px, py in self.terms:
+            i = px.index(1)
+            nz = [j for j, p in enumerate(py) if p]
+            j = nz[0] if nz else 0
+            groups.setdefault((i, j), []).append((c, py[j]))
+        return {key: _monomial_sum(parts) for key, parts in groups.items()}
 
 
 def _phase_point(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -190,6 +276,17 @@ def _dpow(t: float, p: int, order: int) -> float:
     return c * t ** (p - order)
 
 
+@functools.lru_cache(maxsize=64)
+def _derivative_orders(x_dim: int, y_dim: int, nx: int, ny: int):
+    # per entry of the derivative array, how often each x_i and each y_j is
+    # differentiated, and the array's shape
+    orders = tuple(
+        (tuple(idx[:nx].count(i) for i in range(x_dim)), tuple(idx[nx:].count(j) for j in range(y_dim)))
+        for idx in itertools.product(*[range(x_dim)] * nx + [range(y_dim)] * ny)
+    )
+    return orders, (x_dim,) * nx + (y_dim,) * ny
+
+
 def _monomial_sum(parts) -> Callable:
     def fn(t, parts=tuple(parts)):
         t = np.asarray(t, float)
@@ -201,122 +298,7 @@ def _monomial_sum(parts) -> Callable:
     return fn
 
 
-def polynomial_phase(
-    name: str, x_dim: int, y_dim: int, terms: Sequence, radius: float
-) -> PhaseSpec:
-    """The phase sum over terms (coef, px, py) of
-    coef * prod_i x_i^{px_i} * prod_j y_j^{py_j}, with the radial bump
-    amplitude of support radius `radius`.
-
-    px holds one nonnegative integer power per x variable and py one per y
-    variable; an empty term list is the zero phase. The radius must be
-    finite and positive and every coefficient finite. All derivatives come
-    from the power rule. When every term is linear in a single x variable
-    and touches at most one y axis, the separable fast path is populated
-    as well; otherwise only the dense quadrature path is available.
-    """
-    x_dim = int(x_dim)
-    y_dim = int(y_dim)
-    if x_dim < 1 or y_dim < 1:
-        raise ValueError("x_dim and y_dim must be positive, got %d and %d" % (x_dim, y_dim))
-    radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be finite and positive, got %r" % radius)
-    terms = tuple((float(c), tuple(px), tuple(py)) for c, px, py in terms)
-    for c, px, py in terms:
-        if not math.isfinite(c):
-            raise ValueError("term coefficients must be finite, got %r" % c)
-        if len(px) != x_dim or len(py) != y_dim:
-            raise ValueError("a term needs %d x powers and %d y powers" % (x_dim, y_dim))
-        if any(p < 0 for p in px + py):
-            raise ValueError("powers must be nonnegative")
-
-    def phase(x, Y):
-        x = np.asarray(x, float)
-        Y = np.asarray(Y, float)
-        out = np.zeros(Y.shape[0])
-        for c, px, py in terms:
-            fac = c
-            for i, p in enumerate(px):
-                if p:
-                    fac = fac * x[i] ** p
-            term = np.full(Y.shape[0], fac)
-            for j, p in enumerate(py):
-                if p:
-                    term = term * Y[:, j] ** p
-            out += term
-        return out
-
-    def deriv(x, y, ax, ay):
-        # the derivative with ax[i] x_i- and ay[j] y_j-differentiations
-        total = 0.0
-        for c, px, py in terms:
-            v = c
-            for t, p, k in zip(x, px, ax):
-                v *= _dpow(t, p, k)
-            for t, p, k in zip(y, py, ay):
-                v *= _dpow(t, p, k)
-            total += v
-        return total
-
-    def evaluator(nx, ny):
-        # every derivative with nx x- and ny y-differentiations, in an array
-        # of shape (x_dim,) * nx + (y_dim,) * ny
-        orders = [
-            ([idx[:nx].count(i) for i in range(x_dim)], [idx[nx:].count(j) for j in range(y_dim)])
-            for idx in itertools.product(*[range(x_dim)] * nx + [range(y_dim)] * ny)
-        ]
-        shape = (x_dim,) * nx + (y_dim,) * ny
-
-        def evaluate(x, y):
-            # scalar arithmetic is faster on Python floats than on numpy's
-            x = [float(t) for t in x]
-            y = [float(t) for t in y]
-            return np.array([deriv(x, y, ax, ay) for ax, ay in orders]).reshape(shape)
-
-        return evaluate
-
-    separable = None
-    if all(sum(px) == 1 for _, px, _ in terms) and all(
-        sum(1 for p in py if p) <= 1 for _, _, py in terms
-    ):
-        groups: Dict[Tuple[int, int], list] = {}
-        for c, px, py in terms:
-            i = px.index(1)
-            nz = [j for j, p in enumerate(py) if p]
-            j = nz[0] if nz else 0
-            groups.setdefault((i, j), []).append((c, py[j]))
-        separable = {key: _monomial_sum(parts) for key, parts in groups.items()}
-
-    def amp(x, Y):
-        x = np.asarray(x, float)
-        Y = np.asarray(Y, float)
-        zy = np.ones(Y.shape[0])
-        for j in range(Y.shape[1]):
-            zy = zy * bump(np.abs(Y[:, j]) / radius)
-        return bump(np.linalg.norm(x) / radius) * zy
-
-    def amp_x(pts):
-        return bump(np.linalg.norm(np.atleast_2d(pts), axis=-1) / radius)
-
-    return PhaseSpec(
-        name=name,
-        x_dim=x_dim,
-        y_dim=y_dim,
-        phase=phase,
-        amp=amp,
-        amp_x=amp_x,
-        amp_y=(_axis_bump(radius),) * y_dim,
-        amp_radius=radius,
-        d_x=evaluator(1, 0),
-        d_y=evaluator(0, 1),
-        d_xy=evaluator(1, 1),
-        d_xyy=evaluator(1, 2),
-        separable=separable,
-    )
-
-
-# (x_dim, y_dim, terms) of each built-in phase, in polynomial_phase's format
+# (x_dim, y_dim, terms) of each built-in phase, in PhaseSpec's format
 _CATALOG = {
     "parabola": (2, 1, [(1.0, (1, 0), (1,)), (0.5, (0, 1), (2,))]),
     "cone": (3, 2, [(1.0, (1, 0, 0), (1, 0)), (1.0, (0, 1, 0), (0, 1)), (0.5, (0, 0, 1), (2, 0))]),
@@ -327,7 +309,7 @@ _CATALOG = {
 
 
 def phase_catalog(amp_radius: float = 0.09) -> Dict[str, PhaseSpec]:
-    """Built-in phases, each built by polynomial_phase from a term table.
+    """Built-in phases, each a PhaseSpec of its term table.
 
     parabola: x1 y + x2 y^2/2 (one curvature direction);
     cone: <x', y> + x3 y1^2/2 in d = 3 (one flat direction);
@@ -340,7 +322,7 @@ def phase_catalog(amp_radius: float = 0.09) -> Dict[str, PhaseSpec]:
     catalog with unit radius so the lambda range is genuinely oscillatory.
     """
     return {
-        name: polynomial_phase(name, x_dim, y_dim, terms, amp_radius)
+        name: PhaseSpec(name, x_dim, y_dim, terms, amp_radius)
         for name, (x_dim, y_dim, terms) in _CATALOG.items()
     }
 
@@ -696,7 +678,7 @@ def apply_T_lambda_product(
         for j in range(spec.y_dim):
             y = y_axes[j]
             dy = float(y[1] - y[0])
-            w = spec.amp_y[j](y) * np.asarray(term[j](y)) * dy
+            w = spec.amp_y(y) * np.asarray(term[j](y)) * dy
             coup = per_axis[j]
             if len(coup) == 0:
                 arr = np.asarray(w.sum())
@@ -999,8 +981,8 @@ def polynomial_phase_from_file(path) -> PhaseSpec:
 
     Each term line contributes coef * prod_i x_i^{px_i} * prod_j y_j^{py_j};
     it carries one integer power per x variable followed by one per y
-    variable. The terms go to polynomial_phase, which builds the built-in
-    catalog too, under the name poly:<file stem>.
+    variable. The terms make a PhaseSpec, as the built-in catalog's do,
+    under the name poly:<file stem>.
     """
     x_dim = y_dim = None
     radius = 0.09
@@ -1039,6 +1021,6 @@ def polynomial_phase_from_file(path) -> PhaseSpec:
         raise ValueError("%s: no term lines" % path)
     stem = os.path.splitext(os.path.basename(str(path)))[0]
     try:
-        return polynomial_phase("poly:%s" % stem, x_dim, y_dim, terms, radius)
+        return PhaseSpec("poly:%s" % stem, x_dim, y_dim, terms, radius)
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None

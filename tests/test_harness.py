@@ -3,6 +3,7 @@ bytewise determinism, and the canonical value rendering."""
 
 import importlib.util
 import os
+import re
 import sys
 import types
 from pathlib import Path
@@ -425,6 +426,9 @@ def test_dyadic_point_mass_scaling(tmp_path):
     lines = open(os.path.join(out, "dyadic.csv")).read().splitlines()
     assert lines[0] == "j,sup_mu_hat_j,sup_mu_j,hat_scaled,mass_scaled"
     assert len(lines) == 4
+    # a point mass reads --dim alone of the measure flags
+    echo = open(os.path.join(out, "dyadic_verdict.txt")).read()
+    assert re.findall(r"^  (kind|n|ratio|levels|dim)=", echo, re.M) == ["dim", "kind"]
 
 
 def _perfbench_module(name, monkeypatch):
@@ -526,6 +530,10 @@ def test_side_files_of_measure_and_exponents(tmp_path, capsys):
     assert lines[0] == "field,ratio"
     assert len(lines) == 4 and lines[1].startswith("gauss-t1")
     assert (tmp_path / "a" / "restrict.csv").read_bytes() == (tmp_path / "b" / "restrict.csv").read_bytes()
+    # the file replaces every measure flag, so the echo names none of them
+    echo = (tmp_path / "a" / "restrict_verdict.txt").read_text()
+    assert not re.search(r"^  (kind|n|ratio|levels|dim)=", echo, re.M)
+    assert re.search(r"^  measure_file=", echo, re.M)
     # exponents --kappa writes its second table beside its first
     assert main(["exponents", "--kappa", "2", "--out", str(tmp_path / "e")]) == 0
     osc = (tmp_path / "e" / "exponents_oscillatory.csv").read_text().splitlines()
@@ -661,6 +669,29 @@ def test_accept_writes_only_under_its_out(tmp_path, monkeypatch):
     echo = (tmp_path / "acc" / "criterion_03_verdict.txt").read_text().splitlines()
     assert "  decay.r_list=4.0,8.0,16.0,32.0,64.0,128.0,256.0" in echo
     assert "  measure.a_min=0.9" in echo and "  measure.a_max=1.1" in echo
+    # and only the flags the run read: a circle reads --n, not --ratio,
+    # --levels or --dim, and the one-dimensional Cantor measure reads
+    # --ratio and --levels but neither --n, --dim nor --directions (its
+    # directions are the two signs)
+    assert _echoed_run_flags(tmp_path / "acc" / "criterion_03_verdict.txt") == {
+        "decay": {"b_max", "b_min", "directions", "kind", "n", "r_list"},
+        "measure": {"a_max", "a_min", "kind", "n", "radii"},
+    }
+    assert _echoed_run_flags(tmp_path / "acc" / "criterion_04_verdict.txt") == {
+        "decay": {"b_max", "b_min", "kind", "levels", "r_list", "ratio"},
+        "measure": {"a_max", "a_min", "kind", "levels", "radii", "ratio"},
+    }
+
+
+def _echoed_run_flags(path):
+    # {subcommand: flags} of the run.flag=value lines of a verdict echo
+    flags = {}
+    for line in path.read_text().splitlines():
+        key = line.strip().split("=", 1)[0]
+        if line.startswith("  ") and "." in key:
+            run, flag = key.split(".", 1)
+            flags.setdefault(run, set()).add(flag)
+    return flags
 
 
 # -------------------------------------------------------------- determinism

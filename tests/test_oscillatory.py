@@ -1,7 +1,8 @@
 """Oscillatory integral operators: quadrature paths, hypothesis checkers,
-kernel decomposition, scaling experiments, and the phase builder and its
+kernel decomposition, scaling experiments, and the phase type and its
 coefficient-file loader."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from restrictionlab import oscillatory as osc
 from restrictionlab.fitting import loglog_fit
 from restrictionlab.oscillatory import (
     ConditionReport,
+    PhaseSpec,
     apply_T_lambda,
     apply_T_lambda_product,
     check_curvature_rank,
@@ -25,7 +27,6 @@ from restrictionlab.oscillatory import (
     parabola_scaling_family,
     phase_catalog,
     phase_factors,
-    polynomial_phase,
     polynomial_phase_from_file,
     scaling_experiment,
     tstar_kernel_entry,
@@ -264,7 +265,7 @@ def test_mixed_hessian_rank_of_catalog_phases():
 
 def test_mixed_hessian_rank_detects_degeneracy():
     # phase x1 y^2/2 loses all coupling at y = 0
-    spec = polynomial_phase("degenerate", 2, 1, [(0.5, (0, 1), (2,))], 0.09)
+    spec = PhaseSpec("degenerate", 2, 1, [(0.5, (0, 1), (2,))], 0.09)
     x = np.array([0.02, 0.01])
     rep = check_rank_mixed_hessian(spec, [(x, np.array([0.0])), (x, np.array([0.03]))])
     assert rep.values[0] == 0 and not rep.verdict
@@ -280,7 +281,7 @@ def test_curvature_rank_catalog_verdicts():
 
 def test_curvature_rank_rejects_ambiguous_kernel():
     # x is 3-dimensional but only x0 couples: kernel dimension 2
-    spec = polynomial_phase("thin", 3, 2, [(1.0, (1, 0, 0), (1, 0))], 0.09)
+    spec = PhaseSpec("thin", 3, 2, [(1.0, (1, 0, 0), (1, 0))], 0.09)
     probes = [(np.array([0.01, 0.0, 0.0]), np.array([0.0, 0.0]))]
     with pytest.raises(ValueError, match="ambiguous"):
         check_curvature_rank(spec, probes, 1)
@@ -382,7 +383,7 @@ def test_exact_fold_gradient_matches_central_differences(tmp_path):
 
 
 def test_fold_vacuous_when_no_singular_points():
-    spec = polynomial_phase(
+    spec = PhaseSpec(
         "linear-square", 2, 2, [(1.0, (1, 0), (1, 0)), (1.0, (0, 1), (0, 1))], 0.09
     )
     rep = check_fold(spec, FOLD_PROBES, 1)
@@ -657,6 +658,14 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
     assert spec.name == "poly:para"
     assert (spec.x_dim, spec.y_dim) == (2, 1)
     assert spec.amp_radius == 1.0
+    # the same value as the catalog's parabola, up to its name
+    parabola = CAT1["parabola"]
+    assert (spec.x_dim, spec.y_dim, spec.terms, spec.amp_radius) == (
+        parabola.x_dim,
+        parabola.y_dim,
+        parabola.terms,
+        parabola.amp_radius,
+    )
     assert derivative_consistency(spec, n_probes=30) < 1e-6
     # point for point the catalog's parabola (whose term table is pinned to
     # the closed forms by test_catalog_term_tables_match_the_closed_forms)
@@ -670,6 +679,27 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
     factors = phase_factors(spec, 30.0, y_axes, x_axes)
     fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
     assert np.max(np.abs(dense - fast)) < 1e-12
+
+
+def test_phase_is_a_value():
+    # a phase is its term table and radius: two builds of the catalog are
+    # equal and hash alike, and another radius is another phase
+    assert [f.name for f in dataclasses.fields(PhaseSpec)] == [
+        "name",
+        "x_dim",
+        "y_dim",
+        "terms",
+        "amp_radius",
+    ]
+    a, b = phase_catalog(1.0), phase_catalog(1.0)
+    assert a == b
+    assert [hash(spec) for spec in a.values()] == [hash(spec) for spec in b.values()]
+    assert len(set(a.values()) | set(b.values())) == len(a)
+    assert a["parabola"] != phase_catalog(0.09)["parabola"]
+    # a table given as lists and ints is normalized to the same hashable value
+    listed = PhaseSpec("parabola", 2.0, 1, [[1, [1, 0], [1]], [0.5, [0, 1], [2]]], 1)
+    assert listed == a["parabola"] and hash(listed) == hash(a["parabola"])
+    assert isinstance(listed.x_dim, int) and isinstance(listed.amp_radius, float)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +718,7 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
 )
 def test_builder_rejects_bad_input(x_dim, radius, terms, message):
     with pytest.raises(ValueError, match=message):
-        polynomial_phase("bad", x_dim, 1, terms, radius)
+        PhaseSpec("bad", x_dim, 1, terms, radius)
 
 
 def test_polynomial_file_nonseparable_falls_back_to_dense(tmp_path):

@@ -1,10 +1,11 @@
-"""Source checks over src/restrictionlab: every parameter is read, and every
-export is used."""
+"""Source checks over src/restrictionlab: every parameter is read, every
+export is used, and every field is read."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "restrictionlab"
+TESTS = Path(__file__).resolve().parent
 
 # (module, qualified name, parameter) of the callables whose signature an
 # interface fixes: CRITERIA passes every criterion a seed, and every scaling
@@ -107,3 +108,37 @@ def test_every_export_is_used():
     # an export that only its own unit tests call is code kept for nothing;
     # only the test oracles above may be one
     assert _unused_exports() == TEST_ORACLES
+
+
+def _is_record(node):
+    # a dataclass (bare or called decorator) or a NamedTuple subclass
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+        getattr(b, "id", None) == "NamedTuple" for b in node.bases
+    )
+
+
+def _unread_fields():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    fields = {
+        (path.stem, node.name, stmt.target.id)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_record(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    trees.update((path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(TESTS.glob("*.py")))
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {field for field in fields if field[2] not in read}
+
+
+def test_every_field_is_read():
+    # a field that nothing reads is state kept for nothing, and a caller can
+    # set it to disagree with the fields that are read
+    assert _unread_fields() == set()
