@@ -98,13 +98,15 @@ from .fitting import loglog_fit, flatness_factor, FitResult
 from .reporting import (
     ExperimentConfig,
     ReportTable,
+    Result,
     emit_csv,
     format_cell,
     render_value,
     render_verdict,
+    write_report,
     write_verdict,
 )
-from .acceptance import CriterionResult, run_acceptance
+from .acceptance import run_acceptance
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

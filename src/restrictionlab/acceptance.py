@@ -1,16 +1,18 @@
 """Acceptance suite: the pinned end-to-end checks for this laboratory.
 
-Each criterion is a pure function returning a CriterionResult with the
-named sub-checks (windows, tolerances, runtime budget), the data table to
-emit, and the parameter echo for its verdict. Criteria 3-5 and 7-10 run
-subcommands of the command line (3 and 4 run `decay` and `measure`) and
-add only the checks that the criterion makes (runtime budgets, criterion
+Each criterion is a pure function of the seed that returns (params,
+Result): the parameters its verdict echoes and, as a subcommand returns
+it, its table and named sub-checks (windows, tolerances). Criteria 3-5
+and 7-10 run subcommands of the command line (3 and 4 run `decay` and
+`measure`) and add only the checks that the criterion makes (criterion
 4's strict decay bound, criterion 8's extension-slope windows), so each
 default is defined once, in the parser. run_acceptance executes a
-selection, writes one CSV and one verdict file per criterion plus a
-summary, and is the engine behind the `accept` subcommand; a subcommand
-that a criterion runs writes no file. CSV content is bytewise
-deterministic for a fixed seed; timing never enters the CSVs.
+selection, times each criterion against its runtime budget, and writes
+one CSV and one verdict file per criterion plus a summary, through the
+same writer as a subcommand; it is the engine behind the `accept`
+subcommand, and a subcommand that a criterion runs writes no file. CSV
+content is bytewise deterministic for a fixed seed; timing never enters
+the CSVs.
 
 The determinism criterion itself (identical bytes from two same-seed runs)
 is exercised from the tests by invoking the suite twice and comparing the
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,39 +35,15 @@ from .grids import GridSpec
 from .measures import DiscreteMeasure, make_sphere_measure
 from .operators import convolve_mu_hat, extend, random_smooth_family, restrict_at_atoms, restrict_sq_integral
 from .oscillatory import dyadic_kernel_sup, phase_catalog
-from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
+from .reporting import ExperimentConfig, ReportTable, Result, write_report
 
-__all__ = ["CriterionResult", "run_acceptance"]
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    checks: Tuple[Tuple[str, bool, str], ...]
-    table: ReportTable
-    params: Tuple[Tuple[str, Any], ...]
-    elapsed: float
-
-
-def _result(index, name, checks, table, params, t0) -> CriterionResult:
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        index=index,
-        name=name,
-        passed=all(ok for _, ok, _ in checks),
-        checks=tuple(checks),
-        table=table,
-        params=tuple(params),
-        elapsed=elapsed,
-    )
+__all__ = ["run_acceptance"]
 
 
 def _subcommand(name: str, seed: int, *flags: str):
     """Run a CLI subcommand's experiment with the given flags, the others
     at their parser defaults; returns (params, result): the resolved flags
-    that the criterion's verdict echoes, and the `cli.Result` (unwritten)."""
+    that the criterion's verdict echoes, and the unwritten `Result`."""
     from . import cli  # not at import time: cli imports this module
 
     args = cli.build_parser().parse_args([name, "--seed", str(seed), *flags])
@@ -76,7 +54,8 @@ def _subcommand(name: str, seed: int, *flags: str):
 def _dimension_runs(seed: int, *runs):
     """Run `measure` and `decay` as (name, *flags) and merge them: checks
     and table rows in run order, each row led by its table's value column,
-    then a_fit and b_fit; params are each run's flags prefixed by its name."""
+    then a_fit and b_fit; params are each run's flags prefixed by its name,
+    and the report maps each name to its run's report."""
     checks, rows, params, reports = [], [], (), {}
     for name, *flags in runs:
         run_params, result = _subcommand(name, seed, *flags)
@@ -86,12 +65,11 @@ def _dimension_runs(seed: int, *runs):
         reports[name] = result.report
     rows += [("a_fit", 0.0, reports["measure"].a_fit), ("b_fit", 0.0, reports["decay"].b_fit)]
     table = ReportTable(columns=("quantity", "scale", "value"), rows=tuple(rows))
-    return checks, table, params
+    return params, Result(table, checks, reports)
 
 
-def criterion_1(seed: int = 0) -> CriterionResult:
+def criterion_1(seed: int = 0):
     """Exponent identity suite over random rational triples, exact."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     triples = [
         (Fraction(3), Fraction(2), Fraction(1)),
@@ -110,18 +88,13 @@ def criterion_1(seed: int = 0) -> CriterionResult:
         names = tuple(flags)
         all_ok = all_ok and all(flags.values())
         rows.append((str(d), str(a), str(b)) + tuple(flags.values()))
-    elapsed = time.perf_counter() - t0
-    checks = [
-        ("all identities hold exactly on %d triples" % len(triples), all_ok, ""),
-        ("runtime < 1 s", elapsed < 1.0, "%.3f s" % elapsed),
-    ]
+    checks = [("all identities hold exactly on %d triples" % len(triples), all_ok, "")]
     table = ReportTable(columns=("d", "a", "b") + names, rows=tuple(rows))
-    return _result(1, "exponent-identities", checks, table, [("triples", len(triples))], t0)
+    return (("triples", len(triples)),), Result(table, checks)
 
 
-def criterion_2(seed: int = 0) -> CriterionResult:
+def criterion_2(seed: int = 0):
     """Named exponent values, exact rational equality."""
-    t0 = time.perf_counter()
     prof = exponent_profile(3, 2, 1)
     osc2 = oscillatory_exponents(2)
     osc1 = oscillatory_exponents(1)
@@ -151,57 +124,43 @@ def criterion_2(seed: int = 0) -> CriterionResult:
             ("q1_kappa1", str(osc1.q1)),
         ),
     )
-    return _result(2, "exponent-cross-checks", checks, table, [("d", 3), ("a", 2), ("b", 1)], t0)
+    return (("d", 3), ("a", 2), ("b", 1)), Result(table, checks)
 
 
-def criterion_3(seed: int = 0) -> CriterionResult:
+def criterion_3(seed: int = 0):
     """Circle measure: decay dimension ~ 1/2, ball dimension ~ 1. The
     `decay` subcommand at its defaults and `measure` with the window
-    [0.9, 1.1], within a runtime budget."""
-    t0 = time.perf_counter()
-    checks, table, params = _dimension_runs(
-        seed, ("decay",), ("measure", "--a-min", "0.9", "--a-max", "1.1")
-    )
-    elapsed = time.perf_counter() - t0
-    checks.append(("runtime < 10 s", elapsed < 10.0, "%.2f s" % elapsed))
-    return _result(3, "circle-dimensions", checks, table, params, t0)
+    [0.9, 1.1]."""
+    return _dimension_runs(seed, ("decay",), ("measure", "--a-min", "0.9", "--a-max", "1.1"))
 
 
-def criterion_4(seed: int = 0) -> CriterionResult:
+def criterion_4(seed: int = 0):
     """Cantor measure: ball dimension log2/log3 but no decay dimension.
     `measure --kind cantor` and `decay --kind cantor`, plus the strict
-    bound b_fit < 0.05, within a runtime budget."""
-    t0 = time.perf_counter()
+    bound b_fit < 0.05."""
     # the radii 3^-k as typed: measure's default (1/3)^k differs from them
     # in the last bit for k >= 3, which would move the pinned bytes
     radii = ",".join(repr(3.0**-k) for k in range(2, 9))
-    checks, table, params = _dimension_runs(
+    params, result = _dimension_runs(
         seed,
         ("measure", "--kind", "cantor", "--radii", radii, "--a-min", "0.58", "--a-max", "0.68"),
         ("decay", "--kind", "cantor", "--levels", "16", "--r-list", "3,9,27,81,243,729",
          "--b-min", "0", "--b-max", "0.05"),
     )
-    b_fit = table.rows[-1][2]  # the closing b_fit row
-    elapsed = time.perf_counter() - t0
-    checks.append(("b_fit < 0.05", b_fit < 0.05, "%.4f" % b_fit))
-    checks.append(("runtime < 10 s", elapsed < 10.0, "%.2f s" % elapsed))
-    return _result(4, "cantor-dimensions", checks, table, params, t0)
+    b_fit = result.report["decay"].b_fit
+    result.checks.append(("b_fit < 0.05", b_fit < 0.05, "%.4f" % b_fit))
+    return params, result
 
 
-def criterion_5(seed: int = 0) -> CriterionResult:
+def criterion_5(seed: int = 0):
     """Dyadic frequency pieces of the circle measure: sup of the localized
     transform scales like 2^{-j/2}, mass of the piece like 2^j. The
-    `dyadic` subcommand at its defaults, within a runtime budget."""
-    t0 = time.perf_counter()
-    params, result = _subcommand("dyadic", seed)
-    elapsed = time.perf_counter() - t0
-    checks = result.checks + [("runtime < 60 s", elapsed < 60.0, "%.2f s" % elapsed)]
-    return _result(5, "dyadic-piece-bounds", checks, result.table, params, t0)
+    `dyadic` subcommand at its defaults."""
+    return _subcommand("dyadic", seed)
 
 
-def criterion_6(seed: int = 0) -> CriterionResult:
+def criterion_6(seed: int = 0):
     """Restriction-squared identity and extend/restrict adjointness."""
-    t0 = time.perf_counter()
     grid = GridSpec(dim=2, half_width=1.0, points_per_axis=64)
     measure = make_sphere_measure(2, 256)
     reflected = DiscreteMeasure(
@@ -231,7 +190,6 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         adj = abs(lhs - rhs) / scale
         worst_adjoint = max(worst_adjoint, adj)
         rows.append((k, rsq, rel, adj))
-    elapsed = time.perf_counter() - t0
     checks = [
         ("identity relative error <= 1e-8 on 20 fields", worst_identity <= 1e-8, "%.3g" % worst_identity),
         ("adjointness relative error <= 1e-8", worst_adjoint <= 1e-8, "%.3g" % worst_adjoint),
@@ -240,60 +198,44 @@ def criterion_6(seed: int = 0) -> CriterionResult:
         columns=("field", "restrict_sq", "identity_rel_err", "adjoint_rel_err"),
         rows=tuple(rows),
     )
-    return _result(6, "tomas-identity", checks, table, [("fields", 20), ("atoms", 256)], t0)
+    return (("fields", 20), ("atoms", 256)), Result(table, checks)
 
 
-def criterion_7(seed: int = 0) -> CriterionResult:
+def criterion_7(seed: int = 0):
     """Lorentz quasi-norm: diagonal, indicator closed form, exact symmetries.
     The `lorentz` subcommand at its defaults."""
-    t0 = time.perf_counter()
-    params, result = _subcommand("lorentz", seed)
-    return _result(7, "lorentz-suite", result.checks, result.table, params, t0)
+    return _subcommand("lorentz", seed)
 
 
-def criterion_8(seed: int = 0) -> CriterionResult:
+def criterion_8(seed: int = 0):
     """Cap superposition sharpness: input grows like N^{1/q} in L^q while
     the extension stays bounded in sup and grows slowly in L^2. The `knapp`
     subcommand at its defaults, plus windows on both extension slopes."""
-    t0 = time.perf_counter()
     params, result = _subcommand("knapp", seed)
     # one fit per --s-list entry, which defaults to 2, inf
     slope_f2, slope_finf = (fit.slope for fit in result.report.fits_f)
-    elapsed = time.perf_counter() - t0
-    checks = result.checks + [
-        ("slope_f(s=inf) in [-0.1, 0.1]", -0.1 <= slope_finf <= 0.1, "%.4f" % slope_finf),
-        ("slope_f(s=2) in [0.35, 0.65]", 0.35 <= slope_f2 <= 0.65, "%.4f" % slope_f2),
-        ("runtime < 300 s", elapsed < 300.0, "%.1f s" % elapsed),
-    ]
+    result.checks.append(("slope_f(s=inf) in [-0.1, 0.1]", -0.1 <= slope_finf <= 0.1, "%.4f" % slope_finf))
+    result.checks.append(("slope_f(s=2) in [0.35, 0.65]", 0.35 <= slope_f2 <= 0.65, "%.4f" % slope_f2))
     # the stored criterion table names the input-norm column by its space
     table = replace(result.table, columns=("N", "norm_g_Lq") + result.table.columns[2:])
-    return _result(8, "knapp-sharpness", checks, table, params, t0)
+    return params, result._replace(table=table)
 
 
-def criterion_9(seed: int = 0) -> CriterionResult:
+def criterion_9(seed: int = 0):
     """Parabola-phase operator norms decay like lambda^{-1/3} at q = 6.
-    The `oscillatory` subcommand at its defaults, within a runtime budget."""
-    t0 = time.perf_counter()
-    params, result = _subcommand("oscillatory", seed)
-    elapsed = time.perf_counter() - t0
-    checks = result.checks + [("runtime < 600 s", elapsed < 600.0, "%.1f s" % elapsed)]
-    return _result(9, "parabola-scaling", checks, result.table, params, t0)
+    The `oscillatory` subcommand at its defaults."""
+    return _subcommand("oscillatory", seed)
 
 
-def criterion_10(seed: int = 0) -> CriterionResult:
+def criterion_10(seed: int = 0):
     """Curved-fold fixture: the fold checker accepts it and the operator
     norms decay like lambda^{-2/3} at q = 3. The `fold` subcommand at its
-    defaults, within a runtime budget."""
-    t0 = time.perf_counter()
-    params, result = _subcommand("fold", seed)
-    elapsed = time.perf_counter() - t0
-    checks = result.checks + [("runtime < 600 s", elapsed < 600.0, "%.1f s" % elapsed)]
-    return _result(10, "fold-scaling", checks, result.table, params, t0)
+    defaults."""
+    return _subcommand("fold", seed)
 
 
-def criterion_11(seed: int = 0) -> CriterionResult:
+def criterion_11(seed: int = 0):
     """Near-diagonal dyadic kernel pieces obey the 2^{-j/2} sup law."""
-    t0 = time.perf_counter()
     spec = phase_catalog()["parabola"]
     lam = 1024.0
     j_list = list(range(2, 8))
@@ -305,20 +247,12 @@ def criterion_11(seed: int = 0) -> CriterionResult:
         rows.append((j, sup, scaled[-1]))
     positive = all(s > 0 for s in scaled)
     flat = flatness_factor(scaled) if positive else float("inf")
-    elapsed = time.perf_counter() - t0
     checks = [
         ("all sampled sups positive", positive, ""),
         ("sup|S_j| 2^{j/2} flat within factor 10", flat <= 10.0, "%.3f" % flat),
     ]
     table = ReportTable(columns=("j", "sup_S_j", "scaled"), rows=tuple(rows))
-    return _result(
-        11,
-        "dyadic-kernel-sup",
-        checks,
-        table,
-        [("phase", "parabola"), ("lambda", lam), ("j_list", tuple(j_list))],
-        t0,
-    )
+    return (("phase", "parabola"), ("lambda", lam), ("j_list", tuple(j_list))), Result(table, checks)
 
 
 CRITERIA = (
@@ -335,49 +269,56 @@ CRITERIA = (
     criterion_11,
 )
 
+# each criterion's name and runtime budget in seconds (None: no budget),
+# in CRITERIA order; run_acceptance times the call and appends the budget
+# as the criterion's last check
+GATES = (
+    ("exponent-identities", 1),
+    ("exponent-cross-checks", None),
+    ("circle-dimensions", 10),
+    ("cantor-dimensions", 10),
+    ("dyadic-piece-bounds", 60),
+    ("tomas-identity", None),
+    ("lorentz-suite", None),
+    ("knapp-sharpness", 300),
+    ("parabola-scaling", 600),
+    ("fold-scaling", 600),
+    ("dyadic-kernel-sup", None),
+)
+
 
 def run_acceptance(
     out_dir: str, seed: int = 0, only: Optional[Sequence[int]] = None
-) -> List[CriterionResult]:
+) -> List[Tuple[str, bool, str]]:
     """Run the selected criteria (default: all computable ones, 1-11),
     writing criterion_NN.csv and criterion_NN_verdict.txt for each plus a
-    summary pair."""
+    summary pair; returns the summary checks, one (label, passed, elapsed)
+    per criterion."""
     selected = sorted(set(only)) if only else list(range(1, len(CRITERIA) + 1))
     for idx in selected:
         if not 1 <= idx <= len(CRITERIA):
             raise ValueError("criterion index %d out of range 1..%d" % (idx, len(CRITERIA)))
     os.makedirs(out_dir, exist_ok=True)
-    results = []
+    rows, summary = [], []
     for idx in selected:
-        res = CRITERIA[idx - 1](seed)
-        config = ExperimentConfig(
-            subcommand="accept",
-            params=(("criterion", idx), ("name", res.name)) + res.params,
-            out_dir=out_dir,
-            seed=seed,
-        )
+        name, budget = GATES[idx - 1]
+        t0 = time.perf_counter()
+        params, result = CRITERIA[idx - 1](seed)
+        elapsed = time.perf_counter() - t0
+        detail = "%.2f s" % elapsed
+        if budget is not None:
+            result.checks.append(("runtime < %d s" % budget, elapsed < budget, detail))
+        config = ExperimentConfig("accept", (("criterion", idx), ("name", name)) + params, out_dir, seed)
         base = os.path.join(out_dir, "criterion_%02d" % idx)
-        emit_csv(res.table, base + ".csv")
-        write_verdict(base + "_verdict.txt", "criterion %d: %s" % (idx, res.name), config, res.checks)
-        results.append(res)
-    summary = ReportTable(
-        columns=("criterion", "name", "passed"),
-        rows=tuple((r.index, r.name, r.passed) for r in results),
-    )
-    emit_csv(summary, os.path.join(out_dir, "summary.csv"))
-    config = ExperimentConfig(
-        subcommand="accept",
-        params=(("criteria", tuple(selected)),),
-        out_dir=out_dir,
-        seed=seed,
-    )
-    write_verdict(
+        title = "criterion %d: %s" % (idx, name)
+        passed = write_report(result, base + ".csv", base + "_verdict.txt", title, config)
+        rows.append((idx, name, passed))
+        summary.append(("criterion %d %s" % (idx, name), passed, detail))
+    write_report(
+        Result(ReportTable(("criterion", "name", "passed"), tuple(rows)), summary),
+        os.path.join(out_dir, "summary.csv"),
         os.path.join(out_dir, "accept_verdict.txt"),
         "acceptance suite",
-        config,
-        [
-            ("criterion %d %s" % (r.index, r.name), r.passed, "%.1f s" % r.elapsed)
-            for r in results
-        ],
+        ExperimentConfig("accept", (("criteria", tuple(selected)),), out_dir, seed),
     )
-    return results
+    return summary

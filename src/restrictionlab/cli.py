@@ -10,11 +10,13 @@ failure). No other exit codes occur.
 
 Verdict thresholds (slope windows, flatness factors, gaps) are flags with
 defaults pinned here, not constants buried in the computation modules.
-Each experiment subcommand returns a `Result`: its table, its checks, the
-report it fitted, and its side files as (file name, writer) pairs. It
-writes no file itself; `main` writes them all under --out. Acceptance
-criteria 3-5 and 7-10 run the `decay`, `measure`, `dyadic`, `lorentz`,
-`knapp`, `oscillatory` and `fold` experiments and read their reports.
+Each experiment subcommand returns a `reporting.Result`: its table, its
+checks, the report it fitted, and its side files as (file name, writer)
+pairs. It writes no file itself; `main` writes them all under --out with
+`reporting.write_report`, the writer that `accept` uses for every
+criterion. Acceptance criteria 3-5 and 7-10 run the `decay`, `measure`,
+`dyadic`, `lorentz`, `knapp`, `oscillatory` and `fold` experiments and
+read their reports.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -64,20 +66,9 @@ from .oscillatory import (
     polynomial_phase_from_file,
     scaling_experiment,
 )
-from .reporting import ExperimentConfig, ReportTable, emit_csv, write_verdict
+from .reporting import ExperimentConfig, ReportTable, Result, emit_csv, write_report
 
 __all__ = ["main", "build_parser"]
-
-
-class Result(NamedTuple):
-    """An experiment subcommand's outcome: its table, its named checks, the
-    report it fitted, and the side files that `main` writes under --out as
-    (file name, writer) pairs."""
-
-    table: ReportTable
-    checks: List[Tuple[str, bool, str]]
-    report: Any = None
-    files: Tuple[Tuple[str, Callable[[str], None]], ...] = ()
 
 
 def _floats(text: str) -> List[float]:
@@ -227,8 +218,7 @@ def _finish(args, result: Result) -> int:
     name = args.subcommand
     os.makedirs(args.out, exist_ok=True)  # only once the experiment has run
     paths = [os.path.join(args.out, name + ".csv"), os.path.join(args.out, name + "_verdict.txt")]
-    emit_csv(result.table, paths[0])
-    ok = write_verdict(paths[1], name, _config_from_args(args), result.checks)
+    ok = write_report(result, *paths, name, _config_from_args(args))
     for filename, write in result.files:
         paths.append(os.path.join(args.out, filename))
         write(paths[-1])
@@ -647,13 +637,10 @@ def cmd_fold(args) -> Result:
 
 
 def cmd_accept(args) -> int:
-    results = run_acceptance(args.out, seed=args.seed, only=args.only)
-    for res in results:
-        print(
-            "%s criterion %d %s (%.1f s)"
-            % ("PASS" if res.passed else "FAIL", res.index, res.name, res.elapsed)
-        )
-    ok = all(res.passed for res in results)
+    summary = run_acceptance(args.out, seed=args.seed, only=args.only)
+    for label, passed, elapsed in summary:
+        print("%s %s (%s)" % ("PASS" if passed else "FAIL", label, elapsed))
+    ok = all(passed for _, passed, _ in summary)
     print("acceptance: %s" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

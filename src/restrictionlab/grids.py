@@ -29,8 +29,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:  # NaN fails every comparison
+            raise ValueError("half_width must be finite and positive, got %g" % self.half_width)
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two, at least 8")

@@ -288,6 +288,8 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
 def _unit_directions(dim: int, n_directions: int, seed: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
+    if n_directions < 1:
+        raise ValueError("n_directions must be >= 1, got %d" % n_directions)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((int(n_directions), dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
@@ -302,11 +304,10 @@ def fourier_decay_profile(
     """Fit sup_{|xi|=R} |mu_hat(xi)| ~ B R^-b over the given annulus radii.
 
     The sup is over n_directions >= 1 fixed random directions (the two
-    signs when d = 1). Radii below 1 are rejected, as are radii beyond the measure's
-    aliasing radius where the atomic transform stops tracking the continuum.
+    signs when d = 1, and n_directions is then unread). Radii below 1 are
+    rejected, as are radii beyond the measure's aliasing radius where the
+    atomic transform stops tracking the continuum.
     """
-    if n_directions < 1:
-        raise ValueError("n_directions must be >= 1, got %d" % n_directions)
     R = np.asarray([float(r) for r in R_list])
     for r in R:
         if not math.isfinite(r):  # NaN would pass every check below

@@ -12,18 +12,20 @@ round-trip form instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "ExperimentConfig",
     "ReportTable",
+    "Result",
     "render_value",
     "format_cell",
     "emit_csv",
     "render_verdict",
     "write_verdict",
+    "write_report",
 ]
 
 
@@ -99,6 +101,17 @@ class ReportTable:
                 )
 
 
+class Result(NamedTuple):
+    """The outcome of one run, a subcommand's or an acceptance criterion's:
+    its table, its named checks, the report it fitted, and the side files
+    to write beside the table as (file name, writer) pairs."""
+
+    table: ReportTable
+    checks: List[Tuple[str, bool, str]]
+    report: Any = None
+    files: Tuple[Tuple[str, Callable[[str], None]], ...] = ()
+
+
 def emit_csv(table: ReportTable, path: str) -> None:
     """Write the table: header line first, one line per row, trailing
     newline, 17-significant-digit decimals. Bytewise deterministic."""
@@ -149,3 +162,12 @@ def write_verdict(
     except OSError as exc:
         raise OSError("failed to write verdict at %s: %s" % (path, exc)) from exc
     return all(bool(ok) for _, ok, _ in checks)
+
+
+def write_report(
+    result: Result, csv_path: str, verdict_path: str, title: str, config: ExperimentConfig
+) -> bool:
+    """Emit the result's table and write its verdict; return the overall
+    outcome. Side files are the caller's."""
+    emit_csv(result.table, csv_path)
+    return write_verdict(verdict_path, title, config, result.checks)

@@ -1,68 +1,79 @@
 """Acceptance gate: one test per pinned criterion.
 
-Criteria 1 through 11 run in-process and assert the full check list of
-each CriterionResult; the failure message carries every sub-check so a
-red line is diagnosable from the pytest output alone. Every criterion
-also compares its emitted CSV with the stored benchmark reference (seed
-0), byte for byte except criterion 6's two rounding-residual columns, so
-any change to the arithmetic shows; criteria 5, 8, 9 and 10 are compared
-once more from a child process limited to one BLAS thread.
-Criterion 12 runs the complete suite twice through the installed
-command-line entry point and compares the emitted CSV bytes.
+Criteria 1 through 11 each run in-process through `accept --only N`, and
+the test asserts the exit code, the summary row, the verdict (whose check
+lines are the failure message, so a red line is diagnosable from the
+pytest output alone) and the runtime budget, which is the verdict's last
+check. Every criterion also compares its emitted CSV with the stored
+benchmark reference (seed 0), byte for byte except criterion 6's two
+rounding-residual columns, so any change to the arithmetic shows;
+criteria 5, 8, 9 and 10 are compared once more from a child process
+limited to one BLAS thread.
+Criterion 12 runs the complete suite twice through
+`python -m restrictionlab.cli` and compares the emitted CSV bytes.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from restrictionlab import acceptance
+from restrictionlab import cli
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
-def _assert_passed(result, index, name):
-    assert result.index == index and result.name == name
-    detail = "\n".join(
-        "%s %s%s" % ("PASS" if ok else "FAIL", label, ": " + note if note else "")
-        for label, ok, note in result.checks
-    )
-    assert result.passed, "criterion %d (%s) failed:\n%s" % (index, name, detail)
-    assert len(result.table.rows) > 0
+def _echo(tmp_path, index):
+    return (tmp_path / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
 
 
-def _run_pinned(tmp_path, index, name, reference):
-    # run through the writer so the emitted table is pinned byte for byte to
-    # the stored benchmark reference
-    (result,) = acceptance.run_acceptance(str(tmp_path), seed=0, only=[index])
-    _assert_passed(result, index, name)
+def _accept(tmp_path, index, name, budget):
+    # `accept` runs the one criterion; budget is its runtime budget in
+    # seconds, or None for a criterion without one
+    rc = cli.main(["accept", "--only", str(index), "--seed", "0", "--out", str(tmp_path)])
+    assert rc != 2, "invalid configuration (see stderr)"
+    lines = _echo(tmp_path, index)
+    checks = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    detail = "criterion %d (%s) failed:\n%s" % (index, name, "\n".join(checks))
+    assert rc == 0 and lines[-1] == "overall: PASS", detail
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1:] == ["%d,%s,true" % (index, name)]
+    if budget is None:
+        assert not any("runtime" in check for check in checks)
+    else:
+        assert re.fullmatch(r"PASS runtime < %d s: \d+\.\d\d s" % budget, checks[-1]), checks[-1]
+
+
+def _run_pinned(tmp_path, index, name, reference, budget):
+    # the emitted table is pinned byte for byte to the stored benchmark
+    # reference
+    _accept(tmp_path, index, name, budget)
     base = "criterion_%02d.csv" % index
     assert (tmp_path / base).read_bytes() == (REFERENCE / reference / base).read_bytes()
 
 
 def test_criterion_01_exponent_identities(tmp_path):
-    _run_pinned(tmp_path, 1, "exponent-identities", "oscillatory/seed0")
+    _run_pinned(tmp_path, 1, "exponent-identities", "oscillatory/seed0", 1)
 
 
 def test_criterion_02_exponent_cross_checks(tmp_path):
-    _run_pinned(tmp_path, 2, "exponent-cross-checks", "oscillatory/seed0")
+    _run_pinned(tmp_path, 2, "exponent-cross-checks", "oscillatory/seed0", None)
 
 
 def test_criterion_03_circle_dimensions(tmp_path):
-    _run_pinned(tmp_path, 3, "circle-dimensions", "oscillatory/seed0")
+    _run_pinned(tmp_path, 3, "circle-dimensions", "oscillatory/seed0", 10)
 
 
 def test_criterion_04_cantor_dimensions(tmp_path):
-    _run_pinned(tmp_path, 4, "cantor-dimensions", "oscillatory/seed0")
+    _run_pinned(tmp_path, 4, "cantor-dimensions", "oscillatory/seed0", 10)
 
 
 def test_criterion_05_dyadic_piece_bounds(tmp_path):
-    _run_pinned(tmp_path, 5, "dyadic-piece-bounds", "dyadic/any")
+    _run_pinned(tmp_path, 5, "dyadic-piece-bounds", "dyadic/any", 60)
 
 
 def test_criterion_06_tomas_identity(tmp_path):
-    (result,) = acceptance.run_acceptance(str(tmp_path), seed=0, only=[6])
-    _assert_passed(result, 6, "tomas-identity")
+    _accept(tmp_path, 6, "tomas-identity", None)
     # field and restrict_sq are pinned byte for byte; identity_rel_err and
     # adjoint_rel_err are rounding residuals of exact identities, so they
     # are held to the criterion's own 1e-8 window instead
@@ -76,26 +87,22 @@ def test_criterion_06_tomas_identity(tmp_path):
 
 
 def test_criterion_07_lorentz_suite(tmp_path):
-    _run_pinned(tmp_path, 7, "lorentz-suite", "oscillatory/seed0")
+    _run_pinned(tmp_path, 7, "lorentz-suite", "oscillatory/seed0", None)
 
 
 def test_criterion_08_knapp_sharpness(tmp_path):
-    _run_pinned(tmp_path, 8, "knapp-sharpness", "knapp/any")
-
-
-def _echo(tmp_path, index):
-    return (tmp_path / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
+    _run_pinned(tmp_path, 8, "knapp-sharpness", "knapp/any", 300)
 
 
 def test_criterion_09_parabola_scaling(tmp_path):
-    _run_pinned(tmp_path, 9, "parabola-scaling", "oscillatory/seed0")
+    _run_pinned(tmp_path, 9, "parabola-scaling", "oscillatory/seed0", 600)
     # the verdict names the grid actually used, not the unset flags
     echo = _echo(tmp_path, 9)
     assert "  x_points=192" in echo and "  y_points=8192" in echo
 
 
 def test_criterion_10_fold_scaling(tmp_path):
-    _run_pinned(tmp_path, 10, "fold-scaling", "oscillatory/seed0")
+    _run_pinned(tmp_path, 10, "fold-scaling", "oscillatory/seed0", 600)
     echo = _echo(tmp_path, 10)
     assert "  x_points=160" in echo and "  y_points=4096" in echo
 
@@ -149,7 +156,7 @@ def test_criteria_5_8_single_blas_thread_match_reference(tmp_path):
 
 
 def test_criterion_11_dyadic_kernel_sup(tmp_path):
-    _run_pinned(tmp_path, 11, "dyadic-kernel-sup", "oscillatory/seed0")
+    _run_pinned(tmp_path, 11, "dyadic-kernel-sup", "oscillatory/seed0", None)
 
 
 def test_criterion_12_bytewise_determinism(tmp_path):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictionlab.exponents import (
     critical_q,
@@ -98,6 +100,24 @@ def test_companion_exponent_at_endpoint_is_two():
     for d, a, b in _profile_grid():
         prof = exponent_profile(d, a, b)
         assert critical_q(prof, prof.p0) == 2
+
+
+_SHARE = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    d=st.fractions(min_value=0, max_value=100, max_denominator=1000).filter(lambda d: d > 0),
+    a_share=_SHARE.filter(lambda t: 0 < t < 1),
+    b_share=_SHARE.filter(lambda t: t > 0),
+)
+def test_identities_hold_on_arbitrary_rationals(d, a_share, b_share):
+    # every triple 0 < b <= a/2, 0 < a < d, with d any positive rational
+    a = d * a_share
+    b = a / 2 * b_share
+    prof = exponent_profile(d, a, b)
+    assert all(verify_identities(prof).values()), (d, a, b)
+    assert critical_q(prof, prof.p0) == 2
 
 
 def test_companion_exponent_examples():

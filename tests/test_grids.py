@@ -1,5 +1,6 @@
 """Grid geometry and the lattice Fourier transform."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,8 +34,9 @@ def test_grid_arithmetic():
 def test_grid_validation():
     with pytest.raises(ValueError, match="dim"):
         GridSpec(dim=0, half_width=1.0, points_per_axis=16)
-    with pytest.raises(ValueError, match="half_width"):
-        GridSpec(dim=1, half_width=0.0, points_per_axis=16)
+    for half_width in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            GridSpec(dim=1, half_width=half_width, points_per_axis=16)
     with pytest.raises(ValueError, match="power of two"):
         GridSpec(dim=1, half_width=1.0, points_per_axis=12)
     with pytest.raises(ValueError, match="power of two"):

@@ -265,6 +265,16 @@ def test_decay_needs_a_direction(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_one_dimensional_decay_ignores_directions(tmp_path):
+    # a one-dimensional measure's directions are the two signs, so the
+    # --directions it never reads is not validated either
+    argv = ["decay", "--kind", "cantor", "--r-list", "3,9,27", "--b-min", "0", "--b-max", "0.05"]
+    assert main(argv + ["--directions", "0", "--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    csv_a, csv_b = ((tmp_path / run / "decay.csv").read_bytes() for run in "ab")
+    assert csv_a == csv_b
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -352,6 +362,18 @@ def test_oversized_points_exit_2_before_any_lattice(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert "physical memory" in err and "takes %d bytes" % (16 * n**2) in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("subcommand", ["dyadic", "knapp", "restrict"])
+def test_non_finite_half_width_exits_2(tmp_path, capsys, subcommand, value):
+    # unchecked, NaN passed `half_width <= 0` and failed later with an
+    # IndexError or a NaN-to-integer message, and inf with an OverflowError
+    out = tmp_path / "r"
+    assert main([subcommand, "--half-width", value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "half_width must be finite and positive, got %s" % value in err
+    assert not out.exists()
 
 
 def test_package_exports_are_the_submodule_exports():
