@@ -171,36 +171,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=Fraction, default=Fraction(1, 2))
     sp.add_argument("--spread-max", type=float, default=10.0)
 
+    def add_scaling_flags(sp: argparse.ArgumentParser, phase, q, lam_list, slope_min, slope_max) -> None:
+        sp.add_argument("--phase", default=phase)
+        sp.add_argument("--phase-file", default=None, help="polynomial coefficient file")
+        sp.add_argument("--kappa", type=int, default=1)
+        sp.add_argument("--q", type=float, default=q)
+        sp.add_argument("--s", type=float, default=2.0)
+        sp.add_argument("--lam-list", type=_floats, default=lam_list)
+        sp.add_argument("--family", choices=["auto", "slab", "fold", "constant"], default="auto")
+        sp.add_argument("--radius", type=float, default=1.0)
+        sp.add_argument("--x-points", type=int, default=None)
+        sp.add_argument("--y-points", type=int, default=None)
+        sp.add_argument("--slope-min", type=float, default=slope_min)
+        sp.add_argument("--slope-max", type=float, default=slope_max)
+
     sp = add("oscillatory", "hypothesis checks and lambda-scaling for a catalog phase")
-    sp.add_argument("--phase", default="parabola")
-    sp.add_argument("--phase-file", default=None, help="polynomial coefficient file")
-    sp.add_argument("--kappa", type=int, default=1)
-    sp.add_argument("--q", type=float, default=6.0)
-    sp.add_argument("--s", type=float, default=2.0)
-    sp.add_argument(
-        "--lam-list", type=_floats, default=[16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
-    )
-    sp.add_argument("--family", choices=["auto", "slab", "fold", "constant"], default="auto")
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--x-points", type=int, default=None)
-    sp.add_argument("--y-points", type=int, default=None)
+    add_scaling_flags(sp, "parabola", 6.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0], -0.43, -0.23)
     sp.add_argument("--probes", type=int, default=8)
-    sp.add_argument("--slope-min", type=float, default=-0.43)
-    sp.add_argument("--slope-max", type=float, default=-0.23)
 
     sp = add("fold", "fold hypothesis check and lambda-scaling for a square phase")
-    sp.add_argument("--phase", default="fold-curved")
-    sp.add_argument("--phase-file", default=None, help="polynomial coefficient file")
-    sp.add_argument("--kappa", type=int, default=1)
-    sp.add_argument("--q", type=float, default=3.0)
-    sp.add_argument("--s", type=float, default=2.0)
-    sp.add_argument("--lam-list", type=_floats, default=[16.0, 32.0, 64.0, 128.0, 256.0, 512.0])
-    sp.add_argument("--family", choices=["auto", "slab", "fold", "constant"], default="auto")
-    sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--x-points", type=int, default=None)
-    sp.add_argument("--y-points", type=int, default=None)
-    sp.add_argument("--slope-min", type=float, default=-0.82)
-    sp.add_argument("--slope-max", type=float, default=-0.52)
+    add_scaling_flags(sp, "fold-curved", 3.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0], -0.82, -0.52)
 
     sp = add("accept", "run the acceptance suite")
     sp.add_argument("--only", type=_ints, default=None, help="criterion indices, e.g. 1,2,5")
@@ -465,11 +455,12 @@ def cmd_knapp(args) -> Result:
     for k, s in enumerate(rep.s_values):
         slope_f = rep.fits_f[k].slope
         if s > args.q:
+            gap = rep.fit_g.slope - slope_f
             checks.append(
                 (
                     "gap slope_g - slope_f(s=%g) >= %g" % (s, args.gap_min),
-                    rep.gaps[k] >= args.gap_min,
-                    "slope_f=%.4f gap=%.4f" % (slope_f, rep.gaps[k]),
+                    gap >= args.gap_min,
+                    "slope_f=%.4f gap=%.4f" % (slope_f, gap),
                 )
             )
         else:

@@ -118,8 +118,8 @@ class ExperimentReport:
     """Norms and fitted slopes of the sharpness experiment.
 
     norms_f[i][j] is the Lorentz (p, s_values[j]) norm at N = n_values[i].
-    gap[j] = slope_g - slope_f for s_values[j]; the `knapp` subcommand
-    decides the unboundedness verdict from the gaps with s > q.
+    The `knapp` subcommand decides the unboundedness verdict from the gaps
+    fit_g.slope - fits_f[j].slope with s_values[j] > q.
     """
 
     n_values: Tuple[int, ...]
@@ -128,7 +128,6 @@ class ExperimentReport:
     norms_f: Tuple[Tuple[float, ...], ...]
     fit_g: FitResult
     fits_f: Tuple[FitResult, ...]
-    gaps: Tuple[float, ...]
 
 
 def knapp_sharpness_experiment(
@@ -172,7 +171,6 @@ def knapp_sharpness_experiment(
         loglog_fit([(n_values[i], norms_f[i][j]) for i in range(len(n_values))])
         for j in range(len(s_values))
     )
-    gaps = tuple(fit_g.slope - ff.slope for ff in fits_f)
     return ExperimentReport(
         n_values=tuple(n_values),
         norm_g=tuple(norm_g),
@@ -180,5 +178,4 @@ def knapp_sharpness_experiment(
         norms_f=tuple(norms_f),
         fit_g=fit_g,
         fits_f=fits_f,
-        gaps=gaps,
     )

@@ -468,7 +468,9 @@ def load_measure(path) -> DiscreteMeasure:
     and is not stored; loaded measures get math.inf (trust the caller)."""
     text = Path(path).read_text(encoding="ascii")
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split(maxsplit=2)
+    head = lines[0].split(maxsplit=2) if lines else []
+    if len(head) < 2 or not (head[0].isdigit() and head[1].isdigit()) or int(head[1]) < 1:
+        raise ValueError("%s: the header must be `d n [label]` with integers d and n >= 1" % path)
     d, n = int(head[0]), int(head[1])
     label = head[2] if len(head) > 2 else ""
     if len(lines) - 1 != n:

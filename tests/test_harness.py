@@ -146,6 +146,18 @@ def test_non_finite_measure_file_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("text", ["", "2\n", "1 0 x\n"], ids=["empty", "one-token", "zero-atoms"])
+def test_malformed_measure_header_exits_2(tmp_path, capsys, text):
+    # unchecked, each header ended in an IndexError traceback and exit 1
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="ascii")
+    out = tmp_path / "r"
+    assert main(["restrict", "--measure-file", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "%s: the header must be `d n [label]` with integers d and n >= 1" % path in err
+    assert not out.exists()
+
+
 def test_non_separable_phase_file_exits_2(tmp_path, capsys):
     # x1^2 y is not linear in x, so the scaling experiment has no fast path
     path = tmp_path / "square.phase"

@@ -190,7 +190,7 @@ def test_experiment_slopes_and_verdicts():
     assert 0.40 <= rep.fit_g.slope <= 0.55
     assert 0.40 <= rep.fits_f[0].slope <= 0.55
     assert abs(rep.fits_f[1].slope) < 0.05
-    assert rep.gaps[1] > 0.35
+    assert rep.fit_g.slope - rep.fits_f[1].slope > 0.35
     # norms table is indexed [n][s]
     assert len(rep.norms_f) == 3 and len(rep.norms_f[0]) == 2
     assert rep.n_values == (2, 3, 4)

@@ -2,6 +2,7 @@
 decay fits, dyadic frequency pieces, file round trip."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -397,14 +398,21 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("1 3 short\n0.0 1.0\n", encoding="ascii")
-    with pytest.raises(ValueError, match="announces"):
-        load_measure(bad)
-    bad2 = tmp_path / "bad2.txt"
-    bad2.write_text("2 1 cols\n0.0 1.0\n", encoding="ascii")
-    with pytest.raises(ValueError, match="columns"):
-        load_measure(bad2)
+    # the header message names the file, formatted in below
+    header = "{}: the header must be `d n [label]` with integers d and n >= 1"
+    cases = [
+        ("1 3 short\n0.0 1.0\n", "announces"),
+        ("2 1 cols\n0.0 1.0\n", "columns"),
+        # an empty file, a one-token header, and zero atoms
+        ("", header),
+        ("2\n", header),
+        ("1 0 x\n", header),
+    ]
+    for k, (text, message) in enumerate(cases):
+        bad = tmp_path / ("bad%d.txt" % k)
+        bad.write_text(text, encoding="ascii")
+        with pytest.raises(ValueError, match=re.escape(message.format(bad))):
+            load_measure(bad)
 
 
 def test_load_rejects_non_finite_rows(tmp_path):
