@@ -7,11 +7,17 @@ exact rearrangement of the DFT (checkerboard signs absorb the -L offset),
 so grid transforms and direct summation agree to rounding error. A field
 on a grid is an (N,)*d array of its samples; the GridSpec holds the
 lattice, and no other type restates it.
+
+The module also holds the package's one separable sum on a product
+lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
+of their phase matrices M_k = exp(scale a (x) b); the measure transforms
+of measures and operators and the oscillatory fast path run them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -144,4 +150,46 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     for axis in range(d - 2, -1, -1):
         np.fft.ifft(out, axis=axis, out=out)
     out *= (n * grid.freq_spacing) ** d  # = (N/(2L))^d
+    return out
+
+
+def _phase_matrix(a: np.ndarray, b: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * a (x) b), shape (len(a), len(b)), built in place in one
+    complex buffer: the phase matrices of every separable sum below."""
+    buf = np.empty((len(a), len(b)), dtype=complex)
+    np.multiply.outer(a, b, out=buf)
+    buf *= scale
+    return np.exp(buf, out=buf)
+
+
+def _separable_sum(c: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_j c_j prod_k mats[k][j, a_k] at every index (a_0, ..., a_{d-1}),
+    shaped (mats[0].shape[1], ..., mats[-1].shape[1]).
+
+    With no matrix this is c.sum(), with one a GEMV. With two or more, each
+    index of the remaining axes scales c by those matrices' columns, and the
+    first two axes are then one GEMM."""
+    if not mats:
+        return c.sum()
+    if len(mats) == 1:
+        return mats[0].T @ c
+    m0, m1, rest = mats[0], mats[1], mats[2:]
+    if not rest:
+        return (m0 * c[:, None]).T @ m1
+    out = np.empty(tuple(m.shape[1] for m in mats), dtype=complex)
+    for idx in np.ndindex(*(m.shape[1] for m in rest)):
+        coef = c
+        for m, k in zip(rest, idx):
+            coef = coef * m[:, k]
+        out[(slice(None), slice(None)) + idx] = (m0 * coef[:, None]).T @ m1
+    return out
+
+
+def _separable_sum_transpose(values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_a values[a] prod_k mats[k][j, a_k] for each row j, the transpose
+    of _separable_sum: the first axis by one tensordot, then each further
+    axis by a product and a sum."""
+    out = np.tensordot(mats[0], values, axes=(1, 0))
+    for m in mats[1:]:
+        out = (out * m[(slice(None), slice(None)) + (None,) * (out.ndim - 2)]).sum(axis=1)
     return out

@@ -8,6 +8,8 @@ exponent (mass of balls ~ r^a) and the Fourier-decay exponent
 (sup_{|xi|=R} |mu_hat| ~ R^{-b}) from log-log slopes.
 
 Transform convention: mu_hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>).
+mu_hat_on_lattice runs the separable sum of grids on the atoms' phase
+matrices; fourier_transform_at, the direct sum, is its oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .bumps import dyadic_ring
 from .fitting import loglog_fit
-from .grids import GridSpec, inverse_fourier_on_grid
+from .grids import GridSpec, _phase_matrix, _separable_sum, inverse_fourier_on_grid
 
 __all__ = [
     "DiscreteMeasure",
@@ -376,34 +378,15 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
 
 def _phase_matrices(points: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> List:
     """exp(sign 2 pi i points[:, k] (x) axes[k]): one (n, len(axes[k])) matrix per axis."""
-    mats = []
-    for k, ax in enumerate(axes):
-        # exp in place: a separate result would hold two complex matrices at once
-        z = sign * 2j * np.pi * np.outer(points[:, k], ax)
-        mats.append(np.exp(z, out=z))
-    return mats
+    return [_phase_matrix(points[:, k], ax, sign * 2j * np.pi) for k, ax in enumerate(axes)]
 
 
 def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> np.ndarray:
     """sum_j coeffs_j exp(sign 2 pi i <atoms_j, x>) for x on the product of
-    the axes (any lengths, d <= 3), shaped (len(axes[0]), ..., len(axes[-1])):
-    the one separable kernel behind mu_hat_on_lattice, operators.extend and
-    operators.convolve_mu_hat."""
-    d = len(axes)
-    if d > 3:
-        raise ValueError("dimension %d not supported on lattices" % d)
-    mats = _phase_matrices(atoms, axes, sign)
-    c = np.asarray(coeffs).astype(complex)
-    if d == 1:
-        return mats[0].T @ c
-    if d == 2:
-        # in place: a scaled copy would be one more (n, N) complex temporary
-        mats[0] *= c[:, None]
-        return mats[0].T @ mats[1]
-    out = np.empty(tuple(ax.size for ax in axes), dtype=complex)
-    for k in range(axes[2].size):
-        out[:, :, k] = (mats[0] * (c * mats[2][:, k])[:, None]).T @ mats[1]
-    return out
+    the axes (any lengths and count), shaped (len(axes[0]), ..., len(axes[-1])):
+    grids._separable_sum on the atoms' phase matrices, behind
+    mu_hat_on_lattice, operators.extend and operators.convolve_mu_hat."""
+    return _separable_sum(np.asarray(coeffs).astype(complex), _phase_matrices(atoms, axes, sign))
 
 
 def dyadic_piece(

@@ -4,8 +4,9 @@ All atom-vs-grid transforms are axis-separable complex matrix contractions,
 so they are exact reorganizations of the defining double sums: the pairing
 identity between the squared restriction integral and the convolution
 operator holds to rounding, not just to quadrature error. The atom sums
-on a grid (extend, the second half of convolve_mu_hat) run the one kernel
-behind measures.mu_hat_on_lattice; restrict_at_atoms is its transpose.
+on a grid (extend, the second half of convolve_mu_hat) run the separable
+sum of grids, as measures.mu_hat_on_lattice does; restrict_at_atoms and
+the first half of convolve_mu_hat run its transpose, in any dimension.
 A field is an (N,)*d array of samples on a GridSpec, which holds its
 lattice; restrict_at_atoms and convolve_mu_hat check it once on entry
 (the grid's dimension, the shape, finite values), and the fields computed
@@ -23,7 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .bumps import bump
-from .grids import GridSpec
+from .grids import GridSpec, _separable_sum_transpose
 from .lorentz import lorentz_norm_values
 from .measures import DiscreteMeasure, _atom_sum, _phase_matrices
 
@@ -37,29 +38,6 @@ __all__ = [
     "random_smooth_family",
     "knapp_cap_family",
 ]
-
-
-def _transform_at_points(
-    values: np.ndarray,
-    axes: Sequence[np.ndarray],
-    points: np.ndarray,
-    sign: float,
-    cell: float,
-) -> np.ndarray:
-    """sum_x values(x) exp(sign 2 pi i <x, p>) * cell for each row p: the
-    transpose of measures._atom_sum, on the same phase matrices (d <= 3)."""
-    d = len(axes)
-    mats = _phase_matrices(points, axes, sign)
-    if d == 1:
-        return (mats[0] @ values.astype(complex)) * cell
-    if d == 2:
-        tmp = mats[0] @ values.astype(complex)  # (n, N2)
-        return (tmp * mats[1]).sum(axis=1) * cell
-    if d == 3:
-        tmp = np.tensordot(mats[0], values.astype(complex), axes=(1, 0))  # (n, N2, N3)
-        tmp = (tmp * mats[1][:, :, None]).sum(axis=1)  # (n, N3)
-        return (tmp * mats[2]).sum(axis=1) * cell
-    raise ValueError("only d <= 3 supported")
 
 
 def extend(g, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
@@ -94,7 +72,7 @@ def restrict_at_atoms(values, measure: DiscreteMeasure, grid: GridSpec) -> np.nd
     grid (no interpolation: atoms may be off-lattice)."""
     v = _check_field(values, measure, grid)
     axes = [grid.axis()] * grid.dim
-    return _transform_at_points(v, axes, measure.atoms, -1.0, grid.cell_volume)
+    return _separable_sum_transpose(v, _phase_matrices(measure.atoms, axes, -1.0)) * grid.cell_volume
 
 
 def restrict_sq_integral(values, measure: DiscreteMeasure, grid: GridSpec) -> float:
@@ -132,7 +110,7 @@ def convolve_mu_hat(values, measure: DiscreteMeasure, grid: GridSpec) -> np.ndar
     v = _check_field(values, measure, grid)
     _check_inner_half_support(v, grid)
     axes = [grid.axis()] * grid.dim
-    fh = _transform_at_points(v, axes, measure.atoms, +1.0, grid.cell_volume)
+    fh = _separable_sum_transpose(v, _phase_matrices(measure.atoms, axes, +1.0)) * grid.cell_volume
     return _atom_sum(measure.weights * fh, measure.atoms, axes, -1.0)
 
 

@@ -22,8 +22,10 @@ exponent is a sum of terms x_i * (function of a single y coordinate) and
 whose amplitude factors across axes. The fast path reorganizes the same
 Riemann sum by axis-separability, so the two agree to rounding; tests
 cross-validate them. Its phase matrices exp(i lambda x_i (x) f_ij(y_j))
-depend only on lambda and the grids: phase_factors builds them once and
-apply_T_lambda_product takes them for every f at that lambda.
+depend only on lambda and the grids: phase_factors builds them once, with
+the phase-matrix builder of grids, and apply_T_lambda_product takes them
+for every f at that lambda. On each y axis it runs the separable sum of
+grids, the kernel of the lattice transform, for any number of x couplings.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from .bumps import bump, kernel_ring, wide_plateau
 from .fitting import FitResult, loglog_fit
+from .grids import _phase_matrix, _separable_sum
 from .lorentz import _check_exponents, lorentz_norm_values
 
 __all__ = [
@@ -619,20 +622,17 @@ def phase_factors(
     (len(x_axes[i]), len(y_axes[j])).
 
     They depend on lam and the grids only, so one build serves every f that
-    apply_T_lambda_product is given at this lam. Each matrix is built in
-    place in one complex buffer.
+    apply_T_lambda_product is given at this lam. grids._phase_matrix builds
+    each in place in one complex buffer.
     """
     if spec.separable is None:
         raise ValueError("phase lacks the separable structure for the fast path")
     if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
         raise ValueError("axis count does not match the phase dimensions")
-    factors = {}
-    for (i, j), fn in spec.separable.items():
-        buf = np.empty((len(x_axes[i]), len(y_axes[j])), dtype=complex)
-        np.multiply.outer(x_axes[i], fn(y_axes[j]), out=buf)
-        buf *= 1j * lam
-        factors[(i, j)] = np.exp(buf, out=buf)
-    return factors
+    return {
+        (i, j): _phase_matrix(x_axes[i], fn(y_axes[j]), 1j * lam)
+        for (i, j), fn in spec.separable.items()
+    }
 
 
 def apply_T_lambda_product(
@@ -667,37 +667,20 @@ def apply_T_lambda_product(
                 "phase factor %s has shape %s but the grids need (%d, %d)"
                 % ((i, j), np.shape(U), len(x_axes[i]), len(y_axes[j]))
             )
-    d = spec.x_dim
     shape = tuple(len(ax) for ax in x_axes)
-    per_axis: Dict[int, List[Tuple[int, np.ndarray]]] = {j: [] for j in range(spec.y_dim)}
-    for i, j in sorted(factors):
-        per_axis[j].append((i, factors[(i, j)]))
+    # per y axis: the matrices of the x axes it couples to, ascending, with
+    # rows along y as the separable sum takes them, and the broadcast shape
+    # of its sum over the x lattice
+    coupled = [[i for i, jj in sorted(factors) if jj == j] for j in range(spec.y_dim)]
+    mats = [[factors[(i, j)].T for i in xs] for j, xs in enumerate(coupled)]
+    shapes = [[n if i in xs else 1 for i, n in enumerate(shape)] for xs in coupled]
     out = np.zeros(shape, dtype=complex)
     for term in terms:
         acc = None
-        for j in range(spec.y_dim):
-            y = y_axes[j]
+        for j, y in enumerate(y_axes):
             dy = float(y[1] - y[0])
             w = spec.amp_y(y) * np.asarray(term[j](y)) * dy
-            coup = per_axis[j]
-            if len(coup) == 0:
-                arr = np.asarray(w.sum())
-                axes_idx: Tuple[int, ...] = ()
-            elif len(coup) == 1:
-                i1, U = coup[0]
-                arr = U @ w
-                axes_idx = (i1,)
-            elif len(coup) == 2:
-                (i1, U), (i2, V) = coup
-                arr = (U * w) @ V.T
-                axes_idx = (i1, i2)
-            else:
-                raise NotImplementedError("more than two x couplings on one y axis")
-            if axes_idx:
-                sh = [1] * d
-                for pos, ai in enumerate(axes_idx):
-                    sh[ai] = arr.shape[pos]
-                arr = arr.reshape(sh)
+            arr = np.reshape(_separable_sum(w, mats[j]), shapes[j])
             acc = arr if acc is None else acc * arr
         out = out + acc
     return out * spec.amp_x(_mesh(x_axes)).reshape(shape)
@@ -794,13 +777,15 @@ class ScalingReport:
 
 
 def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
+    # each term's per-axis samples once, then the double loop over term pairs
+    samples = [[np.asarray(t[jax](y)) for jax, y in enumerate(y_axes)] for t in member]
     total = 0.0 + 0.0j
-    for t1 in member:
-        for t2 in member:
+    for v1 in samples:
+        for v2 in samples:
             prod = 1.0 + 0.0j
             for jax, y in enumerate(y_axes):
                 dy = float(y[1] - y[0])
-                prod *= np.sum(np.asarray(t1[jax](y)) * np.conj(t2[jax](y))) * dy
+                prod *= np.sum(v1[jax] * np.conj(v2[jax])) * dy
             total += prod
     return float(np.sqrt(max(total.real, 0.0)))
 

@@ -142,10 +142,18 @@ def test_resolution_guard_fires_for_coarse_grids():
 # ------------------------------------------------------------------ fast path
 
 
-def test_fast_path_matches_dense_for_parabola():
-    spec = CAT1["parabola"]
+# x1 y + x2 y^2/2 + x3 y^3/3: three x couplings on the one y axis
+CUBIC = PhaseSpec(
+    "cubic", 3, 1, [(1.0, (1, 0, 0), (1,)), (0.5, (0, 1, 0), (2,)), (1 / 3, (0, 0, 1), (3,))], 1.0
+)
+
+
+@pytest.mark.parametrize(
+    "spec, x_points", [(CAT1["parabola"], 20), (CUBIC, 10)], ids=["parabola", "cubic"]
+)
+def test_fast_path_matches_dense_for_parabola(spec, x_points):
     y_axes = [np.linspace(-1.2, 1.2, 1024)]
-    x_axes = [np.linspace(-1.1, 1.1, 20), np.linspace(-1.1, 1.1, 20)]
+    x_axes = [np.linspace(-1.1, 1.1, x_points)] * spec.x_dim
     term = (lambda t: np.exp(-(t**2)),)
     dense = apply_T_lambda(spec, 50.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
     factors = phase_factors(spec, 50.0, y_axes, x_axes)
