@@ -38,6 +38,7 @@ from .grids import GridSpec
 from .knapp import knapp_sharpness_experiment
 from .lorentz import indicator_lorentz_norm, lorentz_norm_values
 from .measures import (
+    _check_dyadic_scale,
     ball_regularity_profile,
     dyadic_piece,
     fourier_decay_profile,
@@ -351,6 +352,8 @@ def cmd_dyadic(args) -> Result:
     _check_flatness_count("--j-list", len(args.j_list))
     measure = _build_measure(args)
     grid = _lattice_grid(args, measure.dim)
+    for j in args.j_list:  # every scale, before the lattice transform
+        _check_dyadic_scale(j, grid)
     mu_hat = mu_hat_on_lattice(measure, grid)
     rows = []
     hat_scaled = []
@@ -360,6 +363,8 @@ def cmd_dyadic(args) -> Result:
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))
+        # free this piece's lattice before the next scale builds its own
+        del piece
     f_hat = flatness_factor(hat_scaled)
     f_mass = flatness_factor(mass_scaled)
     checks = [

@@ -162,20 +162,29 @@ def _phase_matrix(a: np.ndarray, b: np.ndarray, scale: complex) -> np.ndarray:
     return np.exp(buf, out=buf)
 
 
-def _separable_sum(c: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+def _separable_sum(
+    c: np.ndarray, mats: Sequence[np.ndarray], *, owned: bool = False
+) -> np.ndarray:
     """sum_j c_j prod_k mats[k][j, a_k] at every index (a_0, ..., a_{d-1}),
     shaped (mats[0].shape[1], ..., mats[-1].shape[1]).
 
     With no matrix this is c.sum(), with one a GEMV. With two or more, each
     index of the remaining axes scales c by those matrices' columns, and the
-    first two axes are then one GEMM."""
+    first two axes are then one GEMM.
+
+    Ownership: the matrices are read only, unless the caller passes
+    owned=True to hand them over; then, with exactly two matrices, mats[0]
+    is scaled by c in place instead of in a scaled copy (the same products,
+    so the same bits) and holds that scaled matrix afterwards. A caller that
+    keeps its matrices, such as apply_T_lambda_product with the phase
+    factors it reuses, leaves owned at False."""
     if not mats:
         return c.sum()
     if len(mats) == 1:
         return mats[0].T @ c
     m0, m1, rest = mats[0], mats[1], mats[2:]
     if not rest:
-        return (m0 * c[:, None]).T @ m1
+        return np.multiply(m0, c[:, None], out=m0 if owned else None).T @ m1
     out = np.empty(tuple(m.shape[1] for m in mats), dtype=complex)
     for idx in np.ndindex(*(m.shape[1] for m in rest)):
         coef = c

@@ -76,6 +76,23 @@ def _max_resolvable_caps(grid: GridSpec) -> int:
     return int(math.floor((math.log2(2.0 * grid.half_width / 4.0) + 5.0) / 2.0))
 
 
+def _check_caps(n_caps: int, grid: GridSpec) -> None:
+    """Refuse a grid that cannot hold n_caps caps: it must be 2-dimensional,
+    resolve the finest cap (_max_resolvable_caps) and reach past the outer
+    cap edge |xi| = 5/4. knapp_function checks its N with it, and the
+    sharpness experiment its largest N before the first field."""
+    if grid.dim != 2:
+        raise ValueError("need a 2-dimensional grid")
+    max_n = _max_resolvable_caps(grid)
+    if n_caps > max_n:
+        raise ValueError(
+            "grid resolves at most N = %d caps (finest thickness 2^{-2N+5} vs "
+            "frequency spacing %g)" % (max_n, grid.freq_spacing)
+        )
+    if grid.nyquist < 1.25:
+        raise ValueError("grid Nyquist radius %g < 5/4; caps clipped" % grid.nyquist)
+
+
 def knapp_function(
     spec: KnappSpec, grid: GridSpec, sphere: DiscreteMeasure
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -87,16 +104,7 @@ def knapp_function(
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice
     must reach past the outer cap edge |xi| = 5/4.
     """
-    if grid.dim != 2:
-        raise ValueError("need a 2-dimensional grid")
-    max_n = _max_resolvable_caps(grid)
-    if spec.N > max_n:
-        raise ValueError(
-            "grid resolves at most N = %d caps (finest thickness 2^{-2N+5} vs "
-            "frequency spacing %g)" % (max_n, grid.freq_spacing)
-        )
-    if grid.nyquist < 1.25:
-        raise ValueError("grid Nyquist radius %g < 5/4; caps clipped" % grid.nyquist)
+    _check_caps(spec.N, grid)
     g_atoms = knapp_g_values(spec, sphere.atoms)
     fax = grid.freq_axis()
     w = spec.weights()
@@ -155,6 +163,7 @@ def knapp_sharpness_experiment(
     p_conj = p / (p - 1.0)
     if abs(q - p_conj / 3) > 1e-9:
         raise ValueError("exponents must satisfy q = p'/3; got q=%g, p=%g" % (q, p))
+    _check_caps(n_values[-1], grid)  # the largest N, before any field is built
     sphere = make_sphere_measure(2, sphere_n)
     norm_g = []
     norms_f = []

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bumps import dyadic_ring
 from .fitting import loglog_fit
@@ -264,6 +263,11 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
     r_arr = np.asarray(sorted(set(float(r) for r in radii), reverse=True))
     if r_arr.size < 3:
         raise ValueError("need at least 3 distinct radii to fit a slope")
+    # scipy.spatial costs a fresh process about 0.5 s and 36 MB to import,
+    # and only this profile needs it, so it is imported here and not with
+    # the module
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(measure.atoms)
     w = measure.weights
     # equal weights: a count per ball suffices, avoiding the index lists
@@ -385,8 +389,32 @@ def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float
     """sum_j coeffs_j exp(sign 2 pi i <atoms_j, x>) for x on the product of
     the axes (any lengths and count), shaped (len(axes[0]), ..., len(axes[-1])):
     grids._separable_sum on the atoms' phase matrices, behind
-    mu_hat_on_lattice, operators.extend and operators.convolve_mu_hat."""
-    return _separable_sum(np.asarray(coeffs).astype(complex), _phase_matrices(atoms, axes, sign))
+    mu_hat_on_lattice, operators.extend and operators.convolve_mu_hat. The
+    phase matrices are built here and read by no one else, so the kernel
+    owns them and scales the first in place."""
+    coeffs = np.asarray(coeffs).astype(complex)
+    return _separable_sum(coeffs, _phase_matrices(atoms, axes, sign), owned=True)
+
+
+# box elements per block of dyadic_piece's ring product
+_RING_BLOCK = 1 << 16
+
+
+def _check_dyadic_scale(j, grid: GridSpec) -> int:
+    """The dyadic scale j as an int, refused unless it is nonnegative and the
+    grid resolves frequency 2^j (Nyquist radius N/(4L) >= 2^j). dyadic_piece
+    checks its j with it, and the dyadic subcommand every j of its sweep
+    before the lattice transform."""
+    j = int(j)
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    if grid.nyquist < (1 << j):
+        need = int(4 * grid.half_width * (1 << j))
+        raise ValueError(
+            "grid too coarse for scale j=%d: Nyquist radius %g < 2^j; "
+            "need points_per_axis >= %d at this half width" % (j, grid.nyquist, need)
+        )
+    return j
 
 
 def dyadic_piece(
@@ -400,17 +428,9 @@ def dyadic_piece(
     taken, not recomputed, so a sweep over j builds them once. The grid must
     resolve frequency 2^j: its Nyquist radius N/(4L) must be at least 2^j.
     """
-    j = int(j)
-    if j < 0:
-        raise ValueError("j must be nonnegative")
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
-    if grid.nyquist < (1 << j):
-        need = int(4 * grid.half_width * (1 << j))
-        raise ValueError(
-            "grid too coarse for scale j=%d: Nyquist radius %g < 2^j; "
-            "need points_per_axis >= %d at this half width" % (j, grid.nyquist, need)
-        )
+    j = _check_dyadic_scale(j, grid)
     lattice_shape = (grid.points_per_axis,) * grid.dim
     if np.shape(mu_hat) != lattice_shape:
         raise ValueError(
@@ -423,17 +443,26 @@ def dyadic_piece(
     # the ring is evaluated and multiplied only on the box of axis points
     # with xi_k^2 < 4^j; the rest of localized is 0
     inner = np.flatnonzero(sq < 4.0**j)
-    box = (slice(inner[0], inner[-1] + 1),) * grid.dim
-    u = sq_box = sq[box[0]]
-    for _ in range(grid.dim - 1):
-        u = np.add.outer(u, sq_box)
+    lo, hi = inner[0], inner[-1] + 1
+    sq_box = sq[lo:hi]
+    # u, the ring and the product are built for a block of the box's rows at
+    # a time and written into localized, so their temporaries stay the size
+    # of a block; every element gets the same operations as on the whole box
+    rows = max(1, _RING_BLOCK // sq_box.size ** (grid.dim - 1))
     localized = np.zeros(lattice_shape, dtype=complex)
-    localized[box] = mu_hat[box] * dyadic_ring(u, j)
+    sups = []
+    for start in range(lo, hi, rows):
+        block = (slice(start, min(start + rows, hi)),) + (slice(lo, hi),) * (grid.dim - 1)
+        u = sq[block[0]]
+        for _ in range(grid.dim - 1):
+            u = np.add.outer(u, sq_box)
+        np.multiply(mu_hat[block], dyadic_ring(u, j), out=localized[block])
+        sups.append(np.abs(localized[block]).max())
     values = inverse_fourier_on_grid(localized, grid)
     return DyadicPiece(
         values=values,
         sup_mu_j=float(np.abs(values).max()),
-        sup_mu_hat_j=float(np.abs(localized[box]).max()),
+        sup_mu_hat_j=float(np.max(sups)),
     )
 
 

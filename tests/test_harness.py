@@ -4,7 +4,9 @@ bytewise determinism, and the canonical value rendering."""
 import importlib.util
 import os
 import re
+import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import restrictionlab
-from restrictionlab import cli
+from restrictionlab import cli, knapp
 from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
 from restrictionlab.reporting import (
@@ -349,6 +351,74 @@ def test_non_geometric_lam_list_exits_2_before_the_sweep(tmp_path, capsys, monke
     assert main(["oscillatory", "--lam-list", "16,32,64,200", "--out", str(out)]) == 2
     assert "lambda values must be geometric" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "j_list, message",
+    [
+        ("1,2,12", "grid too coarse for scale j=12: Nyquist radius 256 < 2^j"),
+        ("1,-1", "j must be nonnegative"),
+    ],
+)
+def test_unresolvable_scale_exits_2_before_the_transform(tmp_path, capsys, monkeypatch, j_list, message):
+    # every j is checked at entry, with dyadic_piece's own condition and
+    # message: at the default 2048^2 lattice the transform and the pieces
+    # before the bad scale take seconds and the run's whole peak memory
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep started despite an unresolvable scale")
+
+    for name in ("mu_hat_on_lattice", "dyadic_piece"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "r"
+    assert main(["dyadic", "--j-list", j_list, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unresolvable_cap_count_exits_2_before_the_first_field(tmp_path, capsys, monkeypatch):
+    # the default 4096^2 grid resolves N <= 6; the largest N is checked
+    # before the sphere measure and the first 4096^2 field are built
+    def refuse(*args, **kwargs):
+        pytest.fail("the experiment built a field despite an unresolvable N")
+
+    for name in ("knapp_function", "make_sphere_measure", "inverse_fourier_on_grid"):
+        monkeypatch.setattr(knapp, name, refuse)
+    out = tmp_path / "r"
+    assert main(["knapp", "--N-list", "2,3,4,5,6,7", "--out", str(out)]) == 2
+    assert "grid resolves at most N = 6 caps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
+    # the sweep holds mu_hat, one piece's localized lattice and the inverse
+    # transform's buffer; the previous piece is dropped before the next is
+    # built, and the ring is evaluated in row blocks of its box, so its
+    # temporaries stay the size of a block (few atoms: the transform's phase
+    # matrices are small)
+    lattice = 16 * 512**2  # bytes of one complex lattice
+    argv = ["dyadic", "--points", "512", "--n", "256", "--j-list", "1,2,3,4,5,6"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * lattice
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial costs a fresh process about half a second and only the
+    # ball profile (measure, criteria 3 and 4) needs it, so it is imported
+    # there and never at start-up
+    code = "import sys, restrictionlab.cli; print('scipy.spatial' in sys.modules)"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("subcommand", ["dyadic", "knapp", "restrict"])

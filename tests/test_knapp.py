@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from restrictionlab import knapp
 from restrictionlab.bumps import annulus_window, plateau_window
 from restrictionlab.grids import GridSpec, inverse_fourier_on_grid
 from restrictionlab.knapp import (
@@ -149,6 +150,21 @@ def test_resolution_guards():
         knapp_function(KnappSpec(N=1, q=2.0), small, sphere)
     with pytest.raises(ValueError, match="2-dimensional"):
         knapp_function(KnappSpec(N=1, q=2.0), GridSpec(1, 16.0, 256), sphere)
+
+
+def test_experiment_checks_its_largest_n_before_the_first_field(monkeypatch):
+    # the largest N goes through knapp_function's own check before any
+    # field is built, not after the smaller ones
+    def refuse(*args, **kwargs):
+        pytest.fail("a field was built despite an unresolvable N")
+
+    monkeypatch.setattr(knapp, "knapp_function", refuse)
+    grid = GridSpec(2, 16.0, 256)  # resolves at most 4 caps
+    with pytest.raises(ValueError, match="resolves at most N = 4 caps"):
+        knapp_sharpness_experiment(2.0, 1.2, [2.0], [2, 3, 5], grid)
+    small = GridSpec(2, 16.0, 64)  # Nyquist radius 1 < 5/4
+    with pytest.raises(ValueError, match="caps clipped"):
+        knapp_sharpness_experiment(2.0, 1.2, [2.0], [1, 2, 3], small)
 
 
 def test_experiment_exponent_relation_enforced():

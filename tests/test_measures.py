@@ -3,6 +3,7 @@ decay fits, dyadic frequency pieces, file round trip."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from restrictionlab import measures
 from restrictionlab.bumps import dyadic_ring, radial_plateau
 from restrictionlab.grids import GridSpec, fourier_on_grid, inverse_fourier_on_grid
 from restrictionlab.measures import (
@@ -303,6 +305,25 @@ def test_mu_hat_on_lattice_matches_direct_sum_on_random_measures(
     _assert_lattice_matches_direct_sum(_random_measure(dim, n_atoms, seed, spread), grid)
 
 
+def test_lattice_transform_peak_memory_stays_near_its_phase_matrices():
+    # the half-lattice contraction's two phase matrices (257 and 513 columns
+    # for 2048 atoms on 512^2) are its working set: the kernel owns them and
+    # scales the first in place, so beyond them only the half and the full
+    # lattice are held, not a scaled copy of the first
+    m = make_sphere_measure(2, 2048)
+    grid = GridSpec(2, 2.0, 512)
+    phase_bytes = 16 * m.n_atoms * (257 + 513)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mu_hat_on_lattice(m, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * phase_bytes
+
+
 def test_mu_hat_on_lattice_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         mu_hat_on_lattice(make_sphere_measure(2, 64), GridSpec(1, 2.0, 64))
@@ -357,9 +378,12 @@ def test_dyadic_pieces_sum_to_low_pass():
     ],
     ids=["d1", "d2-circle", "d2-random", "d3"],
 )
-def test_dyadic_piece_equals_full_lattice_product(measure, grid, J):
+@pytest.mark.parametrize("ring_block", [measures._RING_BLOCK, 7], ids=["block", "row-blocks"])
+def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, monkeypatch):
     # dyadic_piece multiplies only inside the box that holds the ring's
-    # support; the piece must be the transform of the full product
+    # support, a block of the box's rows at a time; the piece must be the
+    # transform of the full product (a 7-element block is one row at d >= 2)
+    monkeypatch.setattr(measures, "_RING_BLOCK", ring_block)
     mu_hat = mu_hat_on_lattice(measure, grid)
     sq = grid.freq_axis() ** 2
     u = sq

@@ -227,11 +227,14 @@ def test_shared_factors_match_per_call_factors(name):
     family = (parabola_scaling_family if spec.y_dim == 1 else fold_scaling_family)(seed=3)
     members = family(lam)
     shared = phase_factors(spec, lam, y_axes, x_axes)
+    kept = {key: U.copy() for key, U in shared.items()}
     for member in members:
         fresh = phase_factors(spec, lam, y_axes, x_axes)
         a = apply_T_lambda_product(spec, member, y_axes, x_axes, shared)
         b = apply_T_lambda_product(spec, member, y_axes, x_axes, fresh)
         assert np.array_equal(a, b)
+    # the caller keeps the factors: the kernel never writes to them
+    assert all(shared[key].tobytes() == kept[key].tobytes() for key in kept)
 
 
 def test_fast_path_rejects_foreign_factors():
