@@ -454,22 +454,21 @@ def cmd_knapp(args) -> Result:
         (
             "slope_g in [%g, %g]" % (args.slope_g_min, args.slope_g_max),
             args.slope_g_min <= rep.fit_g.slope <= args.slope_g_max,
-            "%.4f" % rep.fit_g.slope,
+            rep.fit_g.detail(),
         )
     ]
-    for k, s in enumerate(rep.s_values):
-        slope_f = rep.fits_f[k].slope
+    for s, fit in zip(rep.s_values, rep.fits_f):
         if s > args.q:
-            gap = rep.fit_g.slope - slope_f
+            gap = rep.fit_g.slope - fit.slope
             checks.append(
                 (
                     "gap slope_g - slope_f(s=%g) >= %g" % (s, args.gap_min),
                     gap >= args.gap_min,
-                    "slope_f=%.4f gap=%.4f" % (slope_f, gap),
+                    "gap=%.4f slope_f=%s" % (gap, fit.detail()),
                 )
             )
         else:
-            checks.append(("slope_f(s=%g) reported" % s, True, "%.4f" % slope_f))
+            checks.append(("slope_f(s=%g) reported" % s, True, fit.detail()))
     columns = ["N", "norm_g"] + ["norm_f_s%g" % s for s in rep.s_values]
     rows = []
     for i, N in enumerate(rep.n_values):

@@ -16,6 +16,11 @@ class FitResult:
     max_log_residual: float
     point_count: int
 
+    def detail(self) -> str:
+        """The slope with how well the line fits (the largest log residual
+        and the number of points), for a verdict detail."""
+        return "%.4f resid=%.3g n=%d" % (self.slope, self.max_log_residual, self.point_count)
+
 
 def loglog_fit(points) -> FitResult:
     """Least-squares line through (log x, log y).

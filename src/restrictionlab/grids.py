@@ -6,7 +6,9 @@ frequency N/(4L); transforming a field on the grid to that lattice is an
 exact rearrangement of the DFT (checkerboard signs absorb the -L offset),
 so grid transforms and direct summation agree to rounding error. A field
 on a grid is an (N,)*d array of its samples; the GridSpec holds the
-lattice, and no other type restates it.
+lattice, and no other type restates it. The inverse transform returns the
+complex field, or with modulus=True only its moduli |field| as float64,
+built without ever holding the complex field.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
@@ -70,7 +72,8 @@ class GridSpec:
         return np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
 
 
-# lines per block of the last-axis pass of inverse_fourier_on_grid
+# lines per block of the last-axis pass of inverse_fourier_on_grid, and
+# output lines per slab of its modulus path
 _LINE_BLOCK = 16
 
 
@@ -101,7 +104,41 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.cell_volume * _sign_mesh(n, d) * f
 
 
-def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _last_axis_blocks(lines: np.ndarray, keep: np.ndarray, digits: list):
+    """Pass 1 of the inverse transform, block by block: yield (rows, b),
+    where b holds the kept lines lines[keep[rows]] shifted, signed and
+    inverse-transformed along the last axis. b is one reused buffer, valid
+    until the next block is asked for; each line is cast to complex as it
+    is copied in."""
+    n = lines.shape[1]
+    h = n // 2
+    signs = np.fft.ifftshift(_sign_vector(n))
+    block = np.empty((min(_LINE_BLOCK, keep.size), n), dtype=complex)
+    for start in range(0, keep.size, _LINE_BLOCK):
+        rows = slice(start, start + _LINE_BLOCK)
+        idx = keep[rows]
+        b = block[: idx.size]
+        b[:, :h] = lines[idx, h:]  # the shift along each line
+        b[:, h:] = lines[idx, :h]
+        for i in digits:  # the sign of each axis in turn, axis 0 first
+            b *= signs[i[rows], None]
+        b *= signs
+        np.fft.ifft(b, axis=1, out=b)
+        yield rows, b
+
+
+def _later_passes(buf: np.ndarray, scale: float) -> None:
+    """The passes after the first on a buffer with reversed axes, in
+    ifftn's order (buffer axis 1 holds the input's axis d-2, and so on),
+    then the scale, all in place."""
+    for axis in range(1, buf.ndim):
+        np.fft.ifft(buf, axis=axis, out=buf)
+    buf *= scale
+
+
+def inverse_fourier_on_grid(
+    freq_values: np.ndarray, grid: GridSpec, *, modulus: bool = False
+) -> np.ndarray:
     """Inverse of fourier_on_grid (frequency lattice back to the spatial grid).
 
     Equals scale * ifftn(ifftshift(signs * F)), scale = (N/(2L))^d, bit for
@@ -119,38 +156,49 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     a whole: each kept line is cast to complex as it is copied into its
     block, which gives the values the complex copy would hold, so a float64
     lattice has the same bits as its complex copy at half the input memory.
+
+    With modulus=True the call returns the moduli |field| as float64, with
+    the same bits, shape and Fortran order as np.abs of the complex result,
+    and never holds the complex field: the transformed kept lines go into a
+    compact (kept lines, N) buffer, and the reversed-axes buffer is built
+    one slab of output lines along the last axis at a time (zeroed, filled
+    from the compact buffer, passed and scaled as above), whose moduli go
+    into the output. It holds the compact buffer, one slab and the float64
+    output, never more than the complex field and its moduli.
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
     if F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")
     h = n // 2
-    signs = np.fft.ifftshift(_sign_vector(n))
+    scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
     lines = F.reshape(-1, n)
     keep = np.flatnonzero(lines.any(axis=1))
     # the shift moves each of a line's d-1 leading indices by n/2; digits[k]
     # is the shifted index on axis k, and col the line's column in `columns`
     digits = [(keep // n ** (d - 2 - k) + h) % n for k in range(d - 1)]
     col = sum((i * n**k for k, i in enumerate(digits)), np.zeros_like(keep))
-    work = np.zeros((n,) * d, dtype=complex)
-    columns = work.reshape(n, -1)
-    block = np.empty((min(_LINE_BLOCK, keep.size), n), dtype=complex)
-    for start in range(0, keep.size, _LINE_BLOCK):
+    if not modulus:
+        work = np.zeros((n,) * d, dtype=complex)
+        columns = work.reshape(n, -1)
+        for rows, b in _last_axis_blocks(lines, keep, digits):
+            columns[:, col[rows]] = b.T
+        _later_passes(work, scale)
+        return work.T
+    compact = np.empty((keep.size, n), dtype=complex)
+    for rows, b in _last_axis_blocks(lines, keep, digits):
+        compact[rows] = b
+    out = np.empty((n,) * d)  # reversed axes, as the complex path's buffer
+    slab = np.empty((min(_LINE_BLOCK, n),) + (n,) * (d - 1), dtype=complex)
+    for start in range(0, n, _LINE_BLOCK):
         rows = slice(start, start + _LINE_BLOCK)
-        idx = keep[rows]
-        b = block[: idx.size]
-        b[:, :h] = lines[idx, h:]  # the shift along each line
-        b[:, h:] = lines[idx, :h]
-        for i in digits:  # the sign of each axis in turn, axis 0 first
-            b *= signs[i[rows], None]
-        b *= signs
-        np.fft.ifft(b, axis=1, out=b)
-        columns[:, col[rows]] = b.T
-    out = work.T
-    for axis in range(d - 2, -1, -1):
-        np.fft.ifft(out, axis=axis, out=out)
-    out *= (n * grid.freq_spacing) ** d  # = (N/(2L))^d
-    return out
+        dest = out[rows]
+        s = slab[: dest.shape[0]]
+        s.fill(0.0)
+        s.reshape(s.shape[0], -1)[:, col] = compact[:, rows].T
+        _later_passes(s, scale)
+        np.abs(s, out=dest)
+    return out.T
 
 
 def _phase_matrix(a: np.ndarray, b: np.ndarray, scale: complex) -> np.ndarray:

@@ -98,7 +98,12 @@ def knapp_function(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sample the superposition on the atoms of the circle measure `sphere`
     and on the grid's frequency lattice, and return (values at atoms,
-    inverse transform on the grid).
+    moduli of the inverse transform on the grid).
+
+    Only the moduli are returned, as float64 in the transform's Fortran
+    order: every norm of the experiment reads |f| alone, and the transform
+    builds them without holding the complex field (see
+    inverse_fourier_on_grid's modulus contract).
 
     The frequency lattice must resolve the finest cap: its spacing 1/(2L)
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice
@@ -118,7 +123,7 @@ def knapp_function(
         term = np.multiply.outer(tang[rows], rad)
         term *= w[k - 1]
         G[rows] += term
-    return g_atoms, inverse_fourier_on_grid(G, grid)
+    return g_atoms, inverse_fourier_on_grid(G, grid, modulus=True)
 
 
 @dataclass(frozen=True)
@@ -151,12 +156,17 @@ def knapp_sharpness_experiment(
 
     The exponents must satisfy the duality relation q = p'/3, which is
     q = (d-1) p'/(d+1) at d = 2, tying the cap geometry to the Lorentz
-    scale probed.
+    scale probed. The N values (at least 3) and the s values must each be
+    distinct; every entry is checked before any field is built.
     """
     n_values = sorted(int(n) for n in N_list)
+    s_values = tuple(float(s) for s in s_list)
+    # a repeated N would be fitted twice, a repeated s gives a repeated column
+    for name, values in (("N", n_values), ("s", s_values)):
+        if len(set(values)) != len(values):
+            raise ValueError("%s values must be distinct, got %s" % (name, list(values)))
     if len(n_values) < 3:
         raise ValueError("need at least 3 N values")
-    s_values = tuple(float(s) for s in s_list)
     _check_exponents(p, s_values)  # every (p, s), before any field is built
     if not p > 1.0:
         raise ValueError("need p > 1 for the dual exponent p'; got p=%g" % p)
@@ -171,9 +181,9 @@ def knapp_sharpness_experiment(
         spec = KnappSpec(N=n, q=q)
         g_atoms, f = knapp_function(spec, grid, sphere)
         norm_g.append(float(np.sum(sphere.weights * np.abs(g_atoms) ** q) ** (1.0 / q)))
-        # one rearrangement of the field serves every s
+        # one rearrangement of the moduli serves every s
         norms_f.append(lorentz_norm_values(f, grid.cell_volume, p, s_values))
-        # free this field before the next N builds its own
+        # free these moduli before the next N builds its own
         del f
     fit_g = loglog_fit(list(zip(n_values, norm_g)))
     fits_f = tuple(

@@ -204,6 +204,73 @@ def test_real_lattice_is_not_copied_to_complex():
     assert peak < got.nbytes + 4 * 2**20
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    d=st.integers(1, 3),
+    n=st.sampled_from([8, 16, 32, 64]),
+    zero_lines=st.sampled_from(["none", "some", "all"]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moduli_equal_abs_of_the_complex_transform_bit_for_bit(d, n, zero_lines, real, seed):
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    shape = (n,) * d
+    F = rng.standard_normal(shape)
+    if not real:
+        F = F + 1j * rng.standard_normal(shape)
+    rows = F.reshape(-1, n)  # a view: one row per line along the last axis
+    zero = np.zeros(rows.shape[0], dtype=bool)
+    if zero_lines == "some":
+        zero = rng.uniform(size=zero.size) < 0.5
+    elif zero_lines == "all":
+        zero[:] = True
+    rows[zero] = -0.0 if rng.uniform() < 0.5 else 0.0
+    kept = int(np.count_nonzero(rows.any(axis=1)))
+    before = F.copy()
+    expected = np.abs(inverse_fourier_on_grid(F, g))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = inverse_fourier_on_grid(F, g, modulus=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
+    assert got.tobytes() == expected.tobytes()
+    assert before.tobytes() == F.tobytes()
+    # the moduli, the kept lines' compact buffer and one slab of 16 output
+    # lines, plus index arrays and numpy's buffers; the complex field (16 n^d
+    # bytes) exceeds this whenever it is much larger than one slab
+    compact = 16 * kept * n
+    slab = 16 * min(16, n) * n ** (d - 1)
+    assert peak < got.nbytes + compact + slab + 2**18
+
+
+def test_moduli_never_hold_the_complex_field():
+    # a Knapp-like lattice: real, with 1/8 of its lines nonzero. Beyond the
+    # float64 moduli the call holds the compact buffer of the transformed
+    # kept lines, one slab, its line blocks and index arrays
+    n = 1024
+    g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
+    rng = np.random.default_rng(9)
+    F = rng.standard_normal((n, n))
+    F[rng.permutation(n)[: n - n // 8]] = 0.0
+    expected = np.abs(inverse_fourier_on_grid(F, g))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = inverse_fourier_on_grid(F, g, modulus=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == expected.tobytes()
+    compact = 16 * (n // 8) * n
+    assert peak < got.nbytes + compact + 4 * 2**20
+
+
 def test_transform_shape_check():
     g = GridSpec(dim=2, half_width=1.0, points_per_axis=16)
     with pytest.raises(ValueError, match="shape"):

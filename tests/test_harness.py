@@ -676,6 +676,21 @@ def test_knapp_bad_exponents_exit_2_before_any_field(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--s-list", "2,2"], ["--N-list", "2,2,3"]])
+def test_knapp_repeated_entries_exit_2_before_any_field(tmp_path, capsys, monkeypatch, flags):
+    # a repeated s would write its CSV column twice, and 2,2,3 has only two
+    # distinct N for the slope fit
+    def refuse(*args, **kwargs):
+        pytest.fail("the experiment built a field despite a repeated entry")
+
+    monkeypatch.setattr(knapp, "knapp_function", refuse)
+    out = tmp_path / "r"
+    argv = ["knapp", "--N-list", "2,3,4", "--points", "512", "--half-width", "64", "--sphere-n", "1024"]
+    assert main(argv + flags + ["--out", str(out)]) == 2
+    assert "values must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oscillatory_accepts_phase_file(tmp_path):
     phase = tmp_path / "para.phase"
     phase.write_text(
