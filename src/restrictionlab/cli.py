@@ -79,6 +79,15 @@ def _floats(text: str) -> List[float]:
     return out
 
 
+def _threshold(text: str) -> float:
+    # a verdict window bound; NaN would fail its check only after the whole
+    # run, so it is refused at entry (an infinite bound leaves the window open)
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError("NaN is not a threshold")
+    return value
+
+
 def _ints(text: str) -> List[int]:
     out = [int(t) for t in text.split(",") if t != ""]
     if not out:
@@ -121,28 +130,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("measure", "build a measure, save it, and fit its ball-regularity exponent")
     add_measure_flags(sp)
     sp.add_argument("--radii", type=_floats, default=None, help="ball radii (default: dyadic or ratio powers)")
-    sp.add_argument("--a-min", type=float, default=0.0)
-    sp.add_argument("--a-max", type=float, default=None, help="default: ambient dimension")
+    sp.add_argument("--a-min", type=_threshold, default=0.0)
+    sp.add_argument("--a-max", type=_threshold, default=None, help="default: ambient dimension")
 
     sp = add("decay", "fit the Fourier decay exponent of a measure")
     add_measure_flags(sp)
     sp.add_argument("--r-list", type=_floats, default=[4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
     sp.add_argument("--directions", type=int, default=64)
-    sp.add_argument("--b-min", type=float, default=0.45)
-    sp.add_argument("--b-max", type=float, default=0.55)
+    sp.add_argument("--b-min", type=_threshold, default=0.45)
+    sp.add_argument("--b-max", type=_threshold, default=0.55)
 
     sp = add("dyadic", "dyadic frequency pieces of a measure and their sup scaling")
     add_measure_flags(sp, n=4096)
     sp.add_argument("--half-width", type=float, default=2.0)
     sp.add_argument("--points", type=int, default=2048)
     sp.add_argument("--j-list", type=_ints, default=[1, 2, 3, 4, 5, 6, 7, 8])
-    sp.add_argument("--flatness-max", type=float, default=10.0)
+    sp.add_argument("--flatness-max", type=_threshold, default=10.0)
 
     sp = add("lorentz", "Lorentz quasi-norm consistency checks on random fields")
     sp.add_argument("--fields", type=int, default=1000)
     sp.add_argument("--indicators", type=int, default=50)
-    sp.add_argument("--tol-diagonal", type=float, default=1e-10)
-    sp.add_argument("--tol-indicator", type=float, default=1e-12)
+    sp.add_argument("--tol-diagonal", type=_threshold, default=1e-10)
+    sp.add_argument("--tol-indicator", type=_threshold, default=1e-12)
 
     sp = add("knapp", "cap-superposition sharpness experiment")
     sp.add_argument("--q", type=float, default=2.0)
@@ -152,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--half-width", type=float, default=512.0)
     sp.add_argument("--points", type=int, default=4096)
     sp.add_argument("--sphere-n", type=int, default=16384)
-    sp.add_argument("--slope-g-min", type=float, default=0.4)
-    sp.add_argument("--slope-g-max", type=float, default=0.6)
-    sp.add_argument("--gap-min", type=float, default=0.3)
+    sp.add_argument("--slope-g-min", type=_threshold, default=0.4)
+    sp.add_argument("--slope-g-max", type=_threshold, default=0.6)
+    sp.add_argument("--gap-min", type=_threshold, default=0.3)
 
     sp = add("restrict", "extension-restriction ratios for a field family")
     add_measure_flags(sp, n=4096)
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=Fraction, default=Fraction(2))
     sp.add_argument("--a", type=Fraction, default=Fraction(1))
     sp.add_argument("--b", type=Fraction, default=Fraction(1, 2))
-    sp.add_argument("--spread-max", type=float, default=10.0)
+    sp.add_argument("--spread-max", type=_threshold, default=10.0)
 
     def add_scaling_flags(sp: argparse.ArgumentParser, phase, q, lam_list, slope_min, slope_max) -> None:
         sp.add_argument("--phase", default=phase)
@@ -183,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--radius", type=float, default=1.0)
         sp.add_argument("--x-points", type=int, default=None)
         sp.add_argument("--y-points", type=int, default=None)
-        sp.add_argument("--slope-min", type=float, default=slope_min)
-        sp.add_argument("--slope-max", type=float, default=slope_max)
+        sp.add_argument("--slope-min", type=_threshold, default=slope_min)
+        sp.add_argument("--slope-max", type=_threshold, default=slope_max)
 
     sp = add("oscillatory", "hypothesis checks and lambda-scaling for a catalog phase")
     add_scaling_flags(sp, "parabola", 6.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0], -0.43, -0.23)
@@ -363,8 +372,6 @@ def cmd_dyadic(args) -> Result:
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))
-        # free this piece's lattice before the next scale builds its own
-        del piece
     f_hat = flatness_factor(hat_scaled)
     f_mass = flatness_factor(mass_scaled)
     checks = [
@@ -579,7 +586,7 @@ def _scaling(args, spec, checks) -> Result:
         (
             "fitted slope in [%g, %g] (target %g)" % (args.slope_min, args.slope_max, rep.target_slope),
             args.slope_min <= rep.fit.slope <= args.slope_max,
-            "%.4f" % rep.fit.slope,
+            rep.fit.detail(),
         )
     )
     for note in rep.dropped:

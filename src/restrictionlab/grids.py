@@ -6,9 +6,10 @@ frequency N/(4L); transforming a field on the grid to that lattice is an
 exact rearrangement of the DFT (checkerboard signs absorb the -L offset),
 so grid transforms and direct summation agree to rounding error. A field
 on a grid is an (N,)*d array of its samples; the GridSpec holds the
-lattice, and no other type restates it. The inverse transform returns the
-complex field, or with modulus=True only its moduli |field| as float64,
-built without ever holding the complex field.
+lattice, and no other type restates it. The inverse transform returns only
+the moduli |field| as float64, built without ever holding the complex
+field, since every experiment reads |field| alone; the tests check it
+against the complex ifftn formula.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
@@ -73,7 +74,7 @@ class GridSpec:
 
 
 # lines per block of the last-axis pass of inverse_fourier_on_grid, and
-# output lines per slab of its modulus path
+# output lines per slab of its later passes
 _LINE_BLOCK = 16
 
 
@@ -104,67 +105,31 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.cell_volume * _sign_mesh(n, d) * f
 
 
-def _last_axis_blocks(lines: np.ndarray, keep: np.ndarray, digits: list):
-    """Pass 1 of the inverse transform, block by block: yield (rows, b),
-    where b holds the kept lines lines[keep[rows]] shifted, signed and
-    inverse-transformed along the last axis. b is one reused buffer, valid
-    until the next block is asked for; each line is cast to complex as it
-    is copied in."""
-    n = lines.shape[1]
-    h = n // 2
-    signs = np.fft.ifftshift(_sign_vector(n))
-    block = np.empty((min(_LINE_BLOCK, keep.size), n), dtype=complex)
-    for start in range(0, keep.size, _LINE_BLOCK):
-        rows = slice(start, start + _LINE_BLOCK)
-        idx = keep[rows]
-        b = block[: idx.size]
-        b[:, :h] = lines[idx, h:]  # the shift along each line
-        b[:, h:] = lines[idx, :h]
-        for i in digits:  # the sign of each axis in turn, axis 0 first
-            b *= signs[i[rows], None]
-        b *= signs
-        np.fft.ifft(b, axis=1, out=b)
-        yield rows, b
+def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Moduli of the inverse of fourier_on_grid (frequency lattice back to
+    the spatial grid), as float64 in Fortran memory order.
 
+    Returns |scale * ifftn(ifftshift(signs * F))|, scale = (N/(2L))^d, bit
+    for bit, with that formula's shape and indexing; the formula itself is
+    the tests' oracle. Every caller reads only the moduli, so the complex
+    field is never held: the 1-D inverse transforms run in ifftn's order,
+    last axis first, and each line goes through the same pocketfft call on
+    the same data (up to the sign of exact zeros, which the moduli drop).
 
-def _later_passes(buf: np.ndarray, scale: float) -> None:
-    """The passes after the first on a buffer with reversed axes, in
-    ifftn's order (buffer axis 1 holds the input's axis d-2, and so on),
-    then the scale, all in place."""
-    for axis in range(1, buf.ndim):
-        np.fft.ifft(buf, axis=axis, out=buf)
-    buf *= scale
+    On the last axis only the lines of F that are not all zero are
+    transformed, since a zero line transforms to zero: they are shifted,
+    signed and transformed in place in a compact (kept lines, N) buffer,
+    a block of lines at a time. The later passes then build a buffer with
+    reversed axes one slab of output lines along the last axis at a time
+    (zeroed, filled from the compact buffer, so every pass runs on
+    contiguous lines, then scaled), and the slab's moduli go into the
+    output. The call holds the compact buffer, one slab and the output.
 
-
-def inverse_fourier_on_grid(
-    freq_values: np.ndarray, grid: GridSpec, *, modulus: bool = False
-) -> np.ndarray:
-    """Inverse of fourier_on_grid (frequency lattice back to the spatial grid).
-
-    Equals scale * ifftn(ifftshift(signs * F)), scale = (N/(2L))^d, bit for
-    bit up to the sign of exact zeros: the 1-D inverse transforms run in
-    ifftn's order, last axis first, and each line goes through the same
-    pocketfft call on the same data. On the last axis only the lines of F
-    that are not all zero are transformed, since a zero line transforms to
-    zero; they are shifted, signed and transformed in contiguous blocks and
-    written transposed into a zeroed buffer whose axes are reversed, so the
-    later passes run on contiguous lines as well. The result is the
-    transpose of that buffer: the same values and indexing as ifftn's, in
-    Fortran memory order for d >= 2. The caller's array is not touched.
-
-    Any real or complex lattice is taken as it is, not copied to complex as
-    a whole: each kept line is cast to complex as it is copied into its
-    block, which gives the values the complex copy would hold, so a float64
-    lattice has the same bits as its complex copy at half the input memory.
-
-    With modulus=True the call returns the moduli |field| as float64, with
-    the same bits, shape and Fortran order as np.abs of the complex result,
-    and never holds the complex field: the transformed kept lines go into a
-    compact (kept lines, N) buffer, and the reversed-axes buffer is built
-    one slab of output lines along the last axis at a time (zeroed, filled
-    from the compact buffer, passed and scaled as above), whose moduli go
-    into the output. It holds the compact buffer, one slab and the float64
-    output, never more than the complex field and its moduli.
+    The caller's array is not touched, and is read in place when it is
+    C-contiguous (through one copy otherwise). Any real or complex lattice
+    is taken as it is: each kept line is cast to complex as it is copied
+    in, so a float64 lattice has the bits of its complex copy at half the
+    input memory.
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
@@ -172,23 +137,25 @@ def inverse_fourier_on_grid(
         raise ValueError("value shape does not match grid")
     h = n // 2
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
+    signs = np.fft.ifftshift(_sign_vector(n))
     lines = F.reshape(-1, n)
     keep = np.flatnonzero(lines.any(axis=1))
     # the shift moves each of a line's d-1 leading indices by n/2; digits[k]
-    # is the shifted index on axis k, and col the line's column in `columns`
+    # is the shifted index on axis k, and col the line's column in a slab
     digits = [(keep // n ** (d - 2 - k) + h) % n for k in range(d - 1)]
     col = sum((i * n**k for k, i in enumerate(digits)), np.zeros_like(keep))
-    if not modulus:
-        work = np.zeros((n,) * d, dtype=complex)
-        columns = work.reshape(n, -1)
-        for rows, b in _last_axis_blocks(lines, keep, digits):
-            columns[:, col[rows]] = b.T
-        _later_passes(work, scale)
-        return work.T
     compact = np.empty((keep.size, n), dtype=complex)
-    for rows, b in _last_axis_blocks(lines, keep, digits):
-        compact[rows] = b
-    out = np.empty((n,) * d)  # reversed axes, as the complex path's buffer
+    for start in range(0, keep.size, _LINE_BLOCK):
+        rows = slice(start, start + _LINE_BLOCK)
+        idx = keep[rows]
+        b = compact[rows]
+        b[:, :h] = lines[idx, h:]  # the shift along each line
+        b[:, h:] = lines[idx, :h]
+        for i in digits:  # the sign of each axis in turn, axis 0 first
+            b *= signs[i[rows], None]
+        b *= signs
+        np.fft.ifft(b, axis=1, out=b)
+    out = np.empty((n,) * d)  # reversed axes, transposed on return
     slab = np.empty((min(_LINE_BLOCK, n),) + (n,) * (d - 1), dtype=complex)
     for start in range(0, n, _LINE_BLOCK):
         rows = slice(start, start + _LINE_BLOCK)
@@ -196,7 +163,9 @@ def inverse_fourier_on_grid(
         s = slab[: dest.shape[0]]
         s.fill(0.0)
         s.reshape(s.shape[0], -1)[:, col] = compact[:, rows].T
-        _later_passes(s, scale)
+        for axis in range(1, d):  # buffer axis 1 holds the input's axis d-2
+            np.fft.ifft(s, axis=axis, out=s)
+        s *= scale
         np.abs(s, out=dest)
     return out.T
 

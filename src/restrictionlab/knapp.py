@@ -100,10 +100,9 @@ def knapp_function(
     and on the grid's frequency lattice, and return (values at atoms,
     moduli of the inverse transform on the grid).
 
-    Only the moduli are returned, as float64 in the transform's Fortran
-    order: every norm of the experiment reads |f| alone, and the transform
-    builds them without holding the complex field (see
-    inverse_fourier_on_grid's modulus contract).
+    The moduli are float64 in the transform's Fortran order, built without
+    holding the complex field (see inverse_fourier_on_grid); every norm of
+    the experiment reads |f| alone.
 
     The frequency lattice must resolve the finest cap: its spacing 1/(2L)
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice
@@ -123,7 +122,7 @@ def knapp_function(
         term = np.multiply.outer(tang[rows], rad)
         term *= w[k - 1]
         G[rows] += term
-    return g_atoms, inverse_fourier_on_grid(G, grid, modulus=True)
+    return g_atoms, inverse_fourier_on_grid(G, grid)
 
 
 @dataclass(frozen=True)

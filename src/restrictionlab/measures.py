@@ -108,14 +108,13 @@ class DecayProfile:
 
 @dataclass(frozen=True)
 class DyadicPiece:
-    """One dyadic frequency piece of a measure on a sampling grid.
+    """The two sups of one dyadic frequency piece of a measure on a grid.
 
     The piece at scale j is the inverse transform of mu_hat times a smooth
-    ring cutoff living on |xi| ~ 2^j; values holds it on the grid. Sup values
-    are exact maxima of absolute values over the stored lattices.
+    ring cutoff living on |xi| ~ 2^j. sup_mu_j is the exact maximum of its
+    moduli on the grid, sup_mu_hat_j that of the localized lattice samples.
     """
 
-    values: np.ndarray
     sup_mu_j: float
     sup_mu_hat_j: float
 
@@ -424,9 +423,12 @@ def dyadic_piece(
 
     Multiplies the lattice samples mu_hat = mu_hat_on_lattice(measure, grid)
     by the smooth ring cutoff supported on 2^{j-2} < |xi| < 2^j (the j = 0
-    piece is the low-pass plateau) and inverse transforms. The samples are
-    taken, not recomputed, so a sweep over j builds them once. The grid must
-    resolve frequency 2^j: its Nyquist radius N/(4L) must be at least 2^j.
+    piece is the low-pass plateau) and inverse transforms it to the moduli
+    of the piece on the grid; only the sups of the localized samples and of
+    those moduli are returned, so no lattice outlives the call. The samples
+    are taken, not recomputed, so a sweep over j builds them once. The grid
+    must resolve frequency 2^j: its Nyquist radius N/(4L) must be at least
+    2^j.
     """
     if grid.dim != measure.dim:
         raise ValueError("grid dimension != measure dimension")
@@ -458,12 +460,8 @@ def dyadic_piece(
             u = np.add.outer(u, sq_box)
         np.multiply(mu_hat[block], dyadic_ring(u, j), out=localized[block])
         sups.append(np.abs(localized[block]).max())
-    values = inverse_fourier_on_grid(localized, grid)
-    return DyadicPiece(
-        values=values,
-        sup_mu_j=float(np.abs(values).max()),
-        sup_mu_hat_j=float(np.max(sups)),
-    )
+    moduli = inverse_fourier_on_grid(localized, grid)
+    return DyadicPiece(sup_mu_j=float(moduli.max()), sup_mu_hat_j=float(np.max(sups)))
 
 
 def save_measure(measure: DiscreteMeasure, path) -> None:

@@ -1,7 +1,10 @@
-"""Point sets of a GridSpec that only the tests use, to build direct-sum
-oracles: every sample point as a list, and the frequency lattice as a mesh."""
+"""Point sets and formulas of a GridSpec that only the tests use, to build
+oracles: every sample point as a list, the frequency lattice as a mesh, and
+the complex inverse lattice transform as one ifftn."""
 
 import numpy as np
+
+from restrictionlab.grids import _sign_mesh
 
 
 def grid_points(grid):
@@ -13,3 +16,12 @@ def grid_points(grid):
 def freq_mesh(grid):
     """The frequency lattice as d arrays of shape (N,)*d, indexing="ij"."""
     return np.meshgrid(*([grid.freq_axis()] * grid.dim), indexing="ij")
+
+
+def ifftn_formula(freq_values, grid):
+    """The complex inverse of fourier_on_grid, scale * ifftn(ifftshift(signs
+    * F)) with scale = (N/(2L))^d: inverse_fourier_on_grid returns its
+    moduli bit for bit."""
+    n, d = grid.points_per_axis, grid.dim
+    scale = (n * grid.freq_spacing) ** d
+    return scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * freq_values))

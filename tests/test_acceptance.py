@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from restrictionlab import cli
+from restrictionlab.fitting import loglog_fit
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference"
@@ -110,6 +111,19 @@ def test_criterion(runs, index, name, reference, budget):
     if index in grids:
         assert "  x_points=%d" % grids[index][0] in lines
         assert "  y_points=%d" % grids[index][1] in lines
+
+
+@pytest.mark.parametrize("index", [9, 10])
+def test_scaling_verdict_reports_the_fit_quality(runs, index):
+    # the fitted-slope detail of criteria 9 and 10 is the fit through the
+    # CSV's (lambda, ratio) rows with its largest log residual and point count
+    out = runs[0].out
+    rows = (out / ("criterion_%02d.csv" % index)).read_text().splitlines()[1:]
+    fit = loglog_fit([tuple(float(v) for v in row.split(",")) for row in rows])
+    lines = (out / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
+    slope = [line for line in lines if line.startswith("PASS fitted slope in ")]
+    assert len(slope) == 1 and slope[0].endswith(": " + fit.detail()), slope
+    assert re.search(r": -?\d+\.\d{4} resid=\S+ n=%d$" % len(rows), slope[0]), slope
 
 
 def test_criterion_12_bytewise_determinism(runs):

@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restrictionlab.grids import (
-    GridSpec,
-    _sign_mesh,
-    fourier_on_grid,
-    inverse_fourier_on_grid,
-)
+from restrictionlab.grids import GridSpec, fourier_on_grid, inverse_fourier_on_grid
 
-from gridpoints import grid_points
+from gridpoints import grid_points, ifftn_formula
 
 
 def test_grid_arithmetic():
@@ -83,7 +78,7 @@ def test_roundtrip_inverse_of_forward():
     rng = np.random.default_rng(2)
     v = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     back = inverse_fourier_on_grid(fourier_on_grid(v, g), g)
-    assert np.max(np.abs(back - v)) < 1e-12
+    assert np.max(np.abs(back - np.abs(v))) < 1e-12
 
 
 def test_parseval_on_lattice():
@@ -115,53 +110,75 @@ def test_inverse_transform_equals_ifftn_formula_bit_for_bit(d, n, kind):
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     F = _lattice_input(kind, n, d, np.random.default_rng(7 * d + n))
     before = F.copy()
-    scale = (n * g.freq_spacing) ** d
-    expected = scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * F))
+    expected = np.abs(ifftn_formula(F, g))
     got = inverse_fourier_on_grid(F, g)
-    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
     # the caller's array is left as it was
     assert np.array_equal(F, before)
     assert np.array_equal(np.signbit(F.view(float)), np.signbit(before.view(float)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
+def _peak_bytes(call):
+    """call() and the peak of the memory it allocated beyond what was held
+    before, by tracemalloc (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     d=st.integers(1, 3),
-    n=st.sampled_from([8, 16, 32]),
+    n=st.sampled_from([8, 16, 32, 64]),
     lines=st.sampled_from(["random", "one", "nyquist", "none", "all"]),
     order=st.sampled_from(["C", "F"]),
+    real=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_inverse_transform_on_zero_line_masks_equals_ifftn_formula(d, n, lines, order, seed):
+def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real, seed):
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     rng = np.random.default_rng(seed)
     shape = (n,) * d
-    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    F = rng.standard_normal(shape)
+    if not real:
+        F = F + 1j * rng.standard_normal(shape)
+        F.imag[rng.uniform(size=shape) < 0.2] = 0.0
     # exact zeros of either sign inside the lines that are kept
     F.real[rng.uniform(size=shape) < 0.2] = -0.0
-    F.imag[rng.uniform(size=shape) < 0.2] = 0.0
     rows = F.reshape(-1, n)  # a view: one row per line along the last axis
     keep = np.zeros(rows.shape[0], dtype=bool)
     if lines == "random":
-        keep = rng.uniform(size=keep.size) < 0.3
+        keep = rng.uniform(size=keep.size) < rng.uniform()
     elif lines == "one":
         keep[rng.integers(keep.size)] = True
     elif lines == "nyquist":
         keep[0] = True  # frequency -N/2 on every leading axis
     elif lines == "all":
         keep[:] = True
-    rows[~keep] = complex(-0.0, 0.0) if rng.uniform() < 0.5 else 0.0
+    rows[~keep] = -0.0 if rng.uniform() < 0.5 else 0.0
+    kept = int(np.count_nonzero(rows.any(axis=1)))
     F = np.asarray(F, order=order)
     before = F.copy()
-    scale = (n * g.freq_spacing) ** d
-    expected = scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * F))
-    got = inverse_fourier_on_grid(F, g)
-    assert np.array_equal(got, expected)
-    assert got.shape == shape and got.flags.f_contiguous
+    expected = np.abs(ifftn_formula(F, g))
+    got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+    assert got.tobytes() == expected.tobytes()
+    assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     # the caller's array is left as it was, signs of its zeros included
-    assert np.array_equal(F, before)
-    assert np.array_equal(np.signbit(F.real), np.signbit(before.real))
-    assert np.array_equal(np.signbit(F.imag), np.signbit(before.imag))
+    assert before.tobytes() == F.tobytes()
+    # the moduli, the kept lines' compact buffer and one slab of 16 output
+    # lines, plus index arrays and numpy's buffers; the complex field (16 n^d
+    # bytes) exceeds this whenever it is much larger than one slab. A lattice
+    # that is not C-contiguous is read through one copy in its own dtype
+    compact = 16 * kept * n
+    slab = 16 * min(16, n) * n ** (d - 1)
+    copy = 0 if F.flags.c_contiguous else F.nbytes
+    assert peak < got.nbytes + compact + slab + copy + 2**18
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32", "complex64"])
@@ -178,96 +195,26 @@ def test_lattice_transforms_as_its_complex128_copy_bit_for_bit(d, n, kind, dtype
     before = F.copy()
     got = inverse_fourier_on_grid(F, g)
     expected = inverse_fourier_on_grid(F.astype(complex), g)
-    assert got.dtype == complex and got.flags.f_contiguous == expected.flags.f_contiguous
+    assert got.dtype == np.float64 and got.flags.f_contiguous
     assert got.tobytes() == expected.tobytes()
     assert before.tobytes() == F.tobytes()
 
 
-def test_real_lattice_is_not_copied_to_complex():
-    # a Knapp-like lattice: real, with whole lines zero. Beyond the complex
-    # output the call allocates only its line blocks and index arrays
+@pytest.mark.parametrize("kept_share", [2, 8], ids=["half", "eighth"])
+def test_knapp_like_lattice_is_never_held_as_complex(kept_share):
+    # a real lattice with whole lines zero, as off the Knapp caps. Beyond
+    # the float64 moduli the call holds the compact buffer of the
+    # transformed kept lines, one slab and index arrays: neither the
+    # complex field nor a complex copy of the input (16 MiB each here)
     n = 1024
     g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
     rng = np.random.default_rng(9)
     F = rng.standard_normal((n, n))
-    F[rng.uniform(size=n) < 0.5] = 0.0
-    expected = inverse_fourier_on_grid(F.astype(complex), g)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        got = inverse_fourier_on_grid(F, g)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    F[rng.permutation(n)[: n - n // kept_share]] = 0.0
+    expected = np.abs(ifftn_formula(F, g))
+    got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
     assert got.tobytes() == expected.tobytes()
-    assert peak < got.nbytes + 4 * 2**20
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(
-    d=st.integers(1, 3),
-    n=st.sampled_from([8, 16, 32, 64]),
-    zero_lines=st.sampled_from(["none", "some", "all"]),
-    real=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_moduli_equal_abs_of_the_complex_transform_bit_for_bit(d, n, zero_lines, real, seed):
-    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
-    rng = np.random.default_rng(seed)
-    shape = (n,) * d
-    F = rng.standard_normal(shape)
-    if not real:
-        F = F + 1j * rng.standard_normal(shape)
-    rows = F.reshape(-1, n)  # a view: one row per line along the last axis
-    zero = np.zeros(rows.shape[0], dtype=bool)
-    if zero_lines == "some":
-        zero = rng.uniform(size=zero.size) < 0.5
-    elif zero_lines == "all":
-        zero[:] = True
-    rows[zero] = -0.0 if rng.uniform() < 0.5 else 0.0
-    kept = int(np.count_nonzero(rows.any(axis=1)))
-    before = F.copy()
-    expected = np.abs(inverse_fourier_on_grid(F, g))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        got = inverse_fourier_on_grid(F, g, modulus=True)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
-    assert got.tobytes() == expected.tobytes()
-    assert before.tobytes() == F.tobytes()
-    # the moduli, the kept lines' compact buffer and one slab of 16 output
-    # lines, plus index arrays and numpy's buffers; the complex field (16 n^d
-    # bytes) exceeds this whenever it is much larger than one slab
-    compact = 16 * kept * n
-    slab = 16 * min(16, n) * n ** (d - 1)
-    assert peak < got.nbytes + compact + slab + 2**18
-
-
-def test_moduli_never_hold_the_complex_field():
-    # a Knapp-like lattice: real, with 1/8 of its lines nonzero. Beyond the
-    # float64 moduli the call holds the compact buffer of the transformed
-    # kept lines, one slab, its line blocks and index arrays
-    n = 1024
-    g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
-    rng = np.random.default_rng(9)
-    F = rng.standard_normal((n, n))
-    F[rng.permutation(n)[: n - n // 8]] = 0.0
-    expected = np.abs(inverse_fourier_on_grid(F, g))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        got = inverse_fourier_on_grid(F, g, modulus=True)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert got.tobytes() == expected.tobytes()
-    compact = 16 * (n // 8) * n
+    compact = 16 * (n // kept_share) * n
     assert peak < got.nbytes + compact + 4 * 2**20
 
 

@@ -307,6 +307,39 @@ def test_non_finite_radii_exit_2_before_any_fit(tmp_path, capfd, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [
+        ("measure", "--a-min"),
+        ("measure", "--a-max"),
+        ("decay", "--b-min"),
+        ("decay", "--b-max"),
+        ("dyadic", "--flatness-max"),
+        ("lorentz", "--tol-diagonal"),
+        ("lorentz", "--tol-indicator"),
+        ("knapp", "--slope-g-min"),
+        ("knapp", "--slope-g-max"),
+        ("knapp", "--gap-min"),
+        ("restrict", "--spread-max"),
+        ("oscillatory", "--slope-min"),
+        ("oscillatory", "--slope-max"),
+        ("fold", "--slope-min"),
+        ("fold", "--slope-max"),
+    ],
+)
+def test_nan_verdict_threshold_exits_2_at_entry(tmp_path, capsys, subcommand, flag):
+    # every comparison with NaN is false: unchecked, the whole experiment ran
+    # and its check failed with exit 1 ("within nan"); an infinite bound
+    # leaves the window open and stays legal
+    out = tmp_path / "r"
+    assert main([subcommand, flag, "nan", "--out", str(out)]) == 2
+    assert "argument %s" % flag in capsys.readouterr().err
+    assert not out.exists()
+    for bound in ("inf", "-inf"):
+        args = cli.build_parser().parse_args([subcommand, "%s=%s" % (flag, bound)])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(bound)
+
+
 _SMALL_RESTRICT = ["restrict", "--points", "128", "--half-width", "16", "--n", "256"]
 
 
@@ -391,8 +424,8 @@ def test_unresolvable_cap_count_exits_2_before_the_first_field(tmp_path, capsys,
 
 def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
     # the sweep holds mu_hat, one piece's localized lattice and the inverse
-    # transform's buffer; the previous piece is dropped before the next is
-    # built, and the ring is evaluated in row blocks of its box, so its
+    # transform's compact buffer, slab and moduli; a piece keeps only its
+    # two sups, and the ring is evaluated in row blocks of its box, so its
     # temporaries stay the size of a block (few atoms: the transform's phase
     # matrices are small)
     lattice = 16 * 512**2  # bytes of one complex lattice

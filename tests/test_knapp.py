@@ -18,7 +18,7 @@ from restrictionlab.knapp import (
 )
 from restrictionlab.measures import make_sphere_measure
 
-from gridpoints import freq_mesh
+from gridpoints import freq_mesh, ifftn_formula
 
 
 def test_spec_validation():
@@ -71,8 +71,9 @@ def test_cap_supports_are_disjoint_on_lattice():
 
 
 def test_field_matches_direct_lattice_quadrature():
-    # the complex transform of the test's own cap lattice against direct
-    # quadrature, and knapp_function's moduli against |that transform|
+    # the complex transform (the ifftn formula) of the test's own cap
+    # lattice against direct quadrature, and knapp_function's moduli
+    # against |that transform|
     grid = GridSpec(2, 16.0, 256)
     sphere = make_sphere_measure(2, 1024)
     spec = KnappSpec(N=1, q=2.0)
@@ -81,7 +82,7 @@ def test_field_matches_direct_lattice_quadrature():
         annulus_window(2.0 * np.abs(fax)),
         plateau_window(2.0 ** (-3) * np.abs(fax - 1.0)),
     )
-    f = inverse_fourier_on_grid(G, grid)
+    f = ifftn_formula(G, grid)
     _, moduli = knapp_function(spec, grid, sphere)
     assert moduli.tobytes() == np.abs(f).tobytes()
     FX, FY = freq_mesh(grid)
@@ -110,7 +111,7 @@ def test_field_equals_dense_outer_product_sum_bit_for_bit(n):
         assert 0 < np.count_nonzero(tang) < fax.size
         G += w[k - 1] * np.outer(tang, rad)
     g_atoms, moduli = knapp_function(spec, grid, sphere)
-    assert moduli.tobytes() == np.abs(inverse_fourier_on_grid(G.astype(complex), grid)).tobytes()
+    assert moduli.tobytes() == inverse_fourier_on_grid(G, grid).tobytes()
     assert np.array_equal(g_atoms, knapp_g_values(spec, sphere.atoms))
 
 

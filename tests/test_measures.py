@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from restrictionlab import measures
-from restrictionlab.bumps import dyadic_ring, radial_plateau
-from restrictionlab.grids import GridSpec, fourier_on_grid, inverse_fourier_on_grid
+from restrictionlab.bumps import dyadic_ring
+from restrictionlab.grids import GridSpec
 from restrictionlab.measures import (
     DiscreteMeasure,
     ball_regularity_profile,
@@ -29,7 +29,7 @@ from restrictionlab.measures import (
     save_measure,
 )
 
-from gridpoints import freq_mesh
+from gridpoints import freq_mesh, ifftn_formula
 
 
 def test_measure_validation():
@@ -348,24 +348,8 @@ def test_dyadic_piece_of_point_mass_is_pure_ring():
     m = make_point_mass([0.0])
     piece = dyadic_piece(m, 3, g, mu_hat_on_lattice(m, g))
     assert piece.sup_mu_hat_j == pytest.approx(1.0, abs=1e-15)
-    back = fourier_on_grid(piece.values, g)
     ring = dyadic_ring(g.freq_axis() ** 2, 3)
-    assert np.max(np.abs(back - ring)) < 1e-12
-
-
-def test_dyadic_pieces_sum_to_low_pass():
-    g = GridSpec(2, 2.0, 32)
-    m = make_sphere_measure(2, 64)
-    mu_hat = mu_hat_on_lattice(m, g)
-    total = None
-    for j in range(3):
-        f = dyadic_piece(m, j, g, mu_hat).values
-        total = f if total is None else total + f
-    fx, fy = freq_mesh(g)
-    lattice = np.stack([fx.ravel(), fy.ravel()], axis=1)
-    mu_hat = fourier_transform_at(m, lattice).reshape(fx.shape)
-    ref = inverse_fourier_on_grid(mu_hat * radial_plateau((fx**2 + fy**2) / 4.0**2), g)
-    assert np.max(np.abs(total - ref)) < 1e-12
+    assert piece.sup_mu_j == float(np.abs(ifftn_formula(ring, g)).max())
 
 
 @pytest.mark.parametrize(
@@ -381,8 +365,9 @@ def test_dyadic_pieces_sum_to_low_pass():
 @pytest.mark.parametrize("ring_block", [measures._RING_BLOCK, 7], ids=["block", "row-blocks"])
 def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, monkeypatch):
     # dyadic_piece multiplies only inside the box that holds the ring's
-    # support, a block of the box's rows at a time; the piece must be the
-    # transform of the full product (a 7-element block is one row at d >= 2)
+    # support, a block of the box's rows at a time; both sups must be those
+    # of the full product and of its complex transform, bit for bit (a
+    # 7-element block is one row at d >= 2)
     monkeypatch.setattr(measures, "_RING_BLOCK", ring_block)
     mu_hat = mu_hat_on_lattice(measure, grid)
     sq = grid.freq_axis() ** 2
@@ -391,11 +376,9 @@ def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, 
         u = np.add.outer(u, sq)
     for j in range(J + 1):
         full = mu_hat * dyadic_ring(u, j)
-        values = inverse_fourier_on_grid(full, grid)
         piece = dyadic_piece(measure, j, grid, mu_hat)
-        assert np.array_equal(piece.values, values)
         assert piece.sup_mu_hat_j == float(np.abs(full).max())
-        assert piece.sup_mu_j == float(np.abs(values).max())
+        assert piece.sup_mu_j == float(np.abs(ifftn_formula(full, grid)).max())
 
 
 def test_dyadic_piece_resolution_check():
