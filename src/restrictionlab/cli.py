@@ -327,7 +327,7 @@ def cmd_measure(args) -> Result:
         (
             "a_fit in [%g, %g]" % (args.a_min, args.a_max),
             args.a_min <= profile.a_fit <= args.a_max,
-            "a_fit=%.4f A_fit=%.4g" % (profile.a_fit, profile.A_fit),
+            "a_fit=%.4f A_fit=%.4g slope=%s" % (profile.a_fit, profile.A_fit, profile.fit.detail()),
         )
     ]
     table = ReportTable(
@@ -347,7 +347,7 @@ def cmd_decay(args) -> Result:
         (
             "b_fit in [%g, %g]" % (args.b_min, args.b_max),
             args.b_min <= profile.b_fit <= args.b_max,
-            "b_fit=%.4f B_fit=%.4g" % (profile.b_fit, profile.B_fit),
+            "b_fit=%.4f B_fit=%.4g slope=%s" % (profile.b_fit, profile.B_fit, profile.fit.detail()),
         )
     ]
     table = ReportTable(

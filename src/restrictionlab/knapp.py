@@ -93,6 +93,10 @@ def _check_caps(n_caps: int, grid: GridSpec) -> None:
         raise ValueError("grid Nyquist radius %g < 5/4; caps clipped" % grid.nyquist)
 
 
+# rows per block of the cap lattice build in knapp_function
+_ROW_BLOCK = 16
+
+
 def knapp_function(
     spec: KnappSpec, grid: GridSpec, sphere: DiscreteMeasure
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,14 +118,20 @@ def knapp_function(
     w = spec.weights()
     # the caps are real, and the transform takes a real lattice as it is
     G = np.zeros((fax.size, fax.size))
+    term = np.empty((_ROW_BLOCK, fax.size))
     for k in range(1, spec.N + 1):
         tang, rad = _cap_factors(k, fax, fax)
         # a row where tang vanishes would add w * (0 * rad) = +-0, which
-        # leaves G unchanged, so only the cap's own rows are accumulated
+        # leaves G unchanged, so only the cap's own rows are accumulated,
+        # a block of rows at a time: the ufuncs of G += w * outer(tang, rad)
+        # per element, without a temporary the size of the cap
         rows = np.flatnonzero(tang)
-        term = np.multiply.outer(tang[rows], rad)
-        term *= w[k - 1]
-        G[rows] += term
+        for start in range(0, rows.size, _ROW_BLOCK):
+            r = rows[start : start + _ROW_BLOCK]
+            t = term[: r.size]
+            np.multiply.outer(tang[r], rad, out=t)
+            t *= w[k - 1]
+            G[r] += t
     return g_atoms, inverse_fourier_on_grid(G, grid)
 
 
@@ -180,8 +190,9 @@ def knapp_sharpness_experiment(
         spec = KnappSpec(N=n, q=q)
         g_atoms, f = knapp_function(spec, grid, sphere)
         norm_g.append(float(np.sum(sphere.weights * np.abs(g_atoms) ** q) ** (1.0 / q)))
-        # one rearrangement of the moduli serves every s
-        norms_f.append(lorentz_norm_values(f, grid.cell_volume, p, s_values))
+        # one rearrangement of the moduli serves every s, and sorts them in
+        # place: they are handed over (owned), since nothing reads them after
+        norms_f.append(lorentz_norm_values(f, grid.cell_volume, p, s_values, owned=True))
         # free these moduli before the next N builds its own
         del f
     fit_g = loglog_fit(list(zip(n_values, norm_g)))

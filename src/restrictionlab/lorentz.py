@@ -39,7 +39,12 @@ _BLOCK = 1 << 16
 
 
 def lorentz_norm_values(
-    values: np.ndarray, cell_volume: float, p: float, s: Union[float, Sequence[float]]
+    values: np.ndarray,
+    cell_volume: float,
+    p: float,
+    s: Union[float, Sequence[float]],
+    *,
+    owned: bool = False,
 ) -> Union[float, Tuple[float, ...]]:
     """Lorentz quasi-norm (integral of (t^(1/p) f*(t))^s dt/t)^(1/s), sup
     form for s = inf, of raw samples with a uniform cell volume.
@@ -50,13 +55,20 @@ def lorentz_norm_values(
     on a normalized core (values scaled by their maximum) so that rescaling
     the input by a power of two rescales the result exactly.
 
-    Memory: beyond the samples the call holds one n-element float buffer,
-    the sorted moduli (float64 for integer samples), plus block buffers of
-    at most 2^16 + 1 entries. The last finite s writes its summands over
-    that buffer once every other s has read it, so a second n-element
-    float64 buffer is allocated only when two or more s are finite (or when
-    the moduli are not float64, whose summands are float64 all the same).
-    The caller's array is not modified.
+    Memory: by default the call holds, beyond the samples, one n-element
+    float buffer, the sorted moduli (float64 for integer samples), plus
+    block buffers of at most 2^16 + 1 entries, and the caller's array is
+    not modified. A caller that has no further use for a float64 array
+    passes owned=True to hand it over: the moduli are then formed, sorted
+    and integrated in that array itself, so no n-element buffer is
+    allocated (unless the array is not contiguous: it is then raveled
+    through one copy), and the array is left holding scratch values. Any
+    other dtype takes the default path and is left unmodified whatever
+    owned says. The last finite s writes
+    its summands over the moduli once every other s has read them, so a
+    further n-element float64 buffer is allocated only when two or more s
+    are finite (or when the moduli are not float64, whose summands are
+    float64 all the same). Both paths give the same bits.
     """
     single = np.ndim(s) == 0
     s_values = (s,) if single else tuple(s)
@@ -65,9 +77,15 @@ def lorentz_norm_values(
     # entries below zero (|v| > 0), negate back; order="K" ravels a Fortran
     # ordered field without a copy, and the sort makes the order irrelevant.
     # Integer samples give float64 moduli in one step (np.abs of the dtype
-    # minimum overflows); the moduli divide as float64 anyway (a / vmax)
+    # minimum overflows); the moduli divide as float64 anyway (a / vmax).
+    # An owned float64 array takes its moduli in place
     v = np.asarray(values)
-    a = np.absolute(v, dtype=np.float64) if v.dtype.kind in "biu" else np.abs(v)
+    if owned and v.dtype == np.float64:
+        a = np.abs(v, out=v)
+    elif v.dtype.kind in "biu":
+        a = np.absolute(v, dtype=np.float64)
+    else:
+        a = np.abs(v)
     a = a.ravel(order="K")
     np.negative(a, out=a)
     a.sort()
@@ -90,7 +108,8 @@ def lorentz_norm_values(
     t = np.empty(size)
     step = np.empty(size - 1)
     # every s reads core, so the infinite s run first, and the last finite s
-    # writes its summands over core, this call's own copy of the moduli
+    # writes its summands over core, this call's own copy of the moduli or
+    # the caller's array handed over with owned=True
     order = sorted(range(len(s_values)), key=lambda i: not math.isinf(s_values[i]))
     finite = [i for i in order if not math.isinf(s_values[i])]
     in_place = finite[-1:] if core.dtype == np.float64 else []

@@ -22,7 +22,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .bumps import dyadic_ring
-from .fitting import loglog_fit
+from .fitting import FitResult, loglog_fit
 from .grids import GridSpec, _phase_matrix, _separable_sum, inverse_fourier_on_grid
 
 __all__ = [
@@ -94,6 +94,7 @@ class RegularityProfile:
     max_ball_ratios: Tuple[float, ...]  # max-mass / r^a_fit, aligned with radii
     a_fit: float
     A_fit: float
+    fit: FitResult  # the log-log fit whose slope, clamped to [0, d], is a_fit
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,7 @@ class DecayProfile:
     annulus_sups: Tuple[float, ...]
     b_fit: float
     B_fit: float
+    fit: FitResult  # the log-log fit whose negated slope, clamped at 0, is b_fit
 
 
 @dataclass(frozen=True)
@@ -287,6 +289,7 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
         max_ball_ratios=tuple(ratios),
         a_fit=a_fit,
         A_fit=float(ratios.max()),
+        fit=fit,
     )
 
 
@@ -339,6 +342,7 @@ def fourier_decay_profile(
         annulus_sups=tuple(sups),
         b_fit=b_fit,
         B_fit=float((sups * R**b_fit).max()),
+        fit=fit,
     )
 
 

@@ -126,6 +126,22 @@ def test_scaling_verdict_reports_the_fit_quality(runs, index):
     assert re.search(r": -?\d+\.\d{4} resid=\S+ n=%d$" % len(rows), slope[0]), slope
 
 
+@pytest.mark.parametrize("index", [3, 4])
+def test_dimension_verdicts_report_the_fit_quality(runs, index):
+    # the a_fit and b_fit details of criteria 3 and 4 end with their
+    # log-log fit's slope, largest log residual and point count; the decay
+    # fit runs through the CSV's (R, annulus_sup) rows themselves
+    out = runs[0].out
+    rows = [row.split(",") for row in (out / ("criterion_%02d.csv" % index)).read_text().splitlines()[1:]]
+    sups = [(float(r), float(v)) for name, r, v in rows if name == "annulus_sup"]
+    n_radii = sum(name == "max_ball_ratio" for name, _, _ in rows)
+    lines = (out / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
+    b_line = [line for line in lines if line.startswith("PASS b_fit in ")]
+    a_line = [line for line in lines if line.startswith("PASS a_fit in ")]
+    assert len(b_line) == 1 and b_line[0].endswith(" slope=" + loglog_fit(sups).detail()), b_line
+    assert len(a_line) == 1 and re.search(r" slope=-?\d+\.\d{4} resid=\S+ n=%d$" % n_radii, a_line[0]), a_line
+
+
 def test_criterion_12_bytewise_determinism(runs):
     a, b = runs
     assert a.code == 0, a.stdout + a.stderr

@@ -115,6 +115,32 @@ def test_field_equals_dense_outer_product_sum_bit_for_bit(n):
     assert np.array_equal(g_atoms, knapp_g_values(spec, sphere.atoms))
 
 
+def test_cap_lattice_is_built_without_cap_sized_temporaries(monkeypatch):
+    # each cap is accumulated a block of rows at a time, so up to the
+    # transform the build holds the lattice G and buffers of a few rows,
+    # not a temporary (and its fancy-indexed copy) as large as a cap
+    grid = GridSpec(2, 128.0, 1024)
+    sphere = make_sphere_measure(2, 4096)
+    seen = []
+
+    def record_entry(G, grid):
+        seen.append((tracemalloc.get_traced_memory()[1] - base, G.nbytes))
+        return inverse_fourier_on_grid(G, grid)
+
+    monkeypatch.setattr(knapp, "inverse_fourier_on_grid", record_entry)
+    for n in (2, 3, 4):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            knapp_function(KnappSpec(N=n, q=2.0), grid, sphere)
+        finally:
+            tracemalloc.stop()
+    assert len(seen) == 3
+    for peak, lattice in seen:
+        assert peak <= lattice + 2**20
+
+
 def test_doubling_caps_doubles_squared_mass():
     # disjoint caps with q = 2 contribute equal squared mass, so N = 2
     # carries about twice the squared circle norm of N = 1
@@ -242,7 +268,8 @@ def test_experiment_slopes_and_verdicts():
 def test_experiment_peak_memory_stays_below_1_4_lattices():
     # one field is live at a time, and never as complex values: its real cap
     # lattice and float64 moduli (half a complex lattice each) with the
-    # transform's compact buffer, then the moduli and their sorted copy
+    # transform's compact buffer, then the moduli alone, which the
+    # rearrangement sorts in place
     grid = GridSpec(2, 128.0, 1024)
     lattice = 16 * 1024**2  # bytes of one complex lattice
     tracemalloc.start()

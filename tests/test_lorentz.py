@@ -228,6 +228,45 @@ def test_summands_over_the_moduli_leave_input_and_bits_alone(kind, shape, finite
     assert norms == tuple(_reference_norm(v, 0.37, p, s) for s in s_values)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["real", "complex", "integer", "fortran", "float32", "complex64"]),
+    layout=st.sampled_from(["as built", "fortran", "strided"]),
+    shape=st.tuples(st.sampled_from([1, 3, 64]), st.sampled_from([1, 5, 300, 1200])),
+    s_values=st.sampled_from([2.0, math.inf, (1.7, math.inf), (math.inf, 0.5, 3.0)]),
+    p=st.sampled_from([0.5, 1.2, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_owned_samples_give_the_norms_of_the_default_path_bit_for_bit(kind, layout, shape, s_values, p, seed):
+    # owned=True forms and sorts a float64 array's moduli in that array;
+    # every other dtype goes through the default path's own buffer, so the
+    # array handed over is left as it was; a strided view is handed over
+    # as a view, so its moduli are taken in place and then raveled
+    v = _samples(kind, shape, np.random.default_rng(seed))
+    if layout == "fortran":
+        v = np.asfortranarray(v)
+    handed = v.copy(order="K")
+    if layout == "strided":
+        v, handed = v[:, ::2], handed[:, ::2]
+    expected = lorentz_norm_values(v, 0.37, p, s_values)
+    assert lorentz_norm_values(handed, 0.37, p, s_values, owned=True) == expected
+    if handed.dtype != np.float64:
+        assert np.array_equal(handed, v)
+
+
+def test_owned_float64_samples_allocate_no_n_element_buffer():
+    # 2^20 float64 samples: handed over, they are their own moduli, and the
+    # call allocates only the block buffers of the integral; the default
+    # path allocates at least the 8 MiB copy of the moduli
+    v = np.random.default_rng(20).standard_normal((1024, 1024))
+    expected = lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf))
+    assert _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf))) >= 8 * v.size
+    norms = []
+    peak = _traced_peak(lambda: norms.append(lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf), owned=True)))
+    assert peak < 2 * 2**20
+    assert norms == [expected]
+
+
 def test_one_finite_s_allocates_one_float_buffer():
     # 2^20 complex or int64 samples: the sorted moduli are the only
     # n-element buffer, since the one finite s writes its summands over

@@ -13,6 +13,7 @@ from scipy import special
 
 from restrictionlab import measures
 from restrictionlab.bumps import dyadic_ring
+from restrictionlab.fitting import loglog_fit
 from restrictionlab.grids import GridSpec
 from restrictionlab.measures import (
     DiscreteMeasure,
@@ -177,6 +178,9 @@ def test_ball_profile_circle_is_one_regular():
     assert 0.9 <= prof.a_fit <= 1.1
     ratios = np.array(prof.max_ball_ratios)
     assert np.max(ratios) / np.min(ratios) < 1.3
+    # the profile keeps the fit it clamps, residual and point count included
+    assert prof.a_fit == min(max(prof.fit.slope, 0.0), 2.0)
+    assert prof.fit.point_count == 7 and 0.0 < prof.fit.max_log_residual < 0.1
 
 
 def test_ball_profile_cantor_matches_similarity_dimension():
@@ -211,6 +215,9 @@ def test_decay_profile_circle_has_half_power():
     m = make_sphere_measure(2, 8192)
     prof = fourier_decay_profile(m, [2.0**k for k in range(1, 9)])
     assert 0.45 <= prof.b_fit <= 0.55
+    # the profile keeps its fit through (R, sup) with residual and point count
+    assert prof.fit == loglog_fit(list(zip(prof.annulus_radii, prof.annulus_sups)))
+    assert prof.b_fit == -prof.fit.slope and prof.fit.point_count == 8
 
 
 def test_decay_profile_cantor_along_scaling_sequence_is_flat():
