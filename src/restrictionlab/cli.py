@@ -67,7 +67,7 @@ from .oscillatory import (
     polynomial_phase_from_file,
     scaling_experiment,
 )
-from .reporting import ExperimentConfig, ReportTable, Result, emit_csv, write_report
+from .reporting import ExperimentConfig, ReportTable, Result, _check_line, emit_csv, write_report
 
 __all__ = ["main", "build_parser"]
 
@@ -222,11 +222,8 @@ def _finish(args, result: Result) -> int:
     for filename, write in result.files:
         paths.append(os.path.join(args.out, filename))
         write(paths[-1])
-    for cname, cok, detail in result.checks:
-        line = "%s %s" % ("PASS" if cok else "FAIL", cname)
-        if detail:
-            line += ": " + detail
-        print(line)
+    for check in result.checks:
+        print(_check_line(*check))
     print("wrote %s and %s" % (", ".join(paths[:-1]), paths[-1]))
     return 0 if ok else 1
 
@@ -554,7 +551,7 @@ def _resolve_family(args, spec):
     if kind == "auto":
         kind = "slab" if spec.y_dim == 1 else "fold"
     if kind == "constant":
-        return constant_family(radius=spec.amp_radius, y_dim=spec.y_dim)
+        return constant_family(radius=spec.amp_radius)
     if kind == "slab":
         if spec.y_dim != 1:
             raise ValueError("slab family needs a one-dimensional y variable")

@@ -62,6 +62,8 @@ class DiscreteMeasure:
     alias_radius: float = math.inf
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("the dimension must be >= 1, got %d" % self.dim)
         atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
         w = np.asarray(self.weights, dtype=float).ravel()
         if atoms.shape != (w.size, self.dim):

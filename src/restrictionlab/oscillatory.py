@@ -14,7 +14,8 @@ provides:
   * the dyadic pieces of the T T* kernel split by the distance
     |w_d - z_d| ~ 2^j / lambda, with their sup-norm scaling;
   * lambda-scaling experiments fitting the operator-norm decay rate
-    against adapted slab families.
+    against adapted slab families, whose test functions are their samples
+    on the y axes.
 
 Two quadrature paths coexist: a dense path (any sampled f, any phase;
 cost grows with the full x-y product) and a fast path for phases whose
@@ -24,8 +25,9 @@ Riemann sum by axis-separability, so the two agree to rounding; tests
 cross-validate them. Its phase matrices exp(i lambda x_i (x) f_ij(y_j))
 depend only on lambda and the grids: phase_factors builds them once, with
 the phase-matrix builder of grids, and apply_T_lambda_product takes them
-for every f at that lambda. On each y axis it runs the separable sum of
-grids, the kernel of the lattice transform, for any number of x couplings.
+for every f at that lambda, given as per-axis samples. On each y axis it
+runs the separable sum of grids, the kernel of the lattice transform, for
+any number of x couplings.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,7 +157,7 @@ class PhaseSpec:
 
     def amp_y(self, t) -> np.ndarray:
         """The amplitude's factor on any one y axis."""
-        return _axis_bump(self.amp_radius)(t)
+        return bump(np.abs(t) / self.amp_radius)
 
     def _derivatives(self, nx: int, ny: int, x, y) -> np.ndarray:
         # every derivative with nx x- and ny y-differentiations at (x, y), in
@@ -263,10 +265,6 @@ def derivative_consistency(spec: PhaseSpec, n_probes: int = 100, seed: int = 0) 
         ):
             worst = max(worst, float(np.abs(declared - oracle).max()))
     return worst
-
-
-def _axis_bump(radius: float) -> Callable:
-    return lambda t: bump(np.abs(np.asarray(t, float)) / radius)
 
 
 def _dpow(t: float, p: int, order: int) -> float:
@@ -637,7 +635,7 @@ def phase_factors(
 
 def apply_T_lambda_product(
     spec: PhaseSpec,
-    terms: Sequence[Tuple[Callable, ...]],
+    terms: Sequence[Tuple[np.ndarray, ...]],
     y_axes: Sequence[np.ndarray],
     x_axes: Sequence[np.ndarray],
     factors: Dict[Tuple[int, int], np.ndarray],
@@ -645,8 +643,9 @@ def apply_T_lambda_product(
     """Fast path: same Riemann sum as apply_T_lambda, reorganized for
     separable phases and amplitudes, for f given as a sum of per-axis
     products, as an array on the tensor grid of x_axes. terms is a list of
-    tuples of 1-D callables, one per y axis; factors is
-    phase_factors(spec, lam, y_axes, x_axes), which fixes lambda.
+    tuples of 1-D samples, term[j] on y_axes[j], as the scaling families
+    yield them; factors is phase_factors(spec, lam, y_axes, x_axes), which
+    fixes lambda. The amplitude is sampled once per y axis for all terms.
 
     Precondition, not checked here: the y grid resolves that lambda by
     apply_T_lambda's 10-points-per-period rule. scaling_experiment applies
@@ -674,12 +673,12 @@ def apply_T_lambda_product(
     coupled = [[i for i, jj in sorted(factors) if jj == j] for j in range(spec.y_dim)]
     mats = [[factors[(i, j)].T for i in xs] for j, xs in enumerate(coupled)]
     shapes = [[n if i in xs else 1 for i, n in enumerate(shape)] for xs in coupled]
+    amps = [(spec.amp_y(y), float(y[1] - y[0])) for y in y_axes]
     out = np.zeros(shape, dtype=complex)
     for term in terms:
         acc = None
-        for j, y in enumerate(y_axes):
-            dy = float(y[1] - y[0])
-            w = spec.amp_y(y) * np.asarray(term[j](y)) * dy
+        for j, (amp, dy) in enumerate(amps):
+            w = amp * term[j] * dy
             arr = np.reshape(_separable_sum(w, mats[j]), shapes[j])
             acc = arr if acc is None else acc * arr
         out = out + acc
@@ -777,11 +776,10 @@ class ScalingReport:
 
 
 def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
-    # each term's per-axis samples once, then the double loop over term pairs
-    samples = [[np.asarray(t[jax](y)) for jax, y in enumerate(y_axes)] for t in member]
+    # the double loop over term pairs, on the member's samples
     total = 0.0 + 0.0j
-    for v1 in samples:
-        for v2 in samples:
+    for v1 in member:
+        for v2 in member:
             prod = 1.0 + 0.0j
             for jax, y in enumerate(y_axes):
                 dy = float(y[1] - y[0])
@@ -793,7 +791,7 @@ def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
 def scaling_experiment(
     spec: PhaseSpec,
     lam_list: Sequence[float],
-    family: Callable[[float], Sequence],
+    family: Callable[[float, Sequence[np.ndarray]], Iterable],
     q: float,
     s: float,
     x_points: int,
@@ -802,8 +800,11 @@ def scaling_experiment(
     """Fit the decay in lambda of max over the family of
     |T f|_{Lorentz(q, s)} / |f|_{L^2}; the target slope is -x_dim / q.
 
-    family(lam) returns members for the fast path: lists of per-axis
-    product terms (lambda-adapted slabs, fixed bumps, random mode sums).
+    family(lam, y_axes) yields members for the fast path one at a time: a
+    member is a list of product terms, each a tuple of 1-D samples with
+    term[j] on y_axes[j] (lambda-adapted slabs, fixed bumps, random mode
+    sums). Both the quadrature and the L^2 norm read those samples, so each
+    test function is evaluated once per lambda.
     Under-resolved lambdas (10-points-per-period rule) are dropped with a
     notice; at least 4 must survive. The x and y grids have x_points and
     y_points per axis, at least 2 each.
@@ -840,7 +841,7 @@ def scaling_experiment(
             continue
         factors = phase_factors(spec, lam, y_axes, x_axes)
         best = 0.0
-        for member in family(lam):
+        for member in family(lam, y_axes):
             values = apply_T_lambda_product(spec, member, y_axes, x_axes, factors)
             denom = _member_l2(member, y_axes)
             if denom == 0.0:
@@ -866,37 +867,31 @@ def scaling_experiment(
     )
 
 
-def _mode_sum(coef: np.ndarray, period: float, window: Callable) -> Callable:
-    def g(y):
-        y = np.asarray(y, float)
-        out = np.zeros(y.shape, dtype=complex)
-        for k, c in enumerate(coef):
-            out += c * np.exp(2j * np.pi * k * y / period)
-        return out * window(y)
-
-    return g
+def _mode_sum(coef: np.ndarray, period: float, y: np.ndarray, window: np.ndarray) -> np.ndarray:
+    # sum_k coef[k] exp(2 pi i k y / period), times the window's samples
+    out = np.zeros(y.shape, dtype=complex)
+    for k, c in enumerate(coef):
+        out += c * np.exp(2j * np.pi * k * y / period)
+    return out * window
 
 
 def parabola_scaling_family(seed: int = 0, radius: float = 1.0) -> Callable:
     """Members for one-dimensional y: slabs of width ~ c / sqrt(lambda)
     (the stationary-phase extremizers), one wide bump, and two fixed
-    random mode sums. All single-term products."""
+    random mode sums. All single-term products, sampled on the one y axis
+    by family(lam, y_axes)."""
     rng = np.random.default_rng(seed)
     coef1 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     coef2 = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    rand1 = _mode_sum(coef1, 2.4 * radius, _axis_bump(0.45 * radius))
-    rand2 = _mode_sum(coef2, 2.4 * radius, _axis_bump(0.9 * radius))
-    wide = _axis_bump(0.9 * radius)
 
-    def family(lam: float):
+    def family(lam: float, y_axes: Sequence[np.ndarray]):
+        (y,) = y_axes
         s = lam**-0.5
-        members = []
         for c in (0.5, 1.0, 2.0):
-            members.append([(_axis_bump(c * s),)])
-        members.append([(wide,)])
-        members.append([(rand1,)])
-        members.append([(rand2,)])
-        return members
+            yield [(bump(np.abs(y) / (c * s)),)]
+        yield [(bump(np.abs(y) / (0.9 * radius)),)]
+        yield [(_mode_sum(coef1, 2.4 * radius, y, bump(np.abs(y) / (0.45 * radius))),)]
+        yield [(_mode_sum(coef2, 2.4 * radius, y, bump(np.abs(y) / (0.9 * radius))),)]
 
     return family
 
@@ -904,54 +899,41 @@ def parabola_scaling_family(seed: int = 0, radius: float = 1.0) -> Callable:
 def fold_scaling_family(seed: int = 0, radius: float = 1.0) -> Callable:
     """Members for two-dimensional y: balls sitting on the fold at several
     fixed scales (these saturate the fold rate), a lambda-adapted slab and
-    box, and one random 3x3 mode-product sum."""
+    box, and one random 3x3 mode-product sum, sampled on the two y axes by
+    family(lam, y_axes)."""
     rng = np.random.default_rng(seed)
     coef = rng.standard_normal((3, 3, 2)) @ np.array([1.0, 1.0j])
-    window = _axis_bump(0.9 * radius)
     period = 2.4 * radius
 
-    def family(lam: float):
+    def family(lam: float, y_axes: Sequence[np.ndarray]):
+        y0, y1 = y_axes
         s = lam**-0.5
-        members = []
         for delta in (0.2 * radius, 0.45 * radius, 0.9 * radius):
-            members.append([(_axis_bump(delta), _axis_bump(delta))])
-        members.append([(_axis_bump(s), window)])
-        members.append([(_axis_bump(2.0 * s), _axis_bump(2.0 * s))])
+            yield [(bump(np.abs(y0) / delta), bump(np.abs(y1) / delta))]
+        win0, win1 = (bump(np.abs(y) / (0.9 * radius)) for y in y_axes)
+        yield [(bump(np.abs(y0) / s), win1)]
+        yield [(bump(np.abs(y0) / (2.0 * s)), bump(np.abs(y1) / (2.0 * s)))]
         # random member: one product term per mode pair, coefficient folded
-        # into the first factor
-        rand_terms = []
-        for k0 in range(3):
-            for k1 in range(3):
-                c = coef[k0, k1]
-
-                def g0(y, k0=k0, c=c):
-                    y = np.asarray(y, float)
-                    return c * np.exp(2j * np.pi * k0 * y / period) * window(y)
-
-                def g1(y, k1=k1):
-                    y = np.asarray(y, float)
-                    return np.exp(2j * np.pi * k1 * y / period) * window(y)
-
-                rand_terms.append((g0, g1))
-        members.append(rand_terms)
-        return members
+        # into the first factor; the terms share the three second factors
+        waves1 = [np.exp(2j * np.pi * k1 * y1 / period) * win1 for k1 in range(3)]
+        yield [
+            (coef[k0, k1] * np.exp(2j * np.pi * k0 * y0 / period) * win0, waves1[k1])
+            for k0 in range(3)
+            for k1 in range(3)
+        ]
 
     return family
 
 
-def constant_family(radius: float = 1.0, y_dim: int = 1) -> Callable:
-    """Two lambda-independent members: the constant 1 and a wide bump."""
-    wide = _axis_bump(0.9 * radius)
+def constant_family(radius: float = 1.0) -> Callable:
+    """Two lambda-independent members on any number of y axes: the
+    constant 1 and a wide bump."""
 
-    def ones(y):
-        return np.ones_like(np.asarray(y, float))
-
-    def family(lam: float):
-        return [[tuple(ones for _ in range(y_dim))], [tuple(wide for _ in range(y_dim))]]
+    def family(lam: float, y_axes: Sequence[np.ndarray]):
+        yield [tuple(np.ones_like(y) for y in y_axes)]
+        yield [tuple(bump(np.abs(y) / (0.9 * radius)) for y in y_axes)]
 
     return family
-
-
 
 
 def polynomial_phase_from_file(path) -> PhaseSpec:

@@ -126,6 +126,11 @@ def emit_csv(table: ReportTable, path: str) -> None:
         raise OSError("failed to write CSV at %s: %s" % (path, exc)) from exc
 
 
+def _check_line(name: str, ok: bool, detail: str) -> str:
+    # one check as the verdict file and the console both print it
+    return "%s %s%s" % ("PASS" if ok else "FAIL", name, ": " + detail if detail else "")
+
+
 def render_verdict(
     title: str,
     config: ExperimentConfig,
@@ -139,10 +144,7 @@ def render_verdict(
     overall = True
     for name, ok, detail in checks:
         overall = overall and bool(ok)
-        line = "%s %s" % ("PASS" if ok else "FAIL", name)
-        if detail:
-            line += ": " + detail
-        out.append(line)
+        out.append(_check_line(name, ok, detail))
     out.append("")
     out.append("overall: %s" % ("PASS" if overall else "FAIL"))
     return "\n".join(out) + "\n"

@@ -160,6 +160,26 @@ def test_malformed_measure_header_exits_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("subcommand", ["measure", "decay", "dyadic", "restrict"])
+def test_zero_dimensional_point_mass_exits_2(tmp_path, capsys, subcommand, dim):
+    # unchecked, `measure` ended in an IndexError traceback and exit 1, and
+    # `decay` exited 2 on a reshape error that named no dimension
+    out = tmp_path / "r"
+    assert main([subcommand, "--kind", "point", "--dim", dim, "--out", str(out)]) == 2
+    assert "the dimension must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_dimensional_measure_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "flat.txt"
+    path.write_text("0 1\n1.0\n", encoding="ascii")
+    out = tmp_path / "r"
+    assert main(["restrict", "--measure-file", str(path), "--out", str(out)]) == 2
+    assert "the dimension must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_separable_phase_file_exits_2(tmp_path, capsys):
     # x1^2 y is not linear in x, so the scaling experiment has no fast path
     path = tmp_path / "square.phase"
@@ -649,6 +669,33 @@ def test_traced_oscillatory_and_fold_runs_record_the_expected_spans(tmp_path, mo
     assert stats["oscillatory.apply_T_lambda_product"]["phase_entries"] > 0
     assert stats["lorentz.lorentz_norm_values"]["elements"] > 0
     assert sum(s["exceptions"] for s in stats.values()) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "--kappa", "2"],
+        ["measure", "--n", "256"],
+        ["decay", "--n", "256", "--directions", "8", "--r-list", "2,4,8"],
+        ["dyadic", "--points", "256", "--n", "256", "--j-list", "1,2,3"],
+        ["lorentz", "--fields", "20", "--indicators", "5"],
+        ["knapp", "--points", "1024", "--half-width", "128", "--N-list", "2,3,4", "--sphere-n", "1024"],
+        ["restrict", "--n", "256", "--points", "128", "--half-width", "16"],
+        ["oscillatory", "--phase", "zero", "--kappa", "0", "--family", "constant", "--q", "2"]
+        + ["--lam-list", "8,16,32,64", "--x-points", "24", "--y-points", "256"],
+        ["fold"] + _SMALL_SCALING,
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_printed_check_lines_are_the_verdict_lines(tmp_path, capsys, argv):
+    # the console and the verdict file print every check through one format
+    out = tmp_path / "r"
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    printed = capsys.readouterr().out.splitlines()[:-1]  # the last names the files
+    verdict = (out / (argv[0] + "_verdict.txt")).read_text().splitlines()
+    # title, config echo and checks are separated by blank lines
+    blanks = [k for k, line in enumerate(verdict) if line == ""]
+    assert printed and printed == verdict[blanks[1] + 1 : blanks[2]]
 
 
 def test_side_files_of_measure_and_exponents(tmp_path, capsys):

@@ -3,11 +3,15 @@ kernel decomposition, scaling experiments, and the phase type and its
 coefficient-file loader."""
 
 import dataclasses
+import functools
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restrictionlab import oscillatory as osc
 from restrictionlab.fitting import loglog_fit
@@ -148,28 +152,51 @@ CUBIC = PhaseSpec(
 )
 
 
-@pytest.mark.parametrize(
-    "spec, x_points", [(CAT1["parabola"], 20), (CUBIC, 10)], ids=["parabola", "cubic"]
+@st.composite
+def separable_phases(draw):
+    # a catalog phase or CUBIC, or a random term table in which every term
+    # is linear in one x variable and touches at most one y axis
+    if draw(st.booleans()):
+        return draw(st.sampled_from([CAT1[name] for name in sorted(CAT1)] + [CUBIC]))
+    x_dim, y_dim = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, x_dim - 1)), draw(st.integers(0, y_dim - 1))
+        power = draw(st.integers(0, 3))
+        px = tuple(int(k == i) for k in range(x_dim))
+        py = tuple(power if k == j else 0 for k in range(y_dim))
+        terms.append((draw(st.floats(-2.0, 2.0)), px, py))
+    return PhaseSpec("random", x_dim, y_dim, terms, draw(st.floats(0.5, 1.5)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    spec=separable_phases(),
+    x_lens=st.lists(st.integers(2, 5), min_size=3, max_size=3),
+    y_lens=st.lists(st.integers(8, 40), min_size=2, max_size=2),
+    n_terms=st.integers(1, 3),
+    resolved=st.floats(0.05, 0.99),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_fast_path_matches_dense_for_parabola(spec, x_points):
-    y_axes = [np.linspace(-1.2, 1.2, 1024)]
-    x_axes = [np.linspace(-1.1, 1.1, x_points)] * spec.x_dim
-    term = (lambda t: np.exp(-(t**2)),)
-    dense = apply_T_lambda(spec, 50.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
-    factors = phase_factors(spec, 50.0, y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
-    assert np.max(np.abs(dense - fast)) < 1e-12
-
-
-def test_fast_path_matches_dense_for_two_dim_y():
-    spec = CAT1["fold-curved"]
-    y_axes = [np.linspace(-1.2, 1.2, 512)] * 2
-    x_axes = [np.linspace(-1.1, 1.1, 16)] * 2
-    term = (lambda t: np.exp(-(t**2)), lambda t: 1.0 / (1.0 + t**2))
-    F = np.exp(-y_axes[0][:, None] ** 2) / (1.0 + y_axes[1][None, :] ** 2)
-    dense = apply_T_lambda(spec, 50.0, F, y_axes, x_axes)
-    factors = phase_factors(spec, 50.0, y_axes, x_axes)
-    fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
+def test_fast_path_matches_dense_oracle(spec, x_lens, y_lens, n_terms, resolved, seed):
+    # 1-3 random sampled product terms against the dense quadrature of the
+    # sum of their outer products, at a lambda the y grid resolves (that
+    # fraction of the largest one the 10-points-per-period rule admits)
+    assert spec.separable is not None
+    r = spec.amp_radius
+    x_axes = [np.linspace(-1.1 * r, 1.1 * r, n) for n in x_lens[: spec.x_dim]]
+    y_axes = [np.linspace(-1.2 * r, 1.2 * r, n) for n in y_lens[: spec.y_dim]]
+    G = osc._max_y_gradient(spec, x_axes, y_axes)
+    widest = max(y[1] - y[0] for y in y_axes)
+    lam = 50.0 * resolved if G == 0.0 else resolved * 2.0 * np.pi / (10.0 * G * widest)
+    rng = np.random.default_rng(seed)
+    terms = [
+        tuple(rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y)) for y in y_axes)
+        for _ in range(n_terms)
+    ]
+    F = sum(functools.reduce(np.multiply.outer, term) for term in terms)
+    dense = apply_T_lambda(spec, lam, F, y_axes, x_axes)
+    fast = apply_T_lambda_product(spec, terms, y_axes, x_axes, phase_factors(spec, lam, y_axes, x_axes))
     assert np.max(np.abs(dense - fast)) < 1e-12
 
 
@@ -177,8 +204,8 @@ def test_fast_path_sums_terms():
     spec = CAT1["parabola"]
     y_axes = [np.linspace(-1.2, 1.2, 512)]
     x_axes = [np.linspace(-1.1, 1.1, 10)] * 2
-    t1 = (lambda t: np.exp(-(t**2)),)
-    t2 = (lambda t: np.cos(t),)
+    t1 = (np.exp(-(y_axes[0] ** 2)),)
+    t2 = (np.cos(y_axes[0]),)
     factors = phase_factors(spec, 20.0, y_axes, x_axes)
     both = apply_T_lambda_product(spec, [t1, t2], y_axes, x_axes, factors)
     split = (
@@ -200,7 +227,7 @@ def test_fast_path_requires_separable_structure(tmp_path):
     # factors built for a separable phase do not make this one separable
     factors = phase_factors(CAT1["parabola"], 10.0, y_axes, x_axes)
     with pytest.raises(ValueError, match="separable"):
-        apply_T_lambda_product(spec, [(lambda t: t,)], y_axes, x_axes, factors)
+        apply_T_lambda_product(spec, [(y_axes[0],)], y_axes, x_axes, factors)
 
 
 @pytest.mark.parametrize("name", ["parabola", "fold-curved", "cone"])
@@ -225,10 +252,9 @@ def test_shared_factors_match_per_call_factors(name):
     y_axes = [np.linspace(-1.2, 1.2, 512)] * spec.y_dim
     x_axes = [np.linspace(-1.1, 1.1, 12)] * spec.x_dim
     family = (parabola_scaling_family if spec.y_dim == 1 else fold_scaling_family)(seed=3)
-    members = family(lam)
     shared = phase_factors(spec, lam, y_axes, x_axes)
     kept = {key: U.copy() for key, U in shared.items()}
-    for member in members:
+    for member in family(lam, y_axes):
         fresh = phase_factors(spec, lam, y_axes, x_axes)
         a = apply_T_lambda_product(spec, member, y_axes, x_axes, shared)
         b = apply_T_lambda_product(spec, member, y_axes, x_axes, fresh)
@@ -241,7 +267,7 @@ def test_fast_path_rejects_foreign_factors():
     spec = CAT1["fold-curved"]
     y_axes = [np.linspace(-1.2, 1.2, 128)] * 2
     x_axes = [np.linspace(-1.1, 1.1, 10)] * 2
-    term = [(lambda t: np.exp(-(t**2)), lambda t: np.exp(-(t**2)))]
+    term = [(np.exp(-(y_axes[0] ** 2)), np.exp(-(y_axes[1] ** 2)))]
     good = phase_factors(spec, 20.0, y_axes, x_axes)
     missing = {k: v for k, v in good.items() if k != (1, 1)}
     with pytest.raises(ValueError, match="couplings"):
@@ -473,7 +499,7 @@ def test_zero_phase_scaling_is_flat():
     rep = scaling_experiment(
         CAT1["zero"],
         [8.0, 16.0, 32.0, 64.0],
-        constant_family(1.0, 1),
+        constant_family(1.0),
         q=2.0,
         s=2.0,
         x_points=48,
@@ -523,13 +549,13 @@ def test_scaling_experiment_checks_lambdas_first(monkeypatch, lams, message):
 
     monkeypatch.setattr(osc, "_max_y_gradient", refuse)
     monkeypatch.setattr(osc, "phase_factors", refuse)
-    fam = constant_family(1.0, 1)
+    fam = constant_family(1.0)
     with pytest.raises(ValueError, match=message):
         scaling_experiment(CAT1["zero"], lams, fam, q=2.0, s=2.0, x_points=48, y_points=512)
 
 
 def test_scaling_experiment_input_guards():
-    fam = constant_family(1.0, 1)
+    fam = constant_family(1.0)
     sizes = {"x_points": 48, "y_points": 512}
     with pytest.raises(ValueError, match="4 lambda"):
         scaling_experiment(CAT1["zero"], [8.0, 16.0, 32.0], fam, q=2.0, s=2.0, **sizes)
@@ -574,7 +600,7 @@ def test_scaling_experiment_checks_lorentz_exponents_first(monkeypatch, q, s, me
 
     monkeypatch.setattr(osc, "_max_y_gradient", refuse)
     monkeypatch.setattr(osc, "phase_factors", refuse)
-    fam = constant_family(1.0, 1)
+    fam = constant_family(1.0)
     with pytest.raises(ValueError, match=message):
         scaling_experiment(
             CAT1["zero"], [8.0, 16.0, 32.0, 64.0], fam, q=q, s=s, x_points=48, y_points=512
@@ -583,17 +609,40 @@ def test_scaling_experiment_checks_lorentz_exponents_first(monkeypatch, q, s, me
 
 def test_family_members_are_reproducible():
     fam = parabola_scaling_family(seed=7, radius=1.0)
-    a = fam(64.0)
-    b = fam(64.0)
     y = np.linspace(-1.0, 1.0, 65)
+    a = list(fam(64.0, [y]))
+    b = list(fam(64.0, [y]))
     assert len(a) == len(b) == 6
     for ma, mb in zip(a, b):
         for ta, tb in zip(ma, mb):
-            assert np.array_equal(ta[0](y), tb[0](y))
+            assert np.array_equal(ta[0], tb[0])
     fam2 = fold_scaling_family(seed=7, radius=1.0)
-    members = fam2(64.0)
+    members = list(fam2(64.0, [y, y]))
     assert len(members) == 6
     assert len(members[-1]) == 9  # random product member carries 3x3 terms
+
+
+@pytest.mark.parametrize("lam", [16.0, 512.0])
+def test_family_members_are_samples_on_the_y_axes(lam):
+    # the family contract: family(lam, y_axes) yields its members one at a
+    # time, and a member is a list of terms, each a tuple of 1-D arrays
+    # with term[j] sampled on y_axes[j]
+    cases = [
+        (parabola_scaling_family(seed=1), 1),
+        (fold_scaling_family(seed=1), 2),
+        (constant_family(1.0), 1),
+        (constant_family(1.0), 2),
+    ]
+    for family, y_dim in cases:
+        y_axes = [np.linspace(-1.2, 1.2, 300 + 20 * j) for j in range(y_dim)]
+        members = family(lam, y_axes)
+        assert inspect.isgenerator(members)
+        for member in members:
+            assert isinstance(member, list) and member
+            for term in member:
+                assert isinstance(term, tuple) and len(term) == y_dim
+                for v, y in zip(term, y_axes):
+                    assert isinstance(v, np.ndarray) and v.shape == y.shape
 
 
 # ------------------------------------------------------------- file loading
@@ -685,8 +734,8 @@ def test_polynomial_file_reproduces_catalog_parabola(tmp_path):
     assert set(spec.separable) == {(0, 0), (1, 0)}
     y_axes = [np.linspace(-1.2, 1.2, 512)]
     x_axes = [np.linspace(-1.0, 1.0, 8)] * 2
-    term = (lambda t: np.exp(-(t**2)),)
-    dense = apply_T_lambda(spec, 30.0, np.exp(-y_axes[0] ** 2), y_axes, x_axes)
+    term = (np.exp(-y_axes[0] ** 2),)
+    dense = apply_T_lambda(spec, 30.0, term[0], y_axes, x_axes)
     factors = phase_factors(spec, 30.0, y_axes, x_axes)
     fast = apply_T_lambda_product(spec, [term], y_axes, x_axes, factors)
     assert np.max(np.abs(dense - fast)) < 1e-12
