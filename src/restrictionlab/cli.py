@@ -88,6 +88,15 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _dimension(text: str) -> int:
+    # the point mass's ambient dimension, refused here so that the message
+    # names the value typed
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("the dimension must be >= 1, got %d" % value)
+    return value
+
+
 def _ints(text: str) -> List[int]:
     out = [int(t) for t in text.split(",") if t != ""]
     if not out:
@@ -119,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=n, help="atom count for circle/sphere")
         sp.add_argument("--ratio", type=float, default=1.0 / 3.0, help="contraction ratio for cantor kinds")
         sp.add_argument("--levels", type=int, default=14, help="level count for cantor kinds")
-        sp.add_argument("--dim", type=int, default=2, help="ambient dimension for the point mass")
+        sp.add_argument("--dim", type=_dimension, default=2, help="ambient dimension for the point mass")
 
     sp = add("exponents", "exact exponent profile and identity suite")
     sp.add_argument("--d", type=Fraction, default=Fraction(3))

@@ -8,8 +8,10 @@ so grid transforms and direct summation agree to rounding error. A field
 on a grid is an (N,)*d array of its samples; the GridSpec holds the
 lattice, and no other type restates it. The inverse transform returns only
 the moduli |field| as float64, built without ever holding the complex
-field, since every experiment reads |field| alone; the tests check it
-against the complex ifftn formula.
+field, since every experiment reads |field| alone; it runs in one buffer
+that becomes its output, the moduli at its front and the transformed kept
+lines at its back, so it holds the larger of the two, not their sum. The
+tests check it against the complex ifftn formula.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
@@ -116,20 +118,29 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     last axis first, and each line goes through the same pocketfft call on
     the same data (up to the sign of exact zeros, which the moduli drop).
 
-    On the last axis only the lines of F that are not all zero are
-    transformed, since a zero line transforms to zero: they are shifted,
-    signed and transformed in place in a compact (kept lines, N) buffer,
-    a block of lines at a time. The later passes then build a buffer with
-    reversed axes one slab of output lines along the last axis at a time
-    (zeroed, filled from the compact buffer, so every pass runs on
-    contiguous lines, then scaled), and the slab's moduli go into the
-    output. The call holds the compact buffer, one slab and the output.
+    The work runs in one complex buffer of max(N^d/2, N kept) entries,
+    which becomes the output: the moduli are a float64 view of its front.
+    Only the lines of F along the last axis that are not all zero are
+    transformed (a zero line transforms to zero), a block at a time in a
+    small buffer: shifted, signed, transformed and written transposed into
+    the back of the buffer, stored by output line as (N, kept). The later
+    passes then run one slab of output lines at a time, in a buffer with
+    reversed axes (zeroed, filled with the slab's lines so that every pass
+    runs on contiguous lines, then scaled), and put the slab's moduli in
+    the front. Slab i reads its lines before it writes its moduli, which
+    end at (i+1) O bytes, no further than its lines at S max(O, c) - S c +
+    (i+1) c (O and c the bytes of one slab of moduli and of lines, S the
+    slab count): a slab overwrites only lines already read. So the call
+    holds the larger of the moduli and the kept lines, not their sum, plus
+    one block and one slab; with more than N^(d-1)/2 kept lines, the
+    returned moduli view the front of the larger buffer.
 
-    The caller's array is not touched, and is read in place when it is
-    C-contiguous (through one copy otherwise). Any real or complex lattice
-    is taken as it is: each kept line is cast to complex as it is copied
-    in, so a float64 lattice has the bits of its complex copy at half the
-    input memory.
+    The caller's array is not touched and is never copied: the kept lines
+    are found by F.any on the last axis and gathered a block at a time by
+    their leading indices, whatever F's memory order. Any real or complex
+    lattice is taken as it is: each kept line is cast to complex as it is
+    copied in, so a float64 lattice has the bits of its complex copy at
+    half the input memory.
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
@@ -137,32 +148,36 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
         raise ValueError("value shape does not match grid")
     h = n // 2
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
-    signs = np.fft.ifftshift(_sign_vector(n))
-    lines = F.reshape(-1, n)
-    keep = np.flatnonzero(lines.any(axis=1))
-    # the shift moves each of a line's d-1 leading indices by n/2; digits[k]
-    # is the shifted index on axis k, and col the line's column in a slab
-    digits = [(keep // n ** (d - 2 - k) + h) % n for k in range(d - 1)]
-    col = sum((i * n**k for k, i in enumerate(digits)), np.zeros_like(keep))
-    compact = np.empty((keep.size, n), dtype=complex)
+    axis_signs = _sign_vector(n)
+    signs = np.fft.ifftshift(axis_signs)
+    keep = np.flatnonzero(F.any(axis=-1))
+    # lead[k] is each kept line's index on axis k < d-1; the shift moves it
+    # by n/2, which gives the line's column col in a slab. When d = 1 there
+    # is no lead index, and F[idx + ...] reads F, the one line, whole
+    lead = [keep // n ** (d - 2 - k) % n for k in range(d - 1)]
+    col = sum(((i + h) % n * n**k for k, i in enumerate(lead)), np.zeros_like(keep))
+    buf = np.empty(max(n**d // 2, n * keep.size), dtype=complex)
+    out = buf.view(np.float64)[: n**d].reshape((n,) * d)  # reversed axes
+    lines = buf[buf.size - n * keep.size :].reshape(n, keep.size)
+    block = np.empty((min(_LINE_BLOCK, keep.size), n), dtype=complex)
     for start in range(0, keep.size, _LINE_BLOCK):
         rows = slice(start, start + _LINE_BLOCK)
-        idx = keep[rows]
-        b = compact[rows]
-        b[:, :h] = lines[idx, h:]  # the shift along each line
-        b[:, h:] = lines[idx, :h]
-        for i in digits:  # the sign of each axis in turn, axis 0 first
-            b *= signs[i[rows], None]
+        idx = tuple(i[rows] for i in lead)
+        b = block[: keep[rows].size]
+        b[:, :h] = F[idx + (slice(h, None),)]  # the shift along each line
+        b[:, h:] = F[idx + (slice(None, h),)]
+        for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
+            b *= axis_signs[i, None]
         b *= signs
         np.fft.ifft(b, axis=1, out=b)
-    out = np.empty((n,) * d)  # reversed axes, transposed on return
+        lines[:, rows] = b.T
     slab = np.empty((min(_LINE_BLOCK, n),) + (n,) * (d - 1), dtype=complex)
     for start in range(0, n, _LINE_BLOCK):
         rows = slice(start, start + _LINE_BLOCK)
         dest = out[rows]
         s = slab[: dest.shape[0]]
         s.fill(0.0)
-        s.reshape(s.shape[0], -1)[:, col] = compact[:, rows].T
+        s.reshape(s.shape[0], -1)[:, col] = lines[rows]
         for axis in range(1, d):  # buffer axis 1 holds the input's axis d-2
             np.fft.ifft(s, axis=axis, out=s)
         s *= scale

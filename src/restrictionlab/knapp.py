@@ -106,7 +106,11 @@ def knapp_function(
 
     The moduli are float64 in the transform's Fortran order, built without
     holding the complex field (see inverse_fourier_on_grid); every norm of
-    the experiment reads |f| alone.
+    the experiment reads |f| alone. The caps lie in |xi_1| < 5/8 and the
+    lattice reaches 5/4, so they touch at most about half its rows (996 of
+    4096 at criterion 8's size) and the transform's kept lines share the
+    memory of the moduli: the call peaks at the touched rows of the real
+    cap lattice G, the moduli, and one block and one slab of the transform.
 
     The frequency lattice must resolve the finest cap: its spacing 1/(2L)
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice

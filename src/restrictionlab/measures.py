@@ -401,8 +401,11 @@ def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float
     return _separable_sum(coeffs, _phase_matrices(atoms, axes, sign), owned=True)
 
 
-# box elements per block of dyadic_piece's ring product
-_RING_BLOCK = 1 << 16
+# box elements per block of dyadic_piece's ring product: its float64
+# temporaries (128 KiB each) are then reused by malloc from block to block;
+# at 2^16 elements glibc handed them back to the system after each block and
+# faulted them in again for the next, about 80,000 page faults per sweep
+_RING_BLOCK = 1 << 14
 
 
 def _check_dyadic_scale(j, grid: GridSpec) -> int:

@@ -643,9 +643,10 @@ def apply_T_lambda_product(
     """Fast path: same Riemann sum as apply_T_lambda, reorganized for
     separable phases and amplitudes, for f given as a sum of per-axis
     products, as an array on the tensor grid of x_axes. terms is a list of
-    tuples of 1-D samples, term[j] on y_axes[j], as the scaling families
-    yield them; factors is phase_factors(spec, lam, y_axes, x_axes), which
-    fixes lambda. The amplitude is sampled once per y axis for all terms.
+    tuples of 1-D samples, term[j] on y_axes[j] with one sample per point
+    of that axis (checked), as the scaling families yield them; factors is
+    phase_factors(spec, lam, y_axes, x_axes), which fixes lambda. The
+    amplitude is sampled once per y axis for all terms.
 
     Precondition, not checked here: the y grid resolves that lambda by
     apply_T_lambda's 10-points-per-period rule. scaling_experiment applies
@@ -678,6 +679,12 @@ def apply_T_lambda_product(
     for term in terms:
         acc = None
         for j, (amp, dy) in enumerate(amps):
+            # a shorter array would broadcast, a length-1 one as a constant
+            if np.shape(term[j]) != amp.shape:
+                raise ValueError(
+                    "term samples on y axis %d have shape %s but the axis has %d points"
+                    % (j, np.shape(term[j]), amp.size)
+                )
             w = amp * term[j] * dy
             arr = np.reshape(_separable_sum(w, mats[j]), shapes[j])
             acc = arr if acc is None else acc * arr

@@ -171,14 +171,15 @@ def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real,
     assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     # the caller's array is left as it was, signs of its zeros included
     assert before.tobytes() == F.tobytes()
-    # the moduli, the kept lines' compact buffer and one slab of 16 output
-    # lines, plus index arrays and numpy's buffers; the complex field (16 n^d
-    # bytes) exceeds this whenever it is much larger than one slab. A lattice
-    # that is not C-contiguous is read through one copy in its own dtype
+    # one buffer, the larger of the moduli and the kept lines' compact
+    # buffer, one block of 16 kept lines and one slab of 16 output lines,
+    # plus index arrays and numpy's buffers; the complex field (16 n^d
+    # bytes) exceeds this whenever it is much larger than one slab. A
+    # lattice in either memory order is read in place, never copied
     compact = 16 * kept * n
+    block = 16 * min(16, kept) * n
     slab = 16 * min(16, n) * n ** (d - 1)
-    copy = 0 if F.flags.c_contiguous else F.nbytes
-    assert peak < got.nbytes + compact + slab + copy + 2**18
+    assert peak < max(got.nbytes, compact) + block + slab + 2**18
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32", "complex64"])
@@ -202,10 +203,11 @@ def test_lattice_transforms_as_its_complex128_copy_bit_for_bit(d, n, kind, dtype
 
 @pytest.mark.parametrize("kept_share", [2, 8], ids=["half", "eighth"])
 def test_knapp_like_lattice_is_never_held_as_complex(kept_share):
-    # a real lattice with whole lines zero, as off the Knapp caps. Beyond
-    # the float64 moduli the call holds the compact buffer of the
-    # transformed kept lines, one slab and index arrays: neither the
-    # complex field nor a complex copy of the input (16 MiB each here)
+    # a real lattice with whole lines zero, as off the Knapp caps. The call
+    # holds one buffer, the larger of the float64 moduli and the compact
+    # buffer of the transformed kept lines, with one block, one slab and
+    # index arrays: neither the complex field nor a complex copy of the
+    # input (16 MiB each here)
     n = 1024
     g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
     rng = np.random.default_rng(9)
@@ -215,7 +217,29 @@ def test_knapp_like_lattice_is_never_held_as_complex(kept_share):
     got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
     assert got.tobytes() == expected.tobytes()
     compact = 16 * (n // kept_share) * n
-    assert peak < got.nbytes + compact + 4 * 2**20
+    assert peak < max(got.nbytes, compact) + 4 * 2**20
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kept_share", [0.25, 0.75], ids=["quarter", "three-quarters"])
+def test_kept_lines_share_the_output_buffer(kept_share, order):
+    # the moduli (n^d / 2 complex entries) and the kept lines (n per line)
+    # share one buffer, so the call holds the larger of the two, not their
+    # sum, with kept lines below or above half the lines: a compact buffer
+    # allocated beside the output adds the smaller (1 MiB or 2 MiB here)
+    n = 512
+    g = GridSpec(dim=2, half_width=32.0, points_per_axis=n)
+    rng = np.random.default_rng(11)
+    F = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    F[rng.permutation(n)[: n - int(kept_share * n)]] = 0.0
+    F = np.asarray(F, order=order)
+    expected = np.abs(ifftn_formula(F, g))
+    got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+    assert got.tobytes() == expected.tobytes()
+    out, compact = got.nbytes, 16 * int(kept_share * n) * n
+    block, slab = 16 * 16 * n, 16 * 16 * n
+    assert peak < max(out, compact) + block + slab + 2**18
+    assert min(out, compact) >= 2**20  # the sum would break the bound
 
 
 def test_transform_shape_check():

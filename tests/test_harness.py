@@ -164,10 +164,11 @@ def test_malformed_measure_header_exits_2(tmp_path, capsys, text):
 @pytest.mark.parametrize("subcommand", ["measure", "decay", "dyadic", "restrict"])
 def test_zero_dimensional_point_mass_exits_2(tmp_path, capsys, subcommand, dim):
     # unchecked, `measure` ended in an IndexError traceback and exit 1, and
-    # `decay` exited 2 on a reshape error that named no dimension
+    # `decay` exited 2 on a reshape error that named no dimension; the
+    # parser refuses the flag, and the message names the value typed
     out = tmp_path / "r"
     assert main([subcommand, "--kind", "point", "--dim", dim, "--out", str(out)]) == 2
-    assert "the dimension must be >= 1, got 0" in capsys.readouterr().err
+    assert "--dim: the dimension must be >= 1, got %s\n" % dim in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -265,11 +265,11 @@ def test_experiment_slopes_and_verdicts():
     assert rep.norm_g[0] < rep.norm_g[1] < rep.norm_g[2]
 
 
-def test_experiment_peak_memory_stays_below_1_4_lattices():
+def test_experiment_peak_memory_stays_below_1_15_lattices():
     # one field is live at a time, and never as complex values: its real cap
-    # lattice and float64 moduli (half a complex lattice each) with the
-    # transform's compact buffer, then the moduli alone, which the
-    # rearrangement sorts in place
+    # lattice and float64 moduli (half a complex lattice each), the
+    # transform's compact buffer sharing the moduli's memory, then the
+    # moduli alone, which the rearrangement sorts in place
     grid = GridSpec(2, 128.0, 1024)
     lattice = 16 * 1024**2  # bytes of one complex lattice
     tracemalloc.start()
@@ -280,4 +280,4 @@ def test_experiment_peak_memory_stays_below_1_4_lattices():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * lattice
+    assert peak <= 1.15 * lattice

@@ -284,6 +284,19 @@ def test_fast_path_rejects_foreign_factors():
         apply_T_lambda_product(spec, term, y_axes, x_axes, parabola)
 
 
+@pytest.mark.parametrize("length", [1, 255], ids=["constant", "short"])
+def test_fast_path_rejects_terms_of_another_length(length):
+    # a length-1 term would broadcast against the amplitude as a constant
+    spec = CAT1["parabola"]
+    y_axes = [np.linspace(-1.2, 1.2, 256)]
+    x_axes = [np.linspace(-1.1, 1.1, 10)] * 2
+    factors = phase_factors(spec, 20.0, y_axes, x_axes)
+    good = (np.exp(-(y_axes[0] ** 2)),)
+    bad = (np.full(length, 2.0),)
+    with pytest.raises(ValueError, match=r"y axis 0 have shape \(%d,\) but the axis has 256" % length):
+        apply_T_lambda_product(spec, [good, bad], y_axes, x_axes, factors)
+
+
 # ---------------------------------------------------------- hypothesis checks
 
 
