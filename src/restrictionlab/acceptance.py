@@ -99,31 +99,24 @@ def criterion_2(seed: int = 0):
     osc2 = oscillatory_exponents(2)
     osc1 = oscillatory_exponents(1)
     d = 3
-    checks = [
-        ("p0(3,2,1) = 4/3", prof.p0 == Fraction(4, 3), str(prof.p0)),
-        ("theta(3,2,1) = 1/2", prof.theta == Fraction(1, 2), str(prof.theta)),
-        ("gamma(3,2,1) = 1/3", prof.gamma == Fraction(1, 3), str(prof.gamma)),
-        ("rho(3,2,1) = 6/5", prof.rho == Fraction(6, 5), str(prof.rho)),
-        ("sigma(3,2,1) = 3", prof.sigma == Fraction(3), str(prof.sigma)),
+    # (table row, check, value, whether the value is the one named)
+    named = (
+        ("p0", "p0(3,2,1) = 4/3", prof.p0, prof.p0 == Fraction(4, 3)),
+        ("theta", "theta(3,2,1) = 1/2", prof.theta, prof.theta == Fraction(1, 2)),
+        ("gamma", "gamma(3,2,1) = 1/3", prof.gamma, prof.gamma == Fraction(1, 3)),
+        ("rho", "rho(3,2,1) = 6/5", prof.rho, prof.rho == Fraction(6, 5)),
+        ("sigma", "sigma(3,2,1) = 3", prof.sigma, prof.sigma == Fraction(3)),
         (
+            "q0_kappa2",
             "q0(kappa=2) = 4 = (2d+2)/(d-1) at d=3",
+            osc2.q0,
             osc2.q0 == 4 and osc2.q0 == Fraction(2 * d + 2, d - 1),
-            str(osc2.q0),
         ),
-        ("q1(kappa=1) = 3", osc1.q1 == 3, str(osc1.q1)),
-    ]
-    table = ReportTable(
-        columns=("quantity", "value"),
-        rows=(
-            ("p0", str(prof.p0)),
-            ("theta", str(prof.theta)),
-            ("gamma", str(prof.gamma)),
-            ("rho", str(prof.rho)),
-            ("sigma", str(prof.sigma)),
-            ("q0_kappa2", str(osc2.q0)),
-            ("q1_kappa1", str(osc1.q1)),
-        ),
+        ("q1_kappa1", "q1(kappa=1) = 3", osc1.q1, osc1.q1 == 3),
     )
+    checks = [(check, holds, str(value)) for _, check, value, holds in named]
+    rows = tuple((row, str(value)) for row, _, value, _ in named)
+    table = ReportTable(columns=("quantity", "value"), rows=rows)
     return (("d", 3), ("a", 2), ("b", 1)), Result(table, checks)
 
 

@@ -72,36 +72,58 @@ from .reporting import ExperimentConfig, ReportTable, Result, _check_line, emit_
 __all__ = ["main", "build_parser"]
 
 
+def _parsed(text: str, convert, expected: str, valid=None):
+    """convert(text), if it converts and valid accepts it; otherwise a parser
+    error that names the value expected and the value typed (argparse would
+    print a ValueError as "invalid <converter name> value")."""
+    try:
+        value = convert(text)
+    except ValueError:
+        pass
+    else:
+        if valid is None or valid(value):
+            return value
+    raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+
+
 def _floats(text: str) -> List[float]:
-    out = [float(t) for t in text.split(",") if t != ""]
-    if not out:
-        raise ValueError("expected a comma-separated list of numbers")
-    return out
+    return _parsed(
+        text, lambda t: [float(v) for v in t.split(",") if v], "a comma-separated list of numbers", bool
+    )
+
+
+def _ints(text: str) -> List[int]:
+    return _parsed(
+        text, lambda t: [int(v) for v in t.split(",") if v], "a comma-separated list of integers", bool
+    )
 
 
 def _threshold(text: str) -> float:
     # a verdict window bound; NaN would fail its check only after the whole
     # run, so it is refused at entry (an infinite bound leaves the window open)
-    value = float(text)
-    if math.isnan(value):
-        raise ValueError("NaN is not a threshold")
-    return value
+    return _parsed(text, float, "a number other than NaN", lambda value: not math.isnan(value))
 
 
 def _dimension(text: str) -> int:
     # the point mass's ambient dimension, refused here so that the message
     # names the value typed
-    value = int(text)
+    value = _parsed(text, int, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("the dimension must be >= 1, got %d" % value)
     return value
 
 
-def _ints(text: str) -> List[int]:
-    out = [int(t) for t in text.split(",") if t != ""]
-    if not out:
-        raise ValueError("expected a comma-separated list of integers")
-    return out
+def _seed(text: str) -> int:
+    # numpy refuses a negative seed only once a run has started, and some
+    # subcommands never hand theirs to numpy
+    return _parsed(text, int, "an integer >= 0", lambda value: value >= 0)
+
+
+# the measure flags that each --kind reads; a run drops the others from
+# args, so that its verdict echoes only the flags it read
+_KIND_FLAGS = {"circle": ("n",), "sphere": ("n",), "cantor": ("ratio", "levels"),
+               "cantor-random": ("ratio", "levels"), "point": ("dim",)}
+_MEASURE_FLAGS = set().union(*_KIND_FLAGS.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,16 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--out", default="reports", help="output directory (default: reports)")
-        sp.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
+        sp.add_argument("--seed", type=_seed, default=0, help="random seed (default: 0)")
         return sp
 
     def add_measure_flags(sp: argparse.ArgumentParser, n=8192) -> None:
-        sp.add_argument(
-            "--kind",
-            default="circle",
-            choices=["circle", "sphere", "cantor", "cantor-random", "point"],
-            help="measure to build",
-        )
+        sp.add_argument("--kind", default="circle", choices=list(_KIND_FLAGS), help="measure to build")
         sp.add_argument("--n", type=int, default=n, help="atom count for circle/sphere")
         sp.add_argument("--ratio", type=float, default=1.0 / 3.0, help="contraction ratio for cantor kinds")
         sp.add_argument("--levels", type=int, default=14, help="level count for cantor kinds")
@@ -259,15 +276,9 @@ def _check_flatness_count(flag: str, count: int) -> None:
         raise ValueError("%s: a flatness factor needs at least 2 values, got %d" % (flag, count))
 
 
-# the measure flags that each --kind reads; a run drops the others from
-# args, so that its verdict echoes only the flags it read
-_KIND_FLAGS = {"circle": ("n",), "sphere": ("n",), "cantor": ("ratio", "levels"),
-               "cantor-random": ("ratio", "levels"), "point": ("dim",)}
-
-
 def _build_measure(args):
     kind = args.kind
-    for flag in {"n", "ratio", "levels", "dim"}.difference(_KIND_FLAGS[kind]):
+    for flag in _MEASURE_FLAGS.difference(_KIND_FLAGS[kind]):
         delattr(args, flag)
     if kind == "circle":
         return make_sphere_measure(2, args.n)
@@ -283,38 +294,16 @@ def _build_measure(args):
 def cmd_exponents(args) -> Result:
     profile = exponent_profile(args.d, args.a, args.b)
     flags = verify_identities(profile)
-    q_at_p0 = critical_q(profile, profile.p0)
-    row = (
-        str(profile.d),
-        str(profile.a),
-        str(profile.b),
-        str(profile.p0),
-        str(profile.p0_prime),
-        str(profile.theta),
-        str(profile.gamma),
-        str(profile.rho),
-        str(profile.sigma),
-        str(q_at_p0),
-    )
-    table = ReportTable(
-        columns=("d", "a", "b", "p0", "p0_prime", "theta", "gamma", "rho", "sigma", "q_at_p0"),
-        rows=(row,),
-    )
+    columns = ("d", "a", "b", "p0", "p0_prime", "theta", "gamma", "rho", "sigma")
+    row = tuple(str(getattr(profile, name)) for name in columns) + (str(critical_q(profile, profile.p0)),)
+    table = ReportTable(columns=columns + ("q_at_p0",), rows=(row,))
     checks = [(name, ok, "") for name, ok in flags.items()]
     files = ()
     if args.kappa is not None:
         osc = oscillatory_exponents(args.kappa)
-        osc_table = ReportTable(
-            columns=("quantity", "value"),
-            rows=(
-                ("q0", str(osc.q0)),
-                ("q1", str(osc.q1)),
-                ("rho_k", str(osc.rho_k)),
-                ("sigma_k", str(osc.sigma_k)),
-                ("rho_1", str(osc.rho_1)),
-                ("sigma_1", str(osc.sigma_1)),
-            ),
-        )
+        names = ("q0", "q1", "rho_k", "sigma_k", "rho_1", "sigma_1")
+        rows = tuple((name, str(getattr(osc, name))) for name in names)
+        osc_table = ReportTable(columns=("quantity", "value"), rows=rows)
         files = (("exponents_oscillatory.csv", functools.partial(emit_csv, osc_table)),)
     return Result(table, checks, profile, files)
 
@@ -323,7 +312,7 @@ def cmd_measure(args) -> Result:
     measure = _build_measure(args)
     # resolved here, so that the verdict echoes the radii and window used
     if args.radii is None:
-        if args.kind in ("cantor", "cantor-random"):
+        if "ratio" in _KIND_FLAGS[args.kind]:
             args.radii = [args.ratio**k for k in range(2, 9)]
         else:
             args.radii = [2.0 ** (-k) for k in range(1, 9)]
@@ -499,7 +488,7 @@ def cmd_restrict(args) -> Result:
         _check_flatness_count("--count", args.count)
     if args.measure_file is not None:
         measure = load_measure(args.measure_file)
-        for flag in ("kind", "n", "ratio", "levels", "dim"):
+        for flag in ("kind", *_MEASURE_FLAGS):
             delattr(args, flag)
     else:
         measure = _build_measure(args)

@@ -1,11 +1,35 @@
-"""Source checks over src/restrictionlab: every parameter is read, every
-export is used, and every field is read."""
+"""Source checks over src/restrictionlab: the package exports its modules
+and their exports, every parameter is read, every export is used, and every
+field is read."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import restrictionlab
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "restrictionlab"
 TESTS = Path(__file__).resolve().parent
+
+# the modules the package re-exports: all but the command line
+PACKAGE_MODULES = (
+    "bumps", "grids", "measures", "lorentz", "exponents", "operators",
+    "knapp", "oscillatory", "fitting", "reporting", "acceptance",
+)
+
+
+def test_package_exports_its_modules_and_their_exports():
+    # each module's __all__ is the one list of its exports: the package
+    # exports the modules and the union of those lists, sorted, each name
+    # bound to the module's own object
+    modules = {name: importlib.import_module("restrictionlab." + name) for name in PACKAGE_MODULES}
+    declared = {name: module for module in modules.values() for name in module.__all__}
+    assert restrictionlab.__all__ == sorted({**modules, **declared})
+    for name, module in declared.items():
+        assert getattr(restrictionlab, name) is getattr(module, name), name
+    for name, module in modules.items():
+        assert getattr(restrictionlab, name) is module
+
 
 # (module, qualified name, parameter) of the callables whose signature an
 # interface fixes: CRITERIA passes every criterion a seed, and every scaling
