@@ -124,6 +124,14 @@ def _seed(text: str) -> int:
 _KIND_FLAGS = {"circle": ("n",), "sphere": ("n",), "cantor": ("ratio", "levels"),
                "cantor-random": ("ratio", "levels"), "point": ("dim",)}
 _MEASURE_FLAGS = set().union(*_KIND_FLAGS.values())
+# the flags that each restrict --family reads, the first of them sizing its
+# fields, and its fields' builder; a run drops the other families' flags
+# from args, so that its verdict echoes only the flags it read
+_FAMILIES = {
+    "gaussian": (("scales", "spread_max"), lambda grid, args: gaussian_dilate_family(grid, args.scales)),
+    "knapp": (("deltas", "spread_max"), lambda grid, args: knapp_cap_family(grid, args.deltas)),
+    "random": (("count",), lambda grid, args: random_smooth_family(grid, args.count, seed=args.seed)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--measure-file", default=None, help="load the measure from a saved file instead")
     sp.add_argument("--half-width", type=float, default=64.0)
     sp.add_argument("--points", type=int, default=512)
-    sp.add_argument("--family", default="gaussian", choices=["gaussian", "knapp", "random"])
+    sp.add_argument("--family", default="gaussian", choices=list(_FAMILIES))
     sp.add_argument(
         "--scales", type=_floats, default=[1.0, 2.0, 4.0, 8.0], help="gaussian dilate scales"
     )
@@ -480,12 +488,11 @@ def cmd_knapp(args) -> Result:
 
 
 def cmd_restrict(args) -> Result:
-    if args.family == "gaussian":
-        _check_flatness_count("--scales", len(args.scales))
-    elif args.family == "knapp":
-        _check_flatness_count("--deltas", len(args.deltas))
-    else:
-        _check_flatness_count("--count", args.count)
+    flags, build_fields = _FAMILIES[args.family]
+    for flag in set().union(*(f for f, _ in _FAMILIES.values())).difference(flags):
+        delattr(args, flag)
+    sizes = getattr(args, flags[0])  # the scales or cap widths, or a field count
+    _check_flatness_count("--" + flags[0], sizes if isinstance(sizes, int) else len(sizes))
     if args.measure_file is not None:
         measure = load_measure(args.measure_file)
         for flag in ("kind", *_MEASURE_FLAGS):
@@ -494,12 +501,7 @@ def cmd_restrict(args) -> Result:
         measure = _build_measure(args)
     grid = _lattice_grid(args, measure.dim)
     profile = exponent_profile(args.d, args.a, args.b)
-    if args.family == "gaussian":
-        fields = gaussian_dilate_family(grid, args.scales)
-    elif args.family == "knapp":
-        fields = knapp_cap_family(grid, args.deltas)
-    else:
-        fields = random_smooth_family(grid, args.count, seed=args.seed)
+    fields = build_fields(grid, args)
     rows = []
     ratios = []
     for label, values in fields:
@@ -510,7 +512,7 @@ def cmd_restrict(args) -> Result:
     checks = [
         ("all ratios positive and finite", all(0 < r < math.inf for r in ratios), ""),
     ]
-    if args.family in ("gaussian", "knapp"):
+    if "spread_max" in flags:
         # only the structured families carry a flatness claim; random
         # fields may land anywhere relative to the sphere
         checks.append(
@@ -600,23 +602,9 @@ def cmd_oscillatory(args) -> Result:
         (rng.uniform(-r / 2, r / 2, spec.x_dim), rng.uniform(-r / 2, r / 2, spec.y_dim))
         for _ in range(args.probes)
     ]
-    rank_rep = check_rank_mixed_hessian(spec, probes)
-    checks = [
-        (
-            rank_rep.condition,
-            rank_rep.verdict,
-            "ranks " + ",".join(str(v) for v in rank_rep.values),
-        )
-    ]
+    checks = [check_rank_mixed_hessian(spec, probes).check]
     if args.kappa >= 1 and spec.x_dim == spec.y_dim + 1:
-        curv_rep = check_curvature_rank(spec, probes, args.kappa)
-        checks.append(
-            (
-                curv_rep.condition,
-                curv_rep.verdict,
-                "ranks " + ",".join(str(v) for v in curv_rep.values),
-            )
-        )
+        checks.append(check_curvature_rank(spec, probes, args.kappa).check)
     else:
         checks.append(("curvature check skipped (square phase or kappa = 0)", True, ""))
     return _scaling(args, spec, checks)
@@ -629,8 +617,7 @@ def cmd_fold(args) -> Result:
         raise ValueError("fold needs x_dim = y_dim = 2, got %d and %d" % (spec.x_dim, spec.y_dim))
     r = spec.amp_radius
     probes = [((0.2 * r, 0.5 * r), (0.1 * r, t)) for t in np.linspace(-r / 2, r / 2, 9)]
-    fold_rep = check_fold(spec, probes, kappa_target=args.kappa)
-    return _scaling(args, spec, [(fold_rep.condition, fold_rep.verdict, fold_rep.notes)])
+    return _scaling(args, spec, [check_fold(spec, probes, kappa_target=args.kappa).check])
 
 
 def cmd_accept(args) -> int:

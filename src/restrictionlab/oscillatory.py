@@ -199,71 +199,41 @@ class PhaseSpec:
         return {key: _monomial_sum(parts) for key, parts in groups.items()}
 
 
-def _phase_point(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> float:
-    return float(spec.phase(np.asarray(x, float), np.asarray(y, float).reshape(1, -1))[0])
-
-
-def _fd_d_x(spec: PhaseSpec, x, y) -> np.ndarray:
-    x = np.asarray(x, float)
-    out = np.empty(spec.x_dim)
-    for i in range(spec.x_dim):
-        e = np.zeros(spec.x_dim)
-        e[i] = FD_STEP
-        out[i] = (_phase_point(spec, x + e, y) - _phase_point(spec, x - e, y)) / (2 * FD_STEP)
-    return out
-
-
-def _fd_d_y(spec: PhaseSpec, x, y) -> np.ndarray:
-    y = np.asarray(y, float)
-    out = np.empty(spec.y_dim)
-    for j in range(spec.y_dim):
-        e = np.zeros(spec.y_dim)
-        e[j] = FD_STEP
-        out[j] = (_phase_point(spec, x, y + e) - _phase_point(spec, x, y - e)) / (2 * FD_STEP)
-    return out
-
-
-def _fd_d_xy(spec: PhaseSpec, x, y) -> np.ndarray:
+def _central(fn, x, y, wrt: str) -> np.ndarray:
+    # central differences of fn(x, y) in each coordinate of x (wrt "x") or
+    # of y (wrt "y"), on a new last axis
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    out = np.empty((spec.x_dim, spec.y_dim))
-    for i in range(spec.x_dim):
-        ex = np.zeros(spec.x_dim)
-        ex[i] = FD_STEP
-        for j in range(spec.y_dim):
-            ey = np.zeros(spec.y_dim)
-            ey[j] = FD_STEP
-            out[i, j] = (
-                _phase_point(spec, x + ex, y + ey)
-                - _phase_point(spec, x + ex, y - ey)
-                - _phase_point(spec, x - ex, y + ey)
-                + _phase_point(spec, x - ex, y - ey)
-            ) / (4 * FD_STEP**2)
-    return out
+    diffs = []
+    for e in np.eye(x.size if wrt == "x" else y.size) * FD_STEP:
+        hi, lo = ((x + e, y), (x - e, y)) if wrt == "x" else ((x, y + e), (x, y - e))
+        diffs.append((fn(*hi) - fn(*lo)) / (2 * FD_STEP))
+    return np.stack(diffs, axis=-1)
 
 
 def derivative_consistency(spec: PhaseSpec, n_probes: int = 100, seed: int = 0) -> float:
     """Max deviation of the derivative evaluators from finite differences,
-    over random probes in the amplitude box: d_x, d_y and d_xy against
-    differences of the phase, d_xyy against differences of d_xy in y."""
+    over random probes in the amplitude box: d_x and d_y against
+    differences of the phase, d_xy against differences in y of those in x,
+    d_xyy against differences of d_xy in y."""
+
+    def phase(x, y):
+        return spec.phase(x, y[None])[0]
+
+    fd_x = functools.partial(_central, phase, wrt="x")
     rng = np.random.default_rng(seed)
     r = spec.amp_radius
     worst = 0.0
     for _ in range(int(n_probes)):
         x = rng.uniform(-r, r, spec.x_dim)
         y = rng.uniform(-r, r, spec.y_dim)
-        fd_xyy = np.empty((spec.x_dim, spec.y_dim, spec.y_dim))
-        for k in range(spec.y_dim):
-            e = np.zeros(spec.y_dim)
-            e[k] = FD_STEP
-            fd_xyy[:, :, k] = (spec.d_xy(x, y + e) - spec.d_xy(x, y - e)) / (2 * FD_STEP)
-        for declared, oracle in (
-            (spec.d_x(x, y), _fd_d_x(spec, x, y)),
-            (spec.d_y(x, y), _fd_d_y(spec, x, y)),
-            (spec.d_xy(x, y), _fd_d_xy(spec, x, y)),
-            (spec.d_xyy(x, y), fd_xyy),
+        for declared, fn, wrt in (
+            (spec.d_x, phase, "x"),
+            (spec.d_y, phase, "y"),
+            (spec.d_xy, fd_x, "y"),
+            (spec.d_xyy, spec.d_xy, "y"),
         ):
-            worst = max(worst, float(np.abs(declared - oracle).max()))
+            worst = max(worst, float(np.abs(declared(x, y) - _central(fn, x, y, wrt)).max()))
     return worst
 
 
@@ -334,13 +304,18 @@ class ConditionReport:
     points checked (for check_fold, the singular points it located) and
     values one diagnostic per point; the verdict is the conjunction of the
     per-point checks at the check's fixed tolerance (RANK_TOL or
-    FOLD_DERIV_TOL)."""
+    FOLD_DERIV_TOL), and notes sums the values up in words."""
 
     condition: str
     probes: tuple
     values: tuple
     verdict: bool
-    notes: str = ""
+    notes: str
+
+    @property
+    def check(self) -> Tuple[str, bool, str]:
+        """The report as one verdict check: (condition, verdict, notes)."""
+        return self.condition, self.verdict, self.notes
 
 
 def _numeric_rank(M: np.ndarray) -> int:
@@ -354,14 +329,13 @@ def check_rank_mixed_hessian(spec: PhaseSpec, probes: Sequence) -> ConditionRepo
     """Numeric rank of the mixed second derivative matrix at each probe;
     passes when every rank reaches x_dim - 1."""
     target = spec.x_dim - 1
-    ranks = []
-    for x, y in probes:
-        ranks.append(_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float))))
+    ranks = [_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float))) for x, y in probes]
     return ConditionReport(
         condition="mixed-hessian-rank>=%d" % target,
         probes=tuple((tuple(np.atleast_1d(x)), tuple(np.atleast_1d(y))) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= target for r in ranks)),
+        notes="ranks " + ",".join(str(v) for v in ranks),
     )
 
 
@@ -394,6 +368,7 @@ def check_curvature_rank(spec: PhaseSpec, probes: Sequence, kappa_target: int) -
         probes=tuple((tuple(x), tuple(y)) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= kappa_target for r in ranks)),
+        notes="ranks " + ",".join(str(v) for v in ranks),
     )
 
 
@@ -448,10 +423,9 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
     if spec.y_dim != spec.x_dim:
         raise ValueError("fold check needs a square phase (y_dim == x_dim)")
     pts = [(np.asarray(x, float), np.asarray(y, float)) for x, y in probes]
+    dets = [_det_xy(spec, x, y) for x, y in pts]
     singular: List[Tuple[np.ndarray, np.ndarray]] = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        f0 = _det_xy(spec, x0, y0)
-        f1 = _det_xy(spec, x1, y1)
+    for (x0, y0), (x1, y1), f0, f1 in zip(pts, pts[1:], dets, dets[1:]):
         if abs(f0) < 1e-14:
             singular.append((x0, y0))
             continue
@@ -460,7 +434,7 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
                 lambda t: _det_xy(spec, x0 + t * (x1 - x0), y0 + t * (y1 - y0)), 0.0, 1.0
             )
             singular.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-    if abs(_det_xy(spec, *pts[-1])) < 1e-14:
+    if abs(dets[-1]) < 1e-14:
         singular.append(pts[-1])
     # dedupe
     kept: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -754,10 +728,7 @@ def dyadic_kernel_sup(spec: PhaseSpec, lam: float, j: int) -> float:
     perps = [0.0, 0.5 * perp_max, 0.99 * perp_max]
     bases = [-r / 2.0, 0.0, r / 3.0]
     best = 0.0
-    e_last = np.zeros(spec.x_dim)
-    e_last[-1] = 1.0
-    e_first = np.zeros(spec.x_dim)
-    e_first[0] = 1.0
+    e_first, e_last = np.eye(spec.x_dim)[[0, -1]]
     for t in tvals:
         dlt = t / lam
         for p in perps:
@@ -826,6 +797,9 @@ def scaling_experiment(
     steps = [b / a for a, b in zip(lams, lams[1:])]
     if any(abs(r - steps[0]) > 1e-9 * steps[0] for r in steps):
         raise ValueError("lambda values must be geometric")
+    # a step ratio of 1 repeats one lambda, which the fit cannot take
+    if len(set(lams)) != len(lams):
+        raise ValueError("lambda values must be distinct, got %s" % lams)
     q, s = float(q), float(s)
     _check_exponents(q, (s,), "q")
     nx, ny = int(x_points), int(y_points)

@@ -119,11 +119,8 @@ def emit_csv(table: ReportTable, path: str) -> None:
     for row in table.rows:
         lines.append(",".join(format_cell(v) for v in row))
     data = ("\n".join(lines) + "\n").encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise OSError("failed to write CSV at %s: %s" % (path, exc)) from exc
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _check_line(name: str, ok: bool, detail: str) -> str:
@@ -158,11 +155,8 @@ def write_verdict(
 ) -> bool:
     """Write the verdict file and return the overall outcome."""
     text = render_verdict(title, config, checks)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(text.encode("ascii"))
-    except OSError as exc:
-        raise OSError("failed to write verdict at %s: %s" % (path, exc)) from exc
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii"))
     return all(bool(ok) for _, ok, _ in checks)
 
 

@@ -137,6 +137,16 @@ def test_invalid_configuration_exits_2(tmp_path):
     assert not os.path.exists(out)
 
 
+def test_write_failure_exits_2_and_names_the_path_once(tmp_path, capsys):
+    # a directory where the CSV belongs: main reports the OSError as it is
+    # raised, one message naming the path once
+    target = tmp_path / "D" / "exponents.csv"
+    target.mkdir(parents=True)
+    assert main(["exponents", "--out", str(tmp_path / "D")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and err.count(str(target)) == 1
+
+
 def test_non_finite_measure_file_exits_2(tmp_path, capsys):
     holes = tmp_path / "nan.txt"
     holes.write_text("2 2 holes\n1.0 0.0 0.5\nnan 1.0 0.5\n", encoding="ascii")
@@ -403,6 +413,39 @@ def test_non_geometric_lam_list_exits_2_before_the_sweep(tmp_path, capsys, monke
     assert main(["oscillatory", "--lam-list", "16,32,64,200", "--out", str(out)]) == 2
     assert "lambda values must be geometric" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["oscillatory", "fold"])
+def test_repeated_lam_list_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch, subcommand):
+    # a step ratio of 1 passes the geometric check; unchecked, the sweep ran
+    # at one lambda four times and the fit of four equal x values exited 1
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep started despite a repeated lambda")
+
+    monkeypatch.setattr(osc, "_max_y_gradient", refuse)
+    monkeypatch.setattr(osc, "phase_factors", refuse)
+    out = tmp_path / "r"
+    assert main([subcommand, "--lam-list", "16,16,16,16", "--out", str(out)]) == 2
+    assert "lambda values must be distinct, got [16.0, 16.0, 16.0, 16.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, read",
+    [
+        ("gaussian", ["scales", "spread_max"]),
+        ("knapp", ["deltas", "spread_max"]),
+        ("random", ["count"]),
+    ],
+)
+def test_restrict_echoes_only_its_family_flags(tmp_path, family, read):
+    # each family reads its own size flag, and only the structured ones
+    # check --spread-max
+    out = tmp_path / "r"
+    argv = _SMALL_RESTRICT + ["--family", family, "--deltas", "0.25,0.125", "--count", "2"]
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    echo = (out / "restrict_verdict.txt").read_text()
+    assert re.findall(r"^  (scales|deltas|count|spread_max)=", echo, re.M) == read
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,23 @@ def test_ball_profile_quarter_ratio_cantor():
     assert abs(prof.a_fit - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_profile_weighted_masses_match_brute_force(dim):
+    # unequal weights take the index-list branch; the oracle sums the weight
+    # of every atom within r of each atom, over all O(n^2) pairs
+    rng = np.random.default_rng(dim)
+    atoms = rng.uniform(0.0, 1.0, (60, dim))
+    w = rng.uniform(0.1, 1.0, 60)
+    m = DiscreteMeasure(dim=dim, atoms=atoms, weights=w / w.sum())
+    radii = [0.5, 0.25, 0.125, 0.0625]
+    prof = ball_regularity_profile(m, radii)
+    d2 = np.sum((atoms[:, None, :] - atoms[None, :, :]) ** 2, axis=-1)
+    brute = [np.max((d2 <= r * r) @ m.weights) for r in radii]
+    masses = np.array(prof.max_ball_ratios) * np.array(prof.radii) ** prof.a_fit
+    assert prof.radii == tuple(radii)
+    assert np.allclose(masses, brute, rtol=1e-12, atol=0.0)
+
+
 def test_ball_profile_point_mass_clamps_to_zero():
     prof = ball_regularity_profile(make_point_mass([0.3]), [0.5, 0.25, 0.125])
     assert prof.a_fit == 0.0

@@ -432,6 +432,19 @@ def test_exact_fold_gradient_matches_central_differences(tmp_path):
             assert np.abs(exact - _fd_grad_y_det(spec, x, y)).max() < 1e-9
 
 
+def test_fold_fails_where_the_determinant_gradient_vanishes():
+    # det d_xy = y2^3/3 vanishes to third order on y2 = 0, so grad_y det is
+    # zero at the singular point the fold probes of the CLI cross, and
+    # |<b, grad_y det>| = 0 fails the nondegeneracy bound
+    spec = PhaseSpec("cubic-fold", 2, 2, [(1.0, (1, 0), (1, 0)), (1 / 12, (0, 1), (0, 4))], 0.09)
+    r = spec.amp_radius
+    probes = [((0.2 * r, 0.5 * r), (0.1 * r, t)) for t in np.linspace(-r / 2, r / 2, 9)]
+    rep = check_fold(spec, probes, 0)
+    assert not rep.verdict
+    assert rep.notes == "1 singular points located"
+    assert rep.values[0][0] == 0.0
+
+
 def test_fold_vacuous_when_no_singular_points():
     spec = PhaseSpec(
         "linear-square", 2, 2, [(1.0, (1, 0), (1, 0)), (1.0, (0, 1), (0, 1))], 0.09
@@ -451,6 +464,9 @@ def test_condition_report_is_structured():
     rep = check_rank_mixed_hessian(CAT["parabola"], _probes(rng, 2, 1, n=3))
     assert isinstance(rep, ConditionReport)
     assert len(rep.probes) == 3 and len(rep.values) == 3
+    # the report is its own verdict check
+    assert rep.notes == "ranks 1,1,1"
+    assert rep.check == (rep.condition, rep.verdict, rep.notes)
 
 
 # --------------------------------------------------------- kernel decomposition
