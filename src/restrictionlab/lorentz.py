@@ -121,6 +121,16 @@ def lorentz_norm_values(
         peak = -math.inf
         for start in range(0, n, _BLOCK):
             c = core[start : start + _BLOCK]
+            if math.isinf(s_k):
+                # core decreases and t^(1/p) increases, so no product of the
+                # block exceeds t_stop^(1/p) core[start]: a block whose bound,
+                # with a relative margin of 1e-12 for rounding, is below the
+                # peak cannot hold the maximum. A bound that overflows is inf
+                # and skips nothing
+                with np.errstate(over="ignore"):
+                    bound = np.float64((start + c.size) * cell_volume) ** (1.0 / p) * c[0]
+                if bound * (1.0 + 1e-12) < peak:
+                    continue
             tb = t[: c.size + 1]
             np.add(ks[: tb.size], start, out=tb)
             tb *= cell_volume  # t = k * cell_volume

@@ -266,23 +266,12 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
     r_arr = np.asarray(sorted(set(float(r) for r in radii), reverse=True))
     if r_arr.size < 3:
         raise ValueError("need at least 3 distinct radii to fit a slope")
-    # scipy.spatial costs a fresh process about 0.5 s and 36 MB to import,
-    # and only this profile needs it, so it is imported here and not with
-    # the module
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(measure.atoms)
     w = measure.weights
-    # equal weights: a count per ball suffices, avoiding the index lists
+    # equal weights: the balls count unit weights, exactly, and the largest
+    # count is scaled by the common weight
     uniform = bool(np.all(w == w[0]))
-    max_mass = np.empty(r_arr.size)
-    for i, r in enumerate(r_arr):
-        if uniform:
-            counts = tree.query_ball_point(measure.atoms, r, return_length=True)
-            max_mass[i] = float(w[0]) * int(np.max(counts))
-        else:
-            neighborhoods = tree.query_ball_point(measure.atoms, r)
-            max_mass[i] = max(w[idx].sum() for idx in neighborhoods)
+    unit, scale = (np.ones(w.size), float(w[0])) if uniform else (w, 1.0)
+    max_mass = np.array([scale * np.max(_ball_masses(measure.atoms, r, unit)) for r in r_arr])
     fit = loglog_fit(list(zip(r_arr, max_mass)))
     a_fit = min(max(fit.slope, 0.0), float(measure.dim))
     ratios = max_mass / r_arr**a_fit
@@ -293,6 +282,108 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
         A_fit=float(ratios.max()),
         fit=fit,
     )
+
+
+# _ball_masses takes the atoms 32 to a chunk, which keeps the band of atoms
+# each chunk must test thin, and tests them in blocks of at most 2^17 float64
+# squared distances (1 MiB), so its temporaries stay small
+_BALL_CHUNK = 32
+_BALL_BLOCK = 1 << 17
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, test: Callable) -> np.ndarray:
+    """For each entry, the first index of [lo, hi) at which test holds, or hi.
+    test maps an index array to a boolean one, and must hold from some point
+    of each range on."""
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        hit = open_ & test(np.where(open_, mid, 0))
+        hi = np.where(hit, mid, hi)
+        lo = np.where(open_ & ~hit, mid + 1, lo)
+
+
+def _ball_masses(atoms: np.ndarray, r: float, weights: np.ndarray) -> np.ndarray:
+    """The weight of the closed ball of radius r about each atom: the total
+    weight of the atoms j with sum_k (a_jk - a_ik)^2 <= r * r, summed in
+    coordinate order from k = 0. That is the test cKDTree makes at a leaf,
+    so with unit weights these are its query_ball_point counts.
+
+    Candidates lie in a window of the atoms sorted by first coordinate,
+    padded by r (1 + 1e-9) and a margin for the rounding of the window's
+    ends at the coordinates' scale. In one dimension each ball is an
+    interval of the sorted atoms, as fl(x_j - x_i)^2 grows with |x_j - x_i|:
+    atoms nearer than r (1 - 1e-9) are counted by index, and the two ends
+    are bisected in the shells between. In more dimensions the atoms go in
+    chunks of _BALL_CHUNK, ordered by a grid of cells of side r. The window
+    atoms nearer than r - band to a chunk's centre, band the centre's
+    largest distance to the chunk's box plus a rounding margin, are in the
+    ball of every chunk atom, those beyond r + band in none, and only the
+    ones between are tested, in blocks of squared distances of at most
+    _BALL_BLOCK entries.
+    """
+    n, dim = atoms.shape
+    rr = r * r
+    margin = 1e-12 * float(np.max(np.abs(atoms)))
+    pad = r * (1.0 + 1e-9) + margin
+    order = np.argsort(atoms[:, 0], kind="stable")
+    s = atoms[order]
+    x = np.ascontiguousarray(s[:, 0])
+    w = weights[order]
+    out = np.empty(n)
+    if dim == 1:
+        inner = max(r * (1.0 - 1e-9) - margin, 0.0)
+        k = np.arange(n)
+
+        def inside(j):
+            return (x[j] - x) ** 2 <= rr
+
+        left = _bisect(
+            np.searchsorted(x, x - pad, "left"),
+            np.minimum(np.searchsorted(x, x - inner, "right"), k),
+            inside,
+        )
+        right = _bisect(
+            np.maximum(np.searchsorted(x, x + inner, "left"), k + 1),
+            np.searchsorted(x, x + pad, "right"),
+            lambda j: ~inside(j),
+        )
+        cum = np.concatenate(([0.0], np.cumsum(w)))
+        out[order] = cum[right] - cum[left]
+        return out
+    chunks = np.lexsort(np.floor((s - s.min(axis=0)) / r).T[::-1])
+    sc = s[chunks]
+    starts = np.arange(0, n, _BALL_CHUNK)
+    lo = np.minimum.reduceat(sc, starts)
+    hi = np.maximum.reduceat(sc, starts)
+    first = np.searchsorted(x, lo[:, 0] - pad, "left").tolist()
+    last = np.searchsorted(x, hi[:, 0] + pad, "right").tolist()
+    centre = 0.5 * (lo + hi)
+    band = np.sqrt(np.sum(np.maximum(hi - centre, centre - lo) ** 2, axis=1))
+    band += 1e-8 * (band + r)
+    sure_r2 = np.where(band < r, (r - band) ** 2, -1.0).tolist()
+    near_r2 = ((r + band) ** 2).tolist()
+    vals = np.empty(n)
+    for c, start in enumerate(starts.tolist()):
+        win, ww = s[first[c] : last[c]], w[first[c] : last[c]]
+        diff = win - centre[c]
+        dc2 = np.einsum("ij,ij->i", diff, diff)
+        sure = dc2 < sure_r2[c]
+        near = (dc2 <= near_r2[c]) & ~sure
+        u, wu = win[near], ww[near]
+        q = sc[start : start + _BALL_CHUNK]
+        mass = vals[start : start + _BALL_CHUNK]
+        mass[:] = ww[sure].sum()
+        rows = max(1, _BALL_BLOCK // max(u.shape[0], 1))
+        for i in range(0, q.shape[0], rows):
+            d2 = np.subtract.outer(q[i : i + rows, 0], u[:, 0]) ** 2
+            for k in range(1, dim):
+                d2 += np.subtract.outer(q[i : i + rows, k], u[:, k]) ** 2
+            mass[i : i + rows] += (d2 <= rr) @ wu
+    out[order[chunks]] = vals
+    return out
 
 
 def _unit_directions(dim: int, n_directions: int, seed: int) -> np.ndarray:

@@ -503,17 +503,22 @@ def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
     assert peak <= 4.0 * lattice
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial costs a fresh process about half a second and only the
-    # ball profile (measure, criteria 3 and 4) needs it, so it is imported
-    # there and never at start-up
-    code = "import sys, restrictionlab.cli; print('scipy.spatial' in sys.modules)"
+def test_accept_of_the_ball_profiles_loads_no_scipy(tmp_path):
+    # the lab runs on numpy alone: the ball counts of criteria 3 and 4 are
+    # its own, so an accept that runs them leaves no scipy module loaded
+    code = (
+        "import sys; from restrictionlab.cli import main; "
+        "rc = main(['accept', '--only', '3,4', '--out', sys.argv[1]]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("subcommand", ["dyadic", "knapp", "restrict"])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ def test_owned_samples_give_the_norms_of_the_default_path_bit_for_bit(kind, layo
     assert lorentz_norm_values(handed, 0.37, p, s_values, owned=True) == expected
     if handed.dtype != np.float64:
         assert np.array_equal(handed, v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    n=st.integers(1, 400),
+    steepness=st.sampled_from([0.0, 1e-3, 0.05, 1.0, 30.0]),
+    p=st.sampled_from([0.3, 1.2, 2.0, 7.0]),
+    cell=st.sampled_from([1e-3, 0.37, 5.0]),
+    block=st.sampled_from([1, 3, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sup_norm_equals_the_whole_array_maximum_bit_for_bit(n, steepness, p, cell, block, seed):
+    # the s = inf pass skips a block whose bound t_stop^(1/p) core[start]
+    # is below the running peak; its norm must still be the whole-array
+    # maximum vmax * max(core * t^(1/p)) over every step. Flat moduli
+    # (steepness 0) give products that rise to the last step, so no block
+    # is skipped; steep ones peak in the first blocks, and the bounds of
+    # most later blocks fall below that peak
+    rng = np.random.default_rng(seed)
+    v = np.exp(-steepness * np.arange(n)) * rng.uniform(0.5, 1.0, n)
+    rng.shuffle(v)
+    expected = _reference_norm(v, cell, p, math.inf)
+    with mock.patch.object(lorentz, "_BLOCK", block):
+        assert lorentz_norm_values(v, cell, p, math.inf).hex() == expected.hex()
 
 
 def test_owned_float64_samples_allocate_no_n_element_buffer():

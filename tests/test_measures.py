@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.spatial import cKDTree
 
 from restrictionlab import measures
 from restrictionlab.bumps import dyadic_ring
@@ -199,7 +200,7 @@ def test_ball_profile_quarter_ratio_cantor():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_ball_profile_weighted_masses_match_brute_force(dim):
-    # unequal weights take the index-list branch; the oracle sums the weight
+    # unequal weights take the weighted branch; the oracle sums the weight
     # of every atom within r of each atom, over all O(n^2) pairs
     rng = np.random.default_rng(dim)
     atoms = rng.uniform(0.0, 1.0, (60, dim))
@@ -212,6 +213,57 @@ def test_ball_profile_weighted_masses_match_brute_force(dim):
     masses = np.array(prof.max_ball_ratios) * np.array(prof.radii) ** prof.a_fit
     assert prof.radii == tuple(radii)
     assert np.allclose(masses, brute, rtol=1e-12, atol=0.0)
+
+
+_BALL_RADII = [2.0**-k for k in range(1, 9)] + [3.0**-k for k in range(2, 9)]
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        make_sphere_measure(2, 8192),
+        make_sphere_measure(3, 8192),
+        make_cantor_measure(1 / 3, 14),
+        make_cantor_measure(0.25, 10),
+        make_random_cantor_measure(1 / 3, 14, seed=0),
+    ],
+    ids=lambda m: m.label,
+)
+def test_ball_counts_equal_the_kd_tree_counts_at_every_atom(measure):
+    # the radii of criteria 3 (2^-1..2^-8) and 4 (3^-2..3^-8); the tree's
+    # counts are the ones the pinned CSVs of both criteria were written from
+    tree = cKDTree(measure.atoms)
+    unit = np.ones(measure.n_atoms)
+    for r in _BALL_RADII:
+        expected = tree.query_ball_point(measure.atoms, r, return_length=True)
+        assert np.array_equal(measures._ball_masses(measure.atoms, r, unit), expected), r
+
+
+@st.composite
+def _lattice_with_ties(draw):
+    # atoms on the lattice 2^-m Z^d and a radius r = 2^-k: every difference
+    # and square is exact, and some atoms sit at distance exactly r from
+    # another along an axis, so that their test is d^2 == r * r
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 5))
+    k = draw(st.integers(0, m))
+    points = draw(st.lists(st.tuples(*[st.integers(-(2**m), 2**m)] * dim), min_size=1, max_size=60))
+    atoms = np.array(points, dtype=float) / 2.0**m
+    moved = atoms[: draw(st.integers(1, len(points)))].copy()
+    moved[:, draw(st.integers(0, dim - 1))] += 2.0**-k
+    return np.concatenate([atoms, moved]), 2.0**-k
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=_lattice_with_ties(), shift=st.sampled_from([0.0, 1.0, -7.0]))
+def test_ball_counts_equal_the_kd_tree_counts_on_exact_ties(case, shift):
+    atoms, r = case
+    atoms = atoms + shift
+    d2 = np.sum((atoms[:, None, :] - atoms[None, :, :]) ** 2, axis=-1)
+    assert np.any(d2 == r * r)
+    expected = cKDTree(atoms).query_ball_point(atoms, r, return_length=True)
+    assert np.array_equal(measures._ball_masses(atoms, r, np.ones(len(atoms))), expected)
+    assert np.array_equal(expected, np.count_nonzero(d2 <= r * r, axis=1))
 
 
 def test_ball_profile_point_mass_clamps_to_zero():
