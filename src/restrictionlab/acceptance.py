@@ -35,7 +35,7 @@ from .grids import GridSpec
 from .measures import DiscreteMeasure, make_sphere_measure
 from .operators import convolve_mu_hat, extend, random_smooth_family, restrict_at_atoms, restrict_sq_integral
 from .oscillatory import dyadic_kernel_sup, phase_catalog
-from .reporting import ExperimentConfig, ReportTable, Result, write_report
+from .reporting import ExperimentConfig, ReportTable, Result, _window_check, write_report
 
 __all__ = ["run_acceptance"]
 
@@ -207,8 +207,8 @@ def criterion_8(seed: int = 0):
     params, result = _subcommand("knapp", seed)
     # one fit per --s-list entry, which defaults to 2, inf
     fit_f2, fit_finf = result.report.fits_f
-    result.checks.append(("slope_f(s=inf) in [-0.1, 0.1]", -0.1 <= fit_finf.slope <= 0.1, fit_finf.detail()))
-    result.checks.append(("slope_f(s=2) in [0.35, 0.65]", 0.35 <= fit_f2.slope <= 0.65, fit_f2.detail()))
+    result.checks.append(_window_check("slope_f(s=inf)", fit_finf.slope, -0.1, 0.1, fit_finf.detail()))
+    result.checks.append(_window_check("slope_f(s=2)", fit_f2.slope, 0.35, 0.65, fit_f2.detail()))
     # the stored criterion table names the input-norm column by its space
     table = replace(result.table, columns=("N", "norm_g_Lq") + result.table.columns[2:])
     return params, result._replace(table=table)

@@ -68,6 +68,7 @@ from .oscillatory import (
     scaling_experiment,
 )
 from .reporting import ExperimentConfig, ReportTable, Result, _check_line, emit_csv, write_report
+from .reporting import _flatness_check, _window_check
 
 __all__ = ["main", "build_parser"]
 
@@ -119,14 +120,22 @@ def _seed(text: str) -> int:
     return _parsed(text, int, "an integer >= 0", lambda value: value >= 0)
 
 
-# the measure flags that each --kind reads; a run drops the others from
-# args, so that its verdict echoes only the flags it read
-_KIND_FLAGS = {"circle": ("n",), "sphere": ("n",), "cantor": ("ratio", "levels"),
-               "cantor-random": ("ratio", "levels"), "point": ("dim",)}
-_MEASURE_FLAGS = set().union(*_KIND_FLAGS.values())
+# the measure flags that each --kind reads and its measure's builder; a run
+# drops the other kinds' flags from args (_drop_unread)
+_KINDS = {
+    "circle": (("n",), lambda args: make_sphere_measure(2, args.n)),
+    "sphere": (("n",), lambda args: make_sphere_measure(3, args.n)),
+    "cantor": (("ratio", "levels"), lambda args: make_cantor_measure(args.ratio, args.levels)),
+    "cantor-random": (
+        ("ratio", "levels"),
+        lambda args: make_random_cantor_measure(args.ratio, args.levels, seed=args.seed),
+    ),
+    "point": (("dim",), lambda args: make_point_mass([0.0] * args.dim)),
+}
+_MEASURE_FLAGS = set().union(*(flags for flags, _ in _KINDS.values()))
 # the flags that each restrict --family reads, the first of them sizing its
 # fields, and its fields' builder; a run drops the other families' flags
-# from args, so that its verdict echoes only the flags it read
+# from args (_drop_unread)
 _FAMILIES = {
     "gaussian": (("scales", "spread_max"), lambda grid, args: gaussian_dilate_family(grid, args.scales)),
     "knapp": (("deltas", "spread_max"), lambda grid, args: knapp_cap_family(grid, args.deltas)),
@@ -149,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     def add_measure_flags(sp: argparse.ArgumentParser, n=8192) -> None:
-        sp.add_argument("--kind", default="circle", choices=list(_KIND_FLAGS), help="measure to build")
+        sp.add_argument("--kind", default="circle", choices=list(_KINDS), help="measure to build")
         sp.add_argument("--n", type=int, default=n, help="atom count for circle/sphere")
         sp.add_argument("--ratio", type=float, default=1.0 / 3.0, help="contraction ratio for cantor kinds")
         sp.add_argument("--levels", type=int, default=14, help="level count for cantor kinds")
@@ -284,19 +293,17 @@ def _check_flatness_count(flag: str, count: int) -> None:
         raise ValueError("%s: a flatness factor needs at least 2 values, got %d" % (flag, count))
 
 
-def _build_measure(args):
-    kind = args.kind
-    for flag in _MEASURE_FLAGS.difference(_KIND_FLAGS[kind]):
+def _drop_unread(args, flags, read=()) -> None:
+    """Drop from args each of flags that the run did not read, so that its
+    verdict echoes only the flags it read."""
+    for flag in set(flags).difference(read):
         delattr(args, flag)
-    if kind == "circle":
-        return make_sphere_measure(2, args.n)
-    if kind == "sphere":
-        return make_sphere_measure(3, args.n)
-    if kind == "cantor":
-        return make_cantor_measure(args.ratio, args.levels)
-    if kind == "cantor-random":
-        return make_random_cantor_measure(args.ratio, args.levels, seed=args.seed)
-    return make_point_mass([0.0] * args.dim)  # the parser admits no other kind
+
+
+def _build_measure(args):
+    flags, build = _KINDS[args.kind]
+    _drop_unread(args, _MEASURE_FLAGS, flags)
+    return build(args)
 
 
 def cmd_exponents(args) -> Result:
@@ -320,19 +327,14 @@ def cmd_measure(args) -> Result:
     measure = _build_measure(args)
     # resolved here, so that the verdict echoes the radii and window used
     if args.radii is None:
-        if "ratio" in _KIND_FLAGS[args.kind]:
+        if "ratio" in _KINDS[args.kind][0]:
             args.radii = [args.ratio**k for k in range(2, 9)]
         else:
             args.radii = [2.0 ** (-k) for k in range(1, 9)]
     args.a_max = float(measure.dim) if args.a_max is None else args.a_max
     profile = ball_regularity_profile(measure, args.radii)
-    checks = [
-        (
-            "a_fit in [%g, %g]" % (args.a_min, args.a_max),
-            args.a_min <= profile.a_fit <= args.a_max,
-            "a_fit=%.4f A_fit=%.4g slope=%s" % (profile.a_fit, profile.A_fit, profile.fit.detail()),
-        )
-    ]
+    detail = "a_fit=%.4f A_fit=%.4g slope=%s" % (profile.a_fit, profile.A_fit, profile.fit.detail())
+    checks = [_window_check("a_fit", profile.a_fit, args.a_min, args.a_max, detail)]
     table = ReportTable(
         columns=("radius", "max_ball_ratio"),
         rows=tuple(zip(profile.radii, profile.max_ball_ratios)),
@@ -345,14 +347,9 @@ def cmd_decay(args) -> Result:
     measure = _build_measure(args)
     profile = fourier_decay_profile(measure, args.r_list, n_directions=args.directions, seed=args.seed)
     if measure.dim == 1:
-        del args.directions  # the directions are the two signs
-    checks = [
-        (
-            "b_fit in [%g, %g]" % (args.b_min, args.b_max),
-            args.b_min <= profile.b_fit <= args.b_max,
-            "b_fit=%.4f B_fit=%.4g slope=%s" % (profile.b_fit, profile.B_fit, profile.fit.detail()),
-        )
-    ]
+        _drop_unread(args, ["directions"])  # the directions are the two signs
+    detail = "b_fit=%.4f B_fit=%.4g slope=%s" % (profile.b_fit, profile.B_fit, profile.fit.detail())
+    checks = [_window_check("b_fit", profile.b_fit, args.b_min, args.b_max, detail)]
     table = ReportTable(
         columns=("R", "annulus_sup"),
         rows=tuple(zip(profile.annulus_radii, profile.annulus_sups)),
@@ -375,19 +372,9 @@ def cmd_dyadic(args) -> Result:
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))
-    f_hat = flatness_factor(hat_scaled)
-    f_mass = flatness_factor(mass_scaled)
     checks = [
-        (
-            "sup|mu_hat_j| 2^{j/2} flat within %g" % args.flatness_max,
-            f_hat <= args.flatness_max,
-            "factor %.3f" % f_hat,
-        ),
-        (
-            "sup|mu_j| 2^{-j} flat within %g" % args.flatness_max,
-            f_mass <= args.flatness_max,
-            "factor %.3f" % f_mass,
-        ),
+        _flatness_check("sup|mu_hat_j| 2^{j/2} flat within", flatness_factor(hat_scaled), args.flatness_max),
+        _flatness_check("sup|mu_j| 2^{-j} flat within", flatness_factor(mass_scaled), args.flatness_max),
     ]
     table = ReportTable(
         columns=("j", "sup_mu_hat_j", "sup_mu_j", "hat_scaled", "mass_scaled"),
@@ -460,16 +447,11 @@ def cmd_knapp(args) -> Result:
         grid=grid,
         sphere_n=args.sphere_n,
     )
-    checks = [
-        (
-            "slope_g in [%g, %g]" % (args.slope_g_min, args.slope_g_max),
-            args.slope_g_min <= rep.fit_g.slope <= args.slope_g_max,
-            rep.fit_g.detail(),
-        )
-    ]
+    fit_g = rep.fit_g
+    checks = [_window_check("slope_g", fit_g.slope, args.slope_g_min, args.slope_g_max, fit_g.detail())]
     for s, fit in zip(rep.s_values, rep.fits_f):
         if s > args.q:
-            gap = rep.fit_g.slope - fit.slope
+            gap = fit_g.slope - fit.slope
             checks.append(
                 (
                     "gap slope_g - slope_f(s=%g) >= %g" % (s, args.gap_min),
@@ -489,14 +471,12 @@ def cmd_knapp(args) -> Result:
 
 def cmd_restrict(args) -> Result:
     flags, build_fields = _FAMILIES[args.family]
-    for flag in set().union(*(f for f, _ in _FAMILIES.values())).difference(flags):
-        delattr(args, flag)
+    _drop_unread(args, set().union(*(f for f, _ in _FAMILIES.values())), flags)
     sizes = getattr(args, flags[0])  # the scales or cap widths, or a field count
     _check_flatness_count("--" + flags[0], sizes if isinstance(sizes, int) else len(sizes))
     if args.measure_file is not None:
         measure = load_measure(args.measure_file)
-        for flag in ("kind", *_MEASURE_FLAGS):
-            delattr(args, flag)
+        _drop_unread(args, ["kind", *_MEASURE_FLAGS])
     else:
         measure = _build_measure(args)
     grid = _lattice_grid(args, measure.dim)
@@ -515,13 +495,7 @@ def cmd_restrict(args) -> Result:
     if "spread_max" in flags:
         # only the structured families carry a flatness claim; random
         # fields may land anywhere relative to the sphere
-        checks.append(
-            (
-                "ratio spread within factor %g" % args.spread_max,
-                spread <= args.spread_max,
-                "factor %.3f" % spread,
-            )
-        )
+        checks.append(_flatness_check("ratio spread within factor", spread, args.spread_max))
     else:
         checks.append(("ratio spread recorded", True, "factor %.3f" % spread))
     table = ReportTable(columns=("field", "ratio"), rows=tuple(rows))
@@ -579,13 +553,9 @@ def _scaling(args, spec, checks) -> Result:
         x_points=args.x_points,
         y_points=args.y_points,
     )
-    checks.append(
-        (
-            "fitted slope in [%g, %g] (target %g)" % (args.slope_min, args.slope_max, rep.target_slope),
-            args.slope_min <= rep.fit.slope <= args.slope_max,
-            rep.fit.detail(),
-        )
-    )
+    fit = rep.fit
+    name, ok, detail = _window_check("fitted slope", fit.slope, args.slope_min, args.slope_max, fit.detail())
+    checks.append((name + " (target %g)" % rep.target_slope, ok, detail))
     for note in rep.dropped:
         checks.append(("resolution notice", True, note))
     table = ReportTable(columns=("lambda", "ratio"), rows=tuple(zip(rep.lam_values, rep.ratios)))

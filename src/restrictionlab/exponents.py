@@ -118,7 +118,6 @@ class OscillatoryExponents:
     None.
     """
 
-    kappa: int
     q0: Optional[Fraction]
     q1: Fraction
     rho_k: Optional[Fraction]
@@ -150,9 +149,7 @@ def oscillatory_exponents(kappa: int) -> OscillatoryExponents:
         sigma_k = None
     q1 = Fraction(2 * kappa + 4, kappa + 1)
     rho_1, sigma_1 = _offdiagonal_pair(one, Fraction(kappa + 1, 2))
-    return OscillatoryExponents(
-        kappa=kappa, q0=q0, q1=q1, rho_k=rho_k, sigma_k=sigma_k, rho_1=rho_1, sigma_1=sigma_1
-    )
+    return OscillatoryExponents(q0=q0, q1=q1, rho_k=rho_k, sigma_k=sigma_k, rho_1=rho_1, sigma_1=sigma_1)
 
 
 def verify_identities(profile: ExponentProfile) -> dict:

@@ -439,6 +439,12 @@ def fourier_decay_profile(
     )
 
 
+def _check_dimension(measure: DiscreteMeasure, grid: GridSpec) -> None:
+    # the one check that a grid and a measure share their dimension
+    if grid.dim != measure.dim:
+        raise ValueError("grid dimension != measure dimension")
+
+
 def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     """mu_hat sampled on the grid's frequency lattice, exactly.
 
@@ -462,8 +468,7 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     from a direct contraction by a rounding error; every dyadic ring is
     exactly 0 there, since |xi| is at least the Nyquist radius.
     """
-    if grid.dim != measure.dim:
-        raise ValueError("grid dimension != measure dimension")
+    _check_dimension(measure, grid)
     n, d = grid.points_per_axis, grid.dim
     h = n // 2
     fax = grid.freq_axis()
@@ -530,8 +535,7 @@ def dyadic_piece(
     must resolve frequency 2^j: its Nyquist radius N/(4L) must be at least
     2^j.
     """
-    if grid.dim != measure.dim:
-        raise ValueError("grid dimension != measure dimension")
+    _check_dimension(measure, grid)
     j = _check_dyadic_scale(j, grid)
     lattice_shape = (grid.points_per_axis,) * grid.dim
     if np.shape(mu_hat) != lattice_shape:

@@ -26,7 +26,7 @@ import numpy as np
 from .bumps import bump
 from .grids import GridSpec, _separable_sum_transpose
 from .lorentz import lorentz_norm_values
-from .measures import DiscreteMeasure, _atom_sum, _phase_matrices
+from .measures import DiscreteMeasure, _atom_sum, _check_dimension, _phase_matrices
 
 __all__ = [
     "extend",
@@ -46,8 +46,7 @@ def extend(g, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     g = np.asarray(g, dtype=complex).ravel()
     if g.size != measure.n_atoms:
         raise ValueError("g has %d entries, measure has %d atoms" % (g.size, measure.n_atoms))
-    if grid.dim != measure.dim:
-        raise ValueError("grid dimension != measure dimension")
+    _check_dimension(measure, grid)
     axes = [grid.axis()] * grid.dim
     return _atom_sum(g * measure.weights, measure.atoms, axes, +1.0)
 
@@ -56,8 +55,7 @@ def _check_field(values, measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray
     """values as a complex array, once they are finite samples on the grid
     and the grid has the measure's dimension: the one check of a field
     entering restrict_at_atoms or convolve_mu_hat."""
-    if grid.dim != measure.dim:
-        raise ValueError("grid dimension != measure dimension")
+    _check_dimension(measure, grid)
     v = np.asarray(values, dtype=complex)
     shape = (grid.points_per_axis,) * grid.dim
     if v.shape != shape:

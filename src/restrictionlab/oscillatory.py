@@ -351,16 +351,15 @@ def check_curvature_rank(spec: PhaseSpec, probes: Sequence, kappa_target: int) -
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         M = spec.d_xy(x, y)
-        U, S, _ = np.linalg.svd(M, full_matrices=True)
-        if S.size == 0 or S[0] == 0.0:
+        rank = _numeric_rank(M)
+        if rank == 0:
             raise ValueError("mixed Hessian vanishes at probe %d; kernel ambiguous" % idx)
-        rank = int(np.sum(S > RANK_TOL * S[0]))
         if spec.x_dim - rank != 1:
             raise ValueError(
                 "left kernel direction ambiguous at probe %d (kernel dimension %d)"
                 % (idx, spec.x_dim - rank)
             )
-        u = U[:, rank]
+        u = np.linalg.svd(M)[0][:, rank]
         H = np.einsum("i,ijk->jk", u, spec.d_xyy(x, y))
         ranks.append(_numeric_rank(H))
     return ConditionReport(
@@ -401,6 +400,28 @@ def _bisect_root(fn, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _singular_points(spec: PhaseSpec, pts: Sequence) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The zeros of det d_xy along the polyline through the points (x, y),
+    in order: a point where |det| < 1e-14 is a zero, kept with its own bits,
+    and a sign change between consecutive points is bisected on their
+    segment's parameter in [0, 1]. A zero within 1e-8 of a kept one is
+    dropped."""
+    dets = [_det_xy(spec, x, y) for x, y in pts]
+    found = []
+    for k, ((x0, y0), f0) in enumerate(zip(pts, dets)):
+        if abs(f0) < 1e-14:
+            found.append((x0, y0))
+        elif k + 1 < len(pts) and f0 * dets[k + 1] < 0:
+            x1, y1 = pts[k + 1]
+            t = _bisect_root(lambda t: _det_xy(spec, x0 + t * (x1 - x0), y0 + t * (y1 - y0)), 0.0, 1.0)
+            found.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    kept: List[Tuple[np.ndarray, np.ndarray]] = []
+    for x, y in found:
+        if all(np.linalg.norm(y - yk) + np.linalg.norm(x - xk) > 1e-8 for xk, yk in kept):
+            kept.append((x, y))
+    return kept
+
+
 def _menger_curvature(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     area2 = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
     denom = np.linalg.norm(b - a) * np.linalg.norm(c - b) * np.linalg.norm(c - a)
@@ -410,38 +431,22 @@ def _menger_curvature(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
 def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> ConditionReport:
     """Fold nondegeneracy for square phases (y_dim == x_dim).
 
-    Walks the probe list pairwise and bisects each sign change of
-    det of the mixed Hessian to locate singular points. At each: the kernel
+    Scans the probe list for zeros of det of the mixed Hessian
+    (_singular_points) to locate singular points. At each: the kernel
     vector b (smallest right singular direction) must satisfy
     |<b, grad_y det>| > FOLD_DERIV_TOL, with grad_y det exact (Jacobi's
     formula on the cofactors of d_xy and on d_xyy, no differencing), and
     the image of the nearby singular set under gradient_x phi must have
     second-fundamental-form rank at least kappa_target (estimated from
-    triple curvatures of FOLD_CURVE_SAMPLES sampled points; x_dim = 2
+    triple curvatures of FOLD_CURVE_SAMPLES points of the singular curve,
+    each the first zero of a 17-point scan across it; x_dim = 2
     supported). No singular points at all yields a vacuous pass.
     """
     if spec.y_dim != spec.x_dim:
         raise ValueError("fold check needs a square phase (y_dim == x_dim)")
     pts = [(np.asarray(x, float), np.asarray(y, float)) for x, y in probes]
-    dets = [_det_xy(spec, x, y) for x, y in pts]
-    singular: List[Tuple[np.ndarray, np.ndarray]] = []
-    for (x0, y0), (x1, y1), f0, f1 in zip(pts, pts[1:], dets, dets[1:]):
-        if abs(f0) < 1e-14:
-            singular.append((x0, y0))
-            continue
-        if f0 * f1 < 0:
-            t = _bisect_root(
-                lambda t: _det_xy(spec, x0 + t * (x1 - x0), y0 + t * (y1 - y0)), 0.0, 1.0
-            )
-            singular.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-    if abs(dets[-1]) < 1e-14:
-        singular.append(pts[-1])
-    # dedupe
-    kept: List[Tuple[np.ndarray, np.ndarray]] = []
-    for x, y in singular:
-        if all(np.linalg.norm(y - yk) + np.linalg.norm(x - xk) > 1e-8 for xk, yk in kept):
-            kept.append((x, y))
-    if not kept:
+    singular = _singular_points(spec, pts)
+    if not singular:
         return ConditionReport(
             condition="fold-nondegeneracy",
             probes=tuple((tuple(x), tuple(y)) for x, y in pts),
@@ -452,7 +457,7 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
     values = []
     ok = True
     r = spec.amp_radius
-    for x, y in kept:
+    for x, y in singular:
         M = spec.d_xy(x, y)
         _, _, Vt = np.linalg.svd(M)
         b = Vt[-1]
@@ -469,24 +474,10 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
             image = []
             for t in np.linspace(-r / 4.0, r / 4.0, FOLD_CURVE_SAMPLES):
                 base = y + t * tang
-
-                def along(s, base=base):
-                    return _det_xy(spec, x, base + s * ghat)
-
-                span = r / 4.0
-                ss = np.linspace(-span, span, 17)
-                vals = [along(s) for s in ss]
-                root = None
-                for k in range(len(ss) - 1):
-                    if vals[k] == 0.0:
-                        root = ss[k]
-                        break
-                    if vals[k] * vals[k + 1] < 0:
-                        root = _bisect_root(along, ss[k], ss[k + 1])
-                        break
-                if root is not None:
-                    ys = base + root * ghat
-                    image.append(spec.d_x(x, ys))
+                curve = [(x, base + s * ghat) for s in np.linspace(-r / 4.0, r / 4.0, 17)]
+                roots = _singular_points(spec, curve)
+                if roots:
+                    image.append(spec.d_x(x, roots[0][1]))
             if len(image) >= 3:
                 curv = max(
                     _menger_curvature(image[k], image[k + 1], image[k + 2])
@@ -502,10 +493,10 @@ def check_fold(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> Conditio
         values.append((dval, sff_rank, curv))
     return ConditionReport(
         condition="fold-nondegeneracy+curvature>=%d" % kappa_target,
-        probes=tuple((tuple(x), tuple(y)) for x, y in kept),
+        probes=tuple((tuple(x), tuple(y)) for x, y in singular),
         values=tuple(values),
         verdict=ok,
-        notes="%d singular points located" % len(kept),
+        notes="%d singular points located" % len(singular),
     )
 
 

@@ -128,6 +128,16 @@ def _check_line(name: str, ok: bool, detail: str) -> str:
     return "%s %s%s" % ("PASS" if ok else "FAIL", name, ": " + detail if detail else "")
 
 
+def _window_check(name: str, value: float, lo: float, hi: float, detail: str) -> Tuple[str, bool, str]:
+    # the check lo <= value <= hi, named "<name> in [lo, hi]"
+    return "%s in [%g, %g]" % (name, lo, hi), lo <= value <= hi, detail
+
+
+def _flatness_check(name: str, factor: float, bound: float) -> Tuple[str, bool, str]:
+    # the check factor <= bound, named "<name> <bound>", e.g. "... flat within 10"
+    return "%s %g" % (name, bound), factor <= bound, "factor %.3f" % factor
+
+
 def render_verdict(
     title: str,
     config: ExperimentConfig,

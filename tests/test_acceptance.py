@@ -12,7 +12,8 @@ reference (seed 0), byte for byte except criterion 6's two
 rounding-residual columns, so any change to the arithmetic shows.
 Criterion 12 compares the CSV bytes of the two runs: two same-seed runs,
 at the default and at one BLAS thread, so it also pins every criterion's
-table across thread counts.
+table across thread counts. The labels of every verdict's check lines are
+pinned from run A as well.
 """
 
 import contextlib
@@ -140,6 +141,59 @@ def test_dimension_verdicts_report_the_fit_quality(runs, index):
     a_line = [line for line in lines if line.startswith("PASS a_fit in ")]
     assert len(b_line) == 1 and b_line[0].endswith(" slope=" + loglog_fit(sups).detail()), b_line
     assert len(a_line) == 1 and re.search(r" slope=-?\d+\.\d{4} resid=\S+ n=%d$" % n_radii, a_line[0]), a_line
+
+
+# the check labels of each criterion's verdict, in order: the text of every
+# PASS or FAIL line before ": "
+LABELS = {
+    1: ("all identities hold exactly on 102 triples", "runtime < 1 s"),
+    2: (
+        "p0(3,2,1) = 4/3",
+        "theta(3,2,1) = 1/2",
+        "gamma(3,2,1) = 1/3",
+        "rho(3,2,1) = 6/5",
+        "sigma(3,2,1) = 3",
+        "q0(kappa=2) = 4 = (2d+2)/(d-1) at d=3",
+        "q1(kappa=1) = 3",
+    ),
+    3: ("b_fit in [0.45, 0.55]", "a_fit in [0.9, 1.1]", "runtime < 10 s"),
+    4: ("a_fit in [0.58, 0.68]", "b_fit in [0, 0.05]", "b_fit < 0.05", "runtime < 10 s"),
+    5: ("sup|mu_hat_j| 2^{j/2} flat within 10", "sup|mu_j| 2^{-j} flat within 10", "runtime < 60 s"),
+    6: ("identity relative error <= 1e-8 on 20 fields", "adjointness relative error <= 1e-8"),
+    7: (
+        "diagonal matches L^p within 1e-10",
+        "indicator closed form within 1e-12",
+        "homogeneity exact for scale 4",
+        "rearrangement invariance exact",
+    ),
+    8: (
+        "slope_g in [0.4, 0.6]",
+        "slope_f(s=2) reported",
+        "gap slope_g - slope_f(s=inf) >= 0.3",
+        "slope_f(s=inf) in [-0.1, 0.1]",
+        "slope_f(s=2) in [0.35, 0.65]",
+        "runtime < 300 s",
+    ),
+    9: (
+        "mixed-hessian-rank>=1",
+        "curvature-rank>=1",
+        "fitted slope in [-0.43, -0.23] (target -0.333333)",
+        "runtime < 600 s",
+    ),
+    10: (
+        "fold-nondegeneracy+curvature>=1",
+        "fitted slope in [-0.82, -0.52] (target -0.666667)",
+        "runtime < 600 s",
+    ),
+    11: ("all sampled sups positive", "sup|S_j| 2^{j/2} flat within factor 10"),
+}
+
+
+def test_verdict_check_labels(runs):
+    for index, labels in LABELS.items():
+        lines = (runs[0].out / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
+        found = tuple(line[5:].split(": ")[0] for line in lines if line.startswith(("PASS ", "FAIL ")))
+        assert found == labels, "criterion %d" % index
 
 
 def test_criterion_12_bytewise_determinism(runs):

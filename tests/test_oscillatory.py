@@ -459,6 +459,107 @@ def test_fold_requires_square_phase():
         check_fold(CAT["parabola"], FOLD_PROBES, 1)
 
 
+def _curve_scan(x, base, ghat):
+    # one of check_fold's 17-point scans across the singular curve, at radius 0.09
+    return [(x, base + s * ghat) for s in np.linspace(-0.09 / 4.0, 0.09 / 4.0, 17)]
+
+
+def test_singular_scan_keeps_a_zero_at_a_sample_with_its_own_bits():
+    # det d_xy = y2 for fold-flat; the scan's last sample lands on y2 = 0
+    # exactly, and a zero at a sample is that sample's own point
+    x = np.array([0.02, 0.03])
+    curve = _curve_scan(x, np.array([0.01, -0.0225]), np.array([0.0, 1.0]))
+    assert osc._det_xy(CAT["fold-flat"], *curve[-1]) == 0.0
+    assert all(osc._det_xy(CAT["fold-flat"], *p) < 0 for p in curve[:-1])
+    roots = osc._singular_points(CAT["fold-flat"], curve)
+    assert len(roots) == 1 and roots[0][0] is x and roots[0][1] is curve[-1][1]
+    # a zero at an inner sample, with a sign change across it
+    probes = [FOLD_PROBES[0], (x, np.array([0.01, 0.0])), FOLD_PROBES[1]]
+    roots = osc._singular_points(CAT["fold-flat"], probes)
+    assert len(roots) == 1 and roots[0][1] is probes[1][1]
+
+
+def test_singular_scan_bisects_a_sign_change_on_its_segment():
+    # det = y2 changes sign between (0.01, -0.05) and (0.03, 0.03), whose
+    # segment crosses y2 = 0 at the parameter 5/8, the point (0.0225, 0)
+    x = np.array([0.02, 0.03])
+    segment = [(x, np.array([0.01, -0.05])), (x, np.array([0.03, 0.03]))]
+    roots = osc._singular_points(CAT["fold-flat"], segment)
+    assert len(roots) == 1 and roots[0][0].tolist() == x.tolist()
+    assert np.abs(roots[0][1] - [0.0225, 0.0]).max() < 1e-15
+
+
+# det d_xy = y2^2 + e y2 + y1^2 - c^2 for the phase x1 y1 + x2 g(y) with
+# g = y2^3/3 + e y2^2/2 + (y1^2 - c^2) y2: two singular branches
+# y2 = (-e -+ sqrt(e^2 + 4 (c^2 - y1^2)))/2, whose images (y1, g) under
+# gradient_x phi bend differently
+TWO_ROOT_C, TWO_ROOT_E = 0.008, 0.004
+TWO_ROOT = PhaseSpec(
+    "two-root",
+    2,
+    2,
+    [
+        (1.0, (1, 0), (1, 0)),
+        (1 / 3, (0, 1), (0, 3)),
+        (TWO_ROOT_E / 2, (0, 1), (0, 2)),
+        (1.0, (0, 1), (2, 1)),
+        (-TWO_ROOT_C**2, (0, 1), (0, 1)),
+    ],
+    0.09,
+)
+
+
+def _two_root_image(y1, sign):
+    c, e = TWO_ROOT_C, TWO_ROOT_E
+    y2 = (-e + sign * np.sqrt(e * e + 4 * (c * c - y1 * y1))) / 2
+    return np.array([y1, y2**3 / 3 + e * y2**2 / 2 + (y1**2 - c * c) * y2])
+
+
+def test_singular_scan_finds_both_roots_and_the_fold_check_keeps_the_first():
+    # both branches at y1 = 0, in scan order
+    x = np.array([0.02, 0.03])
+    roots = osc._singular_points(TWO_ROOT, _curve_scan(x, np.array([0.0, 0.0]), np.array([0.0, 1.0])))
+    branch = [(-TWO_ROOT_E + sign * np.sqrt(TWO_ROOT_E**2 + 4 * TWO_ROOT_C**2)) / 2 for sign in (-1, 1)]
+    assert len(roots) == 2 and [y[0] for _, y in roots] == [0.0, 0.0]
+    assert np.abs([y[1] for _, y in roots] - np.array(branch)).max() < 1e-15
+    # the probes cross the upper branch at y1 = 0, so the curve scans run
+    # along y2 at y1 = -t; each crosses the lower branch first, and the
+    # three scans with a root give the curvature of the lower branch's image
+    rep = check_fold(TWO_ROOT, [(x, np.array([0.0, 0.0])), (x, np.array([0.0, 0.02]))], 0)
+    assert rep.probes[0][1][0] == 0.0 and abs(rep.probes[0][1][1] - branch[1]) < 1e-15
+    t = np.linspace(-0.09 / 4.0, 0.09 / 4.0, 9)[3:6]
+    curv = {sign: osc._menger_curvature(*(_two_root_image(-v, sign) for v in t)) for sign in (-1, 1)}
+    assert rep.values[0][2] == pytest.approx(curv[-1], rel=1e-9)
+    assert abs(curv[-1] - curv[1]) > 0.1 * curv[-1]
+
+
+@pytest.mark.parametrize(
+    "name, kappa, verdict, singular",
+    [
+        ("fold-flat", 1, False, ((0.02, 0.03), (0.01, 0.0))),
+        ("fold-curved", 1, True, ((0.02, 0.03), (0.01, 0.0))),
+        ("fold-file", 0, True, ((0.02, 0.03), (0.01, -0.001983990968163707))),
+        ("cubic-fold", 0, False, ((0.018, 0.045), (0.009, 0.0))),
+    ],
+    ids=["fold-flat", "fold-curved", "fold-file", "cubic-fold"],
+)
+def test_fold_check_singular_points_are_pinned(tmp_path, name, kappa, verdict, singular):
+    # the verdict, notes and singular point of the fold test phases, bit for
+    # bit, on the probes their tests use
+    if name == "fold-file":
+        path = tmp_path / "fold-mixed.phase"
+        path.write_text(FOLD_FILE)
+        spec, probes = polynomial_phase_from_file(path), FOLD_PROBES
+    elif name == "cubic-fold":
+        spec = PhaseSpec("cubic-fold", 2, 2, [(1.0, (1, 0), (1, 0)), (1 / 12, (0, 1), (0, 4))], 0.09)
+        r = spec.amp_radius
+        probes = [((0.2 * r, 0.5 * r), (0.1 * r, t)) for t in np.linspace(-r / 2, r / 2, 9)]
+    else:
+        spec, probes = CAT[name], FOLD_PROBES
+    rep = check_fold(spec, probes, kappa)
+    assert (rep.verdict, rep.notes, rep.probes) == (verdict, "1 singular points located", (singular,))
+
+
 def test_condition_report_is_structured():
     rng = np.random.default_rng(6)
     rep = check_rank_mixed_hessian(CAT["parabola"], _probes(rng, 2, 1, n=3))

@@ -153,11 +153,15 @@ def _unread_fields():
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     }
     trees.update((path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(TESTS.glob("*.py")))
+    # fields match by attribute name alone, so a read of the command line's
+    # namespace args (args.kappa) would hide an unread field of that name
     read = {
         node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
     }
     return {field for field in fields if field[2] not in read}
 
