@@ -47,7 +47,7 @@ def _subcommand(name: str, seed: int, *flags: str):
     from . import cli  # not at import time: cli imports this module
 
     args = cli.build_parser().parse_args([name, "--seed", str(seed), *flags])
-    result = cli.HANDLERS[name](args)
+    result = args.handler(args)
     return cli._config_from_args(args).params, result
 
 

@@ -151,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--out", default="reports", help="output directory (default: reports)")
         sp.add_argument("--seed", type=_seed, default=0, help="random seed (default: 0)")
         return sp
@@ -164,39 +165,40 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--levels", type=int, default=14, help="level count for cantor kinds")
         sp.add_argument("--dim", type=_dimension, default=2, help="ambient dimension for the point mass")
 
-    sp = add("exponents", "exact exponent profile and identity suite")
+    sp = add("exponents", cmd_exponents, "exact exponent profile and identity suite")
     sp.add_argument("--d", type=Fraction, default=Fraction(3))
     sp.add_argument("--a", type=Fraction, default=Fraction(2))
     sp.add_argument("--b", type=Fraction, default=Fraction(1))
     sp.add_argument("--kappa", type=int, default=None, help="also tabulate the curvature-count exponent family")
 
-    sp = add("measure", "build a measure, save it, and fit its ball-regularity exponent")
+    sp = add("measure", cmd_measure, "build a measure, save it, and fit its ball-regularity exponent")
     add_measure_flags(sp)
     sp.add_argument("--radii", type=_floats, default=None, help="ball radii (default: dyadic or ratio powers)")
     sp.add_argument("--a-min", type=_threshold, default=0.0)
     sp.add_argument("--a-max", type=_threshold, default=None, help="default: ambient dimension")
 
-    sp = add("decay", "fit the Fourier decay exponent of a measure")
+    sp = add("decay", cmd_decay, "fit the Fourier decay exponent of a measure")
     add_measure_flags(sp)
-    sp.add_argument("--r-list", type=_floats, default=[4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0])
+    radii = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
+    sp.add_argument("--r-list", type=_floats, default=radii, help="radii within the measure's aliasing radius")
     sp.add_argument("--directions", type=int, default=64)
     sp.add_argument("--b-min", type=_threshold, default=0.45)
     sp.add_argument("--b-max", type=_threshold, default=0.55)
 
-    sp = add("dyadic", "dyadic frequency pieces of a measure and their sup scaling")
+    sp = add("dyadic", cmd_dyadic, "dyadic frequency pieces of a measure and their sup scaling")
     add_measure_flags(sp, n=4096)
     sp.add_argument("--half-width", type=float, default=2.0)
     sp.add_argument("--points", type=int, default=2048)
     sp.add_argument("--j-list", type=_ints, default=[1, 2, 3, 4, 5, 6, 7, 8])
     sp.add_argument("--flatness-max", type=_threshold, default=10.0)
 
-    sp = add("lorentz", "Lorentz quasi-norm consistency checks on random fields")
+    sp = add("lorentz", cmd_lorentz, "Lorentz quasi-norm consistency checks on random fields")
     sp.add_argument("--fields", type=int, default=1000)
     sp.add_argument("--indicators", type=int, default=50)
     sp.add_argument("--tol-diagonal", type=_threshold, default=1e-10)
     sp.add_argument("--tol-indicator", type=_threshold, default=1e-12)
 
-    sp = add("knapp", "cap-superposition sharpness experiment")
+    sp = add("knapp", cmd_knapp, "cap-superposition sharpness experiment")
     sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--p", type=Fraction, default=Fraction(6, 5))
     sp.add_argument("--N-list", dest="n_list", type=_ints, default=[2, 3, 4, 5, 6])
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slope-g-max", type=_threshold, default=0.6)
     sp.add_argument("--gap-min", type=_threshold, default=0.3)
 
-    sp = add("restrict", "extension-restriction ratios for a field family")
+    sp = add("restrict", cmd_restrict, "extension-restriction ratios for a field family")
     add_measure_flags(sp, n=4096)
     sp.add_argument("--measure-file", default=None, help="load the measure from a saved file instead")
     sp.add_argument("--half-width", type=float, default=64.0)
@@ -238,21 +240,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--slope-min", type=_threshold, default=slope_min)
         sp.add_argument("--slope-max", type=_threshold, default=slope_max)
 
-    sp = add("oscillatory", "hypothesis checks and lambda-scaling for a catalog phase")
+    sp = add("oscillatory", cmd_oscillatory, "hypothesis checks and lambda-scaling for a catalog phase")
     add_scaling_flags(sp, "parabola", 6.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0], -0.43, -0.23)
     sp.add_argument("--probes", type=int, default=8)
 
-    sp = add("fold", "fold hypothesis check and lambda-scaling for a square phase")
+    sp = add("fold", cmd_fold, "fold hypothesis check and lambda-scaling for a square phase")
     add_scaling_flags(sp, "fold-curved", 3.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0], -0.82, -0.52)
 
-    sp = add("accept", "run the acceptance suite")
+    sp = add("accept", cmd_accept, "run the acceptance suite")
     sp.add_argument("--only", type=_ints, default=None, help="criterion indices, e.g. 1,2,5")
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    skip = {"out", "seed", "subcommand"}
+    skip = {"out", "seed", "subcommand", "handler"}
     params = tuple((k, v) for k, v in sorted(vars(args).items()) if k not in skip)
     return ExperimentConfig(args.subcommand, params, args.out, args.seed)
 
@@ -291,6 +293,12 @@ def _check_flatness_count(flag: str, count: int) -> None:
     field or ratio is computed."""
     if count < 2:
         raise ValueError("%s: a flatness factor needs at least 2 values, got %d" % (flag, count))
+
+
+def _check_floor(flag: str, value: int, floor: int) -> None:
+    """A count flag below its floor, refused at entry."""
+    if value < floor:
+        raise ValueError("%s must be >= %d, got %d" % (flag, floor, value))
 
 
 def _drop_unread(args, flags, read=()) -> None:
@@ -385,9 +393,8 @@ def cmd_dyadic(args) -> Result:
 
 def cmd_lorentz(args) -> Result:
     # zero samples would pass every check vacuously
-    for flag, count in (("--fields", args.fields), ("--indicators", args.indicators)):
-        if count < 1:
-            raise ValueError("%s must be >= 1, got %d" % (flag, count))
+    _check_floor("--fields", args.fields, 1)
+    _check_floor("--indicators", args.indicators, 1)
     rng = np.random.default_rng(args.seed)
     worst_pp = 0.0
     for _ in range(args.fields):
@@ -505,8 +512,7 @@ def cmd_restrict(args) -> Result:
 def _resolve_phase(args):
     # a negative curvature count is no hypothesis: oscillatory would skip
     # its curvature check and fold would demand nothing
-    if args.kappa < 0:
-        raise ValueError("--kappa must be >= 0, got %d" % args.kappa)
+    _check_floor("--kappa", args.kappa, 0)
     if args.phase_file:
         spec = polynomial_phase_from_file(args.phase_file)
     else:
@@ -563,8 +569,7 @@ def _scaling(args, spec, checks) -> Result:
 
 
 def cmd_oscillatory(args) -> Result:
-    if args.probes < 1:
-        raise ValueError("--probes must be >= 1, got %d" % args.probes)
+    _check_floor("--probes", args.probes, 1)
     spec = _resolve_phase(args)
     rng = np.random.default_rng(args.seed)
     r = spec.amp_radius
@@ -599,19 +604,6 @@ def cmd_accept(args) -> int:
     return 0 if ok else 1
 
 
-HANDLERS = {
-    "exponents": cmd_exponents,
-    "measure": cmd_measure,
-    "decay": cmd_decay,
-    "dyadic": cmd_dyadic,
-    "lorentz": cmd_lorentz,
-    "knapp": cmd_knapp,
-    "restrict": cmd_restrict,
-    "oscillatory": cmd_oscillatory,
-    "fold": cmd_fold,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -620,9 +612,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on schema violations and 0 for --help
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.subcommand == "accept":
-            return cmd_accept(args)
-        return _finish(args, HANDLERS[args.subcommand](args))
+        result = args.handler(args)  # accept writes its own files and returns its exit code
+        return result if isinstance(result, int) else _finish(args, result)
     except (ValueError, TypeError, KeyError, NotImplementedError, OSError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 2

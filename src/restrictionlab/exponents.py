@@ -68,8 +68,6 @@ def exponent_profile(d, a, b) -> ExponentProfile:
         raise ValueError("need b > 0")
     if not b <= a / 2:
         raise ValueError("need b <= a/2")
-    if not a > 0:
-        raise ValueError("need a > 0")
     if not a < d:
         raise ValueError("need a < d")
     D = d - a

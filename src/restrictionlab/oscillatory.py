@@ -325,18 +325,21 @@ def _numeric_rank(M: np.ndarray) -> int:
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def check_rank_mixed_hessian(spec: PhaseSpec, probes: Sequence) -> ConditionReport:
-    """Numeric rank of the mixed second derivative matrix at each probe;
-    passes when every rank reaches x_dim - 1."""
-    target = spec.x_dim - 1
-    ranks = [_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float))) for x, y in probes]
+def _rank_report(name: str, target: int, probes: Sequence, ranks: List[int]) -> ConditionReport:
     return ConditionReport(
-        condition="mixed-hessian-rank>=%d" % target,
+        condition="%s>=%d" % (name, target),
         probes=tuple((tuple(np.atleast_1d(x)), tuple(np.atleast_1d(y))) for x, y in probes),
         values=tuple(ranks),
         verdict=bool(all(r >= target for r in ranks)),
         notes="ranks " + ",".join(str(v) for v in ranks),
     )
+
+
+def check_rank_mixed_hessian(spec: PhaseSpec, probes: Sequence) -> ConditionReport:
+    """Numeric rank of the mixed second derivative matrix at each probe;
+    passes when every rank reaches x_dim - 1."""
+    ranks = [_numeric_rank(spec.d_xy(np.asarray(x, float), np.asarray(y, float))) for x, y in probes]
+    return _rank_report("mixed-hessian-rank", spec.x_dim - 1, probes, ranks)
 
 
 def check_curvature_rank(spec: PhaseSpec, probes: Sequence, kappa_target: int) -> ConditionReport:
@@ -362,13 +365,7 @@ def check_curvature_rank(spec: PhaseSpec, probes: Sequence, kappa_target: int) -
         u = np.linalg.svd(M)[0][:, rank]
         H = np.einsum("i,ijk->jk", u, spec.d_xyy(x, y))
         ranks.append(_numeric_rank(H))
-    return ConditionReport(
-        condition="curvature-rank>=%d" % kappa_target,
-        probes=tuple((tuple(x), tuple(y)) for x, y in probes),
-        values=tuple(ranks),
-        verdict=bool(all(r >= kappa_target for r in ranks)),
-        notes="ranks " + ",".join(str(v) for v in ranks),
-    )
+    return _rank_report("curvature-rank", kappa_target, probes, ranks)
 
 
 def _det_xy(spec: PhaseSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -525,24 +522,19 @@ def _max_y_gradient(
     return G
 
 
-def _resolution(G: float, lam: float, y_axes) -> Tuple[bool, float, float]:
-    """(resolved, widest y spacing, required spacing) at lam for the
-    gradient bound G = _max_y_gradient(...), which depends on the phase and
-    the grids only."""
+def _under_resolved(G: float, lam: float, y_axes) -> Optional[str]:
+    """Why the y grid fails the 10-points-per-period rule at lam, or None
+    when it passes: its widest spacing must be at most 2 pi / (10 lam G),
+    for the gradient bound G = _max_y_gradient(...), which depends on the
+    phase and the grids only."""
     worst = max(float(ax[1] - ax[0]) for ax in y_axes)
-    if G == 0.0:
-        return True, worst, math.inf
-    required = 2.0 * np.pi / (10.0 * lam * G)
-    return worst <= required, worst, required
+    required = 2.0 * np.pi / (10.0 * lam * G) if G else math.inf
+    return None if worst <= required else "spacing %g > required %g" % (worst, required)
 
 
-def _require_resolution(spec, lam, x_axes, y_axes) -> None:
-    ok, worst, required = _resolution(_max_y_gradient(spec, x_axes, y_axes), lam, y_axes)
-    if not ok:
-        raise ValueError(
-            "y grid under-resolved for lambda=%g: spacing %g > required %g"
-            % (lam, worst, required)
-        )
+def _check_axes(spec: PhaseSpec, y_axes: Sequence, x_axes: Sequence) -> None:
+    if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
+        raise ValueError("axis count does not match the phase dimensions")
 
 
 def apply_T_lambda(
@@ -560,9 +552,10 @@ def apply_T_lambda(
     (spacing <= 2 pi / (10 lambda G), G the amplitude-supported max of
     |grad_y phase|); a coarser grid is rejected.
     """
-    if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
-        raise ValueError("axis count does not match the phase dimensions")
-    _require_resolution(spec, lam, x_axes, y_axes)
+    _check_axes(spec, y_axes, x_axes)
+    reason = _under_resolved(_max_y_gradient(spec, x_axes, y_axes), lam, y_axes)
+    if reason:
+        raise ValueError("y grid under-resolved for lambda=%g: %s" % (lam, reason))
     f = np.asarray(f_values)
     ypts, cell = _y_mesh(y_axes)
     ff = f.ravel()
@@ -590,8 +583,7 @@ def phase_factors(
     """
     if spec.separable is None:
         raise ValueError("phase lacks the separable structure for the fast path")
-    if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
-        raise ValueError("axis count does not match the phase dimensions")
+    _check_axes(spec, y_axes, x_axes)
     return {
         (i, j): _phase_matrix(x_axes[i], fn(y_axes[j]), 1j * lam)
         for (i, j), fn in spec.separable.items()
@@ -619,8 +611,7 @@ def apply_T_lambda_product(
     """
     if spec.separable is None:
         raise ValueError("phase lacks the separable structure for the fast path")
-    if len(y_axes) != spec.y_dim or len(x_axes) != spec.x_dim:
-        raise ValueError("axis count does not match the phase dimensions")
+    _check_axes(spec, y_axes, x_axes)
     if set(factors) != set(spec.separable):
         raise ValueError(
             "phase factors cover couplings %s but the phase has %s"
@@ -805,11 +796,9 @@ def scaling_experiment(
     ratios = []
     dropped = []
     for lam in lams:
-        ok, worst, required = _resolution(G, lam, y_axes)
-        if not ok:
-            dropped.append(
-                "lambda=%g dropped: spacing %g > required %g" % (lam, worst, required)
-            )
+        reason = _under_resolved(G, lam, y_axes)
+        if reason:
+            dropped.append("lambda=%g dropped: %s" % (lam, reason))
             continue
         factors = phase_factors(spec, lam, y_axes, x_axes)
         best = 0.0

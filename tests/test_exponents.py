@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from restrictionlab.exponents import (
     critical_q,
+    conjugate,
     exponent_profile,
     oscillatory_exponents,
     verify_identities,
@@ -61,6 +62,12 @@ def test_profile_constraint_errors_name_the_inequality():
         exponent_profile(3, 0, 1)
     with pytest.raises(ValueError, match="a < d"):
         exponent_profile(2, 2, 1)
+
+
+def test_conjugate_exponent_needs_p_above_one():
+    assert conjugate(F(4, 3)) == F(4)
+    with pytest.raises(ValueError, match="needs p > 1"):
+        conjugate(1)
 
 
 def test_profile_ordering_invariants():

@@ -292,6 +292,37 @@ def test_negative_kappa_exits_2(tmp_path, capsys, subcommand):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--phase", "cone", "--family", "slab"], "slab family needs a one-dimensional y variable"),
+        (["--phase", "parabola", "--family", "fold"], "fold family needs a two-dimensional y variable"),
+    ],
+    ids=["slab-on-2d-y", "fold-on-1d-y"],
+)
+def test_scaling_family_must_fit_the_phase(tmp_path, capsys, argv, message):
+    out = tmp_path / "r"
+    assert main(["oscillatory"] + argv + _SMALL_SCALING + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid configuration: %s\n" % message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, required", [("oscillatory", "0.00194341"), ("fold", "0.00174525")]
+)
+def test_scaling_notes_each_dropped_lambda(tmp_path, capsys, subcommand, required):
+    # 1024 y points resolve lambda up to 128 but not 256, which the sweep
+    # drops with a notice and leaves out of the table and the fit
+    out = tmp_path / "r"
+    argv = ["--lam-list", "16,32,64,128,256", "--x-points", "24", "--y-points", "1024"]
+    assert main([subcommand] + argv + ["--out", str(out)]) == 0
+    notice = "PASS resolution notice: lambda=256 dropped: spacing 0.00234604 > required %s" % required
+    assert notice in capsys.readouterr().out.splitlines()
+    assert notice in (out / (subcommand + "_verdict.txt")).read_text().splitlines()
+    table = (out / (subcommand + ".csv")).read_text().splitlines()
+    assert [line.split(",")[0] for line in table[1:]] == ["16", "32", "64", "128"]
+
+
 @pytest.mark.parametrize("flag", ["--fields", "--indicators"])
 def test_lorentz_needs_samples(tmp_path, capsys, flag):
     # zero samples would pass every check with a deviation of 0
@@ -306,6 +337,16 @@ def test_decay_needs_a_direction(tmp_path, capsys):
     assert main(["decay", "--directions", "0", "--out", str(out)]) == 2
     assert "n_directions must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["cantor", "cantor-random"])
+def test_cantor_measure_defaults_to_ratio_power_radii(kind):
+    # without --radii, a Cantor kind's balls shrink by its --ratio, from
+    # ratio^2 to ratio^8; they are resolved into args, which the verdict echoes
+    args = cli.build_parser().parse_args(["measure", "--kind", kind, "--ratio", "0.25", "--levels", "6"])
+    result = cli.cmd_measure(args)
+    assert args.radii == [0.25**k for k in range(2, 9)]
+    assert [row[0] for row in result.table.rows] == args.radii
 
 
 def test_one_dimensional_decay_ignores_directions(tmp_path):

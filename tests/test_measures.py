@@ -41,6 +41,8 @@ def test_measure_validation():
         DiscreteMeasure(dim=1, atoms=np.zeros((2, 1)), weights=np.array([1.5, -0.5]))
     with pytest.raises(ValueError, match="sum to 1"):
         DiscreteMeasure(dim=1, atoms=np.zeros((2, 1)), weights=np.array([0.7, 0.7]))
+    with pytest.raises(ValueError, match="need at least one atom"):
+        DiscreteMeasure(dim=2, atoms=np.zeros((0, 2)), weights=np.zeros(0))
 
 
 @pytest.mark.parametrize(
@@ -107,6 +109,14 @@ def test_circle_transform_axis_point():
     m = make_sphere_measure(2, 1024)
     v = fourier_transform_at(m, np.array([[10.0, 0.0]]))[0]
     assert abs(v - special.j0(20.0 * np.pi)) < 1e-6
+
+
+def test_transform_takes_one_flat_point_in_two_dimensions():
+    # a flat array in d = 2 is one frequency point, not a list of them
+    m = make_sphere_measure(2, 64)
+    point = np.array([3.0, -1.5])
+    assert fourier_transform_at(m, point).shape == (1,)
+    assert fourier_transform_at(m, point)[0] == fourier_transform_at(m, point[None])[0]
 
 
 def test_sphere_transform_matches_sinc():

@@ -228,6 +228,13 @@ def test_convolution_enforces_inner_half_support():
         convolve_mu_hat(np.ones(32), make_point_mass([0.0]), g)
 
 
+def test_convolution_of_zero_field_is_zero():
+    # a zero field has no support to check and convolves to zero
+    g = GridSpec(2, 2.0, 16)
+    out = convolve_mu_hat(np.zeros((16, 16)), make_sphere_measure(2, 32), g)
+    assert out.shape == (16, 16) and not out.any()
+
+
 def test_dyadic_kernel_symbol_growth():
     # truncating mu_hat to |x| ~ 2^j gives convolution kernels whose
     # symbol sup grows like 2^(j(d-a)) = 2^j for the circle

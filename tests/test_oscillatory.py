@@ -133,6 +133,13 @@ def test_axis_count_validation():
             [np.linspace(-1, 1, 8)] * 2,
             [np.linspace(-1, 1, 8)] * 2,
         )
+    # the fast path checks the same counts, with one y axis too many
+    y_axes, x_axes = [np.linspace(-1, 1, 8)] * 2, [np.linspace(-1, 1, 8)] * 2
+    with pytest.raises(ValueError, match="axis count"):
+        phase_factors(spec, 10.0, y_axes, x_axes)
+    factors = phase_factors(spec, 10.0, y_axes[:1], x_axes)
+    with pytest.raises(ValueError, match="axis count"):
+        apply_T_lambda_product(spec, [(np.ones(8), np.ones(8))], y_axes, x_axes, factors)
 
 
 def test_resolution_guard_fires_for_coarse_grids():
@@ -459,6 +466,19 @@ def test_fold_requires_square_phase():
         check_fold(CAT["parabola"], FOLD_PROBES, 1)
 
 
+def test_fold_curvature_sampling_needs_two_dimensions():
+    # x1 y1 + x2 y2 + x3 y3^2/2: det d_xy = y3, singular on y3 = 0, which the
+    # middle probe hits; the singular image is sampled only for x_dim = 2
+    spec = PhaseSpec(
+        "cube", 3, 3, [(1.0, (1, 0, 0), (1, 0, 0)), (1.0, (0, 1, 0), (0, 1, 0)), (0.5, (0, 0, 1), (0, 0, 2))], 1.0
+    )
+    probes = [((0.1, 0.1, 0.1), (0.1, 0.1, t)) for t in np.linspace(-0.5, 0.5, 9)]
+    with pytest.raises(NotImplementedError, match="x_dim = 2 only"):
+        check_fold(spec, probes, kappa_target=1)
+    report = check_fold(spec, probes, kappa_target=0)
+    assert report.verdict and report.notes == "1 singular points located"
+
+
 def _curve_scan(x, base, ghat):
     # one of check_fold's 17-point scans across the singular curve, at radius 0.09
     return [(x, base + s * ghat) for s in np.linspace(-0.09 / 4.0, 0.09 / 4.0, 17)]
@@ -604,6 +624,19 @@ def test_kernel_sup_vanishes_beyond_support():
     assert dyadic_kernel_sup(spec, 1024.0, 8) > 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         dyadic_kernel_sup(spec, 64.0, -1)
+    # 2^j beyond eps * lambda, with the window still inside the amplitude's
+    # reach (3 * 2^{j-3} < 2 r lambda): zero by the second rule
+    assert 3.0 * 2.0 ** (2 - 3) < 2.0 * spec.amp_radius * 10.0
+    assert dyadic_kernel_sup(spec, 10.0, 2) == 0.0
+
+
+def test_kernel_sup_samples_inside_the_support_off_the_plateau():
+    # radius 0.05 at lambda = 35: the largest reachable offset 2 r lambda =
+    # 3.5 lies below the window's plateau [4, 6] at j = 3, so the sup is
+    # sampled between the window's lower edge 3 and that offset
+    spec = phase_catalog(0.05)["parabola"]
+    sup = dyadic_kernel_sup(spec, 35.0, 3)
+    assert sup == pytest.approx(1.8031224124317377e-07, rel=1e-9)
 
 
 def test_zero_phase_kernel_sup_is_lambda_independent():
@@ -638,6 +671,18 @@ def test_zero_phase_scaling_is_flat():
     assert abs(rep.fit.slope) < 0.05
     assert rep.dropped == ()
     assert rep.target_slope == -1.0
+
+
+def test_scaling_experiment_skips_members_of_zero_norm():
+    # a zero member has no ratio; the others give the same sweep without it
+    def with_zero(lam, y_axes):
+        yield [tuple(np.zeros_like(y) for y in y_axes)]
+        yield from constant_family(1.0)(lam, y_axes)
+
+    run = functools.partial(
+        scaling_experiment, CAT1["zero"], [8.0, 16.0, 32.0, 64.0], q=2.0, s=2.0, x_points=16, y_points=64
+    )
+    assert run(family=with_zero).ratios == run(family=constant_family(1.0)).ratios
 
 
 def test_operator_norm_decays_with_lambda():
@@ -938,3 +983,7 @@ def test_polynomial_file_error_reporting(tmp_path):
     empty.write_text("x_dim 2\ny_dim 1\n", encoding="ascii")
     with pytest.raises(ValueError, match="no term lines"):
         polynomial_phase_from_file(empty)
+    undeclared = tmp_path / "undeclared.phase"
+    undeclared.write_text("radius 0.5\n", encoding="ascii")
+    with pytest.raises(ValueError, match="x_dim and y_dim must be declared"):
+        polynomial_phase_from_file(undeclared)
