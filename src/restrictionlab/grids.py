@@ -10,17 +10,21 @@ lattice, and no other type restates it. The inverse transform returns only
 the moduli |field| as float64, built without ever holding the complex
 field, since every experiment reads |field| alone; it runs in one buffer
 that becomes its output, the moduli at its front and the transformed kept
-lines at its back, so it holds the larger of the two, not their sum. The
+lines at its back, so it holds the larger of the two, not their sum. A
+caller may instead supply the values on a box of the lattice a block of
+lines at a time, so that a product it transforms is never held. The
 tests check it against the complex ifftn formula.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
 of their phase matrices M_k = exp(scale a (x) b); the measure transforms
-of measures and operators and the oscillatory fast path run them.
+of measures and operators and the oscillatory fast path run them. The sum
+can build its last matrix itself, a column block at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,7 +111,7 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.cell_volume * _sign_mesh(n, d) * f
 
 
-def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -> np.ndarray:
     """Moduli of the inverse of fourier_on_grid (frequency lattice back to
     the spatial grid), as float64 in Fortran memory order.
 
@@ -118,12 +122,14 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     last axis first, and each line goes through the same pocketfft call on
     the same data (up to the sign of exact zeros, which the moduli drop).
 
-    The work runs in one complex buffer of max(N^d/2, N kept) entries,
-    which becomes the output: the moduli are a float64 view of its front.
-    Only the lines of F along the last axis that are not all zero are
-    transformed (a zero line transforms to zero), a block at a time in a
-    small buffer: shifted, signed, transformed and written transposed into
-    the back of the buffer, stored by output line as (N, kept). The later
+    The work runs in one complex buffer, which becomes the output. Its
+    first max(N^d/2, N kept) entries hold the moduli, a float64 view of its
+    front, and the kept lines; one block and one slab follow, so the call
+    allocates nothing else of a line's size. Only the lines of F along the
+    last axis that are not all zero are transformed (a zero line transforms
+    to zero), a block at a time in the block: shifted, signed, transformed
+    and written transposed into the back of the first part, stored by
+    output line as (N, kept). The later
     passes then run one slab of output lines at a time, in a buffer with
     reversed axes (zeroed, filled with the slab's lines so that every pass
     runs on contiguous lines, then scaled), and put the slab's moduli in
@@ -132,8 +138,7 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     (i+1) c (O and c the bytes of one slab of moduli and of lines, S the
     slab count): a slab overwrites only lines already read. So the call
     holds the larger of the moduli and the kept lines, not their sum, plus
-    one block and one slab; with more than N^(d-1)/2 kept lines, the
-    returned moduli view the front of the larger buffer.
+    one block and one slab, which the returned moduli view the front of.
 
     The caller's array is not touched and is never copied: the kept lines
     are found by F.any on the last axis and gathered a block at a time by
@@ -141,6 +146,19 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     lattice is taken as it is: each kept line is cast to complex as it is
     copied in, so a float64 lattice has the bits of its complex copy at
     half the input memory.
+
+    box = (lo, hi, fill) transforms instead the lattice that is zero
+    outside the box [lo, hi)^d and on it is what fill makes of F, so a
+    caller can transform, say, F times a window without holding the
+    product (dyadic_piece does). The kept lines are then the box's lines,
+    in C order of their leading indices, a block at a time: fill(F, lead,
+    out) gets lead, the block's indices on the leading axes (d - 1 integer
+    arrays), and writes the values on [lo, hi) of each of its lines into
+    out, a complex (lines, hi - lo) view of a source block, one more block
+    in the buffer, zero elsewhere; the source is then shifted into the
+    block as F is without a box. A box line that fill leaves all zero is
+    transformed too, which changes only the signs of zeros. F is read only
+    by fill.
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
@@ -150,28 +168,48 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
     axis_signs = _sign_vector(n)
     signs = np.fft.ifftshift(axis_signs)
-    keep = np.flatnonzero(F.any(axis=-1))
+    if box is None:
+        keep = np.flatnonzero(F.any(axis=-1))
+    else:
+        lo, hi, fill = box
+        keep = np.zeros(1, dtype=np.intp)  # the one line when d = 1
+        for _ in range(d - 1):
+            keep = np.add.outer(keep * n, np.arange(lo, hi)).ravel()
     # lead[k] is each kept line's index on axis k < d-1; the shift moves it
     # by n/2, which gives the line's column col in a slab. When d = 1 there
     # is no lead index, and F[idx + ...] reads F, the one line, whole
     lead = [keep // n ** (d - 2 - k) % n for k in range(d - 1)]
     col = sum(((i + h) % n * n**k for k, i in enumerate(lead)), np.zeros_like(keep))
-    buf = np.empty(max(n**d // 2, n * keep.size), dtype=complex)
+    # the call's one buffer: the moduli and the kept lines in its first
+    # part, then the block, the box's source and the slab
+    part = max(n**d // 2, n * keep.size)
+    block_size = min(_LINE_BLOCK, keep.size) * n
+    source_size = 0 if box is None else block_size
+    slab_shape = (min(_LINE_BLOCK, n),) + (n,) * (d - 1)
+    buf = np.empty(part + block_size + source_size + math.prod(slab_shape), dtype=complex)
     out = buf.view(np.float64)[: n**d].reshape((n,) * d)  # reversed axes
-    lines = buf[buf.size - n * keep.size :].reshape(n, keep.size)
-    block = np.empty((min(_LINE_BLOCK, keep.size), n), dtype=complex)
+    lines = buf[part - n * keep.size : part].reshape(n, keep.size)
+    block, source, slab = np.split(buf[part:], [block_size, block_size + source_size])
+    block, slab = block.reshape(-1, n), slab.reshape(slab_shape)
+    source = source.reshape(-1, n)
+    source.fill(0.0)  # zero but for the columns fill writes
     for start in range(0, keep.size, _LINE_BLOCK):
         rows = slice(start, start + _LINE_BLOCK)
         idx = tuple(i[rows] for i in lead)
         b = block[: keep[rows].size]
-        b[:, :h] = F[idx + (slice(h, None),)]  # the shift along each line
-        b[:, h:] = F[idx + (slice(None, h),)]
+        if box is None:
+            b[:, :h] = F[idx + (slice(h, None),)]  # the shift along each line
+            b[:, h:] = F[idx + (slice(None, h),)]
+        else:
+            src = source[: b.shape[0]]
+            fill(F, idx, src[:, lo:hi])
+            b[:, :h] = src[:, h:]
+            b[:, h:] = src[:, :h]
         for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
             b *= axis_signs[i, None]
         b *= signs
         np.fft.ifft(b, axis=1, out=b)
         lines[:, rows] = b.T
-    slab = np.empty((min(_LINE_BLOCK, n),) + (n,) * (d - 1), dtype=complex)
     for start in range(0, n, _LINE_BLOCK):
         rows = slice(start, start + _LINE_BLOCK)
         dest = out[rows]
@@ -185,44 +223,82 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec) -> np.ndarr
     return out.T
 
 
-def _phase_matrix(a: np.ndarray, b: np.ndarray, scale: complex) -> np.ndarray:
+def _phase_matrix(a: np.ndarray, b: np.ndarray, scale: complex, out=None) -> np.ndarray:
     """exp(scale * a (x) b), shape (len(a), len(b)), built in place in one
-    complex buffer: the phase matrices of every separable sum below."""
-    buf = np.empty((len(a), len(b)), dtype=complex)
+    complex buffer, a new one or out: the phase matrices of every separable
+    sum below."""
+    buf = np.empty((len(a), len(b)), dtype=complex) if out is None else out
     np.multiply.outer(a, b, out=buf)
     buf *= scale
     return np.exp(buf, out=buf)
 
 
+# columns per block of a last phase matrix that _separable_sum builds itself;
+# a power of two, so that each block starts at a multiple of the GEMM
+# kernel's column unroll (with 5-column blocks, every fifth column of a
+# block rounded differently from the whole product)
+_PHASE_BLOCK = 256
+
+
+def _phase_blocks(a: np.ndarray, b: np.ndarray, scale: complex):
+    """(first column, block) pairs of exp(scale * a (x) b), _PHASE_BLOCK
+    columns at a time with the remainder merged into the last block, each
+    built in the front of one buffer as a C-ordered matrix; every entry has
+    the bits of the whole matrix's."""
+    count = max(1, len(b) // _PHASE_BLOCK)
+    edges = [k * _PHASE_BLOCK for k in range(count)] + [len(b)]
+    buf = np.empty(len(a) * (edges[-1] - edges[-2]), dtype=complex)
+    for start, stop in zip(edges, edges[1:]):
+        block = buf[: len(a) * (stop - start)].reshape(len(a), stop - start)
+        yield start, _phase_matrix(a, b[start:stop], scale, out=block)
+
+
 def _separable_sum(
-    c: np.ndarray, mats: Sequence[np.ndarray], *, owned: bool = False
+    c: np.ndarray, mats: Sequence[np.ndarray], *, owned: bool = False, last=None
 ) -> np.ndarray:
     """sum_j c_j prod_k mats[k][j, a_k] at every index (a_0, ..., a_{d-1}),
     shaped (mats[0].shape[1], ..., mats[-1].shape[1]).
 
     With no matrix this is c.sum(), with one a GEMV. With two or more, each
-    index of the remaining axes scales c by those matrices' columns, and the
-    first two axes are then one GEMM.
+    index of the axes after the second scales c by those matrices' columns,
+    and the first two axes are then one GEMM.
+
+    last = (a, b, scale) appends to mats (which must then hold at least
+    one matrix) the matrix exp(scale * a (x) b) without ever holding it:
+    it is built _PHASE_BLOCK columns at a time in one reused buffer, and
+    each block goes through the same products as the whole matrix would,
+    one GEMM per block for the last axis of two, so the sum has the same
+    bits. The remainder is merged into the last block, so the last block
+    ends in the whole matrix's own tail columns: a block of one column
+    would be a GEMV, which rounds differently.
 
     Ownership: the matrices are read only, unless the caller passes
-    owned=True to hand them over; then, with exactly two matrices, mats[0]
-    is scaled by c in place instead of in a scaled copy (the same products,
+    owned=True to hand them over; then, with exactly two axes, mats[0] is
+    scaled by c in place instead of in a scaled copy (the same products,
     so the same bits) and holds that scaled matrix afterwards. A caller that
     keeps its matrices, such as apply_T_lambda_product with the phase
     factors it reuses, leaves owned at False."""
-    if not mats:
-        return c.sum()
+    if last is not None:
+        size, blocks = len(last[1]), _phase_blocks(*last)
+    elif len(mats) < 2:
+        return mats[0].T @ c if mats else c.sum()
+    else:
+        size, blocks, mats = mats[-1].shape[1], [(0, mats[-1])], mats[:-1]
+    out = np.empty(tuple(m.shape[1] for m in mats) + (size,), dtype=complex)
+    m0 = mats[0]
     if len(mats) == 1:
-        return mats[0].T @ c
-    m0, m1, rest = mats[0], mats[1], mats[2:]
-    if not rest:
-        return np.multiply(m0, c[:, None], out=m0 if owned else None).T @ m1
-    out = np.empty(tuple(m.shape[1] for m in mats), dtype=complex)
-    for idx in np.ndindex(*(m.shape[1] for m in rest)):
-        coef = c
-        for m, k in zip(rest, idx):
-            coef = coef * m[:, k]
-        out[(slice(None), slice(None)) + idx] = (m0 * coef[:, None]).T @ m1
+        m0 = np.multiply(m0, c[:, None], out=m0 if owned else None)
+        for start, m in blocks:
+            np.matmul(m0.T, m, out=out[:, start : start + m.shape[1]])
+        return out
+    m1, rest = mats[1], list(mats[2:])
+    for start, m in blocks:
+        for idx in np.ndindex(*(x.shape[1] for x in rest), m.shape[1]):
+            coef = c
+            for x, k in zip(rest + [m], idx):
+                coef = coef * x[:, k]
+            at = (slice(None), slice(None)) + idx[:-1] + (start + idx[-1],)
+            out[at] = (m0 * coef[:, None]).T @ m1
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bumps import dyadic_ring
 from .fitting import FitResult, loglog_fit
-from .grids import GridSpec, _phase_matrix, _separable_sum, inverse_fourier_on_grid
+from .grids import _LINE_BLOCK, GridSpec, _phase_matrix, _separable_sum, inverse_fourier_on_grid
 
 __all__ = [
     "DiscreteMeasure",
@@ -467,6 +467,13 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
     later m_k = -N/2) the value comes from another GEMM tile and can differ
     from a direct contraction by a rounding error; every dyadic ring is
     exactly 0 there, since |xi| is at least the Nyquist radius.
+
+    The contraction holds the scaled first phase matrix (atoms by N/2 + 1),
+    one column block of the last axis's matrix, which the kernel builds
+    block by block (see _atom_sum), and the half lattice; then the half and
+    the output. For criterion 5 (4096 atoms, 2048^2) that is 67 + 17 + 34
+    MB, then 34 + 67 MB: at most 1.75 complex lattices, where the whole last
+    matrix (134 MB) took 3.5.
     """
     _check_dimension(measure, grid)
     n, d = grid.points_per_axis, grid.dim
@@ -490,18 +497,25 @@ def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float
     """sum_j coeffs_j exp(sign 2 pi i <atoms_j, x>) for x on the product of
     the axes (any lengths and count), shaped (len(axes[0]), ..., len(axes[-1])):
     grids._separable_sum on the atoms' phase matrices, behind
-    mu_hat_on_lattice, operators.extend and operators.convolve_mu_hat. The
-    phase matrices are built here and read by no one else, so the kernel
-    owns them and scales the first in place."""
+    mu_hat_on_lattice, operators.extend and operators.convolve_mu_hat. With
+    two axes or more, the kernel builds the last axis's matrix itself, one
+    column block at a time in one buffer, so it is never held whole (for
+    the dyadic lattice, 4096 atoms by 2049 points, 134 MB); the others are
+    built here and read by no one else, so the kernel owns them and scales
+    the first in place."""
     coeffs = np.asarray(coeffs).astype(complex)
-    return _separable_sum(coeffs, _phase_matrices(atoms, axes, sign), owned=True)
+    if len(axes) < 2:
+        return _separable_sum(coeffs, _phase_matrices(atoms, axes, sign))
+    last = (atoms[:, -1], axes[-1], sign * 2j * np.pi)
+    return _separable_sum(coeffs, _phase_matrices(atoms, axes[:-1], sign), owned=True, last=last)
 
 
-# box elements per block of dyadic_piece's ring product: its float64
-# temporaries (128 KiB each) are then reused by malloc from block to block;
-# at 2^16 elements glibc handed them back to the system after each block and
-# faulted them in again for the next, about 80,000 page faults per sweep
-_RING_BLOCK = 1 << 14
+# points per dyadic_ring call in dyadic_piece: the ring allocates and frees
+# its own float64 temporaries, 32 KiB each here. At 2^14 points (128 KiB),
+# glibc with a fixed mmap threshold (MALLOC_MMAP_THRESHOLD_) handed them back
+# to the system after every call and faulted them in again for the next,
+# about 12,000 more page faults per criterion-5 sweep than at 2^12
+_RING_BLOCK = 1 << 12
 
 
 def _check_dyadic_scale(j, grid: GridSpec) -> int:
@@ -530,10 +544,17 @@ def dyadic_piece(
     by the smooth ring cutoff supported on 2^{j-2} < |xi| < 2^j (the j = 0
     piece is the low-pass plateau) and inverse transforms it to the moduli
     of the piece on the grid; only the sups of the localized samples and of
-    those moduli are returned, so no lattice outlives the call. The samples
-    are taken, not recomputed, so a sweep over j builds them once. The grid
-    must resolve frequency 2^j: its Nyquist radius N/(4L) must be at least
-    2^j.
+    those moduli are returned. The samples are taken, not recomputed, so a
+    sweep over j builds them once. The grid must resolve frequency 2^j: its
+    Nyquist radius N/(4L) must be at least 2^j.
+
+    The localized samples are never held as a lattice: the ring is zero
+    outside the box xi_k^2 < 4^j, and the inverse transform takes the
+    product on that box from a callback, a block of the box's lines at a
+    time (its box argument), which evaluates the ring there, multiplies it
+    with mu_hat and keeps the block's largest modulus. So beyond mu_hat the
+    call holds the transform's one buffer, max(1/2, box lines / N^(d-1))
+    complex lattices and a few blocks, and one float64 block of its own.
     """
     _check_dimension(measure, grid)
     j = _check_dyadic_scale(j, grid)
@@ -547,25 +568,31 @@ def dyadic_piece(
     # ring j is 0 wherever u >= 4^j, so wherever some xi_k^2 >= 4^j (u is a
     # sum of nonnegative terms, and rounding a sum keeps it >= each term):
     # the ring is evaluated and multiplied only on the box of axis points
-    # with xi_k^2 < 4^j; the rest of localized is 0
+    # with xi_k^2 < 4^j, and the transform takes the rest as 0
     inner = np.flatnonzero(sq < 4.0**j)
-    lo, hi = inner[0], inner[-1] + 1
+    lo, hi = int(inner[0]), int(inner[-1]) + 1
     sq_box = sq[lo:hi]
-    # u, the ring and the product are built for a block of the box's rows at
-    # a time and written into localized, so their temporaries stay the size
-    # of a block; every element gets the same operations as on the whole box
-    rows = max(1, _RING_BLOCK // sq_box.size ** (grid.dim - 1))
-    localized = np.zeros(lattice_shape, dtype=complex)
+    # one float64 buffer of this call holds, for a block of the box's
+    # lines, u, then the ring (in place, _RING_BLOCK points at a time), then
+    # the moduli of the product
+    work = np.empty(min(_LINE_BLOCK, (hi - lo) ** (grid.dim - 1)) * (hi - lo))
     sups = []
-    for start in range(lo, hi, rows):
-        block = (slice(start, min(start + rows, hi)),) + (slice(lo, hi),) * (grid.dim - 1)
-        u = sq[block[0]]
-        for _ in range(grid.dim - 1):
-            u = np.add.outer(u, sq_box)
-        np.multiply(mu_hat[block], dyadic_ring(u, j), out=localized[block])
-        sups.append(np.abs(localized[block]).max())
-    moduli = inverse_fourier_on_grid(localized, grid)
-    return DyadicPiece(sup_mu_j=float(moduli.max()), sup_mu_hat_j=float(np.max(sups)))
+
+    def ring_product(F, lead, out):
+        flat = work[: out.size]
+        block = flat.reshape(out.shape)
+        line_u = np.zeros(out.shape[0])
+        for i in lead:  # u sums xi_k^2 in axis order, the last axis over the box
+            line_u += sq[i]
+        np.add.outer(line_u, sq_box, out=block)
+        for a in range(0, flat.size, _RING_BLOCK):
+            flat[a : a + _RING_BLOCK] = dyadic_ring(flat[a : a + _RING_BLOCK], j)
+        for r in range(out.shape[0]):  # F's lines are read in place
+            np.multiply(F[tuple(i[r] for i in lead) + (slice(lo, hi),)], block[r], out=out[r])
+        sups.append(np.abs(out, out=block).max())
+
+    moduli = inverse_fourier_on_grid(mu_hat, grid, box=(lo, hi, ring_product))
+    return DyadicPiece(sup_mu_j=float(moduli.max()), sup_mu_hat_j=float(max(sups)))
 
 
 def save_measure(measure: DiscreteMeasure, path) -> None:

@@ -81,6 +81,29 @@ def test_roundtrip_inverse_of_forward():
     assert np.max(np.abs(back - np.abs(v))) < 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 3),
+    log2_points=st.integers(3, 5),
+    half_width=st.floats(0.25, 8.0),
+    magnitude=st.integers(-8, 8),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_recovers_the_moduli_of_any_field(d, log2_points, half_width, magnitude, real, seed):
+    # the forward transform's cell volume and the inverse's (N/(2L))^d cancel
+    # at every grid, so the round trip returns |v| to rounding error
+    n = 1 << (min(log2_points, 4) if d == 3 else log2_points)
+    g = GridSpec(dim=d, half_width=half_width, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n,) * d) * 2.0**magnitude
+    if not real:
+        v = v + 1j * rng.standard_normal((n,) * d) * 2.0**magnitude
+    back = inverse_fourier_on_grid(fourier_on_grid(v, g), g)
+    assert back.shape == v.shape
+    assert np.max(np.abs(back - np.abs(v))) <= 1e-13 * np.max(np.abs(v))
+
+
 def test_parseval_on_lattice():
     g = GridSpec(dim=1, half_width=4.0, points_per_axis=128)
     rng = np.random.default_rng(3)
@@ -180,6 +203,52 @@ def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real,
     block = 16 * min(16, kept) * n
     slab = 16 * min(16, n) * n ** (d - 1)
     assert peak < max(got.nbytes, compact) + block + slab + 2**18
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    d=st.integers(1, 3),
+    n=st.sampled_from([8, 16, 32]),
+    bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    zero_lines=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_values_transform_as_their_materialized_lattice_bit_for_bit(
+    d, n, bounds, zero_lines, seed
+):
+    # the box path: fill writes F times a window on the box [lo, hi)^d, a
+    # block of the box's lines at a time, and the moduli are those of the
+    # lattice that holds that product on the box and 0 elsewhere. Whole
+    # lines of the window vanish inside the box: the box path transforms
+    # them anyway, which changes only the signs of zeros
+    n = min(n, 16) if d == 3 else n
+    lo = int(bounds[0] * (n - 1))
+    hi = lo + 1 + int(bounds[1] * (n - 1 - lo))
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    shape = (n,) * d
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    box = (slice(lo, hi),) * d
+    window = rng.uniform(-1.0, 1.0, (hi - lo,) * d)
+    window[rng.uniform(size=window.shape[:-1]) < zero_lines] = 0.0
+    window[rng.uniform(size=window.shape) < 0.1] = -0.0
+    product = np.zeros(shape, dtype=complex)
+    product[box] = F[box] * window
+    seen = []
+
+    def fill(lattice, lead, out):
+        seen.extend(zip(*lead) if lead else [()])
+        rel = tuple(i - lo for i in lead)
+        np.multiply(lattice[lead + (slice(lo, hi),)], window[rel], out=out)
+
+    before = F.copy()
+    got = inverse_fourier_on_grid(F, g, box=(lo, hi, fill))
+    expected = inverse_fourier_on_grid(product, g)
+    assert got.tobytes() == expected.tobytes()
+    assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
+    assert before.tobytes() == F.tobytes()
+    # every line of the box, once each, in C order of its leading indices
+    assert [tuple(int(i) - lo for i in t) for t in seen] == list(np.ndindex((hi - lo,) * (d - 1)))
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32", "complex64"])

@@ -526,11 +526,13 @@ def test_unresolvable_cap_count_exits_2_before_the_first_field(tmp_path, capsys,
 
 
 def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
-    # the sweep holds mu_hat, one piece's localized lattice and the inverse
-    # transform's compact buffer, slab and moduli; a piece keeps only its
-    # two sups, and the ring is evaluated in row blocks of its box, so its
-    # temporaries stay the size of a block (few atoms: the transform's phase
-    # matrices are small)
+    # the sweep holds mu_hat and the inverse transform's one buffer (the
+    # moduli, or the box's lines when they are more, then one block, the
+    # source block and one slab); the ring product is formed inside the
+    # transform a block of the box's lines at a time, so no localized
+    # lattice is built, and a piece keeps only its two sups (few atoms: the
+    # transform's phase matrices are small). About 2.3 lattices here, 3.2
+    # when each piece built its localized lattice
     lattice = 16 * 512**2  # bytes of one complex lattice
     argv = ["dyadic", "--points", "512", "--n", "256", "--j-list", "1,2,3,4,5,6"]
     tracemalloc.start()

@@ -332,6 +332,48 @@ def test_rearrangement_invariance_is_exact():
     assert lorentz_norm_values(v, 1.0, 1.5, 2.5) == lorentz_norm_values(w, 1.0, 1.5, 2.5)
 
 
+def _norms(values):
+    return values if isinstance(values, tuple) else (values,)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["real", "complex", "fortran", "float32", "complex64"]),
+    shape=st.tuples(st.sampled_from([1, 3, 64]), st.sampled_from([1, 5, 300])),
+    k=st.integers(-20, 20),
+    s_values=st.sampled_from([0.5, 2.5, math.inf, (1.0, 2.0, math.inf)]),
+    p=st.sampled_from([0.5, 1.2, 2.0, 3.0]),
+    cell=st.sampled_from([1e-3, 0.37, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_of_two_homogeneity_is_exact_on_any_samples(kind, shape, k, s_values, p, cell, seed):
+    # scaling by 2^k scales every modulus exactly, the normalized moduli not
+    # at all, so every norm is exactly 2^k times the unscaled one
+    v = _samples(kind, shape, np.random.default_rng(seed))
+    base = _norms(lorentz_norm_values(v, cell, p, s_values))
+    scaled = _norms(lorentz_norm_values(v * 2.0**k, cell, p, s_values))
+    assert scaled == tuple(2.0**k * b for b in base)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["real", "complex", "integer", "fortran", "float32", "complex64"]),
+    shape=st.tuples(st.sampled_from([1, 3, 64]), st.sampled_from([1, 5, 300])),
+    rows=st.sampled_from([1, 2, 3]),
+    s_values=st.sampled_from([0.5, 2.5, math.inf, (1.0, 2.0, math.inf)]),
+    p=st.sampled_from([0.5, 1.2, 2.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rearrangement_invariance_is_exact_on_any_samples(kind, shape, rows, s_values, p, seed):
+    # the norm reads the samples only through their decreasing
+    # rearrangement, so any permutation, in any shape, gives the same bits
+    rng = np.random.default_rng(seed)
+    v = _samples(kind, shape, rng)
+    flat = rng.permutation(v.ravel())
+    w = flat.reshape(rows, -1) if flat.size % rows == 0 else flat
+    assert lorentz_norm_values(w, 0.37, p, s_values) == lorentz_norm_values(v, 0.37, p, s_values)
+
+
 def test_dilation_scaling():
     # same samples, doubled spacing in d = 2 (cell volume 4): norm scales by 2^(d/p)
     rng = np.random.default_rng(17)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.spatial import cKDTree
 
-from restrictionlab import measures
+from restrictionlab import grids, measures
 from restrictionlab.bumps import dyadic_ring
 from restrictionlab.fitting import loglog_fit
 from restrictionlab.grids import GridSpec
@@ -391,23 +391,74 @@ def test_mu_hat_on_lattice_matches_direct_sum_on_random_measures(
     _assert_lattice_matches_direct_sum(_random_measure(dim, n_atoms, seed, spread), grid)
 
 
-def test_lattice_transform_peak_memory_stays_near_its_phase_matrices():
-    # the half-lattice contraction's two phase matrices (257 and 513 columns
-    # for 2048 atoms on 512^2) are its working set: the kernel owns them and
-    # scales the first in place, so beyond them only the half and the full
-    # lattice are held, not a scaled copy of the first
-    m = make_sphere_measure(2, 2048)
-    grid = GridSpec(2, 2.0, 512)
-    phase_bytes = 16 * m.n_atoms * (257 + 513)
+def _peak_bytes(call):
+    """call() and the peak of the memory it allocated beyond what was held
+    before, by tracemalloc (numpy reports its buffers to it)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        mu_hat_on_lattice(m, grid)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * phase_bytes
+    return result, peak
+
+
+def test_lattice_transform_peak_memory_stays_near_its_phase_matrices():
+    # criterion 5's ratio, 2 atoms per axis point: 1024 atoms on 512^2. The
+    # half-lattice contraction holds the first phase matrix (257 columns,
+    # scaled in place), one column block of the last (the kernel builds its
+    # 513 columns in blocks of 256 and 257) and the half lattice; then the
+    # half and the full lattice. The whole last matrix would exceed the
+    # bound by about 4 MB
+    m = make_sphere_measure(2, 1024)
+    grid = GridSpec(2, 2.0, 512)
+    first, block = 16 * m.n_atoms * 257, 16 * m.n_atoms * 257
+    half, lattice = 16 * 257 * 513, 16 * 512**2
+    _, peak = _peak_bytes(lambda: mu_hat_on_lattice(m, grid))
+    assert peak <= max(first + block + half, half + lattice) + 2**19
+
+
+def _whole_last_matrix_half_lattice(measure, grid):
+    # the half lattice of mu_hat_on_lattice as one GEMM against the whole
+    # last phase matrix, as before the kernel built it in blocks
+    h = grid.points_per_axis // 2
+    fax = grid.freq_axis()
+    full = np.append(fax, h * grid.freq_spacing)
+    first = grids._phase_matrix(measure.atoms[:, 0], fax[: h + 1], -2j * np.pi)
+    last = grids._phase_matrix(measure.atoms[:, 1], full, -2j * np.pi)
+    return (first * measure.weights.astype(complex)[:, None]).T @ last
+
+
+@pytest.mark.parametrize("block", [64, 16, 8], ids=["one-block", "two-blocks", "four-blocks"])
+def test_blocked_lattice_transform_equals_the_whole_matrix_product_bit_for_bit(block, monkeypatch):
+    # the last axis has 33 columns (N + 1 on 32-point axes): one block, or
+    # two or four blocks whose 1-column remainder is merged into the last
+    # (a 1-column block would be a GEMV, which rounds differently)
+    monkeypatch.setattr(grids, "_PHASE_BLOCK", block)
+    m = _random_measure(2, 65, 8)
+    grid = GridSpec(2, 2.0, 32)
+    n, h = 32, 16
+    half = _whole_last_matrix_half_lattice(m, grid)
+    lattice = mu_hat_on_lattice(m, grid)
+    assert lattice[: h + 1].tobytes() == np.ascontiguousarray(half[:, :n]).tobytes()
+    mirrored = np.conjugate(half[h - 1 : 0 : -1, n:0:-1])
+    assert lattice[h + 1 :].tobytes() == mirrored.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_blocked_atom_sum_equals_the_whole_matrix_sum_bit_for_bit(dim, monkeypatch):
+    # with more than two axes each column of the last matrix scales the
+    # weights; built 4 columns at a time, it gives the sum's bits
+    monkeypatch.setattr(grids, "_PHASE_BLOCK", 4)
+    m = _random_measure(dim, 33, 9 + dim)
+    axes = [np.linspace(-1.0, 1.0, 11)] * (dim - 1) + [np.linspace(-2.0, 1.0, 9)]
+    coeffs = m.weights.astype(complex)
+    got = measures._atom_sum(m.weights, m.atoms, axes, -1.0)
+    whole = grids._separable_sum(coeffs, measures._phase_matrices(m.atoms, axes, -1.0))
+    assert got.shape == tuple(len(ax) for ax in axes)
+    assert got.tobytes() == whole.tobytes()
 
 
 def test_mu_hat_on_lattice_rejects_dimension_mismatch():
@@ -451,9 +502,10 @@ def test_dyadic_piece_of_point_mass_is_pure_ring():
 @pytest.mark.parametrize("ring_block", [measures._RING_BLOCK, 7], ids=["block", "row-blocks"])
 def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, monkeypatch):
     # dyadic_piece multiplies only inside the box that holds the ring's
-    # support, a block of the box's rows at a time; both sups must be those
-    # of the full product and of its complex transform, bit for bit (a
-    # 7-element block is one row at d >= 2)
+    # support, a block of the box's lines at a time inside the inverse
+    # transform, and evaluates the ring ring_block points at a time; both
+    # sups must be those of the full product and of its complex transform,
+    # bit for bit (7-point pieces split the lines of every box but j = 0's)
     monkeypatch.setattr(measures, "_RING_BLOCK", ring_block)
     mu_hat = mu_hat_on_lattice(measure, grid)
     sq = grid.freq_axis() ** 2
@@ -465,6 +517,25 @@ def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, 
         piece = dyadic_piece(measure, j, grid, mu_hat)
         assert piece.sup_mu_hat_j == float(np.abs(full).max())
         assert piece.sup_mu_j == float(np.abs(ifftn_formula(full, grid)).max())
+
+
+def test_dyadic_sweep_holds_only_the_transform_buffer_above_mu_hat():
+    # beyond mu_hat, a piece holds the inverse transform's one buffer: the
+    # larger of the moduli (half a complex lattice) and the box's lines,
+    # then one block, the box's source block and one slab of 16 lines,
+    # and its own float64 block of 16 box lines; never the localized
+    # lattice (4 MiB here), which with the moduli would exceed the bound
+    # at every scale
+    m = make_sphere_measure(2, 1024)
+    grid = GridSpec(2, 2.0, 512)
+    n = grid.points_per_axis
+    mu_hat = mu_hat_on_lattice(m, grid)
+    sq = grid.freq_axis() ** 2
+    for j in range(1, 7):
+        box = int(np.count_nonzero(sq < 4.0**j))
+        stages = 16 * (max(n * n // 2, n * box) + 3 * 16 * n) + 8 * 16 * box
+        _, peak = _peak_bytes(lambda: dyadic_piece(m, j, grid, mu_hat))
+        assert peak <= stages + 2**19
 
 
 def test_dyadic_piece_resolution_check():
