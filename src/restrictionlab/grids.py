@@ -12,8 +12,9 @@ field, since every experiment reads |field| alone; it runs in one buffer
 that becomes its output, the moduli at its front and the transformed kept
 lines at its back, so it holds the larger of the two, not their sum. A
 caller may instead supply the values on a box of the lattice a block of
-lines at a time, so that a product it transforms is never held. The
-tests check it against the complex ifftn formula.
+lines at a time, so that a product it transforms is never held. Its
+passes over lines are split across worker threads, with the same bits at
+every worker count. The tests check it against the complex ifftn formula.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
@@ -26,9 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
+
+from ._workers import _parts, _run
 
 __all__ = ["GridSpec", "fourier_on_grid", "inverse_fourier_on_grid"]
 
@@ -124,24 +128,36 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
 
     The work runs in one complex buffer, which becomes the output. Its
     first max(N^d/2, N kept) entries hold the moduli, a float64 view of its
-    front, and the kept lines; one block and one slab follow, so the call
-    allocates nothing else of a line's size. Only the lines of F along the
-    last axis that are not all zero are transformed (a zero line transforms
-    to zero), a block at a time in the block: shifted, signed, transformed
-    and written transposed into the back of the first part, stored by
-    output line as (N, kept). The later
-    passes then run one slab of output lines at a time, in a buffer with
-    reversed axes (zeroed, filled with the slab's lines so that every pass
-    runs on contiguous lines, then scaled), and put the slab's moduli in
-    the front. Slab i reads its lines before it writes its moduli, which
-    end at (i+1) O bytes, no further than its lines at S max(O, c) - S c +
-    (i+1) c (O and c the bytes of one slab of moduli and of lines, S the
-    slab count): a slab overwrites only lines already read. So the call
-    holds the larger of the moduli and the kept lines, not their sum, plus
-    one block and one slab, which the returned moduli view the front of.
+    front, and the kept lines; each worker's block and slab follow, so no
+    worker allocates anything of a line's size. Only the lines of F along
+    the last axis that are not all zero are transformed (a zero line
+    transforms to zero), in blocks: shifted, signed, transformed and
+    written transposed into the back of the first part, stored by output
+    line as (N, kept). The later passes then run on slabs of output lines,
+    in buffers with reversed axes (zeroed, filled with the slab's lines so
+    that every pass runs on contiguous lines, then scaled), and put each
+    slab's moduli in the front. Output line i's moduli end at (i+1) o
+    bytes, no further than its kept lines at N max(o, k) - N k + (i+1) k
+    (o and k the bytes of one line's moduli and of its kept entries), so
+    writing them overwrites only lines of rows up to i. So the call holds
+    the larger of the moduli and the kept lines, not their sum, plus the
+    blocks and slabs, which the returned moduli view the front of.
+
+    The work is split across the worker threads of _workers: the kept-line
+    scan by ranges of F's first axis; the blocks of pass 1 by ranges of
+    whole blocks of _LINE_BLOCK kept lines, each worker transforming its
+    range _LINE_BLOCK / workers lines at a time in its own block; the
+    later passes in rounds of one slab of _LINE_BLOCK output lines, a
+    1/workers share of it per worker in its own slab. A round reads all its
+    lines before any of its moduli are written, and the moduli of a round
+    overwrite only lines of that round or earlier ones, so the one buffer
+    stays safe; the blocks and slabs of all workers hold as many lines as
+    one block and one slab. Each line goes through the same numpy calls
+    however the lines are grouped, so the moduli have the same bits at
+    every worker count.
 
     The caller's array is not touched and is never copied: the kept lines
-    are found by F.any on the last axis and gathered a block at a time by
+    are found by F.any on the last axis and copied in line by line by
     their leading indices, whatever F's memory order. Any real or complex
     lattice is taken as it is: each kept line is cast to complex as it is
     copied in, so a float64 lattice has the bits of its complex copy at
@@ -151,14 +167,14 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
     outside the box [lo, hi)^d and on it is what fill makes of F, so a
     caller can transform, say, F times a window without holding the
     product (dyadic_piece does). The kept lines are then the box's lines,
-    in C order of their leading indices, a block at a time: fill(F, lead,
-    out) gets lead, the block's indices on the leading axes (d - 1 integer
-    arrays), and writes the values on [lo, hi) of each of its lines into
-    out, a complex (lines, hi - lo) view of a source block, one more block
-    in the buffer, zero elsewhere; the source is then shifted into the
-    block as F is without a box. A box line that fill leaves all zero is
-    transformed too, which changes only the signs of zeros. F is read only
-    by fill.
+    in C order of their leading indices, _LINE_BLOCK lines at a time, on
+    the calling thread: fill(F, lead, out) gets lead, the block's indices
+    on the leading axes (d - 1 integer arrays), and writes the values on
+    [lo, hi) of each of its lines into out, a complex (lines, hi - lo) view
+    of a source block, one more block in the buffer, zero elsewhere; the
+    source is then shifted into the block as F is without a box. A box
+    line that fill leaves all zero is transformed too, which changes only
+    the signs of zeros. F is read only by fill.
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
@@ -169,57 +185,88 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
     axis_signs = _sign_vector(n)
     signs = np.fft.ifftshift(axis_signs)
     if box is None:
-        keep = np.flatnonzero(F.any(axis=-1))
+        # the kept-line scan, a range of the first axis per worker
+        flags = np.empty(F.shape[:-1], dtype=bool)
+        parts = _parts(n, _LINE_BLOCK) if d > 1 else [...]
+        _run([[partial(np.any, F[r], axis=-1, out=flags[r]) for r in parts]])
+        keep = np.flatnonzero(flags)
+        first = _parts(keep.size, _LINE_BLOCK)
     else:
         lo, hi, fill = box
         keep = np.zeros(1, dtype=np.intp)  # the one line when d = 1
         for _ in range(d - 1):
             keep = np.add.outer(keep * n, np.arange(lo, hi)).ravel()
+        first = [slice(0, keep.size)]  # fill runs on this thread
     # lead[k] is each kept line's index on axis k < d-1; the shift moves it
-    # by n/2, which gives the line's column col in a slab. When d = 1 there
-    # is no lead index, and F[idx + ...] reads F, the one line, whole
+    # by n/2, which gives the line's column col in a slab
     lead = [keep // n ** (d - 2 - k) % n for k in range(d - 1)]
     col = sum(((i + h) % n * n**k for k, i in enumerate(lead)), np.zeros_like(keep))
+    # pass 1 gives each worker a range of whole blocks, which it runs a
+    # 1/workers block at a time; the later passes run in rounds of one
+    # slab, a 1/workers slab per worker
+    block_lines = _LINE_BLOCK // len(first)
+    slab_workers = len(_parts(n, _LINE_BLOCK))
+    slab_lines = min(_LINE_BLOCK, n) // slab_workers
+    span = slab_lines * slab_workers  # output lines per round
     # the call's one buffer: the moduli and the kept lines in its first
-    # part, then the block, the box's source and the slab
+    # part, then each worker's block, the box's source and each worker's
+    # slab
     part = max(n**d // 2, n * keep.size)
-    block_size = min(_LINE_BLOCK, keep.size) * n
+    block_size = min(block_lines, keep.size) * n
     source_size = 0 if box is None else block_size
-    slab_shape = (min(_LINE_BLOCK, n),) + (n,) * (d - 1)
-    buf = np.empty(part + block_size + source_size + math.prod(slab_shape), dtype=complex)
+    slab_shape = (slab_lines,) + (n,) * (d - 1)
+    sizes = [block_size] * len(first) + [source_size] + [math.prod(slab_shape)] * slab_workers
+    buf = np.empty(part + sum(sizes), dtype=complex)
     out = buf.view(np.float64)[: n**d].reshape((n,) * d)  # reversed axes
     lines = buf[part - n * keep.size : part].reshape(n, keep.size)
-    block, source, slab = np.split(buf[part:], [block_size, block_size + source_size])
-    block, slab = block.reshape(-1, n), slab.reshape(slab_shape)
-    source = source.reshape(-1, n)
+    pieces = np.split(buf[part:], np.cumsum(sizes)[:-1])
+    blocks = [b.reshape(-1, n) for b in pieces[: len(first)]]
+    source = pieces[len(first)].reshape(-1, n)
+    slabs = [s.reshape(slab_shape) for s in pieces[len(first) + 1 :]]
     source.fill(0.0)  # zero but for the columns fill writes
-    for start in range(0, keep.size, _LINE_BLOCK):
-        rows = slice(start, start + _LINE_BLOCK)
-        idx = tuple(i[rows] for i in lead)
-        b = block[: keep[rows].size]
-        if box is None:
-            b[:, :h] = F[idx + (slice(h, None),)]  # the shift along each line
-            b[:, h:] = F[idx + (slice(None, h),)]
-        else:
-            src = source[: b.shape[0]]
-            fill(F, idx, src[:, lo:hi])
-            b[:, :h] = src[:, h:]
-            b[:, h:] = src[:, :h]
-        for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
-            b *= axis_signs[i, None]
-        b *= signs
-        np.fft.ifft(b, axis=1, out=b)
-        lines[:, rows] = b.T
-    for start in range(0, n, _LINE_BLOCK):
-        rows = slice(start, start + _LINE_BLOCK)
-        dest = out[rows]
-        s = slab[: dest.shape[0]]
-        s.fill(0.0)
-        s.reshape(s.shape[0], -1)[:, col] = lines[rows]
-        for axis in range(1, d):  # buffer axis 1 holds the input's axis d-2
-            np.fft.ifft(s, axis=axis, out=s)
-        s *= scale
-        np.abs(s, out=dest)
+
+    def first_pass(kept, block):
+        for start in range(kept.start, kept.stop, block_lines):
+            rows = slice(start, min(start + block_lines, kept.stop))
+            idx = tuple(i[rows] for i in lead)
+            b = block[: rows.stop - start]
+            if box is None:
+                # each line by its leading indices, shifted along the line
+                # and cast as it is copied into the block
+                for r, at in enumerate(zip(*idx) if d > 1 else [()]):
+                    np.copyto(b[r, :h], F[at + (slice(h, None),)])
+                    np.copyto(b[r, h:], F[at + (slice(None, h),)])
+            else:
+                src = source[: b.shape[0]]
+                fill(F, idx, src[:, lo:hi])
+                b[:, :h] = src[:, h:]
+                b[:, h:] = src[:, :h]
+            for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
+                b *= axis_signs[i, None]
+            b *= signs
+            np.fft.ifft(b, axis=1, out=b)
+            lines[:, rows] = b.T
+
+    _run([[partial(first_pass, kept, block) for kept, block in zip(first, blocks)]])
+
+    def slab_step(w, r):
+        # worker w puts the moduli of its slab of round r - 1 in the front,
+        # then runs the later passes on its slab of round r
+        s, at = slabs[w], r * span + w * slab_lines
+        if r > 0:
+            done = out[at - span : at - span + slab_lines]
+            np.abs(s[: len(done)], out=done)
+        todo = lines[at : at + slab_lines]
+        if len(todo):
+            s = s[: len(todo)]
+            s.fill(0.0)
+            s.reshape(len(todo), -1)[:, col] = todo
+            for axis in range(1, d):  # buffer axis 1 holds the input's axis d-2
+                np.fft.ifft(s, axis=axis, out=s)
+            s *= scale
+
+    steps = [[partial(slab_step, w, r) for w in range(slab_workers)] for r in range(-(-n // span) + 1)]
+    _run(steps)
     return out.T
 
 

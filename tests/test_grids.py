@@ -1,13 +1,16 @@
 """Grid geometry and the lattice Fourier transform."""
 
 import math
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restrictionlab import _workers
 from restrictionlab.grids import GridSpec, fourier_on_grid, inverse_fourier_on_grid
 
 from gridpoints import grid_points, ifftn_formula
@@ -162,9 +165,10 @@ def _peak_bytes(call):
     lines=st.sampled_from(["random", "one", "nyquist", "none", "all"]),
     order=st.sampled_from(["C", "F"]),
     real=st.booleans(),
+    workers=st.sampled_from([1, 2, 4]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real, seed):
+def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real, workers, seed):
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     rng = np.random.default_rng(seed)
     shape = (n,) * d
@@ -189,15 +193,17 @@ def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real,
     F = np.asarray(F, order=order)
     before = F.copy()
     expected = np.abs(ifftn_formula(F, g))
-    got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+    with mock.patch.object(_workers, "_WORKERS", workers):
+        got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
     assert got.tobytes() == expected.tobytes()
     assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     # the caller's array is left as it was, signs of its zeros included
     assert before.tobytes() == F.tobytes()
     # one buffer, the larger of the moduli and the kept lines' compact
-    # buffer, one block of 16 kept lines and one slab of 16 output lines,
-    # plus index arrays and numpy's buffers; the complex field (16 n^d
-    # bytes) exceeds this whenever it is much larger than one slab. A
+    # buffer, one block of 16 kept lines and one slab of 16 output lines
+    # shared out among the workers, plus index arrays and numpy's buffers;
+    # the complex field (16 n^d bytes) exceeds this whenever it is much
+    # larger than one slab. A
     # lattice in either memory order is read in place, never copied
     compact = 16 * kept * n
     block = 16 * min(16, kept) * n
@@ -251,6 +257,53 @@ def test_box_values_transform_as_their_materialized_lattice_bit_for_bit(
     assert [tuple(int(i) - lo for i in t) for t in seen] == list(np.ndindex((hi - lo,) * (d - 1)))
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 3),
+    n=st.sampled_from([16, 32, 64, 128]),
+    lines=st.sampled_from(["random", "none", "all", "few"]),
+    order=st.sampled_from(["C", "F"]),
+    real=st.booleans(),
+    box=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, real, box, seed):
+    # the scan, the blocks of pass 1 and the slabs are split across 1 to 4
+    # workers once each gets a whole block of 16 lines (up to 128 output
+    # lines and 128 kept lines here); every split gives the serial bits. A
+    # box is filled on the calling thread, once per line in C order
+    n = min(n, 32) if d == 3 else n
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    shape = (n,) * d
+    F = rng.standard_normal(shape)
+    if not real:
+        F = F + 1j * rng.standard_normal(shape)
+    rows = F.reshape(-1, n)  # a view: one row per line along the last axis
+    share = {"random": 0.5, "none": 0.0, "all": 1.0, "few": 0.05}[lines]
+    rows[rng.uniform(size=rows.shape[0]) >= share] = 0.0
+    F = np.asarray(F, order=order)
+    lo, hi = n // 4, n - n // 8
+    caller, calls = threading.get_ident(), []
+
+    def fill(lattice, lead, out):
+        calls.append((threading.get_ident(), [tuple(map(int, t)) for t in zip(*lead)] if lead else [()]))
+        np.multiply(lattice[lead + (slice(lo, hi),)], 0.5, out=out)
+
+    def moduli(workers):
+        calls.clear()
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            got = inverse_fourier_on_grid(F, g, box=(lo, hi, fill) if box else None)
+        return got, list(calls)
+
+    serial, serial_calls = moduli(1)
+    for workers in (2, 3, 4):
+        got, got_calls = moduli(workers)
+        assert got.tobytes() == serial.tobytes()
+        assert got_calls == serial_calls
+        assert all(ident == caller for ident, _ in got_calls)
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32", "complex64"])
 @pytest.mark.parametrize("kind", ["dense", "zero lines", "sparse", "zero"])
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
@@ -275,18 +328,20 @@ def test_knapp_like_lattice_is_never_held_as_complex(kept_share):
     # a real lattice with whole lines zero, as off the Knapp caps. The call
     # holds one buffer, the larger of the float64 moduli and the compact
     # buffer of the transformed kept lines, with one block, one slab and
-    # index arrays: neither the complex field nor a complex copy of the
-    # input (16 MiB each here)
+    # index arrays, at the default worker count and at 4: neither the
+    # complex field nor a complex copy of the input (16 MiB each here)
     n = 1024
     g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
     rng = np.random.default_rng(9)
     F = rng.standard_normal((n, n))
     F[rng.permutation(n)[: n - n // kept_share]] = 0.0
     expected = np.abs(ifftn_formula(F, g))
-    got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
-    assert got.tobytes() == expected.tobytes()
-    compact = 16 * (n // kept_share) * n
-    assert peak < max(got.nbytes, compact) + 4 * 2**20
+    for workers in (_workers._WORKERS, 4):
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+        assert got.tobytes() == expected.tobytes()
+        compact = 16 * (n // kept_share) * n
+        assert peak < max(got.nbytes, compact) + 4 * 2**20
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -295,7 +350,9 @@ def test_kept_lines_share_the_output_buffer(kept_share, order):
     # the moduli (n^d / 2 complex entries) and the kept lines (n per line)
     # share one buffer, so the call holds the larger of the two, not their
     # sum, with kept lines below or above half the lines: a compact buffer
-    # allocated beside the output adds the smaller (1 MiB or 2 MiB here)
+    # allocated beside the output adds the smaller (1 MiB or 2 MiB here).
+    # The workers' blocks and slabs hold one block and one slab in all, at
+    # the default worker count and at 4
     n = 512
     g = GridSpec(dim=2, half_width=32.0, points_per_axis=n)
     rng = np.random.default_rng(11)
@@ -303,12 +360,14 @@ def test_kept_lines_share_the_output_buffer(kept_share, order):
     F[rng.permutation(n)[: n - int(kept_share * n)]] = 0.0
     F = np.asarray(F, order=order)
     expected = np.abs(ifftn_formula(F, g))
-    got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
-    assert got.tobytes() == expected.tobytes()
-    out, compact = got.nbytes, 16 * int(kept_share * n) * n
-    block, slab = 16 * 16 * n, 16 * 16 * n
-    assert peak < max(out, compact) + block + slab + 2**18
-    assert min(out, compact) >= 2**20  # the sum would break the bound
+    for workers in (_workers._WORKERS, 4):
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+        assert got.tobytes() == expected.tobytes()
+        out, compact = got.nbytes, 16 * int(kept_share * n) * n
+        block, slab = 16 * 16 * n, 16 * 16 * n  # of all workers together
+        assert peak < max(out, compact) + block + slab + 2**18
+        assert min(out, compact) >= 2**20  # the sum would break the bound
 
 
 def test_transform_shape_check():

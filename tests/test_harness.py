@@ -8,11 +8,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from restrictionlab import cli, knapp
+from restrictionlab import _workers, cli, knapp
 from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
 from restrictionlab.reporting import (
@@ -535,15 +536,17 @@ def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
     # when each piece built its localized lattice
     lattice = 16 * 512**2  # bytes of one complex lattice
     argv = ["dyadic", "--points", "512", "--n", "256", "--j-list", "1,2,3,4,5,6"]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert main(argv + ["--out", str(tmp_path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.0 * lattice
+    for workers in (_workers._WORKERS, 4):
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert main(argv + ["--out", str(tmp_path / str(workers))]) == 0
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4.0 * lattice
 
 
 def test_accept_of_the_ball_profiles_loads_no_scipy(tmp_path):

@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from restrictionlab import knapp
+from restrictionlab import _workers, knapp
 from restrictionlab.bumps import annulus_window, plateau_window
 from restrictionlab.grids import GridSpec, inverse_fourier_on_grid
 from restrictionlab.knapp import (
@@ -128,15 +129,17 @@ def test_cap_lattice_is_built_without_cap_sized_temporaries(monkeypatch):
         return inverse_fourier_on_grid(G, grid)
 
     monkeypatch.setattr(knapp, "inverse_fourier_on_grid", record_entry)
-    for n in (2, 3, 4):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            knapp_function(KnappSpec(N=n, q=2.0), grid, sphere)
-        finally:
-            tracemalloc.stop()
-    assert len(seen) == 3
+    for workers in (_workers._WORKERS, 4):
+        for n in (2, 3, 4):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                with mock.patch.object(_workers, "_WORKERS", workers):
+                    knapp_function(KnappSpec(N=n, q=2.0), grid, sphere)
+            finally:
+                tracemalloc.stop()
+    assert len(seen) == 6
     for peak, lattice in seen:
         assert peak <= lattice + 2**20
 
@@ -272,12 +275,14 @@ def test_experiment_peak_memory_stays_below_1_15_lattices():
     # moduli alone, which the rearrangement sorts in place
     grid = GridSpec(2, 128.0, 1024)
     lattice = 16 * 1024**2  # bytes of one complex lattice
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        knapp_sharpness_experiment(2.0, 1.2, [2.0, math.inf], [2, 3, 4], grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.15 * lattice
+    for workers in (_workers._WORKERS, 4):
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                knapp_sharpness_experiment(2.0, 1.2, [2.0, math.inf], [2, 3, 4], grid)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.15 * lattice

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restrictionlab import lorentz
+from restrictionlab import _workers, lorentz
 from restrictionlab.lorentz import indicator_lorentz_norm, lorentz_norm_values
 
 
@@ -175,9 +175,12 @@ def _traced_peak(call):
 
 
 def test_small_call_allocates_little():
-    # the block buffers are sized to the samples, not to a whole block
+    # the block buffers are sized to the samples, not to a whole block, at
+    # the default worker count and at 4
     v = np.random.default_rng(16).standard_normal(200)
-    assert _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.5, (2.5, math.inf))) < 64 * 1024
+    for workers in (_workers._WORKERS, 4):
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            assert _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.5, (2.5, math.inf))) < 64 * 1024
 
 
 @pytest.mark.parametrize("p", [0.5, 1.2, 2.0, 3.0])
@@ -279,17 +282,66 @@ def test_sup_norm_equals_the_whole_array_maximum_bit_for_bit(n, steepness, p, ce
         assert lorentz_norm_values(v, cell, p, math.inf).hex() == expected.hex()
 
 
+_SPLITS = sorted({w * _B + k for w in (2, 3, 4) for k in (-1, 0, 1)})
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["real", "complex", "integer", "ties", "fortran", "float32"]),
+    n=st.sampled_from([5, 300] + _SPLITS),
+    zeros=st.sampled_from([0.0, 0.3]),
+    s_values=st.sampled_from([2.0, math.inf, (1.7, math.inf), (math.inf, 0.5, 3.0)]),
+    owned=st.booleans(),
+    p=st.sampled_from([0.5, 1.2, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norms_have_the_same_bits_at_every_worker_count(kind, n, zeros, s_values, owned, p, seed):
+    # the moduli, the sort and the summands are split across 1 to 4 workers
+    # once each gets a whole block of _BLOCK samples (sizes just under, at
+    # and over 2, 3 and 4 blocks); every split gives the serial bits. Ties
+    # are moduli drawn from a few values, and zeros of both signs are
+    # dropped before the integral
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        v = rng.integers(-9, 10, size=n)
+    elif kind == "ties":
+        v = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0], size=n)
+    else:
+        v = rng.standard_normal(n)
+        if kind == "complex":
+            v = v + 1j * rng.standard_normal(n)
+        v = v.astype(np.float32) if kind == "float32" else v
+    v[rng.uniform(size=n) < zeros] = 0
+    v[rng.uniform(size=n) < zeros / 2] = -0.0 if kind != "integer" else 0
+    if kind == "fortran":
+        v = np.asfortranarray(np.resize(v, (2, (n + 1) // 2)))
+
+    def norms(workers):
+        handed = v.copy(order="K")
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            return lorentz_norm_values(handed, 0.37, p, s_values, owned=owned)
+
+    serial = norms(1)
+    assert all(norms(workers) == serial for workers in (2, 3, 4))
+
+
 def test_owned_float64_samples_allocate_no_n_element_buffer():
     # 2^20 float64 samples: handed over, they are their own moduli, and the
-    # call allocates only the block buffers of the integral; the default
-    # path allocates at least the 8 MiB copy of the moduli
+    # call allocates only the block buffers of the integral, which hold as
+    # many entries for 4 workers as for one; the default path allocates at
+    # least the 8 MiB copy of the moduli
     v = np.random.default_rng(20).standard_normal((1024, 1024))
     expected = lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf))
-    assert _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf))) >= 8 * v.size
-    norms = []
-    peak = _traced_peak(lambda: norms.append(lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf), owned=True)))
-    assert peak < 2 * 2**20
-    assert norms == [expected]
+    for workers in (_workers._WORKERS, 4):
+        with mock.patch.object(_workers, "_WORKERS", workers):
+            assert _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf))) >= 8 * v.size
+            norms = []
+            handed = v.copy()
+            peak = _traced_peak(
+                lambda: norms.append(lorentz_norm_values(handed, 0.37, 1.2, (2.0, math.inf), owned=True))
+            )
+        assert peak < 2 * 2**20
+        assert norms == [expected]
 
 
 def test_one_finite_s_allocates_one_float_buffer():
@@ -299,8 +351,10 @@ def test_one_finite_s_allocates_one_float_buffer():
     rng = np.random.default_rng(18)
     complex_samples = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
     for v in (complex_samples, rng.integers(-1000, 1000, size=(1024, 1024))):
-        peak = _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf)))
-        assert peak < 8 * v.size + 4 * 2**20
+        for workers in (_workers._WORKERS, 4):
+            with mock.patch.object(_workers, "_WORKERS", workers):
+                peak = _traced_peak(lambda: lorentz_norm_values(v, 0.37, 1.2, (2.0, math.inf)))
+            assert peak < 8 * v.size + 4 * 2**20
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])

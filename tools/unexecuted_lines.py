@@ -1,7 +1,8 @@
 """List the lines of src/restrictionlab that the Tier-1 tests never run.
 
-Runs pytest in this process under a sys.settrace line tracer that records
-only frames of files in src/restrictionlab, then prints, for each of those
+Runs pytest in this process under a sys.settrace line tracer, set for the
+threads the tests start too (the lab's worker threads), that records only
+frames of files in src/restrictionlab, then prints, for each of those
 files, every line that its compiled code can reach (the line table of each
 code object, co_lines) but no test ran, as "path:line: source", and a total.
 Subprocesses the tests start are not traced. Standard library only, apart
@@ -16,6 +17,7 @@ The exit status is pytest's.
 from __future__ import annotations
 
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -55,10 +57,12 @@ def traced_run(pytest_args) -> tuple:
         return local
 
     sys.settrace(calls)
+    threading.settrace(calls)
     try:
         status = pytest.main(list(pytest_args))
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     return int(status), executed
 
 
