@@ -8,6 +8,15 @@ all verdict checks pass, 1 when any fails, and 2 for an invalid
 configuration (unknown flags, bad values, violated preconditions, IO
 failure). No other exit codes occur.
 
+Each rule of a valid configuration lives in one place. The parser checks
+a flag's own range: its type converts the value and refuses it with the
+value expected and the value typed (`_at_least` for the integer floors,
+`_threshold` for a NaN verdict bound). A handler checks what depends on
+which flags its run reads (`_check_flatness_count`, `_drop_unread`). The
+library checks what every caller must meet, and raises ValueError; `main`
+reports a ValueError or an OSError as an invalid configuration and lets
+any other exception escape, since it is a fault, not a configuration.
+
 Verdict thresholds (slope windows, flatness factors, gaps) are flags with
 defaults pinned here, not constants buried in the computation modules.
 Each experiment subcommand returns a `reporting.Result`: its table, its
@@ -105,19 +114,9 @@ def _threshold(text: str) -> float:
     return _parsed(text, float, "a number other than NaN", lambda value: not math.isnan(value))
 
 
-def _dimension(text: str) -> int:
-    # the point mass's ambient dimension, refused here so that the message
-    # names the value typed
-    value = _parsed(text, int, "an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("the dimension must be >= 1, got %d" % value)
-    return value
-
-
-def _seed(text: str) -> int:
-    # numpy refuses a negative seed only once a run has started, and some
-    # subcommands never hand theirs to numpy
-    return _parsed(text, int, "an integer >= 0", lambda value: value >= 0)
+def _at_least(floor: int):
+    """The parser type of an integer flag whose range starts at floor."""
+    return lambda text: _parsed(text, int, "an integer >= %d" % floor, lambda value: value >= floor)
 
 
 # the measure flags that each --kind reads and its measure's builder; a run
@@ -155,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.set_defaults(handler=handler)
         sp.add_argument("--out", default="reports", help="output directory (default: reports)")
-        sp.add_argument("--seed", type=_seed, default=0, help="random seed (default: 0)")
+        # numpy refuses a negative seed only once a run has started, and some
+        # subcommands never hand theirs to numpy
+        sp.add_argument("--seed", type=_at_least(0), default=0, help="random seed (default: 0)")
         return sp
 
     def add_measure_flags(sp: argparse.ArgumentParser, n=8192) -> None:
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=n, help="atom count for circle/sphere")
         sp.add_argument("--ratio", type=float, default=1.0 / 3.0, help="contraction ratio for cantor kinds")
         sp.add_argument("--levels", type=int, default=14, help="level count for cantor kinds")
-        sp.add_argument("--dim", type=_dimension, default=2, help="ambient dimension for the point mass")
+        sp.add_argument("--dim", type=_at_least(1), default=2, help="ambient dimension for the point mass")
 
     sp = add("exponents", cmd_exponents, "exact exponent profile and identity suite")
     sp.add_argument("--d", type=Fraction, default=Fraction(3))
@@ -193,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--flatness-max", type=_threshold, default=10.0)
 
     sp = add("lorentz", cmd_lorentz, "Lorentz quasi-norm consistency checks on random fields")
-    sp.add_argument("--fields", type=int, default=1000)
-    sp.add_argument("--indicators", type=int, default=50)
+    # zero samples would pass every check vacuously
+    sp.add_argument("--fields", type=_at_least(1), default=1000)
+    sp.add_argument("--indicators", type=_at_least(1), default=50)
     sp.add_argument("--tol-diagonal", type=_threshold, default=1e-10)
     sp.add_argument("--tol-indicator", type=_threshold, default=1e-12)
 
@@ -229,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scaling_flags(sp: argparse.ArgumentParser, phase, q, lam_list, slope_min, slope_max) -> None:
         sp.add_argument("--phase", default=phase)
         sp.add_argument("--phase-file", default=None, help="polynomial coefficient file")
-        sp.add_argument("--kappa", type=int, default=1)
+        # a negative curvature count is no hypothesis: oscillatory would skip
+        # its curvature check and fold would demand nothing
+        sp.add_argument("--kappa", type=_at_least(0), default=1)
         sp.add_argument("--q", type=float, default=q)
         sp.add_argument("--s", type=float, default=2.0)
         sp.add_argument("--lam-list", type=_floats, default=lam_list)
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("oscillatory", cmd_oscillatory, "hypothesis checks and lambda-scaling for a catalog phase")
     add_scaling_flags(sp, "parabola", 6.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0], -0.43, -0.23)
-    sp.add_argument("--probes", type=int, default=8)
+    sp.add_argument("--probes", type=_at_least(1), default=8)  # none would pass vacuously
 
     sp = add("fold", cmd_fold, "fold hypothesis check and lambda-scaling for a square phase")
     add_scaling_flags(sp, "fold-curved", 3.0, [16.0, 32.0, 64.0, 128.0, 256.0, 512.0], -0.82, -0.52)
@@ -293,12 +297,6 @@ def _check_flatness_count(flag: str, count: int) -> None:
     field or ratio is computed."""
     if count < 2:
         raise ValueError("%s: a flatness factor needs at least 2 values, got %d" % (flag, count))
-
-
-def _check_floor(flag: str, value: int, floor: int) -> None:
-    """A count flag below its floor, refused at entry."""
-    if value < floor:
-        raise ValueError("%s must be >= %d, got %d" % (flag, floor, value))
 
 
 def _drop_unread(args, flags, read=()) -> None:
@@ -392,9 +390,6 @@ def cmd_dyadic(args) -> Result:
 
 
 def cmd_lorentz(args) -> Result:
-    # zero samples would pass every check vacuously
-    _check_floor("--fields", args.fields, 1)
-    _check_floor("--indicators", args.indicators, 1)
     rng = np.random.default_rng(args.seed)
     worst_pp = 0.0
     for _ in range(args.fields):
@@ -418,29 +413,20 @@ def cmd_lorentz(args) -> Result:
     base = lorentz_norm_values(vals, 0.37, p=1.5, s=2.5)
     homog = lorentz_norm_values(4.0 * vals, 0.37, p=1.5, s=2.5) == 4.0 * base
     rearr = lorentz_norm_values(rng.permutation(vals), 0.37, p=1.5, s=2.5) == base
-    checks = [
-        (
-            "diagonal matches L^p within %g" % args.tol_diagonal,
-            worst_pp <= args.tol_diagonal,
-            "%.3g" % worst_pp,
-        ),
-        (
-            "indicator closed form within %g" % args.tol_indicator,
-            worst_ind <= args.tol_indicator,
-            "%.3g" % worst_ind,
-        ),
-        ("homogeneity exact for scale 4", homog, ""),
-        ("rearrangement invariance exact", rearr, ""),
-    ]
-    table = ReportTable(
-        columns=("check", "max_rel_dev"),
-        rows=(
-            ("diagonal", worst_pp),
-            ("indicator", worst_ind),
-            ("homogeneity", 0.0 if homog else 1.0),
-            ("rearrangement", 0.0 if rearr else 1.0),
-        ),
+    # (table row, check, deviation, tolerance); an exact check (tolerance
+    # None) holds at deviation 0 and prints no detail
+    named = (
+        ("diagonal", "diagonal matches L^p within %g" % args.tol_diagonal, worst_pp, args.tol_diagonal),
+        ("indicator", "indicator closed form within %g" % args.tol_indicator, worst_ind, args.tol_indicator),
+        ("homogeneity", "homogeneity exact for scale 4", float(not homog), None),
+        ("rearrangement", "rearrangement invariance exact", float(not rearr), None),
     )
+    checks = [
+        (check, dev == 0.0, "") if tol is None else (check, dev <= tol, "%.3g" % dev)
+        for _, check, dev, tol in named
+    ]
+    rows = tuple((row, dev) for row, _, dev, _ in named)
+    table = ReportTable(columns=("check", "max_rel_dev"), rows=rows)
     return Result(table, checks)
 
 
@@ -510,9 +496,6 @@ def cmd_restrict(args) -> Result:
 
 
 def _resolve_phase(args):
-    # a negative curvature count is no hypothesis: oscillatory would skip
-    # its curvature check and fold would demand nothing
-    _check_floor("--kappa", args.kappa, 0)
     if args.phase_file:
         spec = polynomial_phase_from_file(args.phase_file)
     else:
@@ -569,7 +552,6 @@ def _scaling(args, spec, checks) -> Result:
 
 
 def cmd_oscillatory(args) -> Result:
-    _check_floor("--probes", args.probes, 1)
     spec = _resolve_phase(args)
     rng = np.random.default_rng(args.seed)
     r = spec.amp_radius
@@ -614,7 +596,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         result = args.handler(args)  # accept writes its own files and returns its exit code
         return result if isinstance(result, int) else _finish(args, result)
-    except (ValueError, TypeError, KeyError, NotImplementedError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 2
 

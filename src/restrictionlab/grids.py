@@ -53,6 +53,19 @@ class GridSpec:
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two, at least 8")
+        # the cell volume, the transform scale (N/(2L))^d and the squared
+        # extents of the grid axis (L^2) and the frequency axis (nyquist^2)
+        # must be finite and positive: a float ** raises on overflow, and an
+        # underflow to 0 leaves no cell
+        try:
+            sizes = (self.cell_volume, (n * self.freq_spacing) ** self.dim, self.half_width**2, self.nyquist**2)
+        except OverflowError:
+            sizes = (math.inf,)
+        if not all(0 < v < math.inf for v in sizes):
+            raise ValueError(
+                "half_width %g with %d points per axis in %d dimensions: the cell volume, the transform "
+                "scale or a squared axis extent is not a finite positive float" % (self.half_width, n, self.dim)
+            )
 
     @property
     def spacing(self) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .bumps import annulus_window, plateau_window
 from .fitting import FitResult, loglog_fit
 from .grids import GridSpec, inverse_fourier_on_grid
-from .lorentz import _check_exponents, lorentz_norm_values
+from .lorentz import _check_exponents, _check_range, lorentz_norm_values
 from .measures import DiscreteMeasure, make_sphere_measure
 
 __all__ = ["KnappSpec", "ExperimentReport", "knapp_g_values", "knapp_function",
@@ -170,7 +170,9 @@ def knapp_sharpness_experiment(
     The exponents must satisfy the duality relation q = p'/3, which is
     q = (d-1) p'/(d+1) at d = 2, tying the cap geometry to the Lorentz
     scale probed. The N values (at least 3) and the s values must each be
-    distinct; every entry is checked before any field is built.
+    distinct, and each (p, s) must keep the Lorentz integral within the
+    float range on the grid; every entry is checked before any field is
+    built.
     """
     n_values = sorted(int(n) for n in N_list)
     s_values = tuple(float(s) for s in s_list)
@@ -186,6 +188,7 @@ def knapp_sharpness_experiment(
     p_conj = p / (p - 1.0)
     if abs(q - p_conj / 3) > 1e-9:
         raise ValueError("exponents must satisfy q = p'/3; got q=%g, p=%g" % (q, p))
+    _check_range(p, s_values, grid.points_per_axis**grid.dim * grid.cell_volume)
     _check_caps(n_values[-1], grid)  # the largest N, before any field is built
     sphere = make_sphere_measure(2, sphere_n)
     norm_g = []

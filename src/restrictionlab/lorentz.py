@@ -41,6 +41,25 @@ def _check_exponents(p: float, s_values: Sequence[float], name: str = "p") -> No
             raise ValueError("s must be positive (math.inf allowed), got %g" % s)
 
 
+def _check_range(p: float, s_values: Sequence[float], t_max: float, name: str = "p") -> None:
+    """Reject a pair (p, s) whose integral leaves the float range on steps
+    t up to t_max, the volume of all the samples an experiment rearranges.
+    The integral raises t to s/p (to 1/p for s = inf) and its sum to 1/s;
+    the sum is at most (p/s) t_max^(s/p), since the normalized moduli are
+    at most 1, so that bound's root, t_max^(1/p) for s = inf, must be
+    finite. An experiment calls this once on entry, after _check_exponents;
+    the norms themselves do not."""
+    t = np.float64(t_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused below
+        for s in s_values:
+            bound = t ** (1.0 / p) if math.isinf(s) else (p / s * t ** (s / p)) ** (1.0 / s)
+            if not np.isfinite(bound):
+                raise ValueError(
+                    "%s = %g and s = %g take the Lorentz integral out of the float range on steps up to "
+                    "t = %g" % (name, p, s, t_max)
+                )
+
+
 # samples per block of the split passes of lorentz_norm_values, and steps
 # per block of its integral on one worker
 _BLOCK = 1 << 16
@@ -181,7 +200,7 @@ def _sup(core, cell_volume, p, ks, t) -> float:
         # exceeds t_stop^(1/p) core[start]: a block whose bound, with a
         # relative margin of 1e-12 for rounding, is below the peak cannot
         # hold the maximum. A bound that overflows is inf and skips nothing
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused below
             bound = np.float64((start + c.size) * cell_volume) ** (1.0 / p) * c[0]
         if bound * (1.0 + 1e-12) < peak:
             continue

@@ -178,6 +178,12 @@ def _cantor_measure(
     levels = int(levels)
     if not (1 <= levels <= 25):
         raise ValueError("need 1 <= levels <= 25 (atom count 2^levels)")
+    try:
+        alias = (1.0 / c) ** levels / 4.0
+    except OverflowError:  # a float ** raises where the finest cell c^levels underflows
+        raise ValueError(
+            "contraction_ratio %g: %d levels take the finest cell out of the float range" % (c, levels)
+        ) from None
     offsets = digit_one(c, levels) * c ** np.arange(levels)
     # all 0/1 digit strings against the per-level offsets
     idx = np.arange(1 << levels, dtype=np.int64)
@@ -189,7 +195,7 @@ def _cantor_measure(
         atoms=atoms.reshape(-1, 1),
         weights=np.full(n, 1.0 / n),
         label=label % (c, levels),
-        alias_radius=(1.0 / c) ** levels / 4.0,
+        alias_radius=alias,
     )
 
 

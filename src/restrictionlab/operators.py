@@ -131,7 +131,13 @@ def gaussian_dilate_family(grid: GridSpec, scales: Sequence[float]) -> List[Tupl
     The base width is chosen so that every dilate with t >= 1 keeps
     substantial Fourier mass on the unit sphere; a much wider profile
     would leave the t = 1 member exponentially small there and wreck
-    any flatness comparison across the family."""
+    any flatness comparison across the family. The exponent -2 pi t^2 |x|^2
+    must be finite up to the grid's corner, |x|^2 = d L^2."""
+    for t in scales:
+        # t * t, since a float ** raises on overflow; an infinite t would read
+        # inf * 0 at the origin
+        if 2.0 * np.pi * float(t) * float(t) * grid.dim * grid.half_width**2 == np.inf:
+            raise ValueError("scale %g: exp(-2 pi t^2 |x|^2) overflows its exponent on this grid" % t)
     mesh = grid.mesh()
     r2 = sum(m**2 for m in mesh)
     out = []
@@ -186,6 +192,8 @@ def knapp_cap_family(grid: GridSpec, deltas: Sequence[float]) -> List[Tuple[str,
         d = float(delta)
         if d < 2.0 / L:
             raise ValueError("delta = %g too small for box half-width %g" % (d, L))
+        if d == np.inf:  # the bump of |x| * delta would read 0 * inf at the origin
+            raise ValueError("delta = inf leaves the cap no width")
         vals = np.exp(2j * np.pi * mesh[axis])
         for k in range(grid.dim):
             if k == axis:

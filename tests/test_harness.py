@@ -177,7 +177,7 @@ def test_zero_dimensional_point_mass_exits_2(tmp_path, capsys, subcommand, dim):
     # parser refuses the flag, and the message names the value typed
     out = tmp_path / "r"
     assert main([subcommand, "--kind", "point", "--dim", dim, "--out", str(out)]) == 2
-    assert "--dim: the dimension must be >= 1, got %s\n" % dim in capsys.readouterr().err
+    assert "argument --dim: expected an integer >= 1, got '%s'\n" % dim in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -247,7 +247,7 @@ def test_oscillatory_needs_at_least_one_probe(tmp_path, capsys, probes):
     # zero probes would pass both hypothesis checks vacuously
     out = tmp_path / "r"
     assert main(["oscillatory", "--probes", probes, "--out", str(out)]) == 2
-    assert "--probes must be >= 1, got %s" % probes in capsys.readouterr().err
+    assert "argument --probes: expected an integer >= 1, got '%s'\n" % probes in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -289,7 +289,7 @@ def test_negative_kappa_exits_2(tmp_path, capsys, subcommand):
     # would demand nothing of the singular image: a vacuous pass
     out = tmp_path / "r"
     assert main([subcommand, "--kappa", "-1"] + _SMALL_SCALING + ["--out", str(out)]) == 2
-    assert "--kappa must be >= 0, got -1" in capsys.readouterr().err
+    assert "argument --kappa: expected an integer >= 0, got '-1'\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -329,7 +329,7 @@ def test_lorentz_needs_samples(tmp_path, capsys, flag):
     # zero samples would pass every check with a deviation of 0
     out = tmp_path / "r"
     assert main(["lorentz", flag, "0", "--out", str(out)]) == 2
-    assert "%s must be >= 1, got 0" % flag in capsys.readouterr().err
+    assert "argument %s: expected an integer >= 1, got '0'\n" % flag in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -617,7 +617,7 @@ def test_argparse_schema_errors_exit_2():
         (["measure", "--a-min", "nan"], "expected a number other than NaN, got 'nan'"),
         (["knapp", "--N-list", "a"], "expected a comma-separated list of integers, got 'a'"),
         (["knapp", "--s-list", ","], "expected a comma-separated list of numbers, got ','"),
-        (["measure", "--kind", "point", "--dim", "abc"], "expected an integer, got 'abc'"),
+        (["measure", "--kind", "point", "--dim", "abc"], "expected an integer >= 1, got 'abc'"),
     ],
 )
 def test_unparsable_flag_value_names_the_expected_value(tmp_path, capsys, argv, expected):
@@ -670,6 +670,75 @@ def test_failed_verdict_exits_1(tmp_path):
     verdict = open(os.path.join(out, "oscillatory_verdict.txt")).read()
     assert "FAIL mixed-hessian-rank>=1" in verdict
     assert verdict.rstrip().endswith("overall: FAIL")
+
+
+def test_zero_phase_fails_its_hypotheses_at_the_defaults(tmp_path, capsys):
+    # the zero phase violates the curvature hypothesis: its mixed Hessian
+    # vanishes, so no probe has a kernel direction; that is a FAIL (exit 1),
+    # not an invalid configuration
+    out = tmp_path / "r"
+    assert main(["oscillatory", "--phase", "zero", "--out", str(out)]) == 1
+    line = "FAIL curvature-rank>=1: ranks 0,0,0,0,0,0,0,0; kernel dimensions 2,2,2,2,2,2,2,2"
+    assert line in capsys.readouterr().out.splitlines()
+    assert line in (out / "oscillatory_verdict.txt").read_text().splitlines()
+
+
+_GRID_RANGE = (
+    " points per axis in 2 dimensions: the cell volume, the transform scale or a squared axis extent"
+    " is not a finite positive float"
+)
+_SMALL_KNAPP = ["--points", "512", "--half-width", "64", "--N-list", "2,3,4", "--sphere-n", "1024"]
+# the largest step t of the Lorentz integral is the sample volume: 5.27002
+# for the x box of _SMALL_SCALING, (2L)^2 = 16384 for _SMALL_KNAPP
+_LORENTZ_RANGE = " take the Lorentz integral out of the float range on steps up to t = %g"
+_GAUSS = ": exp(-2 pi t^2 |x|^2) overflows its exponent on this grid"
+_DEGREE_2 = "radius 1e+300: a term of degree 2 overflows within twice the radius"
+# each flag value that takes a float out of its range, and its message; the
+# scaling runs and knapp run on their small grids
+_OVERFLOWS = [
+    (["dyadic", "--half-width", "1e-300"], "half_width 1e-300 with 2048" + _GRID_RANGE),
+    (["restrict", "--half-width", "1e300"], "half_width 1e+300 with 512" + _GRID_RANGE),
+    (["restrict", "--scales", "1e300,1,2,3"], "scale 1e+300" + _GAUSS),
+    (["restrict", "--scales", "inf,1,2,3"], "scale inf" + _GAUSS),
+    (["restrict", "--family", "knapp", "--deltas", "inf,1"], "delta = inf leaves the cap no width"),
+    (
+        ["measure", "--kind", "cantor", "--ratio", "1e-300"],
+        "contraction_ratio 1e-300: 14 levels take the finest cell out of the float range",
+    ),
+    (["fold", "--radius", "1e300"], _DEGREE_2),
+    (["oscillatory", "--radius", "1e300"], _DEGREE_2),
+    (["oscillatory", "--q", "1e-300"], "q = 1e-300 and s = 2" + _LORENTZ_RANGE % 5.27002),
+    (["oscillatory", "--s", "1e-300"], "q = 6 and s = 1e-300" + _LORENTZ_RANGE % 5.27002),
+    (["oscillatory", "--s", "1e300"], "q = 6 and s = 1e+300" + _LORENTZ_RANGE % 5.27002),
+    (["fold", "--q", "1e-300"], "q = 1e-300 and s = 2" + _LORENTZ_RANGE % 5.27002),
+    (["fold", "--s", "1e-300"], "q = 3 and s = 1e-300" + _LORENTZ_RANGE % 5.27002),
+    (["fold", "--s", "1e300"], "q = 3 and s = 1e+300" + _LORENTZ_RANGE % 5.27002),
+    # s/p = 1e600 is inf, and (p/s) t^(s/p) reads 0 * inf
+    (["fold", "--q", "1e-300", "--s", "1e300"], "q = 1e-300 and s = 1e+300" + _LORENTZ_RANGE % 5.27002),
+    (["knapp", "--s-list", "1e300,inf"], "p = 1.2 and s = 1e+300" + _LORENTZ_RANGE % 16384),
+    (["knapp", "--s-list", "1e-300,inf"], "p = 1.2 and s = 1e-300" + _LORENTZ_RANGE % 16384),
+    # 16384^(128/1.2) overflows, on the grid's whole area t = (2L)^2
+    (["knapp", "--s-list", "2,128"], "p = 1.2 and s = 128" + _LORENTZ_RANGE % 16384),
+]
+_SMALL = {"oscillatory": _SMALL_SCALING, "fold": _SMALL_SCALING, "knapp": _SMALL_KNAPP}
+
+
+@pytest.mark.parametrize("argv, message", _OVERFLOWS, ids=[" ".join(argv) for argv, _ in _OVERFLOWS])
+def test_float_range_overflow_exits_2_at_entry(tmp_path, capsys, monkeypatch, argv, message):
+    # unchecked, each of these ended in an OverflowError traceback (exit 1,
+    # the code of a FAIL), or in a RuntimeWarning of numpy where the Tier-1
+    # filters make it an error; none reaches the experiment's first lattice,
+    # field or sweep step
+    def refuse(*args, **kwargs):
+        pytest.fail("the experiment started despite the overflow")
+
+    monkeypatch.setattr(cli, "mu_hat_on_lattice", refuse)
+    monkeypatch.setattr(osc, "apply_T_lambda_product", refuse)
+    monkeypatch.setattr(knapp, "knapp_function", refuse)
+    out = tmp_path / "r"
+    assert main(argv + _SMALL.get(argv[0], []) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid configuration: %s\n" % message
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- subcommands

@@ -337,17 +337,21 @@ def test_curvature_rank_catalog_verdicts():
 
 
 def test_curvature_rank_rejects_ambiguous_kernel():
-    # x is 3-dimensional but only x0 couples: kernel dimension 2
+    # x is 3-dimensional but only x0 couples: kernel dimension 2, so the
+    # probe has no kernel direction and fails the check with rank 0
     spec = PhaseSpec("thin", 3, 2, [(1.0, (1, 0, 0), (1, 0))], 0.09)
     probes = [(np.array([0.01, 0.0, 0.0]), np.array([0.0, 0.0]))]
-    with pytest.raises(ValueError, match="ambiguous"):
-        check_curvature_rank(spec, probes, 1)
+    report = check_curvature_rank(spec, probes, 1)
+    assert report.check == ("curvature-rank>=1", False, "ranks 0; kernel dimensions 2")
 
 
 def test_curvature_rank_rejects_vanishing_hessian():
-    probes = [(np.array([0.01, 0.01]), np.array([0.0]))]
-    with pytest.raises(ValueError, match="vanishes"):
-        check_curvature_rank(CAT["zero"], probes, 0)
+    # the zero phase's mixed Hessian vanishes: kernel dimension x_dim = 2
+    # at every probe, each counted as rank 0
+    probes = [(np.array([0.01, 0.01]), np.array([0.0])), (np.array([0.0, 0.02]), np.array([0.01]))]
+    report = check_curvature_rank(CAT["zero"], probes, 1)
+    assert report.check == ("curvature-rank>=1", False, "ranks 0,0; kernel dimensions 2,2")
+    assert report.values == (0, 0)
 
 
 def test_verdicts_invariant_under_rotation(tmp_path):
