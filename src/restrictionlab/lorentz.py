@@ -99,8 +99,8 @@ def lorentz_norm_values(
     float64 all the same). Both paths give the same bits.
 
     Work: with W = _workers._WORKERS > 1 and at least W blocks of 2^16
-    samples, the moduli, the negation and the normalization run on a range
-    of whole blocks per worker. The sort partitions the negated moduli at
+    samples, the negated moduli and the normalization run on a range of
+    whole blocks per worker. The sort partitions the negated moduli at
     the first rank of each range, one suffix at a time, and sorts each
     range in a worker: a whole sort's bits, since the equal entries that
     sort could order differently are zeros, all -0.0. The integral of each
@@ -112,11 +112,11 @@ def lorentz_norm_values(
     s_values = (s,) if single else tuple(s)
     _check_exponents(p, s_values)
     # decreasing rearrangement in one buffer: sort -|v| ascending, keep the
-    # entries below zero (|v| > 0), negate back; order="K" ravels a
+    # entries below zero (|v| > 0), divide by -vmax; order="K" ravels a
     # contiguous field in either order without a copy, and the sort makes
     # the order irrelevant. Integer samples give float64 moduli in one step
     # (np.abs of the dtype minimum overflows); the moduli divide as float64
-    # anyway (a / vmax). An owned float64 array takes its moduli in place
+    # anyway (a / -vmax). An owned float64 array takes its moduli in place
     v = np.asarray(values)
     integer = v.dtype.kind in "biu"
     take = partial(np.absolute, dtype=np.float64) if integer else np.abs
@@ -124,13 +124,13 @@ def lorentz_norm_values(
         a = v
     else:
         a = np.empty_like(v, dtype=np.float64 if integer else v.real.dtype)
+    parts = _parts(a.size, _BLOCK)
     if v.flags.forc:  # a contiguous field is split as its raveled views
         src, a = v.ravel(order="K"), a.ravel(order="K")
-        _run([[partial(_negated_moduli, take, src[r], a[r]) for r in _parts(a.size, _BLOCK)]])
+        _run([[partial(_negated_moduli, take, src[r], a[r]) for r in parts]])
     else:
         _negated_moduli(take, v, a)
         a = a.ravel(order="K")
-    parts = _parts(a.size, _BLOCK)
     for before, r in zip(parts, parts[1:]):  # then each part sorts alone
         a[before.start :].partition(r.start - before.start)
     _run([[a[r].sort for r in parts]])
@@ -141,7 +141,8 @@ def lorentz_norm_values(
     vmax = -a[0]
     parts = _parts(n, _BLOCK)
     core = a
-    _run([[partial(_normalized, core[r], vmax) for r in parts]])
+    # -|v| / -vmax has the bits of |v| / vmax: negation is exact
+    _run([[partial(np.divide, core[r], -vmax, out=core[r]) for r in parts]])
     # each worker's buffers for blocks of `size` steps: t (size + 1
     # entries) and step (size), beside the shared ks
     size = max(1, min(_BLOCK // len(parts), n))
@@ -175,12 +176,6 @@ def _negated_moduli(take, v: np.ndarray, out: np.ndarray) -> None:
     # -|v| into out, which may be v itself
     take(v, out=out)
     np.negative(out, out=out)
-
-
-def _normalized(a: np.ndarray, vmax) -> None:
-    # the sorted -|v| back to |v| / vmax, in place
-    np.negative(a, out=a)
-    a /= vmax
 
 
 # The block loops of the integral. tb holds t_k = k * cell_volume for the

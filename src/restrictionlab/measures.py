@@ -290,25 +290,14 @@ def ball_regularity_profile(measure: DiscreteMeasure, radii: Sequence[float]) ->
     )
 
 
-# _ball_masses takes the atoms 32 to a chunk, which keeps the band of atoms
-# each chunk must test thin, and tests them in blocks of at most 2^17 float64
-# squared distances (1 MiB), so its temporaries stay small
-_BALL_CHUNK = 32
+# _ball_masses takes the atoms 64 to a chunk in every dimension: a smaller
+# chunk makes more rounds of per-chunk numpy calls (the 2^14-atom Cantor
+# measure's count takes about twice as long at 32), a larger one a wider
+# band of atoms to test (the 8192-atom 3-D sphere's, at 128). It tests them
+# in blocks of at most 2^17 float64 squared distances (1 MiB), so its
+# temporaries stay small; no chunk size changes a count
+_BALL_CHUNK = 64
 _BALL_BLOCK = 1 << 17
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray, test: Callable) -> np.ndarray:
-    """For each entry, the first index of [lo, hi) at which test holds, or hi.
-    test maps an index array to a boolean one, and must hold from some point
-    of each range on."""
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return lo
-        mid = (lo + hi) // 2
-        hit = open_ & test(np.where(open_, mid, 0))
-        hi = np.where(hit, mid, hi)
-        lo = np.where(open_ & ~hit, mid + 1, lo)
 
 
 def _ball_masses(atoms: np.ndarray, r: float, weights: np.ndarray) -> np.ndarray:
@@ -317,18 +306,15 @@ def _ball_masses(atoms: np.ndarray, r: float, weights: np.ndarray) -> np.ndarray
     coordinate order from k = 0. That is the test cKDTree makes at a leaf,
     so with unit weights these are its query_ball_point counts.
 
-    Candidates lie in a window of the atoms sorted by first coordinate,
-    padded by r (1 + 1e-9) and a margin for the rounding of the window's
-    ends at the coordinates' scale. In one dimension each ball is an
-    interval of the sorted atoms, as fl(x_j - x_i)^2 grows with |x_j - x_i|:
-    atoms nearer than r (1 - 1e-9) are counted by index, and the two ends
-    are bisected in the shells between. In more dimensions the atoms go in
-    chunks of _BALL_CHUNK, ordered by a grid of cells of side r. The window
-    atoms nearer than r - band to a chunk's centre, band the centre's
-    largest distance to the chunk's box plus a rounding margin, are in the
-    ball of every chunk atom, those beyond r + band in none, and only the
-    ones between are tested, in blocks of squared distances of at most
-    _BALL_BLOCK entries.
+    The atoms go in chunks of _BALL_CHUNK, ordered by a grid of cells of
+    side r. A chunk's candidates lie in a window of the atoms sorted by
+    first coordinate, padded by r (1 + 1e-9) and a margin for the rounding
+    of the window's ends at the coordinates' scale. The window atoms nearer
+    than r - band to the chunk's centre, band the centre's largest distance
+    to the chunk's box plus a rounding margin, are in the ball of every
+    chunk atom, those beyond r + band in none, and only the ones between
+    are tested, in blocks of squared distances of at most _BALL_BLOCK
+    entries.
     """
     n, dim = atoms.shape
     rr = r * r
@@ -338,27 +324,6 @@ def _ball_masses(atoms: np.ndarray, r: float, weights: np.ndarray) -> np.ndarray
     s = atoms[order]
     x = np.ascontiguousarray(s[:, 0])
     w = weights[order]
-    out = np.empty(n)
-    if dim == 1:
-        inner = max(r * (1.0 - 1e-9) - margin, 0.0)
-        k = np.arange(n)
-
-        def inside(j):
-            return (x[j] - x) ** 2 <= rr
-
-        left = _bisect(
-            np.searchsorted(x, x - pad, "left"),
-            np.minimum(np.searchsorted(x, x - inner, "right"), k),
-            inside,
-        )
-        right = _bisect(
-            np.maximum(np.searchsorted(x, x + inner, "left"), k + 1),
-            np.searchsorted(x, x + pad, "right"),
-            lambda j: ~inside(j),
-        )
-        cum = np.concatenate(([0.0], np.cumsum(w)))
-        out[order] = cum[right] - cum[left]
-        return out
     chunks = np.lexsort(np.floor((s - s.min(axis=0)) / r).T[::-1])
     sc = s[chunks]
     starts = np.arange(0, n, _BALL_CHUNK)
@@ -388,6 +353,7 @@ def _ball_masses(atoms: np.ndarray, r: float, weights: np.ndarray) -> np.ndarray
             for k in range(1, dim):
                 d2 += np.subtract.outer(q[i : i + rows, k], u[:, k]) ** 2
             mass[i : i + rows] += (d2 <= rr) @ wu
+    out = np.empty(n)
     out[order[chunks]] = vals
     return out
 

@@ -135,9 +135,11 @@ def gaussian_dilate_family(grid: GridSpec, scales: Sequence[float]) -> List[Tupl
     must be finite up to the grid's corner, |x|^2 = d L^2."""
     for t in scales:
         # t * t, since a float ** raises on overflow; an infinite t would read
-        # inf * 0 at the origin
-        if 2.0 * np.pi * float(t) * float(t) * grid.dim * grid.half_width**2 == np.inf:
-            raise ValueError("scale %g: exp(-2 pi t^2 |x|^2) overflows its exponent on this grid" % t)
+        # inf * 0 at the origin, and a NaN t fails the comparison too
+        exponent = 2.0 * np.pi * float(t) * float(t) * grid.dim * grid.half_width**2
+        if not exponent < np.inf:
+            why = "overflows its exponent" if exponent == np.inf else "has a NaN exponent"
+            raise ValueError("scale %g: exp(-2 pi t^2 |x|^2) %s on this grid" % (t, why))
     mesh = grid.mesh()
     r2 = sum(m**2 for m in mesh)
     out = []
@@ -190,10 +192,10 @@ def knapp_cap_family(grid: GridSpec, deltas: Sequence[float]) -> List[Tuple[str,
     out = []
     for delta in deltas:
         d = float(delta)
-        if d < 2.0 / L:
-            raise ValueError("delta = %g too small for box half-width %g" % (d, L))
         if d == np.inf:  # the bump of |x| * delta would read 0 * inf at the origin
             raise ValueError("delta = inf leaves the cap no width")
+        if not d >= 2.0 / L:  # a NaN delta fails it too
+            raise ValueError("delta = %g: the cap needs delta >= 2/L = %g on box half-width %g" % (d, 2.0 / L, L))
         vals = np.exp(2j * np.pi * mesh[axis])
         for k in range(grid.dim):
             if k == axis:

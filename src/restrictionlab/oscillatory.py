@@ -778,8 +778,9 @@ def scaling_experiment(
     test function is evaluated once per lambda.
     Under-resolved lambdas (10-points-per-period rule) are dropped with a
     notice; at least 4 must survive. The x and y grids have x_points and
-    y_points per axis, at least 2 each, and (q, s) must keep the Lorentz
-    integral within the float range on the x grid.
+    y_points per axis, at least 2 each; the x cells must have a positive
+    volume, and each grid a point inside the amplitude's support. (q, s)
+    must keep the Lorentz integral within the float range on the x grid.
     """
     lams = [float(v) for v in lam_list]
     if len(lams) < 4:
@@ -805,7 +806,14 @@ def scaling_experiment(
     # math.prod, not np.prod: a cell volume that overflows is inf with no
     # RuntimeWarning, and _check_range refuses it
     cell_x = math.prod(float(ax[1] - ax[0]) for ax in x_axes)
+    if not cell_x > 0:
+        raise ValueError("radius %g with x_points = %d gives an x cell volume of 0" % (r, nx))
     _check_range(q, (s,), nx**spec.x_dim * cell_x, "q")
+    # a grid that misses the amplitude's support makes every ratio 0
+    if not np.any(spec.amp_x(_mesh(x_axes))):
+        raise ValueError("x_points = %d puts no x grid point inside the amplitude's support, radius %g" % (nx, r))
+    if not all(np.any(spec.amp_y(y)) for y in y_axes):
+        raise ValueError("y_points = %d puts no y grid point inside the amplitude's support, radius %g" % (ny, r))
     G = _max_y_gradient(spec, x_axes, y_axes)
     kept_lams = []
     ratios = []

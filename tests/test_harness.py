@@ -457,6 +457,34 @@ def test_non_geometric_lam_list_exits_2_before_the_sweep(tmp_path, capsys, monke
     assert not out.exists()
 
 
+_DEGENERATE_GRIDS = [
+    (["--x-points", "2"], "x_points = 2 puts no x grid point inside the amplitude's support, radius 1"),
+    (["--y-points", "2"], "y_points = 2 puts no y grid point inside the amplitude's support, radius 1"),
+    (["--radius", "1e-300"], "radius 1e-300 with x_points = {x_points} gives an x cell volume of 0"),
+]
+
+
+@pytest.mark.parametrize("subcommand, x_points", [("oscillatory", 192), ("fold", 160)])
+@pytest.mark.parametrize("flags, message", _DEGENERATE_GRIDS, ids=[" ".join(f) for f, _ in _DEGENERATE_GRIDS])
+def test_degenerate_scaling_grid_exits_2_before_the_sweep(
+    tmp_path, capsys, monkeypatch, subcommand, x_points, flags, message
+):
+    # two points per axis sit at +-1.1 r or +-1.2 r, outside the amplitude's
+    # support, and at radius 1e-300 the x cell volume underflows to 0; each
+    # made every ratio 0, and the run exited 2 only at the fit, after the
+    # whole sweep, with a message that named no flag
+    def refuse(*args, **kwargs):
+        pytest.fail("the sweep started despite a degenerate grid")
+
+    monkeypatch.setattr(osc, "_max_y_gradient", refuse)
+    monkeypatch.setattr(osc, "phase_factors", refuse)
+    out = tmp_path / "r"
+    assert main([subcommand, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid configuration: %s\n" % message.format(x_points=x_points)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["oscillatory", "fold"])
 def test_repeated_lam_list_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch, subcommand):
     # a step ratio of 1 passes the geometric check; unchecked, the sweep ran
@@ -701,6 +729,11 @@ _OVERFLOWS = [
     (["restrict", "--scales", "1e300,1,2,3"], "scale 1e+300" + _GAUSS),
     (["restrict", "--scales", "inf,1,2,3"], "scale inf" + _GAUSS),
     (["restrict", "--family", "knapp", "--deltas", "inf,1"], "delta = inf leaves the cap no width"),
+    (["restrict", "--scales", "nan,1,2,3"], "scale nan: exp(-2 pi t^2 |x|^2) has a NaN exponent on this grid"),
+    (
+        ["restrict", "--family", "knapp", "--deltas", "nan,1"],
+        "delta = nan: the cap needs delta >= 2/L = 0.03125 on box half-width 64",
+    ),
     (
         ["measure", "--kind", "cantor", "--ratio", "1e-300"],
         "contraction_ratio 1e-300: 14 levels take the finest cell out of the float range",

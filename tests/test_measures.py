@@ -276,6 +276,20 @@ def test_ball_counts_equal_the_kd_tree_counts_on_exact_ties(case, shift):
     assert np.array_equal(expected, np.count_nonzero(d2 <= r * r, axis=1))
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=_lattice_with_ties())
+def test_ball_counts_do_not_depend_on_the_chunk_size(case):
+    # the chunk size sets only which atoms share a window and a band, so
+    # every size, one atom a chunk and more than the atoms included, gives
+    # the tree's counts
+    atoms, r = case
+    expected = cKDTree(atoms).query_ball_point(atoms, r, return_length=True)
+    for chunk in (1, 7, 32, 64, 256):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_BALL_CHUNK", chunk)
+            assert np.array_equal(measures._ball_masses(atoms, r, np.ones(len(atoms))), expected), chunk
+
+
 def test_ball_profile_point_mass_clamps_to_zero():
     prof = ball_regularity_profile(make_point_mass([0.3]), [0.5, 0.25, 0.125])
     assert prof.a_fit == 0.0

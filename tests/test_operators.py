@@ -300,7 +300,7 @@ def test_knapp_caps_have_flat_ratio():
 
 def test_knapp_caps_reject_unresolvable_widths():
     g = GridSpec(2, 4.0, 32)
-    with pytest.raises(ValueError, match="too small"):
+    with pytest.raises(ValueError, match="needs delta >= 2/L = 0.5"):
         knapp_cap_family(g, [0.25])
 
 
