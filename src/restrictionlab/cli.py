@@ -48,6 +48,7 @@ from .knapp import knapp_sharpness_experiment
 from .lorentz import indicator_lorentz_norm, lorentz_norm_values
 from .measures import (
     _check_dyadic_scale,
+    _mu_hat_oracle_deviation,
     ball_regularity_profile,
     dyadic_piece,
     fourier_decay_profile,
@@ -378,9 +379,12 @@ def cmd_dyadic(args) -> Result:
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))
+    # the half lattice against the direct sum, read as the sweep reads it
+    oracle = _mu_hat_oracle_deviation(measure, grid, mu_hat)
     checks = [
         _flatness_check("sup|mu_hat_j| 2^{j/2} flat within", flatness_factor(hat_scaled), args.flatness_max),
         _flatness_check("sup|mu_j| 2^{-j} flat within", flatness_factor(mass_scaled), args.flatness_max),
+        ("mu_hat oracle within 1e-10", oracle <= 1e-10, "%.3g" % oracle),
     ]
     table = ReportTable(
         columns=("j", "sup_mu_hat_j", "sup_mu_j", "hat_scaled", "mass_scaled"),

@@ -184,14 +184,16 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
     the calling thread: fill(F, lead, out) gets lead, the block's indices
     on the leading axes (d - 1 integer arrays), and writes the values on
     [lo, hi) of each of its lines into out, a complex (lines, hi - lo) view
-    of a source block, one more block in the buffer, zero elsewhere; the
-    source is then shifted into the block as F is without a box. A box
-    line that fill leaves all zero is transformed too, which changes only
-    the signs of zeros. F is read only by fill.
+    of a source block, one more block in the buffer, zero elsewhere; fill
+    may also use out as scratch for a line before writing it. The source is
+    then shifted into the block as F is without a box. A box line that
+    fill leaves all zero is transformed too, which changes only the signs
+    of zeros. F is read only by fill, so it may have any shape and layout
+    fill reads (dyadic_piece passes the half lattice of mu_hat).
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
-    if F.shape != (n,) * d:
+    if box is None and F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")
     h = n // 2
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d

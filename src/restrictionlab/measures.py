@@ -9,7 +9,9 @@ exponent (mass of balls ~ r^a) and the Fourier-decay exponent
 
 Transform convention: mu_hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>).
 mu_hat_on_lattice runs the separable sum of grids on the atoms' phase
-matrices; fourier_transform_at, the direct sum, is its oracle.
+matrices and returns the half lattice m_1 <= 0, from which _lattice_line
+reads the rest by conjugate reflection; fourier_transform_at, the direct
+sum, is its oracle.
 """
 
 from __future__ import annotations
@@ -418,46 +420,82 @@ def _check_dimension(measure: DiscreteMeasure, grid: GridSpec) -> None:
 
 
 def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
-    """mu_hat sampled on the grid's frequency lattice, exactly.
+    """mu_hat sampled on the grid's frequency lattice, exactly, as its half
+    with m_1 <= 0.
 
-    Returns the (N,)*d complex array whose entry at index (k_1, ..., k_d) is
-    mu_hat(f_{k_1}, ..., f_{k_d}) = sum_j w_j exp(-2 pi i <x_j, xi>), with
-    f = grid.freq_axis() (ascending, the layout of fourier_on_grid and
-    inverse_fourier_on_grid). Axis-separable phase matrices contracted
-    against the weights; fourier_transform_at at every point of the
-    frequency lattice is its oracle. It does not depend on any dyadic
-    scale, so a sweep over j computes it once and hands it to dyadic_piece.
+    With f = grid.freq_axis() (ascending, m = -N/2..N/2-1, the layout of
+    fourier_on_grid and inverse_fourier_on_grid) and f_N = N/2 / (2L)
+    appended to it, returns the complex array of shape
+    (N/2 + 1,) + (N + 1,)*(d - 1) whose entry at (k_1, ..., k_d) is
+    mu_hat(f_{k_1}, ..., f_{k_d}) = sum_j w_j exp(-2 pi i <x_j, xi>): the
+    rows m_1 = -N/2..0, and on each later axis every m_k = -N/2..N/2. The
+    other rows, m_1 = 1..N/2-1, are mu_hat(-xi) = conj(mu_hat(xi)), since
+    the weights are real; _lattice_line reads any line of the whole lattice
+    from the half that way, and negating m_k is index N - k_k on every axis,
+    so the later axes' partner of m_k = -N/2 is the appended +N/2. The
+    reflection is exact in floating point too: negating m negates the phase
+    argument exactly, exp(-i y) is conj(exp(i y)) bit for bit, and the
+    contraction of conjugated factors rounds to the conjugate of the same
+    sum. Where the appended point is the source (m_1 > 0 and some later
+    m_k = -N/2) the value comes from another GEMM tile and can differ from
+    a direct contraction by a rounding error; every dyadic ring is exactly
+    0 there, since |xi| is at least the Nyquist radius. fourier_transform_at
+    is the oracle. The half does not depend on any dyadic scale, so a sweep
+    over j computes it once and hands it to dyadic_piece.
 
-    Only the rows m_1 = -N/2..0 are contracted; the rows m_1 = 1..N/2-1 are
-    filled by mu_hat(-xi) = conj(mu_hat(xi)), which holds because the
-    weights are real. The reflection is exact in floating point too:
-    negating m negates the phase argument exactly, exp(-i y) is conj(exp(i y))
-    bit for bit, and the contraction of conjugated factors rounds to the
-    conjugate of the same sum. The reflection partner of m = -N/2 on the
-    later axes is +N/2, which is not on the lattice, so those axes get
-    +N/2 appended. Where that appended point is the source (m_1 > 0 and some
-    later m_k = -N/2) the value comes from another GEMM tile and can differ
-    from a direct contraction by a rounding error; every dyadic ring is
-    exactly 0 there, since |xi| is at least the Nyquist radius.
-
-    The contraction holds the scaled first phase matrix (atoms by N/2 + 1),
-    one column block of the last axis's matrix, which the kernel builds
-    block by block (see _atom_sum), and the half lattice; then the half and
-    the output. For criterion 5 (4096 atoms, 2048^2) that is 67 + 17 + 34
-    MB, then 34 + 67 MB: at most 1.75 complex lattices, where the whole last
-    matrix (134 MB) took 3.5.
+    The contraction holds the scaled first phase matrix (atoms by N/2 + 1)
+    and one column block of the last axis's matrix, which the kernel builds
+    block by block (see _atom_sum), beside the half. For criterion 5 (4096
+    atoms, 2048^2) that is 67 + 17 + 34 MB, 1.75 complex lattices; the
+    whole lattice (67 MB) is never built.
     """
     _check_dimension(measure, grid)
     n, d = grid.points_per_axis, grid.dim
     h = n // 2
     fax = grid.freq_axis()
     full = np.append(fax, h * grid.freq_spacing)
-    half = _atom_sum(measure.weights, measure.atoms, [fax[: h + 1]] + [full] * (d - 1), -1.0)
-    out = np.empty((n,) * d, dtype=complex)
-    out[: h + 1] = half[(slice(None),) + (slice(0, n),) * (d - 1)]
-    # row m_1 > 0 is row -m_1 of half; m_k -> -m_k is index n - k on the longer axes
-    np.conjugate(half[(slice(h - 1, 0, -1),) + (slice(n, 0, -1),) * (d - 1)], out=out[h + 1 :])
-    return out
+    return _atom_sum(measure.weights, measure.atoms, [fax[: h + 1]] + [full] * (d - 1), -1.0)
+
+
+def _lattice_line(half: np.ndarray, at: Tuple[int, ...], lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """mu_hat on the columns [lo, hi) of the last axis of the whole lattice,
+    on the line at lattice indices `at` of the leading axes, read from the
+    half of mu_hat_on_lattice. A line with m_1 <= 0 is returned as a view
+    of the half; any other is written into out, complex of length hi - lo,
+    as the conjugate of its reflection (every index k to N - k), and out is
+    returned. With d = 1 there is no leading axis: the one line joins the
+    half's entries from lo to N/2 and the reflection of the rest."""
+    h = half.shape[0] - 1
+    n = 2 * h
+    if not at:
+        cut = min(max(lo, h + 1), hi)
+        np.copyto(out[: cut - lo], half[lo:cut])
+        np.conjugate(half[n - cut : n - hi : -1], out=out[cut - lo :])
+        return out
+    if at[0] <= h:
+        return half[at + (slice(lo, hi),)]
+    return np.conjugate(half[tuple(n - i for i in at) + (slice(n - lo, n - hi, -1),)], out=out)
+
+
+def _mu_hat_oracle_deviation(measure: DiscreteMeasure, grid: GridSpec, half: np.ndarray) -> float:
+    """The largest deviation of the half lattice of mu_hat_on_lattice from
+    fourier_transform_at at eight fixed lattice points, each read by
+    _lattice_line, relative to |mu_hat(0)|, which is max |mu_hat| for
+    nonnegative weights. The points are given by m = k - N/2 on the first
+    axis and on every later one: four with m_1 <= 0, read in place, and four
+    with m_1 > 0, read by reflection, the last from the appended +N/2 when
+    d >= 2."""
+    n, d = grid.points_per_axis, grid.dim
+    h = n // 2
+    points = [(-h, 1), (-h // 2, -h), (-1, h - 1), (0, 0), (1, -1), (2, h // 2), (h // 2 + 1, 1 - h), (h - 1, -h)]
+    fax = grid.freq_axis()
+    got, xi = [], []
+    for m1, mk in points:
+        k = (m1 + h,) + (mk + h,) * (d - 1)
+        got.append(_lattice_line(half, k[:-1], k[-1], k[-1] + 1, np.empty(1, dtype=complex))[0])
+        xi.append(fax[list(k)])
+    dev = np.abs(np.array(got) - fourier_transform_at(measure, np.array(xi))).max()
+    return float(dev / abs(half[(h,) * d]))
 
 
 def _phase_matrices(points: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> List:
@@ -512,29 +550,35 @@ def dyadic_piece(
 ) -> DyadicPiece:
     """The frequency-localized piece of the measure at dyadic scale j.
 
-    Multiplies the lattice samples mu_hat = mu_hat_on_lattice(measure, grid)
-    by the smooth ring cutoff supported on 2^{j-2} < |xi| < 2^j (the j = 0
-    piece is the low-pass plateau) and inverse transforms it to the moduli
-    of the piece on the grid; only the sups of the localized samples and of
-    those moduli are returned. The samples are taken, not recomputed, so a
-    sweep over j builds them once. The grid must resolve frequency 2^j: its
-    Nyquist radius N/(4L) must be at least 2^j.
+    Multiplies the lattice samples of mu_hat by the smooth ring cutoff
+    supported on 2^{j-2} < |xi| < 2^j (the j = 0 piece is the low-pass
+    plateau) and inverse transforms it to the moduli of the piece on the
+    grid; only the sups of the localized samples and of those moduli are
+    returned. The samples are taken as mu_hat = mu_hat_on_lattice(measure,
+    grid), the half lattice with m_1 <= 0 of shape (N/2 + 1,) + (N + 1,)*(d - 1),
+    not recomputed, so a sweep over j builds them once; any other shape is
+    refused. The grid must resolve frequency 2^j: its Nyquist radius
+    N/(4L) must be at least 2^j.
 
-    The localized samples are never held as a lattice: the ring is zero
-    outside the box xi_k^2 < 4^j, and the inverse transform takes the
-    product on that box from a callback, a block of the box's lines at a
-    time (its box argument), which evaluates the ring there, multiplies it
-    with mu_hat and keeps the block's largest modulus. So beyond mu_hat the
-    call holds the transform's one buffer, max(1/2, box lines / N^(d-1))
-    complex lattices and a few blocks, and one float64 block of its own.
+    The localized samples are never held as a lattice, nor is the whole of
+    mu_hat: the ring is zero outside the box xi_k^2 < 4^j, and the inverse
+    transform takes the product on that box from a callback, a block of
+    the box's lines at a time (its box argument), which reads each line of
+    mu_hat with _lattice_line (in place where m_1 <= 0, else as the
+    conjugate of its reflection, written into the transform's source
+    block), evaluates the ring there, multiplies and keeps the block's
+    largest modulus. So beyond mu_hat the call holds the transform's one
+    buffer, max(1/2, box lines / N^(d-1)) complex lattices and a few
+    blocks, and one float64 block of its own.
     """
     _check_dimension(measure, grid)
     j = _check_dyadic_scale(j, grid)
-    lattice_shape = (grid.points_per_axis,) * grid.dim
-    if np.shape(mu_hat) != lattice_shape:
+    n, d = grid.points_per_axis, grid.dim
+    half_shape = (n // 2 + 1,) + (n + 1,) * (d - 1)
+    if np.shape(mu_hat) != half_shape:
         raise ValueError(
-            "mu_hat has shape %r, the grid's frequency lattice is %r"
-            % (np.shape(mu_hat), lattice_shape)
+            "mu_hat has shape %r, the half frequency lattice of mu_hat_on_lattice on this grid is %r"
+            % (np.shape(mu_hat), half_shape)
         )
     sq = grid.freq_axis() ** 2
     # ring j is 0 wherever u >= 4^j, so wherever some xi_k^2 >= 4^j (u is a
@@ -547,7 +591,7 @@ def dyadic_piece(
     # one float64 buffer of this call holds, for a block of the box's
     # lines, u, then the ring (in place, _RING_BLOCK points at a time), then
     # the moduli of the product
-    work = np.empty(min(_LINE_BLOCK, (hi - lo) ** (grid.dim - 1)) * (hi - lo))
+    work = np.empty(min(_LINE_BLOCK, (hi - lo) ** (d - 1)) * (hi - lo))
     sups = []
 
     def ring_product(F, lead, out):
@@ -559,8 +603,9 @@ def dyadic_piece(
         np.add.outer(line_u, sq_box, out=block)
         for a in range(0, flat.size, _RING_BLOCK):
             flat[a : a + _RING_BLOCK] = dyadic_ring(flat[a : a + _RING_BLOCK], j)
-        for r in range(out.shape[0]):  # F's lines are read in place
-            np.multiply(F[tuple(i[r] for i in lead) + (slice(lo, hi),)], block[r], out=out[r])
+        for r in range(out.shape[0]):
+            line = _lattice_line(F, tuple(i[r] for i in lead), lo, hi, out[r])
+            np.multiply(line, block[r], out=out[r])
         sups.append(np.abs(out, out=block).max())
 
     moduli = inverse_fourier_on_grid(mu_hat, grid, box=(lo, hi, ring_product))

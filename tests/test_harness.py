@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from restrictionlab import _workers, cli, knapp
+from restrictionlab import _workers, cli, knapp, measures
 from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
 from restrictionlab.reporting import (
@@ -554,14 +554,17 @@ def test_unresolvable_cap_count_exits_2_before_the_first_field(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
-    # the sweep holds mu_hat and the inverse transform's one buffer (the
-    # moduli, or the box's lines when they are more, then one block, the
-    # source block and one slab); the ring product is formed inside the
-    # transform a block of the box's lines at a time, so no localized
-    # lattice is built, and a piece keeps only its two sups (few atoms: the
-    # transform's phase matrices are small). About 2.3 lattices here, 3.2
-    # when each piece built its localized lattice
+def test_dyadic_sweep_peak_memory_stays_below_two_lattices(tmp_path):
+    # the sweep holds the half lattice of mu_hat and the inverse transform's
+    # one buffer (the moduli, or the box's lines when they are more, then
+    # one block, the source block and one slab); the ring product is formed
+    # inside the transform a block of the box's lines at a time, so no
+    # localized lattice is built, the lines with m_1 > 0 are read from the
+    # half by reflection, so no whole lattice of mu_hat is built, and a
+    # piece keeps only its two sups (few atoms: the transform's phase
+    # matrices are small). About 1.75 lattices here, 2.2 when mu_hat was
+    # held as the whole lattice and 3.2 when each piece built its
+    # localized lattice
     lattice = 16 * 512**2  # bytes of one complex lattice
     argv = ["dyadic", "--points", "512", "--n", "256", "--j-list", "1,2,3,4,5,6"]
     for workers in (_workers._WORKERS, 4):
@@ -574,7 +577,7 @@ def test_dyadic_sweep_peak_memory_stays_below_four_lattices(tmp_path):
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert peak <= 4.0 * lattice
+        assert peak <= 2.0 * lattice
 
 
 def test_accept_of_the_ball_profiles_loads_no_scipy(tmp_path):
@@ -803,6 +806,28 @@ def test_dyadic_point_mass_scaling(tmp_path):
     # a point mass reads --dim alone of the measure flags
     echo = open(os.path.join(out, "dyadic_verdict.txt")).read()
     assert re.findall(r"^  (kind|n|ratio|levels|dim)=", echo, re.M) == ["dim", "kind"]
+
+
+def test_dyadic_oracle_check_fails_on_a_wrong_reflection(tmp_path, monkeypatch):
+    # the sweep reads mu_hat where m_1 > 0 by conjugate reflection of the
+    # half lattice, and its oracle check reads eight fixed points the same
+    # way against the direct sum: a reflection one row off passes every
+    # other check of this run, and must fail that one
+    right = measures._lattice_line
+
+    def one_row_off(half, at, lo, hi, out):
+        n = 2 * (half.shape[0] - 1)
+        if at and at[0] > n // 2:
+            src = (n + 1 - at[0],) + tuple(n - i for i in at[1:]) + (slice(n - lo, n - hi, -1),)
+            return np.conjugate(half[src], out=out)
+        return right(half, at, lo, hi, out)
+
+    argv = ["dyadic", "--points", "256", "--n", "128", "--j-list", "1,2,3,4"]
+    assert main(argv + ["--out", str(tmp_path / "right")]) == 0
+    monkeypatch.setattr(measures, "_lattice_line", one_row_off)
+    assert main(argv + ["--out", str(tmp_path / "wrong")]) == 1
+    lines = (tmp_path / "wrong" / "dyadic_verdict.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL mu_hat oracle within 1e-10"]
 
 
 def _perfbench_module(name, monkeypatch):

@@ -349,15 +349,35 @@ def _random_measure(dim, n_atoms, seed, spread=1.0):
     return DiscreteMeasure(dim=dim, atoms=atoms, weights=w / w.sum(), label="random")
 
 
+def _whole_lattice(half, grid):
+    """The whole (N,)*d lattice of mu_hat from the half of
+    mu_hat_on_lattice, by copy and conjugate reflection, as
+    mu_hat_on_lattice built it when it returned the whole lattice: the
+    rows m_1 <= 0 are the half's, the rest the conjugates of its rows
+    -m_1, with m_k -> -m_k index N - k on the later axes. The oracle of
+    measures._lattice_line."""
+    n, d = grid.points_per_axis, grid.dim
+    h = n // 2
+    out = np.empty((n,) * d, dtype=complex)
+    out[: h + 1] = half[(slice(None),) + (slice(0, n),) * (d - 1)]
+    np.conjugate(half[(slice(h - 1, 0, -1),) + (slice(n, 0, -1),) * (d - 1)], out=out[h + 1 :])
+    return out
+
+
 def _assert_lattice_matches_direct_sum(measure, grid):
-    # every point of the frequency lattice, the Nyquist hyperplanes
-    # m_k = -N/2 included, against the direct sum
-    lattice = mu_hat_on_lattice(measure, grid)
-    assert lattice.shape == (grid.points_per_axis,) * grid.dim
-    mesh = freq_mesh(grid)
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    direct = fourier_transform_at(measure, points).reshape(mesh[0].shape)
-    assert np.max(np.abs(lattice - direct)) <= 1e-12
+    # every point of the half lattice (the appended m_k = +N/2 included) and,
+    # through the reflection, of the whole frequency lattice (the Nyquist
+    # hyperplanes m_k = -N/2 included), against the direct sum
+    n, d = grid.points_per_axis, grid.dim
+    half = mu_hat_on_lattice(measure, grid)
+    assert half.shape == (n // 2 + 1,) + (n + 1,) * (d - 1)
+    fax = grid.freq_axis()
+    full = np.append(fax, n // 2 * grid.freq_spacing)
+    axes = [fax[: n // 2 + 1]] + [full] * (d - 1)
+    for lattice, mesh in ((half, np.meshgrid(*axes, indexing="ij")), (_whole_lattice(half, grid), freq_mesh(grid))):
+        points = np.stack([m.ravel() for m in mesh], axis=1)
+        direct = fourier_transform_at(measure, points).reshape(mesh[0].shape)
+        assert np.max(np.abs(lattice - direct)) <= 1e-12
 
 
 _LATTICE_CASES = [
@@ -381,8 +401,10 @@ def test_mu_hat_on_lattice_matches_direct_sum(measure, grid):
 @pytest.mark.parametrize("measure, grid", _LATTICE_CASES, ids=_LATTICE_IDS)
 def test_mu_hat_on_lattice_is_exactly_conjugate_symmetric(measure, grid):
     # real weights: mu_hat(-xi) = conj(mu_hat(xi)) bit for bit wherever -xi
-    # is on the lattice, i.e. off the hyperplanes m_k = -N/2 (index 0)
-    lattice = mu_hat_on_lattice(measure, grid)
+    # is on the lattice, i.e. off the hyperplanes m_k = -N/2 (index 0); on
+    # the row m_1 = 0 both points are contracted, elsewhere the whole
+    # lattice reflects the half
+    lattice = _whole_lattice(mu_hat_on_lattice(measure, grid), grid)
     inner = lattice[(slice(1, None),) * grid.dim]
     mirrored = lattice[(slice(None, 0, -1),) * grid.dim]
     assert np.array_equal(inner, np.conj(mirrored))
@@ -423,15 +445,15 @@ def test_lattice_transform_peak_memory_stays_near_its_phase_matrices():
     # criterion 5's ratio, 2 atoms per axis point: 1024 atoms on 512^2. The
     # half-lattice contraction holds the first phase matrix (257 columns,
     # scaled in place), one column block of the last (the kernel builds its
-    # 513 columns in blocks of 256 and 257) and the half lattice; then the
-    # half and the full lattice. The whole last matrix would exceed the
-    # bound by about 4 MB
+    # 513 columns in blocks of 256 and 257) and the half lattice, which it
+    # returns; no whole lattice is built. The whole last matrix would
+    # exceed the bound by about 4 MB
     m = make_sphere_measure(2, 1024)
     grid = GridSpec(2, 2.0, 512)
     first, block = 16 * m.n_atoms * 257, 16 * m.n_atoms * 257
-    half, lattice = 16 * 257 * 513, 16 * 512**2
+    half = 16 * 257 * 513
     _, peak = _peak_bytes(lambda: mu_hat_on_lattice(m, grid))
-    assert peak <= max(first + block + half, half + lattice) + 2**19
+    assert peak <= first + block + half + 2**19
 
 
 def _whole_last_matrix_half_lattice(measure, grid):
@@ -453,12 +475,11 @@ def test_blocked_lattice_transform_equals_the_whole_matrix_product_bit_for_bit(b
     monkeypatch.setattr(grids, "_PHASE_BLOCK", block)
     m = _random_measure(2, 65, 8)
     grid = GridSpec(2, 2.0, 32)
-    n, h = 32, 16
     half = _whole_last_matrix_half_lattice(m, grid)
     lattice = mu_hat_on_lattice(m, grid)
-    assert lattice[: h + 1].tobytes() == np.ascontiguousarray(half[:, :n]).tobytes()
-    mirrored = np.conjugate(half[h - 1 : 0 : -1, n:0:-1])
-    assert lattice[h + 1 :].tobytes() == mirrored.tobytes()
+    assert lattice.shape == half.shape == (17, 33)
+    assert lattice.tobytes() == half.tobytes()
+    assert _whole_lattice(lattice, grid).tobytes() == _whole_lattice(half, grid).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -487,10 +508,21 @@ def test_dyadic_piece_rejects_mis_shaped_lattice():
     for bad in (good[:16], good.ravel(), good[:, :, None]):
         with pytest.raises(ValueError, match="frequency lattice"):
             dyadic_piece(m, 2, g, bad)
-    # the lattice of a coarser grid has the wrong shape as well
+    # the half of a coarser grid has the wrong shape as well
     coarse = mu_hat_on_lattice(m, GridSpec(2, 2.0, 16))
     with pytest.raises(ValueError, match="frequency lattice"):
         dyadic_piece(m, 2, g, coarse)
+    # so has the whole lattice, which would otherwise be read as the half
+    for d, n in ((1, 64), (2, 32), (3, 16)):
+        grid = GridSpec(d, 2.0, n)
+        measure = _random_measure(d, 17, 20 + d)
+        whole = _whole_lattice(mu_hat_on_lattice(measure, grid), grid)
+        message = "shape %r, the half frequency lattice of mu_hat_on_lattice on this grid is %r" % (
+            (n,) * d,
+            (n // 2 + 1,) + (n + 1,) * (d - 1),
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dyadic_piece(measure, 1, grid, whole)
 
 
 def test_dyadic_piece_of_point_mass_is_pure_ring():
@@ -517,29 +549,70 @@ def test_dyadic_piece_of_point_mass_is_pure_ring():
 def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, monkeypatch):
     # dyadic_piece multiplies only inside the box that holds the ring's
     # support, a block of the box's lines at a time inside the inverse
-    # transform, and evaluates the ring ring_block points at a time; both
-    # sups must be those of the full product and of its complex transform,
-    # bit for bit (7-point pieces split the lines of every box but j = 0's)
+    # transform, reads the lines with m_1 > 0 from the half lattice by
+    # conjugate reflection, and evaluates the ring ring_block points at a
+    # time; both sups must be those of the ring times the whole lattice and
+    # of its complex transform, bit for bit (7-point pieces split the lines
+    # of every box but j = 0's). On the circle mu_hat is real to 1e-14, so
+    # a missing conjugate shows only on the random measures
     monkeypatch.setattr(measures, "_RING_BLOCK", ring_block)
     mu_hat = mu_hat_on_lattice(measure, grid)
+    whole = _whole_lattice(mu_hat, grid)
     sq = grid.freq_axis() ** 2
     u = sq
     for _ in range(grid.dim - 1):
         u = np.add.outer(u, sq)
     for j in range(J + 1):
-        full = mu_hat * dyadic_ring(u, j)
+        full = whole * dyadic_ring(u, j)
         piece = dyadic_piece(measure, j, grid, mu_hat)
         assert piece.sup_mu_hat_j == float(np.abs(full).max())
         assert piece.sup_mu_j == float(np.abs(ifftn_formula(full, grid)).max())
 
 
+@pytest.mark.parametrize(
+    "measure, grid",
+    [
+        (_random_measure(1, 31, 11), GridSpec(1, 2.0, 32)),
+        (_random_measure(2, 65, 12), GridSpec(2, 1.0, 16)),
+        (_random_measure(3, 33, 13), GridSpec(3, 1.0, 8)),
+    ],
+    ids=["d1", "d2", "d3"],
+)
+def test_lattice_line_reads_the_whole_lattice_bit_for_bit(measure, grid):
+    # every line of the whole lattice, on column ranges from [0, N), where
+    # a line with m_1 > 0 and a later m_k = -N/2 reads the appended +N/2,
+    # to single points, against the copy-and-conjugate expansion; and the
+    # box path of the inverse transform on the whole box [0, N)^d, which no
+    # dyadic ring reaches, filled by _lattice_line, against the expansion's
+    # complex transform
+    n, d = grid.points_per_axis, grid.dim
+    half = mu_hat_on_lattice(measure, grid)
+    whole = _whole_lattice(half, grid)
+    ranges = [(0, n), (0, 1), (1, n // 2), (n // 2, n // 2 + 1), (n // 2 - 1, n - 1), (n - 1, n), (3, n)]
+    for at in np.ndindex((n,) * (d - 1)):
+        for lo, hi in ranges:
+            out = np.full(hi - lo, np.nan, dtype=complex)
+            got = measures._lattice_line(half, at, lo, hi, out)
+            assert got.tobytes() == whole[at + (slice(lo, hi),)].tobytes()
+            assert got is out or at[0] <= n // 2
+
+    def fill(lattice, lead, out):
+        for r in range(out.shape[0]):
+            line = measures._lattice_line(lattice, tuple(i[r] for i in lead), 0, n, out[r])
+            np.copyto(out[r], line)
+
+    got = grids.inverse_fourier_on_grid(half, grid, box=(0, n, fill))
+    assert got.tobytes() == np.abs(ifftn_formula(whole, grid)).tobytes()
+
+
 def test_dyadic_sweep_holds_only_the_transform_buffer_above_mu_hat():
-    # beyond mu_hat, a piece holds the inverse transform's one buffer: the
-    # larger of the moduli (half a complex lattice) and the box's lines,
-    # then one block, the box's source block and one slab of 16 lines,
-    # and its own float64 block of 16 box lines; never the localized
-    # lattice (4 MiB here), which with the moduli would exceed the bound
-    # at every scale
+    # beyond the half lattice of mu_hat, a piece holds the inverse
+    # transform's one buffer: the larger of the moduli (half a complex
+    # lattice) and the box's lines, then one block, the box's source block
+    # (which also takes the reflected lines of mu_hat) and one slab of 16
+    # lines, and its own float64 block of 16 box lines; never the localized
+    # lattice (4 MiB here) or the whole lattice of mu_hat, either of which
+    # with the moduli would exceed the bound at every scale
     m = make_sphere_measure(2, 1024)
     grid = GridSpec(2, 2.0, 512)
     n = grid.points_per_axis
