@@ -458,6 +458,8 @@ def cmd_knapp(args) -> Result:
             )
         else:
             checks.append(("slope_f(s=%g) reported" % s, True, fit.detail()))
+    # the moduli against the direct sum of the caps, read before the sort
+    checks.append(("moduli oracle within 1e-10", rep.oracle_dev <= 1e-10, "%.3g" % rep.oracle_dev))
     columns = ["N", "norm_g"] + ["norm_f_s%g" % s for s in rep.s_values]
     rows = []
     for i, N in enumerate(rep.n_values):

@@ -11,10 +11,11 @@ the moduli |field| as float64, built without ever holding the complex
 field, since every experiment reads |field| alone; it runs in one buffer
 that becomes its output, the moduli at its front and the transformed kept
 lines at its back, so it holds the larger of the two, not their sum. A
-caller may instead supply the values on a box of the lattice a block of
-lines at a time, so that a product it transforms is never held. Its
-passes over lines are split across worker threads, with the same bits at
-every worker count. The tests check it against the complex ifftn formula.
+caller may instead name the lines that are not zero and supply their
+values a block of lines at a time, so that a lattice it transforms is
+never held. Its passes over lines are split across worker threads, with
+the same bits at every worker count. The tests check it against the
+complex ifftn formula.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
@@ -128,7 +129,7 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.cell_volume * _sign_mesh(n, d) * f
 
 
-def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -> np.ndarray:
+def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, lines=None) -> np.ndarray:
     """Moduli of the inverse of fourier_on_grid (frequency lattice back to
     the spatial grid), as float64 in Fortran memory order.
 
@@ -176,30 +177,33 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
     copied in, so a float64 lattice has the bits of its complex copy at
     half the input memory.
 
-    box = (lo, hi, fill) transforms instead the lattice that is zero
-    outside the box [lo, hi)^d and on it is what fill makes of F, so a
-    caller can transform, say, F times a window without holding the
-    product (dyadic_piece does). The kept lines are then the box's lines,
-    in C order of their leading indices, _LINE_BLOCK lines at a time, on
-    the calling thread: fill(F, lead, out) gets lead, the block's indices
-    on the leading axes (d - 1 integer arrays), and writes the values on
-    [lo, hi) of each of its lines into out, a complex (lines, hi - lo) view
-    of a source block, one more block in the buffer, zero elsewhere; fill
-    may also use out as scratch for a line before writing it. The source is
-    then shifted into the block as F is without a box. A box line that
-    fill leaves all zero is transformed too, which changes only the signs
-    of zeros. F is read only by fill, so it may have any shape and layout
-    fill reads (dyadic_piece passes the half lattice of mu_hat).
+    lines = (keep, fill) transforms instead the lattice whose lines along
+    the last axis are what fill makes of F on the kept lines and zero on
+    every other, so a caller can transform values it never holds as a
+    lattice: F times a window on a box (dyadic_piece), or a sum of outer
+    products built a block of rows at a time (knapp_function). keep, an
+    integer array, holds the kept lines' flat indices over the d - 1
+    leading axes, increasing (C order; [0] or [] when d = 1). Pass 1 then runs on the calling
+    thread, _LINE_BLOCK kept lines at a time: fill(F, lead, out) gets lead,
+    the block's indices on the leading axes (d - 1 integer arrays), and
+    writes each of its lines across its whole width, in the order of the
+    frequency lattice, into out, a complex (lines, N) view of a source
+    block, one more block in the buffer; fill may use out as scratch for a
+    line before writing it. The source is then shifted into the block as
+    F is without the callback. A kept line that fill leaves all zero is
+    transformed too, which changes only the signs of zeros. F is read only
+    by fill, so it may have any shape and layout fill reads (dyadic_piece
+    passes the half lattice of mu_hat, knapp_function the caps' factors).
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
-    if box is None and F.shape != (n,) * d:
+    if lines is None and F.shape != (n,) * d:
         raise ValueError("value shape does not match grid")
     h = n // 2
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
     axis_signs = _sign_vector(n)
     signs = np.fft.ifftshift(axis_signs)
-    if box is None:
+    if lines is None:
         # the kept-line scan, a range of the first axis per worker
         flags = np.empty(F.shape[:-1], dtype=bool)
         parts = _parts(n, _LINE_BLOCK) if d > 1 else [...]
@@ -207,10 +211,7 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
         keep = np.flatnonzero(flags)
         first = _parts(keep.size, _LINE_BLOCK)
     else:
-        lo, hi, fill = box
-        keep = np.zeros(1, dtype=np.intp)  # the one line when d = 1
-        for _ in range(d - 1):
-            keep = np.add.outer(keep * n, np.arange(lo, hi)).ravel()
+        keep, fill = lines
         first = [slice(0, keep.size)]  # fill runs on this thread
     # lead[k] is each kept line's index on axis k < d-1; the shift moves it
     # by n/2, which gives the line's column col in a slab
@@ -224,28 +225,26 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
     slab_lines = min(_LINE_BLOCK, n) // slab_workers
     span = slab_lines * slab_workers  # output lines per round
     # the call's one buffer: the moduli and the kept lines in its first
-    # part, then each worker's block, the box's source and each worker's
-    # slab
+    # part, then each worker's block, fill's source and each worker's slab
     part = max(n**d // 2, n * keep.size)
     block_size = min(block_lines, keep.size) * n
-    source_size = 0 if box is None else block_size
+    source_size = 0 if lines is None else block_size
     slab_shape = (slab_lines,) + (n,) * (d - 1)
     sizes = [block_size] * len(first) + [source_size] + [math.prod(slab_shape)] * slab_workers
     buf = np.empty(part + sum(sizes), dtype=complex)
     out = buf.view(np.float64)[: n**d].reshape((n,) * d)  # reversed axes
-    lines = buf[part - n * keep.size : part].reshape(n, keep.size)
+    compact = buf[part - n * keep.size : part].reshape(n, keep.size)
     pieces = np.split(buf[part:], np.cumsum(sizes)[:-1])
     blocks = [b.reshape(-1, n) for b in pieces[: len(first)]]
     source = pieces[len(first)].reshape(-1, n)
     slabs = [s.reshape(slab_shape) for s in pieces[len(first) + 1 :]]
-    source.fill(0.0)  # zero but for the columns fill writes
 
     def first_pass(kept, block):
         for start in range(kept.start, kept.stop, block_lines):
             rows = slice(start, min(start + block_lines, kept.stop))
             idx = tuple(i[rows] for i in lead)
             b = block[: rows.stop - start]
-            if box is None:
+            if lines is None:
                 # each line by its leading indices, shifted along the line
                 # and cast as it is copied into the block
                 for r, at in enumerate(zip(*idx) if d > 1 else [()]):
@@ -253,14 +252,14 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
                     np.copyto(b[r, h:], F[at + (slice(None, h),)])
             else:
                 src = source[: b.shape[0]]
-                fill(F, idx, src[:, lo:hi])
+                fill(F, idx, src)
                 b[:, :h] = src[:, h:]
                 b[:, h:] = src[:, :h]
             for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
                 b *= axis_signs[i, None]
             b *= signs
             np.fft.ifft(b, axis=1, out=b)
-            lines[:, rows] = b.T
+            compact[:, rows] = b.T
 
     _run([[partial(first_pass, kept, block) for kept, block in zip(first, blocks)]])
 
@@ -271,7 +270,7 @@ def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, box=None) -
         if r > 0:
             done = out[at - span : at - span + slab_lines]
             np.abs(s[: len(done)], out=done)
-        todo = lines[at : at + slab_lines]
+        todo = compact[at : at + slab_lines]
         if len(todo):
             s = s[: len(todo)]
             s.fill(0.0)

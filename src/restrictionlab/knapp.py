@@ -24,7 +24,7 @@ import numpy as np
 
 from .bumps import annulus_window, plateau_window
 from .fitting import FitResult, loglog_fit
-from .grids import GridSpec, inverse_fourier_on_grid
+from .grids import _LINE_BLOCK, GridSpec, inverse_fourier_on_grid
 from .lorentz import _check_exponents, _check_range, lorentz_norm_values
 from .measures import DiscreteMeasure, make_sphere_measure
 
@@ -93,10 +93,6 @@ def _check_caps(n_caps: int, grid: GridSpec) -> None:
         raise ValueError("grid Nyquist radius %g < 5/4; caps clipped" % grid.nyquist)
 
 
-# rows per block of the cap lattice build in knapp_function
-_ROW_BLOCK = 16
-
-
 def knapp_function(
     spec: KnappSpec, grid: GridSpec, sphere: DiscreteMeasure
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,11 +102,18 @@ def knapp_function(
 
     The moduli are float64 in the transform's Fortran order, built without
     holding the complex field (see inverse_fourier_on_grid); every norm of
-    the experiment reads |f| alone. The caps lie in |xi_1| < 5/8 and the
-    lattice reaches 5/4, so they touch at most about half its rows (996 of
-    4096 at criterion 8's size) and the transform's kept lines share the
-    memory of the moduli: the call peaks at the touched rows of the real
-    cap lattice G, the moduli, and one block and one slab of the transform.
+    the experiment reads |f| alone. Nor is the cap lattice G =
+    sum_k w_k outer(tang_k, rad_k) ever held: its nonzero rows, those where
+    some cap's tangential window tang_k is nonzero (996 of 4096 at
+    criterion 8's size, since the caps lie in |xi_1| < 5/8 and the lattice
+    reaches 5/4), are the transform's kept lines, and its callback builds
+    them a block of rows at a time from the caps' factors. Each row starts
+    at +0.0 and, for k = 1..N where tang_k is nonzero on it, adds
+    outer(tang_k, rad_k) * w_k in float64, then is cast to complex as it
+    is copied in: the bits of the real lattice G. The kept lines share the
+    memory of the moduli, so the call peaks at the transform's one buffer
+    (the moduli, half a complex lattice), one block and one slab of it, and
+    the callback's float64 row block.
 
     The frequency lattice must resolve the finest cap: its spacing 1/(2L)
     must be at most a quarter of the thickness 2^{-2N+5}, and the lattice
@@ -120,23 +123,54 @@ def knapp_function(
     g_atoms = knapp_g_values(spec, sphere.atoms)
     fax = grid.freq_axis()
     w = spec.weights()
-    # the caps are real, and the transform takes a real lattice as it is
-    G = np.zeros((fax.size, fax.size))
-    term = np.empty((_ROW_BLOCK, fax.size))
-    for k in range(1, spec.N + 1):
-        tang, rad = _cap_factors(k, fax, fax)
-        # a row where tang vanishes would add w * (0 * rad) = +-0, which
-        # leaves G unchanged, so only the cap's own rows are accumulated,
-        # a block of rows at a time: the ufuncs of G += w * outer(tang, rad)
-        # per element, without a temporary the size of the cap
-        rows = np.flatnonzero(tang)
-        for start in range(0, rows.size, _ROW_BLOCK):
-            r = rows[start : start + _ROW_BLOCK]
+    # factors[k - 1] = (tang_k, rad_k), the values the callback reads
+    factors = np.array([_cap_factors(k, fax, fax) for k in range(1, spec.N + 1)])
+    keep = np.flatnonzero(factors[:, 0].any(axis=0))
+    # the callback's float64 row block, and one cap's term on those rows
+    row_block, term = np.empty((2, _LINE_BLOCK, fax.size))
+
+    def cap_rows(factors, lead, out):
+        (rows,) = lead
+        acc = row_block[: rows.size]
+        acc.fill(0.0)
+        for k, (tang, rad) in enumerate(factors):
+            # a row where tang vanishes would add w * (0 * rad) = +-0, which
+            # leaves it unchanged, so each cap is added on its own rows only
+            r = np.flatnonzero(tang[rows])
             t = term[: r.size]
-            np.multiply.outer(tang[r], rad, out=t)
-            t *= w[k - 1]
-            G[r] += t
-    return g_atoms, inverse_fourier_on_grid(G, grid)
+            np.multiply.outer(tang[rows[r]], rad, out=t)
+            t *= w[k]
+            acc[r] += t
+        np.copyto(out, acc)
+
+    return g_atoms, inverse_fourier_on_grid(factors, grid, lines=(keep, cap_rows))
+
+
+def _moduli_oracle_deviation(spec: KnappSpec, grid: GridSpec, moduli: np.ndarray) -> float:
+    """The largest deviation of the moduli of knapp_function from |f_N| by
+    direct summation at eight fixed grid points, relative to f_N(0), the
+    maximum modulus (the caps are nonnegative).
+
+    The direct sum is separable, f_N(x) = (1/(2L))^2 sum_k w_k
+    (sum_{m1} tang_k e^{2 pi i xi_m1 x_1}) (sum_{m2} rad_k e^{2 pi i xi_m2 x_2}),
+    and needs neither the lattice nor the FFT; at grid index i the phase
+    xi_m x_i is (m - N/2)(i - N/2)/N, reduced mod 1 in integers before
+    exp, so every term is exact to rounding."""
+    n = grid.points_per_axis
+    h = n // 2
+    # the points as index offsets from x = 0: near the origin, where |f_N|
+    # peaks, and out to 3/8 of the grid
+    offsets = [(0, 0), (1, 0), (0, 1), (-3, 2), (5, -7), (n // 8, -n // 16), (-n // 4, n // 8), (3 * n // 8, -h)]
+    at = np.array(offsets) + h
+    m = np.arange(n) - h
+    e1, e2 = (np.exp(2j * np.pi / n * (np.multiply.outer(i - h, m) % n)) for i in at.T)
+    fax = grid.freq_axis()
+    direct = np.zeros(len(at), dtype=complex)
+    for k, w in enumerate(spec.weights(), 1):
+        tang, rad = _cap_factors(k, fax, fax)
+        direct += w * (e1 * tang).sum(axis=1) * (e2 * rad).sum(axis=1)
+    direct *= grid.freq_spacing**2
+    return float(np.abs(moduli[at[:, 0], at[:, 1]] - np.abs(direct)).max() / abs(direct[0]))
 
 
 @dataclass(frozen=True)
@@ -145,7 +179,8 @@ class ExperimentReport:
 
     norms_f[i][j] is the Lorentz (p, s_values[j]) norm at N = n_values[i].
     The `knapp` subcommand decides the unboundedness verdict from the gaps
-    fit_g.slope - fits_f[j].slope with s_values[j] > q.
+    fit_g.slope - fits_f[j].slope with s_values[j] > q. oracle_dev is the
+    largest _moduli_oracle_deviation over the N values.
     """
 
     n_values: Tuple[int, ...]
@@ -154,6 +189,7 @@ class ExperimentReport:
     norms_f: Tuple[Tuple[float, ...], ...]
     fit_g: FitResult
     fits_f: Tuple[FitResult, ...]
+    oracle_dev: float
 
 
 def knapp_sharpness_experiment(
@@ -193,10 +229,13 @@ def knapp_sharpness_experiment(
     sphere = make_sphere_measure(2, sphere_n)
     norm_g = []
     norms_f = []
+    oracle_dev = 0.0
     for n in n_values:
         spec = KnappSpec(N=n, q=q)
         g_atoms, f = knapp_function(spec, grid, sphere)
         norm_g.append(float(np.sum(sphere.weights * np.abs(g_atoms) ** q) ** (1.0 / q)))
+        # read before the rearrangement sorts the moduli in place
+        oracle_dev = max(oracle_dev, _moduli_oracle_deviation(spec, grid, f))
         # one rearrangement of the moduli serves every s, and sorts them in
         # place: they are handed over (owned), since nothing reads them after
         norms_f.append(lorentz_norm_values(f, grid.cell_volume, p, s_values, owned=True))
@@ -214,4 +253,5 @@ def knapp_sharpness_experiment(
         norms_f=tuple(norms_f),
         fit_g=fit_g,
         fits_f=fits_f,
+        oracle_dev=oracle_dev,
     )

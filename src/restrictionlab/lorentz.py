@@ -106,7 +106,8 @@ def lorentz_norm_values(
     sort could order differently are zeros, all -0.0. The integral of each
     finite s runs on the same ranges, each worker in blocks of 2^16 / W
     steps in its own buffers; the s = inf pass and the final pairwise sum
-    run on the calling thread.
+    run on the calling thread. A pass with one range (every pass of a
+    small call) calls its step once on the whole array.
     """
     single = np.ndim(s) == 0
     s_values = (s,) if single else tuple(s)
@@ -124,16 +125,21 @@ def lorentz_norm_values(
         a = v
     else:
         a = np.empty_like(v, dtype=np.float64 if integer else v.real.dtype)
+    # a pass of one part calls its step directly on the whole array: a
+    # small call then builds no task list and makes no _run call
     parts = _parts(a.size, _BLOCK)
-    if v.flags.forc:  # a contiguous field is split as its raveled views
+    if len(parts) > 1 and v.flags.forc:  # a contiguous field is split as its raveled views
         src, a = v.ravel(order="K"), a.ravel(order="K")
         _run([[partial(_negated_moduli, take, src[r], a[r]) for r in parts]])
     else:
         _negated_moduli(take, v, a)
         a = a.ravel(order="K")
-    for before, r in zip(parts, parts[1:]):  # then each part sorts alone
-        a[before.start :].partition(r.start - before.start)
-    _run([[a[r].sort for r in parts]])
+    if len(parts) == 1:
+        a.sort()
+    else:
+        for before, r in zip(parts, parts[1:]):  # then each part sorts alone
+            a[before.start :].partition(r.start - before.start)
+        _run([[a[r].sort for r in parts]])
     a = a[: int(np.searchsorted(a, 0.0))]
     if a.size == 0:
         return 0.0 if single else (0.0,) * len(s_values)
@@ -142,7 +148,10 @@ def lorentz_norm_values(
     parts = _parts(n, _BLOCK)
     core = a
     # -|v| / -vmax has the bits of |v| / vmax: negation is exact
-    _run([[partial(np.divide, core[r], -vmax, out=core[r]) for r in parts]])
+    if len(parts) == 1:
+        np.divide(core, -vmax, out=core)
+    else:
+        _run([[partial(np.divide, core[r], -vmax, out=core[r]) for r in parts]])
     # each worker's buffers for blocks of `size` steps: t (size + 1
     # entries) and step (size), beside the shared ks
     size = max(1, min(_BLOCK // len(parts), n))
@@ -162,11 +171,14 @@ def lorentz_norm_values(
             norms[i] = float(vmax * _sup(core, cell_volume, p, ks, buffers[0][0]))
             continue
         out = core if i in in_place else summand
-        tasks = [
-            partial(_summands, core[r], None if out is core else out[r], r.start, cell_volume, p, s_k, ks, *b)
-            for r, b in zip(parts, buffers)
-        ]
-        _run([tasks])
+        if len(parts) == 1:
+            _summands(core, None if out is core else out, 0, cell_volume, p, s_k, ks, *buffers[0])
+        else:
+            tasks = [
+                partial(_summands, core[r], None if out is core else out[r], r.start, cell_volume, p, s_k, ks, *b)
+                for r, b in zip(parts, buffers)
+            ]
+            _run([tasks])
         # one pairwise sum over the whole buffer, in numpy's order
         norms[i] = float(vmax * np.sum(out) ** (1.0 / s_k))
     return norms[0] if single else tuple(norms)

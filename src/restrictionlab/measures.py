@@ -562,14 +562,15 @@ def dyadic_piece(
 
     The localized samples are never held as a lattice, nor is the whole of
     mu_hat: the ring is zero outside the box xi_k^2 < 4^j, and the inverse
-    transform takes the product on that box from a callback, a block of
-    the box's lines at a time (its box argument), which reads each line of
-    mu_hat with _lattice_line (in place where m_1 <= 0, else as the
-    conjugate of its reflection, written into the transform's source
-    block), evaluates the ring there, multiplies and keeps the block's
-    largest modulus. So beyond mu_hat the call holds the transform's one
-    buffer, max(1/2, box lines / N^(d-1)) complex lattices and a few
-    blocks, and one float64 block of its own.
+    transform takes the box's lines as its kept lines from a callback, a
+    block of them at a time (its lines argument), which reads the box's
+    part of each line of mu_hat with _lattice_line (in place where
+    m_1 <= 0, else as the conjugate of its reflection, written into the
+    transform's source block), evaluates the ring there, multiplies, zeroes
+    the line outside the box and keeps the block's largest modulus. So
+    beyond mu_hat the call holds the transform's one buffer, max(1/2, box
+    lines / N^(d-1)) complex lattices and a few blocks, and one float64
+    block of its own.
     """
     _check_dimension(measure, grid)
     j = _check_dyadic_scale(j, grid)
@@ -594,7 +595,10 @@ def dyadic_piece(
     work = np.empty(min(_LINE_BLOCK, (hi - lo) ** (d - 1)) * (hi - lo))
     sups = []
 
-    def ring_product(F, lead, out):
+    def ring_product(F, lead, whole):
+        out = whole[:, lo:hi]
+        whole[:, :lo] = 0.0
+        whole[:, hi:] = 0.0
         flat = work[: out.size]
         block = flat.reshape(out.shape)
         line_u = np.zeros(out.shape[0])
@@ -608,7 +612,12 @@ def dyadic_piece(
             np.multiply(line, block[r], out=out[r])
         sups.append(np.abs(out, out=block).max())
 
-    moduli = inverse_fourier_on_grid(mu_hat, grid, box=(lo, hi, ring_product))
+    # the box's lines, in C order of their leading indices (the one line
+    # when d = 1)
+    keep = np.zeros(1, dtype=np.intp)
+    for _ in range(d - 1):
+        keep = np.add.outer(keep * n, np.arange(lo, hi)).ravel()
+    moduli = inverse_fourier_on_grid(mu_hat, grid, lines=(keep, ring_product))
     return DyadicPiece(sup_mu_j=float(moduli.max()), sup_mu_hat_j=float(max(sups)))
 
 

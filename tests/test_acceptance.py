@@ -175,6 +175,7 @@ LABELS = {
         "slope_g in [0.4, 0.6]",
         "slope_f(s=2) reported",
         "gap slope_g - slope_f(s=inf) >= 0.3",
+        "moduli oracle within 1e-10",
         "slope_f(s=inf) in [-0.1, 0.1]",
         "slope_f(s=2) in [0.35, 0.65]",
         "runtime < 300 s",

@@ -222,10 +222,11 @@ def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real,
 def test_box_values_transform_as_their_materialized_lattice_bit_for_bit(
     d, n, bounds, zero_lines, seed
 ):
-    # the box path: fill writes F times a window on the box [lo, hi)^d, a
-    # block of the box's lines at a time, and the moduli are those of the
+    # a box as dyadic_piece passes it: the kept lines are the box's lines,
+    # and fill writes F times a window on the box [lo, hi)^d and 0 outside
+    # it, a block of the box's lines at a time; the moduli are those of the
     # lattice that holds that product on the box and 0 elsewhere. Whole
-    # lines of the window vanish inside the box: the box path transforms
+    # lines of the window vanish inside the box: the callback transforms
     # them anyway, which changes only the signs of zeros
     n = min(n, 16) if d == 3 else n
     lo = int(bounds[0] * (n - 1))
@@ -245,16 +246,74 @@ def test_box_values_transform_as_their_materialized_lattice_bit_for_bit(
     def fill(lattice, lead, out):
         seen.extend(zip(*lead) if lead else [()])
         rel = tuple(i - lo for i in lead)
-        np.multiply(lattice[lead + (slice(lo, hi),)], window[rel], out=out)
+        out[:, :lo] = out[:, hi:] = 0.0
+        np.multiply(lattice[lead + (slice(lo, hi),)], window[rel], out=out[:, lo:hi])
 
+    keep = [np.ravel_multi_index(at, shape[:-1]) for at in np.ndindex((hi - lo,) * (d - 1))]
+    keep = np.array(keep, dtype=np.intp) + np.ravel_multi_index((lo,) * (d - 1), shape[:-1])
     before = F.copy()
-    got = inverse_fourier_on_grid(F, g, box=(lo, hi, fill))
+    got = inverse_fourier_on_grid(F, g, lines=(keep, fill))
     expected = inverse_fourier_on_grid(product, g)
     assert got.tobytes() == expected.tobytes()
     assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     assert before.tobytes() == F.tobytes()
     # every line of the box, once each, in C order of its leading indices
     assert [tuple(int(i) - lo for i in t) for t in seen] == list(np.ndindex((hi - lo,) * (d - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    d=st.integers(1, 3),
+    n=st.sampled_from([8, 16, 32, 64]),
+    kept=st.sampled_from(["random", "one", "all", "none"]),
+    zero_lines=st.floats(0.0, 1.0),
+    real=st.booleans(),
+    workers=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_lines_transform_as_their_materialized_lattice_bit_for_bit(
+    d, n, kept, zero_lines, real, workers, seed
+):
+    # the callback form: the caller names the kept lines, and fill writes
+    # each of them across its whole width, here F's line cast to complex or,
+    # for a share of them, all zero; the moduli are those of the array form
+    # of the lattice that holds those lines and 0 elsewhere, bit for bit
+    # (a kept line left zero is transformed anyway, which changes only the
+    # signs of zeros). fill runs on the calling thread at every worker
+    # count and gets each kept line once, in order
+    n = min(n, 16) if d == 3 else n
+    g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
+    rng = np.random.default_rng(seed)
+    shape = (n,) * d
+    F = rng.standard_normal(shape)
+    if not real:
+        F = F + 1j * rng.standard_normal(shape)
+    F.real[rng.uniform(size=shape) < 0.1] = -0.0
+    count = n ** (d - 1)  # lines along the last axis
+    if kept == "random":
+        keep = np.flatnonzero(rng.uniform(size=count) < rng.uniform())
+    elif kept == "one":
+        keep = rng.integers(count, size=1)
+    else:
+        keep = np.arange(count if kept == "all" else 0)
+    left_zero = keep[rng.uniform(size=keep.size) < zero_lines]
+    lattice = np.zeros(shape, dtype=F.dtype)
+    lattice.reshape(-1, n)[keep] = F.reshape(-1, n)[keep]
+    lattice.reshape(-1, n)[left_zero] = 0.0
+    caller, seen = threading.get_ident(), []
+
+    def fill(values, lead, out):
+        flat = np.ravel_multi_index(lead, shape[:-1]) if lead else np.zeros(len(out), dtype=np.intp)
+        seen.extend((threading.get_ident(), int(i)) for i in flat)
+        np.copyto(out, values[lead] if lead else values)
+        out[np.isin(flat, left_zero)] = 0.0
+
+    with mock.patch.object(_workers, "_WORKERS", workers):
+        got = inverse_fourier_on_grid(F, g, lines=(keep, fill))
+    expected = inverse_fourier_on_grid(lattice, g)
+    assert got.tobytes() == expected.tobytes()
+    assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
+    assert seen == [(caller, int(i)) for i in keep]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -264,14 +323,15 @@ def test_box_values_transform_as_their_materialized_lattice_bit_for_bit(
     lines=st.sampled_from(["random", "none", "all", "few"]),
     order=st.sampled_from(["C", "F"]),
     real=st.booleans(),
-    box=st.booleans(),
+    callback=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, real, box, seed):
+def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, real, callback, seed):
     # the scan, the blocks of pass 1 and the slabs are split across 1 to 4
     # workers once each gets a whole block of 16 lines (up to 128 output
-    # lines and 128 kept lines here); every split gives the serial bits. A
-    # box is filled on the calling thread, once per line in C order
+    # lines and 128 kept lines here); every split gives the serial bits.
+    # Kept lines named by the caller are filled on the calling thread, once
+    # each in C order
     n = min(n, 32) if d == 3 else n
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     rng = np.random.default_rng(seed)
@@ -283,17 +343,17 @@ def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, rea
     share = {"random": 0.5, "none": 0.0, "all": 1.0, "few": 0.05}[lines]
     rows[rng.uniform(size=rows.shape[0]) >= share] = 0.0
     F = np.asarray(F, order=order)
-    lo, hi = n // 4, n - n // 8
+    keep = np.flatnonzero(rng.uniform(size=n ** (d - 1)) < share)
     caller, calls = threading.get_ident(), []
 
     def fill(lattice, lead, out):
         calls.append((threading.get_ident(), [tuple(map(int, t)) for t in zip(*lead)] if lead else [()]))
-        np.multiply(lattice[lead + (slice(lo, hi),)], 0.5, out=out)
+        np.multiply(lattice[lead], 0.5, out=out)
 
     def moduli(workers):
         calls.clear()
         with mock.patch.object(_workers, "_WORKERS", workers):
-            got = inverse_fourier_on_grid(F, g, box=(lo, hi, fill) if box else None)
+            got = inverse_fourier_on_grid(F, g, lines=(keep, fill) if callback else None)
         return got, list(calls)
 
     serial, serial_calls = moduli(1)

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from restrictionlab import _workers, cli, knapp, measures
+from restrictionlab import _workers, cli, grids, knapp, measures
 from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
 from restrictionlab.reporting import (
@@ -830,6 +830,29 @@ def test_dyadic_oracle_check_fails_on_a_wrong_reflection(tmp_path, monkeypatch):
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL mu_hat oracle within 1e-10"]
 
 
+@pytest.mark.parametrize("fault", ["row dropped", "shift one line off"])
+def test_knapp_oracle_check_fails_on_a_fill_fault(tmp_path, monkeypatch, fault):
+    # the inverse transform takes the caps' rows from knapp_function's
+    # callback, and the oracle check reads |f_N| at eight fixed grid points
+    # against the direct sum of the caps: a kept row left out, or every row
+    # filled with its neighbour's values, passes every other check of this
+    # run, and must fail that one
+    right = grids.inverse_fourier_on_grid
+
+    def faulty(F, grid, lines):
+        keep, fill = lines
+        if fault == "row dropped":
+            return right(F, grid, lines=(np.delete(keep, keep.size // 2), fill))
+        return right(F, grid, lines=(keep, lambda F, lead, out: fill(F, tuple(i + 1 for i in lead), out)))
+
+    argv = ["knapp"] + _SMALL_KNAPP
+    assert main(argv + ["--out", str(tmp_path / "right")]) == 0
+    monkeypatch.setattr(knapp, "inverse_fourier_on_grid", faulty)
+    assert main(argv + ["--out", str(tmp_path / "wrong")]) == 1
+    lines = (tmp_path / "wrong" / "knapp_verdict.txt").read_text().splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL moduli oracle within 1e-10"]
+
+
 def _perfbench_module(name, monkeypatch):
     """perfbench/<name>.py, executed (read only) as a private module that is
     registered in sys.modules for the duration of the test."""
@@ -880,8 +903,11 @@ def test_traced_knapp_run_records_every_expected_span(tmp_path, monkeypatch):
     assert "knapp.knapp_function" in expected and "lorentz.lorentz_norm_values" in expected
     assert [s for s in expected if stats.get(s, {}).get("calls", 0) == 0] == []
     assert stats["knapp.knapp_function"]["calls"] == 3
-    # one inverse transform and one rearrangement of 512^2 samples per N
-    assert stats["grids.inverse_fourier_on_grid"]["points"] == 3 * 512**2
+    # one inverse transform and one rearrangement of 512^2 samples per N;
+    # the tracer counts the size of the transform's first argument as its
+    # points, which knapp_function passes as the caps' factors, the 2 N
+    # windows of 512 entries that its callback reads
+    assert stats["grids.inverse_fourier_on_grid"]["points"] == 2 * (2 + 3 + 4) * 512
     assert stats["lorentz.lorentz_norm_values"]["elements"] == 3 * 512**2
     assert sum(s["exceptions"] for s in stats.values()) == 0
 

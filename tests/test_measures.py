@@ -582,9 +582,8 @@ def test_lattice_line_reads_the_whole_lattice_bit_for_bit(measure, grid):
     # every line of the whole lattice, on column ranges from [0, N), where
     # a line with m_1 > 0 and a later m_k = -N/2 reads the appended +N/2,
     # to single points, against the copy-and-conjugate expansion; and the
-    # box path of the inverse transform on the whole box [0, N)^d, which no
-    # dyadic ring reaches, filled by _lattice_line, against the expansion's
-    # complex transform
+    # inverse transform of every line, which no dyadic ring's box reaches,
+    # filled by _lattice_line, against the expansion's complex transform
     n, d = grid.points_per_axis, grid.dim
     half = mu_hat_on_lattice(measure, grid)
     whole = _whole_lattice(half, grid)
@@ -601,7 +600,7 @@ def test_lattice_line_reads_the_whole_lattice_bit_for_bit(measure, grid):
             line = measures._lattice_line(lattice, tuple(i[r] for i in lead), 0, n, out[r])
             np.copyto(out[r], line)
 
-    got = grids.inverse_fourier_on_grid(half, grid, box=(0, n, fill))
+    got = grids.inverse_fourier_on_grid(half, grid, lines=(np.arange(n ** (d - 1)), fill))
     assert got.tobytes() == np.abs(ifftn_formula(whole, grid)).tobytes()
 
 

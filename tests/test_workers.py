@@ -83,8 +83,9 @@ def _record_threads(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 4])
 def test_only_numpy_runs_off_the_calling_thread(workers, tmp_path, monkeypatch):
     # a knapp run (512^2 moduli, split in both the transform and the
-    # rearrangement at 4 workers), a dyadic run (the box path: its fill
-    # calls dyadic_ring) and a box transform whose fill records its thread:
+    # rearrangement at 4 workers; its fill builds the caps' rows), a dyadic
+    # run (its fill calls dyadic_ring) and a transform of kept lines whose
+    # fill records its thread:
     # every package function and every fill runs on the calling thread;
     # with one worker no thread is started at all
     monkeypatch.setattr(_workers, "_WORKERS", workers)
@@ -98,9 +99,9 @@ def test_only_numpy_runs_off_the_calling_thread(workers, tmp_path, monkeypatch):
 
     def fill(lattice, lead, out):
         idents.append(("fill", threading.get_ident()))
-        np.copyto(out, lattice[lead + (slice(8, 56),)])
+        np.copyto(out, lattice[lead])
 
-    inverse_fourier_on_grid(F, GridSpec(2, 4.0, n), box=(8, 56, fill))
+    inverse_fourier_on_grid(F, GridSpec(2, 4.0, n), lines=(np.arange(8, 56), fill))
     names = {name for name, _ in idents}
     assert {"fill", "dyadic_ring", "inverse_fourier_on_grid", "lorentz_norm_values"} <= names
     assert {ident for _, ident in idents} == {threading.get_ident()}
