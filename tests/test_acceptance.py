@@ -7,9 +7,10 @@ child process limited to one BLAS thread. Criteria 1 through 11 are the
 cases of `test_criterion`, which reads run A: the exit code, the summary
 row, the verdict (whose check lines are the failure message, so a red line
 is diagnosable from the pytest output alone), the runtime budget, which is
-the verdict's last check, and the emitted CSV against the stored benchmark
-reference (seed 0), byte for byte except criterion 6's two
-rounding-residual columns, so any change to the arithmetic shows.
+the verdict's last check, and the emitted CSV against its pin in
+tests/pins/seed0, byte for byte except criterion 6's two rounding-residual
+columns, so any change to the arithmetic shows (tools/pins.py rewrites the
+pins after a change that is meant to move them).
 Criterion 12 compares the CSV bytes of the two runs: two same-seed runs,
 at the default and at one BLAS thread, so it also pins every criterion's
 table across thread counts. The labels of every verdict's check lines are
@@ -31,22 +32,22 @@ from restrictionlab import cli
 from restrictionlab.fitting import loglog_fit
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "perfbench" / "reference"
+PINS = ROOT / "tests" / "pins" / "seed0"
 
-# (index, name, reference directory, runtime budget in seconds or None),
-# written out here so that the pins hold independently of acceptance.GATES
+# (index, name, runtime budget in seconds or None), written out here so
+# that the pins hold independently of acceptance.GATES
 CRITERIA = [
-    (1, "exponent-identities", "oscillatory/seed0", 1),
-    (2, "exponent-cross-checks", "oscillatory/seed0", None),
-    (3, "circle-dimensions", "oscillatory/seed0", 10),
-    (4, "cantor-dimensions", "oscillatory/seed0", 10),
-    (5, "dyadic-piece-bounds", "dyadic/any", 60),
-    (6, "tomas-identity", "oscillatory/seed0", None),
-    (7, "lorentz-suite", "oscillatory/seed0", None),
-    (8, "knapp-sharpness", "knapp/any", 300),
-    (9, "parabola-scaling", "oscillatory/seed0", 600),
-    (10, "fold-scaling", "oscillatory/seed0", 600),
-    (11, "dyadic-kernel-sup", "oscillatory/seed0", None),
+    (1, "exponent-identities", 1),
+    (2, "exponent-cross-checks", None),
+    (3, "circle-dimensions", 10),
+    (4, "cantor-dimensions", 10),
+    (5, "dyadic-piece-bounds", 60),
+    (6, "tomas-identity", None),
+    (7, "lorentz-suite", None),
+    (8, "knapp-sharpness", 300),
+    (9, "parabola-scaling", 600),
+    (10, "fold-scaling", 600),
+    (11, "dyadic-kernel-sup", None),
 ]
 
 
@@ -76,10 +77,8 @@ def runs(tmp_path_factory):
     return a, b
 
 
-@pytest.mark.parametrize(
-    "index, name, reference, budget", CRITERIA, ids=["%02d-%s" % (c[0], c[1]) for c in CRITERIA]
-)
-def test_criterion(runs, index, name, reference, budget):
+@pytest.mark.parametrize("index, name, budget", CRITERIA, ids=["%02d-%s" % (c[0], c[1]) for c in CRITERIA])
+def test_criterion(runs, index, name, budget):
     run = runs[0]
     assert run.code != 2, "invalid configuration: " + run.stderr
     lines = (run.out / ("criterion_%02d_verdict.txt" % index)).read_text().splitlines()
@@ -93,7 +92,7 @@ def test_criterion(runs, index, name, reference, budget):
         assert re.fullmatch(r"PASS runtime < %d s: \d+\.\d\d s" % budget, checks[-1]), checks[-1]
     base = "criterion_%02d.csv" % index
     emitted = (run.out / base).read_bytes()
-    pinned = (REFERENCE / reference / base).read_bytes()
+    pinned = (PINS / base).read_bytes()
     if index != 6:
         assert emitted == pinned
     else:

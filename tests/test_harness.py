@@ -26,8 +26,9 @@ from restrictionlab.reporting import (
     write_verdict,
 )
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-REFERENCE = PERFBENCH / "reference"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PINS = ROOT / "tests" / "pins"
 
 # ------------------------------------------------------------------ rendering
 
@@ -1130,8 +1131,7 @@ def test_accept_writes_only_under_its_out(tmp_path, monkeypatch):
     assert main(["accept", "--only", "3,4", "--seed", "7", "--out", "acc"]) == 0
     assert os.listdir(tmp_path) == ["acc"]
     for base in ("criterion_03.csv", "criterion_04.csv"):
-        reference = REFERENCE / "oscillatory" / "seed7" / base
-        assert (tmp_path / "acc" / base).read_bytes() == reference.read_bytes()
+        assert (tmp_path / "acc" / base).read_bytes() == (PINS / "seed7" / base).read_bytes()
     # each run's flags are echoed under its subcommand's name
     echo = (tmp_path / "acc" / "criterion_03_verdict.txt").read_text().splitlines()
     assert "  decay.r_list=4.0,8.0,16.0,32.0,64.0,128.0,256.0" in echo
@@ -1191,8 +1191,7 @@ def test_lorentz_defaults_match_criterion_7_reference(tmp_path):
     # acceptance criterion 7 is this subcommand at its defaults
     out = tmp_path / "r"
     assert main(["lorentz", "--out", str(out)]) == 0
-    reference = REFERENCE / "oscillatory" / "seed0" / "criterion_07.csv"
-    assert (out / "lorentz.csv").read_bytes() == reference.read_bytes()
+    assert (out / "lorentz.csv").read_bytes() == (PINS / "seed0" / "criterion_07.csv").read_bytes()
 
 
 def test_seed_changes_noise_driven_output(tmp_path):
