@@ -551,6 +551,7 @@ def _scaling(args, spec, checks) -> Result:
     fit = rep.fit
     name, ok, detail = _window_check("fitted slope", fit.slope, args.slope_min, args.slope_max, fit.detail())
     checks.append((name + " (target %g)" % rep.target_slope, ok, detail))
+    checks.append(("T oracle within 1e-10", rep.oracle_dev <= 1e-10, "%.3g" % rep.oracle_dev))
     for note in rep.dropped:
         checks.append(("resolution notice", True, note))
     table = ReportTable(columns=("lambda", "ratio"), rows=tuple(zip(rep.lam_values, rep.ratios)))

@@ -27,7 +27,14 @@ depend only on lambda and the grids: phase_factors builds them once, with
 the phase-matrix builder of grids, and apply_T_lambda_product takes them
 for every f at that lambda, given as per-axis samples. On each y axis it
 runs the separable sum of grids, the kernel of the lattice transform, for
-any number of x couplings.
+any number of x couplings. The model phases are even or odd in each y_j,
+so on an exactly reflected y axis whose couplings each have one parity,
+at most one of them odd, the sum runs over y >= 0 only: the samples split
+into their even and odd parts, the even couplings keep their complex
+matrices on that half, and the odd one becomes real cos and sin matrices
+on it and on the x >= 0 half of its x axis, whose x < 0 half follows by
+parity. The scaling experiments build their axes as exact reflections,
+and each lambda's last member is checked against the dense sum.
 """
 
 from __future__ import annotations
@@ -78,6 +85,15 @@ FOLD_CURVE_SAMPLES = 9
 # scale epsilon of its near/far split
 KERNEL_QUAD_POINTS = 2048
 KERNEL_EPS = 0.3
+# the fast path keeps the rows y >= 0 of a reflected y axis up to its last
+# nonzero weight in whole blocks of this many, so that each GEMM's inner
+# dimension stays a multiple of 32: OpenBLAS splits an inner dimension
+# between Q and 2Q (its K block) in halves when threaded and in multiples
+# of its M unroll when not, which round alike only for such lengths, and
+# the bytes would then depend on the BLAS thread count
+_ROW_BLOCK = 32
+# y points of the oracle check of scaling_experiment, at most
+ORACLE_Y_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -194,7 +210,8 @@ class PhaseSpec:
     d_xyy = functools.partialmethod(_derivatives, 1, 2)
 
     @functools.cached_property
-    def separable(self) -> Optional[Dict[Tuple[int, int], Callable]]:
+    def _couplings(self) -> Optional[Dict[Tuple[int, int], List[Tuple[float, int]]]]:
+        # the (coef, power of y_j) parts of each coupling (i, j) of separable
         if not all(sum(px) == 1 for _, px, _ in self.terms) or not all(
             sum(1 for p in py if p) <= 1 for _, _, py in self.terms
         ):
@@ -205,7 +222,12 @@ class PhaseSpec:
             nz = [j for j, p in enumerate(py) if p]
             j = nz[0] if nz else 0
             groups.setdefault((i, j), []).append((c, py[j]))
-        return {key: _monomial_sum(parts) for key, parts in groups.items()}
+        return groups
+
+    @functools.cached_property
+    def separable(self) -> Optional[Dict[Tuple[int, int], Callable]]:
+        groups = self._couplings
+        return None if groups is None else {key: _monomial_sum(parts) for key, parts in groups.items()}
 
 
 def _central(fn, x, y, wrt: str) -> np.ndarray:
@@ -567,6 +589,12 @@ def apply_T_lambda(
     reason = _under_resolved(_max_y_gradient(spec, x_axes, y_axes), lam, y_axes)
     if reason:
         raise ValueError("y grid under-resolved for lambda=%g: %s" % (lam, reason))
+    return _dense_sum(spec, lam, f_values, y_axes, x_axes)
+
+
+def _dense_sum(spec: PhaseSpec, lam: float, f_values, y_axes, x_axes) -> np.ndarray:
+    # apply_T_lambda's Riemann sum, point by point of the x lattice, without
+    # its resolution rule
     f = np.asarray(f_values)
     ypts, cell = _y_mesh(y_axes)
     ff = f.ravel()
@@ -578,27 +606,111 @@ def apply_T_lambda(
     return out.reshape(tuple(len(ax) for ax in x_axes))
 
 
+def _reflected_axis(half_width: float, n: int) -> np.ndarray:
+    """n equally spaced points from -half_width to half_width, built so that
+    axis == -axis[::-1] bit for bit (the middle point of an odd count is 0):
+    each point is half_width * ((2k - (n - 1)) / (n - 1)), and negation
+    commutes with both roundings."""
+    return half_width * ((2.0 * np.arange(n) - (n - 1)) / (n - 1))
+
+
+def _half_axes(spec: PhaseSpec, y_axes: Sequence[np.ndarray], x_axes: Sequence[np.ndarray]) -> Dict[int, Optional[int]]:
+    """The y axes that the fast path sums over y >= 0 only, each mapped to
+    the x axis of its one odd coupling, or to None when all its couplings
+    are even. An axis qualifies when it is an exact reflection
+    (y == -y[::-1] bit for bit), every coupling on it has powers of y_j of
+    one parity (read from the term table), at most one is odd, and that
+    one's x axis is an exact reflection too; any other y axis takes the
+    whole-axis product."""
+
+    def reflected(ax):
+        return np.array_equal(ax, -ax[::-1])
+
+    half = {}
+    for j, y in enumerate(y_axes):
+        parities = {i: {p % 2 for _, p in parts} for (i, jj), parts in spec._couplings.items() if jj == j}
+        odd = [i for i, kinds in parities.items() if kinds == {1}]
+        if (
+            reflected(y)
+            and all(len(kinds) == 1 for kinds in parities.values())
+            and len(odd) <= 1
+            and all(reflected(x_axes[i]) for i in odd)
+        ):
+            half[j] = odd[0] if odd else None
+    return half
+
+
 def phase_factors(
     spec: PhaseSpec,
     lam: float,
     y_axes: Sequence[np.ndarray],
     x_axes: Sequence[np.ndarray],
 ) -> Dict[Tuple[int, int], np.ndarray]:
-    """The fast path's phase matrices exp(i lam x_axes[i] (x) f_ij(y_axes[j])),
-    one per coupling (i, j) of spec.separable, each of shape
-    (len(x_axes[i]), len(y_axes[j])).
+    """The fast path's phase matrices, one per coupling (i, j) of
+    spec.separable, with rows along y_axes[j].
+
+    On a y axis that _half_axes admits, the rows are its points y >= 0
+    (the last n - n//2): an even coupling gets the complex matrix
+    exp(i lam f_ij(y) (x) x_axes[i]), shape (n - n//2, len(x_axes[i])); the
+    odd coupling gets the real cos and sin of lam x (x) f_ij(y) on the
+    points x >= 0 of its x axis, stacked as shape (2, m - m//2, n - n//2).
+    On any other y axis every coupling gets the complex matrix on the whole
+    axis, shape (n, len(x_axes[i])). Each complex entry has the bits of the
+    same entry of exp(i lam x_axes[i] (x) f_ij(y_axes[j])); the cos and sin
+    are those of the same angle, its real and imaginary parts to rounding.
 
     They depend on lam and the grids only, so one build serves every f that
     apply_T_lambda_product is given at this lam. grids._phase_matrix builds
-    each in place in one complex buffer.
+    each complex one in place in one buffer.
     """
     if spec.separable is None:
         raise ValueError("phase lacks the separable structure for the fast path")
     _check_axes(spec, y_axes, x_axes)
-    return {
-        (i, j): _phase_matrix(x_axes[i], fn(y_axes[j]), 1j * lam)
-        for (i, j), fn in spec.separable.items()
-    }
+    half = _half_axes(spec, y_axes, x_axes)
+    factors = {}
+    for (i, j), fn in spec.separable.items():
+        x, y = x_axes[i], y_axes[j]
+        rows = y[len(y) // 2 :] if j in half else y
+        if j in half and half[j] == i:
+            theta = np.multiply.outer(x[len(x) // 2 :], fn(rows))
+            theta *= lam
+            U = np.empty((2,) + theta.shape)
+            np.cos(theta, out=U[0])
+            np.sin(theta, out=U[1])
+            factors[(i, j)] = U
+        else:
+            factors[(i, j)] = _phase_matrix(fn(rows), x, 1j * lam)
+    return factors
+
+
+def _reflected_sum(w: np.ndarray, mats: List[np.ndarray], odd) -> np.ndarray:
+    """One y axis's sum_y w(y) prod_i U_i(y, x_i) over its coupled x axes,
+    run over y >= 0: y -> -y splits w into its even part w(y) + w(-y) and
+    its odd part w(y) - w(-y) (the middle point y = 0 of an odd count in the
+    even part alone). mats are the complex matrices of the even couplings.
+    odd is None when there is no odd coupling, else (U, m, at): its cos and
+    sin U, its x axis's point count m and that axis's place at among the
+    coupled ones; the sum is then A + iB at x >= 0 and A - iB at -x, A the
+    even part against cos and B the odd part against sin, and B is skipped
+    when the odd part is exactly zero (an even member)."""
+    n = len(w)
+    h, mid = n // 2, n % 2
+    e = w[h:].astype(complex)
+    o = e.copy()
+    e[mid:] += w[:h][::-1]
+    o[mid:] -= w[:h][::-1]
+    o[:mid] = 0.0
+    # rows beyond the last where w(y) or w(-y) is nonzero add only zeros;
+    # the rows kept are whole blocks of _ROW_BLOCK
+    live = np.flatnonzero((e != 0) | (o != 0))
+    k = min(len(e), -(-(live[-1] + 1) // _ROW_BLOCK) * _ROW_BLOCK) if live.size else 0
+    e, o, mats = e[:k], o[:k], [M[:k] for M in mats]
+    if odd is None:
+        return _separable_sum(e, mats)
+    U, m, at = odd
+    a = _separable_sum(e, [U[0][:, :k].T] + mats)
+    b = 1j * _separable_sum(o, [U[1][:, :k].T] + mats) if o.any() else 0.0
+    return np.moveaxis(np.concatenate([(a - b)[m % 2 :][::-1], a + b]), 0, at)
 
 
 def apply_T_lambda_product(
@@ -616,6 +728,10 @@ def apply_T_lambda_product(
     phase_factors(spec, lam, y_axes, x_axes), which fixes lambda. The
     amplitude is sampled once per y axis for all terms.
 
+    On each y axis the separable sum of grids runs over its coupled x axes:
+    over y >= 0 only on the axes _half_axes admits (_reflected_sum, with
+    the amplitude even in y), over the whole axis on the others.
+
     Precondition, not checked here: the y grid resolves that lambda by
     apply_T_lambda's 10-points-per-period rule. scaling_experiment applies
     the rule before it calls this.
@@ -628,19 +744,28 @@ def apply_T_lambda_product(
             "phase factors cover couplings %s but the phase has %s"
             % (sorted(factors), sorted(spec.separable))
         )
-    for (i, j), U in factors.items():
-        if np.shape(U) != (len(x_axes[i]), len(y_axes[j])):
+    half = _half_axes(spec, y_axes, x_axes)
+    for i, j in factors:
+        n, m = len(y_axes[j]), len(x_axes[i])
+        want = (n, m) if j not in half else (2, m - m // 2, n - n // 2) if half[j] == i else (n - n // 2, m)
+        if np.shape(factors[(i, j)]) != want:
             raise ValueError(
-                "phase factor %s has shape %s but the grids need (%d, %d)"
-                % ((i, j), np.shape(U), len(x_axes[i]), len(y_axes[j]))
+                "phase factor %s has shape %s but the grids need %s" % ((i, j), np.shape(factors[(i, j)]), want)
             )
     shape = tuple(len(ax) for ax in x_axes)
-    # per y axis: the matrices of the x axes it couples to, ascending, with
-    # rows along y as the separable sum takes them, and the broadcast shape
-    # of its sum over the x lattice
+    # per y axis: the x axes it couples to, ascending, the broadcast shape
+    # of its sum over the x lattice, and that sum as a function of the
+    # weights w
     coupled = [[i for i, jj in sorted(factors) if jj == j] for j in range(spec.y_dim)]
-    mats = [[factors[(i, j)].T for i in xs] for j, xs in enumerate(coupled)]
     shapes = [[n if i in xs else 1 for i, n in enumerate(shape)] for xs in coupled]
+    sums = []
+    for j, xs in enumerate(coupled):
+        if j not in half:
+            sums.append(functools.partial(_separable_sum, mats=[factors[(i, j)] for i in xs]))
+            continue
+        i = half[j]
+        odd = None if i is None else (factors[(i, j)], shape[i], xs.index(i))
+        sums.append(functools.partial(_reflected_sum, mats=[factors[(k, j)] for k in xs if k != i], odd=odd))
     amps = [(spec.amp_y(y), float(y[1] - y[0])) for y in y_axes]
     out = np.zeros(shape, dtype=complex)
     for term in terms:
@@ -652,8 +777,7 @@ def apply_T_lambda_product(
                     "term samples on y axis %d have shape %s but the axis has %d points"
                     % (j, np.shape(term[j]), amp.size)
                 )
-            w = amp * term[j] * dy
-            arr = np.reshape(_separable_sum(w, mats[j]), shapes[j])
+            arr = np.reshape(sums[j](amp * term[j] * dy), shapes[j])
             acc = arr if acc is None else acc * arr
         out = out + acc
     return out * spec.amp_x(_mesh(x_axes)).reshape(shape)
@@ -737,12 +861,14 @@ def dyadic_kernel_sup(spec: PhaseSpec, lam: float, j: int) -> float:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Fitted decay of the family-maximized Lorentz ratio against lambda."""
+    """Fitted decay of the family-maximized Lorentz ratio against lambda.
+    oracle_dev is the largest _oracle_deviation over the kept lambdas."""
 
     lam_values: Tuple[float, ...]
     ratios: Tuple[float, ...]
     fit: FitResult
     target_slope: float
+    oracle_dev: float
     dropped: Tuple[str, ...] = ()
 
 
@@ -757,6 +883,35 @@ def _member_l2(member, y_axes: Sequence[np.ndarray]) -> float:
                 prod *= np.sum(v1[jax] * np.conj(v2[jax])) * dy
             total += prod
     return float(np.sqrt(max(total.real, 0.0)))
+
+
+def _oracle_deviation(spec: PhaseSpec, lam: float, member, y_axes, x_axes) -> float:
+    """The largest deviation of apply_T_lambda_product from the dense
+    Riemann sum of apply_T_lambda for one member, relative to the sum's
+    scale sum_y |zeta(0, y) f(y)| cell, which bounds every |T f(x)| (the
+    amplitude peaks at x = 0) and sets the size of its rounding: |T f| can
+    be far smaller where the phase does not stand still, and the rounding
+    of lam phi then shows there relative to |T f|. The grids are cut from
+    the experiment's: on each x axis the points at index n//4 from either
+    end, and on the last one also those at n//8 (8 points for x_dim = 2),
+    and the middle points of each y axis, ORACLE_Y_POINTS in all at most.
+    Each cut is symmetric, so an exact reflection stays one and the fast
+    path takes the branches it takes on the whole grids."""
+    xs = []
+    for k, x in enumerate(x_axes):
+        n = len(x)
+        ends = {n // 4, n // 8} if k == len(x_axes) - 1 else {n // 4}
+        xs.append(x[sorted(ends | {n - 1 - i for i in ends})])
+    width = int(ORACLE_Y_POINTS ** (1.0 / len(y_axes)))
+    cuts = [slice(max(0, (len(y) - width) // 2), len(y) - max(0, (len(y) - width) // 2)) for y in y_axes]
+    ys = [y[cut] for y, cut in zip(y_axes, cuts)]
+    terms = [tuple(t[cut] for t, cut in zip(term, cuts)) for term in member]
+    f = sum(functools.reduce(np.multiply.outer, term) for term in terms)
+    dense = _dense_sum(spec, lam, f, ys, xs)
+    fast = apply_T_lambda_product(spec, terms, ys, xs, phase_factors(spec, lam, ys, xs))
+    ypts, cell = _y_mesh(ys)
+    scale = float(np.abs(spec.amp(np.zeros(spec.x_dim), ypts) * f.ravel()).sum()) * cell
+    return float(np.abs(fast - dense).max()) / (scale if scale > 0 else 1.0)
 
 
 def scaling_experiment(
@@ -801,8 +956,8 @@ def scaling_experiment(
     if nx < 2 or ny < 2:
         raise ValueError("x_points and y_points must be >= 2, got %d and %d" % (nx, ny))
     r = spec.amp_radius
-    x_axes = [np.linspace(-1.1 * r, 1.1 * r, nx) for _ in range(spec.x_dim)]
-    y_axes = [np.linspace(-1.2 * r, 1.2 * r, ny) for _ in range(spec.y_dim)]
+    x_axes = [_reflected_axis(1.1 * r, nx) for _ in range(spec.x_dim)]
+    y_axes = [_reflected_axis(1.2 * r, ny) for _ in range(spec.y_dim)]
     # math.prod, not np.prod: a cell volume that overflows is inf with no
     # RuntimeWarning, and _check_range refuses it
     cell_x = math.prod(float(ax[1] - ax[0]) for ax in x_axes)
@@ -818,6 +973,7 @@ def scaling_experiment(
     kept_lams = []
     ratios = []
     dropped = []
+    oracle_dev = 0.0
     for lam in lams:
         reason = _under_resolved(G, lam, y_axes)
         if reason:
@@ -825,6 +981,7 @@ def scaling_experiment(
             continue
         factors = phase_factors(spec, lam, y_axes, x_axes)
         best = 0.0
+        member = None
         for member in family(lam, y_axes):
             values = apply_T_lambda_product(spec, member, y_axes, x_axes, factors)
             denom = _member_l2(member, y_axes)
@@ -835,6 +992,8 @@ def scaling_experiment(
         # free this lambda's factors before the next lambda builds its own:
         # two sets alive at once would raise the peak memory
         del factors
+        if member is not None:  # the last member, against the dense sum
+            oracle_dev = max(oracle_dev, _oracle_deviation(spec, lam, member, y_axes, x_axes))
         kept_lams.append(lam)
         ratios.append(best)
     if len(kept_lams) < 4:
@@ -848,6 +1007,7 @@ def scaling_experiment(
         fit=fit,
         target_slope=-float(spec.x_dim) / q,
         dropped=tuple(dropped),
+        oracle_dev=oracle_dev,
     )
 
 

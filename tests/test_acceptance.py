@@ -2,8 +2,9 @@
 
 The session fixture `runs` runs `accept --seed 0` twice, at the same time,
 and asserts nothing: run A in process through `cli.main` at the default
-BLAS thread count, and run B through `python -m restrictionlab.cli` in a
-child process limited to one BLAS thread. Criteria 1 through 11 are the
+BLAS thread count and worker count, and run B through `cli.main` in a child
+process limited to one BLAS thread and, by its CPU affinity, to one worker
+of `_workers`. Criteria 1 through 11 are the
 cases of `test_criterion`, which reads run A: the exit code, the summary
 row, the verdict (whose check lines are the failure message, so a red line
 is diagnosable from the pytest output alone), the runtime budget, which is
@@ -12,8 +13,8 @@ tests/pins/seed0, byte for byte except criterion 6's two rounding-residual
 columns, so any change to the arithmetic shows (tools/pins.py rewrites the
 pins after a change that is meant to move them).
 Criterion 12 compares the CSV bytes of the two runs: two same-seed runs,
-at the default and at one BLAS thread, so it also pins every criterion's
-table across thread counts. The labels of every verdict's check lines are
+at the default and at one BLAS thread and lab worker, so it also pins every
+criterion's table across thread and worker counts. The labels of every verdict's check lines are
 pinned from run A as well.
 """
 
@@ -33,6 +34,14 @@ from restrictionlab.fitting import loglog_fit
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = ROOT / "tests" / "pins" / "seed0"
+
+# run B's child: pinned to one CPU before the lab is imported, so that
+# _workers._WORKERS is 1 there
+ONE_CPU = (
+    "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    "from restrictionlab import _workers; from restrictionlab.cli import main; "
+    "assert _workers._WORKERS == 1, _workers._WORKERS; sys.exit(main(sys.argv[1:]))"
+)
 
 # (index, name, runtime budget in seconds or None), written out here so
 # that the pins hold independently of acceptance.GATES
@@ -62,7 +71,7 @@ def runs(tmp_path_factory):
     # run B works in its child process while run A works in this one; the
     # with block waits for B even when A raises
     with subprocess.Popen(
-        [sys.executable, "-m", "restrictionlab.cli", "accept", "--seed", "0", "--out", str(out_b)],
+        [sys.executable, "-c", ONE_CPU, "accept", "--seed", "0", "--out", str(out_b)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -183,11 +192,13 @@ LABELS = {
         "mixed-hessian-rank>=1",
         "curvature-rank>=1",
         "fitted slope in [-0.43, -0.23] (target -0.333333)",
+        "T oracle within 1e-10",
         "runtime < 600 s",
     ),
     10: (
         "fold-nondegeneracy+curvature>=1",
         "fitted slope in [-0.82, -0.52] (target -0.666667)",
+        "T oracle within 1e-10",
         "runtime < 600 s",
     ),
     11: ("all sampled sups positive", "sup|S_j| 2^{j/2} flat within factor 10"),
@@ -211,7 +222,8 @@ def test_criterion_12_bytewise_determinism(runs):
     # 11 criterion tables plus the summary
     assert names_a == names_b and len(names_a) == 12
     for name in names_a:
-        # run B has one BLAS thread, so this is also the thread-count pin
+        # run B has one BLAS thread and one lab worker, so this is also the
+        # pin across thread and worker counts
         assert (a.out / name).read_bytes() == (b.out / name).read_bytes(), (
-            "%s differs between the default and the one-thread run" % name
+            "%s differs between the default and the one-thread, one-worker run" % name
         )

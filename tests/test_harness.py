@@ -854,6 +854,27 @@ def test_knapp_oracle_check_fails_on_a_fill_fault(tmp_path, monkeypatch, fault):
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL moduli oracle within 1e-10"]
 
 
+@pytest.mark.parametrize("subcommand", ["oscillatory", "fold"])
+def test_scaling_oracle_check_fails_on_a_flipped_sine(tmp_path, monkeypatch, subcommand):
+    # the fast path sums an odd coupling against the cos and sin of its
+    # x >= 0 half and reads x < 0 by parity: a sine of the wrong sign swaps
+    # T f at x and -x for every member with an odd part, passes every other
+    # check of a plain run, and must fail the oracle check
+    right = osc.phase_factors
+
+    def flipped(spec, lam, y_axes, x_axes):
+        factors = right(spec, lam, y_axes, x_axes)
+        (odd,) = [U for U in factors.values() if U.ndim == 3]
+        odd[1] *= -1.0
+        return factors
+
+    assert main([subcommand, "--out", str(tmp_path / "right")]) == 0
+    monkeypatch.setattr(osc, "phase_factors", flipped)
+    assert main([subcommand, "--out", str(tmp_path / "wrong")]) == 1
+    lines = (tmp_path / "wrong" / (subcommand + "_verdict.txt")).read_text().splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL T oracle within 1e-10"]
+
+
 def _perfbench_module(name, monkeypatch):
     """perfbench/<name>.py, executed (read only) as a private module that is
     registered in sys.modules for the duration of the test."""

@@ -237,16 +237,48 @@ def test_fast_path_requires_separable_structure(tmp_path):
         apply_T_lambda_product(spec, [(y_axes[0],)], y_axes, x_axes, factors)
 
 
+# the y axes of each catalog phase that the fast path sums over y >= 0 on
+# reflected grids, each with the x axis of its odd coupling (None: all even)
+HALF = {
+    "parabola": {0: 0},
+    "cone": {0: 0, 1: 1},
+    "fold-flat": {0: 0, 1: None},
+    "fold-curved": {0: 0, 1: None},
+}
+
+
+def _linspace_axis(half_width, n):
+    # np.linspace's points are no exact reflection: -ax[::-1] differs in last bits
+    return np.linspace(-half_width, half_width, n)
+
+
 @pytest.mark.parametrize("name", ["parabola", "fold-curved", "cone"])
 def test_phase_factors_are_the_phase_matrices(name):
+    # rows along y: on a whole axis, exp(i lam x (x) f(y)) transposed, bit
+    # for bit; on a reflected axis its rows y >= 0, the odd coupling as the
+    # cos and sin of lam x (x) f(y) on x >= 0, which are exp's real and
+    # imaginary parts to rounding
     spec = CAT1[name]
-    y_axes = [np.linspace(-1.2, 1.2, 96 + 2 * j) for j in range(spec.y_dim)]
-    x_axes = [np.linspace(-1.1, 1.1, 5 + i) for i in range(spec.x_dim)]
-    factors = phase_factors(spec, 37.0, y_axes, x_axes)
-    assert set(factors) == set(spec.separable)
-    for (i, j), fn in spec.separable.items():
-        expected = np.exp(1j * 37.0 * np.outer(x_axes[i], fn(y_axes[j])))
-        assert np.array_equal(factors[(i, j)], expected)
+    lam = 37.0
+    for axis, reflected in ((_linspace_axis, False), (osc._reflected_axis, True)):
+        y_axes = [axis(1.2, 96 + 3 * j) for j in range(spec.y_dim)]
+        x_axes = [axis(1.1, 5 + i) for i in range(spec.x_dim)]
+        half = osc._half_axes(spec, y_axes, x_axes)
+        assert half == (HALF[name] if reflected else {})
+        factors = phase_factors(spec, lam, y_axes, x_axes)
+        assert set(factors) == set(spec.separable)
+        for (i, j), fn in spec.separable.items():
+            x, y = x_axes[i], y_axes[j]
+            rows = y[len(y) // 2 :] if j in half else y
+            expected = np.exp(1j * lam * np.outer(x, fn(rows)))
+            if j in half and half[j] == i:
+                cos, sin = factors[(i, j)]
+                theta = np.multiply.outer(x[len(x) // 2 :], fn(rows)) * lam
+                assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
+                block = expected[len(x) // 2 :]
+                assert np.abs(cos - block.real).max() <= 4.5e-16 and np.abs(sin - block.imag).max() <= 4.5e-16
+            else:
+                assert np.array_equal(factors[(i, j)], expected.T)
 
 
 @pytest.mark.parametrize("name", ["parabola", "fold-curved"])
@@ -302,6 +334,136 @@ def test_fast_path_rejects_terms_of_another_length(length):
     bad = (np.full(length, 2.0),)
     with pytest.raises(ValueError, match=r"y axis 0 have shape \(%d,\) but the axis has 256" % length):
         apply_T_lambda_product(spec, [good, bad], y_axes, x_axes, factors)
+
+
+def _dense_and_fast(spec, terms, y_axes, x_axes, lam):
+    F = sum(functools.reduce(np.multiply.outer, term) for term in terms)
+    dense = apply_T_lambda(spec, lam, F, y_axes, x_axes)
+    return dense, apply_T_lambda_product(spec, terms, y_axes, x_axes, phase_factors(spec, lam, y_axes, x_axes))
+
+
+def _resolved_lambda(spec, y_axes, x_axes):
+    # half the largest lambda the 10-points-per-period rule admits
+    G = osc._max_y_gradient(spec, x_axes, y_axes)
+    return 0.5 * 2.0 * np.pi / (10.0 * G * max(y[1] - y[0] for y in y_axes))
+
+
+def _members(y_axes, kind):
+    # even: bumps, w(-y) == w(y) bit for bit on a reflected axis; odd: y
+    # times a bump on the first y axis, w(-y) == -w(y) there (an odd factor
+    # on an axis whose couplings are all even would make T f vanish), even
+    # on the others; general: random complex samples, with an even term
+    # beside them
+    from restrictionlab.bumps import bump
+
+    even = tuple(bump(np.abs(y) / 0.7) for y in y_axes)
+    odd = (y_axes[0] * bump(np.abs(y_axes[0]) / 0.9),) + even[1:]
+    rng = np.random.default_rng(len(y_axes[0]))
+    general = tuple(rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y)) for y in y_axes)
+    return {"even": [even], "odd": [odd], "general": [general, even]}[kind]
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "general"])
+@pytest.mark.parametrize("ny", [128, 129], ids=["even-count", "odd-count"])
+@pytest.mark.parametrize("name", sorted(HALF))
+def test_half_path_matches_the_dense_sum(name, ny, kind):
+    # every catalog phase with a y coupling, on reflected grids of even and
+    # odd counts (x axes of 6, 7 and 8 points), sums each y axis over y >= 0
+    # and matches the dense quadrature
+    spec = CAT1[name]
+    y_axes = [osc._reflected_axis(1.2, ny + j) for j in range(spec.y_dim)]
+    x_axes = [osc._reflected_axis(1.1, 6 + i) for i in range(spec.x_dim)]
+    assert osc._half_axes(spec, y_axes, x_axes) == HALF[name]
+    lam = _resolved_lambda(spec, y_axes, x_axes)
+    dense, fast = _dense_and_fast(spec, _members(y_axes, kind), y_axes, x_axes, lam)
+    assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+# x0 (y + y^2) + x1 y^2/2: the coupling of x0 mixes the parities of y
+MIXED = PhaseSpec("mixed", 2, 1, [(1.0, (1, 0), (1,)), (1.0, (1, 0), (2,)), (0.5, (0, 1), (2,))], 1.0)
+
+
+@pytest.mark.parametrize("spec", [MIXED, CUBIC], ids=["mixed-parity", "two-odd-couplings"])
+def test_whole_axis_path_serves_what_the_half_path_cannot(spec):
+    # a coupling with odd and even powers of y, or two odd couplings on one
+    # y axis (CUBIC's x1 y and x3 y^3/3), keeps the whole reflected axis
+    y_axes = [osc._reflected_axis(1.2, 200)]
+    x_axes = [osc._reflected_axis(1.1, 5)] * spec.x_dim
+    assert osc._half_axes(spec, y_axes, x_axes) == {}
+    factors = phase_factors(spec, 20.0, y_axes, x_axes)
+    assert all(U.shape == (200, 5) for U in factors.values())
+    dense, fast = _dense_and_fast(spec, _members(y_axes, "general"), y_axes, x_axes, _resolved_lambda(spec, y_axes, x_axes))
+    assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def test_half_path_needs_reflected_x_axes_for_its_odd_coupling():
+    # the parabola's odd coupling x1 y reads its x axis by reflection; an
+    # unreflected x axis keeps the whole y axis, and both agree
+    spec = CAT1["parabola"]
+    y_axes = [osc._reflected_axis(1.2, 256)]
+    reflected = [osc._reflected_axis(1.1, 9)] * 2
+    shifted = [reflected[0] + 0.01, reflected[1]]
+    assert osc._half_axes(spec, y_axes, shifted) == {}
+    assert osc._half_axes(spec, y_axes, [reflected[0], reflected[1] + 0.01]) == {0: 0}
+    lam = _resolved_lambda(spec, y_axes, reflected)
+    for x_axes in (reflected, shifted):
+        dense, fast = _dense_and_fast(spec, _members(y_axes, "general"), y_axes, x_axes, lam)
+        assert np.abs(fast - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_even_members_skip_the_odd_product_and_trailing_zero_rows(monkeypatch, n):
+    # the odd part of a bump is exactly zero (the middle point y = 0 of an
+    # odd count in the even part alone), so only its even part meets a
+    # matrix, and only on the rows up to its support, in whole blocks of
+    # _ROW_BLOCK; a member with an odd part meets the sin matrix too
+    from restrictionlab.bumps import bump
+
+    spec = CAT1["parabola"]
+    y = osc._reflected_axis(1.2, n)
+    x_axes = [osc._reflected_axis(1.1, 8)] * 2
+    factors = phase_factors(spec, 30.0, [y], x_axes)
+    rows = []
+    real = osc._separable_sum
+    monkeypatch.setattr(osc, "_separable_sum", lambda c, mats: rows.append(len(c)) or real(c, mats))
+    narrow = bump(np.abs(y) / 0.1)  # 43 rows y >= 0 inside its support
+    apply_T_lambda_product(spec, [(narrow,)], [y], x_axes, factors)
+    assert rows == [64]
+    rows.clear()
+    apply_T_lambda_product(spec, [(narrow * (1.0 + y),)], [y], x_axes, factors)
+    assert rows == [64, 64]
+    # a last nonzero row at index 64 of the half takes a third block
+    rows.clear()
+    apply_T_lambda_product(spec, [((np.abs(y) <= y[n // 2 + 64]) * 1.0,)], [y], x_axes, factors)
+    assert rows == [96]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 4096, 8191])
+def test_reflected_axis_is_an_exact_reflection(n):
+    ax = osc._reflected_axis(1.2, n)
+    assert np.array_equal(ax, -ax[::-1])
+    assert ax[0] == -1.2 and ax[-1] == 1.2 and (n % 2 == 0 or ax[n // 2] == 0.0)
+    assert np.abs(ax - np.linspace(-1.2, 1.2, n)).max() <= 4.5e-16
+
+
+@pytest.mark.parametrize("x_points, y_points", [(11, 64), (12, 65)])
+def test_scaling_experiment_runs_on_reflected_axes(monkeypatch, x_points, y_points):
+    # every grid the sweep and its oracle check build factors on is an
+    # exact reflection, so every y axis of the fold takes the half path
+    grids = []
+    real = osc.phase_factors
+
+    def spy(spec, lam, y_axes, x_axes):
+        grids.append((y_axes, x_axes))
+        return real(spec, lam, y_axes, x_axes)
+
+    monkeypatch.setattr(osc, "phase_factors", spy)
+    spec = CAT1["fold-curved"]
+    rep = scaling_experiment(spec, [0.5, 1.0, 2.0, 4.0], fold_scaling_family(), 3.0, 2.0, x_points, y_points)
+    assert len(grids) == 8 and rep.dropped == () and rep.oracle_dev <= 1e-10
+    for y_axes, x_axes in grids:
+        assert all(np.array_equal(ax, -ax[::-1]) for ax in list(y_axes) + list(x_axes))
+        assert osc._half_axes(spec, y_axes, x_axes) == HALF["fold-curved"]
 
 
 # ---------------------------------------------------------- hypothesis checks
