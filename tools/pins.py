@@ -15,8 +15,9 @@ criteria that --only names (default: every one), none with --dry-run. A
 change meant to move the pins re-pins the criteria it moves and quotes the
 output.
 
-The pins are the bytes of this machine: numpy's FFT, sort and SIMD paths and
-the BLAS kernel all show in them. Standard library and the package only.
+The pins hold the bytes of the machine that wrote them: numpy's FFT, sort and
+SIMD paths and the BLAS kernel all show in them. Standard library and the
+package only.
 """
 
 from __future__ import annotations
