@@ -21,9 +21,7 @@ The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
 of their phase matrices M_k = exp(scale a (x) b); the measure transforms
 of measures and operators and the oscillatory fast path run them. The sum
-can build its last matrix itself, a column block at a time, and takes a
-real first matrix (the cos and sin matrices of the oscillatory half path)
-as one real product.
+can build its last matrix itself, a column block at a time.
 """
 
 from __future__ import annotations
@@ -324,10 +322,7 @@ def _separable_sum(
 
     With no matrix this is c.sum(), with one a GEMV. With two or more, each
     index of the axes after the second scales c by those matrices' columns,
-    and the first two axes are then one GEMM. A real first matrix with at
-    most one more instead meets the complex rest (c, or c times the second
-    matrix) as its float64 view of real and imaginary parts, in one real
-    GEMV or GEMM, half the work of the complex product.
+    and the first two axes are then one GEMM.
 
     last = (a, b, scale) appends to mats (which must then hold at least
     one matrix) the matrix exp(scale * a (x) b) without ever holding it:
@@ -344,11 +339,6 @@ def _separable_sum(
     so the same bits) and holds that scaled matrix afterwards. A caller that
     keeps its matrices, such as apply_T_lambda_product with the phase
     factors it reuses, leaves owned at False."""
-    if last is None and mats and len(mats) <= 2 and not np.iscomplexobj(mats[0]):
-        rest = c[:, None] if len(mats) == 1 else mats[1] * c[:, None]
-        rest = np.ascontiguousarray(rest, dtype=complex)
-        out = (mats[0].T @ rest.view(np.float64)).view(complex)
-        return out[:, 0] if len(mats) == 1 else out
     if last is not None:
         size, blocks = len(last[1]), _phase_blocks(*last)
     elif len(mats) < 2:

@@ -708,9 +708,22 @@ def _reflected_sum(w: np.ndarray, mats: List[np.ndarray], odd) -> np.ndarray:
     if odd is None:
         return _separable_sum(e, mats)
     U, m, at = odd
-    a = _separable_sum(e, [U[0][:, :k].T] + mats)
-    b = 1j * _separable_sum(o, [U[1][:, :k].T] + mats) if o.any() else 0.0
+    a = _real_first_sum(e, U[0][:, :k], mats)
+    b = 1j * _real_first_sum(o, U[1][:, :k], mats) if o.any() else 0.0
     return np.moveaxis(np.concatenate([(a - b)[m % 2 :][::-1], a + b]), 0, at)
+
+
+def _real_first_sum(c: np.ndarray, V: np.ndarray, mats: List[np.ndarray]) -> np.ndarray:
+    """sum_y c(y) V[a, y] prod_k mats[k][y, a_k] for a real V (a cos or sin
+    matrix, rows along x): with at most one complex matrix, one real GEMV or
+    GEMM of V on the float64 view of the complex rest (c, or c times that
+    matrix), half the work of the complex product; with more, the general
+    separable sum."""
+    if len(mats) > 1:
+        return _separable_sum(c, [V.T] + mats)
+    rest = np.ascontiguousarray(mats[0] * c[:, None] if mats else c[:, None], dtype=complex)
+    out = (V @ rest.view(np.float64)).view(complex)
+    return out if mats else out[:, 0]
 
 
 def apply_T_lambda_product(
@@ -729,8 +742,9 @@ def apply_T_lambda_product(
     amplitude is sampled once per y axis for all terms.
 
     On each y axis the separable sum of grids runs over its coupled x axes:
-    over y >= 0 only on the axes _half_axes admits (_reflected_sum, with
-    the amplitude even in y), over the whole axis on the others.
+    over y >= 0 only on the axes _half_axes admits (_reflected_sum, which
+    splits the weights, amplitude included, into even and odd parts), over
+    the whole axis on the others.
 
     Precondition, not checked here: the y grid resolves that lambda by
     apply_T_lambda's 10-points-per-period rule. scaling_experiment applies

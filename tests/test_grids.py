@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restrictionlab import _workers, grids
+from restrictionlab import _workers
 from restrictionlab.grids import GridSpec, fourier_on_grid, inverse_fourier_on_grid
 
 from gridpoints import grid_points, ifftn_formula
@@ -436,18 +436,3 @@ def test_transform_shape_check():
         fourier_on_grid(np.zeros(16), g)
     with pytest.raises(ValueError, match="shape"):
         inverse_fourier_on_grid(np.zeros((8, 8)), g)
-
-
-@pytest.mark.parametrize("others", [0, 1, 2])
-def test_separable_sum_with_a_real_first_matrix_matches_its_complex_copy(others):
-    # a real first matrix with at most one more runs as one real product on
-    # the complex rest's float pairs; with more it takes the general loop;
-    # each agrees with the same sum on the complex copy of that matrix
-    rng = np.random.default_rng(others)
-    c = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    real = rng.standard_normal((40, 6))
-    mats = [rng.standard_normal((40, 5 + k)) * np.exp(1j * rng.standard_normal((40, 5 + k))) for k in range(others)]
-    got = grids._separable_sum(c, [real] + mats)
-    want = grids._separable_sum(c, [real.astype(complex)] + mats)
-    assert got.shape == want.shape == (6,) + tuple(5 + k for k in range(others))
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -424,8 +424,8 @@ def test_even_members_skip_the_odd_product_and_trailing_zero_rows(monkeypatch, n
     x_axes = [osc._reflected_axis(1.1, 8)] * 2
     factors = phase_factors(spec, 30.0, [y], x_axes)
     rows = []
-    real = osc._separable_sum
-    monkeypatch.setattr(osc, "_separable_sum", lambda c, mats: rows.append(len(c)) or real(c, mats))
+    real = osc._real_first_sum
+    monkeypatch.setattr(osc, "_real_first_sum", lambda c, V, mats: rows.append(len(c)) or real(c, V, mats))
     narrow = bump(np.abs(y) / 0.1)  # 43 rows y >= 0 inside its support
     apply_T_lambda_product(spec, [(narrow,)], [y], x_axes, factors)
     assert rows == [64]
@@ -436,6 +436,21 @@ def test_even_members_skip_the_odd_product_and_trailing_zero_rows(monkeypatch, n
     rows.clear()
     apply_T_lambda_product(spec, [((np.abs(y) <= y[n // 2 + 64]) * 1.0,)], [y], x_axes, factors)
     assert rows == [96]
+
+
+@pytest.mark.parametrize("others", [0, 1, 2])
+def test_real_first_sum_matches_the_separable_sum_of_its_complex_copy(others):
+    # a cos or sin matrix with at most one complex matrix runs as one real
+    # product on the complex rest's float pairs; with more it takes the
+    # general separable sum; each agrees with that sum on the complex copy
+    rng = np.random.default_rng(others)
+    c = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    real = rng.standard_normal((6, 40))
+    mats = [rng.standard_normal((40, 5 + k)) * np.exp(1j * rng.standard_normal((40, 5 + k))) for k in range(others)]
+    got = osc._real_first_sum(c, real, mats)
+    want = osc._separable_sum(c, [real.T.astype(complex)] + mats)
+    assert got.shape == want.shape == (6,) + tuple(5 + k for k in range(others))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 4096, 8191])

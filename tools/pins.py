@@ -1,6 +1,6 @@
 """Rewrite the byte pins of the Tier-1 tests, the acceptance CSVs in tests/pins.
 
-    python tools/pins.py [--only 9,10] [--dry-run]
+    python tools/pins.py --only 9,10
 
 Runs, from ./src and in this process, `accept --seed 0` (every criterion,
 the pins of tests/test_acceptance.py and of the `lorentz` defaults test) and
@@ -10,10 +10,10 @@ stores nothing and exits 1. Otherwise it prints, for each CSV it pins, the
 largest relative deviation |new - old| / max(|new|, |old|) over the numeric
 cells from the pin it replaces ("new" when there was none, "shape differs"
 when the rows or their lengths changed, and a count of the other text
-cells that changed), and writes the CSVs over the pins: those of the
-criteria that --only names (default: every one), none with --dry-run. A
-change meant to move the pins re-pins the criteria it moves and quotes the
-output.
+cells that changed), and writes the CSVs over the pins of the criteria
+that --only names, which it requires: a change meant to move the pins
+names the criteria it moves and quotes the output, and `git diff tests/pins`
+shows (and `git checkout tests/pins` undoes) what was stored.
 
 The pins hold the bytes of the machine that wrote them: numpy's FFT, sort and
 SIMD paths and the BLAS kernel all show in them. Standard library and the
@@ -66,10 +66,9 @@ def deviation(new: Path, old: Path) -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--only", default=None, help="criterion indices whose pins are written, e.g. 9,10")
-    p.add_argument("--dry-run", action="store_true", help="print the deviations, store nothing")
+    p.add_argument("--only", required=True, help="criterion indices whose pins are written, e.g. 9,10")
     args = p.parse_args(argv)
-    only = None if args.only is None else {"criterion_%02d.csv" % int(k) for k in args.only.split(",")}
+    only = {"criterion_%02d.csv" % int(k) for k in args.only.split(",")}
     sys.path.insert(0, str(ROOT / "src"))
     from restrictionlab.cli import main as lab
 
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
             out = Path(scratch) / name
             csvs = pinned or sorted(f.name for f in out.glob("criterion_*.csv"))
             for base in csvs:
-                store = not args.dry_run and (only is None or base in only)
+                store = base in only
                 dev = deviation(out / base, PINS / name / base)
                 print("%s/%s: %s (%s)" % (name, base, dev, "stored" if store else "pin kept"))
                 if store:
