@@ -318,7 +318,8 @@ def _separable_sum(
     c: np.ndarray, mats: Sequence[np.ndarray], *, owned: bool = False, last=None
 ) -> np.ndarray:
     """sum_j c_j prod_k mats[k][j, a_k] at every index (a_0, ..., a_{d-1}),
-    shaped (mats[0].shape[1], ..., mats[-1].shape[1]).
+    shaped (mats[0].shape[1], ..., mats[-1].shape[1]), real when c and every
+    matrix are real (the orthant of mu_hat), else complex.
 
     With no matrix this is c.sum(), with one a GEMV. With two or more, each
     index of the axes after the second scales c by those matrices' columns,
@@ -345,7 +346,7 @@ def _separable_sum(
         return mats[0].T @ c if mats else c.sum()
     else:
         size, blocks, mats = mats[-1].shape[1], [(0, mats[-1])], mats[:-1]
-    out = np.empty(tuple(m.shape[1] for m in mats) + (size,), dtype=complex)
+    out = np.empty(tuple(m.shape[1] for m in mats) + (size,), dtype=np.result_type(c, *mats))
     m0 = mats[0]
     if len(mats) == 1:
         m0 = np.multiply(m0, c[:, None], out=m0 if owned else None)

@@ -8,10 +8,15 @@ exponent (mass of balls ~ r^a) and the Fourier-decay exponent
 (sup_{|xi|=R} |mu_hat| ~ R^{-b}) from log-log slopes.
 
 Transform convention: mu_hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>).
-mu_hat_on_lattice runs the separable sum of grids on the atoms' phase
-matrices and returns the half lattice m_1 <= 0, from which _lattice_line
-reads the rest by conjugate reflection; fourier_transform_at, the direct
-sum, is its oracle.
+mu_hat_on_lattice runs the separable sum of grids. For a measure that
+equals its reflection in every axis, bit for bit (the circle when 4 divides
+its atom count), it sums real cosine matrices of the atoms folded onto
+x >= 0 and returns the real orthant xi >= 0, from which _lattice_line reads
+the rest by even reflection; for any other it sums the atoms' complex
+phase matrices and returns the half lattice m_1 <= 0, from which
+_lattice_line reads the rest by conjugate reflection. fourier_transform_at,
+the direct sum, is the oracle of both, and the half path that of the
+orthant.
 """
 
 from __future__ import annotations
@@ -139,7 +144,13 @@ def make_point_mass(location: Sequence[float]) -> DiscreteMeasure:
 def make_sphere_measure(d: int, n_atoms: int) -> DiscreteMeasure:
     """Equidistributed atoms on the unit sphere S^{d-1} with equal weights.
 
-    d=2: equispaced angles on the circle, trusted for |xi| <= n/(8 pi).
+    d=2: equispaced angles on the circle, atom k at angle 2 pi k / n,
+    trusted for |xi| <= n/(8 pi). When 4 divides n the atoms are the
+    quadrant's, k = 0..n/4, with the axis atoms exact (cos = 0 at n/4,
+    sin = 0 at 0), reflected into the other three quadrants, so the atoms
+    equal their reflection in each axis bit for bit and mu_hat_on_lattice
+    takes its real orthant path; for any other n each atom is the cos and
+    sin of its own angle.
     d=3: golden-ratio lattice (equal-area), trusted for |xi| <= sqrt(n)/8;
     the d=3 point set is a quadrature rule, not a product grid, and its
     transform error decays like 1/n only inside that radius.
@@ -150,8 +161,15 @@ def make_sphere_measure(d: int, n_atoms: int) -> DiscreteMeasure:
     if n < 16:
         raise ValueError("need n_atoms >= 16")
     if d == 2:
-        ang = 2.0 * np.pi * np.arange(n) / n
-        atoms = np.column_stack([np.cos(ang), np.sin(ang)])
+        q = n // 4
+        quadrant = 4 * q == n
+        ang = 2.0 * np.pi * np.arange(q + 1 if quadrant else n) / n
+        c, s = np.cos(ang), np.sin(ang)
+        if quadrant:  # the axis atoms exact, then reflected in angle order
+            c[q], s[0] = 0.0, 0.0
+            c = np.concatenate([c, -c[q - 1 :: -1], -c[1:], c[q - 1 : 0 : -1]])
+            s = np.concatenate([s, s[q - 1 :: -1], -s[1:], -s[q - 1 : 0 : -1]])
+        atoms = np.column_stack([c, s])
         alias = n / (8.0 * np.pi)
         label = "circle-n%d" % n
     else:
@@ -420,71 +438,157 @@ def _check_dimension(measure: DiscreteMeasure, grid: GridSpec) -> None:
 
 
 def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
-    """mu_hat sampled on the grid's frequency lattice, exactly, as its half
-    with m_1 <= 0.
+    """mu_hat sampled on the grid's frequency lattice, exactly: its real
+    orthant xi >= 0 when the measure equals its reflection in every axis,
+    else its complex half with m_1 <= 0.
 
     With f = grid.freq_axis() (ascending, m = -N/2..N/2-1, the layout of
-    fourier_on_grid and inverse_fourier_on_grid) and f_N = N/2 / (2L)
-    appended to it, returns the complex array of shape
-    (N/2 + 1,) + (N + 1,)*(d - 1) whose entry at (k_1, ..., k_d) is
-    mu_hat(f_{k_1}, ..., f_{k_d}) = sum_j w_j exp(-2 pi i <x_j, xi>): the
-    rows m_1 = -N/2..0, and on each later axis every m_k = -N/2..N/2. The
-    other rows, m_1 = 1..N/2-1, are mu_hat(-xi) = conj(mu_hat(xi)), since
-    the weights are real; _lattice_line reads any line of the whole lattice
-    from the half that way, and negating m_k is index N - k_k on every axis,
-    so the later axes' partner of m_k = -N/2 is the appended +N/2. The
-    reflection is exact in floating point too: negating m negates the phase
-    argument exactly, exp(-i y) is conj(exp(i y)) bit for bit, and the
-    contraction of conjugated factors rounds to the conjugate of the same
-    sum. Where the appended point is the source (m_1 > 0 and some later
-    m_k = -N/2) the value comes from another GEMM tile and can differ from
-    a direct contraction by a rounding error; every dyadic ring is exactly
-    0 there, since |xi| is at least the Nyquist radius. fourier_transform_at
-    is the oracle. The half does not depend on any dyadic scale, so a sweep
-    over j computes it once and hands it to dyadic_piece.
+    fourier_on_grid and inverse_fourier_on_grid), f_N = N/2 / (2L) appended
+    to it, and mu_hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>):
 
-    The contraction holds the scaled first phase matrix (atoms by N/2 + 1)
-    and one column block of the last axis's matrix, which the kernel builds
-    block by block (see _atom_sum), beside the half. For criterion 5 (4096
-    atoms, 2048^2) that is 67 + 17 + 34 MB, 1.75 complex lattices; the
-    whole lattice (67 MB) is never built.
+    - The orthant, when the atoms and weights equal their reflection in
+      every axis bit for bit (a lexsort compare of the (atom, weight) rows,
+      no tolerance; the circle of make_sphere_measure when 4 divides n):
+      the float64 array of shape (N/2 + 1,)*d whose entry at
+      (k_1, ..., k_d) is mu_hat at (k_1, ..., k_d) / (2L), m_k = k_k = 0..N/2.
+      There mu_hat is real and even in each axis,
+      sum_j w_j prod_k cos(2 pi x_jk xi_k), so each orbit of atoms under
+      the reflections is folded onto its atom with every coordinate >= 0,
+      at weight w 2^(nonzero coordinates), and the sum runs over those
+      atoms' cosine matrices: one real GEMM when d = 2. The rest of the
+      lattice is mu_hat(|m_1|, ..., |m_d|), which _lattice_line reads by
+      even reflection, index |m| on every axis.
+    - The half, for any other measure: the complex array of shape
+      (N/2 + 1,) + (N + 1,)*(d - 1) whose entry at (k_1, ..., k_d) is
+      mu_hat(f_{k_1}, ..., f_{k_d}): the rows m_1 = -N/2..0, and on each
+      later axis every m_k = -N/2..N/2. The other rows, m_1 = 1..N/2-1, are
+      mu_hat(-xi) = conj(mu_hat(xi)), since the weights are real;
+      _lattice_line reads them from the half that way, and negating m_k is
+      index N - k_k on every axis, so the later axes' partner of
+      m_k = -N/2 is the appended +N/2. The reflection is exact in floating
+      point too: negating m negates the phase argument exactly, exp(-i y)
+      is conj(exp(i y)) bit for bit, and the contraction of conjugated
+      factors rounds to the conjugate of the same sum. Where the appended
+      point is the source (m_1 > 0 and some later m_k = -N/2) the value
+      comes from another GEMM tile and can differ from a direct
+      contraction by a rounding error; every dyadic ring is exactly 0
+      there, since |xi| is at least the Nyquist radius.
+
+    fourier_transform_at is the oracle of both, and the half path that of
+    the orthant. Neither depends on any dyadic scale, so a sweep over j
+    computes it once and hands it to dyadic_piece.
+
+    Memory: the orthant's sum holds its cosine matrices and the orthant,
+    each padded with zeros to multiples of _GEMM_PAD rows and columns; for
+    criterion 5 (1,025 folded atoms of 4,096, 2048^2) that is three real
+    1056 x 1056 matrices, 27 MB. The half's contraction holds the scaled
+    first phase matrix (atoms by N/2 + 1) and one column block of the last
+    axis's matrix, which the kernel builds block by block (see _atom_sum),
+    beside the half: for 4096 atoms on 2048^2, 67 + 17 + 34 MB. The whole
+    lattice is never built.
     """
     _check_dimension(measure, grid)
     n, d = grid.points_per_axis, grid.dim
     h = n // 2
+    orbits = _orbits(measure)
+    if orbits is not None:
+        return _orthant_sum(*orbits, np.arange(h + 1) * grid.freq_spacing)
     fax = grid.freq_axis()
     full = np.append(fax, h * grid.freq_spacing)
     return _atom_sum(measure.weights, measure.atoms, [fax[: h + 1]] + [full] * (d - 1), -1.0)
 
 
-def _lattice_line(half: np.ndarray, at: Tuple[int, ...], lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+def _orbits(measure: DiscreteMeasure):
+    """(atoms, weights) of the measure folded onto the orthant x >= 0 when
+    its atoms and weights equal their reflection in every axis bit for bit,
+    else None: the atoms with every coordinate >= 0, each at weight w 2^z
+    for the 2^z atoms of its orbit, z its count of nonzero coordinates. The
+    check compares the lexsorted (atom, weight) rows with those of each
+    reflection, with no tolerance (-0.0 equals 0.0, and an atom on an axis
+    is its own reflection in that axis)."""
+    rows = np.column_stack([measure.atoms, measure.weights])
+    ordered = rows[np.lexsort(rows.T)]
+    for k in range(measure.dim):
+        mirror = rows.copy()
+        mirror[:, k] = -mirror[:, k]
+        if not np.array_equal(mirror[np.lexsort(mirror.T)], ordered):
+            return None
+    inside = np.all(measure.atoms >= 0.0, axis=1)
+    atoms = measure.atoms[inside]
+    return atoms, np.ldexp(measure.weights[inside], np.count_nonzero(atoms, axis=1))
+
+
+# the real orthant sum pads each GEMM dimension (the folded atoms and the
+# first two axes' points) with zeros to a multiple of this: OpenBLAS's
+# threaded and one-thread code paths split a dimension into different pieces,
+# and on a multiple of 32 they give the same bits at every BLAS thread
+# count, under the SkylakeX and the Haswell kernels (4096 atoms on 2048^2:
+# 1056^3 does, 1025 folded atoms do not)
+_GEMM_PAD = 32
+
+
+def _orthant_sum(atoms: np.ndarray, weights: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """sum_j weights_j prod_k cos(2 pi atoms_jk xi_k) for xi on the product
+    of d copies of the axis, shaped (len(axis),)*d: grids._separable_sum on
+    the atoms' cosine matrices, each built in place in a zero matrix whose
+    rows and first two axes' columns are padded to multiples of _GEMM_PAD,
+    with the weights padded by zeros; the padding adds exact zeros, and the
+    result is the unpadded corner of the padded sum."""
+    count, m, d = len(weights), len(axis), atoms.shape[1]
+    rows, cols = (-(-size // _GEMM_PAD) * _GEMM_PAD for size in (count, m))
+    coeffs = np.zeros(rows)
+    coeffs[:count] = weights
+    mats = []
+    for k in range(d):
+        mat = np.zeros((rows, cols if k < 2 else m))
+        corner = mat[:count, :m]
+        np.multiply.outer(atoms[:, k], axis, out=corner)
+        corner *= 2.0 * np.pi
+        np.cos(corner, out=corner)
+        mats.append(mat)
+    return _separable_sum(coeffs, mats, owned=True)[(slice(0, m),) * d]
+
+
+def _lattice_line(mu_hat: np.ndarray, at: Tuple[int, ...], lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """mu_hat on the columns [lo, hi) of the last axis of the whole lattice,
     on the line at lattice indices `at` of the leading axes, read from the
-    half of mu_hat_on_lattice. A line with m_1 <= 0 is returned as a view
-    of the half; any other is written into out, complex of length hi - lo,
-    as the conjugate of its reflection (every index k to N - k), and out is
-    returned. With d = 1 there is no leading axis: the one line joins the
-    half's entries from lo to N/2 and the reflection of the rest."""
-    h = half.shape[0] - 1
+    orthant or the half of mu_hat_on_lattice.
+
+    From the real orthant (N/2 + 1 points per axis) every entry is read by
+    even reflection, lattice index i to orthant index |i - N/2| on every
+    axis, and written into out, complex of length hi - lo, which is
+    returned. From the complex half, a line with m_1 <= 0 is returned as a
+    view of the half; any other is written into out as the conjugate of
+    its reflection (every index k to N - k), and out is returned. With
+    d = 1 there is no leading axis: the one line joins the half's entries
+    from lo to N/2 and the reflection of the rest."""
+    h = mu_hat.shape[0] - 1
     n = 2 * h
+    if not np.iscomplexobj(mu_hat):
+        row = mu_hat[tuple(abs(i - h) for i in at)]
+        cut = min(max(lo, h), hi)  # the columns before cut have m < 0
+        np.copyto(out[: cut - lo], row[h - lo : h - cut : -1])
+        np.copyto(out[cut - lo :], row[cut - h : hi - h])
+        return out
     if not at:
         cut = min(max(lo, h + 1), hi)
-        np.copyto(out[: cut - lo], half[lo:cut])
-        np.conjugate(half[n - cut : n - hi : -1], out=out[cut - lo :])
+        np.copyto(out[: cut - lo], mu_hat[lo:cut])
+        np.conjugate(mu_hat[n - cut : n - hi : -1], out=out[cut - lo :])
         return out
     if at[0] <= h:
-        return half[at + (slice(lo, hi),)]
-    return np.conjugate(half[tuple(n - i for i in at) + (slice(n - lo, n - hi, -1),)], out=out)
+        return mu_hat[at + (slice(lo, hi),)]
+    return np.conjugate(mu_hat[tuple(n - i for i in at) + (slice(n - lo, n - hi, -1),)], out=out)
 
 
-def _mu_hat_oracle_deviation(measure: DiscreteMeasure, grid: GridSpec, half: np.ndarray) -> float:
-    """The largest deviation of the half lattice of mu_hat_on_lattice from
+def _mu_hat_oracle_deviation(measure: DiscreteMeasure, grid: GridSpec, mu_hat: np.ndarray) -> float:
+    """The largest deviation of mu_hat_on_lattice's orthant or half from
     fourier_transform_at at eight fixed lattice points, each read by
     _lattice_line, relative to |mu_hat(0)|, which is max |mu_hat| for
     nonnegative weights. The points are given by m = k - N/2 on the first
-    axis and on every later one: four with m_1 <= 0, read in place, and four
-    with m_1 > 0, read by reflection, the last from the appended +N/2 when
-    d >= 2."""
+    axis and on every later one: four with m_1 <= 0 and four with m_1 > 0,
+    the last from the appended +N/2 when d >= 2. From the half the four
+    with m_1 > 0 are read by conjugate reflection, from the orthant every
+    point with a negative m by even reflection."""
     n, d = grid.points_per_axis, grid.dim
     h = n // 2
     points = [(-h, 1), (-h // 2, -h), (-1, h - 1), (0, 0), (1, -1), (2, h // 2), (h // 2 + 1, 1 - h), (h - 1, -h)]
@@ -492,10 +596,10 @@ def _mu_hat_oracle_deviation(measure: DiscreteMeasure, grid: GridSpec, half: np.
     got, xi = [], []
     for m1, mk in points:
         k = (m1 + h,) + (mk + h,) * (d - 1)
-        got.append(_lattice_line(half, k[:-1], k[-1], k[-1] + 1, np.empty(1, dtype=complex))[0])
+        got.append(_lattice_line(mu_hat, k[:-1], k[-1], k[-1] + 1, np.empty(1, dtype=complex))[0])
         xi.append(fax[list(k)])
     dev = np.abs(np.array(got) - fourier_transform_at(measure, np.array(xi))).max()
-    return float(dev / abs(half[(h,) * d]))
+    return float(dev / abs(got[3]))  # points[3] is xi = 0
 
 
 def _phase_matrices(points: np.ndarray, axes: Sequence[np.ndarray], sign: float) -> List:
@@ -555,8 +659,9 @@ def dyadic_piece(
     plateau) and inverse transforms it to the moduli of the piece on the
     grid; only the sups of the localized samples and of those moduli are
     returned. The samples are taken as mu_hat = mu_hat_on_lattice(measure,
-    grid), the half lattice with m_1 <= 0 of shape (N/2 + 1,) + (N + 1,)*(d - 1),
-    not recomputed, so a sweep over j builds them once; any other shape is
+    grid), not recomputed, so a sweep over j builds them once: the real
+    orthant xi >= 0 of shape (N/2 + 1,)*d, or the complex half with
+    m_1 <= 0 of shape (N/2 + 1,) + (N + 1,)*(d - 1); any other shape is
     refused. The grid must resolve frequency 2^j: its Nyquist radius
     N/(4L) must be at least 2^j.
 
@@ -564,22 +669,26 @@ def dyadic_piece(
     mu_hat: the ring is zero outside the box xi_k^2 < 4^j, and the inverse
     transform takes the box's lines as its kept lines from a callback, a
     block of them at a time (its lines argument), which reads the box's
-    part of each line of mu_hat with _lattice_line (in place where
-    m_1 <= 0, else as the conjugate of its reflection, written into the
-    transform's source block), evaluates the ring there, multiplies, zeroes
-    the line outside the box and keeps the block's largest modulus. So
-    beyond mu_hat the call holds the transform's one buffer, max(1/2, box
-    lines / N^(d-1)) complex lattices and a few blocks, and one float64
+    part of each line of mu_hat with _lattice_line (from the orthant by
+    even reflection, from the half in place where m_1 <= 0, else as the
+    conjugate of its reflection; a line not read in place is written into
+    the transform's source block), evaluates the ring there, multiplies,
+    zeroes the line outside the box and keeps the block's largest modulus.
+    So beyond mu_hat the call holds the transform's one buffer, max(1/2,
+    box lines / N^(d-1)) complex lattices and a few blocks, and one float64
     block of its own.
     """
     _check_dimension(measure, grid)
     j = _check_dyadic_scale(j, grid)
     n, d = grid.points_per_axis, grid.dim
-    half_shape = (n // 2 + 1,) + (n + 1,) * (d - 1)
-    if np.shape(mu_hat) != half_shape:
+    if np.iscomplexobj(mu_hat):
+        name, shape = "half", (n // 2 + 1,) + (n + 1,) * (d - 1)
+    else:
+        name, shape = "orthant", (n // 2 + 1,) * d
+    if np.shape(mu_hat) != shape:
         raise ValueError(
-            "mu_hat has shape %r, the half frequency lattice of mu_hat_on_lattice on this grid is %r"
-            % (np.shape(mu_hat), half_shape)
+            "mu_hat has shape %r, the %s frequency lattice of mu_hat_on_lattice on this grid is %r"
+            % (np.shape(mu_hat), name, shape)
         )
     sq = grid.freq_axis() ** 2
     # ring j is 0 wherever u >= 4^j, so wherever some xi_k^2 >= 4^j (u is a

@@ -556,16 +556,16 @@ def test_unresolvable_cap_count_exits_2_before_the_first_field(tmp_path, capsys,
 
 
 def test_dyadic_sweep_peak_memory_stays_below_two_lattices(tmp_path):
-    # the sweep holds the half lattice of mu_hat and the inverse transform's
-    # one buffer (the moduli, or the box's lines when they are more, then
-    # one block, the source block and one slab); the ring product is formed
-    # inside the transform a block of the box's lines at a time, so no
-    # localized lattice is built, the lines with m_1 > 0 are read from the
-    # half by reflection, so no whole lattice of mu_hat is built, and a
-    # piece keeps only its two sups (few atoms: the transform's phase
-    # matrices are small). About 1.75 lattices here, 2.2 when mu_hat was
-    # held as the whole lattice and 3.2 when each piece built its
-    # localized lattice
+    # the sweep holds the real orthant of the circle's mu_hat and the
+    # inverse transform's one buffer (the moduli, or the box's lines when
+    # they are more, then one block, the source block and one slab); the
+    # ring product is formed inside the transform a block of the box's
+    # lines at a time, so no localized lattice is built, the lines are read
+    # from the orthant by reflection, so no whole lattice of mu_hat is
+    # built, and a piece keeps only its two sups (few atoms: the
+    # transform's matrices are small). About 1.46 lattices here, 1.8 with
+    # the complex half of mu_hat (255 atoms), 2.2 when mu_hat was held as
+    # the whole lattice and 3.2 when each piece built its localized lattice
     lattice = 16 * 512**2  # bytes of one complex lattice
     argv = ["dyadic", "--points", "512", "--n", "256", "--j-list", "1,2,3,4,5,6"]
     for workers in (_workers._WORKERS, 4):
@@ -809,26 +809,61 @@ def test_dyadic_point_mass_scaling(tmp_path):
     assert re.findall(r"^  (kind|n|ratio|levels|dim)=", echo, re.M) == ["dim", "kind"]
 
 
-def test_dyadic_oracle_check_fails_on_a_wrong_reflection(tmp_path, monkeypatch):
-    # the sweep reads mu_hat where m_1 > 0 by conjugate reflection of the
-    # half lattice, and its oracle check reads eight fixed points the same
-    # way against the direct sum: a reflection one row off passes every
-    # other check of this run, and must fail that one
-    right = measures._lattice_line
-
-    def one_row_off(half, at, lo, hi, out):
-        n = 2 * (half.shape[0] - 1)
-        if at and at[0] > n // 2:
-            src = (n + 1 - at[0],) + tuple(n - i for i in at[1:]) + (slice(n - lo, n - hi, -1),)
-            return np.conjugate(half[src], out=out)
-        return right(half, at, lo, hi, out)
-
-    argv = ["dyadic", "--points", "256", "--n", "128", "--j-list", "1,2,3,4"]
+def _fails_only_the_oracle(tmp_path, monkeypatch, argv, faulty):
+    # argv passes every check of dyadic; with faulty in place of
+    # measures._lattice_line, only the oracle line may fail
     assert main(argv + ["--out", str(tmp_path / "right")]) == 0
-    monkeypatch.setattr(measures, "_lattice_line", one_row_off)
+    monkeypatch.setattr(measures, "_lattice_line", faulty)
     assert main(argv + ["--out", str(tmp_path / "wrong")]) == 1
     lines = (tmp_path / "wrong" / "dyadic_verdict.txt").read_text().splitlines()
     assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL mu_hat oracle within 1e-10"]
+
+
+def test_dyadic_oracle_check_fails_on_a_wrong_reflection(tmp_path, monkeypatch):
+    # the circle's sweep reads mu_hat from its real orthant by even
+    # reflection, orthant index |m| on every axis, and its oracle check
+    # reads eight fixed points the same way against the direct sum: the
+    # rows m_1 < 0 read one row off (|m_1| - 1) pass every other check of
+    # this run, and must fail that one
+    right = measures._lattice_line
+    read = set()
+
+    def one_row_off(mu_hat, at, lo, hi, out):
+        read.add(mu_hat.dtype)
+        h = mu_hat.shape[0] - 1
+        if at and at[0] < h:
+            at = (at[0] + 1,) + at[1:]
+        return right(mu_hat, at, lo, hi, out)
+
+    argv = ["dyadic", "--points", "256", "--n", "128", "--j-list", "1,2,3,4"]
+    _fails_only_the_oracle(tmp_path, monkeypatch, argv, one_row_off)
+    assert read == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("fault", ["reflection one row off", "conjugate dropped"])
+def test_dyadic_oracle_check_fails_on_a_wrong_half_read(tmp_path, monkeypatch, fault):
+    # a measure without the reflection symmetries (the golden-ratio
+    # sphere) gives the complex half, whose rows m_1 > 0 the sweep and the
+    # oracle check read by conjugate reflection: a reflection one row off,
+    # or one that drops the conjugate, passes every other check of this
+    # run, and must fail that one
+    right = measures._lattice_line
+    read = set()
+
+    def faulty(mu_hat, at, lo, hi, out):
+        read.add(mu_hat.dtype)
+        n = 2 * (mu_hat.shape[0] - 1)
+        if not (at and at[0] > n // 2):
+            return right(mu_hat, at, lo, hi, out)
+        if fault == "conjugate dropped":
+            np.copyto(out, mu_hat[tuple(n - i for i in at) + (slice(n - lo, n - hi, -1),)])
+            return out
+        src = (n + 1 - at[0],) + tuple(n - i for i in at[1:]) + (slice(n - lo, n - hi, -1),)
+        return np.conjugate(mu_hat[src], out=out)
+
+    argv = ["dyadic", "--kind", "sphere", "--n", "512", "--points", "32", "--half-width", "1", "--j-list", "1,2,3"]
+    _fails_only_the_oracle(tmp_path, monkeypatch, argv, faulty)
+    assert read == {np.dtype(complex)}
 
 
 @pytest.mark.parametrize("fault", ["row dropped", "shift one line off"])

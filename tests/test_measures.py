@@ -349,56 +349,90 @@ def _random_measure(dim, n_atoms, seed, spread=1.0):
     return DiscreteMeasure(dim=dim, atoms=atoms, weights=w / w.sum(), label="random")
 
 
-def _whole_lattice(half, grid):
-    """The whole (N,)*d lattice of mu_hat from the half of
-    mu_hat_on_lattice, by copy and conjugate reflection, as
-    mu_hat_on_lattice built it when it returned the whole lattice: the
-    rows m_1 <= 0 are the half's, the rest the conjugates of its rows
-    -m_1, with m_k -> -m_k index N - k on the later axes. The oracle of
-    measures._lattice_line."""
+def _symmetric_measure(dim, n_atoms, seed):
+    """A random measure that equals its reflection in every axis: n_atoms
+    atoms in [0, 1]^dim, about a third of their coordinates 0, each copied
+    with every sign pattern at a 2^-dim share of its random weight. An atom
+    with a zero coordinate so gets copies of itself (0.0 and -0.0), which
+    the orthant path must count once per copy."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, (n_atoms, dim))
+    base[rng.uniform(size=base.shape) < 1 / 3] = 0.0
+    w = rng.uniform(0.1, 1.0, n_atoms)
+    signs = np.array(list(np.ndindex((2,) * dim))) * -2.0 + 1.0
+    atoms = (signs[:, None, :] * base[None]).reshape(-1, dim)
+    weights = np.tile(w, len(signs))
+    return DiscreteMeasure(dim=dim, atoms=atoms, weights=weights / weights.sum(), label="symmetric")
+
+
+def _whole_lattice(mu_hat, grid):
+    """The whole (N,)*d complex lattice of mu_hat from the orthant or the
+    half of mu_hat_on_lattice. From the real orthant, by even reflection:
+    the entry at m is the orthant's at |m|, every axis. From the complex
+    half, by copy and conjugate reflection, as mu_hat_on_lattice built it
+    when it returned the whole lattice: the rows m_1 <= 0 are the half's,
+    the rest the conjugates of its rows -m_1, with m_k -> -m_k index N - k
+    on the later axes. The oracle of measures._lattice_line."""
     n, d = grid.points_per_axis, grid.dim
     h = n // 2
+    if not np.iscomplexobj(mu_hat):
+        return mu_hat[np.ix_(*[np.abs(np.arange(n) - h)] * d)].astype(complex)
     out = np.empty((n,) * d, dtype=complex)
-    out[: h + 1] = half[(slice(None),) + (slice(0, n),) * (d - 1)]
-    np.conjugate(half[(slice(h - 1, 0, -1),) + (slice(n, 0, -1),) * (d - 1)], out=out[h + 1 :])
+    out[: h + 1] = mu_hat[(slice(None),) + (slice(0, n),) * (d - 1)]
+    np.conjugate(mu_hat[(slice(h - 1, 0, -1),) + (slice(n, 0, -1),) * (d - 1)], out=out[h + 1 :])
     return out
 
 
 def _assert_lattice_matches_direct_sum(measure, grid):
-    # every point of the half lattice (the appended m_k = +N/2 included) and,
-    # through the reflection, of the whole frequency lattice (the Nyquist
-    # hyperplanes m_k = -N/2 included), against the direct sum
+    # every point of the orthant or the half lattice (the appended
+    # m_k = +N/2 included) and, through the reflection, of the whole
+    # frequency lattice (the Nyquist hyperplanes m_k = -N/2 included),
+    # against the direct sum
     n, d = grid.points_per_axis, grid.dim
-    half = mu_hat_on_lattice(measure, grid)
-    assert half.shape == (n // 2 + 1,) + (n + 1,) * (d - 1)
+    h = n // 2
+    mu_hat = mu_hat_on_lattice(measure, grid)
     fax = grid.freq_axis()
-    full = np.append(fax, n // 2 * grid.freq_spacing)
-    axes = [fax[: n // 2 + 1]] + [full] * (d - 1)
-    for lattice, mesh in ((half, np.meshgrid(*axes, indexing="ij")), (_whole_lattice(half, grid), freq_mesh(grid))):
+    full = np.append(fax, h * grid.freq_spacing)
+    if np.iscomplexobj(mu_hat):
+        axes = [fax[: h + 1]] + [full] * (d - 1)
+    else:
+        axes = [full[h:]] * d
+    assert mu_hat.shape == tuple(len(ax) for ax in axes)
+    for lattice, mesh in ((mu_hat, np.meshgrid(*axes, indexing="ij")), (_whole_lattice(mu_hat, grid), freq_mesh(grid))):
         points = np.stack([m.ravel() for m in mesh], axis=1)
         direct = fourier_transform_at(measure, points).reshape(mesh[0].shape)
         assert np.max(np.abs(lattice - direct)) <= 1e-12
 
 
-_LATTICE_CASES = [
+# the measures without the reflection symmetry take the complex half path:
+# odd atom counts and unequal weights, the Cantor measure on [0, 1] and the
+# golden-ratio sphere
+_HALF_CASES = [
     (make_cantor_measure(1 / 3, 6), GridSpec(1, 2.0, 64)),
-    (make_sphere_measure(2, 64), GridSpec(2, 2.0, 32)),
     (make_sphere_measure(3, 64), GridSpec(3, 2.0, 8)),
-    # odd atom counts and unequal weights
     (_random_measure(1, 63, 1), GridSpec(1, 1.5, 128)),
     (_random_measure(2, 65, 2), GridSpec(2, 2.0, 32)),
     (_random_measure(3, 33, 3), GridSpec(3, 1.0, 16)),
 ]
-_LATTICE_IDS = ["d1-cantor", "d2-circle", "d3-sphere", "d1-random", "d2-random", "d3-random"]
+_HALF_IDS = ["d1-cantor", "d3-sphere", "d1-random", "d2-random", "d3-random"]
+# the circle with 4 | n and measures built symmetric take the real orthant
+_ORTHANT_CASES = [
+    (make_sphere_measure(2, 64), GridSpec(2, 2.0, 32)),
+    (make_sphere_measure(2, 400), GridSpec(2, 1.5, 64)),
+    (_symmetric_measure(1, 21, 4), GridSpec(1, 1.5, 128)),
+    (_symmetric_measure(2, 33, 5), GridSpec(2, 2.0, 32)),
+    (_symmetric_measure(3, 9, 6), GridSpec(3, 1.0, 16)),
+]
+_ORTHANT_IDS = ["d2-circle", "d2-circle-n400", "d1-symmetric", "d2-symmetric", "d3-symmetric"]
 
 
-@pytest.mark.parametrize("measure, grid", _LATTICE_CASES, ids=_LATTICE_IDS)
+@pytest.mark.parametrize("measure, grid", _HALF_CASES + _ORTHANT_CASES, ids=_HALF_IDS + _ORTHANT_IDS)
 def test_mu_hat_on_lattice_matches_direct_sum(measure, grid):
     # the separable lattice contraction against its oracle, the direct sum
     _assert_lattice_matches_direct_sum(measure, grid)
 
 
-@pytest.mark.parametrize("measure, grid", _LATTICE_CASES, ids=_LATTICE_IDS)
+@pytest.mark.parametrize("measure, grid", _HALF_CASES, ids=_HALF_IDS)
 def test_mu_hat_on_lattice_is_exactly_conjugate_symmetric(measure, grid):
     # real weights: mu_hat(-xi) = conj(mu_hat(xi)) bit for bit wherever -xi
     # is on the lattice, i.e. off the hyperplanes m_k = -N/2 (index 0); on
@@ -408,6 +442,78 @@ def test_mu_hat_on_lattice_is_exactly_conjugate_symmetric(measure, grid):
     inner = lattice[(slice(1, None),) * grid.dim]
     mirrored = lattice[(slice(None, 0, -1),) * grid.dim]
     assert np.array_equal(inner, np.conj(mirrored))
+
+
+@pytest.mark.parametrize("measure, grid", _ORTHANT_CASES, ids=_ORTHANT_IDS)
+def test_orthant_matches_the_half_path(measure, grid):
+    # a measure equal to its reflection in every axis gives the real
+    # orthant xi >= 0; the whole lattice read from it by even reflection
+    # must be the complex half path's (forced through _atom_sum, its
+    # oracle; the direct sum is checked above), relative to mu_hat(0) = 1
+    n, d = grid.points_per_axis, grid.dim
+    h = n // 2
+    orthant = mu_hat_on_lattice(measure, grid)
+    assert orthant.dtype == np.float64 and orthant.shape == (h + 1,) * d
+    fax = grid.freq_axis()
+    axes = [fax[: h + 1]] + [np.append(fax, h * grid.freq_spacing)] * (d - 1)
+    half = measures._atom_sum(measure.weights, measure.atoms, axes, -1.0)
+    dev = np.abs(_whole_lattice(orthant, grid) - _whole_lattice(half, grid)).max()
+    assert dev <= 1e-12 * abs(orthant[(0,) * d])
+
+
+@pytest.mark.parametrize(
+    "fault", ["interior atom", "axis atom", "weight"], ids=["interior-atom-ulp", "axis-atom-ulp", "weight-ulp"]
+)
+def test_circle_off_its_reflection_symmetry_takes_the_half_path(fault):
+    # the symmetry check is exact: one atom moved by one ulp (off the axes,
+    # or the atom (0, 1) moved to (5e-324, 1)) or one weight changed by one
+    # ulp, and the circle takes the complex half path, bit for bit as
+    # _atom_sum gives it
+    circle = make_sphere_measure(2, 64)
+    grid = GridSpec(2, 2.0, 32)
+    assert measures._orbits(circle) is not None
+    atoms, weights = circle.atoms.copy(), circle.weights.copy()
+    if fault == "interior atom":
+        atoms[5, 0] = np.nextafter(atoms[5, 0], 2.0)
+    elif fault == "axis atom":
+        assert atoms[16, 0] == 0.0
+        atoms[16, 0] = np.nextafter(0.0, 1.0)
+    else:
+        weights[5] = np.nextafter(weights[5], 1.0)
+    moved = DiscreteMeasure(dim=2, atoms=atoms, weights=weights, label="moved")
+    assert measures._orbits(moved) is None
+    half = mu_hat_on_lattice(moved, grid)
+    fax = grid.freq_axis()
+    axes = [fax[:17], np.append(fax, 16 * grid.freq_spacing)]
+    assert half.shape == (17, 33)
+    assert half.tobytes() == measures._atom_sum(moved.weights, moved.atoms, axes, -1.0).tobytes()
+
+
+def test_orbits_fold_each_orbit_onto_its_atom_in_the_orthant():
+    # the circle of 4 | n atoms folds onto its n/4 + 1 quadrant atoms, the
+    # two axis atoms at twice the common weight and the others at four
+    # times; copies of one atom (0.0 and -0.0 alike) each keep their share
+    circle = make_sphere_measure(2, 4096)
+    atoms, weights = measures._orbits(circle)
+    assert atoms.shape == (1025, 2) and np.all(atoms >= 0.0)
+    assert weights[0] == weights[-1] == 2.0 / 4096 and np.all(weights[1:-1] == 4.0 / 4096)
+    assert weights.sum() == 1.0
+    doubled = DiscreteMeasure(dim=1, atoms=np.array([[0.0], [-0.0], [0.5], [-0.5]]), weights=np.full(4, 0.25))
+    atoms, weights = measures._orbits(doubled)
+    assert atoms.ravel().tolist() == [0.0, 0.0, 0.5] and weights.tolist() == [0.25, 0.25, 0.5]
+
+
+def test_orthant_peak_memory_is_two_padded_matrices_and_the_orthant():
+    # criterion 5's size, 4096 atoms on 2048^2: the 1,025 folded atoms'
+    # cosine matrices on the 1,025 points xi >= 0 of each axis, padded to
+    # 1056 x 1056, and the padded orthant, whose corner is returned; the
+    # half path's first phase matrix alone is 67 MB
+    m = make_sphere_measure(2, 4096)
+    grid = GridSpec(2, 2.0, 2048)
+    padded = 8 * 1056 * 1056
+    orthant, peak = _peak_bytes(lambda: mu_hat_on_lattice(m, grid))
+    assert orthant.shape == (1025, 1025) and orthant.dtype == np.float64
+    assert peak <= 3 * padded + 2**19
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -442,13 +548,13 @@ def _peak_bytes(call):
 
 
 def test_lattice_transform_peak_memory_stays_near_its_phase_matrices():
-    # criterion 5's ratio, 2 atoms per axis point: 1024 atoms on 512^2. The
-    # half-lattice contraction holds the first phase matrix (257 columns,
-    # scaled in place), one column block of the last (the kernel builds its
-    # 513 columns in blocks of 256 and 257) and the half lattice, which it
-    # returns; no whole lattice is built. The whole last matrix would
-    # exceed the bound by about 4 MB
-    m = make_sphere_measure(2, 1024)
+    # criterion 5's ratio, 2 atoms per axis point: 1024 atoms on 512^2,
+    # without the reflection symmetry. The half-lattice contraction holds
+    # the first phase matrix (257 columns, scaled in place), one column
+    # block of the last (the kernel builds its 513 columns in blocks of 256
+    # and 257) and the half lattice, which it returns; no whole lattice is
+    # built. The whole last matrix would exceed the bound by about 4 MB
+    m = _random_measure(2, 1024, 14)
     grid = GridSpec(2, 2.0, 512)
     first, block = 16 * m.n_atoms * 257, 16 * m.n_atoms * 257
     half = 16 * 257 * 513
@@ -508,10 +614,16 @@ def test_dyadic_piece_rejects_mis_shaped_lattice():
     for bad in (good[:16], good.ravel(), good[:, :, None]):
         with pytest.raises(ValueError, match="frequency lattice"):
             dyadic_piece(m, 2, g, bad)
-    # the half of a coarser grid has the wrong shape as well
+    # the orthant of a coarser grid has the wrong shape as well
     coarse = mu_hat_on_lattice(m, GridSpec(2, 2.0, 16))
     with pytest.raises(ValueError, match="frequency lattice"):
         dyadic_piece(m, 2, g, coarse)
+    # a complex lattice is read as the half, a real one as the orthant
+    with pytest.raises(ValueError, match=re.escape("the half frequency lattice of mu_hat_on_lattice on this grid is (17, 33)")):
+        dyadic_piece(m, 2, g, good.astype(complex))
+    half = measures._atom_sum(m.weights, m.atoms, [g.freq_axis()[:17], np.append(g.freq_axis(), 1.0)], -1.0)
+    with pytest.raises(ValueError, match=re.escape("the orthant frequency lattice of mu_hat_on_lattice on this grid is (17, 17)")):
+        dyadic_piece(m, 2, g, half.real)
     # so has the whole lattice, which would otherwise be read as the half
     for d, n in ((1, 64), (2, 32), (3, 16)):
         grid = GridSpec(d, 2.0, n)
@@ -542,19 +654,21 @@ def test_dyadic_piece_of_point_mass_is_pure_ring():
         (make_sphere_measure(2, 128), GridSpec(2, 2.0, 64), 3),
         (_random_measure(2, 65, 5), GridSpec(2, 1.0, 64), 4),
         (_random_measure(3, 33, 6), GridSpec(3, 1.0, 16), 2),
+        (_symmetric_measure(3, 9, 7), GridSpec(3, 1.0, 16), 2),
     ],
-    ids=["d1", "d2-circle", "d2-random", "d3"],
+    ids=["d1", "d2-circle", "d2-random", "d3", "d3-orthant"],
 )
 @pytest.mark.parametrize("ring_block", [measures._RING_BLOCK, 7], ids=["block", "row-blocks"])
 def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, monkeypatch):
     # dyadic_piece multiplies only inside the box that holds the ring's
     # support, a block of the box's lines at a time inside the inverse
     # transform, reads the lines with m_1 > 0 from the half lattice by
-    # conjugate reflection, and evaluates the ring ring_block points at a
-    # time; both sups must be those of the ring times the whole lattice and
-    # of its complex transform, bit for bit (7-point pieces split the lines
-    # of every box but j = 0's). On the circle mu_hat is real to 1e-14, so
-    # a missing conjugate shows only on the random measures
+    # conjugate reflection (the random measures) or every line from the
+    # real orthant by even reflection (the circle and d3-orthant), and
+    # evaluates the ring ring_block points at a time; both sups must be
+    # those of the ring times the whole lattice and of its complex
+    # transform, bit for bit (7-point pieces split the lines of every box
+    # but j = 0's). A missing conjugate shows only on the random measures
     monkeypatch.setattr(measures, "_RING_BLOCK", ring_block)
     mu_hat = mu_hat_on_lattice(measure, grid)
     whole = _whole_lattice(mu_hat, grid)
@@ -575,17 +689,22 @@ def test_dyadic_piece_equals_full_lattice_product(measure, grid, J, ring_block, 
         (_random_measure(1, 31, 11), GridSpec(1, 2.0, 32)),
         (_random_measure(2, 65, 12), GridSpec(2, 1.0, 16)),
         (_random_measure(3, 33, 13), GridSpec(3, 1.0, 8)),
+        (_symmetric_measure(1, 15, 15), GridSpec(1, 2.0, 32)),
+        (make_sphere_measure(2, 48), GridSpec(2, 1.0, 16)),
+        (_symmetric_measure(3, 9, 16), GridSpec(3, 1.0, 8)),
     ],
-    ids=["d1", "d2", "d3"],
+    ids=["d1", "d2", "d3", "d1-orthant", "d2-orthant", "d3-orthant"],
 )
 def test_lattice_line_reads_the_whole_lattice_bit_for_bit(measure, grid):
     # every line of the whole lattice, on column ranges from [0, N), where
     # a line with m_1 > 0 and a later m_k = -N/2 reads the appended +N/2,
-    # to single points, against the copy-and-conjugate expansion; and the
-    # inverse transform of every line, which no dyadic ring's box reaches,
-    # filled by _lattice_line, against the expansion's complex transform
+    # to single points, against the copy-and-conjugate expansion of the
+    # half or the even expansion of the orthant; and the inverse transform
+    # of every line, which no dyadic ring's box reaches, filled by
+    # _lattice_line, against the expansion's complex transform
     n, d = grid.points_per_axis, grid.dim
     half = mu_hat_on_lattice(measure, grid)
+    assert np.iscomplexobj(half) == (measure.label == "random")
     whole = _whole_lattice(half, grid)
     ranges = [(0, n), (0, 1), (1, n // 2), (n // 2, n // 2 + 1), (n // 2 - 1, n - 1), (n - 1, n), (3, n)]
     for at in np.ndindex((n,) * (d - 1)):
