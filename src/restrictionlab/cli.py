@@ -49,6 +49,7 @@ from .lorentz import indicator_lorentz_norm, lorentz_norm_values
 from .measures import (
     _check_dyadic_scale,
     _mu_hat_oracle_deviation,
+    _piece_oracle_deviation,
     ball_regularity_profile,
     dyadic_piece,
     fourier_decay_profile,
@@ -160,12 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_at_least(0), default=0, help="random seed (default: 0)")
         return sp
 
-    def add_measure_flags(sp: argparse.ArgumentParser, n=8192) -> None:
+    def add_measure_flags(sp: argparse.ArgumentParser, n=8192, file=False) -> None:
         sp.add_argument("--kind", default="circle", choices=list(_KINDS), help="measure to build")
         sp.add_argument("--n", type=int, default=n, help="atom count for circle/sphere")
         sp.add_argument("--ratio", type=float, default=1.0 / 3.0, help="contraction ratio for cantor kinds")
         sp.add_argument("--levels", type=int, default=14, help="level count for cantor kinds")
         sp.add_argument("--dim", type=_at_least(1), default=2, help="ambient dimension for the point mass")
+        if file:
+            sp.add_argument("--measure-file", default=None, help="load the measure from a saved file instead")
 
     sp = add("exponents", cmd_exponents, "exact exponent profile and identity suite")
     sp.add_argument("--d", type=Fraction, default=Fraction(3))
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-max", type=_threshold, default=0.55)
 
     sp = add("dyadic", cmd_dyadic, "dyadic frequency pieces of a measure and their sup scaling")
-    add_measure_flags(sp, n=4096)
+    add_measure_flags(sp, n=4096, file=True)
     sp.add_argument("--half-width", type=float, default=2.0)
     sp.add_argument("--points", type=int, default=2048)
     sp.add_argument("--j-list", type=_ints, default=[1, 2, 3, 4, 5, 6, 7, 8])
@@ -214,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gap-min", type=_threshold, default=0.3)
 
     sp = add("restrict", cmd_restrict, "extension-restriction ratios for a field family")
-    add_measure_flags(sp, n=4096)
-    sp.add_argument("--measure-file", default=None, help="load the measure from a saved file instead")
+    add_measure_flags(sp, n=4096, file=True)
     sp.add_argument("--half-width", type=float, default=64.0)
     sp.add_argument("--points", type=int, default=512)
     sp.add_argument("--family", default="gaussian", choices=list(_FAMILIES))
@@ -308,6 +310,10 @@ def _drop_unread(args, flags, read=()) -> None:
 
 
 def _build_measure(args):
+    if getattr(args, "measure_file", None) is not None:
+        measure = load_measure(args.measure_file)
+        _drop_unread(args, ["kind", *_MEASURE_FLAGS])
+        return measure
     flags, build = _KINDS[args.kind]
     _drop_unread(args, _MEASURE_FLAGS, flags)
     return build(args)
@@ -374,17 +380,21 @@ def cmd_dyadic(args) -> Result:
     rows = []
     hat_scaled = []
     mass_scaled = []
+    piece_devs = []
     for j in args.j_list:
         piece = dyadic_piece(measure, j, grid, mu_hat)
+        piece_devs.append(_piece_oracle_deviation(j, grid, mu_hat, piece))
         hat_scaled.append(piece.sup_mu_hat_j * 2.0 ** (j / 2.0))
         mass_scaled.append(piece.sup_mu_j * 2.0 ** (-j))
         rows.append((j, piece.sup_mu_hat_j, piece.sup_mu_j, hat_scaled[-1], mass_scaled[-1]))
-    # the half lattice against the direct sum, read as the sweep reads it
+    # mu_hat and each piece against direct sums; np.max keeps a NaN
     oracle = _mu_hat_oracle_deviation(measure, grid, mu_hat)
+    piece_oracle = float(np.max(piece_devs))
     checks = [
         _flatness_check("sup|mu_hat_j| 2^{j/2} flat within", flatness_factor(hat_scaled), args.flatness_max),
         _flatness_check("sup|mu_j| 2^{-j} flat within", flatness_factor(mass_scaled), args.flatness_max),
         ("mu_hat oracle within 1e-10", oracle <= 1e-10, "%.3g" % oracle),
+        ("piece oracle within 1e-10", piece_oracle <= 1e-10, "%.3g" % piece_oracle),
     ]
     table = ReportTable(
         columns=("j", "sup_mu_hat_j", "sup_mu_j", "hat_scaled", "mass_scaled"),
@@ -473,11 +483,7 @@ def cmd_restrict(args) -> Result:
     _drop_unread(args, set().union(*(f for f, _ in _FAMILIES.values())), flags)
     sizes = getattr(args, flags[0])  # the scales or cap widths, or a field count
     _check_flatness_count("--" + flags[0], sizes if isinstance(sizes, int) else len(sizes))
-    if args.measure_file is not None:
-        measure = load_measure(args.measure_file)
-        _drop_unread(args, ["kind", *_MEASURE_FLAGS])
-    else:
-        measure = _build_measure(args)
+    measure = _build_measure(args)
     grid = _lattice_grid(args, measure.dim)
     profile = exponent_profile(args.d, args.a, args.b)
     fields = build_fields(grid, args)

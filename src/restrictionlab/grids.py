@@ -7,15 +7,16 @@ exact rearrangement of the DFT (checkerboard signs absorb the -L offset),
 so grid transforms and direct summation agree to rounding error. A field
 on a grid is an (N,)*d array of its samples; the GridSpec holds the
 lattice, and no other type restates it. The inverse transform returns only
-the moduli |field| as float64, built without ever holding the complex
-field, since every experiment reads |field| alone; it runs in one buffer
-that becomes its output, the moduli at its front and the transformed kept
-lines at its back, so it holds the larger of the two, not their sum. A
-caller may instead name the lines that are not zero and supply their
-values a block of lines at a time, so that a lattice it transforms is
-never held. Its passes over lines are split across worker threads, with
-the same bits at every worker count. The tests check it against the
-complex ifftn formula.
+the moduli |field| as float64, since every experiment reads |field| alone,
+and never holds the complex field. A lattice that is real and even in
+every axis is given by its corner m >= 0 and goes through real
+half-length transforms to the quarter x >= 0 of the moduli, which by
+evenness carries all of them. Any other lattice is given by the lines that
+are not zero, whose values a callback supplies a block of lines at a time,
+so that the lattice is never held; its later passes run in one buffer that
+becomes its output, split across worker threads with the same bits at
+every worker count. The tests check both forms against the complex ifftn
+formula.
 
 The module also holds the package's one separable sum on a product
 lattice, sum_j c_j prod_k M_k[j, a_k], its transpose, and the one builder
@@ -131,137 +132,114 @@ def fourier_on_grid(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def inverse_fourier_on_grid(freq_values: np.ndarray, grid: GridSpec, lines=None) -> np.ndarray:
     """Moduli of the inverse of fourier_on_grid (frequency lattice back to
-    the spatial grid), as float64 in Fortran memory order.
+    the spatial grid), as float64, in one of two forms. Every caller reads
+    only the moduli, so neither form holds the complex field.
 
-    Returns |scale * ifftn(ifftshift(signs * F))|, scale = (N/(2L))^d, bit
-    for bit, with that formula's shape and indexing; the formula itself is
-    the tests' oracle. Every caller reads only the moduli, so the complex
-    field is never held: the 1-D inverse transforms run in ifftn's order,
-    last axis first, and each line goes through the same pocketfft call on
-    the same data (up to the sign of exact zeros, which the moduli drop).
+    The even form (lines omitted) takes a lattice that is real and even in
+    every axis, F(m) = F(|m_1|, ..., |m_d|), by its corner: a real array of
+    shape at most (N/2 + 1,)*d whose entry at k is F at m = k, with F zero
+    beyond it (the entry at k_i = N/2 is F at m_i = -N/2). Its field f is
+    real and even, so it returns the quarter of moduli, shape
+    (N/2 + 1,)*d, whose entry at k is |f| at x = (+-k_1 h, ..., +-k_d h),
+    h the grid spacing: grid indices N/2 +- k (x = -L alone at k_i = N/2).
+    Each axis in turn, last first, goes through one irfft of length N on
+    contiguous lines, whose first N/2 + 1 outputs are kept and moved to
+    the front; centred at x = 0, the transform needs no signs or shift.
+    The ifftn formula of the even extension is the tests' oracle, within
+    rounding.
 
-    The work runs in one complex buffer, which becomes the output. Its
-    first max(N^d/2, N kept) entries hold the moduli, a float64 view of its
-    front, and the kept lines; each worker's block and slab follow, so no
-    worker allocates anything of a line's size. Only the lines of F along
-    the last axis that are not all zero are transformed (a zero line
-    transforms to zero), in blocks: shifted, signed, transformed and
-    written transposed into the back of the first part, stored by output
-    line as (N, kept). The later passes then run on slabs of output lines,
-    in buffers with reversed axes (zeroed, filled with the slab's lines so
+    The line form, lines = (keep, fill), returns |scale * ifftn(ifftshift(
+    signs * F))|, scale = (N/(2L))^d, bit for bit, shape (N,)*d in Fortran
+    memory order, for the lattice whose lines along the last axis are what
+    fill makes of F on the kept lines and zero on every other (a zero line
+    transforms to zero), so a caller can transform values it never holds
+    as a lattice: F times a window on a box (dyadic_piece on the half of
+    mu_hat), or a sum of outer products built a block of rows at a time
+    (knapp_function). keep, an integer array, holds the kept lines' flat
+    indices over the d - 1 leading axes, increasing (C order; [0] or []
+    when d = 1). Pass 1 runs on the calling thread, _LINE_BLOCK kept lines
+    at a time: fill(F, lead, out) gets lead, the block's indices on the
+    leading axes (d - 1 integer arrays), and writes each of its lines
+    across its whole width, in the order of the frequency lattice, into
+    out, a complex (lines, N) source block; fill may use out as scratch
+    for a line before writing it. F is read only by fill, so it may have
+    any shape and layout fill reads. Each block is shifted out of the
+    source, signed and transformed (ifftn's order, last axis first, each
+    line through the same pocketfft call on the same data up to the sign
+    of exact zeros, which the moduli drop) and written transposed into the
+    back of the first part of the call's one complex buffer, stored by
+    output line as (N, kept). A kept line that fill leaves all zero is
+    transformed too, which changes only the signs of zeros.
+
+    The later passes of the line form run on slabs of output lines, in
+    buffers with reversed axes (zeroed, filled with the slab's lines so
     that every pass runs on contiguous lines, then scaled), and put each
-    slab's moduli in the front. Output line i's moduli end at (i+1) o
-    bytes, no further than its kept lines at N max(o, k) - N k + (i+1) k
-    (o and k the bytes of one line's moduli and of its kept entries), so
-    writing them overwrites only lines of rows up to i. So the call holds
-    the larger of the moduli and the kept lines, not their sum, plus the
-    blocks and slabs, which the returned moduli view the front of.
-
-    The work is split across the worker threads of _workers: the kept-line
-    scan by ranges of F's first axis; the blocks of pass 1 by ranges of
-    whole blocks of _LINE_BLOCK kept lines, each worker transforming its
-    range _LINE_BLOCK / workers lines at a time in its own block; the
-    later passes in rounds of one slab of _LINE_BLOCK output lines, a
-    1/workers share of it per worker in its own slab. A round reads all its
-    lines before any of its moduli are written, and the moduli of a round
-    overwrite only lines of that round or earlier ones, so the one buffer
-    stays safe; the blocks and slabs of all workers hold as many lines as
-    one block and one slab. Each line goes through the same numpy calls
-    however the lines are grouped, so the moduli have the same bits at
-    every worker count.
-
-    The caller's array is not touched and is never copied: the kept lines
-    are found by F.any on the last axis and copied in line by line by
-    their leading indices, whatever F's memory order. Any real or complex
-    lattice is taken as it is: each kept line is cast to complex as it is
-    copied in, so a float64 lattice has the bits of its complex copy at
-    half the input memory.
-
-    lines = (keep, fill) transforms instead the lattice whose lines along
-    the last axis are what fill makes of F on the kept lines and zero on
-    every other, so a caller can transform values it never holds as a
-    lattice: F times a window on a box (dyadic_piece), or a sum of outer
-    products built a block of rows at a time (knapp_function). keep, an
-    integer array, holds the kept lines' flat indices over the d - 1
-    leading axes, increasing (C order; [0] or [] when d = 1). Pass 1 then runs on the calling
-    thread, _LINE_BLOCK kept lines at a time: fill(F, lead, out) gets lead,
-    the block's indices on the leading axes (d - 1 integer arrays), and
-    writes each of its lines across its whole width, in the order of the
-    frequency lattice, into out, a complex (lines, N) view of a source
-    block, one more block in the buffer; fill may use out as scratch for a
-    line before writing it. The source is then shifted into the block as
-    F is without the callback. A kept line that fill leaves all zero is
-    transformed too, which changes only the signs of zeros. F is read only
-    by fill, so it may have any shape and layout fill reads (dyadic_piece
-    passes the half lattice of mu_hat, knapp_function the caps' factors).
+    slab's moduli in the front of the one buffer, which becomes the
+    output. Output line i's moduli end at (i+1) o bytes, no further than
+    its kept lines at N max(o, k) - N k + (i+1) k (o and k the bytes of
+    one line's moduli and of its kept entries), so writing them overwrites
+    only lines of rows up to i. So the call holds the larger of the moduli
+    and the kept lines, not their sum, plus one block, the source block
+    and the slabs, which the returned moduli view the front of. The slabs
+    are split across the worker threads of _workers, in rounds of one slab
+    of _LINE_BLOCK output lines, a 1/workers share of it per worker in its
+    own slab. A round reads all its lines before any of its moduli are
+    written, and the moduli of a round overwrite only lines of that round
+    or earlier ones, so the one buffer stays safe; the slabs of all
+    workers hold as many lines as one slab, and each line goes through the
+    same numpy calls however the lines are grouped, so the moduli have the
+    same bits at every worker count.
     """
     F = np.asarray(freq_values)
     n, d = grid.points_per_axis, grid.dim
-    if lines is None and F.shape != (n,) * d:
-        raise ValueError("value shape does not match grid")
     h = n // 2
     scale = (n * grid.freq_spacing) ** d  # = (N/(2L))^d
+    if lines is None:
+        if np.iscomplexobj(F) or F.ndim != d or not all(0 < k <= h + 1 for k in F.shape):
+            raise ValueError(
+                "the even form takes a real corner of shape at most %r, got %s of shape %r"
+                % ((h + 1,) * d, F.dtype, F.shape)
+            )
+        for _ in range(d):  # the last axis, kept and moved to the front
+            F = np.moveaxis(np.fft.irfft(F, n=n)[..., : h + 1], -1, 0).copy()
+        F *= scale
+        return np.abs(F, out=F)
+    keep, fill = lines
     axis_signs = _sign_vector(n)
     signs = np.fft.ifftshift(axis_signs)
-    if lines is None:
-        # the kept-line scan, a range of the first axis per worker
-        flags = np.empty(F.shape[:-1], dtype=bool)
-        parts = _parts(n, _LINE_BLOCK) if d > 1 else [...]
-        _run([[partial(np.any, F[r], axis=-1, out=flags[r]) for r in parts]])
-        keep = np.flatnonzero(flags)
-        first = _parts(keep.size, _LINE_BLOCK)
-    else:
-        keep, fill = lines
-        first = [slice(0, keep.size)]  # fill runs on this thread
     # lead[k] is each kept line's index on axis k < d-1; the shift moves it
     # by n/2, which gives the line's column col in a slab
     lead = [keep // n ** (d - 2 - k) % n for k in range(d - 1)]
     col = sum(((i + h) % n * n**k for k, i in enumerate(lead)), np.zeros_like(keep))
-    # pass 1 gives each worker a range of whole blocks, which it runs a
-    # 1/workers block at a time; the later passes run in rounds of one
-    # slab, a 1/workers slab per worker
-    block_lines = _LINE_BLOCK // len(first)
+    # the later passes run in rounds of one slab, a 1/workers slab per worker
     slab_workers = len(_parts(n, _LINE_BLOCK))
     slab_lines = min(_LINE_BLOCK, n) // slab_workers
     span = slab_lines * slab_workers  # output lines per round
     # the call's one buffer: the moduli and the kept lines in its first
-    # part, then each worker's block, fill's source and each worker's slab
+    # part, then the block, fill's source and each worker's slab
     part = max(n**d // 2, n * keep.size)
-    block_size = min(block_lines, keep.size) * n
-    source_size = 0 if lines is None else block_size
+    block_size = min(_LINE_BLOCK, keep.size) * n
     slab_shape = (slab_lines,) + (n,) * (d - 1)
-    sizes = [block_size] * len(first) + [source_size] + [math.prod(slab_shape)] * slab_workers
+    sizes = [block_size, block_size] + [math.prod(slab_shape)] * slab_workers
     buf = np.empty(part + sum(sizes), dtype=complex)
     out = buf.view(np.float64)[: n**d].reshape((n,) * d)  # reversed axes
     compact = buf[part - n * keep.size : part].reshape(n, keep.size)
-    pieces = np.split(buf[part:], np.cumsum(sizes)[:-1])
-    blocks = [b.reshape(-1, n) for b in pieces[: len(first)]]
-    source = pieces[len(first)].reshape(-1, n)
-    slabs = [s.reshape(slab_shape) for s in pieces[len(first) + 1 :]]
+    block, source, *slabs = np.split(buf[part:], np.cumsum(sizes)[:-1])
+    block, source = block.reshape(-1, n), source.reshape(-1, n)
+    slabs = [s.reshape(slab_shape) for s in slabs]
 
-    def first_pass(kept, block):
-        for start in range(kept.start, kept.stop, block_lines):
-            rows = slice(start, min(start + block_lines, kept.stop))
-            idx = tuple(i[rows] for i in lead)
-            b = block[: rows.stop - start]
-            if lines is None:
-                # each line by its leading indices, shifted along the line
-                # and cast as it is copied into the block
-                for r, at in enumerate(zip(*idx) if d > 1 else [()]):
-                    np.copyto(b[r, :h], F[at + (slice(h, None),)])
-                    np.copyto(b[r, h:], F[at + (slice(None, h),)])
-            else:
-                src = source[: b.shape[0]]
-                fill(F, idx, src)
-                b[:, :h] = src[:, h:]
-                b[:, h:] = src[:, :h]
-            for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
-                b *= axis_signs[i, None]
-            b *= signs
-            np.fft.ifft(b, axis=1, out=b)
-            compact[:, rows] = b.T
-
-    _run([[partial(first_pass, kept, block) for kept, block in zip(first, blocks)]])
+    for start in range(0, keep.size, _LINE_BLOCK):
+        rows = slice(start, min(start + _LINE_BLOCK, keep.size))
+        idx = tuple(i[rows] for i in lead)
+        b, src = block[: rows.stop - start], source[: rows.stop - start]
+        fill(F, idx, src)
+        b[:, :h] = src[:, h:]
+        b[:, h:] = src[:, :h]
+        for i in idx:  # each axis's sign in turn, axis 0 first, at the unshifted index
+            b *= axis_signs[i, None]
+        b *= signs
+        np.fft.ifft(b, axis=1, out=b)
+        compact[:, rows] = b.T
 
     def slab_step(w, r):
         # worker w puts the moduli of its slab of round r - 1 in the front,

@@ -11,24 +11,26 @@ Transform convention: mu_hat(xi) = sum_j w_j exp(-2 pi i <x_j, xi>).
 mu_hat_on_lattice runs the separable sum of grids. For a measure that
 equals its reflection in every axis, bit for bit (the circle when 4 divides
 its atom count), it sums real cosine matrices of the atoms folded onto
-x >= 0 and returns the real orthant xi >= 0, from which _lattice_line reads
-the rest by even reflection; for any other it sums the atoms' complex
-phase matrices and returns the half lattice m_1 <= 0, from which
-_lattice_line reads the rest by conjugate reflection. fourier_transform_at,
-the direct sum, is the oracle of both, and the half path that of the
-orthant.
+x >= 0 and returns the real orthant xi >= 0, which holds the rest by even
+reflection; for any other it sums the atoms' complex phase matrices and
+returns the half lattice m_1 <= 0, from which _lattice_line reads the rest
+by conjugate reflection. fourier_transform_at, the direct sum, is the
+oracle of both, and the half path that of the orthant. dyadic_piece takes
+either: the orthant's pieces are real and even, and go through the even
+form of the inverse transform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .bumps import dyadic_ring
+from .bumps import dyadic_ring, radial_plateau
 from .fitting import FitResult, loglog_fit
 from .grids import _LINE_BLOCK, GridSpec, _phase_matrix, _separable_sum, inverse_fourier_on_grid
 
@@ -123,11 +125,13 @@ class DyadicPiece:
 
     The piece at scale j is the inverse transform of mu_hat times a smooth
     ring cutoff living on |xi| ~ 2^j. sup_mu_j is the exact maximum of its
-    moduli on the grid, sup_mu_hat_j that of the localized lattice samples.
+    moduli on the grid, sup_mu_hat_j that of the localized lattice samples;
+    moduli_at holds the moduli at the grid points of the piece oracle.
     """
 
     sup_mu_j: float
     sup_mu_hat_j: float
+    moduli_at: Tuple[float, ...]
 
 
 def make_point_mass(location: Sequence[float]) -> DiscreteMeasure:
@@ -456,8 +460,7 @@ def mu_hat_on_lattice(measure: DiscreteMeasure, grid: GridSpec) -> np.ndarray:
       the reflections is folded onto its atom with every coordinate >= 0,
       at weight w 2^(nonzero coordinates), and the sum runs over those
       atoms' cosine matrices: one real GEMM when d = 2. The rest of the
-      lattice is mu_hat(|m_1|, ..., |m_d|), which _lattice_line reads by
-      even reflection, index |m| on every axis.
+      lattice is mu_hat(|m_1|, ..., |m_d|), index |m| on every axis.
     - The half, for any other measure: the complex array of shape
       (N/2 + 1,) + (N + 1,)*(d - 1) whose entry at (k_1, ..., k_d) is
       mu_hat(f_{k_1}, ..., f_{k_d}): the rows m_1 = -N/2..0, and on each
@@ -552,24 +555,14 @@ def _orthant_sum(atoms: np.ndarray, weights: np.ndarray, axis: np.ndarray) -> np
 def _lattice_line(mu_hat: np.ndarray, at: Tuple[int, ...], lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """mu_hat on the columns [lo, hi) of the last axis of the whole lattice,
     on the line at lattice indices `at` of the leading axes, read from the
-    orthant or the half of mu_hat_on_lattice.
-
-    From the real orthant (N/2 + 1 points per axis) every entry is read by
-    even reflection, lattice index i to orthant index |i - N/2| on every
-    axis, and written into out, complex of length hi - lo, which is
-    returned. From the complex half, a line with m_1 <= 0 is returned as a
-    view of the half; any other is written into out as the conjugate of
-    its reflection (every index k to N - k), and out is returned. With
-    d = 1 there is no leading axis: the one line joins the half's entries
-    from lo to N/2 and the reflection of the rest."""
+    complex half of mu_hat_on_lattice: a line with m_1 <= 0 is returned as
+    a view of the half; any other is written into out, complex of length
+    hi - lo, as the conjugate of its reflection (every index k to N - k),
+    and out is returned. With d = 1 there is no leading axis: the one line
+    joins the half's entries from lo to N/2 and the reflection of the
+    rest."""
     h = mu_hat.shape[0] - 1
     n = 2 * h
-    if not np.iscomplexobj(mu_hat):
-        row = mu_hat[tuple(abs(i - h) for i in at)]
-        cut = min(max(lo, h), hi)  # the columns before cut have m < 0
-        np.copyto(out[: cut - lo], row[h - lo : h - cut : -1])
-        np.copyto(out[cut - lo :], row[cut - h : hi - h])
-        return out
     if not at:
         cut = min(max(lo, h + 1), hi)
         np.copyto(out[: cut - lo], mu_hat[lo:cut])
@@ -582,13 +575,13 @@ def _lattice_line(mu_hat: np.ndarray, at: Tuple[int, ...], lo: int, hi: int, out
 
 def _mu_hat_oracle_deviation(measure: DiscreteMeasure, grid: GridSpec, mu_hat: np.ndarray) -> float:
     """The largest deviation of mu_hat_on_lattice's orthant or half from
-    fourier_transform_at at eight fixed lattice points, each read by
-    _lattice_line, relative to |mu_hat(0)|, which is max |mu_hat| for
-    nonnegative weights. The points are given by m = k - N/2 on the first
-    axis and on every later one: four with m_1 <= 0 and four with m_1 > 0,
-    the last from the appended +N/2 when d >= 2. From the half the four
-    with m_1 > 0 are read by conjugate reflection, from the orthant every
-    point with a negative m by even reflection."""
+    fourier_transform_at at eight fixed lattice points, relative to
+    |mu_hat(0)|, which is max |mu_hat| for nonnegative weights. The points
+    are given by m = k - N/2 on the first axis and on every later one: four
+    with m_1 <= 0 and four with m_1 > 0, the last from the appended +N/2
+    when d >= 2. The orthant is read at |m| on every axis; the half by
+    _lattice_line, as the sweep reads it, the four with m_1 > 0 by
+    conjugate reflection."""
     n, d = grid.points_per_axis, grid.dim
     h = n // 2
     points = [(-h, 1), (-h // 2, -h), (-1, h - 1), (0, 0), (1, -1), (2, h // 2), (h // 2 + 1, 1 - h), (h - 1, -h)]
@@ -596,7 +589,10 @@ def _mu_hat_oracle_deviation(measure: DiscreteMeasure, grid: GridSpec, mu_hat: n
     got, xi = [], []
     for m1, mk in points:
         k = (m1 + h,) + (mk + h,) * (d - 1)
-        got.append(_lattice_line(mu_hat, k[:-1], k[-1], k[-1] + 1, np.empty(1, dtype=complex))[0])
+        if np.iscomplexobj(mu_hat):
+            got.append(_lattice_line(mu_hat, k[:-1], k[-1], k[-1] + 1, np.empty(1, dtype=complex))[0])
+        else:
+            got.append(mu_hat[tuple(abs(i - h) for i in k)])
         xi.append(fax[list(k)])
     dev = np.abs(np.array(got) - fourier_transform_at(measure, np.array(xi))).max()
     return float(dev / abs(got[3]))  # points[3] is xi = 0
@@ -624,11 +620,12 @@ def _atom_sum(coeffs, atoms: np.ndarray, axes: Sequence[np.ndarray], sign: float
     return _separable_sum(coeffs, _phase_matrices(atoms, axes[:-1], sign), owned=True, last=last)
 
 
-# points per dyadic_ring call in dyadic_piece: the ring allocates and frees
-# its own float64 temporaries, 32 KiB each here. At 2^14 points (128 KiB),
-# glibc with a fixed mmap threshold (MALLOC_MMAP_THRESHOLD_) handed them back
-# to the system after every call and faulted them in again for the next,
-# about 12,000 more page faults per criterion-5 sweep than at 2^12
+# points per ring call in dyadic_piece and its oracle: the ring allocates
+# and frees its own float64 temporaries, 32 KiB each here. At 2^14 points
+# (128 KiB), glibc with a fixed mmap threshold (MALLOC_MMAP_THRESHOLD_)
+# handed them back to the system after every call and faulted them in again
+# for the next, about 12,000 more page faults per criterion-5 sweep than at
+# 2^12
 _RING_BLOCK = 1 << 12
 
 
@@ -649,6 +646,53 @@ def _check_dyadic_scale(j, grid: GridSpec) -> int:
     return j
 
 
+def _ring_box(first: np.ndarray, sq: np.ndarray, d: int, ring) -> np.ndarray:
+    """ring(u) on the box of the points whose xi^2 are `first` on the first
+    axis and sq on each of the d - 1 later ones, u summing xi_k^2 in axis
+    order (as every u of dyadic_piece), as a new float64 array: u, then
+    ring(u) in place (_ring_in_place)."""
+    u = np.array(first, dtype=float)
+    for _ in range(d - 1):
+        u = np.add.outer(u, sq)
+    _ring_in_place(u.reshape(-1), ring)
+    return u
+
+
+def _ring_in_place(flat: np.ndarray, ring) -> None:
+    """flat = ring(flat), _RING_BLOCK points per call of ring."""
+    for a in range(0, flat.size, _RING_BLOCK):
+        flat[a : a + _RING_BLOCK] = ring(flat[a : a + _RING_BLOCK])
+
+
+def _ring_by_definition(u: np.ndarray, j: int) -> np.ndarray:
+    """Ring j as the plateaus it is defined by, radial_plateau(u/4^j) less
+    radial_plateau(u/4^(j-1)) for j >= 1, evaluated at every u: the piece
+    oracle's ring, which shares nothing with dyadic_ring's band."""
+    ring = radial_plateau(u / 4.0**j)
+    return ring - radial_plateau(u / 4.0 ** (j - 1)) if j else ring
+
+
+def _ring_support(j: int, grid: GridSpec):
+    """xi^2 on the frequency axis and the index range [lo, hi) of its
+    points with xi^2 < 4^j. Ring j is 0 wherever u >= 4^j, so wherever some
+    xi_k^2 >= 4^j (u is a sum of nonnegative terms, and rounding a sum
+    keeps it >= each term): the box of those points holds its support."""
+    sq = grid.freq_axis() ** 2
+    inner = np.flatnonzero(sq < 4.0**j)
+    return sq, int(inner[0]), int(inner[-1]) + 1
+
+
+def _piece_points(n: int, d: int) -> np.ndarray:
+    """The eight grid points of the piece oracle as offsets from x = 0 in
+    grid steps, an (8, d) integer array in [-N/2, N/2), each pair giving
+    the first axis and every later one: near the origin, where a piece
+    peaks, out to x = -L, and off the diagonal, so that a piece with its
+    axes swapped shows."""
+    h = n // 2
+    pairs = [(0, 0), (1, 0), (0, 1), (-3, 2), (5, -7), (n // 8, -n // 16), (-n // 4, n // 8), (3 * n // 8, -h)]
+    return (np.array([(a,) + (b,) * (d - 1) for a, b in pairs]) + h) % n - h
+
+
 def dyadic_piece(
     measure: DiscreteMeasure, j: int, grid: GridSpec, mu_hat: np.ndarray
 ) -> DyadicPiece:
@@ -657,50 +701,60 @@ def dyadic_piece(
     Multiplies the lattice samples of mu_hat by the smooth ring cutoff
     supported on 2^{j-2} < |xi| < 2^j (the j = 0 piece is the low-pass
     plateau) and inverse transforms it to the moduli of the piece on the
-    grid; only the sups of the localized samples and of those moduli are
-    returned. The samples are taken as mu_hat = mu_hat_on_lattice(measure,
-    grid), not recomputed, so a sweep over j builds them once: the real
-    orthant xi >= 0 of shape (N/2 + 1,)*d, or the complex half with
-    m_1 <= 0 of shape (N/2 + 1,) + (N + 1,)*(d - 1); any other shape is
-    refused. The grid must resolve frequency 2^j: its Nyquist radius
-    N/(4L) must be at least 2^j.
+    grid; only the sups of the localized samples and of those moduli, and
+    the moduli at the points of _piece_points, are returned. The samples
+    are taken as mu_hat = mu_hat_on_lattice(measure, grid), not recomputed,
+    so a sweep over j builds them once: the real orthant xi >= 0 of shape
+    (N/2 + 1,)*d, or the complex half with m_1 <= 0 of shape
+    (N/2 + 1,) + (N + 1,)*(d - 1); any other shape is refused. The grid
+    must resolve frequency 2^j: its Nyquist radius N/(4L) must be at least
+    2^j.
 
-    The localized samples are never held as a lattice, nor is the whole of
-    mu_hat: the ring is zero outside the box xi_k^2 < 4^j, and the inverse
-    transform takes the box's lines as its kept lines from a callback, a
-    block of them at a time (its lines argument), which reads the box's
-    part of each line of mu_hat with _lattice_line (from the orthant by
-    even reflection, from the half in place where m_1 <= 0, else as the
-    conjugate of its reflection; a line not read in place is written into
-    the transform's source block), evaluates the ring there, multiplies,
-    zeroes the line outside the box and keeps the block's largest modulus.
-    So beyond mu_hat the call holds the transform's one buffer, max(1/2,
-    box lines / N^(d-1)) complex lattices and a few blocks, and one float64
-    block of its own.
+    The ring is zero outside the box xi_k^2 < 4^j, so the localized samples
+    are formed on that box alone, and never as a lattice. From the orthant
+    the piece is real and even in every axis: the ring is evaluated on the
+    orthant's part of the box, m_k >= 0, and multiplied by mu_hat's corner
+    there, and the inverse transform's even form takes that corner and
+    returns the quarter of moduli, which holds every value of the piece's
+    modulus. Beyond mu_hat the call holds the corner, the even form's
+    per-axis transforms and the quarter, and no complex lattice. From the
+    half, the inverse transform takes the box's lines as its kept lines
+    from a callback, a block of them at a time (its lines argument), which
+    reads the box's part of each line of mu_hat with _lattice_line (in
+    place where m_1 <= 0, else as the conjugate of its reflection, written
+    into the transform's source block), evaluates the ring there,
+    multiplies, zeroes the line outside the box and keeps the block's
+    largest modulus. Beyond mu_hat that call holds the transform's one
+    buffer, max(1/2, box lines / N^(d-1)) complex lattices and a few
+    blocks, and one float64 block of its own.
     """
     _check_dimension(measure, grid)
     j = _check_dyadic_scale(j, grid)
     n, d = grid.points_per_axis, grid.dim
+    h = n // 2
     if np.iscomplexobj(mu_hat):
-        name, shape = "half", (n // 2 + 1,) + (n + 1,) * (d - 1)
+        name, shape = "half", (h + 1,) + (n + 1,) * (d - 1)
     else:
-        name, shape = "orthant", (n // 2 + 1,) * d
+        name, shape = "orthant", (h + 1,) * d
     if np.shape(mu_hat) != shape:
         raise ValueError(
             "mu_hat has shape %r, the %s frequency lattice of mu_hat_on_lattice on this grid is %r"
             % (np.shape(mu_hat), name, shape)
         )
-    sq = grid.freq_axis() ** 2
-    # ring j is 0 wherever u >= 4^j, so wherever some xi_k^2 >= 4^j (u is a
-    # sum of nonnegative terms, and rounding a sum keeps it >= each term):
-    # the ring is evaluated and multiplied only on the box of axis points
-    # with xi_k^2 < 4^j, and the transform takes the rest as 0
-    inner = np.flatnonzero(sq < 4.0**j)
-    lo, hi = int(inner[0]), int(inner[-1]) + 1
+    sq, lo, hi = _ring_support(j, grid)
+    points = _piece_points(n, d)
+    if name == "orthant":
+        product = _ring_box(sq[h:hi], sq[h:hi], d, partial(dyadic_ring, j=j))
+        product *= mu_hat[(slice(0, hi - h),) * d]
+        quarter = inverse_fourier_on_grid(product, grid)
+        return DyadicPiece(
+            sup_mu_j=float(quarter.max()),
+            sup_mu_hat_j=float(max(product.max(), -product.min())),
+            moduli_at=tuple(quarter[tuple(np.abs(points).T)].tolist()),
+        )
     sq_box = sq[lo:hi]
     # one float64 buffer of this call holds, for a block of the box's
-    # lines, u, then the ring (in place, _RING_BLOCK points at a time), then
-    # the moduli of the product
+    # lines, u, then the ring, then the moduli of the product
     work = np.empty(min(_LINE_BLOCK, (hi - lo) ** (d - 1)) * (hi - lo))
     sups = []
 
@@ -714,8 +768,7 @@ def dyadic_piece(
         for i in lead:  # u sums xi_k^2 in axis order, the last axis over the box
             line_u += sq[i]
         np.add.outer(line_u, sq_box, out=block)
-        for a in range(0, flat.size, _RING_BLOCK):
-            flat[a : a + _RING_BLOCK] = dyadic_ring(flat[a : a + _RING_BLOCK], j)
+        _ring_in_place(flat, partial(dyadic_ring, j=j))
         for r in range(out.shape[0]):
             line = _lattice_line(F, tuple(i[r] for i in lead), lo, hi, out[r])
             np.multiply(line, block[r], out=out[r])
@@ -727,7 +780,63 @@ def dyadic_piece(
     for _ in range(d - 1):
         keep = np.add.outer(keep * n, np.arange(lo, hi)).ravel()
     moduli = inverse_fourier_on_grid(mu_hat, grid, lines=(keep, ring_product))
-    return DyadicPiece(sup_mu_j=float(moduli.max()), sup_mu_hat_j=float(max(sups)))
+    return DyadicPiece(
+        sup_mu_j=float(moduli.max()),
+        sup_mu_hat_j=float(max(sups)),
+        moduli_at=tuple(moduli[tuple((points + h).T)].tolist()),
+    )
+
+
+# box points per block of _piece_oracle_deviation, in whole rows of the
+# box's first axis (at least one)
+_ORACLE_BLOCK = 1 << 16
+
+
+def _piece_oracle_deviation(j: int, grid: GridSpec, mu_hat: np.ndarray, piece: DyadicPiece) -> float:
+    """The largest deviation of the piece's moduli at the points of
+    _piece_points from |f_j| by direct summation over the ring's box,
+    relative to the piece's sup_mu_j (the deviation itself when that is 0).
+
+    f_j(x) = (1/(2L))^d sum_m ring_j(xi_m) mu_hat(xi_m) exp(2 pi i <x, xi_m>),
+    the ring evaluated afresh by _ring_by_definition; at offset t from
+    x = 0 the phase <x, xi_m> is <t, m>/N, reduced mod N in integers before
+    the cos or exp. From the orthant the sum runs over m >= 0, reading
+    mu_hat at m, each axis by its cosines, weighted 2 for the two terms
+    +-m > 0; from the half over the whole box, each line read by
+    _lattice_line as the sweep reads it, by complex exponentials. The sum
+    goes a block of the box's first axis at a time, axis by axis with ufunc
+    sums, and needs neither the inverse transform nor BLAS."""
+    n, d = grid.points_per_axis, grid.dim
+    h = n // 2
+    half = np.iscomplexobj(mu_hat)
+    sq, lo, hi = _ring_support(j, grid)
+    lo = lo if half else h
+    m = np.arange(lo, hi) - h
+    points = _piece_points(n, d)
+    phase = 2.0 * np.pi / n * (np.multiply.outer(points, m) % n)  # (point, axis, m)
+    factors = np.exp(1j * phase) if half else np.where(m > 0, 2.0, 1.0) * np.cos(phase)
+    direct = np.zeros(len(points), dtype=factors.dtype)
+    ring = partial(_ring_by_definition, j=j)
+    rows = max(1, _ORACLE_BLOCK // len(m) ** (d - 1))
+    for r in range(0, len(m), rows):
+        count = min(rows, len(m) - r)
+        if not half:
+            values = mu_hat[(slice(r, r + count),) + (slice(0, len(m)),) * (d - 1)]
+        elif d == 1:
+            values = _lattice_line(mu_hat, (), lo + r, lo + r + count, np.empty(count, dtype=complex))
+        else:
+            values = np.empty((count,) + (len(m),) * (d - 1), dtype=complex)
+            for at in np.ndindex(values.shape[:-1]):
+                lead = (lo + r + at[0],) + tuple(lo + i for i in at[1:])
+                values[at] = _lattice_line(mu_hat, lead, lo, hi, values[at])
+        values = values * _ring_box(sq[lo + r : lo + r + count], sq[lo:hi], d, ring)
+        for p, f in enumerate(factors):
+            v = values
+            for k in range(d - 1, 0, -1):
+                v = (v * f[k]).sum(axis=-1)
+            direct[p] += (v * f[0, r : r + count]).sum()
+    dev = np.abs(np.array(piece.moduli_at) - np.abs(direct) * grid.freq_spacing**d).max()
+    return float(dev / piece.sup_mu_j if piece.sup_mu_j > 0 else dev)
 
 
 def save_measure(measure: DiscreteMeasure, path) -> None:

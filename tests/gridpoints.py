@@ -1,6 +1,7 @@
 """Point sets and formulas of a GridSpec that only the tests use, to build
-oracles: every sample point as a list, the frequency lattice as a mesh, and
-the complex inverse lattice transform as one ifftn."""
+oracles: every sample point as a list, the frequency lattice as a mesh, the
+complex inverse lattice transform as one ifftn, and the lines argument that
+passes a whole lattice through the line form of the inverse transform."""
 
 import numpy as np
 
@@ -25,3 +26,18 @@ def ifftn_formula(freq_values, grid):
     n, d = grid.points_per_axis, grid.dim
     scale = (n * grid.freq_spacing) ** d
     return scale * np.fft.ifftn(np.fft.ifftshift(_sign_mesh(n, d) * freq_values))
+
+
+def lattice_lines(F):
+    """(keep, fill) for inverse_fourier_on_grid's line form that transform
+    the whole lattice F, in either memory order and any real or complex
+    dtype: its lines along the last axis that are not all zero, each copied
+    into the source block by its leading indices and cast to complex as it
+    is copied, so F is never copied whole."""
+    keep = np.flatnonzero(np.asarray(F).any(axis=-1))
+
+    def fill(values, lead, out):
+        for r, at in enumerate(zip(*lead) if lead else [()]):
+            np.copyto(out[r], values[at])
+
+    return keep, fill

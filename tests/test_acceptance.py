@@ -170,6 +170,7 @@ LABELS = {
         "sup|mu_hat_j| 2^{j/2} flat within 10",
         "sup|mu_j| 2^{-j} flat within 10",
         "mu_hat oracle within 1e-10",
+        "piece oracle within 1e-10",
         "runtime < 60 s",
     ),
     6: ("identity relative error <= 1e-8 on 20 fields", "adjointness relative error <= 1e-8"),

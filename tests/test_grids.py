@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from restrictionlab import _workers
 from restrictionlab.grids import GridSpec, fourier_on_grid, inverse_fourier_on_grid
 
-from gridpoints import grid_points, ifftn_formula
+from gridpoints import grid_points, ifftn_formula, lattice_lines
 
 
 def test_grid_arithmetic():
@@ -80,7 +80,8 @@ def test_roundtrip_inverse_of_forward():
     g = GridSpec(dim=2, half_width=2.0, points_per_axis=32)
     rng = np.random.default_rng(2)
     v = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    back = inverse_fourier_on_grid(fourier_on_grid(v, g), g)
+    F = fourier_on_grid(v, g)
+    back = inverse_fourier_on_grid(F, g, lines=lattice_lines(F))
     assert np.max(np.abs(back - np.abs(v))) < 1e-12
 
 
@@ -102,7 +103,8 @@ def test_roundtrip_recovers_the_moduli_of_any_field(d, log2_points, half_width, 
     v = rng.standard_normal((n,) * d) * 2.0**magnitude
     if not real:
         v = v + 1j * rng.standard_normal((n,) * d) * 2.0**magnitude
-    back = inverse_fourier_on_grid(fourier_on_grid(v, g), g)
+    F = fourier_on_grid(v, g)
+    back = inverse_fourier_on_grid(F, g, lines=lattice_lines(F))
     assert back.shape == v.shape
     assert np.max(np.abs(back - np.abs(v))) <= 1e-13 * np.max(np.abs(v))
 
@@ -137,7 +139,7 @@ def test_inverse_transform_equals_ifftn_formula_bit_for_bit(d, n, kind):
     F = _lattice_input(kind, n, d, np.random.default_rng(7 * d + n))
     before = F.copy()
     expected = np.abs(ifftn_formula(F, g))
-    got = inverse_fourier_on_grid(F, g)
+    got = inverse_fourier_on_grid(F, g, lines=lattice_lines(F))
     assert got.tobytes() == expected.tobytes()
     # the caller's array is left as it was
     assert np.array_equal(F, before)
@@ -194,21 +196,21 @@ def test_moduli_equal_abs_of_ifftn_formula_bit_for_bit(d, n, lines, order, real,
     before = F.copy()
     expected = np.abs(ifftn_formula(F, g))
     with mock.patch.object(_workers, "_WORKERS", workers):
-        got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+        got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g, lines=lattice_lines(F)))
     assert got.tobytes() == expected.tobytes()
     assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     # the caller's array is left as it was, signs of its zeros included
     assert before.tobytes() == F.tobytes()
     # one buffer, the larger of the moduli and the kept lines' compact
-    # buffer, one block of 16 kept lines and one slab of 16 output lines
-    # shared out among the workers, plus index arrays and numpy's buffers;
-    # the complex field (16 n^d bytes) exceeds this whenever it is much
-    # larger than one slab. A
-    # lattice in either memory order is read in place, never copied
+    # buffer, one block of 16 kept lines, its source block and one slab of
+    # 16 output lines shared out among the workers, plus index arrays and
+    # numpy's buffers; the complex field (16 n^d bytes) exceeds this
+    # whenever it is much larger than one slab. A lattice in either memory
+    # order is read in place, a line at a time, never copied whole
     compact = 16 * kept * n
     block = 16 * min(16, kept) * n
     slab = 16 * min(16, n) * n ** (d - 1)
-    assert peak < max(got.nbytes, compact) + block + slab + 2**18
+    assert peak < max(got.nbytes, compact) + 2 * block + slab + 2**18
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -253,7 +255,7 @@ def test_box_values_transform_as_their_materialized_lattice_bit_for_bit(
     keep = np.array(keep, dtype=np.intp) + np.ravel_multi_index((lo,) * (d - 1), shape[:-1])
     before = F.copy()
     got = inverse_fourier_on_grid(F, g, lines=(keep, fill))
-    expected = inverse_fourier_on_grid(product, g)
+    expected = inverse_fourier_on_grid(product, g, lines=lattice_lines(product))
     assert got.tobytes() == expected.tobytes()
     assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     assert before.tobytes() == F.tobytes()
@@ -310,7 +312,7 @@ def test_kept_lines_transform_as_their_materialized_lattice_bit_for_bit(
 
     with mock.patch.object(_workers, "_WORKERS", workers):
         got = inverse_fourier_on_grid(F, g, lines=(keep, fill))
-    expected = inverse_fourier_on_grid(lattice, g)
+    expected = inverse_fourier_on_grid(lattice, g, lines=lattice_lines(lattice))
     assert got.tobytes() == expected.tobytes()
     assert got.dtype == np.float64 and got.shape == shape and got.flags.f_contiguous
     assert seen == [(caller, int(i)) for i in keep]
@@ -327,11 +329,10 @@ def test_kept_lines_transform_as_their_materialized_lattice_bit_for_bit(
     seed=st.integers(0, 2**32 - 1),
 )
 def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, real, callback, seed):
-    # the scan, the blocks of pass 1 and the slabs are split across 1 to 4
-    # workers once each gets a whole block of 16 lines (up to 128 output
-    # lines and 128 kept lines here); every split gives the serial bits.
-    # Kept lines named by the caller are filled on the calling thread, once
-    # each in C order
+    # the slabs are split across 1 to 4 workers once each gets a whole
+    # block of 16 lines (up to 128 output lines here); every split gives the
+    # serial bits. Kept lines, named by the caller or the lattice's nonzero
+    # lines, are filled on the calling thread, once each in C order
     n = min(n, 32) if d == 3 else n
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     rng = np.random.default_rng(seed)
@@ -353,7 +354,7 @@ def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, rea
     def moduli(workers):
         calls.clear()
         with mock.patch.object(_workers, "_WORKERS", workers):
-            got = inverse_fourier_on_grid(F, g, lines=(keep, fill) if callback else None)
+            got = inverse_fourier_on_grid(F, g, lines=(keep, fill) if callback else lattice_lines(F))
         return got, list(calls)
 
     serial, serial_calls = moduli(1)
@@ -368,7 +369,8 @@ def test_moduli_have_the_same_bits_at_every_worker_count(d, n, lines, order, rea
 @pytest.mark.parametrize("kind", ["dense", "zero lines", "sparse", "zero"])
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
 def test_lattice_transforms_as_its_complex128_copy_bit_for_bit(d, n, kind, dtype):
-    # a real or single-precision lattice is cast line by line, not copied
+    # a real or single-precision lattice is cast line by line as it is
+    # copied into the source block, never copied whole
     g = GridSpec(dim=d, half_width=3.0, points_per_axis=n)
     rng = np.random.default_rng(5 * d + n)
     F = _lattice_input(kind, n, d, rng)
@@ -376,8 +378,8 @@ def test_lattice_transforms_as_its_complex128_copy_bit_for_bit(d, n, kind, dtype
     # zeros of both signs, which become -0 + 0j and 0 + 0j
     F.real[(F.real == 0.0) & (rng.uniform(size=F.shape) < 0.5)] = -0.0
     before = F.copy()
-    got = inverse_fourier_on_grid(F, g)
-    expected = inverse_fourier_on_grid(F.astype(complex), g)
+    got = inverse_fourier_on_grid(F, g, lines=lattice_lines(F))
+    expected = inverse_fourier_on_grid(F.astype(complex), g, lines=lattice_lines(F.astype(complex)))
     assert got.dtype == np.float64 and got.flags.f_contiguous
     assert got.tobytes() == expected.tobytes()
     assert before.tobytes() == F.tobytes()
@@ -387,9 +389,10 @@ def test_lattice_transforms_as_its_complex128_copy_bit_for_bit(d, n, kind, dtype
 def test_knapp_like_lattice_is_never_held_as_complex(kept_share):
     # a real lattice with whole lines zero, as off the Knapp caps. The call
     # holds one buffer, the larger of the float64 moduli and the compact
-    # buffer of the transformed kept lines, with one block, one slab and
-    # index arrays, at the default worker count and at 4: neither the
-    # complex field nor a complex copy of the input (16 MiB each here)
+    # buffer of the transformed kept lines, with one block, its source
+    # block, one slab and index arrays, at the default worker count and at
+    # 4: neither the complex field nor a complex copy of the input (16 MiB
+    # each here)
     n = 1024
     g = GridSpec(dim=2, half_width=64.0, points_per_axis=n)
     rng = np.random.default_rng(9)
@@ -398,7 +401,7 @@ def test_knapp_like_lattice_is_never_held_as_complex(kept_share):
     expected = np.abs(ifftn_formula(F, g))
     for workers in (_workers._WORKERS, 4):
         with mock.patch.object(_workers, "_WORKERS", workers):
-            got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+            got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g, lines=lattice_lines(F)))
         assert got.tobytes() == expected.tobytes()
         compact = 16 * (n // kept_share) * n
         assert peak < max(got.nbytes, compact) + 4 * 2**20
@@ -411,8 +414,8 @@ def test_kept_lines_share_the_output_buffer(kept_share, order):
     # share one buffer, so the call holds the larger of the two, not their
     # sum, with kept lines below or above half the lines: a compact buffer
     # allocated beside the output adds the smaller (1 MiB or 2 MiB here).
-    # The workers' blocks and slabs hold one block and one slab in all, at
-    # the default worker count and at 4
+    # The block, its source block and the workers' slabs hold three blocks
+    # of lines in all, at the default worker count and at 4
     n = 512
     g = GridSpec(dim=2, half_width=32.0, points_per_axis=n)
     rng = np.random.default_rng(11)
@@ -422,11 +425,11 @@ def test_kept_lines_share_the_output_buffer(kept_share, order):
     expected = np.abs(ifftn_formula(F, g))
     for workers in (_workers._WORKERS, 4):
         with mock.patch.object(_workers, "_WORKERS", workers):
-            got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g))
+            got, peak = _peak_bytes(lambda: inverse_fourier_on_grid(F, g, lines=lattice_lines(F)))
         assert got.tobytes() == expected.tobytes()
         out, compact = got.nbytes, 16 * int(kept_share * n) * n
-        block, slab = 16 * 16 * n, 16 * 16 * n  # of all workers together
-        assert peak < max(out, compact) + block + slab + 2**18
+        block, slab = 16 * 16 * n, 16 * 16 * n  # the slab of all workers together
+        assert peak < max(out, compact) + 2 * block + slab + 2**18
         assert min(out, compact) >= 2**20  # the sum would break the bound
 
 
@@ -434,5 +437,43 @@ def test_transform_shape_check():
     g = GridSpec(dim=2, half_width=1.0, points_per_axis=16)
     with pytest.raises(ValueError, match="shape"):
         fourier_on_grid(np.zeros(16), g)
-    with pytest.raises(ValueError, match="shape"):
-        inverse_fourier_on_grid(np.zeros((8, 8)), g)
+    # the even form takes a real corner of at most 9 x 9 points here
+    bad_corners = [np.zeros((10, 9)), np.zeros((9, 0)), np.zeros(9), np.zeros((9, 9, 1)), np.zeros((9, 9), dtype=complex)]
+    for bad in bad_corners:
+        with pytest.raises(ValueError, match="real corner of shape at most"):
+            inverse_fourier_on_grid(bad, g)
+
+
+def _even_extension(corner, n):
+    """The whole (n,)*d lattice whose entry at m is the corner's at |m|,
+    m = -n/2..n/2-1 on every axis, zero beyond the corner."""
+    h, d = n // 2, corner.ndim
+    padded = np.zeros((h + 1,) * d)
+    padded[tuple(slice(0, k) for k in corner.shape)] = corner
+    return padded[np.ix_(*[np.abs(np.arange(n) - h)] * d)]
+
+
+@pytest.mark.parametrize("corner", ["orthant", "box", "one", "uneven"])
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 32), (3, 16)])
+def test_even_form_equals_ifftn_formula_of_the_even_extension(d, n, corner):
+    # the quarter's entry at k is |f| at grid indices N/2 + k and N/2 - k
+    # (grid index 0 at k = N/2), of the ifftn formula of the
+    # lattice that is the corner at |m|, zero beyond it: the whole orthant,
+    # a box inside it (as a dyadic ring's), its one point m = 0, and a
+    # corner of a different length on every axis
+    h = n // 2
+    shapes = {"orthant": (h + 1,) * d, "box": (h // 2,) * d, "one": (1,) * d}
+    shape = shapes.get(corner, tuple(range(h + 1, h + 1 - d, -1)))  # uneven: h + 1, h, ...
+    g = GridSpec(dim=d, half_width=1.5, points_per_axis=n)
+    rng = np.random.default_rng(3 * d + n + len(corner))
+    values = rng.standard_normal(shape)
+    values[rng.uniform(size=shape) < 0.1] = -0.0
+    before = values.copy()
+    field = np.abs(ifftn_formula(_even_extension(values, n), g))
+    got = inverse_fourier_on_grid(values, g)
+    assert got.dtype == np.float64 and got.shape == (h + 1,) * d
+    assert before.tobytes() == values.tobytes()
+    k = np.arange(h + 1)
+    for side in ((h + k) % n, h - k):  # +k and -k; both are x = -L at k = N/2
+        expected = field[np.ix_(*[side] * d)]
+        assert np.max(np.abs(got - expected)) <= 1e-13 * field.max()

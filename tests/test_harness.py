@@ -16,6 +16,7 @@ import pytest
 from restrictionlab import _workers, cli, grids, knapp, measures
 from restrictionlab import oscillatory as osc
 from restrictionlab.cli import main
+from restrictionlab.measures import DiscreteMeasure, save_measure
 from restrictionlab.reporting import (
     ExperimentConfig,
     ReportTable,
@@ -556,16 +557,16 @@ def test_unresolvable_cap_count_exits_2_before_the_first_field(tmp_path, capsys,
 
 
 def test_dyadic_sweep_peak_memory_stays_below_two_lattices(tmp_path):
-    # the sweep holds the real orthant of the circle's mu_hat and the
-    # inverse transform's one buffer (the moduli, or the box's lines when
-    # they are more, then one block, the source block and one slab); the
-    # ring product is formed inside the transform a block of the box's
-    # lines at a time, so no localized lattice is built, the lines are read
-    # from the orthant by reflection, so no whole lattice of mu_hat is
-    # built, and a piece keeps only its two sups (few atoms: the
-    # transform's matrices are small). About 1.46 lattices here, 1.8 with
-    # the complex half of mu_hat (255 atoms), 2.2 when mu_hat was held as
-    # the whole lattice and 3.2 when each piece built its localized lattice
+    # the sweep holds the real orthant of the circle's mu_hat and a
+    # piece's ring on the orthant's corner of its box, which the even form
+    # of the inverse transform takes through real half-length transforms to
+    # the quarter of moduli; no localized lattice and no whole lattice of
+    # mu_hat is built, and a piece keeps only its two sups and its moduli at
+    # the oracle's points (few atoms: the transform's matrices are small).
+    # About 1.0 lattices here (1.46 when the pieces took the complex
+    # transform's one buffer), 1.7 with the complex half of mu_hat (255
+    # atoms), 2.2 when mu_hat was held as the whole lattice and 3.2 when
+    # each piece built its localized lattice
     lattice = 16 * 512**2  # bytes of one complex lattice
     argv = ["dyadic", "--points", "512", "--n", "256", "--j-list", "1,2,3,4,5,6"]
     for workers in (_workers._WORKERS, 4):
@@ -809,35 +810,59 @@ def test_dyadic_point_mass_scaling(tmp_path):
     assert re.findall(r"^  (kind|n|ratio|levels|dim)=", echo, re.M) == ["dim", "kind"]
 
 
-def _fails_only_the_oracle(tmp_path, monkeypatch, argv, faulty):
+def _fails_only_the_oracle(tmp_path, monkeypatch, argv, faulty, name="_lattice_line", label="mu_hat oracle"):
     # argv passes every check of dyadic; with faulty in place of
-    # measures._lattice_line, only the oracle line may fail
+    # measures.<name>, only the oracle line of that label may fail
     assert main(argv + ["--out", str(tmp_path / "right")]) == 0
-    monkeypatch.setattr(measures, "_lattice_line", faulty)
+    monkeypatch.setattr(measures, name, faulty)
     assert main(argv + ["--out", str(tmp_path / "wrong")]) == 1
     lines = (tmp_path / "wrong" / "dyadic_verdict.txt").read_text().splitlines()
-    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL mu_hat oracle within 1e-10"]
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == ["FAIL %s within 1e-10" % label]
 
 
 def test_dyadic_oracle_check_fails_on_a_wrong_reflection(tmp_path, monkeypatch):
-    # the circle's sweep reads mu_hat from its real orthant by even
-    # reflection, orthant index |m| on every axis, and its oracle check
-    # reads eight fixed points the same way against the direct sum: the
-    # rows m_1 < 0 read one row off (|m_1| - 1) pass every other check of
-    # this run, and must fail that one
-    right = measures._lattice_line
-    read = set()
+    # the circle's sweep hands the corner m >= 0 of each piece to the even
+    # form of the inverse transform, which reflects it into every orthant
+    # by its real transforms; the piece oracle sums the ring times the
+    # orthant of mu_hat, read at |m|, against the moduli at eight fixed
+    # grid points. A corner whose rows are read one row off (m_1 + 1 for
+    # m_1) passes every other check of this run, and must fail that one
+    right = measures.inverse_fourier_on_grid
+    read = []
 
-    def one_row_off(mu_hat, at, lo, hi, out):
-        read.add(mu_hat.dtype)
-        h = mu_hat.shape[0] - 1
-        if at and at[0] < h:
-            at = (at[0] + 1,) + at[1:]
-        return right(mu_hat, at, lo, hi, out)
+    def one_row_off(freq_values, grid, lines=None):
+        read.append(lines is None)
+        shifted = np.zeros_like(freq_values)
+        shifted[:-1] = freq_values[1:]
+        return right(shifted, grid)
 
     argv = ["dyadic", "--points", "256", "--n", "128", "--j-list", "1,2,3,4"]
-    _fails_only_the_oracle(tmp_path, monkeypatch, argv, one_row_off)
-    assert read == {np.dtype(np.float64)}
+    _fails_only_the_oracle(tmp_path, monkeypatch, argv, one_row_off, "inverse_fourier_on_grid", "piece oracle")
+    assert read == [True] * 4
+
+
+def test_dyadic_piece_oracle_fails_on_swapped_axes(tmp_path, monkeypatch):
+    # four atoms (+-a, +-b), a != b, equal their reflection in each axis
+    # but not their image under x_1 <-> x_2: the sweep takes the orthant of
+    # mu_hat, and a corner handed to the even form with its two axes
+    # swapped gives the right sups (the quarter of the swapped piece is the
+    # transpose of the right one) and passes every other check of a plain
+    # run, and must fail the piece oracle. The circle cannot show this
+    # fault: its mu_hat is symmetric under xi_1 <-> xi_2 up to rounding
+    atoms = np.array([[sa * 0.25, sb * 0.6] for sa in (1, -1) for sb in (1, -1)])
+    path = tmp_path / "atoms.txt"
+    save_measure(DiscreteMeasure(dim=2, atoms=atoms, weights=np.full(4, 0.25), label="rectangle"), path)
+    right = measures.inverse_fourier_on_grid
+
+    def swapped(freq_values, grid, lines=None):
+        assert lines is None
+        return right(freq_values.T, grid)
+
+    argv = ["dyadic", "--measure-file", str(path), "--points", "64", "--j-list", "1,2,3"]
+    _fails_only_the_oracle(tmp_path, monkeypatch, argv, swapped, "inverse_fourier_on_grid", "piece oracle")
+    right_rows = (tmp_path / "right" / "dyadic.csv").read_text().splitlines()
+    wrong_rows = (tmp_path / "wrong" / "dyadic.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in right_rows] == [row.split(",")[:2] for row in wrong_rows]
 
 
 @pytest.mark.parametrize("fault", ["reflection one row off", "conjugate dropped"])
@@ -946,7 +971,10 @@ def test_traced_dyadic_run_records_every_expected_span(tmp_path, monkeypatch):
     assert "bumps.dyadic_ring" in expected and "measures.dyadic_piece" in expected
     assert [s for s in expected if stats.get(s, {}).get("calls", 0) == 0] == []
     assert stats["measures.dyadic_piece"]["calls"] == 3
-    assert stats["bumps.dyadic_ring"]["points"] == 15**2 + 31**2 + 63**2
+    # the ring is evaluated on the box xi_k^2 < 4^j of the orthant m >= 0,
+    # 2^(j+2) points per axis here (the piece oracle evaluates its own ring
+    # from radial_plateau)
+    assert stats["bumps.dyadic_ring"]["points"] == 8**2 + 16**2 + 32**2
     assert sum(s["exceptions"] for s in stats.values()) == 0
 
 

@@ -19,7 +19,7 @@ from restrictionlab.knapp import (
 )
 from restrictionlab.measures import make_sphere_measure
 
-from gridpoints import freq_mesh, ifftn_formula
+from gridpoints import freq_mesh, ifftn_formula, lattice_lines
 
 
 def test_spec_validation():
@@ -112,7 +112,7 @@ def test_field_equals_dense_outer_product_sum_bit_for_bit(n):
         assert 0 < np.count_nonzero(tang) < fax.size
         G += w[k - 1] * np.outer(tang, rad)
     g_atoms, moduli = knapp_function(spec, grid, sphere)
-    assert moduli.tobytes() == inverse_fourier_on_grid(G, grid).tobytes()
+    assert moduli.tobytes() == inverse_fourier_on_grid(G, grid, lines=lattice_lines(G)).tobytes()
     assert np.array_equal(g_atoms, knapp_g_values(spec, sphere.atoms))
 
 
